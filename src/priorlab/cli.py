@@ -52,6 +52,7 @@ from .ratelab import (
     ESTIMATION_CSV_HEADER,
     RATE_CSV_HEADER,
     ExperimentConfig,
+    _pmap,
     coin_bound_table,
     run_baseline_comparison,
     run_lower_experiment,
@@ -375,6 +376,14 @@ def cmd_smoothness(config: dict, seed: int, outdir: Path, workers: int, exact: b
     return 0
 
 
+def _elicit_stream(payload):
+    """Serve one customer stream, write its ledger, return (regrets, tail avg, exceedance)."""
+    path, *args = payload
+    res = run_algorithm1(*args)
+    write_csv(path, LEDGER_CSV_HEADER, [r.csv_row() for r in res.rows])
+    return [r.regret for r in res.rows], res.tail_query_avg, res.exceedance_rate
+
+
 def cmd_elicit(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
     eps = config["epsilon"]
     menu, family = presence_family(seed=config["family_seed"], n_items=config["n_items"])
@@ -388,30 +397,22 @@ def cmd_elicit(config: dict, seed: int, outdir: Path, workers: int, exact: bool)
         estimate_Q(j, family, eps / 4.0, trials=config["q_trials"], seed=seed).mean
         for j in range(family.n_members)
     ]
-    all_regrets, tails, exceeds = [], [], []
-    for rep in range(config["replicates"]):
-        truth = rep % family.n_members
-        res = run_algorithm1(
-            family, model, schedule, truth, eps, config["T"],
-            seed=seed + 1000 + rep, q_table=q_table,
-        )
-        write_csv(
-            outdir / f"ledger_{rep:03d}.csv",
-            LEDGER_CSV_HEADER,
-            [r.csv_row() for r in res.rows],
-        )
-        all_regrets.extend(r.regret for r in res.rows)
-        tails.append((truth, res.tail_query_avg, q_table[truth]))
-        exceeds.append(res.exceedance_rate)
-    reg = np.asarray(all_regrets)
+    truths = [rep % family.n_members for rep in range(config["replicates"])]
+    results = _pmap(_elicit_stream, [
+        (outdir / f"ledger_{rep:03d}.csv", family, model, schedule, truth, eps, config["T"],
+         seed + 1000 + rep, q_table)
+        for rep, truth in enumerate(truths)
+    ], workers)
+    reg = np.concatenate([regrets for regrets, _, _ in results])
     se = float(reg.std(ddof=1) / np.sqrt(len(reg)))
     lines = [
         f"epsilon={eps!r}",
         f"streams={config['replicates']} T={config['T']}",
         f"mean_regret={float(reg.mean())!r} se={se!r} upper95={float(reg.mean() + 1.645 * se)!r}",
-        f"exceedance_max={max(exceeds)!r} (target <= {eps / 2.0!r})",
+        f"exceedance_max={max(e for _, _, e in results)!r} (target <= {eps / 2.0!r})",
     ]
-    for truth, tail_avg, q in tails:
+    for truth, (_, tail_avg, _) in zip(truths, results):
+        q = q_table[truth]
         lines.append(
             f"truth={truth} tail_query_avg={tail_avg!r} "
             f"q_hat={q!r} budget={q + family.d + 0.5!r}"
@@ -474,6 +475,8 @@ def dispatch(
         return 1
     outdir = Path(outdir)
     try:
+        if exact_rational and subcommand != "smoothness":
+            raise ValueError(f"--exact-rational is read only by smoothness, not {subcommand}")
         if config_path is None:
             config = {k: v for k, (_, v) in SCHEMAS[subcommand].items()}
             missing = [k for k, v in config.items() if v is _REQUIRED]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -184,14 +183,6 @@ def rho_matrix(space: ConceptSpace, dist: DataDistribution) -> np.ndarray:
     diff = space.masks[:, None] ^ space.masks[None, :]
     bits = (diff[:, :, None] >> np.arange(space.m)[None, None, :]) & 1
     return (bits * w).sum(axis=2)
-
-
-def rho_exact(h: Concept, g: Concept, weights: list[Fraction]) -> Fraction:
-    """rho with exact rational D weights."""
-    diff = h.mask ^ g.mask
-    return sum(
-        (w for i, w in enumerate(weights) if (diff >> i) & 1), start=Fraction(0)
-    )
 
 
 def _is_shattered(space: ConceptSpace, subset_mask: int, size: int) -> bool:

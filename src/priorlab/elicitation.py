@@ -8,6 +8,11 @@ strategy (the prior-aware method), an exhaustive prior-free fallback, a
 minimum-distance estimator of the member from d uniformly sampled values
 per customer, an empirically calibrated radius/confidence schedule, and
 the sequential loop that stitches them together.
+
+No query decision feeds back into the task draws or the estimator, so
+estimation runs in bulk from pre-drawn streams: all customers of a stream
+are drawn first, one batch yields their pair indicators and prefix
+counts, and only the query strategy runs customer by customer.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import BudgetError
+from .estimators import yatracos_scores
 from .sampling import stream
 
 _CUSTOMER_STREAM = 0
@@ -85,9 +91,6 @@ class SatisfactionFunction:
     def n_bundles(self) -> int:
         return len(self.values)
 
-    def best_bundle(self) -> int:
-        return int(np.argmax(self.values))
-
 
 def pseudo_shattered(functions, points, witnesses) -> bool:
     patterns = set()
@@ -147,6 +150,7 @@ class ValuationPriorFamily:
             raise ValueError(f"recorded pseudo-dimension bound d={d} is violated")
         self.d = d
         self.W = np.stack(self.members)  # (members, F)
+        self.cdf = np.cumsum(self.W, axis=1)
         M = len(self.members)
         self.tv_matrix = np.array(
             [[0.5 * np.abs(self.W[a] - self.W[b]).sum() for b in range(M)] for a in range(M)]
@@ -160,10 +164,12 @@ class ValuationPriorFamily:
     def n_bundles(self) -> int:
         return self.S.shape[1]
 
-    def sample_function(self, member: int, rng: np.random.Generator) -> int:
-        u = rng.random()
-        idx = int(np.searchsorted(np.cumsum(self.members[member]), u, side="right"))
-        return min(idx, len(self.functions) - 1)
+    def sample_function(self, member: int, rng: np.random.Generator, size: int | None = None):
+        """A function index drawn from `member`, or an array of `size` of
+        them (the same doubles as `size` single draws)."""
+        idx = np.searchsorted(self.cdf[member], rng.random(size), side="right")
+        idx = np.minimum(idx, len(self.functions) - 1)
+        return idx if size is not None else int(idx)
 
 
 class ValueOracle:
@@ -189,12 +195,7 @@ class ValueOracle:
 def method_A_prime(oracle: ValueOracle, epsilon: float, n_bundles: int) -> int:
     """Prior-free strategy: query every bundle, return the exact argmax
     (ties to the lowest bundle index); regret 0 <= epsilon."""
-    best, best_v = 0, -np.inf
-    for x in range(n_bundles):
-        v = oracle.ask(x)
-        if v > best_v:
-            best, best_v = x, v
-    return best
+    return max(range(n_bundles), key=oracle.ask)
 
 
 class _PosteriorCache:
@@ -205,6 +206,12 @@ class _PosteriorCache:
     def __init__(self, family: ValuationPriorFamily):
         self.family = family
         self._cache: dict[tuple[int, int], tuple] = {}
+        # function bitmasks: each member's support, and agree[x][v] for s(x) = v
+        self.support = [sum(1 << i for i, w in enumerate(m) if w > 0) for m in family.members]
+        self.agree = [{} for _ in range(family.n_bundles)]
+        for i, f in enumerate(family.functions):
+            for x, v in enumerate(f.values):
+                self.agree[x][v] = self.agree[x].get(v, 0) | 1 << i
 
     def get(self, member: int, cons_mask: int):
         key = (member, cons_mask)
@@ -273,35 +280,23 @@ def method_A(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    fam = family
-    cache = cache or _PosteriorCache(fam)
-    n_bundles = fam.n_bundles
+    cache = cache or _PosteriorCache(family)
+    n_bundles = family.n_bundles
     start_queries = oracle.count
-
-    def consistent_mask() -> int:
-        mask = 0
-        for i in range(len(fam.functions)):
-            if fam.members[member][i] <= 0:
-                continue
-            f = fam.functions[i]
-            if all(f.values[x] == v for x, v in oracle.known.items()):
-                mask |= 1 << i
-        return mask
-
     while True:
-        cons = consistent_mask()
+        cons = cache.support[member]  # the support functions consistent with every answer
+        for x, v in oracle.known.items():
+            cons &= cache.agree[x].get(v, 0)
         state = cache.get(member, cons) if cons else None
         if state is None:
             x_hat = method_A_prime(oracle, epsilon, n_bundles)
             return QueryOutcome(x_hat, oracle.count - start_queries, fallback=True)
         means, exp_max, regret0, phi = state
-        if regret0 <= epsilon + 1e-12:
+        if regret0 <= epsilon + 1e-12 or len(oracle.known) == n_bundles:
             return QueryOutcome(int(np.argmax(means)), oracle.count - start_queries, False)
-        unqueried = [x for x in range(n_bundles) if x not in oracle.known]
-        if not unqueried:
-            return QueryOutcome(int(np.argmax(means)), oracle.count - start_queries, False)
-        best = max(unqueried, key=lambda x: (phi[x], -x))
-        oracle.ask(best)
+        gain = phi.copy()
+        gain[list(oracle.known)] = -np.inf
+        oracle.ask(int(np.argmax(gain)))
 
 
 @dataclass
@@ -309,10 +304,6 @@ class QEstimate:
     mean: float
     se: float
     trials: int
-
-    @property
-    def ci95(self) -> tuple[float, float]:
-        return (self.mean - 1.96 * self.se, self.mean + 1.96 * self.se)
 
 
 def estimate_Q(
@@ -416,38 +407,55 @@ class FamilyOutcomeModel:
         return [cells[k] for k in sorted(cells)]
 
     def consistent_mask(self, xs, values) -> np.ndarray:
-        fam = self.family
-        ok = np.ones(len(fam.functions), dtype=bool)
-        for x, v in zip(xs, values):
-            ok &= fam.S[:, x] == v
-        return ok
+        """Functions agreeing with every observed value: (F,) for one task's
+        (d,) points and values, (T, F) for a (T, d) batch."""
+        xs, values = np.asarray(xs, dtype=np.intp), np.asarray(values)
+        return (self.family.S.T[xs] == values[..., None]).all(axis=-2)
 
     def observation_indicators(self, xs, values) -> np.ndarray:
-        """For one observed task: membership of its outcome in each A_ij."""
-        if not self.pairs:
-            return np.zeros(0)
-        mm = self.family.W @ self.consistent_mask(xs, values).astype(float)
-        return mm[[p[0] for p in self.pairs]] > mm[[p[1] for p in self.pairs]] + self._tie
+        """Membership of observed outcomes in each A_ij: (pairs,) bools for
+        one task, (T, pairs) for a (T, d) batch.  Each distinct consistent
+        set is scored once."""
+        mask = self.consistent_mask(xs, values)
+        flat = mask.reshape(-1, mask.shape[-1])
+        packed = np.packbits(flat, axis=1)  # equal sets give equal byte strings
+        keys = packed.view(f"S{packed.shape[1]}").ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        mm = np.zeros((len(first), self.family.n_members))
+        for r, ok in enumerate(flat[first]):
+            mm[r] = self.family.W @ ok.astype(float)
+        ind = mm[:, [i for i, _ in self.pairs]] > mm[:, [j for _, j in self.pairs]] + self._tie
+        return ind[inverse].reshape(mask.shape[:-1] + (len(self.pairs),))
 
 
 class SequentialSelector:
-    """Running minimum-distance selection over the family as tasks arrive."""
+    """Running minimum-distance selection over the family as tasks arrive;
+    integer prefix counts (row t: the first t tasks) let the selection
+    after any earlier task count be read back."""
 
     def __init__(self, model: FamilyOutcomeModel):
         self.model = model
-        self.counts = np.zeros(len(model.pairs))
-        self.t = 0
+        self.counts = np.zeros((1, len(model.pairs)), dtype=np.int32)
 
     def update(self, xs, values) -> None:
-        self.counts += self.model.observation_indicators(xs, values)
-        self.t += 1
+        """Add one task ((d,) points and values) or a (T, d) batch."""
+        ind = np.atleast_2d(self.model.observation_indicators(xs, values))
+        t = len(self.counts) - 1
+        self.counts = np.concatenate([self.counts, ind])
+        np.cumsum(self.counts[t:], axis=0, out=self.counts[t:])
 
-    def selected(self) -> int:
-        if self.t == 0 or not self.model.pairs:
-            return 0
-        mu = self.counts / self.t
-        scores = np.abs(self.model.G - mu[None, :]).max(axis=1)
-        return int(np.argmin(scores))
+    def selected(self, t=None):
+        """The member selected after the first t tasks (default: all seen),
+        or an array of them for an array of t; member 0 before any task."""
+        ts = np.atleast_1d(len(self.counts) - 1 if t is None else t)
+        picks = np.zeros(len(ts), dtype=np.int64)
+        # score a chunk of task counts at a time: (chunk, members, pairs) floats
+        step = max(1, (1 << 14) // max(self.model.G.size, 1))
+        for lo in range(0, len(ts), step):
+            tt = ts[lo : lo + step]
+            scores = yatracos_scores(self.model.G, self.counts[tt] / np.maximum(tt, 1)[:, None])
+            picks[lo : lo + step] = np.where(tt > 0, scores.argmin(axis=1), 0)
+        return picks if np.ndim(t) else int(picks[0])
 
 
 @dataclass
@@ -473,10 +481,6 @@ class ScheduleRDelta:
         i = int(np.searchsorted(self.knots, t, side="right")) - 1
         return self.R[i]
 
-    def confidence(self, t: int) -> float:
-        i = int(np.searchsorted(self.knots, t, side="right")) - 1
-        return self.delta[i]
-
 
 def _simulate_errors(
     family: ValuationPriorFamily,
@@ -486,18 +490,12 @@ def _simulate_errors(
     rng: np.random.Generator,
 ) -> list[float]:
     """One stream from `truth`; returns tv(selected, truth) at each grid T."""
-    sel = SequentialSelector(model)
     T_max = T_grid[-1]
-    f_idx = np.array([family.sample_function(truth, rng) for _ in range(T_max)])
+    f_idx = family.sample_function(truth, rng, size=T_max)
     xs = rng.integers(0, family.n_bundles, size=(T_max, family.d))
-    errs = []
-    grid = set(T_grid)
-    for t in range(1, T_max + 1):
-        values = family.S[f_idx[t - 1], xs[t - 1]]
-        sel.update(xs[t - 1], values)
-        if t in grid:
-            errs.append(float(family.tv_matrix[truth, sel.selected()]))
-    return errs
+    sel = SequentialSelector(model)
+    sel.update(xs, family.S[f_idx[:, None], xs])
+    return [float(e) for e in family.tv_matrix[truth, sel.selected(T_grid)]]
 
 
 def calibrate_schedule(
@@ -605,45 +603,44 @@ def run_algorithm1(
         raise ValueError("epsilon must be positive")
     if len(q_table) != family.n_members:
         raise ValueError("q_table must hold one query estimate per member")
-    cache = _PosteriorCache(family)
-    sel = SequentialSelector(model)
-    rows: list[LedgerRow] = []
     n_bundles = family.n_bundles
+    f_idx, xs = np.zeros(T, dtype=np.int64), np.zeros((T, family.d), dtype=np.int64)
     for t in range(1, T + 1):
-        rng_f = stream(seed, t, _CUSTOMER_STREAM)
-        rng_x = stream(seed, t, _POINTS_STREAM)
-        f_idx = family.sample_function(truth, rng_f)
-        func = family.functions[f_idx]
-        oracle = ValueOracle(func)
-        sample_points = [int(x) for x in rng_x.integers(0, n_bundles, size=family.d)]
-        sample_values = [oracle.ask(x) for x in sample_points]
-
-        theta_hat = sel.selected()
-        R_used = schedule.radius(t - 1)
-        exceeded = float(family.tv_matrix[truth, theta_hat]) > R_used
-        fallback = False
+        f_idx[t - 1] = family.sample_function(truth, stream(seed, t, _CUSTOMER_STREAM))
+        xs[t - 1] = stream(seed, t, _POINTS_STREAM).integers(0, n_bundles, size=family.d)
+    # customer t is served with the estimate and the radius after t - 1 tasks
+    sel = SequentialSelector(model)
+    sel.update(xs, family.S[f_idx[:, None], xs])
+    theta_hats = sel.selected(np.arange(T))
+    del sel  # its prefix counts are not needed while serving
+    knots = np.searchsorted(schedule.knots, np.arange(T), side="right") - 1
+    exceeded = family.tv_matrix[truth, theta_hats] > np.asarray(schedule.R)[knots]
+    # the cheapest surrogate in the ball of each knot's radius around each member
+    order = sorted(range(family.n_members), key=lambda j: (q_table[j], j))
+    in_ball = family.tv_matrix[:, None, order] <= np.asarray(schedule.R)[:, None] + 1e-12
+    theta_checks = np.array(order)[in_ball.argmax(axis=2)].tolist()
+    top = family.S.max(axis=1)
+    cache = _PosteriorCache(family)
+    rows: list[LedgerRow] = []
+    for t, f, points, theta_hat, knot in zip(
+        range(1, T + 1), f_idx.tolist(), xs.tolist(), theta_hats.tolist(), knots.tolist()
+    ):
+        oracle = ValueOracle(family.functions[f])
+        for x in points:
+            oracle.ask(x)
+        R_used = schedule.R[knot]
         if R_used > epsilon / 8.0:
+            branch, theta_check, fallback = "Aprime", -1, False
             x_hat = method_A_prime(oracle, epsilon, n_bundles)
-            branch, theta_check = "Aprime", -1
         else:
-            ball = [
-                j
-                for j in range(family.n_members)
-                if family.tv_matrix[theta_hat, j] <= R_used + 1e-12
-            ]
-            theta_check = min(ball, key=lambda j: (q_table[j], j))
+            branch, theta_check = "A", theta_checks[theta_hat][knot]
             out = method_A(theta_check, family, epsilon / 4.0, oracle, cache)
-            x_hat = out.bundle
-            fallback = out.fallback
-            branch = "A"
-        regret = float(np.max(func.values) - func.values[x_hat])
-        rows.append(
-            LedgerRow(
-                t, branch, oracle.count, regret, theta_check, R_used,
-                tuple(oracle.asked), exceeded, fallback,
-            )
-        )
-        sel.update(sample_points, sample_values)
+            x_hat, fallback = out.bundle, out.fallback
+        regret = float(top[f] - family.S[f, x_hat])
+        rows.append(LedgerRow(
+            t, branch, oracle.count, regret, theta_check, R_used,
+            tuple(oracle.asked), bool(exceeded[t - 1]), fallback,
+        ))
 
     regrets = np.array([r.regret for r in rows])
     tail = tail_len if tail_len is not None else max(1, T // 4)

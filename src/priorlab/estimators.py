@@ -26,6 +26,13 @@ from .priors import CoverFamily, SmoothPriorParams, TabularPrior
 from .sampling import TaskBatch
 
 
+def yatracos_scores(PA: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Min-distance scores max_ij |PA[:, ij] - mu[ij]| of the members (PA:
+    members x pairs), for one empirical vector mu or a stack of them;
+    0 when there are no pairs."""
+    return np.abs(PA - mu[..., None, :]).max(axis=-1, initial=0.0)
+
+
 class _MinDistance:
     """Minimum-distance selection over N mass vectors on a finite support.
 
@@ -63,10 +70,7 @@ class _MinDistance:
         return self.M.shape[0]
 
     def scores(self, counts: np.ndarray, total: int) -> np.ndarray:
-        if not self.pairs:
-            return np.zeros(self.n_members)
-        mu = (self.A @ counts) / total
-        return np.abs(self.PA - mu[None, :]).max(axis=1)
+        return yatracos_scores(self.PA, (self.A @ counts) / total)
 
     def select(self, counts: np.ndarray, total: int) -> tuple[int, np.ndarray]:
         s = self.scores(counts, total)

@@ -163,13 +163,15 @@ def test_lowerbound_small(tmp_path):
     assert lines[0] == "experiment,m,d,L,alpha,k,T,replicate,truth_id,selected_id,tv_error"
 
 
+ELICIT_TINY = (
+    "epsilon = 0.2\nT = 40\nreplicates = 2\ncalibration_T_grid = 10,20\n"
+    "calibration_replicates = 8\nq_trials = 40\n"
+)
+
+
 def test_elicit_tiny_run(tmp_path):
     out = tmp_path / "out"
-    cfg = write_config(
-        tmp_path, "e.cfg",
-        "epsilon = 0.2\nT = 40\nreplicates = 2\ncalibration_T_grid = 10,20\n"
-        "calibration_replicates = 8\nq_trials = 40\n",
-    )
+    cfg = write_config(tmp_path, "e.cfg", ELICIT_TINY)
     rc = dispatch("elicit", cfg, 2, out)
     assert rc == 0
     led = (out / "ledger_000.csv").read_text().splitlines()
@@ -177,6 +179,23 @@ def test_elicit_tiny_run(tmp_path):
     assert len(led) == 41
     assert (out / "menu.tsv").exists()
     assert "mean_regret" in (out / "summary.txt").read_text()
+
+
+def test_elicit_byte_identical_across_workers(tmp_path):
+    cfg = write_config(tmp_path, "e.cfg", ELICIT_TINY)
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert dispatch("elicit", cfg, 2, out1, workers=1) == 0
+    assert dispatch("elicit", cfg, 2, out2, workers=2) == 0
+    for name in ("ledger_000.csv", "ledger_001.csv", "summary.txt"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_exact_rational_rejected_where_ignored(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert dispatch("lemmas", None, 0, out, exact_rational=True) == 1
+    assert "--exact-rational" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["coinbound", "--exact-rational", "true", "--out", str(out)]) == 1
 
 
 def test_console_entrypoint_runs():

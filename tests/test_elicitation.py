@@ -1,10 +1,13 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
+from priorlab import elicitation
 from priorlab.elicitation import (
     FamilyOutcomeModel,
+    LedgerRow,
     Menu,
     SatisfactionFunction,
     ScheduleRDelta,
@@ -22,6 +25,7 @@ from priorlab.elicitation import (
     pseudo_shattered,
     run_algorithm1,
 )
+from priorlab.ratelab import format_cell
 from priorlab.sampling import stream
 
 
@@ -330,3 +334,225 @@ def test_presence_family_construction():
     # separated members: nonzero pairwise prior TV
     off = fam.tv_matrix[~np.eye(8, dtype=bool)]
     assert off.min() > 0.1
+
+
+# ------------------------------------------------------------------ oracles
+# The per-task elicitation loop as it ran before estimation was batched.  The
+# bulk code must reproduce it bit for bit.
+
+
+def oracle_indicators(model, xs, values):
+    fam = model.family
+    ok = np.ones(len(fam.functions), dtype=bool)
+    for x, v in zip(xs, values):
+        ok &= fam.S[:, x] == v
+    mm = fam.W @ ok.astype(float)
+    return mm[[p[0] for p in model.pairs]] > mm[[p[1] for p in model.pairs]] + 1e-12
+
+
+class OracleSelector:
+    def __init__(self, model):
+        self.model = model
+        self.counts = np.zeros(len(model.pairs))
+        self.t = 0
+
+    def update(self, xs, values):
+        self.counts += oracle_indicators(self.model, xs, values)
+        self.t += 1
+
+    def selected(self):
+        if self.t == 0 or not self.model.pairs:
+            return 0
+        mu = self.counts / self.t
+        return int(np.argmin(np.abs(self.model.G - mu[None, :]).max(axis=1)))
+
+
+def oracle_sample_function(fam, member, rng):
+    u = rng.random()
+    idx = int(np.searchsorted(np.cumsum(fam.members[member]), u, side="right"))
+    return min(idx, len(fam.functions) - 1)
+
+
+def oracle_simulate_errors(fam, model, truth, T_grid, rng):
+    sel = OracleSelector(model)
+    T_max = T_grid[-1]
+    f_idx = np.array([oracle_sample_function(fam, truth, rng) for _ in range(T_max)])
+    xs = rng.integers(0, fam.n_bundles, size=(T_max, fam.d))
+    errs = []
+    for t in range(1, T_max + 1):
+        sel.update(xs[t - 1], fam.S[f_idx[t - 1], xs[t - 1]])
+        if t in T_grid:
+            errs.append(float(fam.tv_matrix[truth, sel.selected()]))
+    return errs
+
+
+def oracle_method_A_prime(oracle, n_bundles):
+    best, best_v = 0, -np.inf
+    for x in range(n_bundles):
+        v = oracle.ask(x)
+        if v > best_v:
+            best, best_v = x, v
+    return best
+
+
+def oracle_method_A(member, fam, epsilon, oracle, cache):
+    """(bundle, fallback) of the prior-aware strategy."""
+    while True:
+        cons = 0
+        for i, f in enumerate(fam.functions):
+            if fam.members[member][i] > 0 and all(
+                f.values[x] == v for x, v in oracle.known.items()
+            ):
+                cons |= 1 << i
+        state = cache.get(member, cons) if cons else None
+        if state is None:
+            return oracle_method_A_prime(oracle, fam.n_bundles), True
+        means, _, regret0, phi = state
+        unqueried = [x for x in range(fam.n_bundles) if x not in oracle.known]
+        if regret0 <= epsilon + 1e-12 or not unqueried:
+            return int(np.argmax(means)), False
+        oracle.ask(max(unqueried, key=lambda x: (phi[x], -x)))
+
+
+def oracle_rows(fam, model, schedule, truth, epsilon, T, seed, q_table):
+    cache = _PosteriorCache(fam)
+    sel = OracleSelector(model)
+    rows = []
+    for t in range(1, T + 1):
+        func = fam.functions[oracle_sample_function(fam, truth, stream(seed, t, 0))]
+        oracle = ValueOracle(func)
+        points = [int(x) for x in stream(seed, t, 1).integers(0, fam.n_bundles, size=fam.d)]
+        values = [oracle.ask(x) for x in points]
+        theta_hat = sel.selected()
+        R_used = schedule.radius(t - 1)
+        exceeded = float(fam.tv_matrix[truth, theta_hat]) > R_used
+        if R_used > epsilon / 8.0:
+            x_hat, fallback = oracle_method_A_prime(oracle, fam.n_bundles), False
+            branch, theta_check = "Aprime", -1
+        else:
+            ball = [
+                j for j in range(fam.n_members) if fam.tv_matrix[theta_hat, j] <= R_used + 1e-12
+            ]
+            theta_check = min(ball, key=lambda j: (q_table[j], j))
+            x_hat, fallback = oracle_method_A(theta_check, fam, epsilon / 4.0, oracle, cache)
+            branch = "A"
+        regret = float(np.max(func.values) - func.values[x_hat])
+        rows.append(
+            LedgerRow(
+                t, branch, oracle.count, regret, theta_check, R_used,
+                tuple(oracle.asked), exceeded, fallback,
+            )
+        )
+        sel.update(points, values)
+    return rows
+
+
+def sparse_family():
+    """tiny_family's tables under members with partial supports, so a wrong
+    surrogate can meet an answer outside its support (the fallback path)."""
+    _, fam = tiny_family()
+    members = [(0.5, 0.5, 0.0, 0.0), (0.0, 0.2, 0.3, 0.5), (0.25, 0.25, 0.25, 0.25)]
+    return ValuationPriorFamily(fam.functions, members, d=2)
+
+
+def singleton_family():
+    _, fam = tiny_family()
+    return ValuationPriorFamily(fam.functions, [fam.members[0]], d=2)
+
+
+@functools.lru_cache(maxsize=None)
+def family_and_model(name):
+    fam = {
+        "tiny": lambda: tiny_family()[1],
+        "presence": lambda: presence_family(seed=0)[1],
+        "sparse": sparse_family,
+        "singleton": singleton_family,
+    }[name]()
+    return fam, FamilyOutcomeModel(fam)
+
+
+def draw_tasks(fam, truth, T, rng):
+    f_idx = fam.sample_function(truth, rng, size=T)
+    xs = rng.integers(0, fam.n_bundles, size=(T, fam.d))
+    return xs, fam.S[f_idx[:, None], xs]
+
+
+@pytest.mark.parametrize("name", ["tiny", "presence", "singleton"])
+def test_batched_indicators_match_per_task_oracle(name):
+    fam, model = family_and_model(name)
+    xs, values = draw_tasks(fam, fam.n_members - 1, 400, stream(21, 0))
+    expected = np.array([oracle_indicators(model, x, v) for x, v in zip(xs, values)])
+    batch = model.observation_indicators(xs, values)
+    assert batch.shape == (400, len(model.pairs)) and batch.dtype == bool
+    assert np.array_equal(batch, expected)
+    single = model.observation_indicators(list(xs[7]), list(values[7]))
+    assert single.shape == (len(model.pairs),)
+    assert np.array_equal(single, expected[7])
+
+
+@pytest.mark.parametrize("name", ["tiny", "presence"])
+def test_sample_function_size_matches_scalar_draws(name):
+    fam, _ = family_and_model(name)
+    for member in range(fam.n_members):
+        rng_bulk, rng_one = stream(5, member), stream(5, member)
+        bulk = fam.sample_function(member, rng_bulk, size=300)
+        assert bulk.tolist() == [oracle_sample_function(fam, member, rng_one) for _ in range(300)]
+        assert rng_bulk.random() == rng_one.random()  # both streams end in the same place
+        assert isinstance(fam.sample_function(member, rng_bulk), int)
+
+
+@pytest.mark.parametrize("name", ["tiny", "presence", "singleton"])
+def test_selector_batch_matches_per_task_oracle(name):
+    fam, model = family_and_model(name)
+    xs, values = draw_tasks(fam, 0, 300, stream(22, 1))
+    oracle = OracleSelector(model)
+    expected = [oracle.selected()]  # t = 0: no task seen yet
+    for x, v in zip(xs, values):
+        oracle.update(x, v)
+        expected.append(oracle.selected())
+    sel = SequentialSelector(model)
+    assert sel.selected() == 0 and sel.selected(0) == 0
+    sel.update(xs[:100], values[:100])
+    sel.update(xs[100], values[100])  # one task between two batches
+    sel.update(xs[101:], values[101:])
+    assert sel.selected(np.arange(301)).tolist() == expected
+    assert sel.selected() == expected[-1] and sel.selected(150) == expected[150]
+
+
+@pytest.mark.parametrize("name", ["tiny", "presence"])
+@pytest.mark.parametrize("seed", [0, 3, 109])
+def test_calibrate_schedule_matches_per_task_oracle(name, seed, monkeypatch):
+    fam, model = family_and_model(name)
+    args = dict(alpha=0.2, T_grid=(5, 20, 60, 150), replicates=5, seed=seed)
+    batched = calibrate_schedule(fam, model, **args)
+    monkeypatch.setattr(elicitation, "_simulate_errors", oracle_simulate_errors)
+    per_task = calibrate_schedule(fam, model, **args)
+    assert batched.R == per_task.R
+    assert batched.delta == per_task.delta
+
+
+# (epsilon, schedule): the prior-free branch, then balls of several members
+# under tied query estimates; or the prior-aware branch from the first
+# customer, whose poor early estimates make sparse_family fall back
+SERVE_CASES = [
+    (2.0, ScheduleRDelta(0.1, (0, 15, 40), (1.0, 0.3, 0.25), (0.0, 0.0, 0.0))),
+    (0.4, ScheduleRDelta(0.1, (0, 30), (0.05, 0.0), (0.0, 0.0))),
+]
+
+
+@pytest.mark.parametrize("name", ["tiny", "presence", "sparse", "singleton"])
+@pytest.mark.parametrize("seed", [0, 3, 109])
+def test_run_algorithm1_matches_per_task_oracle(name, seed):
+    fam, model = family_and_model(name)
+    M = fam.n_members
+    q_table = [float((3 * j + 1) % 4) for j in range(M)]
+    fallbacks = 0
+    for (eps, schedule), truth in itertools.product(SERVE_CASES, sorted({0, M - 1})):
+        res = run_algorithm1(fam, model, schedule, truth, eps, 120, seed, q_table)
+        expected = oracle_rows(fam, model, schedule, truth, eps, 120, seed, q_table)
+        assert res.rows == expected
+        assert [tuple(map(format_cell, r.csv_row())) for r in res.rows] == [
+            tuple(map(format_cell, r.csv_row())) for r in expected
+        ]
+        fallbacks += res.fallbacks
+    assert fallbacks > 0 or name != "sparse"
