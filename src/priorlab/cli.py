@@ -48,6 +48,7 @@ from .priors import (
     parity_family,
 )
 from .ratelab import (
+    BASELINE_CSV_HEADER,
     COIN_CSV_HEADER,
     ESTIMATION_CSV_HEADER,
     RATE_CSV_HEADER,
@@ -249,11 +250,7 @@ def cmd_rates(config: dict, seed: int, outdir: Path, workers: int, exact: bool) 
     write_csv(outdir / "skeleton_report.csv", ESTIMATION_CSV_HEADER, res.report_rows)
     baseline_T = config["baseline_T"] or config["T_grid"][-1]
     base = run_baseline_comparison(exp, T=baseline_T, workers=workers)
-    write_csv(
-        outdir / "baseline.csv",
-        RATE_CSV_HEADER + ("direct_id", "direct_tv_error"),
-        base.rows,
-    )
+    write_csv(outdir / "baseline.csv", BASELINE_CSV_HEADER, base.rows)
     c = res.curve
     lines = [
         f"theory_upper_exponent={c.theory_upper_exponent!r}",

@@ -19,9 +19,9 @@ from math import comb
 
 import numpy as np
 
-from .concepts import Concept, ConceptSpace, DataDistribution, d_subsets
+from .concepts import DataDistribution, d_subsets
 from .errors import BudgetError
-from .outcomes import EmpiricalOutcomeDistribution, OutcomeDistribution, exact_outcome_dist, tv
+from .outcomes import DEFAULT_BUDGET, OutcomeDistribution, exact_outcome_dist, tv
 from .priors import CoverFamily, SmoothPriorParams, TabularPrior
 from .sampling import TaskBatch
 
@@ -33,18 +33,34 @@ def yatracos_scores(PA: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.abs(PA - mu[..., None, :]).max(axis=-1, initial=0.0)
 
 
+def _outcome_codes(xs: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
+    """One integer per task outcome: the points in base m, then one bit per label."""
+    codes = np.zeros(len(xs), dtype=np.int64)
+    for j in range(xs.shape[1]):
+        codes = codes * m + (xs[:, j] - 1)
+    for j in range(ys.shape[1]):
+        codes = (codes << 1) | (ys[:, j] > 0)
+    return codes
+
+
 class _MinDistance:
     """Minimum-distance selection over N mass vectors on a finite support.
 
     Yatracos sets are the ordered-pair regions A_ij = {z : M_i(z) > M_j(z)};
     scores(mu) = max_ij |M(A_ij) - mu(A_ij)| and selection is the argmin,
-    ties to the lowest member index.
+    ties to the lowest member index.  Built from exact rows, it scores in
+    Fractions; otherwise in floats.
     """
 
     def __init__(self, mass_matrix: np.ndarray, exact_rows: list[list[Fraction]] | None = None):
         self.M = np.asarray(mass_matrix, dtype=float)
         n, s = self.M.shape
-        self.exact_rows = exact_rows
+        if n * (n - 1) * (s + n) > DEFAULT_BUDGET:
+            # A holds pairs x support entries and PA members x pairs
+            raise BudgetError(
+                f"{n * (n - 1)} Yatracos pairs x ({s} support points + {n} members)"
+                f" exceed the budget of {DEFAULT_BUDGET}"
+            )
         self.pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         self.A = np.zeros((len(self.pairs), s), dtype=bool)
         if exact_rows is not None:
@@ -65,29 +81,18 @@ class _MinDistance:
             self.PA_exact = None
         self.PA = self.M @ self.A.T  # (members, pairs)
 
-    @property
-    def n_members(self) -> int:
-        return self.M.shape[0]
-
-    def scores(self, counts: np.ndarray, total: int) -> np.ndarray:
-        return yatracos_scores(self.PA, (self.A @ counts) / total)
-
-    def select(self, counts: np.ndarray, total: int) -> tuple[int, np.ndarray]:
-        s = self.scores(counts, total)
-        return int(np.argmin(s)), s
-
-    def select_exact(self, counts: np.ndarray, total: int):
-        """Selection with Fraction scores (needs exact member tables)."""
+    def select(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
         if self.PA_exact is None:
-            raise ValueError("estimator was not built in exact mode")
-        if not self.pairs:
-            return 0, [Fraction(0)] * self.n_members
-        mu = [Fraction(int(self.A[p] @ counts), total) for p in range(len(self.pairs))]
+            s = yatracos_scores(self.PA, (self.A @ counts) / total)
+            best = int(np.argmin(s))
+            return best, SkeletonReport(best, s.tolist(), False)
+        mu = [Fraction(int(a @ counts), total) for a in self.A]
         scores = [
-            max(abs(pa - m) for pa, m in zip(row, mu)) for row in self.PA_exact
+            max((abs(pa - m) for pa, m in zip(row, mu)), default=Fraction(0))
+            for row in self.PA_exact
         ]
         best = min(range(len(scores)), key=lambda i: (scores[i], i))
-        return best, scores
+        return best, SkeletonReport(best, scores, True)
 
     def deviation(self, counts: np.ndarray, total: int, truth_on_support: np.ndarray) -> float:
         """max over Yatracos sets of |mu_T(A) - Q(A)| for a truth vector Q
@@ -138,11 +143,11 @@ class SkeletonEstimator:
         ]
         support = sorted(set().union(*(od.table.keys() for od in self.outcome_dists)))
         self.support = support
-        self.index = {z: i for i, z in enumerate(support)}
+        index = {z: i for i, z in enumerate(support)}
         M = np.zeros((cover.size, len(support)))
         for r, od in enumerate(self.outcome_dists):
             for z, p in od.table.items():
-                M[r, self.index[z]] = p
+                M[r, index[z]] = p
         exact_rows = None
         if exact:
             exact_rows = [
@@ -150,30 +155,34 @@ class SkeletonEstimator:
             ]
         self._md = _MinDistance(M, exact_rows)
         self.is_exact = exact
+        codes = _outcome_codes(
+            np.array([xs for xs, _ in support]), np.array([ys for _, ys in support]), dist.m
+        )
+        self._code_order = np.argsort(codes, kind="stable")
+        self._sorted_codes = codes[self._code_order]
+
+    def count_outcomes(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, int]:
+        """Support counts of T tasks given as (T, d) point and label arrays;
+        outcomes off the support are not counted."""
+        if xs.ndim != 2 or xs.shape[1] != self.d or ys.shape != xs.shape:
+            raise ValueError(
+                f"tasks of shape {xs.shape} / {ys.shape}, estimator expects (T, {self.d})"
+            )
+        codes = _outcome_codes(xs, ys, self.dist.m)
+        table = self._sorted_codes
+        pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
+        on_support = table[pos] == codes
+        counts = np.bincount(self._code_order[pos[on_support]], minlength=len(self.support))
+        return counts.astype(np.int64), len(xs)
 
     def counts_from_batch(self, batch: TaskBatch) -> tuple[np.ndarray, int]:
-        counts = np.zeros(len(self.support), dtype=np.int64)
-        for task in batch:
-            idx = self.index.get((task.xs, task.ys))
-            if idx is not None:
-                counts[idx] += 1
-        return counts, len(batch)
-
-    def counts_from_arrays(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, int]:
-        counts = np.zeros(len(self.support), dtype=np.int64)
-        for row_x, row_y in zip(xs, ys):
-            idx = self.index.get((tuple(int(v) for v in row_x), tuple(int(v) for v in row_y)))
-            if idx is not None:
-                counts[idx] += 1
-        return counts, xs.shape[0]
+        shape = (len(batch), batch.k)
+        xs = np.array([task.xs for task in batch], dtype=np.int64).reshape(shape)
+        ys = np.array([task.ys for task in batch], dtype=np.int64).reshape(shape)
+        return self.count_outcomes(xs, ys)
 
     def select_from_counts(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
-        if self.is_exact:
-            best, scores = self._md.select_exact(counts, total)
-        else:
-            best, scores = self._md.select(counts, total)
-            scores = [float(s) for s in scores]
-        return best, SkeletonReport(best, list(scores), self.is_exact)
+        return self._md.select(counts, total)
 
     def truth_vectors(self, truth_dist: OutcomeDistribution):
         q = np.array([truth_dist.prob(z) for z in self.support])
@@ -208,8 +217,6 @@ def skeleton_estimate(batch: TaskBatch, est: SkeletonEstimator) -> tuple[int, Sk
     """Select the cover member whose outcome law best matches the batch."""
     if len(batch) < 1:
         raise ValueError("empty batch")
-    if batch.k != est.d:
-        raise ValueError(f"batch has k={batch.k} samples per task, estimator expects d={est.d}")
     counts, total = est.counts_from_batch(batch)
     return est.select_from_counts(counts, total)
 
@@ -218,15 +225,12 @@ class DirectEstimator:
     """Direct-access baseline: minimum-distance selection straight on the
     empirical concept distribution (no sampling bottleneck)."""
 
-    def __init__(self, cover: CoverFamily, exact: bool = False):
+    def __init__(self, cover: CoverFamily):
         if cover.size < 1:
             raise ValueError("cover must be nonempty")
         self.cover = cover
         self.space = cover.members[0].space
-        M = np.stack([p.mass for p in cover.members])
-        exact_rows = [list(p.exact) for p in cover.members] if exact else None
-        self._md = _MinDistance(M, exact_rows)
-        self.is_exact = exact
+        self._md = _MinDistance(np.stack([p.mass for p in cover.members]))
 
     def counts_from_concepts(self, concepts) -> tuple[np.ndarray, int]:
         counts = np.zeros(len(self.space), dtype=np.int64)
@@ -234,14 +238,11 @@ class DirectEstimator:
             counts[self.space.index_of(h)] += 1
         return counts, int(counts.sum())
 
+    def select_from_counts(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
+        return self._md.select(counts, total)
+
     def select(self, concepts) -> tuple[int, SkeletonReport]:
-        counts, total = self.counts_from_concepts(concepts)
-        if self.is_exact:
-            best, scores = self._md.select_exact(counts, total)
-        else:
-            best, scores = self._md.select(counts, total)
-            scores = [float(s) for s in scores]
-        return best, SkeletonReport(best, list(scores), self.is_exact)
+        return self.select_from_counts(*self.counts_from_concepts(concepts))
 
 
 def direct_estimate(concepts, cover: CoverFamily) -> int:
@@ -340,23 +341,6 @@ def exact_bayes_error(gamma, n: int) -> Fraction:
         lo = c * pow_b[x] * pow_a[n - x]
         total += min(hi, lo)
     return Fraction(total, 2 * (2 * g.denominator) ** n)
-
-
-def majority_rule_error(gamma, n: int) -> Fraction:
-    """Exact average error of the tie-to-high majority rule (equals the
-    Bayes error; kept separate so tests can confirm the equality)."""
-    g = _as_fraction(gamma)
-    p_hi = (1 + g) / 2
-    p_lo = (1 - g) / 2
-    err = Fraction(0)
-    for x in range(n + 1):
-        c = comb(n, x)
-        says_high = n == 0 or Fraction(x, n) >= Fraction(1, 2)
-        if says_high:
-            err += c * p_lo**x * (1 - p_lo) ** (n - x)  # said high, truth low
-        else:
-            err += c * p_hi**x * (1 - p_hi) ** (n - x)  # said low, truth high
-    return err / 2
 
 
 def coin_floor(gamma: float, n: int) -> float:

@@ -47,9 +47,6 @@ class OutcomeDistribution:
     def prob(self, z: Outcome) -> float:
         return self.table.get(z, 0.0)
 
-    def prob_set(self, zs) -> float:
-        return sum(self.table.get(z, 0.0) for z in zs)
-
     @property
     def is_exact(self) -> bool:
         return self.exact is not None
@@ -80,9 +77,15 @@ class EmpiricalOutcomeDistribution:
 
 
 def exact_weights(dist: DataDistribution) -> list[Fraction]:
-    """Rational reconstruction of the D weights (exact for weights that
-    were given as short decimals, e.g. uniform or 0.05-style tables)."""
-    return [Fraction(w).limit_denominator(10**9) for w in dist.weights]
+    """Rational reconstruction of the D weights, for weights given as short
+    decimals or small-denominator fractions (uniform or 0.05-style tables).
+
+    Raises ValueError unless the reconstructed weights sum to exactly 1 and
+    each converts back to its float."""
+    weights = [Fraction(w).limit_denominator(10**9) for w in dist.weights]
+    if sum(weights) != 1 or any(float(f) != w for f, w in zip(weights, dist.weights)):
+        raise ValueError(f"weights {dist.weights} have no exact rational form summing to 1")
+    return weights
 
 
 def exact_outcome_dist(

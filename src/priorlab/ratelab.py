@@ -13,7 +13,8 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import itertools
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp
 
@@ -36,11 +37,19 @@ from .priors import (
 )
 from .sampling import sample_arrays, stream
 
-RATE_CSV_HEADER = (
-    "experiment", "m", "d", "L", "alpha", "k", "T",
-    "replicate", "truth_id", "selected_id", "tv_error",
+# One Monte Carlo replicate of an experiment (the rates and lowerbound CSV
+# schema), and the per-replicate records the three cell runners return.
+RateRow = namedtuple(
+    "RateRow", "experiment m d L alpha k T replicate truth_id selected_id tv_error"
 )
-ESTIMATION_CSV_HEADER = ("replicate", "T", "selected", "tv_to_truth", "max_yatracos_dev")
+EstimationRow = namedtuple("EstimationRow", "replicate T selected tv_to_truth max_yatracos_dev")
+BaselineRow = namedtuple("BaselineRow", RateRow._fields + ("direct_id", "direct_tv_error"))
+UpperRow = namedtuple("UpperRow", "rate report")
+LowerRow = namedtuple("LowerRow", "rate n_events")
+
+RATE_CSV_HEADER = RateRow._fields
+ESTIMATION_CSV_HEADER = EstimationRow._fields
+BASELINE_CSV_HEADER = BaselineRow._fields
 COIN_CSV_HEADER = ("gamma", "n", "bayes_error", "floor", "pass")
 
 # stream purposes (spawn keys) so no two draws share a stream
@@ -141,42 +150,11 @@ def build_setup(config: ExperimentConfig) -> Setup:
     return setup
 
 
-def _encode_codes(est: SkeletonEstimator, m: int) -> np.ndarray:
-    """Integer code per support outcome, for vectorized batch counting."""
-    k = est.d
-    codes = []
-    for xs, ys in est.support:
-        xid = 0
-        for x in xs:
-            xid = xid * m + (x - 1)
-        ybits = 0
-        for y in ys:
-            ybits = (ybits << 1) | (1 if y > 0 else 0)
-        codes.append(xid * (1 << k) + ybits)
-    return np.asarray(codes, dtype=np.int64)
-
-
 def counts_from_arrays_fast(est: SkeletonEstimator, m: int, xs: np.ndarray, ys: np.ndarray):
-    """Map sampled (xs, ys) arrays to support counts without Python tuples."""
-    if not hasattr(est, "_codes"):
-        codes = _encode_codes(est, m)
-        order = np.argsort(codes, kind="stable")
-        est._codes = codes[order]
-        est._code_to_support = order
-    k = est.d
-    xid = np.zeros(len(xs), dtype=np.int64)
-    for j in range(k):
-        xid = xid * m + (xs[:, j] - 1)
-    ybits = np.zeros(len(xs), dtype=np.int64)
-    for j in range(k):
-        ybits = (ybits << 1) | (ys[:, j] > 0)
-    codes = xid * (1 << k) + ybits
-    pos = np.searchsorted(est._codes, codes)
-    pos = np.clip(pos, 0, len(est._codes) - 1)
-    valid = est._codes[pos] == codes
-    support_idx = est._code_to_support[pos[valid]]
-    counts = np.bincount(support_idx, minlength=len(est.support)).astype(np.int64)
-    return counts, len(xs)
+    """Support counts of sampled (xs, ys) arrays over m points."""
+    if m != est.dist.m:
+        raise ValueError(f"tasks over {m} points, estimator built for {est.dist.m}")
+    return est.count_outcomes(xs, ys)
 
 
 def _source(setup: Setup, config: ExperimentConfig, truth_id: int):
@@ -185,7 +163,7 @@ def _source(setup: Setup, config: ExperimentConfig, truth_id: int):
     return setup.members[truth_id]
 
 
-def _upper_cell(payload) -> list[tuple]:
+def _upper_cell(payload) -> list[UpperRow]:
     config_dict, T, T_idx, truth_id = payload
     config = ExperimentConfig(**config_dict)
     setup = build_setup(config)
@@ -201,9 +179,10 @@ def _upper_cell(payload) -> list[tuple]:
         selected, _ = est.select_from_counts(counts, total)
         err = float(setup.tv_matrix[truth_id, selected])
         dev = float(est._md.deviation(counts, total, truth_vec))
-        rows.append((
-            "rates", config.m, config.d, config.L, config.alpha, k, T,
-            rep, truth_id, selected, err, dev,
+        rows.append(UpperRow(
+            RateRow("rates", config.m, config.d, config.L, config.alpha, k, T,
+                    rep, truth_id, selected, err),
+            EstimationRow(rep, T, selected, err, dev),
         ))
     return rows
 
@@ -230,8 +209,8 @@ class RateCurve:
 @dataclass
 class UpperResult:
     curve: RateCurve
-    rows: list[tuple]  # the rates CSV schema
-    report_rows: list[tuple]  # the estimation-report schema (with deviations)
+    rows: list[RateRow]
+    report_rows: list[EstimationRow]
 
 
 def run_upper_experiment(config: ExperimentConfig, workers: int = 1) -> UpperResult:
@@ -247,21 +226,19 @@ def run_upper_experiment(config: ExperimentConfig, workers: int = 1) -> UpperRes
         for T_idx, T in enumerate(config.T_grid)
         for truth_id in setup.truth_ids
     ]
-    all_rows = _pmap(_upper_cell, payloads, workers)
-    full_rows = list(itertools.chain.from_iterable(all_rows))
-    report_rows = [(r[7], r[6], r[9], r[10], r[11]) for r in full_rows]
-    rows = [r[:11] for r in full_rows]
+    cells = list(itertools.chain.from_iterable(_pmap(_upper_cell, payloads, workers)))
+    rows = [c.rate for c in cells]
     points, pooled = [], []
     for T in config.T_grid:
-        t_rows = [r for r in rows if r[6] == T]
+        t_rows = [r for r in rows if r.T == T]
         per_truth = {}
         for r in t_rows:
-            per_truth.setdefault(r[8], []).append(r[10])
+            per_truth.setdefault(r.truth_id, []).append(r.tv_error)
         means = {tid: float(np.mean(v)) for tid, v in per_truth.items()}
         worst_tid = max(means, key=lambda tid: (means[tid], tid))
         errs = np.asarray(per_truth[worst_tid])
         points.append((T, float(errs.mean()), float(errs.std(ddof=1) / np.sqrt(len(errs)))))
-        pool = np.asarray([r[10] for r in t_rows])
+        pool = np.asarray([r.tv_error for r in t_rows])
         pooled.append((T, float(pool.mean()), float(pool.std(ddof=1) / np.sqrt(len(pool)))))
     curve = RateCurve(
         points,
@@ -274,7 +251,7 @@ def run_upper_experiment(config: ExperimentConfig, workers: int = 1) -> UpperRes
         curve.fitted_slope, curve.fit_r2 = fit.slope, fit.r2
     except ValueError:
         pass  # degenerate curves (zero risk) stay unfitted
-    return UpperResult(curve, rows, report_rows)
+    return UpperResult(curve, rows, [c.report for c in cells])
 
 
 @dataclass
@@ -311,7 +288,7 @@ def lower_bound_floor(config: ExperimentConfig, T: int) -> float:
 
 @dataclass
 class LowerResult:
-    rows: list[tuple]
+    rows: list[RateRow]
     per_T: dict[int, dict]  # T -> {mean, se, floor, pass, ...}
     ni_expected_per_task: float
     ni_mean: float
@@ -319,14 +296,13 @@ class LowerResult:
     ni_within_3sigma: bool
 
 
-def _lower_cell(payload) -> list[tuple]:
+def _lower_cell(payload) -> list[LowerRow]:
     config_dict, T, T_idx = payload
     config = ExperimentConfig(**config_dict)
     setup = build_setup(config)
     space, dist, est = setup.space, setup.dist, setup.estimator
     n_signs = comb(config.m, config.d)
-    subs = d_subsets(config.m, config.d)
-    sub_index = {mask: i for i, mask in enumerate(subs)}
+    subs = np.asarray(d_subsets(config.m, config.d))
     gamma = setup.params_list[0].gamma_m
     scale = Fraction(1, 2 ** config.d * comb(config.m, config.d))
     rows = []
@@ -335,7 +311,7 @@ def _lower_cell(payload) -> list[tuple]:
         b = tuple(1 if v else -1 for v in rng.integers(0, 2, size=n_signs))
         truth_id = sum((1 if s > 0 else 0) << (n_signs - 1 - i) for i, s in enumerate(b))
         params = SmoothPriorParams(b, config.L, config.alpha, config.m, config.d)
-        xs, ys, masks, (i_star, _) = sample_arrays(
+        xs, ys, _, (i_star, _) = sample_arrays(
             params, space, dist, T, config.d, rng
         )
         counts, total = counts_from_arrays_fast(est, config.m, xs, ys)
@@ -349,12 +325,10 @@ def _lower_cell(payload) -> list[tuple]:
         x_masks = np.zeros(len(xs), dtype=np.int64)
         for j in range(config.d):
             x_masks |= 1 << (xs[:, j] - 1)
-        sub_arr = np.asarray(subs)
-        covered = x_masks == sub_arr[i_star]
-        n_events = int(covered.sum())
-        rows.append((
-            "lowerbound", config.m, config.d, config.L, config.alpha, config.d,
-            T, rep, truth_id, selected, err, n_events,
+        rows.append(LowerRow(
+            RateRow("lowerbound", config.m, config.d, config.L, config.alpha, config.d,
+                    T, rep, truth_id, selected, err),
+            int((x_masks == subs[i_star]).sum()),
         ))
     return rows
 
@@ -364,13 +338,15 @@ def run_lower_experiment(config: ExperimentConfig, workers: int = 1) -> LowerRes
     floor, plus the N_i event-count calibration."""
     if config.family != "parity":
         raise ValueError("the lower-bound testbed runs on the parity family")
+    if config.samples_per_task != config.d:
+        raise ValueError("the lower-bound testbed draws k = d samples per task")
     payloads = [(config.__dict__, T, T_idx) for T_idx, T in enumerate(config.T_grid)]
-    all_rows = _pmap(_lower_cell, payloads, workers)
-    rows = list(itertools.chain.from_iterable(all_rows))
+    cells = list(itertools.chain.from_iterable(_pmap(_lower_cell, payloads, workers)))
+    rows = [c.rate for c in cells]
     per_T = {}
     d = config.d
     for T in config.T_grid:
-        errs = np.asarray([r[10] for r in rows if r[6] == T])
+        errs = np.asarray([r.tv_error for r in rows if r.T == T])
         mean, se = float(errs.mean()), float(errs.std(ddof=1) / np.sqrt(len(errs)))
         floor = lower_bound_floor(config, T)
         per_T[T] = {
@@ -387,13 +363,13 @@ def run_lower_experiment(config: ExperimentConfig, workers: int = 1) -> LowerRes
         q *= (d - j) / config.m
     n_subs = comb(config.m, d)
     q /= n_subs
-    total_events = sum(r[11] for r in rows)
-    total_tasks = sum(r[6] for r in rows)
+    total_events = sum(c.n_events for c in cells)
+    total_tasks = sum(r.T for r in rows)
     ni_mean = total_events / total_tasks / n_subs
     p_task = q * n_subs
     ni_sigma = float(np.sqrt(p_task * (1 - p_task) / total_tasks) / n_subs)
     return LowerResult(
-        [r[:11] for r in rows],
+        rows,
         per_T,
         q,
         ni_mean,
@@ -404,7 +380,7 @@ def run_lower_experiment(config: ExperimentConfig, workers: int = 1) -> LowerRes
 
 @dataclass
 class BaselineResult:
-    rows: list[tuple]
+    rows: list[BaselineRow]
     skeleton_mean: float
     direct_mean: float
     diff_se: float
@@ -416,7 +392,7 @@ class BaselineResult:
         return self.direct_mean <= self.skeleton_mean + 2 * self.diff_se
 
 
-def _baseline_cell(payload) -> list[tuple]:
+def _baseline_cell(payload) -> list[BaselineRow]:
     config_dict, T, T_idx, truth_id = payload
     config = ExperimentConfig(**config_dict)
     setup = build_setup(config)
@@ -425,19 +401,15 @@ def _baseline_cell(payload) -> list[tuple]:
     rows = []
     for rep in range(config.replicates):
         rng = stream(config.seed, _BASELINE, T_idx, truth_id, rep)
-        xs, ys, masks, _ = sample_arrays(
+        xs, ys, concept_idx, _ = sample_arrays(
             source, setup.space, setup.dist, T, config.samples_per_task, rng
         )
         counts, total = counts_from_arrays_fast(setup.estimator, config.m, xs, ys)
         sk_sel, _ = setup.estimator.select_from_counts(counts, total)
-        concept_counts = np.bincount(
-            [setup.space.index_of(int(msk)) for msk in masks], minlength=len(setup.space)
+        di_sel, _ = direct.select_from_counts(
+            np.bincount(concept_idx, minlength=len(setup.space)), T
         )
-        if direct.is_exact:
-            di_sel, _ = direct._md.select_exact(concept_counts, T)
-        else:
-            di_sel, _ = direct._md.select(concept_counts, T)
-        rows.append((
+        rows.append(BaselineRow(
             "baseline", config.m, config.d, config.L, config.alpha,
             config.samples_per_task, T, rep, truth_id,
             sk_sel, float(setup.tv_matrix[truth_id, sk_sel]),
@@ -451,8 +423,8 @@ def run_baseline_comparison(config: ExperimentConfig, T: int, workers: int = 1) 
     setup = build_setup(config)
     payloads = [(config.__dict__, T, 0, tid) for tid in setup.truth_ids]
     rows = list(itertools.chain.from_iterable(_pmap(_baseline_cell, payloads, workers)))
-    sk = np.asarray([r[10] for r in rows])
-    di = np.asarray([r[12] for r in rows])
+    sk = np.asarray([r.tv_error for r in rows])
+    di = np.asarray([r.direct_tv_error for r in rows])
     diff = di - sk
     return BaselineResult(
         rows,

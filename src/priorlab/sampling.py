@@ -172,35 +172,36 @@ def sample_arrays(
     k: int,
     rng: np.random.Generator,
 ):
-    """Bulk path: (xs, ys, concept_masks, trace) as arrays from one stream.
+    """Bulk path: (xs, ys, concept_indices, trace) as arrays from one stream.
 
-    xs has shape (T, k) with points in 1..m, ys in {-1, +1}; trace is
-    (i_star, c) arrays for the parity family, else None.
+    xs has shape (T, k) with points in 1..m, ys in {-1, +1}; concept
+    indices are positions in `space`; trace is (i_star, c) arrays for the
+    parity family, else None.
     """
     if T < 1 or k < 1:
         raise ValueError("need T >= 1 and k >= 1")
     trace = None
     if isinstance(source, SmoothPriorParams):
         table = _parity_submask_table(source)
+        index_table = np.array([space.index_of(int(v)) for v in table.flat]).reshape(table.shape)
         b = np.asarray(source.b)
         i_star = rng.integers(0, len(table), size=T)
         p1 = (1.0 + source.gamma_m * b[i_star]) / 2.0
         c = (rng.random(T) < p1).astype(np.int64)
         choice = rng.integers(0, table.shape[2], size=T)
-        masks = table[i_star, c, choice]
+        idx = index_table[i_star, c, choice]
         trace = (i_star, c)
     else:
         cum = np.cumsum(source.mass)
         idx = np.minimum(
             np.searchsorted(cum, rng.random(T), side="right"), len(space) - 1
         )
-        masks = space.masks[idx]
     cum_x = dist.cumulative()
     xs = np.minimum(
         np.searchsorted(cum_x, rng.random((T, k)), side="right") + 1, dist.m
     )
-    ys = 2 * ((masks[:, None] >> (xs - 1)) & 1) - 1
-    return xs, ys, masks, trace
+    ys = 2 * ((space.masks[idx][:, None] >> (xs - 1)) & 1) - 1
+    return xs, ys, idx, trace
 
 
 def export_batch(batch: TaskBatch, m: int, d: int) -> str:

@@ -116,6 +116,14 @@ def test_cover_info_budget_exit_code(tmp_path):
     assert dispatch("cover-info", cfg, 0, out) == 2
 
 
+def test_rates_budget_exit_code(tmp_path):
+    # m=5, d=2: 1,024 members, whose Yatracos sets would need about 8 GiB
+    cfg = write_config(
+        tmp_path, "r.cfg", "m = 5\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10\nreplicates = 2\n"
+    )
+    assert dispatch("rates", cfg, 0, tmp_path / "out") == 2
+
+
 def test_rates_small_run_and_determinism_across_workers(tmp_path):
     cfg = write_config(
         tmp_path, "r.cfg",

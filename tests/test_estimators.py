@@ -1,17 +1,19 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
 from priorlab.concepts import DataDistribution, enumerate_concepts, uniform_distribution
+from priorlab.errors import BudgetError
 from priorlab.estimators import (
     DirectEstimator,
+    _MinDistance,
     SkeletonEstimator,
     coin_floor,
     direct_estimate,
     exact_bayes_error,
     majority_rule,
-    majority_rule_error,
     reduce_to_signs,
     skeleton_estimate,
 )
@@ -144,6 +146,12 @@ def test_direct_estimator_recovers_truth_from_samples():
     assert idx == 6
 
 
+def test_min_distance_checks_budget_before_allocating():
+    # 1,100 members make 1,208,900 pairs; A and PA would need gigabytes
+    with pytest.raises(BudgetError, match="budget"):
+        _MinDistance(np.full((1100, 10), 0.1))
+
+
 def test_reduce_to_signs_threshold_and_recovery():
     params = SmoothPriorParams((1, -1, 1), 1.0, 1.0, 3, 2)
     pb = smooth_prior(params, SP32, exact=True)
@@ -188,6 +196,21 @@ def test_exact_bayes_error_known_values():
     be = exact_bayes_error(Fraction(1, 5), 25)
     assert float(be) == pytest.approx(0.1537677689757629, abs=1e-12)
     assert float(be) >= coin_floor(0.2, 25)
+
+
+def majority_rule_error(g: Fraction, n: int) -> Fraction:
+    """Oracle: exact average error of the tie-to-high majority rule."""
+    p_hi = (1 + g) / 2
+    p_lo = (1 - g) / 2
+    err = Fraction(0)
+    for x in range(n + 1):
+        c = comb(n, x)
+        says_high = n == 0 or Fraction(x, n) >= Fraction(1, 2)
+        if says_high:
+            err += c * p_lo**x * (1 - p_lo) ** (n - x)  # said high, truth low
+        else:
+            err += c * p_hi**x * (1 - p_hi) ** (n - x)  # said low, truth high
+    return err / 2
 
 
 def test_majority_rule_attains_bayes_error():

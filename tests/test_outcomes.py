@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from priorlab.concepts import enumerate_concepts, uniform_distribution
+from priorlab.concepts import DataDistribution, enumerate_concepts, uniform_distribution
 from priorlab.errors import BudgetError
 from priorlab.outcomes import (
     EmpiricalOutcomeDistribution,
     check_sauer,
     exact_outcome_dist,
+    exact_weights,
     label_conditional_tv,
     mc_outcome_tv,
     realizable_pattern_count,
@@ -89,6 +90,19 @@ def test_x_marginal_is_product_law():
 def test_outcome_budget_guard():
     with pytest.raises(BudgetError):
         exact_outcome_dist(reference_prior(SP32), D3, 3, budget=100)
+
+
+def test_exact_weights_reject_what_they_cannot_represent():
+    assert exact_weights(uniform_distribution(3)) == [Fraction(1, 3)] * 3
+    assert exact_weights(DataDistribution((0.05, 0.05, 0.9))) == [
+        Fraction(1, 20), Fraction(1, 20), Fraction(9, 10)
+    ]
+    # rounding to denominators <= 1e9 would not sum to 1 here
+    odd = DataDistribution((0.1234567891234, 0.8765432108766))
+    with pytest.raises(ValueError):
+        exact_weights(odd)
+    with pytest.raises(ValueError):
+        exact_outcome_dist(reference_prior(enumerate_concepts(2, 1), exact=True), odd, 1, exact=True)
 
 
 def test_tv_basics():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from priorlab.concepts import enumerate_concepts, uniform_distribution
 from priorlab.estimators import SkeletonEstimator
 from priorlab.priors import CoverFamily, reference_prior
 from priorlab.ratelab import (
+    BASELINE_CSV_HEADER,
+    RATE_CSV_HEADER,
     ExperimentConfig,
     RateCurve,
     build_setup,
@@ -18,7 +22,7 @@ from priorlab.ratelab import (
     theory_lower_exponent,
     theory_upper_exponent,
 )
-from priorlab.sampling import sample_arrays, stream
+from priorlab.sampling import sample_arrays, sample_batch, stream
 
 
 def test_config_validation():
@@ -56,6 +60,17 @@ def test_fit_rate_exponent_synthetic():
         fit_rate_exponent(RateCurve([(10, 0.0, 0.0), (100, 0.0, 0.0)], [], 0, 0))
 
 
+def counts_from_tuples(est, xs, ys):
+    """Oracle: look each task's (xs, ys) tuple up in the estimator's support."""
+    index = {z: i for i, z in enumerate(est.support)}
+    counts = np.zeros(len(est.support), dtype=np.int64)
+    for row_x, row_y in zip(xs, ys):
+        idx = index.get((tuple(int(v) for v in row_x), tuple(int(v) for v in row_y)))
+        if idx is not None:
+            counts[idx] += 1
+    return counts, xs.shape[0]
+
+
 def test_counts_fast_matches_tuple_path():
     config = ExperimentConfig(T_grid=(50,), replicates=1, seed=3)
     setup = build_setup(config)
@@ -64,9 +79,30 @@ def test_counts_fast_matches_tuple_path():
         setup.params_list[0], setup.space, setup.dist, 500, 2, rng
     )
     fast, total_f = counts_from_arrays_fast(setup.estimator, 3, xs, ys)
-    slow, total_s = setup.estimator.counts_from_arrays(xs, ys)
+    slow, total_s = counts_from_tuples(setup.estimator, xs, ys)
     assert total_f == total_s == 500
     assert np.array_equal(fast, slow)
+    # batch counting goes through the same coded routine
+    batch = sample_batch(setup.params_list[5], setup.space, setup.dist, 300, 2, seed=4)
+    xs = np.array([t.xs for t in batch])
+    ys = np.array([t.ys for t in batch])
+    counts, total = setup.estimator.counts_from_batch(batch)
+    assert total == 300
+    assert np.array_equal(counts, counts_from_tuples(setup.estimator, xs, ys)[0])
+
+
+def test_counting_rejects_other_task_widths():
+    # a d=2 estimator cannot count width-3 tasks (the tuple oracle finds
+    # none of them on its support); it must not read the first two columns
+    setup = build_setup(ExperimentConfig(T_grid=(50,), replicates=1, seed=3))
+    xs, ys, _, _ = sample_arrays(
+        setup.params_list[0], setup.space, setup.dist, 200, 3, stream(3, 1, 3)
+    )
+    assert counts_from_tuples(setup.estimator, xs, ys)[0].sum() == 0
+    with pytest.raises(ValueError):
+        counts_from_arrays_fast(setup.estimator, 3, xs, ys)
+    with pytest.raises(ValueError):
+        counts_from_arrays_fast(setup.estimator, 4, xs[:, :2], ys[:, :2])
 
 
 def test_upper_experiment_twopoint_risk_decreases():
@@ -147,6 +183,15 @@ def test_lower_experiment_rejects_twopoint():
         run_lower_experiment(config)
 
 
+def test_lower_experiment_rejects_k_other_than_d():
+    config = ExperimentConfig(m=3, d=2, k=3, T_grid=(10,), replicates=2)
+    with pytest.raises(ValueError, match="k = d"):
+        run_lower_experiment(config)
+    # k = d spelled out is the default testbed
+    explicit = run_lower_experiment(replace(config, k=2))
+    assert explicit.rows == run_lower_experiment(replace(config, k=None)).rows
+
+
 def test_baseline_direct_beats_skeleton():
     config = ExperimentConfig(
         m=3, d=2, family="parity", T_grid=(200,), replicates=40, seed=13,
@@ -154,6 +199,8 @@ def test_baseline_direct_beats_skeleton():
     )
     res = run_baseline_comparison(config, T=200)
     assert res.ordered
+    assert BASELINE_CSV_HEADER == RATE_CSV_HEADER + ("direct_id", "direct_tv_error")
+    assert all(r._fields == BASELINE_CSV_HEADER for r in res.rows)
     # direct access should in fact be strictly better here, not just within slack
     assert res.direct_mean <= res.skeleton_mean
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from priorlab.concepts import enumerate_concepts, uniform_distribution
+from priorlab.concepts import d_subsets, enumerate_concepts, uniform_distribution
 from priorlab.priors import (
     SmoothPriorParams,
     point_mass,
@@ -95,13 +95,24 @@ def test_traced_concept_law_matches_smooth_prior():
     pb = smooth_prior(PARAMS, SP32)
     rng = np.random.default_rng(21)
     n = 200_000
-    xs, ys, masks, trace = sample_arrays(PARAMS, SP32, D3, n, 2, rng)
-    counts = np.bincount(
-        [SP32.index_of(int(m)) for m in masks], minlength=len(SP32)
-    )
+    _, _, idx, _ = sample_arrays(PARAMS, SP32, D3, n, 2, rng)
+    counts = np.bincount(idx, minlength=len(SP32))
     for i, p in enumerate(pb.mass):
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(counts[i] / n - p) < 4 * sigma
+
+
+def test_sample_arrays_concept_indices():
+    # parity family: each concept lies inside X_{i*} with c positives mod 2
+    _, _, idx, (i_star, c) = sample_arrays(PARAMS, SP32, D3, 2_000, 2, np.random.default_rng(5))
+    masks = SP32.masks[idx]
+    subs = np.asarray(d_subsets(3, 2))
+    assert not (masks & ~subs[i_star]).any()
+    assert np.array_equal([bin(int(m)).count("1") % 2 for m in masks], c)
+    # tabular prior: a point mass is drawn every time
+    pm = point_mass(SP32, 0b101)
+    _, _, idx, trace = sample_arrays(pm, SP32, D3, 100, 2, np.random.default_rng(6))
+    assert trace is None and (idx == SP32.index_of(0b101)).all()
 
 
 def test_traced_parity_coin_rate():
@@ -124,7 +135,7 @@ def test_parity_sufficiency():
     params = SmoothPriorParams((1, -1, 1), 1.0, 1.0, 3, 2)
     rng = np.random.default_rng(31)
     n = 300_000
-    xs, ys, masks, (i_star, c) = sample_arrays(params, SP32, D3, n, 2, rng)
+    xs, ys, _, (i_star, c) = sample_arrays(params, SP32, D3, n, 2, rng)
     from priorlab.concepts import d_subsets
 
     subs = d_subsets(3, 2)
@@ -149,7 +160,7 @@ def test_event_frequency_matches_formula():
     params = SmoothPriorParams((1, 1, 1), 1.0, 1.0, 3, 2)
     rng = np.random.default_rng(17)
     n = 200_000
-    xs, ys, masks, (i_star, c) = sample_arrays(params, SP32, D3, n, 2, rng)
+    xs, ys, _, (i_star, c) = sample_arrays(params, SP32, D3, n, 2, rng)
     from priorlab.concepts import d_subsets
 
     subs = d_subsets(3, 2)
