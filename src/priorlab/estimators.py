@@ -43,13 +43,34 @@ def _outcome_codes(xs: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
     return codes
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index of the first of each distinct row, in row order; for every
+    row, the position of its distinct row in that index)."""
+    first: dict[bytes, int] = {}
+    keys = [r.tobytes() for r in rows]
+    for p, key in enumerate(keys):
+        first.setdefault(key, p)
+    keep = np.array(list(first.values()), dtype=np.int64)
+    return keep, np.searchsorted(keep, [first[key] for key in keys])
+
+
 class _MinDistance:
     """Minimum-distance selection over N mass vectors on a finite support.
 
     Yatracos sets are the ordered-pair regions A_ij = {z : M_i(z) > M_j(z)};
-    scores(mu) = max_ij |M(A_ij) - mu(A_ij)| and selection is the argmin,
-    ties to the lowest member index.  Built from exact rows, it scores in
+    scores(mu) = max_A |M(A) - mu(A)| and selection is the argmin, ties to
+    the lowest member index.  Built from exact rows, it scores in
     Fractions; otherwise in floats.
+
+    A region shared by several pairs adds nothing to a maximum, so the
+    empirical masses mu(A) are counted and scored over the distinct sets
+    only (728 of 4,032 pairs for the m=4, d=2 parity family).  The float
+    member masses M(A) come from the all-pairs product, and a pair whose
+    masses differ in any bit from those of the first pair with its set
+    keeps a column of its own, so every score is the all-pairs score bit
+    for bit; `deviation` likewise reads each pair's truth mass from the
+    all-pairs product.  The budget still counts every ordered pair: the
+    pairwise comparison is built before duplicates are dropped.
     """
 
     def __init__(self, mass_matrix: np.ndarray, exact_rows: list[list[Fraction]] | None = None):
@@ -61,25 +82,29 @@ class _MinDistance:
                 f"{n * (n - 1)} Yatracos pairs x ({s} support points + {n} members)"
                 f" exceed the budget of {DEFAULT_BUDGET}"
             )
-        self.pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        self.A = np.zeros((len(self.pairs), s), dtype=bool)
+        off_diagonal = ~np.eye(n, dtype=bool)
         if exact_rows is not None:
-            for p, (i, j) in enumerate(self.pairs):
-                self.A[p] = [a > b for a, b in zip(exact_rows[i], exact_rows[j])]
+            E = np.array(exact_rows, dtype=object)
+            sets = (E[:, None, :] > E[None, :, :])[off_diagonal].astype(bool)
+            keep, self._pair_set = _distinct_rows(sets)
+            self.A = sets[keep].astype(float)
             self.PA_exact = [
-                [
-                    sum((row[s] for s in np.flatnonzero(a)), start=Fraction(0))
-                    for a in self.A
-                ]
+                [sum((row[z] for z in np.flatnonzero(a)), start=Fraction(0)) for a in self.A]
                 for row in exact_rows
             ]
         else:
             # strict ">" with a tie guard: float tables of genuinely equal
             # masses can differ by rounding, which would flip set membership
-            for p, (i, j) in enumerate(self.pairs):
-                self.A[p] = self.M[i] > self.M[j] + 1e-12
+            sets = (self.M[:, None, :] > self.M[None, :, :] + 1e-12)[off_diagonal]
+            PA = self.M @ sets.T  # (members, pairs)
+            keep, self._pair_set = _distinct_rows(sets)
+            # a pair whose masses round unlike those of its set's first pair
+            # keeps a column of its own, after the distinct sets
+            odd = np.flatnonzero((PA != PA[:, keep[self._pair_set]]).any(axis=0))
+            columns = np.concatenate([keep, odd])
+            self.A = sets[columns].astype(float)
+            self.PA = np.ascontiguousarray(PA[:, columns])
             self.PA_exact = None
-        self.PA = self.M @ self.A.T  # (members, pairs)
 
     def select(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
         if self.PA_exact is None:
@@ -94,24 +119,25 @@ class _MinDistance:
         best = min(range(len(scores)), key=lambda i: (scores[i], i))
         return best, SkeletonReport(best, scores, True)
 
-    def deviation(self, counts: np.ndarray, total: int, truth_on_support: np.ndarray) -> float:
-        """max over Yatracos sets of |mu_T(A) - Q(A)| for a truth vector Q
-        restricted to this support (mass elsewhere never enters any set)."""
-        if not self.pairs:
-            return 0.0
+    def truth_masses(self, truth_on_support: np.ndarray) -> np.ndarray:
+        """Q(A_ij) of every ordered pair for a truth vector Q restricted to
+        this support (mass elsewhere never enters any set), from the
+        all-pairs product: a product over the distinct sets alone can
+        round differently."""
+        return self.A[self._pair_set] @ np.asarray(truth_on_support, dtype=float)
+
+    def deviation(self, counts: np.ndarray, total: int, truth_masses: np.ndarray) -> float:
+        """max over Yatracos sets of |mu_T(A) - Q(A)|, given `truth_masses(Q)`."""
         mu = (self.A @ counts) / total
-        qa = self.A @ np.asarray(truth_on_support, dtype=float)
-        return float(np.abs(mu - qa).max())
+        return float(np.abs(mu[self._pair_set] - truth_masses).max(initial=0.0))
 
     def deviation_exact(self, counts: np.ndarray, total: int, truth_exact: list[Fraction]):
-        if not self.pairs:
-            return Fraction(0)
-        mu = [Fraction(int(self.A[p] @ counts), total) for p in range(len(self.pairs))]
+        mu = [Fraction(int(a @ counts), total) for a in self.A]
         qa = [
-            sum((truth_exact[s] for s in np.flatnonzero(a)), start=Fraction(0))
+            sum((truth_exact[z] for z in np.flatnonzero(a)), start=Fraction(0))
             for a in self.A
         ]
-        return max(abs(m - q) for m, q in zip(mu, qa))
+        return max((abs(m - q) for m, q in zip(mu, qa)), default=Fraction(0))
 
 
 @dataclass
@@ -195,7 +221,7 @@ class SkeletonEstimator:
         q, q_exact = self.truth_vectors(truth_dist)
         if q_exact is not None:
             return self._md.deviation_exact(counts, total, q_exact)
-        return self._md.deviation(counts, total, q)
+        return self._md.deviation(counts, total, self._md.truth_masses(q))
 
     def decomposition_check(self, counts, total, truth_dist: OutcomeDistribution):
         """The selection guarantee on one run:

@@ -15,6 +15,7 @@ import csv
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, exp
 
@@ -114,6 +115,11 @@ class Setup:
     truth_ids: list[int]
     tv_matrix: np.ndarray
 
+    @cached_property
+    def direct(self) -> DirectEstimator:
+        """The baseline's estimator on the same cover, built on first use."""
+        return DirectEstimator(self.estimator.cover)
+
 
 _SETUP_CACHE: dict[tuple, Setup] = {}
 
@@ -171,6 +177,7 @@ def _upper_cell(payload) -> list[UpperRow]:
     est = setup.estimator
     k = config.samples_per_task
     truth_vec, _ = est.truth_vectors(est.outcome_dists[truth_id])
+    truth_masses = est._md.truth_masses(truth_vec)
     rows = []
     for rep in range(config.replicates):
         rng = stream(config.seed, _UPPER, T_idx, truth_id, rep)
@@ -178,7 +185,7 @@ def _upper_cell(payload) -> list[UpperRow]:
         counts, total = counts_from_arrays_fast(est, config.m, xs, ys)
         selected, _ = est.select_from_counts(counts, total)
         err = float(setup.tv_matrix[truth_id, selected])
-        dev = float(est._md.deviation(counts, total, truth_vec))
+        dev = float(est._md.deviation(counts, total, truth_masses))
         rows.append(UpperRow(
             RateRow("rates", config.m, config.d, config.L, config.alpha, k, T,
                     rep, truth_id, selected, err),
@@ -397,7 +404,6 @@ def _baseline_cell(payload) -> list[BaselineRow]:
     config = ExperimentConfig(**config_dict)
     setup = build_setup(config)
     source = _source(setup, config, truth_id)
-    direct = DirectEstimator(setup.estimator.cover)
     rows = []
     for rep in range(config.replicates):
         rng = stream(config.seed, _BASELINE, T_idx, truth_id, rep)
@@ -406,7 +412,7 @@ def _baseline_cell(payload) -> list[BaselineRow]:
         )
         counts, total = counts_from_arrays_fast(setup.estimator, config.m, xs, ys)
         sk_sel, _ = setup.estimator.select_from_counts(counts, total)
-        di_sel, _ = direct.select_from_counts(
+        di_sel, _ = setup.direct.select_from_counts(
             np.bincount(concept_idx, minlength=len(setup.space)), T
         )
         rows.append(BaselineRow(

@@ -10,6 +10,7 @@ experiments, where per-task stream isolation is not needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,13 +77,14 @@ def _labels(mask: int, xs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(1 if (mask >> (x - 1)) & 1 else -1 for x in xs)
 
 
-def _parity_submask_table(params: SmoothPriorParams) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _parity_submask_table(m: int, d: int) -> np.ndarray:
     """Concept masks reachable from each (subset, parity bit, choice).
 
     Shape (C(m,d), 2, 2^(d-1)): entry [i, c, j] is the j-th subset of X_i
-    whose positive count has parity c, in increasing mask order.
+    whose positive count has parity c, in increasing mask order.  Built
+    once per (m, d) and read-only.
     """
-    m, d = params.m, params.d
     subs = d_subsets(m, d)
     by_parity: list[list[int]] = [[], []]
     for sub_bits in range(1 << d):
@@ -97,7 +99,19 @@ def _parity_submask_table(params: SmoothPriorParams) -> np.ndarray:
                     if (sub_bits >> t) & 1:
                         mask |= 1 << p
                 table[i, c, j] = mask
+    table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=64)
+def _parity_index_table(m: int, d: int, space_masks: bytes) -> np.ndarray:
+    """`_parity_submask_table(m, d)` as positions in a concept space whose
+    int64 masks, in enumeration order, are `space_masks`; read-only."""
+    index = {int(v): i for i, v in enumerate(np.frombuffer(space_masks, dtype=np.int64))}
+    table = _parity_submask_table(m, d)
+    out = np.array([index[int(v)] for v in table.flat]).reshape(table.shape)
+    out.flags.writeable = False
+    return out
 
 
 def sample_task_traced(
@@ -117,7 +131,7 @@ def sample_task_traced(
         raise ValueError("k must be >= 1")
     if space.m != params.m or space.d != params.d:
         raise ValueError("params built for a different concept space")
-    table = _parity_submask_table(params)
+    table = _parity_submask_table(params.m, params.d)
     i_star = int(rng.integers(len(table)))
     p1 = (1.0 + params.gamma_m * params.b[i_star]) / 2.0
     c = int(rng.random() < p1)
@@ -182,13 +196,12 @@ def sample_arrays(
         raise ValueError("need T >= 1 and k >= 1")
     trace = None
     if isinstance(source, SmoothPriorParams):
-        table = _parity_submask_table(source)
-        index_table = np.array([space.index_of(int(v)) for v in table.flat]).reshape(table.shape)
+        index_table = _parity_index_table(source.m, source.d, space.masks.tobytes())
         b = np.asarray(source.b)
-        i_star = rng.integers(0, len(table), size=T)
+        i_star = rng.integers(0, len(index_table), size=T)
         p1 = (1.0 + source.gamma_m * b[i_star]) / 2.0
         c = (rng.random(T) < p1).astype(np.int64)
-        choice = rng.integers(0, table.shape[2], size=T)
+        choice = rng.integers(0, index_table.shape[2], size=T)
         idx = index_table[i_star, c, choice]
         trace = (i_star, c)
     else:

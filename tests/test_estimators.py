@@ -4,20 +4,24 @@ from math import comb
 import numpy as np
 import pytest
 
+from priorlab import estimators, ratelab
+from priorlab.cli import dispatch
 from priorlab.concepts import DataDistribution, enumerate_concepts, uniform_distribution
 from priorlab.errors import BudgetError
 from priorlab.estimators import (
     DirectEstimator,
     _MinDistance,
     SkeletonEstimator,
+    SkeletonReport,
     coin_floor,
     direct_estimate,
     exact_bayes_error,
     majority_rule,
     reduce_to_signs,
     skeleton_estimate,
+    yatracos_scores,
 )
-from priorlab.outcomes import exact_outcome_dist, tv
+from priorlab.outcomes import DEFAULT_BUDGET, exact_outcome_dist, tv
 from priorlab.priors import (
     CoverFamily,
     SmoothPriorParams,
@@ -27,7 +31,7 @@ from priorlab.priors import (
     smooth_prior,
     parity_family,
 )
-from priorlab.sampling import sample_batch, sample_concept, stream
+from priorlab.sampling import sample_arrays, sample_batch, sample_concept, stream
 
 SP32 = enumerate_concepts(3, 2)
 D3 = uniform_distribution(3)
@@ -150,6 +154,208 @@ def test_min_distance_checks_budget_before_allocating():
     # 1,100 members make 1,208,900 pairs; A and PA would need gigabytes
     with pytest.raises(BudgetError, match="budget"):
         _MinDistance(np.full((1100, 10), 0.1))
+
+
+class AllPairsMinDistance:
+    """Oracle: min-distance selection scored over every ordered pair, one
+    Python-built Yatracos set per pair (duplicates included)."""
+
+    def __init__(self, mass_matrix: np.ndarray, exact_rows: list[list[Fraction]] | None = None):
+        self.M = np.asarray(mass_matrix, dtype=float)
+        n, s = self.M.shape
+        if n * (n - 1) * (s + n) > DEFAULT_BUDGET:
+            # A holds pairs x support entries and PA members x pairs
+            raise BudgetError(
+                f"{n * (n - 1)} Yatracos pairs x ({s} support points + {n} members)"
+                f" exceed the budget of {DEFAULT_BUDGET}"
+            )
+        self.pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        self.A = np.zeros((len(self.pairs), s), dtype=bool)
+        if exact_rows is not None:
+            for p, (i, j) in enumerate(self.pairs):
+                self.A[p] = [a > b for a, b in zip(exact_rows[i], exact_rows[j])]
+            self.PA_exact = [
+                [
+                    sum((row[s] for s in np.flatnonzero(a)), start=Fraction(0))
+                    for a in self.A
+                ]
+                for row in exact_rows
+            ]
+        else:
+            # strict ">" with a tie guard: float tables of genuinely equal
+            # masses can differ by rounding, which would flip set membership
+            for p, (i, j) in enumerate(self.pairs):
+                self.A[p] = self.M[i] > self.M[j] + 1e-12
+            self.PA_exact = None
+        self.PA = self.M @ self.A.T  # (members, pairs)
+
+    def select(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
+        if self.PA_exact is None:
+            s = yatracos_scores(self.PA, (self.A @ counts) / total)
+            best = int(np.argmin(s))
+            return best, SkeletonReport(best, s.tolist(), False)
+        mu = [Fraction(int(a @ counts), total) for a in self.A]
+        scores = [
+            max((abs(pa - m) for pa, m in zip(row, mu)), default=Fraction(0))
+            for row in self.PA_exact
+        ]
+        best = min(range(len(scores)), key=lambda i: (scores[i], i))
+        return best, SkeletonReport(best, scores, True)
+
+    def truth_masses(self, truth_on_support: np.ndarray) -> np.ndarray:
+        # deviation below takes the truth vector itself
+        return truth_on_support
+
+    def deviation(self, counts: np.ndarray, total: int, truth_on_support: np.ndarray) -> float:
+        """max over Yatracos sets of |mu_T(A) - Q(A)| for a truth vector Q
+        restricted to this support (mass elsewhere never enters any set)."""
+        if not self.pairs:
+            return 0.0
+        mu = (self.A @ counts) / total
+        qa = self.A @ np.asarray(truth_on_support, dtype=float)
+        return float(np.abs(mu - qa).max())
+
+    def deviation_exact(self, counts: np.ndarray, total: int, truth_exact: list[Fraction]):
+        if not self.pairs:
+            return Fraction(0)
+        mu = [Fraction(int(self.A[p] @ counts), total) for p in range(len(self.pairs))]
+        qa = [
+            sum((truth_exact[s] for s in np.flatnonzero(a)), start=Fraction(0))
+            for a in self.A
+        ]
+        return max(abs(m - q) for m, q in zip(mu, qa))
+
+
+def _assert_matches_oracle(md, oracle, count_vectors, truths, truths_exact=None):
+    """Selected index, scores and deviations equal the all-pairs oracle's exactly."""
+    for counts in count_vectors:
+        total = int(counts.sum())
+        assert md.select(counts, total) == oracle.select(counts, total)
+        for q in truths:
+            got = md.deviation(counts, total, md.truth_masses(q))
+            assert got == oracle.deviation(counts, total, q)
+            assert type(got) is float
+        for q in truths_exact or ():
+            got = md.deviation_exact(counts, total, q)
+            assert got == oracle.deviation_exact(counts, total, q)
+            assert isinstance(got, Fraction)
+
+
+def _skeleton_count_vectors(setup, config, seed):
+    rng = stream(seed, 0)
+    vectors = []
+    for truth_id in setup.truth_ids:
+        source = ratelab._source(setup, config, truth_id)
+        for T in (1, 7, 100, 2000):
+            xs, ys, _, _ = sample_arrays(source, setup.space, setup.dist, T, config.d, rng)
+            vectors.append(setup.estimator.count_outcomes(xs, ys)[0])
+    return vectors
+
+
+def _float_setup_matches_oracle(config):
+    setup = ratelab.build_setup(config)
+    est = setup.estimator
+    oracle = AllPairsMinDistance(est._md.M)
+    truths = [est.truth_vectors(od)[0] for od in est.outcome_dists]
+    _assert_matches_oracle(est._md, oracle, _skeleton_count_vectors(setup, config, 11), truths)
+    return setup
+
+
+def test_distinct_sets_match_all_pairs_on_parity_m4():
+    setup = _float_setup_matches_oracle(
+        ratelab.ExperimentConfig(m=4, d=2, T_grid=(10,), replicates=1, truth_count=4)
+    )
+    md = setup.estimator._md
+    assert len(md._pair_set) == 64 * 63
+    assert md.A.shape == (728, 56)  # the distinct sets, and no pair of its own
+    assert md.PA.shape == (64, 728)
+
+
+def test_distinct_sets_match_all_pairs_on_twopoint():
+    _float_setup_matches_oracle(
+        ratelab.ExperimentConfig(m=4, d=1, family="twopoint", T_grid=(10,), replicates=1)
+    )
+
+
+def test_distinct_sets_match_all_pairs_exact_m3():
+    _, members = parity_family(SP32, 1.0, 1.0, exact=True)
+    est = SkeletonEstimator(cover_of_family(members, 0.0), D3, 2, exact=True)
+    exact_rows = [
+        [od.exact.get(z, Fraction(0)) for z in est.support] for od in est.outcome_dists
+    ]
+    oracle = AllPairsMinDistance(est._md.M, exact_rows)
+    assert len(est._md.A) < len(oracle.A)
+    vectors = []
+    for r in range(6):
+        batch = sample_batch(members[r], SP32, D3, 3 + 97 * r, 2, seed=40 + r)
+        vectors.append(est.counts_from_batch(batch)[0])
+    truths = [est.truth_vectors(od) for od in est.outcome_dists]
+    _assert_matches_oracle(
+        est._md, oracle, vectors, [q for q, _ in truths], [qe for _, qe in truths]
+    )
+
+
+def test_distinct_sets_one_member_and_identical_members():
+    pi0 = reference_prior(SP32, exact=True)
+    counts = [np.arange(len(SP32), dtype=np.int64), np.eye(1, len(SP32), 4, dtype=np.int64)[0]]
+    for cover in (CoverFamily([pi0], 0.0), CoverFamily([pi0, pi0, pi0], 0.0)):
+        mass = np.stack([p.mass for p in cover.members])
+        md = _MinDistance(mass)
+        _assert_matches_oracle(
+            md, AllPairsMinDistance(mass), counts, [pi0.mass, np.full(len(SP32), 0.5)]
+        )
+        assert not md.A.any()  # no pair, or only the empty set
+        est = SkeletonEstimator(cover, D3, 2, exact=True)
+        exact_rows = [[od.exact[z] for z in est.support] for od in est.outcome_dists]
+        _, q_exact = est.truth_vectors(est.outcome_dists[0])
+        _assert_matches_oracle(
+            est._md,
+            AllPairsMinDistance(est._md.M, exact_rows),
+            [np.arange(len(est.support), dtype=np.int64)],
+            [],
+            [q_exact],
+        )
+
+
+def test_direct_estimator_distinct_sets_match_all_pairs():
+    config = ratelab.ExperimentConfig(m=4, d=2, T_grid=(10,), replicates=1, truth_count=4)
+    setup = ratelab.build_setup(config)
+    md = setup.direct._md
+    oracle = AllPairsMinDistance(np.stack([p.mass for p in setup.estimator.cover.members]))
+    assert md.A.shape == (272, len(setup.space))
+    rng = stream(12, 0)
+    vectors = []
+    for truth_id in setup.truth_ids:
+        source = ratelab._source(setup, config, truth_id)
+        for T in (1, 50, 3000):
+            _, _, idx, _ = sample_arrays(source, setup.space, setup.dist, T, 2, rng)
+            vectors.append(np.bincount(idx, minlength=len(setup.space)))
+    _assert_matches_oracle(md, oracle, vectors, [p.mass for p in setup.members[:5]])
+
+
+@pytest.mark.parametrize("m", [4, 3])
+def test_rates_cli_byte_identical_to_all_pairs_selection(tmp_path, monkeypatch, m):
+    # the deviation column rounds through a BLAS product; at m=3 a product
+    # over the distinct sets alone changes its last bits for some truths
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(
+        f"m = {m}\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 20,200\nreplicates = 3\ntruth_count = 3\n"
+    )
+    for name, cls in (("distinct", _MinDistance), ("all_pairs", AllPairsMinDistance)):
+        monkeypatch.setattr(estimators, "_MinDistance", cls)
+        monkeypatch.setattr(ratelab, "_SETUP_CACHE", {})
+        assert dispatch("rates", cfg, 5, tmp_path / name) == 0
+        (setup,) = ratelab._SETUP_CACHE.values()
+        assert type(setup.estimator._md) is cls and type(setup.direct._md) is cls
+    names = sorted(
+        p.name for p in (tmp_path / "distinct").iterdir()
+        if p.suffix == ".csv" or p.name == "summary.txt"
+    )
+    assert names == ["baseline.csv", "rates.csv", "skeleton_report.csv", "summary.txt"]
+    for name in names:
+        assert (tmp_path / "distinct" / name).read_bytes() == (
+            tmp_path / "all_pairs" / name
+        ).read_bytes(), name
 
 
 def test_reduce_to_signs_threshold_and_recovery():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from priorlab.concepts import d_subsets, enumerate_concepts, uniform_distribution
+from priorlab.concepts import ConceptSpace, d_subsets, enumerate_concepts, uniform_distribution
 from priorlab.priors import (
     SmoothPriorParams,
     point_mass,
@@ -11,6 +11,7 @@ from priorlab.priors import (
 )
 from priorlab.sampling import (
     TaskSample,
+    _parity_index_table,
     export_batch,
     sample_arrays,
     sample_batch,
@@ -113,6 +114,21 @@ def test_sample_arrays_concept_indices():
     pm = point_mass(SP32, 0b101)
     _, _, idx, trace = sample_arrays(pm, SP32, D3, 100, 2, np.random.default_rng(6))
     assert trace is None and (idx == SP32.index_of(0b101)).all()
+
+
+def test_parity_tables_built_once_per_space():
+    _parity_index_table.cache_clear()
+    flipped = SmoothPriorParams((1, -1, 1), 1.0, 1.0, 3, 2)
+    reordered = ConceptSpace(3, 2, SP32.concepts[::-1])
+    draws = [
+        sample_arrays(params, space, D3, 50, 2, np.random.default_rng(3))
+        for params, space in ((PARAMS, SP32), (flipped, SP32), (PARAMS, reordered))
+    ]
+    assert _parity_index_table.cache_info().misses == 2  # one table per concept order
+    # the same draws, read as masks through either concept order
+    assert np.array_equal(SP32.masks[draws[0][2]], reordered.masks[draws[2][2]])
+    table = _parity_index_table(3, 2, SP32.masks.tobytes())
+    assert not table.flags.writeable
 
 
 def test_traced_parity_coin_rate():
