@@ -24,7 +24,9 @@ from .concepts import enumerate_concepts, uniform_distribution
 from .elicitation import (
     LEDGER_CSV_HEADER,
     FamilyOutcomeModel,
+    _PosteriorCache,
     calibrate_schedule,
+    check_presence_args,
     estimate_Q,
     presence_family,
     run_algorithm1,
@@ -375,10 +377,30 @@ def cmd_smoothness(config: dict, seed: int, outdir: Path, workers: int, exact: b
 
 def _elicit_stream(payload):
     """Serve one customer stream, write its ledger, return (regrets, tail avg, exceedance)."""
-    path, *args = payload
-    res = run_algorithm1(*args)
+    path, cache, *args = payload
+    res = run_algorithm1(*args, cache=cache)
     write_csv(path, LEDGER_CSV_HEADER, [r.csv_row() for r in res.rows])
-    return [r.regret for r in res.rows], res.tail_query_avg, res.exceedance_rate
+    # a float array, not a list of floats: every stream's regrets are kept
+    return np.array([r.regret for r in res.rows]), res.tail_query_avg, res.exceedance_rate
+
+
+def _check_elicit_config(config: dict) -> None:
+    """Reject values the elicit pipeline cannot run on, naming the key."""
+    for key in ("T", "replicates", "calibration_replicates", "q_trials"):
+        if config[key] < 1:
+            raise ValueError(f"config key {key!r} must be >= 1, got {config[key]}")
+    if not 0 < config["epsilon"] < 2:
+        raise ValueError(f"config key 'epsilon' must lie in (0, 2), got {config['epsilon']}")
+    grid = config["calibration_T_grid"]
+    if not grid or grid[0] < 1 or list(grid) != sorted(set(grid)):
+        raise ValueError(
+            f"config key 'calibration_T_grid' must be a nonempty strictly increasing "
+            f"list of T >= 1, got {grid}"
+        )
+    try:
+        check_presence_args(config["n_items"])
+    except ValueError as exc:
+        raise ValueError(f"config key 'n_items': {exc}") from exc
 
 
 def cmd_elicit(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
@@ -390,14 +412,15 @@ def cmd_elicit(config: dict, seed: int, outdir: Path, workers: int, exact: bool)
         family, model, alpha=eps / 2.0, T_grid=config["calibration_T_grid"],
         replicates=config["calibration_replicates"], seed=seed,
     )
+    cache = _PosteriorCache(family)  # one per run: its entries are deterministic
     q_table = [
-        estimate_Q(j, family, eps / 4.0, trials=config["q_trials"], seed=seed).mean
+        estimate_Q(j, family, eps / 4.0, trials=config["q_trials"], seed=seed, cache=cache).mean
         for j in range(family.n_members)
     ]
     truths = [rep % family.n_members for rep in range(config["replicates"])]
     results = _pmap(_elicit_stream, [
-        (outdir / f"ledger_{rep:03d}.csv", family, model, schedule, truth, eps, config["T"],
-         seed + 1000 + rep, q_table)
+        (outdir / f"ledger_{rep:03d}.csv", cache, family, model, schedule, truth, eps,
+         config["T"], seed + 1000 + rep, q_table)
         for rep, truth in enumerate(truths)
     ], workers)
     reg = np.concatenate([regrets for regrets, _, _ in results])
@@ -483,6 +506,8 @@ def dispatch(
                 )
         else:
             config = parse_config(config_path, subcommand)
+        if subcommand == "elicit":
+            _check_elicit_config(config)  # before any output is written
         outdir.mkdir(parents=True, exist_ok=True)
         _manifest(outdir, subcommand, config_path, config, seed, workers)
         return DISPATCH[subcommand](config, seed, outdir, workers, exact_rational)

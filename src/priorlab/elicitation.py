@@ -12,7 +12,9 @@ the sequential loop that stitches them together.
 No query decision feeds back into the task draws or the estimator, so
 estimation runs in bulk from pre-drawn streams: all customers of a stream
 are drawn first, one batch yields their pair indicators and prefix
-counts, and only the query strategy runs customer by customer.
+counts, and only the query strategy runs customer by customer.  Customer
+t keeps its own streams `stream(seed, t, purpose)`; their first outputs
+are computed for all customers at once by `sampling.stream_raw`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .estimators import yatracos_scores
-from .sampling import stream
+from .sampling import raw_integers, raw_random, stream, stream_raw
 
 _CUSTOMER_STREAM = 0
 _POINTS_STREAM = 1
@@ -164,11 +166,15 @@ class ValuationPriorFamily:
     def n_bundles(self) -> int:
         return self.S.shape[1]
 
+    def function_index(self, member: int, u: np.ndarray) -> np.ndarray:
+        """The function indices that uniforms `u` select under `member`."""
+        idx = np.searchsorted(self.cdf[member], u, side="right")
+        return np.minimum(idx, len(self.functions) - 1)
+
     def sample_function(self, member: int, rng: np.random.Generator, size: int | None = None):
         """A function index drawn from `member`, or an array of `size` of
         them (the same doubles as `size` single draws)."""
-        idx = np.searchsorted(self.cdf[member], rng.random(size), side="right")
-        idx = np.minimum(idx, len(self.functions) - 1)
+        idx = self.function_index(member, rng.random(size))
         return idx if size is not None else int(idx)
 
 
@@ -319,13 +325,13 @@ def estimate_Q(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cache = cache or _PosteriorCache(family)
+    # trial r draws once from stream(seed, _Q_STREAM, member, r)
+    keys = np.column_stack([np.full(trials, _Q_STREAM), np.full(trials, member), np.arange(trials)])
+    f_idx = family.function_index(member, raw_random(stream_raw(seed, keys, 1)[:, 0]))
     counts = np.empty(trials)
-    for r in range(trials):
-        rng = stream(seed, _Q_STREAM, member, r)
-        f_idx = family.sample_function(member, rng)
-        oracle = ValueOracle(family.functions[f_idx])
-        out = method_A(member, family, epsilon, oracle, cache)
-        counts[r] = out.queries
+    for r, f in enumerate(f_idx.tolist()):
+        oracle = ValueOracle(family.functions[f])
+        counts[r] = method_A(member, family, epsilon, oracle, cache).queries
     se = float(counts.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return QEstimate(float(counts.mean()), se, trials)
 
@@ -582,6 +588,18 @@ class RunResult:
         return self.mean_regret + 1.645 * self.regret_se
 
 
+def draw_customers(family: ValuationPriorFamily, truth: int, T: int, seed: int):
+    """Function indices (T,) and sample points (T, d) of customers 1..T:
+    customer t draws one function from stream(seed, t, _CUSTOMER_STREAM)
+    and d uniform bundles from stream(seed, t, _POINTS_STREAM), all
+    computed in one bulk pass per purpose."""
+    t = np.arange(1, T + 1)
+    raw_f = stream_raw(seed, np.column_stack([t, np.full(T, _CUSTOMER_STREAM)]), 1)
+    raw_x = stream_raw(seed, np.column_stack([t, np.full(T, _POINTS_STREAM)]), (family.d + 1) // 2)
+    f_idx = family.function_index(truth, raw_random(raw_f[:, 0]))
+    return f_idx, raw_integers(raw_x, family.n_bundles, family.d)
+
+
 def run_algorithm1(
     family: ValuationPriorFamily,
     model: FamilyOutcomeModel,
@@ -592,22 +610,22 @@ def run_algorithm1(
     seed: int,
     q_table: list[float],
     tail_len: int | None = None,
+    cache: _PosteriorCache | None = None,
 ) -> RunResult:
     """The sequential loop: per customer draw d uniform sample points (these
     are value queries that feed the growing estimation batch), then either
     run the prior-free method while the radius is still coarse
     (R(t-1, eps/2) > eps/8) or pick the cheapest surrogate member in the
     ball around the current estimate and run the prior-aware method at
-    eps/4 accuracy."""
+    eps/4 accuracy.  A shared `cache` may serve several runs on one family."""
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")
+    if T < 1:
+        raise ValueError("T must be >= 1")
     if len(q_table) != family.n_members:
         raise ValueError("q_table must hold one query estimate per member")
     n_bundles = family.n_bundles
-    f_idx, xs = np.zeros(T, dtype=np.int64), np.zeros((T, family.d), dtype=np.int64)
-    for t in range(1, T + 1):
-        f_idx[t - 1] = family.sample_function(truth, stream(seed, t, _CUSTOMER_STREAM))
-        xs[t - 1] = stream(seed, t, _POINTS_STREAM).integers(0, n_bundles, size=family.d)
+    f_idx, xs = draw_customers(family, truth, T, seed)
     # customer t is served with the estimate and the radius after t - 1 tasks
     sel = SequentialSelector(model)
     sel.update(xs, family.S[f_idx[:, None], xs])
@@ -620,7 +638,7 @@ def run_algorithm1(
     in_ball = family.tv_matrix[:, None, order] <= np.asarray(schedule.R)[:, None] + 1e-12
     theta_checks = np.array(order)[in_ball.argmax(axis=2)].tolist()
     top = family.S.max(axis=1)
-    cache = _PosteriorCache(family)
+    cache = cache or _PosteriorCache(family)
     rows: list[LedgerRow] = []
     for t, f, points, theta_hat, knot in zip(
         range(1, T + 1), f_idx.tolist(), xs.tolist(), theta_hats.tolist(), knots.tolist()
@@ -658,6 +676,24 @@ def run_algorithm1(
     )
 
 
+def check_presence_args(n_items: int, n_functions: int = 8) -> None:
+    """Reject `presence_family` sizes it cannot build.  Pair p pins the
+    weight of group p % n_groups; every other group weight takes one of 401
+    rounded values, so each group has at most 401^(n_groups-1) distinct
+    pairs, and a single group (n_items = 2) has one."""
+    if n_items % 2 or not 2 <= n_items <= 16:
+        raise ValueError(f"n_items must be even (groups of two) and in 2..16, got {n_items}")
+    if n_functions % 2:
+        raise ValueError("n_functions must be even (twin pairs)")
+    n_groups = n_items // 2
+    per_group = 401 ** (n_groups - 1)
+    if -(-n_functions // 2 // n_groups) > per_group:
+        raise ValueError(
+            f"n_items={n_items} yields at most {2 * n_groups * per_group} distinct "
+            f"functions, fewer than n_functions={n_functions}"
+        )
+
+
 def presence_family(
     seed: int = 0,
     n_items: int = 8,
@@ -677,10 +713,7 @@ def presence_family(
     strategy may legitimately stop without resolving them, which keeps
     regret nonzero yet far inside any reasonable epsilon.
     """
-    if n_items % 2:
-        raise ValueError("n_items must be even (groups of two)")
-    if n_functions % 2:
-        raise ValueError("n_functions must be even (twin pairs)")
+    check_presence_args(n_items, n_functions)
     n_groups = n_items // 2
     rng = stream(seed, 77)
     n_bundles = 1 << n_items

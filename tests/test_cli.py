@@ -198,6 +198,43 @@ def test_elicit_byte_identical_across_workers(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("T = 0", "'T'"),
+        ("T = -3", "'T'"),
+        ("replicates = 0", "'replicates'"),
+        ("calibration_T_grid = ,", "'calibration_T_grid'"),
+        ("calibration_T_grid = 20,10", "'calibration_T_grid'"),
+        ("q_trials = 0", "'q_trials'"),
+        ("epsilon = 0", "'epsilon'"),
+        ("n_items = 3", "'n_items'"),
+    ],
+)
+def test_elicit_rejects_bad_config_before_any_work(tmp_path, capsys, line, key):
+    out = tmp_path / "out"
+    name = line.split(" =")[0]
+    kept = [x for x in ELICIT_TINY.splitlines() if x.split(" =")[0] != name]
+    cfg = write_config(tmp_path, "e.cfg", "\n".join(kept + [line]) + "\n")
+    assert dispatch("elicit", cfg, 2, out) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_elicit_single_item_group_exits_instead_of_hanging(tmp_path):
+    # one item group: every twin pair pins its only weight, so the family
+    # can never reach 8 distinct functions
+    cfg = write_config(tmp_path, "e.cfg", ELICIT_TINY + "n_items = 2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "priorlab.cli", "elicit", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "'n_items'" in proc.stderr and "distinct" in proc.stderr
+
+
 def test_exact_rational_rejected_where_ignored(tmp_path, capsys):
     out = tmp_path / "out"
     assert dispatch("lemmas", None, 0, out, exact_rational=True) == 1

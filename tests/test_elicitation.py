@@ -16,6 +16,7 @@ from priorlab.elicitation import (
     ValueOracle,
     _PosteriorCache,
     calibrate_schedule,
+    draw_customers,
     estimate_Q,
     log2_pdim_bound,
     method_A,
@@ -556,3 +557,94 @@ def test_run_algorithm1_matches_per_task_oracle(name, seed):
         ]
         fallbacks += res.fallbacks
     assert fallbacks > 0 or name != "sparse"
+
+
+def oracle_draw_customers(fam, truth, T, seed):
+    """Per-customer draws, one stream per customer and purpose."""
+    f_idx, xs = np.zeros(T, dtype=np.int64), np.zeros((T, fam.d), dtype=np.int64)
+    for t in range(1, T + 1):
+        f_idx[t - 1] = oracle_sample_function(fam, truth, stream(seed, t, 0))
+        xs[t - 1] = stream(seed, t, 1).integers(0, fam.n_bundles, size=fam.d)
+    return f_idx, xs
+
+
+@functools.lru_cache(maxsize=None)
+def flat_family(n_bundles, d):
+    """Three constant tables over `n_bundles` bundles, d points per customer."""
+    fns = [SatisfactionFunction((0.1 * i,) * n_bundles) for i in range(3)]
+    return ValuationPriorFamily(fns, [(0.2, 0.5, 0.3), (0.6, 0.1, 0.3)], d=d)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**64 - 1, 2**130 + 7])
+def test_draw_customers_matches_per_customer_streams(seed):
+    cases = [(T, nb, d) for T in (1, 7) for nb in (2, 256, 65536) for d in range(1, 6)]
+    cases += [(2000, nb, d) for nb, d in zip((2, 256, 65536, 2, 256), range(1, 6))]
+    for T, nb, d in cases:
+        fam = flat_family(nb, d)
+        truth = T % 2
+        f_idx, xs = draw_customers(fam, truth, T, seed)
+        expected_f, expected_xs = oracle_draw_customers(fam, truth, T, seed)
+        assert f_idx.tolist() == expected_f.tolist(), (T, nb, d)
+        assert xs.tolist() == expected_xs.tolist(), (T, nb, d)
+
+
+def test_draw_customers_presence_family():
+    fam, _ = family_and_model("presence")
+    for truth in (0, 5):
+        f_idx, xs = draw_customers(fam, truth, 300, 1009)
+        expected_f, expected_xs = oracle_draw_customers(fam, truth, 300, 1009)
+        assert f_idx.tolist() == expected_f.tolist() and len(set(f_idx.tolist())) > 4
+        assert xs.tolist() == expected_xs.tolist()
+
+
+def oracle_estimate_Q(member, fam, epsilon, trials, seed):
+    cache = _PosteriorCache(fam)
+    counts = []
+    for r in range(trials):
+        func = fam.functions[oracle_sample_function(fam, member, stream(seed, 2, member, r))]
+        counts.append(method_A(member, fam, epsilon, ValueOracle(func), cache).queries)
+    counts = np.array(counts, dtype=float)
+    return float(counts.mean()), float(counts.std(ddof=1) / np.sqrt(trials))
+
+
+@pytest.mark.parametrize("name", ["tiny", "presence"])
+@pytest.mark.parametrize("seed", [0, 109, 2**130 + 7])
+def test_estimate_Q_matches_per_trial_streams(name, seed):
+    fam, _ = family_and_model(name)
+    for member in range(fam.n_members):
+        q = estimate_Q(member, fam, 0.05, trials=60, seed=seed)
+        assert (q.mean, q.se) == oracle_estimate_Q(member, fam, 0.05, 60, seed)
+
+
+def test_bulk_draws_reject_negative_seed_and_empty_stream():
+    fam, model = family_and_model("tiny")
+    sched = ScheduleRDelta(0.1, (0,), (1.0,), (0.0,))
+    with pytest.raises(ValueError, match="non-negative"):
+        run_algorithm1(fam, model, sched, 0, 0.2, T=5, seed=-1, q_table=[1.0] * 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        estimate_Q(0, fam, 0.1, trials=5, seed=-3)
+    with pytest.raises(ValueError, match="T must be"):
+        run_algorithm1(fam, model, sched, 0, 0.2, T=0, seed=1, q_table=[1.0] * 3)
+
+
+def test_shared_posterior_cache_keeps_runs_identical():
+    fam, model = family_and_model("presence")
+    q_table = [1.0] * fam.n_members
+    sched = SERVE_CASES[1][1]
+    shared = _PosteriorCache(fam)
+    estimate_Q(3, fam, 0.05, trials=40, seed=0, cache=shared)
+    for truth, seed in ((0, 1000), (3, 1001), (0, 1002)):
+        alone = run_algorithm1(fam, model, sched, truth, 0.4, 150, seed, q_table)
+        with_shared = run_algorithm1(fam, model, sched, truth, 0.4, 150, seed, q_table, cache=shared)
+        assert with_shared.rows == alone.rows
+
+
+def test_presence_family_rejects_sizes_it_cannot_reach():
+    # one item group: every twin pair pins the group's only weight
+    with pytest.raises(ValueError, match="at most 2 distinct"):
+        presence_family(n_items=2)
+    _, fam = presence_family(n_items=2, n_functions=2, n_members=2)
+    assert len(fam.functions) == 2
+    for n_items in (0, 3, 18):
+        with pytest.raises(ValueError, match="n_items"):
+            presence_family(n_items=n_items)

@@ -17,7 +17,10 @@ from priorlab.sampling import (
     sample_batch,
     sample_concept,
     sample_task_traced,
+    raw_integers,
+    raw_random,
     stream,
+    stream_raw,
 )
 
 SP32 = enumerate_concepts(3, 2)
@@ -242,3 +245,49 @@ def test_task_sample_validation():
         TaskSample((1, 2), (1,))
     with pytest.raises(ValueError):
         TaskSample((1,), (0,))
+
+
+# seeds of one, two, three and five uint32 words
+BULK_SEEDS = [0, 2**32 + 5, 2**64 - 1, 2**130 + 7]
+
+
+@pytest.mark.parametrize("seed", BULK_SEEDS)
+def test_stream_raw_matches_stream(seed):
+    keys = [(t, p) for t in (1, 2, 7, 2000, 2**32 - 1) for p in (0, 1)]
+    keys += [(2, member, r) for member in (0, 7) for r in (0, 1, 299)]
+    for shape in (keys[:10], keys[10:], [(77,)]):
+        raw = stream_raw(seed, shape, 3)
+        expected = [stream(seed, *key).bit_generator.random_raw(3) for key in shape]
+        assert raw.dtype == np.uint64 and raw.shape == (len(shape), 3)
+        assert np.array_equal(raw, np.array(expected, dtype=np.uint64))
+    assert stream_raw(seed, np.zeros((0, 2), dtype=np.int64), 2).shape == (0, 2)
+
+
+@pytest.mark.parametrize("seed", BULK_SEEDS)
+def test_raw_conversions_match_generator_draws(seed):
+    keys = [(t, 1) for t in range(1, 40)]
+    raw = stream_raw(seed, keys, 3)
+    assert raw_random(raw[:, 0]).tolist() == [stream(seed, *k).random() for k in keys]
+    for high in (1, 2, 256, 65536, 2**32):
+        for size in range(1, 6):  # an odd size leaves a half-word unused
+            expected = [stream(seed, *k).integers(0, high, size=size).tolist() for k in keys]
+            assert raw_integers(raw, high, size).tolist() == expected, (high, size)
+
+
+def test_bulk_stream_rejects_what_it_cannot_reproduce():
+    with pytest.raises(ValueError, match="non-negative"):
+        stream_raw(-1, [(1, 0)], 1)  # as SeedSequence does
+    with pytest.raises(ValueError):
+        stream(-1, 1, 0)
+    with pytest.raises(ValueError, match="key entries"):
+        stream_raw(0, [(1, -1)], 1)
+    with pytest.raises(ValueError, match="key entries"):
+        stream_raw(0, [(2**32, 0)], 1)
+    with pytest.raises(ValueError, match="2-d"):
+        stream_raw(0, [1, 2], 1)
+    raw = stream_raw(0, [(1, 0)], 2)
+    for high in (3, 6, 1000, 2**33):
+        with pytest.raises(ValueError, match="power-of-two"):
+            raw_integers(raw, high, 2)
+    with pytest.raises(ValueError, match="raw outputs"):
+        raw_integers(raw, 4, 5)
