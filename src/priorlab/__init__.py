@@ -8,7 +8,6 @@ from .concepts import (
     Concept,
     ConceptSpace,
     DataDistribution,
-    InstanceSpace,
     enumerate_concepts,
     rho,
     uniform_distribution,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import platform
 import sys
 from dataclasses import dataclass
 from math import comb
@@ -184,7 +185,9 @@ def parse_config(path: str | Path, subcommand: str) -> dict:
 @dataclass(frozen=True)
 class RunManifest:
     """Everything that determines a run's outputs; two runs with equal
-    manifests produce byte-identical CSVs, whatever the worker count."""
+    manifests produce byte-identical CSVs, whatever the worker count.  The
+    text also records the run's environment: Python, numpy and the number
+    of CPUs the process may use."""
 
     subcommand: str
     config_path: str
@@ -202,7 +205,16 @@ class RunManifest:
             f"seed={self.seed}\n"
             f"workers={workers}\n"
             f"out={self.outdir}\n"
+            f"python={platform.python_version()}\n"
+            f"numpy={np.__version__}\n"
+            f"nproc={_nproc()}\n"
         )
+
+
+def _nproc() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _manifest(outdir: Path, subcommand: str, config_path, config: dict, seed: int, workers: int):

@@ -21,21 +21,6 @@ SHATTER_GUARD = 12  # largest m for the brute-force VC check
 
 
 @dataclass(frozen=True)
-class InstanceSpace:
-    """X = {1, ..., m}."""
-
-    m: int
-
-    def __post_init__(self):
-        if not 1 <= self.m <= MAX_POINTS:
-            raise ValueError(f"need 1 <= m <= {MAX_POINTS}, got {self.m}")
-
-    @property
-    def points(self) -> range:
-        return range(1, self.m + 1)
-
-
-@dataclass(frozen=True)
 class Concept:
     """A classifier on {1..m}, encoded by its positive-point bit mask."""
 
@@ -88,8 +73,16 @@ class DataDistribution:
         """Total weight of the points in `mask`."""
         return sum(w for i, w in enumerate(self.weights) if (mask >> i) & 1)
 
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.weights)
+    def inverse_cdf(self, u) -> np.ndarray:
+        """The point 1..m drawn by each uniform in `u`: one plus the number
+        of thresholds cumsum(weights)[:-1] at or below it.  This is
+        `min(searchsorted(cumsum(weights), u, side="right") + 1, m)` bit
+        for bit (the clip covers a cumsum that ends below 1), in m - 1
+        comparison passes instead of a binary search per draw."""
+        xs = np.ones(np.shape(u), dtype=np.int64)
+        for threshold in np.cumsum(self.weights)[:-1]:
+            xs += u >= threshold
+        return xs
 
 
 def uniform_distribution(m: int) -> DataDistribution:

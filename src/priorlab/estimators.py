@@ -34,12 +34,12 @@ def yatracos_scores(PA: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _outcome_codes(xs: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
-    """One integer per task outcome: the points in base m, then one bit per label."""
+    """One integer in [0, (2m)^k) per task outcome of k points in 1..m: the
+    digits 2(x - 1) + [y > 0] of its (point, label) pairs in base 2m."""
+    digits = ((xs - 1) << 1) | (ys > 0)
     codes = np.zeros(len(xs), dtype=np.int64)
     for j in range(xs.shape[1]):
-        codes = codes * m + (xs[:, j] - 1)
-    for j in range(ys.shape[1]):
-        codes = (codes << 1) | (ys[:, j] > 0)
+        codes = codes * (2 * m) + digits[:, j]
     return codes
 
 
@@ -181,25 +181,23 @@ class SkeletonEstimator:
             ]
         self._md = _MinDistance(M, exact_rows)
         self.is_exact = exact
-        codes = _outcome_codes(
+        # exact_outcome_dist has checked the (2m)^d code space against the budget
+        self._n_codes = (2 * dist.m) ** d
+        self._support_codes = _outcome_codes(
             np.array([xs for xs, _ in support]), np.array([ys for _, ys in support]), dist.m
         )
-        self._code_order = np.argsort(codes, kind="stable")
-        self._sorted_codes = codes[self._code_order]
 
     def count_outcomes(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, int]:
-        """Support counts of T tasks given as (T, d) point and label arrays;
-        outcomes off the support are not counted."""
+        """Support counts of T tasks given as (T, d) arrays of points in
+        1..m and labels; outcomes off the support are not counted.  Every
+        code is counted, then the support's codes are read off."""
         if xs.ndim != 2 or xs.shape[1] != self.d or ys.shape != xs.shape:
             raise ValueError(
                 f"tasks of shape {xs.shape} / {ys.shape}, estimator expects (T, {self.d})"
             )
         codes = _outcome_codes(xs, ys, self.dist.m)
-        table = self._sorted_codes
-        pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
-        on_support = table[pos] == codes
-        counts = np.bincount(self._code_order[pos[on_support]], minlength=len(self.support))
-        return counts.astype(np.int64), len(xs)
+        counts = np.bincount(codes, minlength=self._n_codes)[self._support_codes]
+        return counts, len(xs)
 
     def counts_from_batch(self, batch: TaskBatch) -> tuple[np.ndarray, int]:
         shape = (len(batch), batch.k)

@@ -178,10 +178,7 @@ def mc_outcome_tv(
     anchor tuple; the only randomness is over the anchors."""
     if trials < 2:
         raise ValueError("need at least 2 trials for a half-width")
-    cum = dist.cumulative()
-    draws = np.minimum(
-        np.searchsorted(cum, rng.random((trials, k)), side="right") + 1, dist.m
-    )
+    draws = dist.inverse_cdf(rng.random((trials, k)))
     vals = np.empty(trials)
     for i, row in enumerate(draws):
         vals[i] = float(label_conditional_tv(prior_a, prior_b, tuple(int(x) for x in row)))
@@ -309,8 +306,7 @@ def verify_sqrt_bound(
         weights = [math.prod(dist.weights[x - 1] for x in xs) for xs in xtuples]
     else:
         rng = rng if rng is not None else np.random.default_rng(0)
-        cum = dist.cumulative()
-        draws = np.minimum(np.searchsorted(cum, rng.random((trials, d)), side="right") + 1, m)
+        draws = dist.inverse_cdf(rng.random((trials, d)))
         xtuples = [tuple(int(x) for x in row) for row in draws]
         weights = [1.0 / trials] * trials
 

@@ -208,9 +208,7 @@ def sample_concept(prior: TabularPrior, rng: np.random.Generator) -> Concept:
 
 
 def sample_points(dist: DataDistribution, k: int, rng: np.random.Generator) -> tuple[int, ...]:
-    cum = dist.cumulative()
-    draws = np.searchsorted(cum, rng.random(k), side="right") + 1
-    return tuple(int(min(x, dist.m)) for x in draws)
+    return tuple(int(x) for x in dist.inverse_cdf(rng.random(k)))
 
 
 def _labels(mask: int, xs: tuple[int, ...]) -> tuple[int, ...]:
@@ -337,9 +335,8 @@ def sample_arrays(
     trace = None
     if isinstance(source, SmoothPriorParams):
         index_table = _parity_index_table(source.m, source.d, space.masks.tobytes())
-        b = np.asarray(source.b)
         i_star = rng.integers(0, len(index_table), size=T)
-        p1 = (1.0 + source.gamma_m * b[i_star]) / 2.0
+        p1 = ((1.0 + source.gamma_m * np.asarray(source.b)) / 2.0)[i_star]
         c = (rng.random(T) < p1).astype(np.int64)
         choice = rng.integers(0, index_table.shape[2], size=T)
         idx = index_table[i_star, c, choice]
@@ -349,19 +346,7 @@ def sample_arrays(
         idx = np.minimum(
             np.searchsorted(cum, rng.random(T), side="right"), len(space) - 1
         )
-    cum_x = dist.cumulative()
-    xs = np.minimum(
-        np.searchsorted(cum_x, rng.random((T, k)), side="right") + 1, dist.m
-    )
+    xs = dist.inverse_cdf(rng.random((T, k)))
     ys = 2 * ((space.masks[idx][:, None] >> (xs - 1)) & 1) - 1
     return xs, ys, idx, trace
 
-
-def export_batch(batch: TaskBatch, m: int, d: int) -> str:
-    """Text export: a header with (m, d, k, T, seed), then one
-    ``t<TAB>i<TAB>x<TAB>y`` line per observation."""
-    lines = [f"# m={m}\td={d}\tk={batch.k}\tT={len(batch)}\tseed={batch.seed}"]
-    for t, task in enumerate(batch):
-        for i, (x, y) in enumerate(zip(task.xs, task.ys)):
-            lines.append(f"{t}\t{i}\t{x}\t{y}")
-    return "\n".join(lines) + "\n"

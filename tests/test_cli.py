@@ -1,8 +1,10 @@
 import filecmp
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from priorlab.cli import dispatch, main, parse_config
@@ -73,7 +75,12 @@ def test_coinbound_default_grid(tmp_path):
     assert len(lines) == 1 + 2 * 31
     assert all(line.endswith("true") for line in lines[1:])
     assert "all_pass=True" in (out / "summary.txt").read_text()
-    assert (out / "manifest.txt").exists()
+    manifest = dict(
+        line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines()
+    )
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert int(manifest["nproc"]) >= 1
     assert (out / "plot_coinbound.py").exists()
     compile((out / "plot_coinbound.py").read_text(), "plot.py", "exec")
 

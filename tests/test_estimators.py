@@ -150,6 +150,60 @@ def test_direct_estimator_recovers_truth_from_samples():
     assert idx == 6
 
 
+def searchsorted_counts(est, xs, ys):
+    """Oracle: the binary-search counter, with points in base m then one
+    bit per label, looked up in the sorted codes of the support."""
+    m = est.dist.m
+
+    def codes_of(xs, ys):
+        codes = np.zeros(len(xs), dtype=np.int64)
+        for j in range(xs.shape[1]):
+            codes = codes * m + (xs[:, j] - 1)
+        for j in range(ys.shape[1]):
+            codes = (codes << 1) | (ys[:, j] > 0)
+        return codes
+
+    support_codes = codes_of(
+        np.array([x for x, _ in est.support]), np.array([y for _, y in est.support])
+    )
+    order = np.argsort(support_codes, kind="stable")
+    table = support_codes[order]
+    codes = codes_of(xs, ys)
+    pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
+    on_support = table[pos] == codes
+    return np.bincount(order[pos[on_support]], minlength=len(est.support)).astype(np.int64)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ratelab.ExperimentConfig(m=3, d=2),
+        ratelab.ExperimentConfig(m=4, d=2),
+        ratelab.ExperimentConfig(m=5, d=2, family="twopoint"),
+        ratelab.ExperimentConfig(m=3, d=2, k=3),
+    ],
+    ids=["parity-m3", "parity-m4", "twopoint-m5", "k3-d2"],
+)
+def test_count_outcomes_matches_searchsorted_oracle(config):
+    est = ratelab.build_setup(config).estimator
+    k = config.samples_per_task
+    rng = np.random.default_rng(17)
+    for T in (0, 1, 5000):
+        xs = rng.integers(1, config.m + 1, size=(T, k))
+        ys = 2 * rng.integers(0, 2, size=(T, k)) - 1
+        expected = searchsorted_counts(est, xs, ys)
+        counts, total = est.count_outcomes(xs, ys)
+        assert total == T
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected)
+    # uniform labels put some outcomes off every support here
+    assert 0 < expected.sum() < T
+    with pytest.raises(ValueError):
+        est.count_outcomes(xs[:, 1:], ys[:, 1:])
+    with pytest.raises(ValueError):
+        est.count_outcomes(xs, ys[:, 1:])
+
+
 def test_min_distance_checks_budget_before_allocating():
     # 1,100 members make 1,208,900 pairs; A and PA would need gigabytes
     with pytest.raises(BudgetError, match="budget"):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from priorlab.concepts import ConceptSpace, d_subsets, enumerate_concepts, uniform_distribution
+from priorlab.concepts import (
+    ConceptSpace,
+    DataDistribution,
+    d_subsets,
+    enumerate_concepts,
+    uniform_distribution,
+)
 from priorlab.priors import (
     SmoothPriorParams,
     point_mass,
@@ -12,10 +18,10 @@ from priorlab.priors import (
 from priorlab.sampling import (
     TaskSample,
     _parity_index_table,
-    export_batch,
     sample_arrays,
     sample_batch,
     sample_concept,
+    sample_points,
     sample_task_traced,
     raw_integers,
     raw_random,
@@ -117,6 +123,44 @@ def test_sample_arrays_concept_indices():
     pm = point_mass(SP32, 0b101)
     _, _, idx, trace = sample_arrays(pm, SP32, D3, 100, 2, np.random.default_rng(6))
     assert trace is None and (idx == SP32.index_of(0b101)).all()
+
+
+class QueuedUniforms:
+    """A stand-in rng whose `random(size)` calls return fixed arrays in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, size):
+        u = self.draws.pop(0)
+        assert u.shape == np.empty(size).shape
+        return u
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(0.1,) * 10, (0.1,) * 4 + (0.0,) + (0.1,) * 6],
+    ids=["tenths", "zero-weight-point"],
+)
+def test_point_draws_match_searchsorted(weights):
+    dist = DataDistribution(weights)
+    m = dist.m
+    cum = np.cumsum(weights)
+    assert cum[-1] < 1.0  # the clip to m is reached
+    u = np.concatenate([
+        [0.0], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), [1.0 - 2.0**-53],
+    ])
+    u = u[u < 1.0]
+    expected = np.minimum(np.searchsorted(cum, u, side="right") + 1, m)
+    assert (np.searchsorted(cum, u, side="right") == m).any()  # some draws need the clip
+    assert np.array_equal(dist.inverse_cdf(u), expected)
+    assert sample_points(dist, len(u), QueuedUniforms(u)) == tuple(expected)
+    # bulk path: a concept draw of T uniforms, then the (T, k) point draw
+    space = enumerate_concepts(m, 1)
+    rng = QueuedUniforms(np.zeros(len(u)), u.reshape(-1, 1))
+    xs, ys, _, _ = sample_arrays(uniform_prior(space), space, dist, len(u), 1, rng)
+    assert not rng.draws
+    assert xs.dtype == np.int64 and np.array_equal(xs[:, 0], expected)
 
 
 def test_parity_tables_built_once_per_space():
@@ -227,17 +271,6 @@ def test_labels_realizable_in_class():
         assert any(
             all(h.label(x) == y for x, y in zip(task.xs, task.ys)) for h in SP32
         )
-
-
-def test_export_format():
-    batch = sample_batch(PARAMS, SP32, D3, 3, 2, seed=5)
-    text = export_batch(batch, 3, 2)
-    lines = text.strip().split("\n")
-    assert lines[0] == "# m=3\td=2\tk=2\tT=3\tseed=5"
-    assert len(lines) == 1 + 3 * 2
-    t, i, x, y = lines[1].split("\t")
-    assert (t, i) == ("0", "0")
-    assert int(x) in (1, 2, 3) and int(y) in (-1, 1)
 
 
 def test_task_sample_validation():
