@@ -28,9 +28,7 @@ from .priors import (
     parity_family,
     total_variation,
 )
-from .sampling import TaskBatch, TaskSample, sample_batch, sample_concept, sample_task_traced
 from .outcomes import (
-    EmpiricalOutcomeDistribution,
     OutcomeDistribution,
     exact_outcome_dist,
     label_conditional_tv,
@@ -43,11 +41,9 @@ from .estimators import (
     ReductionEstimate,
     SkeletonEstimator,
     coin_floor,
-    direct_estimate,
     exact_bayes_error,
     majority_rule,
     reduce_to_signs,
-    skeleton_estimate,
 )
 from .ratelab import (
     ExperimentConfig,

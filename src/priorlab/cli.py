@@ -262,7 +262,9 @@ def cmd_rates(config: dict, seed: int, outdir: Path, workers: int, exact: bool) 
     res = run_upper_experiment(exp, workers=workers)
     write_csv(outdir / "rates.csv", RATE_CSV_HEADER, res.rows)
     write_csv(outdir / "skeleton_report.csv", ESTIMATION_CSV_HEADER, res.report_rows)
-    baseline_T = config["baseline_T"] or config["T_grid"][-1]
+    baseline_T = config["baseline_T"]
+    if baseline_T is None:
+        baseline_T = config["T_grid"][-1]
     base = run_baseline_comparison(exp, T=baseline_T, workers=workers)
     write_csv(outdir / "baseline.csv", BASELINE_CSV_HEADER, base.rows)
     c = res.curve
@@ -396,6 +398,17 @@ def _elicit_stream(payload):
     return np.array([r.regret for r in res.rows]), res.tail_query_avg, res.exceedance_rate
 
 
+def _check_rates_config(config: dict) -> None:
+    """Reject rates and lowerbound values the run cannot report on, naming
+    the key."""
+    if config["replicates"] < 2:
+        # a standard error needs two replicates; one gives NaN
+        raise ValueError(f"config key 'replicates' must be >= 2, got {config['replicates']}")
+    baseline_T = config.get("baseline_T")
+    if baseline_T is not None and baseline_T < 1:
+        raise ValueError(f"config key 'baseline_T' must be >= 1, got {baseline_T}")
+
+
 def _check_elicit_config(config: dict) -> None:
     """Reject values the elicit pipeline cannot run on, naming the key."""
     for key in ("T", "replicates", "calibration_replicates", "q_trials"):
@@ -518,8 +531,10 @@ def dispatch(
                 )
         else:
             config = parse_config(config_path, subcommand)
-        if subcommand == "elicit":
-            _check_elicit_config(config)  # before any output is written
+        if subcommand in ("rates", "lowerbound"):
+            _check_rates_config(config)  # before any output is written
+        elif subcommand == "elicit":
+            _check_elicit_config(config)
         outdir.mkdir(parents=True, exist_ok=True)
         _manifest(outdir, subcommand, config_path, config, seed, workers)
         return DISPATCH[subcommand](config, seed, outdir, workers, exact_rational)

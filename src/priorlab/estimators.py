@@ -23,7 +23,6 @@ from .concepts import DataDistribution, d_subsets
 from .errors import BudgetError
 from .outcomes import DEFAULT_BUDGET, OutcomeDistribution, exact_outcome_dist, tv
 from .priors import CoverFamily, SmoothPriorParams, TabularPrior
-from .sampling import TaskBatch
 
 
 def yatracos_scores(PA: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -195,15 +194,12 @@ class SkeletonEstimator:
             raise ValueError(
                 f"tasks of shape {xs.shape} / {ys.shape}, estimator expects (T, {self.d})"
             )
+        if xs.size and (xs.min() < 1 or xs.max() > self.dist.m):
+            # a point outside 1..m would be coded as another outcome
+            raise ValueError(f"points must lie in 1..{self.dist.m}")
         codes = _outcome_codes(xs, ys, self.dist.m)
         counts = np.bincount(codes, minlength=self._n_codes)[self._support_codes]
         return counts, len(xs)
-
-    def counts_from_batch(self, batch: TaskBatch) -> tuple[np.ndarray, int]:
-        shape = (len(batch), batch.k)
-        xs = np.array([task.xs for task in batch], dtype=np.int64).reshape(shape)
-        ys = np.array([task.ys for task in batch], dtype=np.int64).reshape(shape)
-        return self.count_outcomes(xs, ys)
 
     def select_from_counts(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
         return self._md.select(counts, total)
@@ -237,14 +233,6 @@ class SkeletonEstimator:
         return lhs, rhs, lhs <= rhs
 
 
-def skeleton_estimate(batch: TaskBatch, est: SkeletonEstimator) -> tuple[int, SkeletonReport]:
-    """Select the cover member whose outcome law best matches the batch."""
-    if len(batch) < 1:
-        raise ValueError("empty batch")
-    counts, total = est.counts_from_batch(batch)
-    return est.select_from_counts(counts, total)
-
-
 class DirectEstimator:
     """Direct-access baseline: minimum-distance selection straight on the
     empirical concept distribution (no sampling bottleneck)."""
@@ -253,29 +241,10 @@ class DirectEstimator:
         if cover.size < 1:
             raise ValueError("cover must be nonempty")
         self.cover = cover
-        self.space = cover.members[0].space
         self._md = _MinDistance(np.stack([p.mass for p in cover.members]))
-
-    def counts_from_concepts(self, concepts) -> tuple[np.ndarray, int]:
-        counts = np.zeros(len(self.space), dtype=np.int64)
-        for h in concepts:
-            counts[self.space.index_of(h)] += 1
-        return counts, int(counts.sum())
 
     def select_from_counts(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
         return self._md.select(counts, total)
-
-    def select(self, concepts) -> tuple[int, SkeletonReport]:
-        return self.select_from_counts(*self.counts_from_concepts(concepts))
-
-
-def direct_estimate(concepts, cover: CoverFamily) -> int:
-    """Member index minimizing the Yatracos discrepancy against the
-    empirical distribution of directly observed target concepts."""
-    concepts = list(concepts)
-    if not concepts:
-        raise ValueError("no observed concepts")
-    return DirectEstimator(cover).select(concepts)[0]
 
 
 @dataclass(frozen=True)

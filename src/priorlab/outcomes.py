@@ -19,7 +19,6 @@ import numpy as np
 from .concepts import ConceptSpace, DataDistribution
 from .errors import BudgetError
 from .priors import TabularPrior, total_variation
-from .sampling import TaskBatch
 
 DEFAULT_BUDGET = 10**7
 FLOAT_SLACK = 1e-12
@@ -50,30 +49,6 @@ class OutcomeDistribution:
     @property
     def is_exact(self) -> bool:
         return self.exact is not None
-
-
-@dataclass
-class EmpiricalOutcomeDistribution:
-    """Counts of observed outcomes over T tasks."""
-
-    k: int
-    counts: dict[Outcome, int]
-    T: int
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.T:
-            raise ValueError("counts do not sum to T")
-
-    @staticmethod
-    def from_batch(batch: TaskBatch) -> "EmpiricalOutcomeDistribution":
-        counts: dict[Outcome, int] = {}
-        for task in batch:
-            z = (task.xs, task.ys)
-            counts[z] = counts.get(z, 0) + 1
-        return EmpiricalOutcomeDistribution(batch.k, counts, len(batch))
-
-    def freq(self, z: Outcome) -> float:
-        return self.counts.get(z, 0) / self.T
 
 
 def exact_weights(dist: DataDistribution) -> list[Fraction]:
@@ -154,36 +129,7 @@ def tv(P, Q):
             )
         keys = set(P.table) | set(Q.table)
         return sum(abs(P.prob(z) - Q.prob(z)) for z in keys) / 2.0
-    if isinstance(P, OutcomeDistribution) and isinstance(Q, EmpiricalOutcomeDistribution):
-        if P.k != Q.k:
-            raise ValueError("outcome spaces differ")
-        keys = set(P.table) | set(Q.counts)
-        return sum(abs(P.prob(z) - Q.freq(z)) for z in keys) / 2.0
     raise TypeError(f"cannot compare {type(P).__name__} with {type(Q).__name__}")
-
-
-def mc_outcome_tv(
-    prior_a: TabularPrior,
-    prior_b: TabularPrior,
-    dist: DataDistribution,
-    k: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of ||P_Zk(A) - P_Zk(B)|| with a 95% half-width,
-    for k too large to enumerate.
-
-    Both priors share the x-marginal, so the TV equals the D^k-expectation
-    of the per-anchor label TV, which is computable exactly for any sampled
-    anchor tuple; the only randomness is over the anchors."""
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a half-width")
-    draws = dist.inverse_cdf(rng.random((trials, k)))
-    vals = np.empty(trials)
-    for i, row in enumerate(draws):
-        vals[i] = float(label_conditional_tv(prior_a, prior_b, tuple(int(x) for x in row)))
-    half = 1.96 * float(vals.std(ddof=1) / np.sqrt(trials))
-    return float(vals.mean()), half
 
 
 def _cell_masses(prior: TabularPrior, points: tuple[int, ...], exact: bool):

@@ -86,6 +86,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.family not in ("parity", "twopoint"):
             raise ValueError(f"unknown family {self.family!r}")
+        if self.family == "twopoint" and self.m < 3:
+            # the two point masses sit on points 1 and 2, the rest of D on 3..m
+            raise ValueError(f"the twopoint family needs m >= 3, got m={self.m}")
         if not self.T_grid or list(self.T_grid) != sorted(set(self.T_grid)):
             raise ValueError("T_grid must be strictly increasing")
         if self.replicates < 1:

@@ -1,35 +1,31 @@
 """Task generation: draw a target concept per task, then k labeled points.
 
-Randomness is organised so that task t of a batch is reproducible in
-isolation: every (seed, task, purpose) triple gets its own numpy
-SeedSequence stream, with concept draws and x draws on separate streams.
-A vectorized bulk path (one stream per call) backs the Monte Carlo
-experiments, where per-task stream isolation is not needed.
+Every random draw comes from a keyed stream, `stream(seed, *key)`, so a
+draw depends only on its key and never on the worker count.  Tasks are
+drawn in bulk: `sample_arrays` draws all T tasks of one replicate from a
+single stream, the T concepts first and then the (T, k) points, and
+returns them as arrays.  Each experiment cell keys that stream by its
+coordinates, such as (purpose, T index, truth, replicate).
 
-`stream` is the definition of a keyed stream.  `stream_raw` computes the
-first raw 64-bit outputs of many keyed streams at once, bit for bit as
-`stream(seed, *key)` would give them (numpy's SeedSequence hash, then
-PCG64's seeding and XSL-RR output), and `raw_random` / `raw_integers`
-turn them into the doubles and integers a Generator would draw.  The
-elicitation customers' per-customer draws come from this bulk path, with
-the same bits as `stream(seed, t, purpose)`.  `raw_integers` covers
-power-of-two ranges only, where numpy's bounded draw never rejects;
-`sample_batch` draws over C(m, d) subsets and keeps its per-task streams.
+`stream_raw` computes the first raw 64-bit outputs of many keyed streams
+at once, bit for bit as `stream(seed, *key)` would give them (numpy's
+SeedSequence hash, then PCG64's seeding and XSL-RR output), and
+`raw_random` / `raw_integers` turn them into the doubles and integers a
+Generator would draw.  The elicitation customers' per-customer draws come
+from this path, with the same bits as `stream(seed, t, purpose)`.
+`raw_integers` covers power-of-two ranges only, where numpy's bounded
+draw never rejects.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .concepts import Concept, ConceptSpace, DataDistribution, d_subsets
-from .priors import SmoothPriorParams, TabularPrior, smooth_prior
-
-_CONCEPT_STREAM = 0
-_X_STREAM = 1
+from .concepts import ConceptSpace, DataDistribution, d_subsets
+from .priors import SmoothPriorParams, TabularPrior
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -166,63 +162,17 @@ def raw_integers(words: np.ndarray, high: int, size: int) -> np.ndarray:
     return (u32 >> np.uint64(33 - high.bit_length())).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class TaskSample:
-    """One task: k sample points, their labels, and (when generated from
-    the parity family) the generative trace (subset index, parity bit)."""
-
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
-    trace: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys):
-            raise ValueError("xs and ys must have equal length")
-        if any(y not in (-1, 1) for y in self.ys):
-            raise ValueError("labels must be -1 or +1")
-
-    @property
-    def k(self) -> int:
-        return len(self.xs)
-
-
-@dataclass(frozen=True)
-class TaskBatch:
-    tasks: tuple[TaskSample, ...]
-    k: int
-    seed: int
-
-    def __len__(self) -> int:
-        return len(self.tasks)
-
-    def __iter__(self):
-        return iter(self.tasks)
-
-
-def sample_concept(prior: TabularPrior, rng: np.random.Generator) -> Concept:
-    """Draw one concept with probability equal to its table mass."""
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(prior.mass), u, side="right"))
-    idx = min(idx, len(prior.space) - 1)
-    return prior.space.concepts[idx]
-
-
-def sample_points(dist: DataDistribution, k: int, rng: np.random.Generator) -> tuple[int, ...]:
-    return tuple(int(x) for x in dist.inverse_cdf(rng.random(k)))
-
-
-def _labels(mask: int, xs: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(1 if (mask >> (x - 1)) & 1 else -1 for x in xs)
-
-
 @lru_cache(maxsize=64)
-def _parity_submask_table(m: int, d: int) -> np.ndarray:
-    """Concept masks reachable from each (subset, parity bit, choice).
+def _parity_index_table(m: int, d: int, space_masks: bytes) -> np.ndarray:
+    """Concepts reachable from each (subset, parity bit, choice), as
+    positions in a concept space whose int64 masks, in enumeration order,
+    are `space_masks`.
 
     Shape (C(m,d), 2, 2^(d-1)): entry [i, c, j] is the j-th subset of X_i
     whose positive count has parity c, in increasing mask order.  Built
-    once per (m, d) and read-only.
+    once per (m, d) and concept order, and read-only.
     """
+    index = {int(v): i for i, v in enumerate(np.frombuffer(space_masks, dtype=np.int64))}
     subs = d_subsets(m, d)
     by_parity: list[list[int]] = [[], []]
     for sub_bits in range(1 << d):
@@ -236,84 +186,9 @@ def _parity_submask_table(m: int, d: int) -> np.ndarray:
                 for t, p in enumerate(positions):
                     if (sub_bits >> t) & 1:
                         mask |= 1 << p
-                table[i, c, j] = mask
+                table[i, c, j] = index[mask]
     table.flags.writeable = False
     return table
-
-
-@lru_cache(maxsize=64)
-def _parity_index_table(m: int, d: int, space_masks: bytes) -> np.ndarray:
-    """`_parity_submask_table(m, d)` as positions in a concept space whose
-    int64 masks, in enumeration order, are `space_masks`; read-only."""
-    index = {int(v): i for i, v in enumerate(np.frombuffer(space_masks, dtype=np.int64))}
-    table = _parity_submask_table(m, d)
-    out = np.array([index[int(v)] for v in table.flat]).reshape(table.shape)
-    out.flags.writeable = False
-    return out
-
-
-def sample_task_traced(
-    params: SmoothPriorParams,
-    space: ConceptSpace,
-    dist: DataDistribution,
-    k: int,
-    rng: np.random.Generator,
-    x_rng: np.random.Generator | None = None,
-) -> TaskSample:
-    """One task from the parity family's generative model, trace included.
-
-    Draw order is pinned: subset index, parity coin, concept choice, then
-    the k sample points (from `x_rng` when separate streams are wanted).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if space.m != params.m or space.d != params.d:
-        raise ValueError("params built for a different concept space")
-    table = _parity_submask_table(params.m, params.d)
-    i_star = int(rng.integers(len(table)))
-    p1 = (1.0 + params.gamma_m * params.b[i_star]) / 2.0
-    c = int(rng.random() < p1)
-    mask = int(table[i_star, c, int(rng.integers(table.shape[2]))])
-    xs = sample_points(dist, k, x_rng if x_rng is not None else rng)
-    return TaskSample(xs, _labels(mask, xs), trace=(i_star, c))
-
-
-def sample_task(
-    prior: TabularPrior,
-    dist: DataDistribution,
-    k: int,
-    rng: np.random.Generator,
-    x_rng: np.random.Generator | None = None,
-) -> TaskSample:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    h = sample_concept(prior, rng)
-    xs = sample_points(dist, k, x_rng if x_rng is not None else rng)
-    return TaskSample(xs, _labels(h.mask, xs))
-
-
-def sample_batch(
-    source: TabularPrior | SmoothPriorParams,
-    space: ConceptSpace,
-    dist: DataDistribution,
-    T: int,
-    k: int,
-    seed: int,
-) -> TaskBatch:
-    """T independent tasks; task t depends only on (seed, t)."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    tasks = []
-    for t in range(T):
-        c_rng = stream(seed, t, _CONCEPT_STREAM)
-        x_rng = stream(seed, t, _X_STREAM)
-        if isinstance(source, SmoothPriorParams):
-            tasks.append(sample_task_traced(source, space, dist, k, c_rng, x_rng))
-        else:
-            tasks.append(sample_task(source, dist, k, c_rng, x_rng))
-    return TaskBatch(tuple(tasks), k, seed)
 
 
 def sample_arrays(
@@ -334,6 +209,8 @@ def sample_arrays(
         raise ValueError("need T >= 1 and k >= 1")
     trace = None
     if isinstance(source, SmoothPriorParams):
+        if (space.m, space.d) != (source.m, source.d):
+            raise ValueError("params built for a different concept space")
         index_table = _parity_index_table(source.m, source.d, space.masks.tobytes())
         i_star = rng.integers(0, len(index_table), size=T)
         p1 = ((1.0 + source.gamma_m * np.asarray(source.b)) / 2.0)[i_star]

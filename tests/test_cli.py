@@ -178,6 +178,35 @@ def test_lowerbound_small(tmp_path):
     assert lines[0] == "experiment,m,d,L,alpha,k,T,replicate,truth_id,selected_id,tv_error"
 
 
+def test_rates_twopoint_m2_exits_1_without_traceback(tmp_path, capsys):
+    # the two point masses leave no point for the rest of D at m = 2
+    cfg = write_config(
+        tmp_path, "r.cfg",
+        "m = 2\nd = 1\nL = 1.0\nalpha = 1.0\nT_grid = 10,20\nfamily = twopoint\nreplicates = 3\n",
+    )
+    assert dispatch("rates", cfg, 0, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert "m >= 3" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "subcommand, line, key",
+    [
+        ("rates", "baseline_T = 0", "'baseline_T'"),  # was replaced by the last T
+        ("rates", "baseline_T = -5", "'baseline_T'"),
+        ("rates", "replicates = 1", "'replicates'"),  # every *_se would be NaN
+        ("lowerbound", "replicates = 1", "'replicates'"),
+    ],
+)
+def test_rates_rejects_bad_config_before_output(tmp_path, capsys, subcommand, line, key):
+    out = tmp_path / "out"
+    text = "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10,20\n"
+    assert dispatch(subcommand, write_config(tmp_path, "r.cfg", text + line + "\n"), 0, out) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
 ELICIT_TINY = (
     "epsilon = 0.2\nT = 40\nreplicates = 2\ncalibration_T_grid = 10,20\n"
     "calibration_replicates = 8\nq_trials = 40\n"

@@ -14,11 +14,9 @@ from priorlab.estimators import (
     SkeletonEstimator,
     SkeletonReport,
     coin_floor,
-    direct_estimate,
     exact_bayes_error,
     majority_rule,
     reduce_to_signs,
-    skeleton_estimate,
     yatracos_scores,
 )
 from priorlab.outcomes import DEFAULT_BUDGET, exact_outcome_dist, tv
@@ -31,7 +29,7 @@ from priorlab.priors import (
     smooth_prior,
     parity_family,
 )
-from priorlab.sampling import sample_arrays, sample_batch, sample_concept, stream
+from priorlab.sampling import sample_arrays, stream
 
 SP32 = enumerate_concepts(3, 2)
 D3 = uniform_distribution(3)
@@ -41,8 +39,8 @@ def test_singleton_cover_returns_member_zero():
     pi0 = reference_prior(SP32)
     cover = CoverFamily([pi0], 0.0)
     est = SkeletonEstimator(cover, D3, 2)
-    batch = sample_batch(pi0, SP32, D3, 5, 2, seed=1)
-    idx, rep = skeleton_estimate(batch, est)
+    xs, ys, _, _ = sample_arrays(pi0, SP32, D3, 5, 2, stream(1))
+    idx, rep = est.select_from_counts(*est.count_outcomes(xs, ys))
     assert idx == 0
 
 
@@ -56,8 +54,8 @@ def test_skeleton_separated_point_masses():
     correct = 0
     runs = 200
     for r in range(runs):
-        batch = sample_batch(a, sp, D, 50, 1, seed=1000 + r)
-        idx, _ = skeleton_estimate(batch, est)
+        xs, ys, _, _ = sample_arrays(a, sp, D, 50, 1, stream(1000 + r))
+        idx, _ = est.select_from_counts(*est.count_outcomes(xs, ys))
         correct += idx == 0
     assert correct / runs >= 0.99
 
@@ -65,9 +63,20 @@ def test_skeleton_separated_point_masses():
 def test_skeleton_rejects_mismatched_k_and_empty():
     pi0 = reference_prior(SP32)
     est = SkeletonEstimator(CoverFamily([pi0], 0.0), D3, 2)
-    batch = sample_batch(pi0, SP32, D3, 4, 3, seed=0)
+    xs, ys, _, _ = sample_arrays(pi0, SP32, D3, 4, 3, stream(0))
     with pytest.raises(ValueError):
-        skeleton_estimate(batch, est)
+        est.count_outcomes(xs, ys)
+
+
+def test_count_outcomes_rejects_points_outside_1_to_m():
+    # a point m + 1 was coded as another support outcome, and a point 0
+    # reached bincount as a negative code
+    _, members = parity_family(SP32, 1.0, 1.0)
+    est = SkeletonEstimator(cover_of_family(members, 0.0), D3, 2)
+    ys = np.array([[1, 1]])
+    for xs in ([[1, 4]], [[0, 2]]):
+        with pytest.raises(ValueError, match="1..3"):
+            est.count_outcomes(np.array(xs), ys)
 
 
 def test_skeleton_guarantee_on_parity_family():
@@ -77,8 +86,8 @@ def test_skeleton_guarantee_on_parity_family():
     cover = cover_of_family(members, 0.0)
     est = SkeletonEstimator(cover, D3, 2, exact=True)
     truth_idx = 5
-    batch = sample_batch(members[truth_idx], SP32, D3, 10_000, 2, seed=77)
-    counts, total = est.counts_from_batch(batch)
+    xs, ys, _, _ = sample_arrays(members[truth_idx], SP32, D3, 10_000, 2, stream(77))
+    counts, total = est.count_outcomes(xs, ys)
     selected, _ = est.select_from_counts(counts, total)
     truth_od = est.outcome_dists[truth_idx]
     dev = est.max_deviation(counts, total, truth_od)
@@ -93,8 +102,8 @@ def test_decomposition_check_exact_random_runs():
     rng = np.random.default_rng(0)
     for r in range(20):
         truth_idx = int(rng.integers(8))
-        batch = sample_batch(members[truth_idx], SP32, D3, 200, 2, seed=500 + r)
-        counts, total = est.counts_from_batch(batch)
+        xs, ys, _, _ = sample_arrays(members[truth_idx], SP32, D3, 200, 2, stream(500 + r))
+        counts, total = est.count_outcomes(xs, ys)
         lhs, rhs, holds = est.decomposition_check(counts, total, est.outcome_dists[truth_idx])
         assert holds
         assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
@@ -108,8 +117,8 @@ def test_decomposition_check_truth_outside_cover():
     truth = members[7]
     truth_od = exact_outcome_dist(truth, D3, 2, exact=True)
     for r in range(10):
-        batch = sample_batch(truth, SP32, D3, 300, 2, seed=900 + r)
-        counts, total = est.counts_from_batch(batch)
+        xs, ys, _, _ = sample_arrays(truth, SP32, D3, 300, 2, stream(900 + r))
+        counts, total = est.count_outcomes(xs, ys)
         lhs, rhs, holds = est.decomposition_check(counts, total, truth_od)
         assert holds
 
@@ -119,35 +128,34 @@ def test_exact_and_float_selection_agree_generically():
     cover = cover_of_family(members, 0.0)
     est_e = SkeletonEstimator(cover, D3, 2, exact=True)
     est_f = SkeletonEstimator(cover, D3, 2, exact=False)
-    batch = sample_batch(members[3], SP32, D3, 500, 2, seed=8)
-    ce, te = est_e.counts_from_batch(batch)
-    cf, tf = est_f.counts_from_batch(batch)
+    xs, ys, _, _ = sample_arrays(members[3], SP32, D3, 500, 2, stream(8))
+    ce, te = est_e.count_outcomes(xs, ys)
+    cf, tf = est_f.count_outcomes(xs, ys)
     assert est_e.select_from_counts(ce, te)[0] == est_f.select_from_counts(cf, tf)[0]
+
+
+def direct_select(cover, concept_idx):
+    """The baseline's selection from sampled concept indices, as `rates` runs it."""
+    counts = np.bincount(concept_idx, minlength=len(SP32))
+    return DirectEstimator(cover).select_from_counts(counts, len(concept_idx))[0]
 
 
 def test_direct_estimate_examples():
     _, members = parity_family(SP32, 1.0, 1.0)
-    cover = cover_of_family(members, 0.0)
     # point-mass truth inside a cover that contains it: with many direct
     # observations the empirical law converges to that member
     pm_cover = CoverFamily([point_mass(SP32, 0b011), point_mass(SP32, 0b000)], 0.0)
-    rng = stream(42, 0)
-    concepts = [sample_concept(pm_cover.members[0], rng) for _ in range(50)]
-    assert direct_estimate(concepts, pm_cover) == 0
-    assert direct_estimate(concepts[:1], CoverFamily([members[0]], 0.0)) == 0
-    with pytest.raises(ValueError):
-        direct_estimate([], cover)
+    _, _, idx, _ = sample_arrays(pm_cover.members[0], SP32, D3, 50, 2, stream(42, 0))
+    assert direct_select(pm_cover, idx) == 0
+    assert direct_select(CoverFamily([members[0]], 0.0), idx[:1]) == 0
 
 
 def test_direct_estimator_recovers_truth_from_samples():
     _, members = parity_family(SP32, 1.0, 1.0)
     cover = cover_of_family(members, 0.0)
-    rng = stream(7, 1)
     truth = members[6]
-    concepts = [sample_concept(truth, rng) for _ in range(20_000)]
-    est = DirectEstimator(cover)
-    idx, _ = est.select(concepts)
-    assert idx == 6
+    _, _, concept_idx, _ = sample_arrays(truth, SP32, D3, 20_000, 2, stream(7, 1))
+    assert direct_select(cover, concept_idx) == 6
 
 
 def searchsorted_counts(est, xs, ys):
@@ -341,8 +349,8 @@ def test_distinct_sets_match_all_pairs_exact_m3():
     assert len(est._md.A) < len(oracle.A)
     vectors = []
     for r in range(6):
-        batch = sample_batch(members[r], SP32, D3, 3 + 97 * r, 2, seed=40 + r)
-        vectors.append(est.counts_from_batch(batch)[0])
+        xs, ys, _, _ = sample_arrays(members[r], SP32, D3, 3 + 97 * r, 2, stream(40 + r))
+        vectors.append(est.count_outcomes(xs, ys)[0])
     truths = [est.truth_vectors(od) for od in est.outcome_dists]
     _assert_matches_oracle(
         est._md, oracle, vectors, [q for q, _ in truths], [qe for _, qe in truths]

@@ -8,12 +8,10 @@ import pytest
 from priorlab.concepts import DataDistribution, enumerate_concepts, uniform_distribution
 from priorlab.errors import BudgetError
 from priorlab.outcomes import (
-    EmpiricalOutcomeDistribution,
     check_sauer,
     exact_outcome_dist,
     exact_weights,
     label_conditional_tv,
-    mc_outcome_tv,
     realizable_pattern_count,
     tv,
     verify_lemma_chain,
@@ -29,7 +27,7 @@ from priorlab.priors import (
     smooth_projection,
     total_variation,
 )
-from priorlab.sampling import sample_batch
+from priorlab.sampling import sample_arrays, stream
 
 SP21 = enumerate_concepts(2, 1)
 SP32 = enumerate_concepts(3, 2)
@@ -238,15 +236,24 @@ def test_lemma_chain_random_pairs():
         assert verify_lemma_chain(pa, pb, D3, 3).passed
 
 
+def empirical_tv(od, xs, ys):
+    """Oracle: TV between an outcome law and the empirical law of the
+    sampled tasks, over the union of their outcomes."""
+    counts = {}
+    for z in zip(map(tuple, xs.tolist()), map(tuple, ys.tolist())):
+        counts[z] = counts.get(z, 0) + 1
+    keys = set(od.table) | set(counts)
+    return sum(abs(od.prob(z) - counts.get(z, 0) / len(xs)) for z in keys) / 2.0
+
+
 def test_empirical_convergence_to_exact():
     params = SmoothPriorParams((1, -1, 1), 1.0, 1.0, 3, 2)
     pb = smooth_prior(params, SP32)
     od = exact_outcome_dist(pb, D3, 2)
     gaps = []
     for T in (100, 1000, 10000):
-        batch = sample_batch(pb, SP32, D3, T, 2, seed=3)
-        emp = EmpiricalOutcomeDistribution.from_batch(batch)
-        gaps.append(tv(od, emp))
+        xs, ys, _, _ = sample_arrays(pb, SP32, D3, T, 2, stream(3))
+        gaps.append(empirical_tv(od, xs, ys))
     assert gaps[2] < gaps[0]
     # roughly sqrt(T) decay: two decades of T shrink the gap well over 3x
     assert gaps[2] < gaps[0] / 3
@@ -260,24 +267,6 @@ def test_sauer_pattern_counts():
         # oracle at k = m: patterns = |C| realizes the class size
         full = realizable_pattern_count(sp, tuple(range(1, m + 1)))
         assert full == len(sp)
-
-
-def test_mc_outcome_tv_agrees_with_exact():
-    # the Monte Carlo fallback should land on the enumerated value (k small
-    # enough to have both), with the true value inside the half-width band
-    params_a = SmoothPriorParams((1, 1, 1), 1.0, 1.0, 3, 2)
-    params_b = SmoothPriorParams((-1, -1, -1), 1.0, 1.0, 3, 2)
-    pa, pb = smooth_prior(params_a, SP32), smooth_prior(params_b, SP32)
-    exact = float(
-        tv(exact_outcome_dist(pa, D3, 3), exact_outcome_dist(pb, D3, 3))
-    )
-    est, half = mc_outcome_tv(pa, pb, D3, 3, trials=4000, rng=np.random.default_rng(0))
-    assert abs(est - exact) <= half + 1e-12
-    # and it reaches k far beyond any enumeration budget
-    est_big, half_big = mc_outcome_tv(pa, pb, D3, 40, trials=500, rng=np.random.default_rng(1))
-    assert 0 <= est_big <= 1
-    with pytest.raises(ValueError):
-        mc_outcome_tv(pa, pb, D3, 3, trials=1, rng=np.random.default_rng(0))
 
 
 def test_check_report_csv_row():

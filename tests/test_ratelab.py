@@ -22,7 +22,7 @@ from priorlab.ratelab import (
     theory_lower_exponent,
     theory_upper_exponent,
 )
-from priorlab.sampling import sample_arrays, sample_batch, stream
+from priorlab.sampling import sample_arrays, stream
 
 
 def test_config_validation():
@@ -82,13 +82,6 @@ def test_counts_fast_matches_tuple_path():
     slow, total_s = counts_from_tuples(setup.estimator, xs, ys)
     assert total_f == total_s == 500
     assert np.array_equal(fast, slow)
-    # batch counting goes through the same coded routine
-    batch = sample_batch(setup.params_list[5], setup.space, setup.dist, 300, 2, seed=4)
-    xs = np.array([t.xs for t in batch])
-    ys = np.array([t.ys for t in batch])
-    counts, total = setup.estimator.counts_from_batch(batch)
-    assert total == 300
-    assert np.array_equal(counts, counts_from_tuples(setup.estimator, xs, ys)[0])
 
 
 def test_counting_rejects_other_task_widths():
@@ -125,12 +118,8 @@ def test_upper_experiment_singleton_family_zero_risk():
     sp = enumerate_concepts(2, 1)
     pi0 = reference_prior(sp)
     est = SkeletonEstimator(CoverFamily([pi0], 0.0), uniform_distribution(2), 1)
-    counts, total = est.counts_from_batch(
-        __import__("priorlab.sampling", fromlist=["sample_batch"]).sample_batch(
-            pi0, sp, uniform_distribution(2), 20, 1, seed=0
-        )
-    )
-    sel, _ = est.select_from_counts(counts, total)
+    xs, ys, _, _ = sample_arrays(pi0, sp, uniform_distribution(2), 20, 1, stream(0))
+    sel, _ = est.select_from_counts(*est.count_outcomes(xs, ys))
     assert sel == 0
 
 

@@ -16,13 +16,8 @@ from priorlab.priors import (
     uniform_prior,
 )
 from priorlab.sampling import (
-    TaskSample,
     _parity_index_table,
     sample_arrays,
-    sample_batch,
-    sample_concept,
-    sample_points,
-    sample_task_traced,
     raw_integers,
     raw_random,
     stream,
@@ -38,8 +33,8 @@ def test_point_mass_always_returns_that_concept():
     sp = enumerate_concepts(3, 1)
     pm = point_mass(sp, 0b010)
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        assert sample_concept(pm, rng).mask == 0b010
+    _, _, idx, _ = sample_arrays(pm, sp, D3, 100, 1, rng)
+    assert (sp.masks[idx] == 0b010).all()
 
 
 def test_sample_concept_frequencies_match_reference():
@@ -48,9 +43,8 @@ def test_sample_concept_frequencies_match_reference():
     pi0 = reference_prior(sp)
     rng = np.random.default_rng(123)
     n = 100_000
-    counts = np.zeros(len(sp))
-    for _ in range(n):
-        counts[sp.index_of(sample_concept(pi0, rng))] += 1
+    _, _, idx, _ = sample_arrays(pi0, sp, uniform_distribution(2), n, 1, rng)
+    counts = np.bincount(idx, minlength=len(sp))
     for i, p in enumerate([0.5, 0.25, 0.25]):
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(counts[i] / n - p) < 4 * sigma
@@ -61,9 +55,8 @@ def test_uniform_prior_chi_square():
     unif = uniform_prior(sp)
     rng = np.random.default_rng(8)
     n = 70_000
-    counts = np.zeros(len(sp))
-    for _ in range(n):
-        counts[sp.index_of(sample_concept(unif, rng))] += 1
+    _, _, idx, _ = sample_arrays(unif, sp, D3, n, 1, rng)
+    counts = np.bincount(idx, minlength=len(sp))
     expected = n / len(sp)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     # chi-square with 6 dof: 99th percentile is 16.81
@@ -72,15 +65,16 @@ def test_uniform_prior_chi_square():
 
 def test_traced_task_labels_consistent_and_trace_present():
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        task = sample_task_traced(PARAMS, SP32, D3, 4, rng)
-        assert task.trace is not None
-        i_star, c = task.trace
-        assert 0 <= i_star < 3 and c in (0, 1)
+    xs, ys, _, trace = sample_arrays(PARAMS, SP32, D3, 200, 4, rng)
+    assert trace is not None
+    i_star, c = trace
+    assert ((0 <= i_star) & (i_star < 3)).all()
+    assert np.isin(c, (0, 1)).all()
+    for task_xs, task_ys in zip(xs, ys):
         # labels must come from a single concept of C(3,2)
         consistent = [
             h for h in SP32
-            if all(h.label(x) == y for x, y in zip(task.xs, task.ys))
+            if all(h.label(int(x)) == y for x, y in zip(task_xs, task_ys))
         ]
         assert consistent
 
@@ -90,10 +84,9 @@ def test_traced_task_d1_degenerate_choice():
     sp = enumerate_concepts(2, 1)
     params = SmoothPriorParams((1, -1), 0.5, 1.0, 2, 1)
     rng = np.random.default_rng(9)
-    for _ in range(200):
-        task = sample_task_traced(params, sp, uniform_distribution(2), 2, rng)
-        i_star, c = task.trace
-        positives = {x for x, y in zip(task.xs, task.ys) if y == 1}
+    xs, ys, _, trace = sample_arrays(params, sp, uniform_distribution(2), 200, 2, rng)
+    for task_xs, task_ys, i_star, c in zip(xs, ys, *trace):
+        positives = {int(x) for x, y in zip(task_xs, task_ys) if y == 1}
         if c == 1:
             assert positives <= {i_star + 1}
         else:
@@ -154,7 +147,6 @@ def test_point_draws_match_searchsorted(weights):
     expected = np.minimum(np.searchsorted(cum, u, side="right") + 1, m)
     assert (np.searchsorted(cum, u, side="right") == m).any()  # some draws need the clip
     assert np.array_equal(dist.inverse_cdf(u), expected)
-    assert sample_points(dist, len(u), QueuedUniforms(u)) == tuple(expected)
     # bulk path: a concept draw of T uniforms, then the (T, k) point draw
     space = enumerate_concepts(m, 1)
     rng = QueuedUniforms(np.zeros(len(u)), u.reshape(-1, 1))
@@ -237,47 +229,38 @@ def test_event_frequency_matches_formula():
         assert abs(freq - p_event) < 3 * sigma
 
 
-def test_batch_determinism_and_isolation():
-    b1 = sample_batch(PARAMS, SP32, D3, 20, 2, seed=99)
-    b2 = sample_batch(PARAMS, SP32, D3, 20, 2, seed=99)
-    assert b1.tasks == b2.tasks
-    b3 = sample_batch(PARAMS, SP32, D3, 20, 2, seed=100)
-    assert b1.tasks != b3.tasks
-    # task t is reproducible in isolation from (seed, t)
-    t7 = sample_task_traced(
-        PARAMS, SP32, D3, 2, stream(99, 7, 0), x_rng=stream(99, 7, 1)
-    )
-    assert b1.tasks[7] == t7
+def test_batch_determinism():
+    def draw(seed):
+        xs, ys, idx, (i_star, c) = sample_arrays(PARAMS, SP32, D3, 20, 2, stream(seed))
+        return np.concatenate([xs.ravel(), ys.ravel(), idx, i_star, c])
+
+    assert np.array_equal(draw(99), draw(99))
+    assert not np.array_equal(draw(99), draw(100))
 
 
 def test_batch_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        sample_batch(PARAMS, SP32, D3, 0, 2, seed=1)
+        sample_arrays(PARAMS, SP32, D3, 0, 2, stream(1))
     with pytest.raises(ValueError):
-        sample_batch(PARAMS, SP32, D3, 5, 0, seed=1)
+        sample_arrays(PARAMS, SP32, D3, 5, 0, stream(1))
+    # the m=3 table would draw only concepts over points 1..3 of the m=4 space
+    with pytest.raises(ValueError, match="different concept space"):
+        sample_arrays(PARAMS, enumerate_concepts(4, 2), uniform_distribution(4), 5, 2, stream(1))
 
 
 def test_batch_works_with_plain_prior():
     pi0 = reference_prior(SP32)
-    batch = sample_batch(pi0, SP32, D3, 10, 3, seed=4)
-    assert len(batch) == 10
-    assert all(t.trace is None for t in batch)
-    assert all(t.k == 3 for t in batch)
+    xs, ys, idx, trace = sample_arrays(pi0, SP32, D3, 10, 3, stream(4))
+    assert xs.shape == ys.shape == (10, 3) and idx.shape == (10,)
+    assert trace is None
 
 
 def test_labels_realizable_in_class():
-    batch = sample_batch(PARAMS, SP32, D3, 50, 3, seed=12)
-    for task in batch:
+    xs, ys, _, _ = sample_arrays(PARAMS, SP32, D3, 50, 3, stream(12))
+    for task_xs, task_ys in zip(xs, ys):
         assert any(
-            all(h.label(x) == y for x, y in zip(task.xs, task.ys)) for h in SP32
+            all(h.label(int(x)) == y for x, y in zip(task_xs, task_ys)) for h in SP32
         )
-
-
-def test_task_sample_validation():
-    with pytest.raises(ValueError):
-        TaskSample((1, 2), (1,))
-    with pytest.raises(ValueError):
-        TaskSample((1,), (0,))
 
 
 # seeds of one, two, three and five uint32 words
