@@ -10,6 +10,7 @@ the worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import platform
@@ -252,13 +253,9 @@ print("wrote {subcommand}.png")
     (outdir / f"plot_{subcommand}.py").write_text(body)
 
 
-def cmd_rates(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
-    exp = ExperimentConfig(
-        m=config["m"], d=config["d"], L=config["L"], alpha=config["alpha"],
-        family=config["family"], T_grid=config["T_grid"],
-        replicates=config["replicates"], seed=seed, k=config["k"],
-        truth_count=config["truth_count"], twopoint_weight=config["twopoint_weight"],
-    )
+def cmd_rates(
+    exp: ExperimentConfig, config: dict, seed: int, outdir: Path, workers: int, exact: bool
+) -> int:
     res = run_upper_experiment(exp, workers=workers)
     write_csv(outdir / "rates.csv", RATE_CSV_HEADER, res.rows)
     write_csv(outdir / "skeleton_report.csv", ESTIMATION_CSV_HEADER, res.report_rows)
@@ -285,12 +282,9 @@ def cmd_rates(config: dict, seed: int, outdir: Path, workers: int, exact: bool) 
     return 0
 
 
-def cmd_lowerbound(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
-    exp = ExperimentConfig(
-        m=config["m"], d=config["d"], L=config["L"], alpha=config["alpha"],
-        family="parity", T_grid=config["T_grid"],
-        replicates=config["replicates"], seed=seed,
-    )
+def cmd_lowerbound(
+    exp: ExperimentConfig, config: dict, seed: int, outdir: Path, workers: int, exact: bool
+) -> int:
     res = run_lower_experiment(exp, workers=workers)
     write_csv(outdir / "lowerbound.csv", RATE_CSV_HEADER, res.rows)
     lines = []
@@ -333,7 +327,7 @@ def cmd_lemmas(config: dict, seed: int, outdir: Path, workers: int, exact: bool)
         anchors = tuple(int(x) for x in rng.integers(1, m + 1, size=k))
         rows.append(verify_tree_inequality(pa, pb, anchors, d).csv_row())
         rows.extend(r.csv_row() for r in verify_sqrt_bound(pa, pb, dist, d))
-    rows.extend(r.csv_row() for r in check_sauer(space, k_max=min(8, m)))
+    rows.extend(r.csv_row() for r in check_sauer(space))
     write_csv(outdir / "lemmas.csv", CHECK_CSV_HEADER, rows)
     n_fail = sum(1 for r in rows if not r[5])
     (outdir / "summary.txt").write_text(
@@ -398,15 +392,22 @@ def _elicit_stream(payload):
     return np.array([r.regret for r in res.rows]), res.tail_query_avg, res.exceedance_rate
 
 
-def _check_rates_config(config: dict) -> None:
-    """Reject rates and lowerbound values the run cannot report on, naming
-    the key."""
+def _experiment_config(config: dict, seed: int) -> ExperimentConfig:
+    """The experiment of a rates or lowerbound config, rejecting values the
+    run cannot report on.  A lowerbound config has no family, k,
+    truth_count or twopoint_weight key and runs the parity family."""
     if config["replicates"] < 2:
         # a standard error needs two replicates; one gives NaN
         raise ValueError(f"config key 'replicates' must be >= 2, got {config['replicates']}")
     baseline_T = config.get("baseline_T")
     if baseline_T is not None and baseline_T < 1:
         raise ValueError(f"config key 'baseline_T' must be >= 1, got {baseline_T}")
+    optional = ("family", "k", "truth_count", "twopoint_weight")
+    return ExperimentConfig(
+        m=config["m"], d=config["d"], L=config["L"], alpha=config["alpha"],
+        T_grid=config["T_grid"], replicates=config["replicates"], seed=seed,
+        **{key: config[key] for key in optional if key in config},
+    )
 
 
 def _check_elicit_config(config: dict) -> None:
@@ -531,13 +532,15 @@ def dispatch(
                 )
         else:
             config = parse_config(config_path, subcommand)
+        # every config check runs before any output is written
+        command = DISPATCH[subcommand]
         if subcommand in ("rates", "lowerbound"):
-            _check_rates_config(config)  # before any output is written
+            command = functools.partial(command, _experiment_config(config, seed))
         elif subcommand == "elicit":
             _check_elicit_config(config)
         outdir.mkdir(parents=True, exist_ok=True)
         _manifest(outdir, subcommand, config_path, config, seed, workers)
-        return DISPATCH[subcommand](config, seed, outdir, workers, exact_rational)
+        return command(config, seed, outdir, workers, exact_rational)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2

@@ -34,6 +34,12 @@ _POINTS_STREAM = 1
 _Q_STREAM = 2
 _CAL_STREAM = 3
 
+PDIM_BUDGET = 200_000  # (point set, witness) candidates the pseudo-dimension check tries
+MEET_BUDGET = 2_000_000  # partition meets the outcome model enumerates
+CALIBRATION_SAFETY = 1.25  # inflation of the calibrated radius quantile
+FAVORITE_WEIGHT = 0.25  # presence_family: each member's weight on its favourite function
+TWIN_DELTA = 0.0125  # presence_family: twins' effective utility on their pinned group
+
 LEDGER_CSV_HEADER = ("t", "branch", "queries", "regret", "theta_check", "R_used")
 
 
@@ -101,7 +107,7 @@ def pseudo_shattered(functions, points, witnesses) -> bool:
     return len(patterns) == 1 << len(points)
 
 
-def pseudo_dimension_at_most(functions, d: int, budget: int = 200_000) -> bool:
+def pseudo_dimension_at_most(functions, d: int) -> bool:
     """Brute-force check that no (d+1)-point set is pseudo-shattered.
 
     Witness candidates per point are midpoints between consecutive distinct
@@ -118,7 +124,7 @@ def pseudo_dimension_at_most(functions, d: int, budget: int = 200_000) -> bool:
     for points in itertools.combinations(range(n_bundles), k):
         for witnesses in itertools.product(*(mids[x] for x in points)):
             checked += 1
-            if checked > budget:
+            if checked > PDIM_BUDGET:
                 raise BudgetError("pseudo-dimension check exceeds budget")
             if pseudo_shattered(functions, points, witnesses):
                 return False
@@ -198,9 +204,9 @@ class ValueOracle:
         return len(self.asked)
 
 
-def method_A_prime(oracle: ValueOracle, epsilon: float, n_bundles: int) -> int:
+def method_A_prime(oracle: ValueOracle, n_bundles: int) -> int:
     """Prior-free strategy: query every bundle, return the exact argmax
-    (ties to the lowest bundle index); regret 0 <= epsilon."""
+    (ties to the lowest bundle index); its regret is 0."""
     return max(range(n_bundles), key=oracle.ask)
 
 
@@ -295,7 +301,7 @@ def method_A(
             cons &= cache.agree[x].get(v, 0)
         state = cache.get(member, cons) if cons else None
         if state is None:
-            x_hat = method_A_prime(oracle, epsilon, n_bundles)
+            x_hat = method_A_prime(oracle, n_bundles)
             return QueryOutcome(x_hat, oracle.count - start_queries, fallback=True)
         means, exp_max, regret0, phi = state
         if regret0 <= epsilon + 1e-12 or len(oracle.known) == n_bundles:
@@ -346,7 +352,7 @@ class FamilyOutcomeModel:
     distinct single-bundle partitions rather than all (2^n)^d tuples.
     """
 
-    def __init__(self, family: ValuationPriorFamily, budget: int = 2_000_000):
+    def __init__(self, family: ValuationPriorFamily):
         self.family = family
         d = family.d
         F = len(family.functions)
@@ -371,9 +377,9 @@ class FamilyOutcomeModel:
             part_of_bundle[x] = pid
         weights = np.bincount(part_of_bundle, minlength=len(parts)) / n_bundles
         P = len(parts)
-        if comb(P + d - 1, d) > budget:
+        if comb(P + d - 1, d) > MEET_BUDGET:
             raise BudgetError(
-                f"{comb(P + d - 1, d)} partition meets exceed the budget of {budget}"
+                f"{comb(P + d - 1, d)} partition meets exceed the budget of {MEET_BUDGET}"
             )
 
         M = family.n_members
@@ -395,7 +401,6 @@ class FamilyOutcomeModel:
             ind = cm[pair_i] > cm[pair_j] + 1e-12  # (pairs, cells)
             G += w * np.einsum("lc,pc->lp", cm, ind.astype(float))
         self.G = G
-        self._tie = 1e-12
 
     @staticmethod
     def _meet(part_groups, combo, F) -> list[list[int]]:
@@ -430,7 +435,7 @@ class FamilyOutcomeModel:
         mm = np.zeros((len(first), self.family.n_members))
         for r, ok in enumerate(flat[first]):
             mm[r] = self.family.W @ ok.astype(float)
-        ind = mm[:, [i for i, _ in self.pairs]] > mm[:, [j for _, j in self.pairs]] + self._tie
+        ind = mm[:, [i for i, _ in self.pairs]] > mm[:, [j for _, j in self.pairs]] + 1e-12
         return ind[inverse].reshape(mask.shape[:-1] + (len(self.pairs),))
 
 
@@ -511,13 +516,12 @@ def calibrate_schedule(
     T_grid: tuple[int, ...],
     replicates: int,
     seed: int,
-    safety: float = 1.25,
 ) -> ScheduleRDelta:
     """Empirical schedule: R(T) is the nearest-rank (1-alpha) quantile of
-    the selection error over truths and replicates, inflated by `safety`
-    and forced nonincreasing; delta(T) is the measured exceedance of the
-    final R(T), which stays <= alpha by construction.  T = 0 gets the
-    trivial radius 1."""
+    the selection error over truths and replicates, inflated by
+    CALIBRATION_SAFETY and forced nonincreasing; delta(T) is the measured
+    exceedance of the final R(T), which stays <= alpha by construction.
+    T = 0 gets the trivial radius 1."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     if list(T_grid) != sorted(set(T_grid)) or T_grid[0] < 1:
@@ -536,7 +540,7 @@ def calibrate_schedule(
             row += 1
     rank = int(np.ceil((1 - alpha) * pooled))  # nearest-rank quantile index
     raw = np.sort(errors, axis=0)[rank - 1]
-    inflated = np.minimum(1.0, safety * raw)
+    inflated = np.minimum(1.0, CALIBRATION_SAFETY * raw)
     # suffix max keeps the radius nonincreasing without shrinking any knot
     monotone = np.maximum.accumulate(inflated[::-1])[::-1]
     deltas = (errors > monotone[None, :]).mean(axis=0)
@@ -547,7 +551,7 @@ def calibrate_schedule(
         (0.0,) + tuple(float(x) for x in deltas),
         meta={
             "replicates": replicates,
-            "safety": safety,
+            "safety": CALIBRATION_SAFETY,
             "quantile_rank": rank,
             "pooled_runs": pooled,
             "seed": seed,
@@ -649,7 +653,7 @@ def run_algorithm1(
         R_used = schedule.R[knot]
         if R_used > epsilon / 8.0:
             branch, theta_check, fallback = "Aprime", -1, False
-            x_hat = method_A_prime(oracle, epsilon, n_bundles)
+            x_hat = method_A_prime(oracle, n_bundles)
         else:
             branch, theta_check = "A", theta_checks[theta_hat][knot]
             out = method_A(theta_check, family, epsilon / 4.0, oracle, cache)
@@ -699,8 +703,6 @@ def presence_family(
     n_items: int = 8,
     n_functions: int = 8,
     n_members: int = 8,
-    favorite_weight: float = 0.25,
-    twin_delta: float = 0.0125,
 ):
     """The built-in acceptance family: 4 item groups of 2, group-presence
     valuations, presence-based prices, members sharing full support.
@@ -708,7 +710,7 @@ def presence_family(
     Value tables depend on the bundle only through which groups it touches,
     so the outcome model's partition compression stays tiny; the recorded
     pseudo-dimension bound is log2(#functions).  Functions come in twin
-    pairs whose effective utility on one group is +-twin_delta: the twins
+    pairs whose effective utility on one group is +-TWIN_DELTA: the twins
     have different optimal bundles but a tiny value gap, so the prior-aware
     strategy may legitimately stop without resolving them, which keeps
     regret nonzero yet far inside any reasonable epsilon.
@@ -726,7 +728,7 @@ def presence_family(
     prices = 0.1 * presence.sum(axis=1)
     menu = Menu(n_items, tuple(float(p) for p in prices))
     # base group weights keep valuations in [-1, 1]; each pair pins one
-    # group's weight to price +- twin_delta so the twins straddle zero
+    # group's weight to price +- TWIN_DELTA so the twins straddle zero
     # effective utility there
     functions: list[SatisfactionFunction] = []
     seen = set()
@@ -736,7 +738,7 @@ def presence_family(
         g = pair % n_groups
         for sign in (-1.0, 1.0):
             w_twin = w.copy()
-            w_twin[g] = 0.1 + sign * twin_delta
+            w_twin[g] = 0.1 + sign * TWIN_DELTA
             vals = presence @ w_twin
             key = tuple(np.round(vals, 9))
             if key in seen:
@@ -748,10 +750,10 @@ def presence_family(
             continue
         functions = functions[: 2 * (len(functions) // 2)]  # drop a half pair
     members = []
-    rest = (1.0 - favorite_weight) / (n_functions - 1)
+    rest = (1.0 - FAVORITE_WEIGHT) / (n_functions - 1)
     for j in range(n_members):
         w = np.full(n_functions, rest)
-        w[j % n_functions] = favorite_weight
+        w[j % n_functions] = FAVORITE_WEIGHT
         members.append(w / w.sum())
     d = log2_pdim_bound(functions)
     return menu, ValuationPriorFamily(functions, members, d)

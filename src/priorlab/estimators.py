@@ -150,21 +150,14 @@ class SkeletonEstimator:
     """Minimum-distance selection among a cover's outcome distributions at
     k = d samples per task."""
 
-    def __init__(
-        self,
-        cover: CoverFamily,
-        dist: DataDistribution,
-        d: int,
-        exact: bool = False,
-        budget: int = 10**7,
-    ):
+    def __init__(self, cover: CoverFamily, dist: DataDistribution, d: int, exact: bool = False):
         if cover.size < 1:
             raise ValueError("cover must be nonempty")
         self.cover = cover
         self.d = d
         self.dist = dist
         self.outcome_dists = [
-            exact_outcome_dist(p, dist, d, budget=budget, exact=exact) for p in cover.members
+            exact_outcome_dist(p, dist, d, exact=exact) for p in cover.members
         ]
         support = sorted(set().union(*(od.table.keys() for od in self.outcome_dists)))
         self.support = support
@@ -188,8 +181,9 @@ class SkeletonEstimator:
 
     def count_outcomes(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, int]:
         """Support counts of T tasks given as (T, d) arrays of points in
-        1..m and labels; outcomes off the support are not counted.  Every
-        code is counted, then the support's codes are read off."""
+        1..m and labels in {-1, +1}; outcomes off the support are not
+        counted.  Every code is counted, then the support's codes are read
+        off."""
         if xs.ndim != 2 or xs.shape[1] != self.d or ys.shape != xs.shape:
             raise ValueError(
                 f"tasks of shape {xs.shape} / {ys.shape}, estimator expects (T, {self.d})"
@@ -197,6 +191,9 @@ class SkeletonEstimator:
         if xs.size and (xs.min() < 1 or xs.max() > self.dist.m):
             # a point outside 1..m would be coded as another outcome
             raise ValueError(f"points must lie in 1..{self.dist.m}")
+        if ys.size and (np.abs(ys) != 1).any():
+            # the code reads y > 0, so any other label would count as -1 or +1
+            raise ValueError("labels must be -1 or +1")
         codes = _outcome_codes(xs, ys, self.dist.m)
         counts = np.bincount(codes, minlength=self._n_codes)[self._support_codes]
         return counts, len(xs)

@@ -14,13 +14,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .concepts import ConceptSpace, DataDistribution
 from .errors import BudgetError
 from .priors import TabularPrior, total_variation
 
 DEFAULT_BUDGET = 10**7
+TREE_BUDGET = 10**6  # k^d anchor tuples x 2^d labelings in the tree check
+SQRT_BUDGET = 10**6  # m^d point tuples in the sqrt-bound expectation
+SAUER_K_MAX = 8  # largest anchor-set size the growth-function check tries
 FLOAT_SLACK = 1e-12
 
 Outcome = tuple[tuple[int, ...], tuple[int, ...]]
@@ -67,15 +68,14 @@ def exact_outcome_dist(
     prior: TabularPrior,
     dist: DataDistribution,
     k: int,
-    budget: int = DEFAULT_BUDGET,
     exact: bool = False,
 ) -> OutcomeDistribution:
     """Joint law of one task's k samples under `prior` and `dist`:
     P(x, y) = prod_j D(x_j) * prior({h : h(x_j) = y_j for all j})."""
     space = prior.space
     m = space.m
-    if (2 * m) ** k > budget:
-        raise BudgetError(f"(2m)^k = {(2 * m) ** k} exceeds the budget of {budget}")
+    if (2 * m) ** k > DEFAULT_BUDGET:
+        raise BudgetError(f"(2m)^k = {(2 * m) ** k} exceeds the budget of {DEFAULT_BUDGET}")
     if exact and not prior.is_exact:
         raise ValueError("exact outcome table needs an exact prior")
     w_exact = exact_weights(dist) if exact else None
@@ -189,7 +189,6 @@ def verify_tree_inequality(
     prior_b: TabularPrior,
     anchors: tuple[int, ...],
     d: int,
-    budget: int = 10**6,
 ) -> CheckReport:
     """Check the binary-tree reduction from k anchors down to d:
 
@@ -201,7 +200,7 @@ def verify_tree_inequality(
     k = len(anchors)
     if k < d:
         raise ValueError(f"need at least d={d} anchors, got {k}")
-    if (k**d) * (2**d) > budget:
+    if (k**d) * (2**d) > TREE_BUDGET:
         raise BudgetError("tree-inequality enumeration exceeds budget")
     lhs = float(label_conditional_tv(prior_a, prior_b, anchors))
     worst = 0.0
@@ -228,33 +227,22 @@ def verify_sqrt_bound(
     prior_b: TabularPrior,
     dist: DataDistribution,
     d: int,
-    trials: int = 0,
-    budget: int = 10**6,
-    rng: np.random.Generator | None = None,
 ) -> list[CheckReport]:
     """For each d-bit labeling y, check
 
         E_X |P_{Y_d|X_d}(y; A) - P_{Y_d|X_d}(y; B)| <= 4 sqrt(||P_Zd(A) - P_Zd(B)||).
 
-    The expectation over the d sample points is exact enumeration when
-    m^d fits the budget, otherwise Monte Carlo with `trials` draws."""
+    The expectation over the d sample points is exact enumeration of all
+    m^d point tuples, guarded by SQRT_BUDGET."""
     space = prior_a.space
     m = space.m
-    pa = exact_outcome_dist(prior_a, dist, d, budget=DEFAULT_BUDGET)
-    pb = exact_outcome_dist(prior_b, dist, d, budget=DEFAULT_BUDGET)
+    if m**d > SQRT_BUDGET:
+        raise BudgetError(f"m^d = {m**d} exceeds the budget of {SQRT_BUDGET}")
+    pa = exact_outcome_dist(prior_a, dist, d)
+    pb = exact_outcome_dist(prior_b, dist, d)
     rhs = 4.0 * math.sqrt(float(tv(pa, pb)))
-    exact_mode = m**d <= budget
-    if not exact_mode and trials < 1:
-        raise BudgetError("m^d exceeds the budget and no Monte Carlo trials given")
-
-    if exact_mode:
-        xtuples = list(itertools.product(range(1, m + 1), repeat=d))
-        weights = [math.prod(dist.weights[x - 1] for x in xs) for xs in xtuples]
-    else:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        draws = dist.inverse_cdf(rng.random((trials, d)))
-        xtuples = [tuple(int(x) for x in row) for row in draws]
-        weights = [1.0 / trials] * trials
+    xtuples = list(itertools.product(range(1, m + 1), repeat=d))
+    weights = [math.prod(dist.weights[x - 1] for x in xs) for xs in xtuples]
 
     reports = []
     cell_cache: dict[tuple[int, ...], tuple[dict, dict]] = {}
@@ -316,13 +304,12 @@ def verify_lemma_chain(
     prior_b: TabularPrior,
     dist: DataDistribution,
     k_max: int,
-    budget: int = DEFAULT_BUDGET,
 ) -> LemmaChainReport:
     prior_gap = float(tv(prior_a, prior_b))
     tvs = []
     for k in range(1, k_max + 1):
-        pa = exact_outcome_dist(prior_a, dist, k, budget=budget)
-        pb = exact_outcome_dist(prior_b, dist, k, budget=budget)
+        pa = exact_outcome_dist(prior_a, dist, k)
+        pb = exact_outcome_dist(prior_b, dist, k)
         tvs.append(float(tv(pa, pb)))
     return LemmaChainReport(_instance_tag(prior_a.space), prior_gap, tvs)
 
@@ -333,11 +320,11 @@ def realizable_pattern_count(space: ConceptSpace, anchors: tuple[int, ...]) -> i
     return len({tuple(int(v) for v in row) for row in labels})
 
 
-def check_sauer(space: ConceptSpace, k_max: int = 8) -> list[CheckReport]:
+def check_sauer(space: ConceptSpace) -> list[CheckReport]:
     """Exhaustive growth-function check: on every anchor set of size
-    k <= k_max, the realizable patterns number at most (ek)^d."""
+    k <= min(SAUER_K_MAX, m), the realizable patterns number at most (ek)^d."""
     reports = []
-    for k in range(1, min(k_max, space.m) + 1):
+    for k in range(1, min(SAUER_K_MAX, space.m) + 1):
         worst = 0
         for anchors in itertools.combinations(range(1, space.m + 1), k):
             worst = max(worst, realizable_pattern_count(space, anchors))

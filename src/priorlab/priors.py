@@ -27,6 +27,8 @@ from .concepts import (
 from .errors import AbsoluteContinuityError, BudgetError
 
 MASS_TOL = 1e-12
+PARITY_BUDGET = 4096  # largest parity family built: 2^C(m,d) members
+HOLDER_SLACK = 1e-12
 
 
 class TabularPrior:
@@ -103,10 +105,8 @@ def point_mass(space: ConceptSpace, h: Concept | int, exact: bool = False) -> Ta
     return TabularPrior(space, mass)
 
 
-def uniform_prior(space: ConceptSpace, exact: bool = False) -> TabularPrior:
+def uniform_prior(space: ConceptSpace) -> TabularPrior:
     n = len(space)
-    if exact:
-        return TabularPrior(space, None, exact=[Fraction(1, n)] * n)
     return TabularPrior(space, np.full(n, 1.0 / n))
 
 
@@ -198,13 +198,13 @@ def smooth_prior(params: SmoothPriorParams, space: ConceptSpace, exact: bool = F
 
 
 def parity_family(
-    space: ConceptSpace, L: float, alpha: float, exact: bool = False, budget: int = 4096
+    space: ConceptSpace, L: float, alpha: float, exact: bool = False
 ) -> tuple[list[SmoothPriorParams], list[TabularPrior]]:
     """All 2^C(m,d) parity-family members, in lexicographic sign order
     (-1 before +1 coordinate-wise)."""
     n = comb(space.m, space.d)
-    if 2**n > budget:
-        raise BudgetError(f"2^{n} sign vectors exceed the budget of {budget}")
+    if 2**n > PARITY_BUDGET:
+        raise BudgetError(f"2^{n} sign vectors exceed the budget of {PARITY_BUDGET}")
     params, members = [], []
     for signs in itertools.product((-1, 1), repeat=n):
         p = SmoothPriorParams(signs, L, alpha, space.m, space.d)
@@ -261,7 +261,6 @@ def holder_check(
     L: float,
     alpha: float,
     dist: DataDistribution,
-    slack: float = 1e-12,
 ) -> HolderReport:
     """Exhaustive check of |f(h) - f(g)| <= L rho(h,g)^alpha over all pairs.
 
@@ -277,13 +276,13 @@ def holder_check(
     diffs = np.abs(f[:, None] - f[None, :])
     off = ~np.eye(n, dtype=bool)
     zero_rho = off & (dists == 0)
-    if (diffs[zero_rho] > slack).any():
-        i, j = np.argwhere(zero_rho & (diffs > slack))[0]
+    if (diffs[zero_rho] > HOLDER_SLACK).any():
+        i, j = np.argwhere(zero_rho & (diffs > HOLDER_SLACK))[0]
         return HolderReport(False, np.inf, (space.concepts[i], space.concepts[j]))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(off & (dists > 0), diffs / dists**alpha, 0.0)
     worst = float(ratio.max()) if n > 1 else 0.0
-    if worst <= L + slack:
+    if worst <= L + HOLDER_SLACK:
         return HolderReport(True, worst, None)
     i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
     return HolderReport(False, worst, (space.concepts[i], space.concepts[j]))
@@ -443,10 +442,10 @@ def cover_priors(
     L: float,
     alpha: float,
     epsilon: float,
-    dist: DataDistribution | None = None,
     budget: int = 100_000,
 ) -> CoverFamily:
-    """Construct an epsilon-cover of all (L, alpha)-Hölder-smooth priors.
+    """Construct an epsilon-cover of all (L, alpha)-Hölder-smooth priors
+    under the uniform data distribution.
 
     Concepts are grouped into cells of rho-diameter at most (eps/L)^(1/alpha)
     and candidate densities take one grid value (step eps/2) per cell;
@@ -457,11 +456,9 @@ def cover_priors(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive (use cover_of_family for exact covers)")
-    if dist is None:
-        dist = uniform_distribution(space.m)
     reference = reference_prior(space)
     delta = (epsilon / L) ** (1.0 / alpha)
-    cells = _diameter_partition(space, dist, delta)
+    cells = _diameter_partition(space, uniform_distribution(space.m), delta)
     cell_ref = np.array([reference.mass[c].sum() for c in cells])
     step = epsilon / 2.0
     n_grid = int(ceil((1.0 + L) / step)) + 1

@@ -30,8 +30,8 @@ from .estimators import (
     reduce_to_signs,
 )
 from .priors import (
+    CoverFamily,
     SmoothPriorParams,
-    cover_of_family,
     point_mass,
     parity_family,
     total_variation,
@@ -81,7 +81,6 @@ class ExperimentConfig:
     k: int | None = None  # samples per task; defaults to d
     truth_count: int = 8  # sampled true parameters (plus the two extremes)
     twopoint_weight: float = 0.05
-    outcome_budget: int = 10**7
 
     def __post_init__(self):
         if self.family not in ("parity", "twopoint"):
@@ -104,7 +103,6 @@ class ExperimentConfig:
         return (
             self.m, self.d, self.L, self.alpha, self.family, self.seed,
             self.samples_per_task, self.truth_count, self.twopoint_weight,
-            self.outcome_budget,
         )
 
 
@@ -135,7 +133,6 @@ def build_setup(config: ExperimentConfig) -> Setup:
     if config.family == "parity":
         dist = uniform_distribution(config.m)
         params_list, members = parity_family(space, config.L, config.alpha)
-        cover = cover_of_family(members, 0.0)
         # sampled truths plus the two extreme sign vectors
         rng = stream(config.seed, _TRUTH_PICK)
         picks = set(int(i) for i in rng.integers(0, len(members), size=config.truth_count))
@@ -148,9 +145,11 @@ def build_setup(config: ExperimentConfig) -> Setup:
         dist = DataDistribution((w, w) + (rest,) * (config.m - 2))
         members = [point_mass(space, 0b01), point_mass(space, 0b10)]
         params_list = None
-        cover = cover_of_family(members, 0.0)
         truth_ids = [0, 1]
-    est = SkeletonEstimator(cover, dist, config.samples_per_task, budget=config.outcome_budget)
+    # members are TV-distinct by construction, so every one is kept and
+    # truth ids index params_list and the cover alike
+    cover = CoverFamily(members, 0.0)
+    est = SkeletonEstimator(cover, dist, config.samples_per_task)
     tvm = np.array(
         [[float(total_variation(a, b)) for b in cover.members] for a in cover.members]
     )

@@ -137,7 +137,7 @@ def test_criterion_2_inequality_suite():
         n_pairs += 1
     # growth-function sanity across the small instances
     for m, d in [(3, 2), (5, 2), (8, 3), (8, 1)]:
-        ok &= all(r.passed for r in check_sauer(enumerate_concepts(m, d), k_max=8))
+        ok &= all(r.passed for r in check_sauer(enumerate_concepts(m, d)))
     assert report(2, "inequality-suite", ok, f"{n_pairs} random pairs")
 
 

@@ -207,6 +207,23 @@ def test_rates_rejects_bad_config_before_output(tmp_path, capsys, subcommand, li
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, text",
+    [
+        ("rates", "m = 2\nd = 1\nL = 1.0\nalpha = 1.0\nT_grid = 10\nfamily = twopoint\n"),
+        ("rates", "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 20,10\n"),
+        ("lowerbound", "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 20,10\n"),
+    ],
+    ids=["rates-twopoint-m2", "rates-decreasing-T_grid", "lowerbound-decreasing-T_grid"],
+)
+def test_rejected_experiment_config_writes_no_output(tmp_path, capsys, subcommand, text):
+    # ExperimentConfig's own checks must run before the manifest is written
+    out = tmp_path / "out"
+    assert dispatch(subcommand, write_config(tmp_path, "r.cfg", text), 0, out) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 ELICIT_TINY = (
     "epsilon = 0.2\nT = 40\nreplicates = 2\ncalibration_T_grid = 10,20\n"
     "calibration_replicates = 8\nq_trials = 40\n"

@@ -105,7 +105,7 @@ def test_method_A_prime_exhaustive():
     _, fam = tiny_family()
     for f in fam.functions:
         oracle = ValueOracle(f)
-        x = method_A_prime(oracle, 0.1, fam.n_bundles)
+        x = method_A_prime(oracle, fam.n_bundles)
         assert oracle.count == 4
         assert f.values[x] == max(f.values)  # regret 0
 

@@ -79,6 +79,16 @@ def test_count_outcomes_rejects_points_outside_1_to_m():
             est.count_outcomes(np.array(xs), ys)
 
 
+def test_count_outcomes_rejects_labels_outside_plus_minus_one():
+    # the outcome code reads y > 0, so a label 0 would be counted as -1
+    _, members = parity_family(SP32, 1.0, 1.0)
+    est = SkeletonEstimator(cover_of_family(members, 0.0), D3, 2)
+    xs = np.array([[1, 2]])
+    for ys in ([[0, 1]], [[2, 1]], [[-1, -2]]):
+        with pytest.raises(ValueError, match="labels"):
+            est.count_outcomes(xs, np.array(ys))
+
+
 def test_skeleton_guarantee_on_parity_family():
     # truth in the cover: tv(selected outcome law, truth outcome law)
     # <= 2 * max Yatracos deviation, exactly (min distance term is 0)

@@ -86,8 +86,19 @@ def test_x_marginal_is_product_law():
 
 
 def test_outcome_budget_guard():
+    # (2m)^k = 6^10 exceeds the 10^7 outcome budget; nothing is enumerated
     with pytest.raises(BudgetError):
-        exact_outcome_dist(reference_prior(SP32), D3, 3, budget=100)
+        exact_outcome_dist(reference_prior(SP32), D3, 10)
+
+
+def test_verifier_budget_guards():
+    # tree check: 501^2 anchor pairs x 4 labelings exceed 10^6
+    with pytest.raises(BudgetError, match="tree"):
+        verify_tree_inequality(reference_prior(SP32), reference_prior(SP32), (1,) * 501, 2)
+    # sqrt bound: 11^6 point tuples exceed 10^6
+    sp = enumerate_concepts(11, 6)
+    with pytest.raises(BudgetError, match=r"m\^d"):
+        verify_sqrt_bound(reference_prior(sp), reference_prior(sp), uniform_distribution(11), 6)
 
 
 def test_exact_weights_reject_what_they_cannot_represent():
@@ -262,7 +273,7 @@ def test_empirical_convergence_to_exact():
 def test_sauer_pattern_counts():
     for m, d in [(3, 2), (5, 2), (6, 1), (8, 3)]:
         sp = enumerate_concepts(m, d)
-        for rep in check_sauer(sp, k_max=8):
+        for rep in check_sauer(sp):
             assert rep.passed
         # oracle at k = m: patterns = |C| realizes the class size
         full = realizable_pattern_count(sp, tuple(range(1, m + 1)))
