@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -73,6 +74,11 @@ class DataDistribution:
         """Total weight of the points in `mask`."""
         return sum(w for i, w in enumerate(self.weights) if (mask >> i) & 1)
 
+    @cached_property
+    def _thresholds(self) -> list[float]:
+        """cumsum(weights)[:-1], computed once."""
+        return np.cumsum(self.weights)[:-1].tolist()
+
     def inverse_cdf(self, u) -> np.ndarray:
         """The point 1..m drawn by each uniform in `u`: one plus the number
         of thresholds cumsum(weights)[:-1] at or below it.  This is
@@ -80,7 +86,7 @@ class DataDistribution:
         for bit (the clip covers a cumsum that ends below 1), in m - 1
         comparison passes instead of a binary search per draw."""
         xs = np.ones(np.shape(u), dtype=np.int64)
-        for threshold in np.cumsum(self.weights)[:-1]:
+        for threshold in self._thresholds:
             xs += u >= threshold
         return xs
 

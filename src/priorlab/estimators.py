@@ -23,6 +23,7 @@ from .concepts import DataDistribution, d_subsets
 from .errors import BudgetError
 from .outcomes import DEFAULT_BUDGET, OutcomeDistribution, exact_outcome_dist, tv
 from .priors import CoverFamily, SmoothPriorParams, TabularPrior
+from .sampling import outcome_codes
 
 
 def yatracos_scores(PA: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -30,16 +31,6 @@ def yatracos_scores(PA: np.ndarray, mu: np.ndarray) -> np.ndarray:
     members x pairs), for one empirical vector mu or a stack of them;
     0 when there are no pairs."""
     return np.abs(PA - mu[..., None, :]).max(axis=-1, initial=0.0)
-
-
-def _outcome_codes(xs: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
-    """One integer in [0, (2m)^k) per task outcome of k points in 1..m: the
-    digits 2(x - 1) + [y > 0] of its (point, label) pairs in base 2m."""
-    digits = ((xs - 1) << 1) | (ys > 0)
-    codes = np.zeros(len(xs), dtype=np.int64)
-    for j in range(xs.shape[1]):
-        codes = codes * (2 * m) + digits[:, j]
-    return codes
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,15 +166,15 @@ class SkeletonEstimator:
         self.is_exact = exact
         # exact_outcome_dist has checked the (2m)^d code space against the budget
         self._n_codes = (2 * dist.m) ** d
-        self._support_codes = _outcome_codes(
+        self._support_codes = outcome_codes(
             np.array([xs for xs, _ in support]), np.array([ys for _, ys in support]), dist.m
         )
 
     def count_outcomes(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, int]:
         """Support counts of T tasks given as (T, d) arrays of points in
         1..m and labels in {-1, +1}; outcomes off the support are not
-        counted.  Every code is counted, then the support's codes are read
-        off."""
+        counted.  The arrays are checked, coded and passed to
+        `count_codes`."""
         if xs.ndim != 2 or xs.shape[1] != self.d or ys.shape != xs.shape:
             raise ValueError(
                 f"tasks of shape {xs.shape} / {ys.shape}, estimator expects (T, {self.d})"
@@ -194,9 +185,14 @@ class SkeletonEstimator:
         if ys.size and (np.abs(ys) != 1).any():
             # the code reads y > 0, so any other label would count as -1 or +1
             raise ValueError("labels must be -1 or +1")
-        codes = _outcome_codes(xs, ys, self.dist.m)
+        return self.count_codes(outcome_codes(xs, ys, self.dist.m))
+
+    def count_codes(self, codes: np.ndarray) -> tuple[np.ndarray, int]:
+        """Support counts of T tasks given by their outcome codes (below
+        (2m)^d, as `outcome_codes` writes them): every code is counted,
+        then the support's codes are read off."""
         counts = np.bincount(codes, minlength=self._n_codes)[self._support_codes]
-        return counts, len(xs)
+        return counts, len(codes)
 
     def select_from_counts(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
         return self._md.select(counts, total)

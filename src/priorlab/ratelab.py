@@ -36,7 +36,7 @@ from .priors import (
     parity_family,
     total_variation,
 )
-from .sampling import sample_arrays, stream
+from .sampling import Tasks, sample_arrays, stream
 
 # One Monte Carlo replicate of an experiment (the rates and lowerbound CSV
 # schema), and the per-replicate records the three cell runners return.
@@ -158,14 +158,17 @@ def build_setup(config: ExperimentConfig) -> Setup:
     return setup
 
 
-def counts_from_arrays_fast(est: SkeletonEstimator, m: int, xs: np.ndarray, ys: np.ndarray):
-    """Support counts of sampled (xs, ys) arrays over m points."""
-    if m != est.dist.m:
-        raise ValueError(f"tasks over {m} points, estimator built for {est.dist.m}")
-    return est.count_outcomes(xs, ys)
+def counts_from_arrays_fast(est: SkeletonEstimator, m: int, tasks: Tasks):
+    """Support counts of sampled tasks over m points, read from their
+    outcome codes (the sampler draws only valid points and labels)."""
+    if m != est.dist.m or tasks.m != m:
+        raise ValueError(f"tasks over {tasks.m} points (m={m}), estimator built for {est.dist.m}")
+    if tasks.xs.shape[1] != est.d:
+        raise ValueError(f"tasks of {tasks.xs.shape[1]} points, estimator expects {est.d}")
+    return est.count_codes(tasks.codes)
 
 
-def _source(setup: Setup, config: ExperimentConfig, truth_id: int):
+def _source(setup: Setup, truth_id: int):
     if setup.params_list is not None:
         return setup.params_list[truth_id]
     return setup.members[truth_id]
@@ -175,7 +178,7 @@ def _upper_cell(payload) -> list[UpperRow]:
     config_dict, T, T_idx, truth_id = payload
     config = ExperimentConfig(**config_dict)
     setup = build_setup(config)
-    source = _source(setup, config, truth_id)
+    source = _source(setup, truth_id)
     est = setup.estimator
     k = config.samples_per_task
     truth_vec, _ = est.truth_vectors(est.outcome_dists[truth_id])
@@ -183,8 +186,8 @@ def _upper_cell(payload) -> list[UpperRow]:
     rows = []
     for rep in range(config.replicates):
         rng = stream(config.seed, _UPPER, T_idx, truth_id, rep)
-        xs, ys, _, _ = sample_arrays(source, setup.space, setup.dist, T, k, rng)
-        counts, total = counts_from_arrays_fast(est, config.m, xs, ys)
+        tasks = sample_arrays(source, setup.space, setup.dist, T, k, rng)
+        counts, total = counts_from_arrays_fast(est, config.m, tasks)
         selected, _ = est.select_from_counts(counts, total)
         err = float(setup.tv_matrix[truth_id, selected])
         dev = float(est._md.deviation(counts, total, truth_masses))
@@ -320,10 +323,9 @@ def _lower_cell(payload) -> list[LowerRow]:
         b = tuple(1 if v else -1 for v in rng.integers(0, 2, size=n_signs))
         truth_id = sum((1 if s > 0 else 0) << (n_signs - 1 - i) for i, s in enumerate(b))
         params = SmoothPriorParams(b, config.L, config.alpha, config.m, config.d)
-        xs, ys, _, (i_star, _) = sample_arrays(
-            params, space, dist, T, config.d, rng
-        )
-        counts, total = counts_from_arrays_fast(est, config.m, xs, ys)
+        tasks = sample_arrays(params, space, dist, T, config.d, rng)
+        xs, (i_star, _) = tasks.xs, tasks.trace
+        counts, total = counts_from_arrays_fast(est, config.m, tasks)
         selected, _ = est.select_from_counts(counts, total)
         red = reduce_to_signs(est.cover.members[selected], params)
         p_true = [(1.0 + gamma * s) / 2.0 for s in b]
@@ -405,17 +407,15 @@ def _baseline_cell(payload) -> list[BaselineRow]:
     config_dict, T, T_idx, truth_id = payload
     config = ExperimentConfig(**config_dict)
     setup = build_setup(config)
-    source = _source(setup, config, truth_id)
+    source = _source(setup, truth_id)
     rows = []
     for rep in range(config.replicates):
         rng = stream(config.seed, _BASELINE, T_idx, truth_id, rep)
-        xs, ys, concept_idx, _ = sample_arrays(
-            source, setup.space, setup.dist, T, config.samples_per_task, rng
-        )
-        counts, total = counts_from_arrays_fast(setup.estimator, config.m, xs, ys)
+        tasks = sample_arrays(source, setup.space, setup.dist, T, config.samples_per_task, rng)
+        counts, total = counts_from_arrays_fast(setup.estimator, config.m, tasks)
         sk_sel, _ = setup.estimator.select_from_counts(counts, total)
         di_sel, _ = setup.direct.select_from_counts(
-            np.bincount(concept_idx, minlength=len(setup.space)), T
+            np.bincount(tasks.concepts, minlength=len(setup.space)), T
         )
         rows.append(BaselineRow(
             "baseline", config.m, config.d, config.L, config.alpha,

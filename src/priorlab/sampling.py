@@ -4,8 +4,14 @@ Every random draw comes from a keyed stream, `stream(seed, *key)`, so a
 draw depends only on its key and never on the worker count.  Tasks are
 drawn in bulk: `sample_arrays` draws all T tasks of one replicate from a
 single stream, the T concepts first and then the (T, k) points, and
-returns them as arrays.  Each experiment cell keys that stream by its
-coordinates, such as (purpose, T index, truth, replicate).
+returns them as a `Tasks` record.  Each experiment cell keys that stream
+by its coordinates, such as (purpose, T index, truth, replicate).
+
+A task's product is its outcome code, the statistic the estimators
+count: the digits 2(x - 1) + [y > 0] of its k (point, label) pairs in
+base 2m.  Each digit is one gather from a per-space digit table indexed
+by (concept, point), so no label array is built; `Tasks.ys` decodes the
+labels from the codes on demand.
 
 `stream_raw` computes the first raw 64-bit outputs of many keyed streams
 at once, bit for bit as `stream(seed, *key)` would give them (numpy's
@@ -20,6 +26,7 @@ draw never rejects.
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -191,6 +198,55 @@ def _parity_index_table(m: int, d: int, space_masks: bytes) -> np.ndarray:
     return table
 
 
+def outcome_codes(xs: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
+    """One integer in [0, (2m)^k) per task outcome of k points in 1..m: the
+    digits 2(x - 1) + [y > 0] of its (point, label) pairs in base 2m."""
+    digits = ((xs - 1) << 1) | (ys > 0)
+    codes = np.zeros(len(xs), dtype=np.int64)
+    for j in range(xs.shape[1]):
+        codes = codes * (2 * m) + digits[:, j]
+    return codes
+
+
+@lru_cache(maxsize=64)
+def _digit_table(m: int, space_masks: bytes) -> np.ndarray:
+    """The `outcome_codes` digits 2(x - 1) + [x in h] of every concept h
+    of a space whose int64 masks, in enumeration order, are `space_masks`,
+    at every point x in 1..m: entry h * m + x - 1, flattened.  Read-only."""
+    masks = np.frombuffer(space_masks, dtype=np.int64)
+    points = np.arange(m, dtype=np.int64)
+    table = (2 * points + ((masks[:, None] >> points) & 1)).ravel()
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True, eq=False)
+class Tasks:
+    """T sampled tasks of k points each, from one concept space over m points.
+
+    `xs` (T, k) holds the points in 1..m; `codes` (T,) each task's outcome
+    code, as `outcome_codes` writes it; `concepts` (T,) the positions of the drawn concepts in the
+    space; `trace` the (i_star, c) arrays of the parity family, else None.
+    Not iterable: read the fields by name.
+    """
+
+    xs: np.ndarray
+    codes: np.ndarray
+    concepts: np.ndarray
+    trace: tuple[np.ndarray, np.ndarray] | None
+    m: int
+
+    @property
+    def ys(self) -> np.ndarray:
+        """The (T, k) labels in {-1, +1}, decoded from the codes."""
+        ys = np.empty_like(self.xs)
+        rest = self.codes
+        for j in reversed(range(self.xs.shape[1])):
+            rest, digit = np.divmod(rest, 2 * self.m)
+            ys[:, j] = 2 * (digit & 1) - 1
+        return ys
+
+
 def sample_arrays(
     source: TabularPrior | SmoothPriorParams,
     space: ConceptSpace,
@@ -198,32 +254,45 @@ def sample_arrays(
     T: int,
     k: int,
     rng: np.random.Generator,
-):
-    """Bulk path: (xs, ys, concept_indices, trace) as arrays from one stream.
+) -> Tasks:
+    """Bulk path: T tasks of k points from one stream, as a `Tasks` record.
 
-    xs has shape (T, k) with points in 1..m, ys in {-1, +1}; concept
-    indices are positions in `space`; trace is (i_star, c) arrays for the
-    parity family, else None.
+    Draws the T concepts, then the (T, k) points; each task's outcome code
+    is gathered digit by digit from the space's digit table, so labels are
+    never materialised (`Tasks.ys` decodes them on demand).
     """
     if T < 1 or k < 1:
         raise ValueError("need T >= 1 and k >= 1")
+    m = space.m
+    if dist.m != m:
+        raise ValueError(f"distribution over {dist.m} points, concept space over {m}")
+    if (2 * m) ** k > np.iinfo(np.int64).max:
+        raise ValueError(f"outcome codes of {k} points over {m} exceed int64")
+    space_masks = space.masks.tobytes()
     trace = None
     if isinstance(source, SmoothPriorParams):
-        if (space.m, space.d) != (source.m, source.d):
+        if (m, space.d) != (source.m, source.d):
             raise ValueError("params built for a different concept space")
-        index_table = _parity_index_table(source.m, source.d, space.masks.tobytes())
+        index_table = _parity_index_table(m, source.d, space_masks)
         i_star = rng.integers(0, len(index_table), size=T)
         p1 = ((1.0 + source.gamma_m * np.asarray(source.b)) / 2.0)[i_star]
         c = (rng.random(T) < p1).astype(np.int64)
-        choice = rng.integers(0, index_table.shape[2], size=T)
-        idx = index_table[i_star, c, choice]
+        width = index_table.shape[2]
+        choice = rng.integers(0, width, size=T)
+        idx = index_table.reshape(-1)[(2 * i_star + c) * width + choice]
         trace = (i_star, c)
     else:
+        if source.space is not space and not np.array_equal(source.space.masks, space.masks):
+            raise ValueError("prior built for a different concept space")
         cum = np.cumsum(source.mass)
-        idx = np.minimum(
-            np.searchsorted(cum, rng.random(T), side="right"), len(space) - 1
-        )
+        idx = np.minimum(np.searchsorted(cum, rng.random(T), side="right"), len(space) - 1)
     xs = dist.inverse_cdf(rng.random((T, k)))
-    ys = 2 * ((space.masks[idx][:, None] >> (xs - 1)) & 1) - 1
-    return xs, ys, idx, trace
-
+    table = _digit_table(m, space_masks)
+    rows = idx * m - 1
+    pos = np.add(rows, xs[:, 0])
+    codes = table.take(pos)
+    for j in range(1, k):
+        codes *= 2 * m
+        np.add(rows, xs[:, j], out=pos)
+        codes += table.take(pos)
+    return Tasks(xs, codes, idx, trace, m)

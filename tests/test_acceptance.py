@@ -212,8 +212,8 @@ def twopoint_runs():
         for r in range(REPS_5):
             rng = stream(105, T, r)
             truth = int(rng.integers(2))
-            xs, ys, _, _ = sample_arrays(members[truth], space, dist, T, 1, rng)
-            counts, total = counts_from_arrays_fast(est, 3, xs, ys)
+            tasks = sample_arrays(members[truth], space, dist, T, 1, rng)
+            counts, total = counts_from_arrays_fast(est, 3, tasks)
             sel, _ = est.select_from_counts(counts, total)
             dev = est._md.deviation_exact(counts, total, qa_cache[truth])
             gap = tv(est.outcome_dists[sel], est.outcome_dists[truth])
@@ -245,8 +245,8 @@ def parity_runs():
         for r in range(REPS_5):
             rng = stream(106, T, r)
             truth = int(rng.integers(8))
-            xs, ys, _, _ = sample_arrays(params[truth], space, dist, T, 2, rng)
-            counts, total = counts_from_arrays_fast(est, 3, xs, ys)
+            tasks = sample_arrays(params[truth], space, dist, T, 2, rng)
+            counts, total = counts_from_arrays_fast(est, 3, tasks)
             sel, _ = est.select_from_counts(counts, total)
             dev = est._md.deviation_exact(counts, total, qa_cache[truth])
             runs[T].append(

@@ -39,7 +39,8 @@ def test_singleton_cover_returns_member_zero():
     pi0 = reference_prior(SP32)
     cover = CoverFamily([pi0], 0.0)
     est = SkeletonEstimator(cover, D3, 2)
-    xs, ys, _, _ = sample_arrays(pi0, SP32, D3, 5, 2, stream(1))
+    tasks = sample_arrays(pi0, SP32, D3, 5, 2, stream(1))
+    xs, ys = tasks.xs, tasks.ys
     idx, rep = est.select_from_counts(*est.count_outcomes(xs, ys))
     assert idx == 0
 
@@ -54,7 +55,8 @@ def test_skeleton_separated_point_masses():
     correct = 0
     runs = 200
     for r in range(runs):
-        xs, ys, _, _ = sample_arrays(a, sp, D, 50, 1, stream(1000 + r))
+        tasks = sample_arrays(a, sp, D, 50, 1, stream(1000 + r))
+        xs, ys = tasks.xs, tasks.ys
         idx, _ = est.select_from_counts(*est.count_outcomes(xs, ys))
         correct += idx == 0
     assert correct / runs >= 0.99
@@ -63,7 +65,8 @@ def test_skeleton_separated_point_masses():
 def test_skeleton_rejects_mismatched_k_and_empty():
     pi0 = reference_prior(SP32)
     est = SkeletonEstimator(CoverFamily([pi0], 0.0), D3, 2)
-    xs, ys, _, _ = sample_arrays(pi0, SP32, D3, 4, 3, stream(0))
+    tasks = sample_arrays(pi0, SP32, D3, 4, 3, stream(0))
+    xs, ys = tasks.xs, tasks.ys
     with pytest.raises(ValueError):
         est.count_outcomes(xs, ys)
 
@@ -96,7 +99,8 @@ def test_skeleton_guarantee_on_parity_family():
     cover = cover_of_family(members, 0.0)
     est = SkeletonEstimator(cover, D3, 2, exact=True)
     truth_idx = 5
-    xs, ys, _, _ = sample_arrays(members[truth_idx], SP32, D3, 10_000, 2, stream(77))
+    tasks = sample_arrays(members[truth_idx], SP32, D3, 10_000, 2, stream(77))
+    xs, ys = tasks.xs, tasks.ys
     counts, total = est.count_outcomes(xs, ys)
     selected, _ = est.select_from_counts(counts, total)
     truth_od = est.outcome_dists[truth_idx]
@@ -112,7 +116,8 @@ def test_decomposition_check_exact_random_runs():
     rng = np.random.default_rng(0)
     for r in range(20):
         truth_idx = int(rng.integers(8))
-        xs, ys, _, _ = sample_arrays(members[truth_idx], SP32, D3, 200, 2, stream(500 + r))
+        tasks = sample_arrays(members[truth_idx], SP32, D3, 200, 2, stream(500 + r))
+        xs, ys = tasks.xs, tasks.ys
         counts, total = est.count_outcomes(xs, ys)
         lhs, rhs, holds = est.decomposition_check(counts, total, est.outcome_dists[truth_idx])
         assert holds
@@ -127,7 +132,8 @@ def test_decomposition_check_truth_outside_cover():
     truth = members[7]
     truth_od = exact_outcome_dist(truth, D3, 2, exact=True)
     for r in range(10):
-        xs, ys, _, _ = sample_arrays(truth, SP32, D3, 300, 2, stream(900 + r))
+        tasks = sample_arrays(truth, SP32, D3, 300, 2, stream(900 + r))
+        xs, ys = tasks.xs, tasks.ys
         counts, total = est.count_outcomes(xs, ys)
         lhs, rhs, holds = est.decomposition_check(counts, total, truth_od)
         assert holds
@@ -138,7 +144,8 @@ def test_exact_and_float_selection_agree_generically():
     cover = cover_of_family(members, 0.0)
     est_e = SkeletonEstimator(cover, D3, 2, exact=True)
     est_f = SkeletonEstimator(cover, D3, 2, exact=False)
-    xs, ys, _, _ = sample_arrays(members[3], SP32, D3, 500, 2, stream(8))
+    tasks = sample_arrays(members[3], SP32, D3, 500, 2, stream(8))
+    xs, ys = tasks.xs, tasks.ys
     ce, te = est_e.count_outcomes(xs, ys)
     cf, tf = est_f.count_outcomes(xs, ys)
     assert est_e.select_from_counts(ce, te)[0] == est_f.select_from_counts(cf, tf)[0]
@@ -155,7 +162,7 @@ def test_direct_estimate_examples():
     # point-mass truth inside a cover that contains it: with many direct
     # observations the empirical law converges to that member
     pm_cover = CoverFamily([point_mass(SP32, 0b011), point_mass(SP32, 0b000)], 0.0)
-    _, _, idx, _ = sample_arrays(pm_cover.members[0], SP32, D3, 50, 2, stream(42, 0))
+    idx = sample_arrays(pm_cover.members[0], SP32, D3, 50, 2, stream(42, 0)).concepts
     assert direct_select(pm_cover, idx) == 0
     assert direct_select(CoverFamily([members[0]], 0.0), idx[:1]) == 0
 
@@ -164,7 +171,7 @@ def test_direct_estimator_recovers_truth_from_samples():
     _, members = parity_family(SP32, 1.0, 1.0)
     cover = cover_of_family(members, 0.0)
     truth = members[6]
-    _, _, concept_idx, _ = sample_arrays(truth, SP32, D3, 20_000, 2, stream(7, 1))
+    concept_idx = sample_arrays(truth, SP32, D3, 20_000, 2, stream(7, 1)).concepts
     assert direct_select(cover, concept_idx) == 6
 
 
@@ -317,9 +324,10 @@ def _skeleton_count_vectors(setup, config, seed):
     rng = stream(seed, 0)
     vectors = []
     for truth_id in setup.truth_ids:
-        source = ratelab._source(setup, config, truth_id)
+        source = ratelab._source(setup, truth_id)
         for T in (1, 7, 100, 2000):
-            xs, ys, _, _ = sample_arrays(source, setup.space, setup.dist, T, config.d, rng)
+            tasks = sample_arrays(source, setup.space, setup.dist, T, config.d, rng)
+            xs, ys = tasks.xs, tasks.ys
             vectors.append(setup.estimator.count_outcomes(xs, ys)[0])
     return vectors
 
@@ -359,7 +367,8 @@ def test_distinct_sets_match_all_pairs_exact_m3():
     assert len(est._md.A) < len(oracle.A)
     vectors = []
     for r in range(6):
-        xs, ys, _, _ = sample_arrays(members[r], SP32, D3, 3 + 97 * r, 2, stream(40 + r))
+        tasks = sample_arrays(members[r], SP32, D3, 3 + 97 * r, 2, stream(40 + r))
+        xs, ys = tasks.xs, tasks.ys
         vectors.append(est.count_outcomes(xs, ys)[0])
     truths = [est.truth_vectors(od) for od in est.outcome_dists]
     _assert_matches_oracle(
@@ -398,9 +407,9 @@ def test_direct_estimator_distinct_sets_match_all_pairs():
     rng = stream(12, 0)
     vectors = []
     for truth_id in setup.truth_ids:
-        source = ratelab._source(setup, config, truth_id)
+        source = ratelab._source(setup, truth_id)
         for T in (1, 50, 3000):
-            _, _, idx, _ = sample_arrays(source, setup.space, setup.dist, T, 2, rng)
+            idx = sample_arrays(source, setup.space, setup.dist, T, 2, rng).concepts
             vectors.append(np.bincount(idx, minlength=len(setup.space)))
     _assert_matches_oracle(md, oracle, vectors, [p.mass for p in setup.members[:5]])
 

@@ -263,7 +263,8 @@ def test_empirical_convergence_to_exact():
     od = exact_outcome_dist(pb, D3, 2)
     gaps = []
     for T in (100, 1000, 10000):
-        xs, ys, _, _ = sample_arrays(pb, SP32, D3, T, 2, stream(3))
+        tasks = sample_arrays(pb, SP32, D3, T, 2, stream(3))
+        xs, ys = tasks.xs, tasks.ys
         gaps.append(empirical_tv(od, xs, ys))
     assert gaps[2] < gaps[0]
     # roughly sqrt(T) decay: two decades of T shrink the gap well over 3x

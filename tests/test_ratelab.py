@@ -75,10 +75,11 @@ def test_counts_fast_matches_tuple_path():
     config = ExperimentConfig(T_grid=(50,), replicates=1, seed=3)
     setup = build_setup(config)
     rng = stream(3, 1, 2)
-    xs, ys, _, _ = sample_arrays(
+    tasks = sample_arrays(
         setup.params_list[0], setup.space, setup.dist, 500, 2, rng
     )
-    fast, total_f = counts_from_arrays_fast(setup.estimator, 3, xs, ys)
+    xs, ys = tasks.xs, tasks.ys
+    fast, total_f = counts_from_arrays_fast(setup.estimator, 3, tasks)
     slow, total_s = counts_from_tuples(setup.estimator, xs, ys)
     assert total_f == total_s == 500
     assert np.array_equal(fast, slow)
@@ -88,14 +89,18 @@ def test_counting_rejects_other_task_widths():
     # a d=2 estimator cannot count width-3 tasks (the tuple oracle finds
     # none of them on its support); it must not read the first two columns
     setup = build_setup(ExperimentConfig(T_grid=(50,), replicates=1, seed=3))
-    xs, ys, _, _ = sample_arrays(
+    tasks = sample_arrays(
         setup.params_list[0], setup.space, setup.dist, 200, 3, stream(3, 1, 3)
     )
+    xs, ys = tasks.xs, tasks.ys
     assert counts_from_tuples(setup.estimator, xs, ys)[0].sum() == 0
     with pytest.raises(ValueError):
-        counts_from_arrays_fast(setup.estimator, 3, xs, ys)
+        counts_from_arrays_fast(setup.estimator, 3, tasks)
+    narrow = sample_arrays(
+        setup.params_list[0], setup.space, setup.dist, 200, 2, stream(3, 1, 3)
+    )
     with pytest.raises(ValueError):
-        counts_from_arrays_fast(setup.estimator, 4, xs[:, :2], ys[:, :2])
+        counts_from_arrays_fast(setup.estimator, 4, narrow)
 
 
 def test_upper_experiment_twopoint_risk_decreases():
@@ -118,7 +123,8 @@ def test_upper_experiment_singleton_family_zero_risk():
     sp = enumerate_concepts(2, 1)
     pi0 = reference_prior(sp)
     est = SkeletonEstimator(CoverFamily([pi0], 0.0), uniform_distribution(2), 1)
-    xs, ys, _, _ = sample_arrays(pi0, sp, uniform_distribution(2), 20, 1, stream(0))
+    tasks = sample_arrays(pi0, sp, uniform_distribution(2), 20, 1, stream(0))
+    xs, ys = tasks.xs, tasks.ys
     sel, _ = est.select_from_counts(*est.count_outcomes(xs, ys))
     assert sel == 0
 

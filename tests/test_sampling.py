@@ -1,6 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from priorlab import ratelab
+from priorlab.cli import dispatch
 from priorlab.concepts import (
     ConceptSpace,
     DataDistribution,
@@ -10,13 +14,16 @@ from priorlab.concepts import (
 )
 from priorlab.priors import (
     SmoothPriorParams,
+    TabularPrior,
     point_mass,
     reference_prior,
     smooth_prior,
     uniform_prior,
 )
 from priorlab.sampling import (
+    _digit_table,
     _parity_index_table,
+    outcome_codes,
     sample_arrays,
     raw_integers,
     raw_random,
@@ -33,7 +40,7 @@ def test_point_mass_always_returns_that_concept():
     sp = enumerate_concepts(3, 1)
     pm = point_mass(sp, 0b010)
     rng = np.random.default_rng(0)
-    _, _, idx, _ = sample_arrays(pm, sp, D3, 100, 1, rng)
+    idx = sample_arrays(pm, sp, D3, 100, 1, rng).concepts
     assert (sp.masks[idx] == 0b010).all()
 
 
@@ -43,7 +50,7 @@ def test_sample_concept_frequencies_match_reference():
     pi0 = reference_prior(sp)
     rng = np.random.default_rng(123)
     n = 100_000
-    _, _, idx, _ = sample_arrays(pi0, sp, uniform_distribution(2), n, 1, rng)
+    idx = sample_arrays(pi0, sp, uniform_distribution(2), n, 1, rng).concepts
     counts = np.bincount(idx, minlength=len(sp))
     for i, p in enumerate([0.5, 0.25, 0.25]):
         sigma = np.sqrt(p * (1 - p) / n)
@@ -55,7 +62,7 @@ def test_uniform_prior_chi_square():
     unif = uniform_prior(sp)
     rng = np.random.default_rng(8)
     n = 70_000
-    _, _, idx, _ = sample_arrays(unif, sp, D3, n, 1, rng)
+    idx = sample_arrays(unif, sp, D3, n, 1, rng).concepts
     counts = np.bincount(idx, minlength=len(sp))
     expected = n / len(sp)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -65,7 +72,8 @@ def test_uniform_prior_chi_square():
 
 def test_traced_task_labels_consistent_and_trace_present():
     rng = np.random.default_rng(5)
-    xs, ys, _, trace = sample_arrays(PARAMS, SP32, D3, 200, 4, rng)
+    tasks = sample_arrays(PARAMS, SP32, D3, 200, 4, rng)
+    xs, ys, trace = tasks.xs, tasks.ys, tasks.trace
     assert trace is not None
     i_star, c = trace
     assert ((0 <= i_star) & (i_star < 3)).all()
@@ -84,7 +92,8 @@ def test_traced_task_d1_degenerate_choice():
     sp = enumerate_concepts(2, 1)
     params = SmoothPriorParams((1, -1), 0.5, 1.0, 2, 1)
     rng = np.random.default_rng(9)
-    xs, ys, _, trace = sample_arrays(params, sp, uniform_distribution(2), 200, 2, rng)
+    tasks = sample_arrays(params, sp, uniform_distribution(2), 200, 2, rng)
+    xs, ys, trace = tasks.xs, tasks.ys, tasks.trace
     for task_xs, task_ys, i_star, c in zip(xs, ys, *trace):
         positives = {int(x) for x, y in zip(task_xs, task_ys) if y == 1}
         if c == 1:
@@ -98,7 +107,7 @@ def test_traced_concept_law_matches_smooth_prior():
     pb = smooth_prior(PARAMS, SP32)
     rng = np.random.default_rng(21)
     n = 200_000
-    _, _, idx, _ = sample_arrays(PARAMS, SP32, D3, n, 2, rng)
+    idx = sample_arrays(PARAMS, SP32, D3, n, 2, rng).concepts
     counts = np.bincount(idx, minlength=len(SP32))
     for i, p in enumerate(pb.mass):
         sigma = np.sqrt(p * (1 - p) / n)
@@ -107,14 +116,16 @@ def test_traced_concept_law_matches_smooth_prior():
 
 def test_sample_arrays_concept_indices():
     # parity family: each concept lies inside X_{i*} with c positives mod 2
-    _, _, idx, (i_star, c) = sample_arrays(PARAMS, SP32, D3, 2_000, 2, np.random.default_rng(5))
+    tasks = sample_arrays(PARAMS, SP32, D3, 2_000, 2, np.random.default_rng(5))
+    idx, (i_star, c) = tasks.concepts, tasks.trace
     masks = SP32.masks[idx]
     subs = np.asarray(d_subsets(3, 2))
     assert not (masks & ~subs[i_star]).any()
     assert np.array_equal([bin(int(m)).count("1") % 2 for m in masks], c)
     # tabular prior: a point mass is drawn every time
     pm = point_mass(SP32, 0b101)
-    _, _, idx, trace = sample_arrays(pm, SP32, D3, 100, 2, np.random.default_rng(6))
+    tasks = sample_arrays(pm, SP32, D3, 100, 2, np.random.default_rng(6))
+    idx, trace = tasks.concepts, tasks.trace
     assert trace is None and (idx == SP32.index_of(0b101)).all()
 
 
@@ -150,7 +161,8 @@ def test_point_draws_match_searchsorted(weights):
     # bulk path: a concept draw of T uniforms, then the (T, k) point draw
     space = enumerate_concepts(m, 1)
     rng = QueuedUniforms(np.zeros(len(u)), u.reshape(-1, 1))
-    xs, ys, _, _ = sample_arrays(uniform_prior(space), space, dist, len(u), 1, rng)
+    tasks = sample_arrays(uniform_prior(space), space, dist, len(u), 1, rng)
+    xs, ys = tasks.xs, tasks.ys
     assert not rng.draws
     assert xs.dtype == np.int64 and np.array_equal(xs[:, 0], expected)
 
@@ -165,7 +177,7 @@ def test_parity_tables_built_once_per_space():
     ]
     assert _parity_index_table.cache_info().misses == 2  # one table per concept order
     # the same draws, read as masks through either concept order
-    assert np.array_equal(SP32.masks[draws[0][2]], reordered.masks[draws[2][2]])
+    assert np.array_equal(SP32.masks[draws[0].concepts], reordered.masks[draws[2].concepts])
     table = _parity_index_table(3, 2, SP32.masks.tobytes())
     assert not table.flags.writeable
 
@@ -179,7 +191,7 @@ def test_traced_parity_coin_rate():
     p1 = (1 + params.gamma_m) / 2
     rng = np.random.default_rng(2)
     n = 100_000
-    _, _, _, (i_star, c) = sample_arrays(params, SP32, D3, n, 2, rng)
+    i_star, c = sample_arrays(params, SP32, D3, n, 2, rng).trace
     sigma = np.sqrt(p1 * (1 - p1) / n)
     assert abs(c.mean() - p1) < 4 * sigma
 
@@ -190,7 +202,8 @@ def test_parity_sufficiency():
     params = SmoothPriorParams((1, -1, 1), 1.0, 1.0, 3, 2)
     rng = np.random.default_rng(31)
     n = 300_000
-    xs, ys, _, (i_star, c) = sample_arrays(params, SP32, D3, n, 2, rng)
+    tasks = sample_arrays(params, SP32, D3, n, 2, rng)
+    xs, ys, (i_star, c) = tasks.xs, tasks.ys, tasks.trace
     from priorlab.concepts import d_subsets
 
     subs = d_subsets(3, 2)
@@ -215,7 +228,8 @@ def test_event_frequency_matches_formula():
     params = SmoothPriorParams((1, 1, 1), 1.0, 1.0, 3, 2)
     rng = np.random.default_rng(17)
     n = 200_000
-    xs, ys, _, (i_star, c) = sample_arrays(params, SP32, D3, n, 2, rng)
+    tasks = sample_arrays(params, SP32, D3, n, 2, rng)
+    xs, ys, (i_star, c) = tasks.xs, tasks.ys, tasks.trace
     from priorlab.concepts import d_subsets
 
     subs = d_subsets(3, 2)
@@ -231,7 +245,8 @@ def test_event_frequency_matches_formula():
 
 def test_batch_determinism():
     def draw(seed):
-        xs, ys, idx, (i_star, c) = sample_arrays(PARAMS, SP32, D3, 20, 2, stream(seed))
+        tasks = sample_arrays(PARAMS, SP32, D3, 20, 2, stream(seed))
+        xs, ys, idx, (i_star, c) = tasks.xs, tasks.ys, tasks.concepts, tasks.trace
         return np.concatenate([xs.ravel(), ys.ravel(), idx, i_star, c])
 
     assert np.array_equal(draw(99), draw(99))
@@ -250,17 +265,145 @@ def test_batch_rejects_bad_sizes():
 
 def test_batch_works_with_plain_prior():
     pi0 = reference_prior(SP32)
-    xs, ys, idx, trace = sample_arrays(pi0, SP32, D3, 10, 3, stream(4))
+    tasks = sample_arrays(pi0, SP32, D3, 10, 3, stream(4))
+    xs, ys, idx, trace = tasks.xs, tasks.ys, tasks.concepts, tasks.trace
     assert xs.shape == ys.shape == (10, 3) and idx.shape == (10,)
     assert trace is None
 
 
 def test_labels_realizable_in_class():
-    xs, ys, _, _ = sample_arrays(PARAMS, SP32, D3, 50, 3, stream(12))
+    tasks = sample_arrays(PARAMS, SP32, D3, 50, 3, stream(12))
+    xs, ys = tasks.xs, tasks.ys
     for task_xs, task_ys in zip(xs, ys):
         assert any(
             all(h.label(int(x)) == y for x, y in zip(task_xs, task_ys)) for h in SP32
         )
+
+
+
+def test_tabular_prior_from_another_space_rejected():
+    # an m=4 prior on the m=3 space drew concept 6 for all of its mass on 7-10
+    with pytest.raises(ValueError, match="different concept space"):
+        sample_arrays(uniform_prior(enumerate_concepts(4, 2)), SP32, D3, 2_000, 2, stream(1))
+    # the same class in another concept order would relabel every draw
+    reordered = ConceptSpace(3, 2, SP32.concepts[::-1])
+    with pytest.raises(ValueError, match="different concept space"):
+        sample_arrays(smooth_prior(PARAMS, SP32), reordered, D3, 10, 2, stream(1))
+    # a prior on an equal space built separately is accepted
+    tasks = sample_arrays(uniform_prior(enumerate_concepts(3, 2)), SP32, D3, 10, 2, stream(1))
+    assert tasks.concepts.max() < len(SP32)
+
+
+def test_tabular_draw_clips_a_cumsum_below_one():
+    mass = np.full(len(SP32), 1 / len(SP32))
+    mass[-1] -= 5e-13  # within the prior's tolerance, so the cumsum ends below 1
+    prior = TabularPrior(SP32, mass)
+    u = np.array([1.0 - 2.0**-53, 0.0])
+    assert np.searchsorted(np.cumsum(prior.mass), u[0], side="right") == len(SP32)
+    rng = QueuedUniforms(u, np.full((2, 2), 0.5))
+    assert sample_arrays(prior, SP32, D3, 2, 2, rng).concepts.tolist() == [len(SP32) - 1, 0]
+
+
+def test_distribution_over_other_point_count_rejected():
+    # points 4 and 5 of a 5-point distribution lie outside the m=3 space
+    for params in (PARAMS, smooth_prior(PARAMS, SP32)):
+        with pytest.raises(ValueError, match="5 points"):
+            sample_arrays(params, SP32, uniform_distribution(5), 100, 2, stream(2))
+
+
+def test_codes_must_fit_in_int64():
+    # 6^24 fits in int64, 6^25 does not
+    assert sample_arrays(PARAMS, SP32, D3, 3, 24, stream(3)).codes.dtype == np.int64
+    with pytest.raises(ValueError, match="int64"):
+        sample_arrays(PARAMS, SP32, D3, 3, 25, stream(3))
+
+
+def test_tasks_are_not_iterable():
+    tasks = sample_arrays(PARAMS, SP32, D3, 5, 2, stream(4))
+    with pytest.raises(TypeError):
+        xs, ys, idx, trace = tasks
+    assert not _digit_table(3, SP32.masks.tobytes()).flags.writeable
+
+
+def labels_oracle(source, space, dist, T, k, rng):
+    """Oracle: the sampler as it drew labels, with a three-index concept
+    gather, a binary search per point and labels read off the concept
+    masks, then coded by `outcome_codes`."""
+    trace = None
+    if isinstance(source, SmoothPriorParams):
+        table = _parity_index_table(source.m, source.d, space.masks.tobytes())
+        i_star = rng.integers(0, len(table), size=T)
+        p1 = ((1.0 + source.gamma_m * np.asarray(source.b)) / 2.0)[i_star]
+        c = (rng.random(T) < p1).astype(np.int64)
+        choice = rng.integers(0, table.shape[2], size=T)
+        idx = table[i_star, c, choice]
+        trace = (i_star, c)
+    else:
+        cum = np.cumsum(source.mass)
+        idx = np.minimum(np.searchsorted(cum, rng.random(T), side="right"), len(space) - 1)
+    cum = np.cumsum(dist.weights)
+    xs = np.minimum(np.searchsorted(cum, rng.random((T, k)), side="right") + 1, dist.m)
+    ys = 2 * ((space.masks[idx][:, None] >> (xs - 1)) & 1) - 1
+    codes = outcome_codes(xs, ys, space.m)
+    return SimpleNamespace(xs=xs, ys=ys, concepts=idx, trace=trace, codes=codes, m=space.m)
+
+
+@pytest.mark.parametrize("k_offset", [-1, 0, 1], ids=["k1", "k-d", "k-d+1"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_sampler_matches_labels_oracle(m, k_offset):
+    d = 2
+    k = 1 if k_offset == -1 else d + k_offset
+    space = enumerate_concepts(m, d)
+    dist = DataDistribution(tuple(np.arange(1, m + 1) / (m * (m + 1) / 2)))
+    n_signs = len(d_subsets(m, d))
+    params = SmoothPriorParams(tuple((-1) ** i for i in range(n_signs)), 1.0, 1.0, m, d)
+    for source in (params, smooth_prior(params, space)):
+        for T in (1, 7, 10_000):
+            got = sample_arrays(source, space, dist, T, k, stream(m, k, T))
+            want = labels_oracle(source, space, dist, T, k, stream(m, k, T))
+            for field in ("xs", "ys", "concepts", "codes"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            assert got.codes.dtype == got.xs.dtype == np.int64
+            if want.trace is None:
+                assert got.trace is None
+            else:
+                assert all(np.array_equal(a, b) for a, b in zip(got.trace, want.trace))
+
+
+def labels_counter(est, m, tasks):
+    """Oracle: the counter as it re-checked and re-coded sampled labels."""
+    if m != est.dist.m:
+        raise ValueError(f"tasks over {m} points, estimator built for {est.dist.m}")
+    return est.count_outcomes(tasks.xs, tasks.ys)
+
+
+@pytest.mark.parametrize(
+    "subcommand, config",
+    [
+        ("rates", "m = 3\nd = 2\ntruth_count = 3\n"),
+        ("rates", "m = 4\nd = 1\nfamily = twopoint\n"),
+        ("lowerbound", "m = 3\nd = 2\n"),
+    ],
+    ids=["rates-parity", "rates-twopoint", "lowerbound"],
+)
+def test_cli_byte_identical_to_labels_oracle(tmp_path, monkeypatch, subcommand, config):
+    # the old sampler and counter, monkeypatched in, write the same bytes
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config + "L = 1.0\nalpha = 1.0\nT_grid = 20,200\nreplicates = 3\n")
+    assert dispatch(subcommand, cfg, 5, tmp_path / "codes") == 0
+    monkeypatch.setattr(ratelab, "sample_arrays", labels_oracle)
+    monkeypatch.setattr(ratelab, "counts_from_arrays_fast", labels_counter)
+    monkeypatch.setattr(ratelab, "_SETUP_CACHE", {})
+    assert dispatch(subcommand, cfg, 5, tmp_path / "labels") == 0
+    names = sorted(
+        p.name for p in (tmp_path / "codes").iterdir()
+        if p.suffix == ".csv" or p.name == "summary.txt"
+    )
+    assert "summary.txt" in names and len(names) >= 2
+    for name in names:
+        assert (tmp_path / "codes" / name).read_bytes() == (
+            tmp_path / "labels" / name
+        ).read_bytes(), name
 
 
 # seeds of one, two, three and five uint32 words

@@ -4,6 +4,7 @@ signature change under `src/` would silently drop a span or break the
 benchmark.  This checks every target still resolves, without installing
 the tracer, and runs every workload's set-up."""
 
+import inspect
 import sys
 from pathlib import Path
 
@@ -15,6 +16,8 @@ sys.path.insert(0, str(PERFBENCH))
 from spans import COUNTED, SPANS, _resolve  # noqa: E402
 from workloads import WORKLOADS, setup  # noqa: E402
 
+from priorlab import ratelab  # noqa: E402
+
 
 def test_every_trace_target_resolves():
     missing = [
@@ -23,6 +26,14 @@ def test_every_trace_target_resolves():
         if attr not in vars(_resolve(path))
     ]
     assert not missing, missing
+
+
+def test_sample_arrays_takes_T_fourth():
+    # the traced run counts sampling.tasks_sampled from args[3] of the
+    # wrapped ratelab.sample_arrays
+    param = list(inspect.signature(ratelab.sample_arrays).parameters.values())[3]
+    assert param.name == "T"
+    assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
 # tasks each workload simulates at program seed 0, as its set-up counts them
