@@ -15,7 +15,6 @@ import hashlib
 import os
 import platform
 import sys
-from dataclasses import dataclass
 from math import comb
 from pathlib import Path
 
@@ -183,35 +182,6 @@ def parse_config(path: str | Path, subcommand: str) -> dict:
     return config
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything that determines a run's outputs; two runs with equal
-    manifests produce byte-identical CSVs, whatever the worker count.  The
-    text also records the run's environment: Python, numpy and the number
-    of CPUs the process may use."""
-
-    subcommand: str
-    config_path: str
-    config_sha256: str
-    seed: int
-    outdir: str
-    tool_version: str
-
-    def to_text(self, workers: int) -> str:
-        return (
-            f"tool=priorlab {self.tool_version}\n"
-            f"subcommand={self.subcommand}\n"
-            f"config={self.config_path}\n"
-            f"config_sha256={self.config_sha256}\n"
-            f"seed={self.seed}\n"
-            f"workers={workers}\n"
-            f"out={self.outdir}\n"
-            f"python={platform.python_version()}\n"
-            f"numpy={np.__version__}\n"
-            f"nproc={_nproc()}\n"
-        )
-
-
 def _nproc() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -219,11 +189,23 @@ def _nproc() -> int:
 
 
 def _manifest(outdir: Path, subcommand: str, config_path, config: dict, seed: int, workers: int):
+    """Write everything that determines a run's outputs: two runs with
+    equal manifests produce byte-identical CSVs, whatever the worker count.
+    The text also records the run's environment: Python, numpy and the
+    number of CPUs the process may use."""
     digest = hashlib.sha256(repr(sorted(config.items())).encode()).hexdigest()
-    manifest = RunManifest(
-        subcommand, str(config_path), digest, seed, str(outdir), __version__
+    (outdir / "manifest.txt").write_text(
+        f"tool=priorlab {__version__}\n"
+        f"subcommand={subcommand}\n"
+        f"config={config_path}\n"
+        f"config_sha256={digest}\n"
+        f"seed={seed}\n"
+        f"workers={workers}\n"
+        f"out={outdir}\n"
+        f"python={platform.python_version()}\n"
+        f"numpy={np.__version__}\n"
+        f"nproc={_nproc()}\n"
     )
-    (outdir / "manifest.txt").write_text(manifest.to_text(workers))
 
 
 def _emit_plot_script(outdir: Path, subcommand: str, csv_name: str, x: str, y: str, loglog: bool):
@@ -410,11 +392,34 @@ def _experiment_config(config: dict, seed: int) -> ExperimentConfig:
     )
 
 
-def _check_elicit_config(config: dict) -> None:
-    """Reject values the elicit pipeline cannot run on, naming the key."""
-    for key in ("T", "replicates", "calibration_replicates", "q_trials"):
-        if config[key] < 1:
-            raise ValueError(f"config key {key!r} must be >= 1, got {config[key]}")
+# the least value of each count key a run can report on: below it a
+# subcommand runs nothing, or nothing it can check
+_MINIMUMS = {
+    "coinbound": {"n_max": 0},
+    "lemmas": {"pairs": 0},
+    "smoothness": {"m_max": 2, "d_max": 1, "signs_per_instance": 1},
+    "elicit": {
+        "T": 1, "replicates": 1, "calibration_replicates": 1, "q_trials": 1, "family_seed": 0,
+    },
+}
+
+
+def _check_config(subcommand: str, config: dict) -> None:
+    """Reject values a run cannot run or report on, naming the key: an
+    empty table would read as a pass, and a concept space needs
+    1 <= d <= m."""
+    for key, least in _MINIMUMS.get(subcommand, {}).items():
+        if config[key] < least:
+            raise ValueError(f"config key {key!r} must be >= {least}, got {config[key]}")
+    for key in ("gammas", "L_list", "alpha_list"):
+        if key in config and not config[key]:
+            raise ValueError(f"config key {key!r} must list at least one value")
+    if "d" in config and not 1 <= config["d"] <= config["m"]:
+        raise ValueError(f"config key 'd' must lie in 1..m = {config['m']}, got {config['d']}")
+    if subcommand == "lemmas" and config["k_max"] < config["d"]:
+        raise ValueError(f"config key 'k_max' must be >= d = {config['d']}, got {config['k_max']}")
+    if subcommand != "elicit":
+        return
     if not 0 < config["epsilon"] < 2:
         raise ValueError(f"config key 'epsilon' must lie in (0, 2), got {config['epsilon']}")
     grid = config["calibration_T_grid"]
@@ -521,6 +526,10 @@ def dispatch(
         return 1
     outdir = Path(outdir)
     try:
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         if exact_rational and subcommand != "smoothness":
             raise ValueError(f"--exact-rational is read only by smoothness, not {subcommand}")
         if config_path is None:
@@ -533,11 +542,10 @@ def dispatch(
         else:
             config = parse_config(config_path, subcommand)
         # every config check runs before any output is written
+        _check_config(subcommand, config)
         command = DISPATCH[subcommand]
         if subcommand in ("rates", "lowerbound"):
             command = functools.partial(command, _experiment_config(config, seed))
-        elif subcommand == "elicit":
-            _check_elicit_config(config)
         outdir.mkdir(parents=True, exist_ok=True)
         _manifest(outdir, subcommand, config_path, config, seed, workers)
         return command(config, seed, outdir, workers, exact_rational)

@@ -80,15 +80,21 @@ class DataDistribution:
         return np.cumsum(self.weights)[:-1].tolist()
 
     def inverse_cdf(self, u) -> np.ndarray:
-        """The point 1..m drawn by each uniform in `u`: one plus the number
-        of thresholds cumsum(weights)[:-1] at or below it.  This is
-        `min(searchsorted(cumsum(weights), u, side="right") + 1, m)` bit
-        for bit (the clip covers a cumsum that ends below 1), in m - 1
-        comparison passes instead of a binary search per draw."""
-        xs = np.ones(np.shape(u), dtype=np.int64)
-        for threshold in self._thresholds:
-            xs += u >= threshold
-        return xs
+        """The point 1..m drawn by each uniform in `u` (see `categorical_draw`)."""
+        return categorical_draw(self._thresholds, u, first=1)
+
+
+def categorical_draw(thresholds, u, first: int = 0) -> np.ndarray:
+    """The category drawn by each uniform in `u` from a categorical law
+    whose cumulative sums are cs: `first` plus the number of thresholds
+    cs[:-1] at or below it.  This is `min(searchsorted(cs, u,
+    side="right"), len(cs) - 1) + first` bit for bit (the clip covers a
+    cumsum that ends below 1), in len(cs) - 1 comparison passes instead
+    of a binary search per draw."""
+    idx = np.full(np.shape(u), first, dtype=np.int64)
+    for threshold in thresholds:
+        idx += u >= threshold
+    return idx
 
 
 def uniform_distribution(m: int) -> DataDistribution:

@@ -25,8 +25,10 @@ from math import comb, factorial
 
 import numpy as np
 
+from .concepts import categorical_draw
 from .errors import BudgetError
-from .estimators import yatracos_scores
+from .estimators import yatracos_scores, yatracos_sets
+from .priors import tv_matrix
 from .sampling import raw_integers, raw_random, stream, stream_raw
 
 _CUSTOMER_STREAM = 0
@@ -58,22 +60,8 @@ class Menu:
         if any(p < 0 for p in self.prices):
             raise ValueError("prices must be nonnegative")
 
-    def price(self, bundle: int) -> float:
-        return self.prices[bundle]
-
     def to_table_text(self) -> str:
         return "".join(f"{b}\t{repr(float(p))}\n" for b, p in enumerate(self.prices))
-
-    @staticmethod
-    def from_table_text(text: str, n: int) -> "Menu":
-        prices = [0.0] * (1 << n)
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            mask_s, price_s = line.split("\t")
-            prices[int(mask_s)] = float(price_s)
-        return Menu(n, tuple(prices))
 
 
 @dataclass(frozen=True)
@@ -158,11 +146,8 @@ class ValuationPriorFamily:
             raise ValueError(f"recorded pseudo-dimension bound d={d} is violated")
         self.d = d
         self.W = np.stack(self.members)  # (members, F)
-        self.cdf = np.cumsum(self.W, axis=1)
-        M = len(self.members)
-        self.tv_matrix = np.array(
-            [[0.5 * np.abs(self.W[a] - self.W[b]).sum() for b in range(M)] for a in range(M)]
-        )
+        self._thresholds = np.cumsum(self.W, axis=1)[:, :-1]
+        self.tv_matrix = tv_matrix(self.W)
 
     @property
     def n_members(self) -> int:
@@ -174,8 +159,7 @@ class ValuationPriorFamily:
 
     def function_index(self, member: int, u: np.ndarray) -> np.ndarray:
         """The function indices that uniforms `u` select under `member`."""
-        idx = np.searchsorted(self.cdf[member], u, side="right")
-        return np.minimum(idx, len(self.functions) - 1)
+        return categorical_draw(self._thresholds[member], u)
 
     def sample_function(self, member: int, rng: np.random.Generator, size: int | None = None):
         """A function index drawn from `member`, or an array of `size` of
@@ -383,9 +367,7 @@ class FamilyOutcomeModel:
             )
 
         M = family.n_members
-        self.pairs = [(i, j) for i in range(M) for j in range(M) if i != j]
-        pair_i = np.array([p[0] for p in self.pairs], dtype=np.int64)
-        pair_j = np.array([p[1] for p in self.pairs], dtype=np.int64)
+        self.pairs = [(i, j) for i in range(M) for j in range(M) if i != j]  # as yatracos_sets orders them
         G = np.zeros((M, len(self.pairs)))
         for combo in itertools.combinations_with_replacement(range(P), d):
             # weight: (#ordered arrangements) * product of partition probs
@@ -398,8 +380,7 @@ class FamilyOutcomeModel:
             for c, cell in enumerate(cells):
                 cell_mat[c, cell] = 1.0
             cm = family.W @ cell_mat.T  # (members, cells)
-            ind = cm[pair_i] > cm[pair_j] + 1e-12  # (pairs, cells)
-            G += w * np.einsum("lc,pc->lp", cm, ind.astype(float))
+            G += w * np.einsum("lc,pc->lp", cm, yatracos_sets(cm).astype(float))
         self.G = G
 
     @staticmethod
@@ -435,7 +416,7 @@ class FamilyOutcomeModel:
         mm = np.zeros((len(first), self.family.n_members))
         for r, ok in enumerate(flat[first]):
             mm[r] = self.family.W @ ok.astype(float)
-        ind = mm[:, [i for i, _ in self.pairs]] > mm[:, [j for _, j in self.pairs]] + 1e-12
+        ind = yatracos_sets(mm.T).T  # (distinct sets, pairs)
         return ind[inverse].reshape(mask.shape[:-1] + (len(self.pairs),))
 
 
@@ -586,10 +567,6 @@ class RunResult:
     tail_len: int
     exceedance_rate: float
     fallbacks: int
-
-    @property
-    def regret_upper95(self) -> float:
-        return self.mean_regret + 1.645 * self.regret_se
 
 
 def draw_customers(family: ValuationPriorFamily, truth: int, T: int, seed: int):

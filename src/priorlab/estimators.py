@@ -33,6 +33,19 @@ def yatracos_scores(PA: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.abs(PA - mu[..., None, :]).max(axis=-1, initial=0.0)
 
 
+def yatracos_sets(M: np.ndarray) -> np.ndarray:
+    """The Yatracos sets {z : M_i(z) > M_j(z)} of the rows of a (members,
+    support) mass table, over ordered pairs i != j in row-major order, as
+    a (pairs, support) bool array.  Float masses compare with a 1e-12
+    guard: float tables of genuinely equal masses can differ by rounding,
+    which would flip set membership.  Fraction (object) masses compare
+    exactly."""
+    M = np.asarray(M)
+    rhs = M if M.dtype == object else M + 1e-12
+    off_diagonal = ~np.eye(len(M), dtype=bool)
+    return (M[:, None, :] > rhs[None, :, :])[off_diagonal].astype(bool, copy=False)
+
+
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(index of the first of each distinct row, in row order; for every
     row, the position of its distinct row in that index)."""
@@ -72,22 +85,17 @@ class _MinDistance:
                 f"{n * (n - 1)} Yatracos pairs x ({s} support points + {n} members)"
                 f" exceed the budget of {DEFAULT_BUDGET}"
             )
-        off_diagonal = ~np.eye(n, dtype=bool)
-        if exact_rows is not None:
-            E = np.array(exact_rows, dtype=object)
-            sets = (E[:, None, :] > E[None, :, :])[off_diagonal].astype(bool)
-            keep, self._pair_set = _distinct_rows(sets)
+        exact = exact_rows is not None
+        sets = yatracos_sets(np.array(exact_rows, dtype=object) if exact else self.M)
+        keep, self._pair_set = _distinct_rows(sets)
+        if exact:
             self.A = sets[keep].astype(float)
             self.PA_exact = [
                 [sum((row[z] for z in np.flatnonzero(a)), start=Fraction(0)) for a in self.A]
                 for row in exact_rows
             ]
         else:
-            # strict ">" with a tie guard: float tables of genuinely equal
-            # masses can differ by rounding, which would flip set membership
-            sets = (self.M[:, None, :] > self.M[None, :, :] + 1e-12)[off_diagonal]
             PA = self.M @ sets.T  # (members, pairs)
-            keep, self._pair_set = _distinct_rows(sets)
             # a pair whose masses round unlike those of its set's first pair
             # keeps a column of its own, after the distinct sets
             odd = np.flatnonzero((PA != PA[:, keep[self._pair_set]]).any(axis=0))

@@ -71,28 +71,6 @@ class TabularPrior:
             raise ValueError("prior does not carry exact masses")
         return self.exact[self.space.index_of(h)]
 
-    def to_table_text(self) -> str:
-        """One line per concept: ``mask<TAB>mass`` (exact masses as p/q)."""
-        lines = []
-        for i, c in enumerate(self.space.concepts):
-            val = str(self.exact[i]) if self.exact is not None else repr(float(self.mass[i]))
-            lines.append(f"{c.mask}\t{val}")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_table_text(text: str, space: ConceptSpace) -> "TabularPrior":
-        entries: dict[int, Fraction] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            mask_s, mass_s = line.split("\t")
-            entries[int(mask_s)] = Fraction(mass_s)
-        exact = [entries.get(c.mask, Fraction(0)) for c in space.concepts]
-        if all(x.denominator < 10**15 for x in exact) and sum(exact) == 1:
-            return TabularPrior(space, None, exact=exact)
-        return TabularPrior(space, [float(x) for x in exact])
-
 
 def point_mass(space: ConceptSpace, h: Concept | int, exact: bool = False) -> TabularPrior:
     idx = space.index_of(h)
@@ -391,6 +369,14 @@ def total_variation(p: TabularPrior, q: TabularPrior):
             (abs(a - b) for a, b in zip(p.exact, q.exact)), start=Fraction(0)
         ) / 2
     return float(np.abs(p.mass - q.mass).sum() / 2.0)
+
+
+def tv_matrix(masses) -> np.ndarray:
+    """TV distances between every pair of rows of a (members, support)
+    float mass table, summed as `total_variation` sums one pair: one
+    vectorised pass per row, so memory stays at one table."""
+    W = np.asarray(masses, dtype=float)
+    return np.stack([np.abs(w - W).sum(axis=1) for w in W]) / 2.0
 
 
 @dataclass

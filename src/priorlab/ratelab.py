@@ -25,6 +25,7 @@ from .concepts import DataDistribution, d_subsets, enumerate_concepts, uniform_d
 from .estimators import (
     DirectEstimator,
     SkeletonEstimator,
+    _as_fraction,
     coin_floor,
     exact_bayes_error,
     reduce_to_signs,
@@ -34,7 +35,7 @@ from .priors import (
     SmoothPriorParams,
     point_mass,
     parity_family,
-    total_variation,
+    tv_matrix,
 )
 from .sampling import Tasks, sample_arrays, stream
 
@@ -150,9 +151,7 @@ def build_setup(config: ExperimentConfig) -> Setup:
     # truth ids index params_list and the cover alike
     cover = CoverFamily(members, 0.0)
     est = SkeletonEstimator(cover, dist, config.samples_per_task)
-    tvm = np.array(
-        [[float(total_variation(a, b)) for b in cover.members] for a in cover.members]
-    )
+    tvm = tv_matrix(np.stack([p.mass for p in cover.members]))
     setup = Setup(space, dist, members, params_list, est, truth_ids, tvm)
     _SETUP_CACHE[config.key()] = setup
     return setup
@@ -449,7 +448,7 @@ def coin_bound_table(gammas, ns) -> list[tuple]:
     well defined there, and the acceptance grid ends at 1/2."""
     rows = []
     for gamma in gammas:
-        g = Fraction(str(gamma)) if not isinstance(gamma, Fraction) else gamma
+        g = _as_fraction(gamma)
         if not 0 < g <= Fraction(1, 2):
             raise ValueError(f"gamma {gamma} outside (0, 1/2]")
         for n in ns:

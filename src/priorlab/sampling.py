@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .concepts import ConceptSpace, DataDistribution, d_subsets
+from .concepts import ConceptSpace, DataDistribution, categorical_draw, d_subsets
 from .priors import SmoothPriorParams, TabularPrior
 
 
@@ -284,8 +284,7 @@ def sample_arrays(
     else:
         if source.space is not space and not np.array_equal(source.space.masks, space.masks):
             raise ValueError("prior built for a different concept space")
-        cum = np.cumsum(source.mass)
-        idx = np.minimum(np.searchsorted(cum, rng.random(T), side="right"), len(space) - 1)
+        idx = categorical_draw(np.cumsum(source.mass)[:-1], rng.random(T))
     xs = dist.inverse_cdf(rng.random((T, k)))
     table = _digit_table(m, space_masks)
     rows = idx * m - 1

@@ -302,3 +302,68 @@ def test_console_entrypoint_runs():
     )
     assert rc.returncode == 0
     assert "priorlab" in rc.stdout
+
+
+LEMMAS_OK = "m = 3\nd = 2\nk_max = 3\npairs = 2\n"
+RATES_OK = "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10,20\n"
+
+
+@pytest.mark.parametrize(
+    "subcommand, text, key",
+    [
+        # each of these ran nothing, then reported rows=0 violations=0 all_pass=True
+        ("coinbound", "n_max = -1\n", "'n_max'"),
+        ("coinbound", "gammas =\n", "'gammas'"),
+        ("smoothness", "m_max = 1\n", "'m_max'"),
+        ("smoothness", "d_max = 0\n", "'d_max'"),
+        ("smoothness", "signs_per_instance = 0\n", "'signs_per_instance'"),
+        ("smoothness", "L_list =\n", "'L_list'"),
+        # each of these wrote manifest.txt, then failed deep inside the run
+        ("lemmas", "m = 3\nd = 2\nk_max = 1\n", "'k_max'"),
+        ("lemmas", "m = 2\nd = 3\nk_max = 3\n", "'d'"),
+        ("lemmas", "m = 3\nd = 0\n", "'d'"),
+        ("cover-info", "m = 2\nd = 3\n", "'d'"),
+        ("rates", RATES_OK.replace("d = 2", "d = 4"), "'d'"),
+        ("elicit", ELICIT_TINY + "family_seed = -1\n", "'family_seed'"),
+        # this one silently ran zero pairs
+        ("lemmas", LEMMAS_OK.replace("pairs = 2", "pairs = -2"), "'pairs'"),
+    ],
+)
+def test_config_without_work_rejected_before_output(tmp_path, capsys, subcommand, text, key):
+    out = tmp_path / "out"
+    assert dispatch(subcommand, write_config(tmp_path, "c.cfg", text), 0, out) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_lemmas_accepts_zero_pairs(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "c.cfg", LEMMAS_OK.replace("pairs = 2", "pairs = 0"))
+    assert dispatch("lemmas", cfg, 0, out) == 0
+    assert "all_pass=True" in (out / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "subcommand, text",
+    [("rates", RATES_OK), ("elicit", ELICIT_TINY), ("coinbound", "n_max = 3\n")],
+)
+def test_negative_seed_rejected_before_output(tmp_path, capsys, subcommand, text):
+    out = tmp_path / "out"
+    assert dispatch(subcommand, write_config(tmp_path, "c.cfg", text), -1, out) == 1
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected_before_output(tmp_path, capsys, workers):
+    cfg = write_config(tmp_path, "c.cfg", "n_max = 3\n")
+    out = tmp_path / "out"
+    assert dispatch("coinbound", cfg, 0, out, workers=workers) == 1
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+    argv = ["coinbound", "--config", str(cfg), "--out", str(out), f"--workers={workers}"]
+    assert main(argv) == 1
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()

@@ -18,6 +18,7 @@ from priorlab.estimators import (
     majority_rule,
     reduce_to_signs,
     yatracos_scores,
+    yatracos_sets,
 )
 from priorlab.outcomes import DEFAULT_BUDGET, exact_outcome_dist, tv
 from priorlab.priors import (
@@ -374,6 +375,27 @@ def test_distinct_sets_match_all_pairs_exact_m3():
     _assert_matches_oracle(
         est._md, oracle, vectors, [q for q, _ in truths], [qe for _, qe in truths]
     )
+
+
+def test_yatracos_sets_match_the_float_and_fraction_rules():
+    _, members = parity_family(SP32, 1.0, 1.0, exact=True)
+    est = SkeletonEstimator(cover_of_family(members, 0.0), D3, 2, exact=True)
+    rows = [[od.exact.get(z, Fraction(0)) for z in est.support] for od in est.outcome_dists]
+    # floats: a strict ">" with a 1e-12 guard; the two added rows sit just
+    # inside and just outside the guard above the first
+    M = np.array([[float(x) for x in row] for row in rows])
+    M = np.vstack([M, M[0] + 5e-13, M[0] + 5e-12])
+    off = ~np.eye(len(M), dtype=bool)
+    got = yatracos_sets(M)
+    assert got.dtype == bool
+    assert np.array_equal(got, (M[:, None, :] > M[None, :, :] + 1e-12)[off])
+    # Fractions: literal, so a gap far inside the float guard still counts
+    E = np.array(rows + [[x + Fraction(1, 10**13) for x in rows[0]]], dtype=object)
+    off = ~np.eye(len(E), dtype=bool)
+    got = yatracos_sets(E)
+    assert got.dtype == bool
+    assert np.array_equal(got, (E[:, None, :] > E[None, :, :])[off].astype(bool))
+    assert not np.array_equal(got, yatracos_sets(E.astype(float)))
 
 
 def test_distinct_sets_one_member_and_identical_members():

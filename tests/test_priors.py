@@ -17,7 +17,6 @@ from priorlab.priors import (
     density_table,
     holder_check,
     point_mass,
-    random_prior,
     reference_prior,
     smooth_prior,
     smooth_projection,
@@ -317,19 +316,6 @@ def test_cover_priors_budget_and_validation():
         cover_priors(sp, 1.0, 1.0, 0.05, budget=10)
     with pytest.raises(ValueError):
         cover_priors(sp, 1.0, 1.0, 0.0)
-
-
-def test_serialization_roundtrip():
-    sp = enumerate_concepts(3, 2)
-    pb = smooth_prior(SmoothPriorParams((1, -1, 1), 1.0, 1.0, 3, 2), sp, exact=True)
-    text = pb.to_table_text()
-    back = TabularPrior.from_table_text(text, sp)
-    assert back.exact == pb.exact
-    # float tables round-trip through repr
-    rng = np.random.default_rng(11)
-    pr = random_prior(sp, rng)
-    back = TabularPrior.from_table_text(pr.to_table_text(), sp)
-    assert np.allclose(back.mass, pr.mass, atol=1e-15)
 
 
 def test_tabular_prior_validation():

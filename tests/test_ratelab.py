@@ -5,7 +5,7 @@ import pytest
 
 from priorlab.concepts import enumerate_concepts, uniform_distribution
 from priorlab.estimators import SkeletonEstimator
-from priorlab.priors import CoverFamily, reference_prior
+from priorlab.priors import CoverFamily, reference_prior, total_variation
 from priorlab.ratelab import (
     BASELINE_CSV_HEADER,
     RATE_CSV_HEADER,
@@ -210,3 +210,19 @@ def test_coin_bound_table():
         coin_bound_table([0.6], [1])
     with pytest.raises(ValueError):
         coin_bound_table([0.2], [-1])
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig(m=3, d=2, T_grid=(10,)),
+        ExperimentConfig(m=4, d=2, T_grid=(10,)),
+        ExperimentConfig(m=4, d=3, T_grid=(10,)),
+        ExperimentConfig(m=3, d=2, family="twopoint", T_grid=(10,)),
+    ],
+    ids=["parity-3-2", "parity-4-2", "parity-4-3", "twopoint"],
+)
+def test_setup_tv_matrix_matches_pairwise_total_variation(config):
+    setup = build_setup(config)
+    expected = np.array([[float(total_variation(a, b)) for b in setup.members] for a in setup.members])
+    assert np.array_equal(setup.tv_matrix, expected)

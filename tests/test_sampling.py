@@ -12,6 +12,7 @@ from priorlab.concepts import (
     enumerate_concepts,
     uniform_distribution,
 )
+from priorlab.elicitation import SatisfactionFunction, ValuationPriorFamily, log2_pdim_bound
 from priorlab.priors import (
     SmoothPriorParams,
     TabularPrior,
@@ -147,24 +148,38 @@ class QueuedUniforms:
     ids=["tenths", "zero-weight-point"],
 )
 def test_point_draws_match_searchsorted(weights):
+    def uniforms_and_expected(cum):
+        # 0.0, every threshold and its two neighbours, and the largest uniform
+        u = np.concatenate([
+            [0.0], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), [1.0 - 2.0**-53],
+        ])
+        u = u[u < 1.0]
+        index = np.searchsorted(cum, u, side="right")
+        assert cum[-1] < 1.0 and (index == len(cum)).any()  # some draws need the clip
+        return u, np.minimum(index, len(cum) - 1)
+
     dist = DataDistribution(weights)
     m = dist.m
-    cum = np.cumsum(weights)
-    assert cum[-1] < 1.0  # the clip to m is reached
-    u = np.concatenate([
-        [0.0], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), [1.0 - 2.0**-53],
-    ])
-    u = u[u < 1.0]
-    expected = np.minimum(np.searchsorted(cum, u, side="right") + 1, m)
-    assert (np.searchsorted(cum, u, side="right") == m).any()  # some draws need the clip
-    assert np.array_equal(dist.inverse_cdf(u), expected)
+    u, expected = uniforms_and_expected(np.cumsum(weights))
+    assert np.array_equal(dist.inverse_cdf(u), expected + 1)
     # bulk path: a concept draw of T uniforms, then the (T, k) point draw
     space = enumerate_concepts(m, 1)
     rng = QueuedUniforms(np.zeros(len(u)), u.reshape(-1, 1))
     tasks = sample_arrays(uniform_prior(space), space, dist, len(u), 1, rng)
     xs, ys = tasks.xs, tasks.ys
     assert not rng.draws
-    assert xs.dtype == np.int64 and np.array_equal(xs[:, 0], expected)
+    assert xs.dtype == np.int64 and np.array_equal(xs[:, 0], expected + 1)
+    # the tabular prior's concept draw, with a cumsum that ends below 1
+    prior = TabularPrior(space, (0.0,) + weights)
+    u, expected = uniforms_and_expected(np.cumsum(prior.mass))
+    rng = QueuedUniforms(u, np.zeros((len(u), 1)))
+    assert np.array_equal(sample_arrays(prior, space, dist, len(u), 1, rng).concepts, expected)
+    # an elicitation member's function draw, in bulk and one at a time
+    functions = [SatisfactionFunction((i / 100, 0.0)) for i in range(m)]
+    family = ValuationPriorFamily(functions, [weights], log2_pdim_bound(functions))
+    u, expected = uniforms_and_expected(np.cumsum(weights))
+    assert np.array_equal(family.function_index(0, u), expected)
+    assert [int(family.function_index(0, x)) for x in u.tolist()] == expected.tolist()
 
 
 def test_parity_tables_built_once_per_space():
