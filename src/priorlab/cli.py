@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import os
 import platform
 import sys
@@ -48,7 +49,9 @@ from .priors import (
     random_prior,
     reference_prior,
     smooth_prior,
+    PARITY_RULE,
     parity_family,
+    parity_gamma,
 )
 from .ratelab import (
     BASELINE_CSV_HEADER,
@@ -332,8 +335,8 @@ def cmd_smoothness(config: dict, seed: int, outdir: Path, workers: int, exact: b
             dist = uniform_distribution(m)
             for L in config["L_list"]:
                 for alpha in config["alpha_list"]:
-                    gamma = (L / 2.0) * (1.0 / m) ** alpha
-                    if not 0 < gamma < 0.5:
+                    gamma = parity_gamma(L, alpha, m)
+                    if gamma is None:
                         continue  # rejected parameterization
                     use_exact = exact and float(alpha).is_integer()
                     for _ in range(config["signs_per_instance"]):
@@ -369,7 +372,7 @@ def _elicit_stream(payload):
     """Serve one customer stream, write its ledger, return (regrets, tail avg, exceedance)."""
     path, cache, *args = payload
     res = run_algorithm1(*args, cache=cache)
-    write_csv(path, LEDGER_CSV_HEADER, [r.csv_row() for r in res.rows])
+    write_csv(path, LEDGER_CSV_HEADER, res.rows)
     # a float array, not a list of floats: every stream's regrets are kept
     return np.array([r.regret for r in res.rows]), res.tail_query_avg, res.exceedance_rate
 
@@ -392,10 +395,17 @@ def _experiment_config(config: dict, seed: int) -> ExperimentConfig:
     )
 
 
+def _check_each(config: dict, key: str, ok, rule: str) -> None:
+    bad = [v for v in config[key] if not ok(v)]
+    if bad:
+        raise ValueError(f"config key {key!r} values must {rule}, got {bad[0]!r}")
+
+
 # the least value of each count key a run can report on: below it a
 # subcommand runs nothing, or nothing it can check
 _MINIMUMS = {
     "coinbound": {"n_max": 0},
+    "cover-info": {"budget": 1},
     "lemmas": {"pairs": 0},
     "smoothness": {"m_max": 2, "d_max": 1, "signs_per_instance": 1},
     "elicit": {
@@ -406,18 +416,31 @@ _MINIMUMS = {
 
 def _check_config(subcommand: str, config: dict) -> None:
     """Reject values a run cannot run or report on, naming the key: an
-    empty table would read as a pass, and a concept space needs
-    1 <= d <= m."""
+    empty table would read as a pass, a concept space needs 1 <= d <= m,
+    and a parity-family member needs gamma_m in (0, 1/2)."""
     for key, least in _MINIMUMS.get(subcommand, {}).items():
         if config[key] < least:
             raise ValueError(f"config key {key!r} must be >= {least}, got {config[key]}")
-    for key in ("gammas", "L_list", "alpha_list"):
+    for key in ("gammas", "L_list", "alpha_list", "epsilons"):
         if key in config and not config[key]:
             raise ValueError(f"config key {key!r} must list at least one value")
     if "d" in config and not 1 <= config["d"] <= config["m"]:
         raise ValueError(f"config key 'd' must lie in 1..m = {config['m']}, got {config['d']}")
     if subcommand == "lemmas" and config["k_max"] < config["d"]:
         raise ValueError(f"config key 'k_max' must be >= d = {config['d']}, got {config['k_max']}")
+    if subcommand == "coinbound":
+        _check_each(config, "gammas", lambda g: 0 < g <= 0.5, "lie in (0, 1/2]")
+    if subcommand == "smoothness":
+        _check_each(config, "L_list", lambda L: L > 0, "be > 0")
+        _check_each(config, "alpha_list", lambda a: 0 < a <= 1, "lie in (0, 1]")
+        ms = range(2, config["m_max"] + 1)
+        grid = itertools.product(ms, config["L_list"], config["alpha_list"])
+        if all(parity_gamma(L, alpha, m) is None for m, L, alpha in grid):
+            raise ValueError(f"config keys 'L_list' and 'alpha_list' fit no m <= 'm_max': {PARITY_RULE}")
+    if subcommand == "cover-info":
+        _check_each(config, "epsilons", lambda eps: eps > 0, "be > 0")
+        if parity_gamma(config["L"], config["alpha"], config["m"]) is None:
+            raise ValueError(f"config keys 'L' and 'alpha' at m = {config['m']}: {PARITY_RULE}")
     if subcommand != "elicit":
         return
     if not 0 < config["epsilon"] < 2:

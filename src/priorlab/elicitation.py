@@ -11,15 +11,19 @@ the sequential loop that stitches them together.
 
 No query decision feeds back into the task draws or the estimator, so
 estimation runs in bulk from pre-drawn streams: all customers of a stream
-are drawn first, one batch yields their pair indicators and prefix
-counts, and only the query strategy runs customer by customer.  Customer
-t keeps its own streams `stream(seed, t, purpose)`; their first outputs
-are computed for all customers at once by `sampling.stream_raw`.
+are drawn first, and one batch yields their pair indicators and prefix
+counts.  A customer is plain data, its function index and the set of
+bundles it has answered.  The prior-free branch queries every bundle and
+its ledger row is closed-form, so only the prior-aware branch runs
+customer by customer.  Customer t keeps its own streams
+`stream(seed, t, purpose)`; their first outputs are computed for all
+customers at once by `sampling.stream_raw`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 from math import comb, factorial
 
@@ -168,30 +172,11 @@ class ValuationPriorFamily:
         return idx if size is not None else int(idx)
 
 
-class ValueOracle:
-    """Answers value queries for one customer; repeats are served from the
-    cache so no bundle is ever asked twice."""
-
-    def __init__(self, func: SatisfactionFunction):
-        self._func = func
-        self.known: dict[int, float] = {}
-        self.asked: list[int] = []
-
-    def ask(self, bundle: int) -> float:
-        if bundle not in self.known:
-            self.asked.append(bundle)
-            self.known[bundle] = self._func.values[bundle]
-        return self.known[bundle]
-
-    @property
-    def count(self) -> int:
-        return len(self.asked)
-
-
-def method_A_prime(oracle: ValueOracle, n_bundles: int) -> int:
-    """Prior-free strategy: query every bundle, return the exact argmax
-    (ties to the lowest bundle index); its regret is 0."""
-    return max(range(n_bundles), key=oracle.ask)
+def method_A_prime(values) -> int:
+    """Prior-free strategy: query every bundle of a satisfaction table,
+    return the exact argmax (ties to the lowest bundle index); its regret
+    is 0."""
+    return int(np.argmax(values))
 
 
 class _PosteriorCache:
@@ -250,25 +235,24 @@ class _PosteriorCache:
         return out
 
 
-@dataclass
-class QueryOutcome:
-    bundle: int
-    queries: int
-    fallback: bool
+QueryOutcome = namedtuple("QueryOutcome", "bundle queries fallback")
 
 
 def method_A(
     member: int,
     family: ValuationPriorFamily,
     epsilon: float,
-    oracle: ValueOracle,
+    f: int,
+    known=(),
     cache: _PosteriorCache | None = None,
 ) -> QueryOutcome:
-    """Prior-aware strategy: track the posterior over the member's support
-    given every answered query; stop once the posterior-optimal bundle has
-    posterior-expected regret <= epsilon, otherwise query the unqueried
-    bundle with the greatest one-step expected-regret reduction (ties to
-    the lowest bundle index).
+    """Prior-aware strategy for a customer with function index `f` who has
+    already answered the bundles in `known`: track the posterior over the
+    member's support given every answer; stop once the posterior-optimal
+    bundle has posterior-expected regret <= epsilon, otherwise query the
+    unanswered bundle with the greatest one-step expected-regret reduction
+    (ties to the lowest bundle index).  `queries` counts the new queries
+    only.
 
     If an answer is inconsistent with the whole support (possible only when
     the surrogate prior is wrong about the support), fall back to exhaustive
@@ -278,28 +262,29 @@ def method_A(
         raise ValueError("epsilon must be positive")
     cache = cache or _PosteriorCache(family)
     n_bundles = family.n_bundles
-    start_queries = oracle.count
+    values = family.functions[f].values
+    known = set(known)
+    cons = cache.support[member]  # the support functions consistent with every answer
+    for x in known:
+        cons &= cache.agree[x].get(values[x], 0)
+    queries = 0
     while True:
-        cons = cache.support[member]  # the support functions consistent with every answer
-        for x, v in oracle.known.items():
-            cons &= cache.agree[x].get(v, 0)
         state = cache.get(member, cons) if cons else None
         if state is None:
-            x_hat = method_A_prime(oracle, n_bundles)
-            return QueryOutcome(x_hat, oracle.count - start_queries, fallback=True)
+            # the prior-free pick asks every bundle not yet answered
+            return QueryOutcome(method_A_prime(values), queries + n_bundles - len(known), True)
         means, exp_max, regret0, phi = state
-        if regret0 <= epsilon + 1e-12 or len(oracle.known) == n_bundles:
-            return QueryOutcome(int(np.argmax(means)), oracle.count - start_queries, False)
+        if regret0 <= epsilon + 1e-12 or len(known) == n_bundles:
+            return QueryOutcome(int(np.argmax(means)), queries, False)
         gain = phi.copy()
-        gain[list(oracle.known)] = -np.inf
-        oracle.ask(int(np.argmax(gain)))
+        gain[list(known)] = -np.inf
+        x = int(np.argmax(gain))
+        known.add(x)
+        queries += 1
+        cons &= cache.agree[x].get(values[x], 0)
 
 
-@dataclass
-class QEstimate:
-    mean: float
-    se: float
-    trials: int
+QEstimate = namedtuple("QEstimate", "mean se")
 
 
 def estimate_Q(
@@ -320,10 +305,9 @@ def estimate_Q(
     f_idx = family.function_index(member, raw_random(stream_raw(seed, keys, 1)[:, 0]))
     counts = np.empty(trials)
     for r, f in enumerate(f_idx.tolist()):
-        oracle = ValueOracle(family.functions[f])
-        counts[r] = method_A(member, family, epsilon, oracle, cache).queries
+        counts[r] = method_A(member, family, epsilon, f, (), cache).queries
     se = float(counts.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return QEstimate(float(counts.mean()), se, trials)
+    return QEstimate(float(counts.mean()), se)
 
 
 class FamilyOutcomeModel:
@@ -421,25 +405,20 @@ class FamilyOutcomeModel:
 
 
 class SequentialSelector:
-    """Running minimum-distance selection over the family as tasks arrive;
-    integer prefix counts (row t: the first t tasks) let the selection
-    after any earlier task count be read back."""
+    """Minimum-distance selection over the family after each prefix of a
+    (T, d) batch of tasks; integer prefix counts (row t: the first t tasks)
+    let the selection after any task count be read back."""
 
-    def __init__(self, model: FamilyOutcomeModel):
+    def __init__(self, model: FamilyOutcomeModel, xs, values):
         self.model = model
-        self.counts = np.zeros((1, len(model.pairs)), dtype=np.int32)
+        ind = model.observation_indicators(xs, values)
+        self.counts = np.zeros((len(ind) + 1, len(model.pairs)), dtype=np.int32)
+        np.cumsum(ind, axis=0, out=self.counts[1:])
 
-    def update(self, xs, values) -> None:
-        """Add one task ((d,) points and values) or a (T, d) batch."""
-        ind = np.atleast_2d(self.model.observation_indicators(xs, values))
-        t = len(self.counts) - 1
-        self.counts = np.concatenate([self.counts, ind])
-        np.cumsum(self.counts[t:], axis=0, out=self.counts[t:])
-
-    def selected(self, t=None):
-        """The member selected after the first t tasks (default: all seen),
-        or an array of them for an array of t; member 0 before any task."""
-        ts = np.atleast_1d(len(self.counts) - 1 if t is None else t)
+    def selected(self, ts) -> np.ndarray:
+        """The member selected after the first t tasks, for each t in `ts`;
+        member 0 before any task."""
+        ts = np.asarray(ts)
         picks = np.zeros(len(ts), dtype=np.int64)
         # score a chunk of task counts at a time: (chunk, members, pairs) floats
         step = max(1, (1 << 14) // max(self.model.G.size, 1))
@@ -447,7 +426,7 @@ class SequentialSelector:
             tt = ts[lo : lo + step]
             scores = yatracos_scores(self.model.G, self.counts[tt] / np.maximum(tt, 1)[:, None])
             picks[lo : lo + step] = np.where(tt > 0, scores.argmin(axis=1), 0)
-        return picks if np.ndim(t) else int(picks[0])
+        return picks
 
 
 @dataclass
@@ -485,8 +464,7 @@ def _simulate_errors(
     T_max = T_grid[-1]
     f_idx = family.sample_function(truth, rng, size=T_max)
     xs = rng.integers(0, family.n_bundles, size=(T_max, family.d))
-    sel = SequentialSelector(model)
-    sel.update(xs, family.S[f_idx[:, None], xs])
+    sel = SequentialSelector(model, xs, family.S[f_idx[:, None], xs])
     return [float(e) for e in family.tv_matrix[truth, sel.selected(T_grid)]]
 
 
@@ -540,33 +518,19 @@ def calibrate_schedule(
     )
 
 
-@dataclass
-class LedgerRow:
-    t: int
-    branch: str
-    queries: int
-    regret: float
-    theta_check: int  # surrogate member index, -1 on the prior-free branch
-    R_used: float
-    asked: tuple[int, ...]
-    exceeded: bool
-    fallback: bool
-
-    def csv_row(self) -> tuple:
-        return (self.t, self.branch, self.queries, self.regret, self.theta_check, self.R_used)
+# one served customer; theta_check is the surrogate member, -1 on the
+# prior-free branch
+LedgerRow = namedtuple("LedgerRow", LEDGER_CSV_HEADER)
 
 
 @dataclass
 class RunResult:
     rows: list[LedgerRow]
-    truth: int
-    epsilon: float
     mean_regret: float
     regret_se: float
     tail_query_avg: float
-    tail_len: int
     exceedance_rate: float
-    fallbacks: int
+    fallbacks: int  # prior-aware customers served by the prior-free fallback
 
 
 def draw_customers(family: ValuationPriorFamily, truth: int, T: int, seed: int):
@@ -598,7 +562,9 @@ def run_algorithm1(
     run the prior-free method while the radius is still coarse
     (R(t-1, eps/2) > eps/8) or pick the cheapest surrogate member in the
     ball around the current estimate and run the prior-aware method at
-    eps/4 accuracy.  A shared `cache` may serve several runs on one family."""
+    eps/4 accuracy.  A prior-free row is closed-form: every bundle is
+    asked once and the exact argmax has regret 0.  A shared `cache` may
+    serve several runs on one family."""
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")
     if T < 1:
@@ -608,10 +574,8 @@ def run_algorithm1(
     n_bundles = family.n_bundles
     f_idx, xs = draw_customers(family, truth, T, seed)
     # customer t is served with the estimate and the radius after t - 1 tasks
-    sel = SequentialSelector(model)
-    sel.update(xs, family.S[f_idx[:, None], xs])
+    sel = SequentialSelector(model, xs, family.S[f_idx[:, None], xs])
     theta_hats = sel.selected(np.arange(T))
-    del sel  # its prefix counts are not needed while serving
     knots = np.searchsorted(schedule.knots, np.arange(T), side="right") - 1
     exceeded = family.tv_matrix[truth, theta_hats] > np.asarray(schedule.R)[knots]
     # the cheapest surrogate in the ball of each knot's radius around each member
@@ -621,39 +585,29 @@ def run_algorithm1(
     top = family.S.max(axis=1)
     cache = cache or _PosteriorCache(family)
     rows: list[LedgerRow] = []
+    fallbacks = 0
     for t, f, points, theta_hat, knot in zip(
         range(1, T + 1), f_idx.tolist(), xs.tolist(), theta_hats.tolist(), knots.tolist()
     ):
-        oracle = ValueOracle(family.functions[f])
-        for x in points:
-            oracle.ask(x)
         R_used = schedule.R[knot]
         if R_used > epsilon / 8.0:
-            branch, theta_check, fallback = "Aprime", -1, False
-            x_hat = method_A_prime(oracle, n_bundles)
-        else:
-            branch, theta_check = "A", theta_checks[theta_hat][knot]
-            out = method_A(theta_check, family, epsilon / 4.0, oracle, cache)
-            x_hat, fallback = out.bundle, out.fallback
-        regret = float(top[f] - family.S[f, x_hat])
-        rows.append(LedgerRow(
-            t, branch, oracle.count, regret, theta_check, R_used,
-            tuple(oracle.asked), bool(exceeded[t - 1]), fallback,
-        ))
+            rows.append(LedgerRow(t, "Aprime", n_bundles, 0.0, -1, R_used))
+            continue
+        theta_check = theta_checks[theta_hat][knot]
+        out = method_A(theta_check, family, epsilon / 4.0, f, points, cache)
+        fallbacks += out.fallback
+        regret = float(top[f] - family.S[f, out.bundle])
+        rows.append(LedgerRow(t, "A", len(set(points)) + out.queries, regret, theta_check, R_used))
 
     regrets = np.array([r.regret for r in rows])
     tail = tail_len if tail_len is not None else max(1, T // 4)
-    tail_rows = rows[-tail:]
     return RunResult(
         rows,
-        truth,
-        epsilon,
         float(regrets.mean()),
         float(regrets.std(ddof=1) / np.sqrt(len(regrets))) if len(regrets) > 1 else 0.0,
-        float(np.mean([r.queries for r in tail_rows])),
-        tail,
-        float(np.mean([r.exceeded for r in rows])),
-        sum(r.fallback for r in rows),
+        float(np.mean([r.queries for r in rows[-tail:]])),
+        float(exceeded.mean()),
+        fallbacks,
     )
 
 

@@ -29,6 +29,7 @@ from .errors import AbsoluteContinuityError, BudgetError
 MASS_TOL = 1e-12
 PARITY_BUDGET = 4096  # largest parity family built: 2^C(m,d) members
 HOLDER_SLACK = 1e-12
+PARITY_RULE = "need L > 0, alpha in (0, 1] and gamma_m = (L/2)(1/m)^alpha in (0, 1/2)"
 
 
 class TabularPrior:
@@ -106,6 +107,13 @@ def reference_prior(space: ConceptSpace, exact: bool = False) -> TabularPrior:
     return TabularPrior(space, [float(x) for x in exact_mass])
 
 
+def parity_gamma(L: float, alpha: float, m: int) -> float | None:
+    """The parity family's smoothing scale gamma_m on m points, or None
+    where the family has no member (PARITY_RULE)."""
+    gamma = (L / 2.0) * (1.0 / m) ** alpha
+    return gamma if 0 < L and 0 < alpha <= 1 and 0 < gamma < 0.5 else None
+
+
 def _exact_gamma(L, alpha, m: int) -> Fraction:
     if float(alpha) != int(alpha):
         raise ValueError(f"exact mode needs an integer alpha, got {alpha}")
@@ -136,11 +144,9 @@ class SmoothPriorParams:
             )
         if any(x not in (-1, 1) for x in self.b):
             raise ValueError("b entries must be -1 or +1")
-        if not (0 < self.L and 0 < self.alpha <= 1):
-            raise ValueError("need L > 0 and alpha in (0, 1]")
-        gamma = (self.L / 2.0) * (1.0 / self.m) ** self.alpha
-        if not 0 < gamma < 0.5:
-            raise ValueError(f"gamma_m = {gamma!r} outside (0, 1/2)")
+        gamma = parity_gamma(self.L, self.alpha, self.m)
+        if gamma is None:
+            raise ValueError(f"L={self.L!r}, alpha={self.alpha!r}, m={self.m}: {PARITY_RULE}")
         object.__setattr__(self, "gamma_m", gamma)
 
     def exact_gamma(self) -> Fraction:

@@ -22,6 +22,7 @@ from math import comb, exp
 import numpy as np
 
 from .concepts import DataDistribution, d_subsets, enumerate_concepts, uniform_distribution
+from .errors import BudgetError
 from .estimators import (
     DirectEstimator,
     SkeletonEstimator,
@@ -30,11 +31,14 @@ from .estimators import (
     exact_bayes_error,
     reduce_to_signs,
 )
+from .outcomes import DEFAULT_BUDGET
 from .priors import (
     CoverFamily,
+    PARITY_RULE,
     SmoothPriorParams,
     point_mass,
     parity_family,
+    parity_gamma,
     tv_matrix,
 )
 from .sampling import Tasks, sample_arrays, stream
@@ -89,12 +93,22 @@ class ExperimentConfig:
         if self.family == "twopoint" and self.m < 3:
             # the two point masses sit on points 1 and 2, the rest of D on 3..m
             raise ValueError(f"the twopoint family needs m >= 3, got m={self.m}")
-        if not self.T_grid or list(self.T_grid) != sorted(set(self.T_grid)):
-            raise ValueError("T_grid must be strictly increasing")
+        if self.family == "parity" and parity_gamma(self.L, self.alpha, self.m) is None:
+            raise ValueError(f"'L' = {self.L}, 'alpha' = {self.alpha} at m = {self.m}: {PARITY_RULE}")
+        if self.family == "twopoint" and not 0 <= self.twopoint_weight <= 0.5:
+            # the two point masses weigh w each, the other m - 2 points share 1 - 2w
+            raise ValueError(f"'twopoint_weight' must lie in [0, 1/2], got {self.twopoint_weight!r}")
+        if not self.T_grid or self.T_grid[0] < 1 or list(self.T_grid) != sorted(set(self.T_grid)):
+            raise ValueError(f"'T_grid' must be strictly increasing with T >= 1, got {self.T_grid}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.truth_count < 0:
+            raise ValueError(f"'truth_count' must be >= 0, got {self.truth_count}")
         if self.k is not None and self.k < self.d:
             raise ValueError("k must be at least d")
+        codes = (2 * self.m) ** self.samples_per_task
+        if codes > DEFAULT_BUDGET:
+            raise BudgetError(f"'k': (2m)^k = {codes} exceeds the budget of {DEFAULT_BUDGET}")
 
     @property
     def samples_per_task(self) -> int:

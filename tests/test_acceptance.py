@@ -20,7 +20,9 @@ from priorlab.concepts import (
 )
 from priorlab.elicitation import (
     FamilyOutcomeModel,
+    _PosteriorCache,
     calibrate_schedule,
+    draw_customers,
     estimate_Q,
     presence_family,
     run_algorithm1,
@@ -47,6 +49,8 @@ from priorlab.ratelab import (
     run_lower_experiment,
 )
 from priorlab.sampling import sample_arrays, stream
+
+from elicitation_reference import ValueOracle, oracle_method_A
 
 
 def report(n, name, ok, detail=""):
@@ -360,6 +364,7 @@ def test_criterion_9_elicitation_suite():
     ]
     regrets = []
     ok_dup = ok_tail = ok_exceed = True
+    cache = _PosteriorCache(family)
     for rep in range(n_streams):
         truth = rep % family.n_members
         res = run_algorithm1(
@@ -367,7 +372,18 @@ def test_criterion_9_elicitation_suite():
             seed=2000 + rep, q_table=q_table, tail_len=tail,
         )
         regrets.extend(r.regret for r in res.rows)
-        ok_dup &= all(len(set(r.asked)) == len(r.asked) for r in res.rows)
+        # replay every prior-aware customer through the logging reference
+        # oracle: no bundle asked twice, and the ledger counts every ask
+        f_idx, xs = draw_customers(family, truth, T, 2000 + rep)
+        for r, f, points in zip(res.rows, f_idx.tolist(), xs.tolist()):
+            if r.branch == "Aprime":
+                ok_dup &= r.queries == family.n_bundles
+                continue
+            oracle = ValueOracle(family.functions[f])
+            for x in points:
+                oracle.ask(x)
+            oracle_method_A(r.theta_check, family, eps / 4, oracle, cache)
+            ok_dup &= len(set(oracle.asked)) == len(oracle.asked) == r.queries
         ok_tail &= res.tail_query_avg <= q_table[truth] + family.d + 0.5
         ok_exceed &= res.exceedance_rate <= eps / 2
     reg = np.asarray(regrets)

@@ -306,6 +306,8 @@ def test_console_entrypoint_runs():
 
 LEMMAS_OK = "m = 3\nd = 2\nk_max = 3\npairs = 2\n"
 RATES_OK = "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10,20\n"
+COVER_OK = "m = 2\nd = 1\nL = 1.0\nalpha = 1.0\nepsilons = 0.5\n"
+SMOOTH_OK = "m_max = 3\nd_max = 1\nL_list = 1.0\nalpha_list = 1.0\nsigns_per_instance = 1\n"
 
 
 @pytest.mark.parametrize(
@@ -318,6 +320,9 @@ RATES_OK = "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10,20\n"
         ("smoothness", "d_max = 0\n", "'d_max'"),
         ("smoothness", "signs_per_instance = 0\n", "'signs_per_instance'"),
         ("smoothness", "L_list =\n", "'L_list'"),
+        ("cover-info", COVER_OK.replace("epsilons = 0.5", "epsilons ="), "'epsilons'"),
+        ("smoothness", SMOOTH_OK.replace("L_list = 1.0", "L_list = -1"), "'L_list'"),
+        ("smoothness", SMOOTH_OK.replace("L_list = 1.0", "L_list = 4,8"), "'L_list'"),
         # each of these wrote manifest.txt, then failed deep inside the run
         ("lemmas", "m = 3\nd = 2\nk_max = 1\n", "'k_max'"),
         ("lemmas", "m = 2\nd = 3\nk_max = 3\n", "'d'"),
@@ -325,6 +330,22 @@ RATES_OK = "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10,20\n"
         ("cover-info", "m = 2\nd = 3\n", "'d'"),
         ("rates", RATES_OK.replace("d = 2", "d = 4"), "'d'"),
         ("elicit", ELICIT_TINY + "family_seed = -1\n", "'family_seed'"),
+        ("rates", RATES_OK.replace("alpha = 1.0", "alpha = 2"), "'alpha'"),
+        ("rates", RATES_OK.replace("L = 1.0", "L = 0"), "'L'"),
+        ("rates", RATES_OK.replace("L = 1.0", "L = 8"), "'L'"),  # gamma_m = 4/3 at m = 3
+        ("rates", RATES_OK.replace("T_grid = 10,20", "T_grid = 0,10"), "'T_grid'"),
+        ("rates", RATES_OK + "truth_count = -1\n", "'truth_count'"),
+        ("rates", RATES_OK + "family = twopoint\ntwopoint_weight = 0.6\n", "'twopoint_weight'"),
+        ("lowerbound", RATES_OK.replace("alpha = 1.0", "alpha = 2"), "'alpha'"),
+        ("lowerbound", RATES_OK.replace("T_grid = 10,20", "T_grid = 0,10"), "'T_grid'"),
+        ("coinbound", "gammas = 0.7\n", "'gammas'"),
+        ("coinbound", "gammas = 0.25,0\n", "'gammas'"),
+        ("cover-info", COVER_OK.replace("alpha = 1.0", "alpha = 0"), "'alpha'"),  # was a traceback
+        ("cover-info", COVER_OK.replace("alpha = 1.0", "alpha = -1"), "'alpha'"),
+        ("cover-info", COVER_OK.replace("L = 1.0", "L = -1"), "'L'"),
+        ("cover-info", COVER_OK.replace("epsilons = 0.5", "epsilons = -0.5"), "'epsilons'"),
+        ("cover-info", COVER_OK + "budget = -1\n", "'budget'"),
+        ("smoothness", SMOOTH_OK.replace("alpha_list = 1.0", "alpha_list = 0"), "'alpha_list'"),
         # this one silently ran zero pairs
         ("lemmas", LEMMAS_OK.replace("pairs = 2", "pairs = -2"), "'pairs'"),
     ],
@@ -367,3 +388,13 @@ def test_workers_below_one_rejected_before_output(tmp_path, capsys, workers):
     assert main(argv) == 1
     assert "workers" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_code_space_budget_checked_before_output(tmp_path, capsys):
+    # k = 40 wrote manifest.txt, then exceeded the (2m)^k budget inside the run
+    out = tmp_path / "out"
+    assert dispatch("rates", write_config(tmp_path, "c.cfg", RATES_OK + "k = 40\n"), 0, out) == 2
+    err = capsys.readouterr().err
+    assert "'k'" in err and "Traceback" not in err
+    assert not out.exists()
+

@@ -6,6 +6,7 @@ import pytest
 
 from priorlab import elicitation
 from priorlab.elicitation import (
+    LEDGER_CSV_HEADER,
     FamilyOutcomeModel,
     LedgerRow,
     Menu,
@@ -13,7 +14,6 @@ from priorlab.elicitation import (
     ScheduleRDelta,
     SequentialSelector,
     ValuationPriorFamily,
-    ValueOracle,
     _PosteriorCache,
     calibrate_schedule,
     draw_customers,
@@ -29,6 +29,8 @@ from priorlab.elicitation import (
 from priorlab.estimators import yatracos_sets
 from priorlab.ratelab import format_cell
 from priorlab.sampling import stream
+
+from elicitation_reference import ValueOracle, oracle_method_A, oracle_method_A_prime
 
 
 def tiny_family():
@@ -92,30 +94,19 @@ def test_pseudo_dimension_tiny():
     assert found
 
 
-def test_oracle_never_asks_twice():
-    _, fam = tiny_family()
-    oracle = ValueOracle(fam.functions[0])
-    v1 = oracle.ask(3)
-    v2 = oracle.ask(3)
-    assert v1 == v2 and oracle.count == 1
-    assert oracle.asked == [3]
-
-
 def test_method_A_prime_exhaustive():
     _, fam = tiny_family()
     for f in fam.functions:
-        oracle = ValueOracle(f)
-        x = method_A_prime(oracle, fam.n_bundles)
-        assert oracle.count == 4
+        x = method_A_prime(f.values)
         assert f.values[x] == max(f.values)  # regret 0
+    assert method_A_prime((0.1, 0.3, 0.3, 0.0)) == 1  # ties to the lowest bundle
 
 
 def test_method_A_point_mass_zero_queries():
     menu, fam = tiny_family()
     members = [np.array([1.0, 0.0, 0.0, 0.0])]
     fam_pm = ValuationPriorFamily(fam.functions, members, d=2)
-    oracle = ValueOracle(fam.functions[0])
-    out = method_A(0, fam_pm, 0.05, oracle)
+    out = method_A(0, fam_pm, 0.05, 0)
     assert out.queries == 0
     assert out.bundle == int(np.argmax(fam.functions[0].values))
 
@@ -128,8 +119,7 @@ def test_method_A_identical_argmax_zero_queries():
         SatisfactionFunction((0.9, 0.2, 0.1, 0.0)),
     ]
     fam = ValuationPriorFamily(fns, [(0.5, 0.5)], d=1)
-    oracle = ValueOracle(fns[1])
-    out = method_A(0, fam, 0.01, oracle)
+    out = method_A(0, fam, 0.01, 1)
     assert out.queries == 0 and out.bundle == 0
 
 
@@ -141,8 +131,7 @@ def test_method_A_two_functions_one_query():
     ]
     fam = ValuationPriorFamily(fns, [(0.5, 0.5)], d=1)
     for truth in (0, 1):
-        oracle = ValueOracle(fns[truth])
-        out = method_A(0, fam, 0.05, oracle)
+        out = method_A(0, fam, 0.05, truth)
         assert out.queries <= 1
         assert fns[truth].values[out.bundle] == max(fns[truth].values)
 
@@ -157,8 +146,7 @@ def test_method_A_regret_contract():
     for r in range(600):
         rng = stream(4, r)
         f_idx = fam.sample_function(member, rng)
-        oracle = ValueOracle(fam.functions[f_idx])
-        out = method_A(member, fam, epsilon, oracle, cache)
+        out = method_A(member, fam, epsilon, f_idx, (), cache)
         f = fam.functions[f_idx]
         regrets.append(max(f.values) - f.values[out.bundle])
     regrets = np.array(regrets)
@@ -172,9 +160,7 @@ def test_method_A_uses_preseeded_answers():
         SatisfactionFunction((0.0, -1.0, -0.5, 1.0)),
     ]
     fam = ValuationPriorFamily(fns, [(0.5, 0.5)], d=1)
-    oracle = ValueOracle(fns[0])
-    oracle.ask(2)  # already distinguishes the two tables
-    out = method_A(0, fam, 0.05, oracle)
+    out = method_A(0, fam, 0.05, 0, {2})  # bundle 2 already distinguishes the two tables
     assert out.queries == 0
 
 
@@ -229,13 +215,8 @@ def test_sequential_selector_identifies_truth():
     _, fam = tiny_family()
     model = FamilyOutcomeModel(fam)
     truth = 1
-    sel = SequentialSelector(model)
-    rng = stream(9, 0)
-    for _ in range(4000):
-        f_idx = fam.sample_function(truth, rng)
-        xs = rng.integers(0, fam.n_bundles, size=fam.d)
-        sel.update(xs, fam.S[f_idx, xs])
-    assert sel.selected() == truth
+    sel = SequentialSelector(model, *draw_tasks(fam, truth, 4000, stream(9, 0)))
+    assert sel.selected([4000]).tolist() == [truth]
 
 
 def test_schedule_validation_and_lookup():
@@ -287,8 +268,7 @@ def test_run_algorithm1_singleton_family():
     assert res.fallbacks == 0
     se = res.regret_se
     assert res.mean_regret <= eps + 2.6 * se
-    for r in res.rows:
-        assert len(set(r.asked)) == len(r.asked)
+    assert all(r.queries == fam.n_bundles for r in res.rows if r.branch == "Aprime")
 
 
 def test_run_algorithm1_two_member_stream():
@@ -302,14 +282,14 @@ def test_run_algorithm1_two_member_stream():
     assert res.mean_regret + 1.645 * res.regret_se <= eps
     assert res.exceedance_rate <= eps / 2
     assert res.fallbacks == 0
-    # ledger rows carry the documented CSV schema
-    row = res.rows[0].csv_row()
+    # ledger rows are the documented CSV schema
+    row = res.rows[0]
+    assert row._fields == LEDGER_CSV_HEADER
     assert row[0] == 1 and row[1] in ("A", "Aprime")
     # the prior-free branch queries every bundle
     for r in res.rows:
         if r.branch == "Aprime":
             assert r.queries == fam.n_bundles
-        assert len(set(r.asked)) == len(r.asked)
 
 
 def test_run_algorithm1_determinism():
@@ -318,7 +298,7 @@ def test_run_algorithm1_determinism():
     sched = ScheduleRDelta(0.1, (0, 20), (1.0, 0.0), (0.0, 0.0))
     a = run_algorithm1(fam, model, sched, 0, 0.2, T=50, seed=8, q_table=[1.0, 1.0, 1.0])
     b = run_algorithm1(fam, model, sched, 0, 0.2, T=50, seed=8, q_table=[1.0, 1.0, 1.0])
-    assert [r.csv_row() for r in a.rows] == [r.csv_row() for r in b.rows]
+    assert a.rows == b.rows
 
 
 def test_presence_family_construction():
@@ -387,38 +367,12 @@ def oracle_simulate_errors(fam, model, truth, T_grid, rng):
     return errs
 
 
-def oracle_method_A_prime(oracle, n_bundles):
-    best, best_v = 0, -np.inf
-    for x in range(n_bundles):
-        v = oracle.ask(x)
-        if v > best_v:
-            best, best_v = x, v
-    return best
-
-
-def oracle_method_A(member, fam, epsilon, oracle, cache):
-    """(bundle, fallback) of the prior-aware strategy."""
-    while True:
-        cons = 0
-        for i, f in enumerate(fam.functions):
-            if fam.members[member][i] > 0 and all(
-                f.values[x] == v for x, v in oracle.known.items()
-            ):
-                cons |= 1 << i
-        state = cache.get(member, cons) if cons else None
-        if state is None:
-            return oracle_method_A_prime(oracle, fam.n_bundles), True
-        means, _, regret0, phi = state
-        unqueried = [x for x in range(fam.n_bundles) if x not in oracle.known]
-        if regret0 <= epsilon + 1e-12 or not unqueried:
-            return int(np.argmax(means)), False
-        oracle.ask(max(unqueried, key=lambda x: (phi[x], -x)))
-
-
 def oracle_rows(fam, model, schedule, truth, epsilon, T, seed, q_table):
+    """(ledger rows, exceedance rate, fallback count), every customer asked
+    through a ValueOracle."""
     cache = _PosteriorCache(fam)
     sel = OracleSelector(model)
-    rows = []
+    rows, exceeded, fallbacks = [], [], 0
     for t in range(1, T + 1):
         func = fam.functions[oracle_sample_function(fam, truth, stream(seed, t, 0))]
         oracle = ValueOracle(func)
@@ -426,7 +380,7 @@ def oracle_rows(fam, model, schedule, truth, epsilon, T, seed, q_table):
         values = [oracle.ask(x) for x in points]
         theta_hat = sel.selected()
         R_used = schedule.radius(t - 1)
-        exceeded = float(fam.tv_matrix[truth, theta_hat]) > R_used
+        exceeded.append(float(fam.tv_matrix[truth, theta_hat]) > R_used)
         if R_used > epsilon / 8.0:
             x_hat, fallback = oracle_method_A_prime(oracle, fam.n_bundles), False
             branch, theta_check = "Aprime", -1
@@ -438,14 +392,11 @@ def oracle_rows(fam, model, schedule, truth, epsilon, T, seed, q_table):
             x_hat, fallback = oracle_method_A(theta_check, fam, epsilon / 4.0, oracle, cache)
             branch = "A"
         regret = float(np.max(func.values) - func.values[x_hat])
-        rows.append(
-            LedgerRow(
-                t, branch, oracle.count, regret, theta_check, R_used,
-                tuple(oracle.asked), exceeded, fallback,
-            )
-        )
+        assert len(set(oracle.asked)) == len(oracle.asked)  # no bundle is asked twice
+        rows.append(LedgerRow(t, branch, oracle.count, regret, theta_check, R_used))
+        fallbacks += fallback
         sel.update(points, values)
-    return rows
+    return rows, float(np.mean(exceeded)), fallbacks
 
 
 def sparse_family():
@@ -454,6 +405,30 @@ def sparse_family():
     _, fam = tiny_family()
     members = [(0.5, 0.5, 0.0, 0.0), (0.0, 0.2, 0.3, 0.5), (0.25, 0.25, 0.25, 0.25)]
     return ValuationPriorFamily(fam.functions, members, d=2)
+
+
+def test_method_A_counts_only_new_queries():
+    # answered bundles are never counted again, and a fallback counts
+    # exactly the bundles not yet answered
+    fam = sparse_family()
+    out = method_A(0, fam, 0.05, 3, {0})  # s(0) = -0.1 is outside member 0's support
+    assert (out.bundle, out.queries, out.fallback) == (3, 3, True)
+    out = method_A(0, fam, 0.05, 3, {0, 3})
+    assert (out.bundle, out.queries, out.fallback) == (3, 2, True)
+    cache = _PosteriorCache(fam)
+    seen = set()
+    for member, f, eps, r in itertools.product(range(fam.n_members), range(4), (0.01, 0.2), range(16)):
+        known = {x for x in range(4) if r >> x & 1}
+        oracle = ValueOracle(fam.functions[f])
+        for x in sorted(known):
+            oracle.ask(x)
+        bundle, fallback = oracle_method_A(member, fam, eps, oracle, cache)
+        out = method_A(member, fam, eps, f, known, cache)
+        assert (out.bundle, out.queries, out.fallback) == (
+            bundle, oracle.count - len(known), fallback
+        )
+        seen.add((out.fallback, out.queries > 0))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def singleton_family():
@@ -537,13 +512,9 @@ def test_selector_batch_matches_per_task_oracle(name):
     for x, v in zip(xs, values):
         oracle.update(x, v)
         expected.append(oracle.selected())
-    sel = SequentialSelector(model)
-    assert sel.selected() == 0 and sel.selected(0) == 0
-    sel.update(xs[:100], values[:100])
-    sel.update(xs[100], values[100])  # one task between two batches
-    sel.update(xs[101:], values[101:])
+    sel = SequentialSelector(model, xs, values)
     assert sel.selected(np.arange(301)).tolist() == expected
-    assert sel.selected() == expected[-1] and sel.selected(150) == expected[150]
+    assert sel.selected([150, 0, 300]).tolist() == [expected[150], 0, expected[300]]
 
 
 @pytest.mark.parametrize("name", ["tiny", "presence"])
@@ -576,11 +547,14 @@ def test_run_algorithm1_matches_per_task_oracle(name, seed):
     fallbacks = 0
     for (eps, schedule), truth in itertools.product(SERVE_CASES, sorted({0, M - 1})):
         res = run_algorithm1(fam, model, schedule, truth, eps, 120, seed, q_table)
-        expected = oracle_rows(fam, model, schedule, truth, eps, 120, seed, q_table)
+        expected, exceedance, expected_fallbacks = oracle_rows(
+            fam, model, schedule, truth, eps, 120, seed, q_table
+        )
         assert res.rows == expected
-        assert [tuple(map(format_cell, r.csv_row())) for r in res.rows] == [
-            tuple(map(format_cell, r.csv_row())) for r in expected
+        assert [tuple(map(format_cell, r)) for r in res.rows] == [
+            tuple(map(format_cell, r)) for r in expected
         ]
+        assert (res.exceedance_rate, res.fallbacks) == (exceedance, expected_fallbacks)
         fallbacks += res.fallbacks
     assert fallbacks > 0 or name != "sparse"
 
@@ -628,7 +602,9 @@ def oracle_estimate_Q(member, fam, epsilon, trials, seed):
     counts = []
     for r in range(trials):
         func = fam.functions[oracle_sample_function(fam, member, stream(seed, 2, member, r))]
-        counts.append(method_A(member, fam, epsilon, ValueOracle(func), cache).queries)
+        oracle = ValueOracle(func)
+        oracle_method_A(member, fam, epsilon, oracle, cache)
+        counts.append(oracle.count)
     counts = np.array(counts, dtype=float)
     return float(counts.mean()), float(counts.std(ddof=1) / np.sqrt(trials))
 
