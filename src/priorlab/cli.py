@@ -103,7 +103,7 @@ SCHEMAS: dict[str, dict] = {
         "replicates": (int, 100),
         "k": (int, None),
         "truth_count": (int, 8),
-        "twopoint_weight": (float, 0.05),
+        "twopoint_weight": (float, None),
         "baseline_T": (int, None),
     },
     "lowerbound": {

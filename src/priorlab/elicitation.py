@@ -11,13 +11,16 @@ the sequential loop that stitches them together.
 
 No query decision feeds back into the task draws or the estimator, so
 estimation runs in bulk from pre-drawn streams: all customers of a stream
-are drawn first, and one batch yields their pair indicators and prefix
-counts.  A customer is plain data, its function index and the set of
-bundles it has answered.  The prior-free branch queries every bundle and
-its ledger row is closed-form, so only the prior-aware branch runs
-customer by customer.  Customer t keeps its own streams
-`stream(seed, t, purpose)`; their first outputs are computed for all
-customers at once by `sampling.stream_raw`.
+are drawn first, each task is reduced to the id of its consistent set
+(the AND of d agreement bitmasks), and the selector counts set ids at the
+task counts it needs.  A customer is plain data, its function index and
+the bundles it has answered.  The prior-free branch queries every bundle
+and its ledger row is closed-form.  The prior-aware customers of a
+stream are served in lock-step: each round looks up one posterior per
+distinct (surrogate, consistent set) and takes one vector step for all
+customers still asking, and the ledger is built from the column arrays.
+Customer t keeps its own streams `stream(seed, t, purpose)`; their first
+outputs are computed for all customers at once by `sampling.stream_raw`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, factorial
 
 import numpy as np
@@ -153,6 +157,27 @@ class ValuationPriorFamily:
         self._thresholds = np.cumsum(self.W, axis=1)[:, :-1]
         self.tv_matrix = tv_matrix(self.W)
 
+    @cached_property
+    def agree(self) -> np.ndarray:
+        """(bundles, functions) int64 bitmasks: bit g of agree[x, f] is set
+        when function g has f's value at bundle x."""
+        F = len(self.functions)
+        if F > 63:
+            raise ValueError(f"function bitmasks hold at most 63 functions, got {F}")
+        bits = np.int64(1) << np.arange(F, dtype=np.int64)
+        return (self.S.T[:, :, None] == self.S.T[:, None, :]) @ bits
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """(members,) int64 bitmasks of the functions each member weighs."""
+        return (self.W > 0) @ (np.int64(1) << np.arange(len(self.functions), dtype=np.int64))
+
+    def consistent(self, xs, f_idx) -> np.ndarray:
+        """Bitmask of the functions agreeing with function f at every point
+        of xs: a scalar for one task's (d,) points, (T,) for a (T, d)
+        batch with (T,) function indices."""
+        return np.bitwise_and.reduce(self.agree[xs, np.asarray(f_idx)[..., None]], axis=-1)
+
     @property
     def n_members(self) -> int:
         return len(self.members)
@@ -165,11 +190,10 @@ class ValuationPriorFamily:
         """The function indices that uniforms `u` select under `member`."""
         return categorical_draw(self._thresholds[member], u)
 
-    def sample_function(self, member: int, rng: np.random.Generator, size: int | None = None):
-        """A function index drawn from `member`, or an array of `size` of
-        them (the same doubles as `size` single draws)."""
-        idx = self.function_index(member, rng.random(size))
-        return idx if size is not None else int(idx)
+    def sample_function(self, member: int, rng: np.random.Generator, size: int) -> np.ndarray:
+        """`size` function indices drawn from `member` (the same doubles as
+        `size` single draws)."""
+        return self.function_index(member, rng.random(size))
 
 
 def method_A_prime(values) -> int:
@@ -187,12 +211,6 @@ class _PosteriorCache:
     def __init__(self, family: ValuationPriorFamily):
         self.family = family
         self._cache: dict[tuple[int, int], tuple] = {}
-        # function bitmasks: each member's support, and agree[x][v] for s(x) = v
-        self.support = [sum(1 << i for i, w in enumerate(m) if w > 0) for m in family.members]
-        self.agree = [{} for _ in range(family.n_bundles)]
-        for i, f in enumerate(family.functions):
-            for x, v in enumerate(f.values):
-                self.agree[x][v] = self.agree[x].get(v, 0) | 1 << i
 
     def get(self, member: int, cons_mask: int):
         key = (member, cons_mask)
@@ -214,28 +232,84 @@ class _PosteriorCache:
         # one-step greedy: querying x splits the consistent set by s(x);
         # the value of the split is sum over groups of max_y (group mean mass)
         WS = w[:, None] * S
-        n_bundles = S.shape[1]
-        phi = np.empty(n_bundles)
-        seen: dict[tuple, float] = {}
-        for x in range(n_bundles):
-            col = S[:, x]
-            labels: dict[float, int] = {}
-            sig = tuple(labels.setdefault(v, len(labels)) for v in col)
-            if sig in seen:
-                phi[x] = seen[sig]
-                continue
+        # split[i]: the first function of the set with i's value at x, so
+        # bundles with equal columns split the set alike; groups are summed
+        # in order of their first function (g leads its group when
+        # split[g] == g)
+        first = (S[:, None, :] == S[None, :, :]).argmax(axis=1)  # (c, bundles)
+        splits, which = np.unique(first.T, axis=0, return_inverse=True)
+        vals = np.empty(len(splits))
+        for k, split in enumerate(splits):
             val = 0.0
-            for g in range(len(labels)):
-                rows = [i for i, s in enumerate(sig) if s == g]
-                val += WS[rows].sum(axis=0).max()
-            seen[sig] = val
-            phi[x] = val
+            for g in np.flatnonzero(split == np.arange(len(split))):
+                val += WS[split == g].sum(axis=0).max()
+            vals[k] = val
+        phi = vals[which.reshape(-1)]
         out = (means, exp_max, regret0, phi)
         self._cache[key] = out
         return out
 
 
 QueryOutcome = namedtuple("QueryOutcome", "bundle queries fallback")
+
+
+def _method_A_batch(family, cache, epsilon, members, f_idx, answered):
+    """Method A for a batch of customers in lock-step: customer c, with
+    function index f_idx[c] and surrogate member members[c], has already
+    answered the bundles in row c of the (C, k) int array `answered`
+    (repeats allowed).  Each round looks up one posterior per distinct
+    (member, consistent set) and decides every customer still asking: the
+    prior-free fallback, a stop, or one more query.  Returns the (bundle,
+    number of distinct bundles answered in all, fallback) arrays."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    n, n_bundles, M = len(members), family.n_bundles, family.n_members
+    bundle = np.zeros(n, dtype=np.int64)
+    asked = np.zeros(n, dtype=np.int64)
+    fallback = np.zeros(n, dtype=bool)
+    # per customer still asking: its answers, how many are distinct, and
+    # the support functions consistent with them
+    live = np.arange(n)
+    n_known = answered.shape[1] - (np.diff(np.sort(answered, axis=1), axis=1) == 0).sum(axis=1)
+    cons = family.support[members] & family.consistent(answered, f_idx)
+    while live.size:
+        masks, mask_id = np.unique(cons, return_inverse=True)
+        keys, key_id = np.unique(mask_id.reshape(-1) * M + members[live], return_inverse=True)
+        key_id = key_id.reshape(-1)
+        states = [
+            cache.get(k % M, int(masks[k // M])) if masks[k // M] else None for k in keys.tolist()
+        ]
+        dead = np.array([state is None for state in states])[key_id]
+        if dead.any():
+            # an answer outside the surrogate's support: the prior-free pick
+            # asks every bundle not yet answered
+            i = live[dead]
+            bundle[i] = [method_A_prime(family.S[f]) for f in f_idx[i].tolist()]
+            asked[i] = n_bundles
+            fallback[i] = True
+        # stop once the posterior pick is good enough; a customer who has
+        # answered every bundle is pinned to one table and stops too
+        small = np.array([state is not None and state[2] <= epsilon + 1e-12 for state in states])
+        stop = small[key_id] | (~dead & (n_known == n_bundles))
+        if stop.any():
+            best = np.array([int(np.argmax(state[0])) if state else 0 for state in states])
+            bundle[live[stop]] = best[key_id[stop]]
+            asked[live[stop]] = n_known[stop]
+        go = ~(dead | stop)
+        live, key_id, answered, n_known, cons = (
+            live[go], key_id[go], answered[go], n_known[go], cons[go]
+        )
+        if not live.size:
+            break
+        # the greedy query: the unanswered bundle of greatest phi, ties to
+        # the lowest index
+        gain = np.stack([states[k][3] for k in key_id.tolist()])
+        gain[np.arange(len(live))[:, None], answered] = -np.inf
+        x = gain.argmax(axis=1)
+        answered = np.column_stack([answered, x])
+        n_known += 1
+        cons &= family.agree[x, f_idx[live]]
+    return bundle, asked, fallback
 
 
 def method_A(
@@ -258,30 +332,12 @@ def method_A(
     the surrogate prior is wrong about the support), fall back to exhaustive
     querying so the returned bundle is still correct.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    cache = cache or _PosteriorCache(family)
-    n_bundles = family.n_bundles
-    values = family.functions[f].values
-    known = set(known)
-    cons = cache.support[member]  # the support functions consistent with every answer
-    for x in known:
-        cons &= cache.agree[x].get(values[x], 0)
-    queries = 0
-    while True:
-        state = cache.get(member, cons) if cons else None
-        if state is None:
-            # the prior-free pick asks every bundle not yet answered
-            return QueryOutcome(method_A_prime(values), queries + n_bundles - len(known), True)
-        means, exp_max, regret0, phi = state
-        if regret0 <= epsilon + 1e-12 or len(known) == n_bundles:
-            return QueryOutcome(int(np.argmax(means)), queries, False)
-        gain = phi.copy()
-        gain[list(known)] = -np.inf
-        x = int(np.argmax(gain))
-        known.add(x)
-        queries += 1
-        cons &= cache.agree[x].get(values[x], 0)
+    known = sorted(set(known))
+    bundle, asked, fallback = _method_A_batch(
+        family, cache or _PosteriorCache(family), epsilon,
+        np.array([member]), np.array([f]), np.array([known], dtype=np.intp),
+    )
+    return QueryOutcome(int(bundle[0]), int(asked[0]) - len(known), bool(fallback[0]))
 
 
 QEstimate = namedtuple("QEstimate", "mean se")
@@ -299,13 +355,14 @@ def estimate_Q(
     strategy when customers really are drawn from `member`."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cache = cache or _PosteriorCache(family)
     # trial r draws once from stream(seed, _Q_STREAM, member, r)
     keys = np.column_stack([np.full(trials, _Q_STREAM), np.full(trials, member), np.arange(trials)])
     f_idx = family.function_index(member, raw_random(stream_raw(seed, keys, 1)[:, 0]))
-    counts = np.empty(trials)
-    for r, f in enumerate(f_idx.tolist()):
-        counts[r] = method_A(member, family, epsilon, f, (), cache).queries
+    _, asked, _ = _method_A_batch(
+        family, cache or _PosteriorCache(family), epsilon, np.full(trials, member), f_idx,
+        np.zeros((trials, 0), dtype=np.intp),
+    )
+    counts = asked.astype(float)
     se = float(counts.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return QEstimate(float(counts.mean()), se)
 
@@ -366,6 +423,18 @@ class FamilyOutcomeModel:
             cm = family.W @ cell_mat.T  # (members, cells)
             G += w * np.einsum("lc,pc->lp", cm, yatracos_sets(cm).astype(float))
         self.G = G
+        # consistent-set id: position in set_masks, the sets a task can have
+        # (a meet cell: d points, one from each partition of a combination,
+        # and any function); its pair indicators are row id of
+        # set_indicators, the member masses of the set compared pair by pair
+        first_bundle = np.unique(part_of_bundle, return_index=True)[1]
+        combos = np.array(list(itertools.combinations_with_replacement(range(P), d)))
+        cells = family.consistent(first_bundle[combos][:, None], np.arange(F))
+        # (a plain np.unique would import numpy.ma, about 1 MB of peak RSS)
+        self.set_masks = np.array(sorted(set(cells.ravel().tolist())), dtype=np.int64)
+        ok = (self.set_masks[:, None] >> np.arange(F)) & 1
+        mm = np.stack([family.W @ row.astype(float) for row in ok])  # (sets, members)
+        self.set_indicators = yatracos_sets(mm.T).T
 
     @staticmethod
     def _meet(part_groups, combo, F) -> list[list[int]]:
@@ -382,51 +451,53 @@ class FamilyOutcomeModel:
             cells.setdefault(lab, []).append(i)
         return [cells[k] for k in sorted(cells)]
 
-    def consistent_mask(self, xs, values) -> np.ndarray:
-        """Functions agreeing with every observed value: (F,) for one task's
-        (d,) points and values, (T, F) for a (T, d) batch."""
-        xs, values = np.asarray(xs, dtype=np.intp), np.asarray(values)
-        return (self.family.S.T[xs] == values[..., None]).all(axis=-2)
+    def consistent_sets(self, xs, f_idx) -> np.ndarray:
+        """The consistent-set id of each task: (T,) for (T, d) points and
+        (T,) function indices, a scalar for one task."""
+        masks = self.family.consistent(xs, f_idx)
+        ids = np.searchsorted(self.set_masks, masks)
+        if not np.array_equal(self.set_masks[np.minimum(ids, len(self.set_masks) - 1)], masks):
+            raise ValueError(f"tasks must have d = {self.family.d} points")
+        return ids
 
-    def observation_indicators(self, xs, values) -> np.ndarray:
+    def observation_indicators(self, xs, f_idx) -> np.ndarray:
         """Membership of observed outcomes in each A_ij: (pairs,) bools for
-        one task, (T, pairs) for a (T, d) batch.  Each distinct consistent
-        set is scored once."""
-        mask = self.consistent_mask(xs, values)
-        flat = mask.reshape(-1, mask.shape[-1])
-        packed = np.packbits(flat, axis=1)  # equal sets give equal byte strings
-        keys = packed.view(f"S{packed.shape[1]}").ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        mm = np.zeros((len(first), self.family.n_members))
-        for r, ok in enumerate(flat[first]):
-            mm[r] = self.family.W @ ok.astype(float)
-        ind = yatracos_sets(mm.T).T  # (distinct sets, pairs)
-        return ind[inverse].reshape(mask.shape[:-1] + (len(self.pairs),))
+        one task, (T, pairs) for a (T, d) batch."""
+        return self.set_indicators[self.consistent_sets(xs, f_idx)]
 
 
 class SequentialSelector:
     """Minimum-distance selection over the family after each prefix of a
-    (T, d) batch of tasks; integer prefix counts (row t: the first t tasks)
-    let the selection after any task count be read back."""
+    batch of tasks, given as (T, d) points and (T,) function indices.  The
+    pair counts after the first t tasks are read back from the
+    consistent-set ids, only at the task counts asked for."""
 
-    def __init__(self, model: FamilyOutcomeModel, xs, values):
+    def __init__(self, model: FamilyOutcomeModel, xs, f_idx):
         self.model = model
-        ind = model.observation_indicators(xs, values)
-        self.counts = np.zeros((len(ind) + 1, len(model.pairs)), dtype=np.int32)
-        np.cumsum(ind, axis=0, out=self.counts[1:])
+        self.sets = model.consistent_sets(xs, f_idx)
 
     def selected(self, ts) -> np.ndarray:
         """The member selected after the first t tasks, for each t in `ts`;
         member 0 before any task."""
-        ts = np.asarray(ts)
-        picks = np.zeros(len(ts), dtype=np.int64)
+        model = self.model
+        grid, back = np.unique(ts, return_inverse=True)
+        # task i counts toward every t > i: bin it under the first such t
+        # in the grid, then a running sum over the grid gives each t's
+        # count of every consistent set (exact integers in floats)
+        n_sets = len(model.set_masks)
+        seg = np.searchsorted(grid, np.arange(len(self.sets)), side="right")
+        binned = np.bincount(seg * n_sets + self.sets, minlength=(len(grid) + 1) * n_sets)
+        per_set = np.cumsum(binned.reshape(-1, n_sets)[:-1], axis=0, dtype=float)
+        indicators = model.set_indicators.astype(float)
+        picks = np.zeros(len(grid), dtype=np.int64)
         # score a chunk of task counts at a time: (chunk, members, pairs) floats
-        step = max(1, (1 << 14) // max(self.model.G.size, 1))
-        for lo in range(0, len(ts), step):
-            tt = ts[lo : lo + step]
-            scores = yatracos_scores(self.model.G, self.counts[tt] / np.maximum(tt, 1)[:, None])
+        step = max(1, (1 << 14) // max(model.G.size, 1))
+        for lo in range(0, len(grid), step):
+            tt = grid[lo : lo + step]
+            counts = per_set[lo : lo + step] @ indicators  # (chunk, pairs)
+            scores = yatracos_scores(model.G, counts / np.maximum(tt, 1)[:, None])
             picks[lo : lo + step] = np.where(tt > 0, scores.argmin(axis=1), 0)
-        return picks
+        return picks[back.reshape(-1)]
 
 
 @dataclass
@@ -447,25 +518,6 @@ class ScheduleRDelta:
             raise ValueError("R must be nonincreasing over the knots")
         if any(d > self.alpha + 1e-12 for d in self.delta):
             raise ValueError("delta must stay at or below alpha")
-
-    def radius(self, t: int) -> float:
-        i = int(np.searchsorted(self.knots, t, side="right")) - 1
-        return self.R[i]
-
-
-def _simulate_errors(
-    family: ValuationPriorFamily,
-    model: FamilyOutcomeModel,
-    truth: int,
-    T_grid: tuple[int, ...],
-    rng: np.random.Generator,
-) -> list[float]:
-    """One stream from `truth`; returns tv(selected, truth) at each grid T."""
-    T_max = T_grid[-1]
-    f_idx = family.sample_function(truth, rng, size=T_max)
-    xs = rng.integers(0, family.n_bundles, size=(T_max, family.d))
-    sel = SequentialSelector(model, xs, family.S[f_idx[:, None], xs])
-    return [float(e) for e in family.tv_matrix[truth, sel.selected(T_grid)]]
 
 
 def calibrate_schedule(
@@ -490,12 +542,17 @@ def calibrate_schedule(
         raise ValueError(
             f"{pooled} calibration runs cannot resolve a quantile at level {alpha}"
         )
+    # run (truth, rep) draws T_grid[-1] tasks from stream(seed, _CAL_STREAM,
+    # truth, rep) and scores tv(selected, truth) at each grid T
     errors = np.empty((pooled, len(T_grid)))
     row = 0
     for truth in range(family.n_members):
         for rep in range(replicates):
             rng = stream(seed, _CAL_STREAM, truth, rep)
-            errors[row] = _simulate_errors(family, model, truth, T_grid, rng)
+            f_idx = family.sample_function(truth, rng, T_grid[-1])
+            xs = rng.integers(0, family.n_bundles, size=(T_grid[-1], family.d))
+            selected = SequentialSelector(model, xs, f_idx).selected(T_grid)
+            errors[row] = family.tv_matrix[truth, selected]
             row += 1
     rank = int(np.ceil((1 - alpha) * pooled))  # nearest-rank quantile index
     raw = np.sort(errors, axis=0)[rank - 1]
@@ -563,51 +620,51 @@ def run_algorithm1(
     (R(t-1, eps/2) > eps/8) or pick the cheapest surrogate member in the
     ball around the current estimate and run the prior-aware method at
     eps/4 accuracy.  A prior-free row is closed-form: every bundle is
-    asked once and the exact argmax has regret 0.  A shared `cache` may
-    serve several runs on one family."""
+    asked once and the exact argmax has regret 0.  All prior-aware
+    customers are served at once by the lock-step method A.  A shared
+    `cache` may serve several runs on one family."""
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")
     if T < 1:
         raise ValueError("T must be >= 1")
     if len(q_table) != family.n_members:
         raise ValueError("q_table must hold one query estimate per member")
-    n_bundles = family.n_bundles
     f_idx, xs = draw_customers(family, truth, T, seed)
     # customer t is served with the estimate and the radius after t - 1 tasks
-    sel = SequentialSelector(model, xs, family.S[f_idx[:, None], xs])
-    theta_hats = sel.selected(np.arange(T))
+    theta_hats = SequentialSelector(model, xs, f_idx).selected(np.arange(T))
     knots = np.searchsorted(schedule.knots, np.arange(T), side="right") - 1
-    exceeded = family.tv_matrix[truth, theta_hats] > np.asarray(schedule.R)[knots]
+    R_used = np.asarray(schedule.R)[knots]
+    exceeded = family.tv_matrix[truth, theta_hats] > R_used
     # the cheapest surrogate in the ball of each knot's radius around each member
     order = sorted(range(family.n_members), key=lambda j: (q_table[j], j))
     in_ball = family.tv_matrix[:, None, order] <= np.asarray(schedule.R)[:, None] + 1e-12
-    theta_checks = np.array(order)[in_ball.argmax(axis=2)].tolist()
-    top = family.S.max(axis=1)
-    cache = cache or _PosteriorCache(family)
-    rows: list[LedgerRow] = []
-    fallbacks = 0
-    for t, f, points, theta_hat, knot in zip(
-        range(1, T + 1), f_idx.tolist(), xs.tolist(), theta_hats.tolist(), knots.tolist()
-    ):
-        R_used = schedule.R[knot]
-        if R_used > epsilon / 8.0:
-            rows.append(LedgerRow(t, "Aprime", n_bundles, 0.0, -1, R_used))
-            continue
-        theta_check = theta_checks[theta_hat][knot]
-        out = method_A(theta_check, family, epsilon / 4.0, f, points, cache)
-        fallbacks += out.fallback
-        regret = float(top[f] - family.S[f, out.bundle])
-        rows.append(LedgerRow(t, "A", len(set(points)) + out.queries, regret, theta_check, R_used))
-
-    regrets = np.array([r.regret for r in rows])
+    theta_checks = np.array(order)[in_ball.argmax(axis=2)]  # (members, knots)
+    # every prior-aware customer of the stream at once; its d sample points
+    # are its first answers
+    aware = np.flatnonzero(R_used <= epsilon / 8.0)
+    f, points = f_idx[aware], xs[aware]
+    theta_check = np.full(T, -1)
+    theta_check[aware] = theta_checks[theta_hats[aware], knots[aware]]
+    bundle, asked, fallback = _method_A_batch(
+        family, cache or _PosteriorCache(family), epsilon / 4.0, theta_check[aware], f, points
+    )
+    queries = np.full(T, family.n_bundles)
+    queries[aware] = asked
+    regret = np.zeros(T)
+    regret[aware] = family.S.max(axis=1)[f] - family.S[f, bundle]
+    branch = np.where(theta_check >= 0, "A", "Aprime")
+    rows = list(map(
+        LedgerRow, range(1, T + 1), branch.tolist(), queries.tolist(), regret.tolist(),
+        theta_check.tolist(), R_used.tolist(),
+    ))
     tail = tail_len if tail_len is not None else max(1, T // 4)
     return RunResult(
         rows,
-        float(regrets.mean()),
-        float(regrets.std(ddof=1) / np.sqrt(len(regrets))) if len(regrets) > 1 else 0.0,
-        float(np.mean([r.queries for r in rows[-tail:]])),
+        float(regret.mean()),
+        float(regret.std(ddof=1) / np.sqrt(T)) if T > 1 else 0.0,
+        float(queries[-tail:].mean()),
         float(exceeded.mean()),
-        fallbacks,
+        int(fallback.sum()),
     )
 
 

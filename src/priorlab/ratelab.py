@@ -85,11 +85,15 @@ class ExperimentConfig:
     seed: int = 0
     k: int | None = None  # samples per task; defaults to d
     truth_count: int = 8  # sampled true parameters (plus the two extremes)
-    twopoint_weight: float = 0.05
+    twopoint_weight: float | None = None  # twopoint family only; defaults to 0.05
 
     def __post_init__(self):
         if self.family not in ("parity", "twopoint"):
             raise ValueError(f"unknown family {self.family!r}")
+        if self.family == "parity" and self.twopoint_weight is not None:
+            raise ValueError("'twopoint_weight' is read only by family = twopoint, not parity")
+        if self.family == "twopoint" and self.twopoint_weight is None:
+            object.__setattr__(self, "twopoint_weight", 0.05)
         if self.family == "twopoint" and self.m < 3:
             # the two point masses sit on points 1 and 2, the rest of D on 3..m
             raise ValueError(f"the twopoint family needs m >= 3, got m={self.m}")
@@ -482,9 +486,24 @@ def format_cell(v) -> str:
     return str(v)
 
 
+CSV_BLOCK_ROWS = 64  # rows formatted at a time: a block's strings fit in freed memory
+# a column whose cells all have one of these types is formatted in one pass;
+# these are the results format_cell gives for them
+_COLUMN_FORMATS = {float: repr, int: str, str: str}
+
+
+def _format_column(cells) -> list[str]:
+    kinds = set(map(type, cells))
+    fmt = _COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(fmt or format_cell, cells))
+
+
 def write_csv(path, header, rows) -> None:
+    """Write the header and rows, every cell as `format_cell` gives it,
+    formatting a block of rows column by column."""
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([format_cell(v) for v in row])
+        while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
+            w.writerows(zip(*[_format_column(cells) for cells in zip(*block)]))

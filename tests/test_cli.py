@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from priorlab.cli import dispatch, main, parse_config
+from priorlab.cli import _experiment_config, dispatch, main, parse_config
 
 
 def write_config(tmp_path: Path, name: str, text: str) -> Path:
@@ -348,6 +348,9 @@ SMOOTH_OK = "m_max = 3\nd_max = 1\nL_list = 1.0\nalpha_list = 1.0\nsigns_per_ins
         ("smoothness", SMOOTH_OK.replace("alpha_list = 1.0", "alpha_list = 0"), "'alpha_list'"),
         # this one silently ran zero pairs
         ("lemmas", LEMMAS_OK.replace("pairs = 2", "pairs = -2"), "'pairs'"),
+        # these ran the parity family and ignored the two-point weight
+        ("rates", RATES_OK + "twopoint_weight = 0.3\n", "'twopoint_weight'"),
+        ("rates", RATES_OK + "family = parity\ntwopoint_weight = 0.05\n", "'twopoint_weight'"),
     ],
 )
 def test_config_without_work_rejected_before_output(tmp_path, capsys, subcommand, text, key):
@@ -356,6 +359,14 @@ def test_config_without_work_rejected_before_output(tmp_path, capsys, subcommand
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_twopoint_weight_defaults_on_the_twopoint_family_only(tmp_path):
+    twopoint = parse_config(write_config(tmp_path, "t.cfg", RATES_OK + "family = twopoint\n"), "rates")
+    assert _experiment_config(twopoint, 0).twopoint_weight == 0.05
+    parity = parse_config(write_config(tmp_path, "p.cfg", RATES_OK), "rates")
+    assert parity["twopoint_weight"] is None
+    assert _experiment_config(parity, 0).twopoint_weight is None
 
 
 def test_lemmas_accepts_zero_pairs(tmp_path):

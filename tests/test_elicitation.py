@@ -4,7 +4,6 @@ import itertools
 import numpy as np
 import pytest
 
-from priorlab import elicitation
 from priorlab.elicitation import (
     LEDGER_CSV_HEADER,
     FamilyOutcomeModel,
@@ -145,7 +144,7 @@ def test_method_A_regret_contract():
     regrets = []
     for r in range(600):
         rng = stream(4, r)
-        f_idx = fam.sample_function(member, rng)
+        f_idx = sample_one(fam, member, rng)
         out = method_A(member, fam, epsilon, f_idx, (), cache)
         f = fam.functions[f_idx]
         regrets.append(max(f.values) - f.values[out.bundle])
@@ -219,13 +218,18 @@ def test_sequential_selector_identifies_truth():
     assert sel.selected([4000]).tolist() == [truth]
 
 
+def radius(schedule, t):
+    """R at task count t: the radius of the last knot at or below t."""
+    return schedule.R[int(np.searchsorted(schedule.knots, t, side="right")) - 1]
+
+
 def test_schedule_validation_and_lookup():
     sched = ScheduleRDelta(0.1, (0, 10, 50), (1.0, 0.4, 0.2), (0.0, 0.05, 0.1))
-    assert sched.radius(0) == 1.0
-    assert sched.radius(9) == 1.0
-    assert sched.radius(10) == 0.4
-    assert sched.radius(49) == 0.4
-    assert sched.radius(1000) == 0.2
+    assert radius(sched, 0) == 1.0
+    assert radius(sched, 9) == 1.0
+    assert radius(sched, 10) == 0.4
+    assert radius(sched, 49) == 0.4
+    assert radius(sched, 1000) == 0.2
     with pytest.raises(ValueError):
         ScheduleRDelta(0.1, (0, 10), (0.3, 0.5), (0.0, 0.0))  # increasing R
     with pytest.raises(ValueError):
@@ -348,6 +352,11 @@ class OracleSelector:
         return int(np.argmin(np.abs(self.model.G - mu[None, :]).max(axis=1)))
 
 
+def sample_one(fam, member, rng):
+    """One function index drawn from `member`: one double from `rng`."""
+    return int(fam.sample_function(member, rng, 1)[0])
+
+
 def oracle_sample_function(fam, member, rng):
     u = rng.random()
     idx = int(np.searchsorted(np.cumsum(fam.members[member]), u, side="right"))
@@ -368,18 +377,20 @@ def oracle_simulate_errors(fam, model, truth, T_grid, rng):
 
 
 def oracle_rows(fam, model, schedule, truth, epsilon, T, seed, q_table):
-    """(ledger rows, exceedance rate, fallback count), every customer asked
-    through a ValueOracle."""
+    """(ledger rows, exceedance rate, fallback count, exits), every customer
+    asked through a ValueOracle; exits is the set of ways the prior-aware
+    customers left the query loop: "stop" with no new query, "query" (a
+    stop after at least one new query) and "fallback"."""
     cache = _PosteriorCache(fam)
     sel = OracleSelector(model)
-    rows, exceeded, fallbacks = [], [], 0
+    rows, exceeded, fallbacks, exits = [], [], 0, set()
     for t in range(1, T + 1):
         func = fam.functions[oracle_sample_function(fam, truth, stream(seed, t, 0))]
         oracle = ValueOracle(func)
         points = [int(x) for x in stream(seed, t, 1).integers(0, fam.n_bundles, size=fam.d)]
         values = [oracle.ask(x) for x in points]
         theta_hat = sel.selected()
-        R_used = schedule.radius(t - 1)
+        R_used = radius(schedule, t - 1)
         exceeded.append(float(fam.tv_matrix[truth, theta_hat]) > R_used)
         if R_used > epsilon / 8.0:
             x_hat, fallback = oracle_method_A_prime(oracle, fam.n_bundles), False
@@ -389,14 +400,16 @@ def oracle_rows(fam, model, schedule, truth, epsilon, T, seed, q_table):
                 j for j in range(fam.n_members) if fam.tv_matrix[theta_hat, j] <= R_used + 1e-12
             ]
             theta_check = min(ball, key=lambda j: (q_table[j], j))
+            answered = oracle.count
             x_hat, fallback = oracle_method_A(theta_check, fam, epsilon / 4.0, oracle, cache)
             branch = "A"
+            exits.add("fallback" if fallback else "query" if oracle.count > answered else "stop")
         regret = float(np.max(func.values) - func.values[x_hat])
         assert len(set(oracle.asked)) == len(oracle.asked)  # no bundle is asked twice
         rows.append(LedgerRow(t, branch, oracle.count, regret, theta_check, R_used))
         fallbacks += fallback
         sel.update(points, values)
-    return rows, float(np.mean(exceeded)), fallbacks
+    return rows, float(np.mean(exceeded)), fallbacks, exits
 
 
 def sparse_family():
@@ -431,6 +444,19 @@ def test_method_A_counts_only_new_queries():
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def test_method_A_breaks_greedy_ties_by_the_lowest_bundle():
+    # bundles 1, 2 and 3 each single out one function: their phi are equal,
+    # and asking bundle 1 first leaves two functions to tell apart
+    fns = [SatisfactionFunction(tuple(0.9 * (x == b) for x in range(4))) for b in (1, 2, 3)]
+    fam = ValuationPriorFamily(fns, [(1 / 3, 1 / 3, 1 / 3)], d=1)
+    assert [tuple(method_A(0, fam, 0.01, f)) for f in range(3)] == [
+        (1, 1, False), (2, 2, False), (3, 2, False)
+    ]
+    # the same rule for every customer of a lock-step batch
+    q = estimate_Q(0, fam, 0.01, trials=60, seed=4)
+    assert (q.mean, q.se) == oracle_estimate_Q(0, fam, 0.01, 60, 4)
+
+
 def singleton_family():
     _, fam = tiny_family()
     return ValuationPriorFamily(fam.functions, [fam.members[0]], d=2)
@@ -448,20 +474,21 @@ def family_and_model(name):
 
 
 def draw_tasks(fam, truth, T, rng):
+    """(points, function indices) of T tasks."""
     f_idx = fam.sample_function(truth, rng, size=T)
-    xs = rng.integers(0, fam.n_bundles, size=(T, fam.d))
-    return xs, fam.S[f_idx[:, None], xs]
+    return rng.integers(0, fam.n_bundles, size=(T, fam.d)), f_idx
 
 
 @pytest.mark.parametrize("name", ["tiny", "presence", "singleton"])
 def test_batched_indicators_match_per_task_oracle(name):
     fam, model = family_and_model(name)
-    xs, values = draw_tasks(fam, fam.n_members - 1, 400, stream(21, 0))
+    xs, f_idx = draw_tasks(fam, fam.n_members - 1, 400, stream(21, 0))
+    values = fam.S[f_idx[:, None], xs]
     expected = np.array([oracle_indicators(model, x, v) for x, v in zip(xs, values)])
-    batch = model.observation_indicators(xs, values)
+    batch = model.observation_indicators(xs, f_idx)
     assert batch.shape == (400, len(model.pairs)) and batch.dtype == bool
     assert np.array_equal(batch, expected)
-    single = model.observation_indicators(list(xs[7]), list(values[7]))
+    single = model.observation_indicators(list(xs[7]), int(f_idx[7]))
     assert single.shape == (len(model.pairs),)
     assert np.array_equal(single, expected[7])
 
@@ -474,8 +501,10 @@ def test_yatracos_sets_match_the_pair_index_rules(name):
     fam, model = family_and_model(name)
     pair_i = [i for i, _ in model.pairs]
     pair_j = [j for _, j in model.pairs]
-    xs, values = draw_tasks(fam, 0, 300, stream(22, 0))
-    mm = model.consistent_mask(xs, values).astype(float) @ fam.W.T  # (tasks, members)
+    xs, f_idx = draw_tasks(fam, 0, 300, stream(22, 0))
+    values = fam.S[f_idx[:, None], xs]
+    consistent = (fam.S.T[xs] == values[..., None]).all(axis=-2)  # (tasks, functions)
+    mm = consistent.astype(float) @ fam.W.T  # (tasks, members)
     assert np.array_equal(yatracos_sets(mm.T).T, mm[:, pair_i] > mm[:, pair_j] + 1e-12)
     cm = fam.W @ np.eye(len(fam.functions))  # one cell per function
     assert np.array_equal(yatracos_sets(cm), cm[pair_i] > cm[pair_j] + 1e-12)
@@ -500,41 +529,55 @@ def test_sample_function_size_matches_scalar_draws(name):
         bulk = fam.sample_function(member, rng_bulk, size=300)
         assert bulk.tolist() == [oracle_sample_function(fam, member, rng_one) for _ in range(300)]
         assert rng_bulk.random() == rng_one.random()  # both streams end in the same place
-        assert isinstance(fam.sample_function(member, rng_bulk), int)
+        assert isinstance(sample_one(fam, member, rng_bulk), int)
 
 
 @pytest.mark.parametrize("name", ["tiny", "presence", "singleton"])
 def test_selector_batch_matches_per_task_oracle(name):
     fam, model = family_and_model(name)
-    xs, values = draw_tasks(fam, 0, 300, stream(22, 1))
+    xs, f_idx = draw_tasks(fam, 0, 300, stream(22, 1))
     oracle = OracleSelector(model)
     expected = [oracle.selected()]  # t = 0: no task seen yet
-    for x, v in zip(xs, values):
+    for x, v in zip(xs, fam.S[f_idx[:, None], xs]):
         oracle.update(x, v)
         expected.append(oracle.selected())
-    sel = SequentialSelector(model, xs, values)
+    sel = SequentialSelector(model, xs, f_idx)
     assert sel.selected(np.arange(301)).tolist() == expected
     assert sel.selected([150, 0, 300]).tolist() == [expected[150], 0, expected[300]]
 
 
+def oracle_calibrate_schedule(fam, model, alpha, T_grid, replicates, seed):
+    """(R, delta) of the calibrated schedule, every run scored task by task."""
+    errors = np.array([
+        oracle_simulate_errors(fam, model, truth, T_grid, stream(seed, 3, truth, rep))
+        for truth in range(fam.n_members)
+        for rep in range(replicates)
+    ])
+    rank = int(np.ceil((1 - alpha) * len(errors)))
+    inflated = np.minimum(1.0, 1.25 * np.sort(errors, axis=0)[rank - 1])
+    monotone = np.maximum.accumulate(inflated[::-1])[::-1]
+    deltas = (errors > monotone[None, :]).mean(axis=0)
+    return (1.0,) + tuple(float(r) for r in monotone), (0.0,) + tuple(float(x) for x in deltas)
+
+
 @pytest.mark.parametrize("name", ["tiny", "presence"])
 @pytest.mark.parametrize("seed", [0, 3, 109])
-def test_calibrate_schedule_matches_per_task_oracle(name, seed, monkeypatch):
+def test_calibrate_schedule_matches_per_task_oracle(name, seed):
     fam, model = family_and_model(name)
     args = dict(alpha=0.2, T_grid=(5, 20, 60, 150), replicates=5, seed=seed)
     batched = calibrate_schedule(fam, model, **args)
-    monkeypatch.setattr(elicitation, "_simulate_errors", oracle_simulate_errors)
-    per_task = calibrate_schedule(fam, model, **args)
-    assert batched.R == per_task.R
-    assert batched.delta == per_task.delta
+    assert (batched.R, batched.delta) == oracle_calibrate_schedule(fam, model, **args)
 
 
 # (epsilon, schedule): the prior-free branch, then balls of several members
 # under tied query estimates; or the prior-aware branch from the first
-# customer, whose poor early estimates make sparse_family fall back
+# customer, whose poor early estimates make sparse_family fall back; or
+# the same at an epsilon small enough for presence_family customers to ask
+# new queries
 SERVE_CASES = [
     (2.0, ScheduleRDelta(0.1, (0, 15, 40), (1.0, 0.3, 0.25), (0.0, 0.0, 0.0))),
     (0.4, ScheduleRDelta(0.1, (0, 30), (0.05, 0.0), (0.0, 0.0))),
+    (0.02, ScheduleRDelta(0.1, (0, 30), (0.002, 0.0), (0.0, 0.0))),
 ]
 
 
@@ -544,12 +587,13 @@ def test_run_algorithm1_matches_per_task_oracle(name, seed):
     fam, model = family_and_model(name)
     M = fam.n_members
     q_table = [float((3 * j + 1) % 4) for j in range(M)]
-    fallbacks = 0
+    fallbacks, exits = 0, set()
     for (eps, schedule), truth in itertools.product(SERVE_CASES, sorted({0, M - 1})):
         res = run_algorithm1(fam, model, schedule, truth, eps, 120, seed, q_table)
-        expected, exceedance, expected_fallbacks = oracle_rows(
+        expected, exceedance, expected_fallbacks, case_exits = oracle_rows(
             fam, model, schedule, truth, eps, 120, seed, q_table
         )
+        exits |= case_exits
         assert res.rows == expected
         assert [tuple(map(format_cell, r)) for r in res.rows] == [
             tuple(map(format_cell, r)) for r in expected
@@ -557,6 +601,9 @@ def test_run_algorithm1_matches_per_task_oracle(name, seed):
         assert (res.exceedance_rate, res.fallbacks) == (exceedance, expected_fallbacks)
         fallbacks += res.fallbacks
     assert fallbacks > 0 or name != "sparse"
+    # every family stops both with and without new queries; sparse_family
+    # also falls back
+    assert exits == {"stop", "query"} | ({"fallback"} if name == "sparse" else set())
 
 
 def oracle_draw_customers(fam, truth, T, seed):

@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -15,12 +16,14 @@ from priorlab.ratelab import (
     coin_bound_table,
     counts_from_arrays_fast,
     fit_rate_exponent,
+    format_cell,
     lower_bound_floor,
     run_baseline_comparison,
     run_lower_experiment,
     run_upper_experiment,
     theory_lower_exponent,
     theory_upper_exponent,
+    write_csv,
 )
 from priorlab.sampling import sample_arrays, stream
 
@@ -226,3 +229,34 @@ def test_setup_tv_matrix_matches_pairwise_total_variation(config):
     setup = build_setup(config)
     expected = np.array([[float(total_variation(a, b)) for b in setup.members] for a in setup.members])
     assert np.array_equal(setup.tv_matrix, expected)
+
+
+def write_csv_by_row(path, header, rows):
+    """The row-by-row writer: every cell through format_cell."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([format_cell(v) for v in row])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [
+            (1, "A", 256, 0.0, -1, 0.1, True),
+            (2, "Aprime", 3, 1e-17, 4, 1 / 3, False),
+            (3, 'a "quoted", line\nbreak', -7, float("nan"), 0, -0.0, True),
+        ],
+        # mixed columns: int with float, bool with int, str with int, numpy scalars
+        [(1, True, "x", np.int64(3), np.float64(0.5), np.bool_(True)),
+         (2.5, 0, 7, np.int64(-1), np.float64(2.0), np.bool_(False))],
+        [],
+    ],
+    ids=["typed-columns", "mixed-columns", "no-rows"],
+)
+def test_write_csv_bytes_match_row_by_row_writer(tmp_path, rows):
+    header = tuple(f"c{i}" for i in range(7))
+    write_csv(tmp_path / "by_column.csv", header, rows)
+    write_csv_by_row(tmp_path / "by_row.csv", header, rows)
+    assert (tmp_path / "by_column.csv").read_bytes() == (tmp_path / "by_row.csv").read_bytes()
