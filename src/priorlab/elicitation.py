@@ -35,7 +35,7 @@ import numpy as np
 
 from .concepts import categorical_draw
 from .errors import BudgetError
-from .estimators import yatracos_scores, yatracos_sets
+from .estimators import _distinct_rows, yatracos_scores, yatracos_sets
 from .priors import tv_matrix
 from .sampling import raw_integers, raw_random, stream, stream_raw
 
@@ -370,64 +370,30 @@ def estimate_Q(
 class FamilyOutcomeModel:
     """Exact outcome-law machinery for the function family at k = d.
 
-    A task outcome is (d bundles, d observed values); its member
-    probability factors through the partition of the function set by
-    agreement on the bundles.  Since the d points are i.i.d. uniform,
-    P_member(A_ij) is computed exactly by enumerating weighted meets of the
-    distinct single-bundle partitions rather than all (2^n)^d tuples.
+    A task outcome is (d bundles, d observed values) and tells the members
+    apart only through its consistent set, the functions agreeing with the
+    customer's at all d bundles.  A bundle's partition of the functions is
+    its row of `family.agree` and the d points are i.i.d. uniform, so
+    P_member(A_ij) is computed exactly by one enumeration of the multisets
+    of d distinct partitions rather than all (2^n)^d tuples: their ANDs
+    give every set a task can have (`set_masks`), whose member masses and
+    pair indicators (`set_indicators`) G sums combination by combination.
     """
 
     def __init__(self, family: ValuationPriorFamily):
         self.family = family
-        d = family.d
-        F = len(family.functions)
-        n_bundles = family.n_bundles
-
-        # distinct single-bundle partitions of the function set
-        part_of_bundle = np.empty(n_bundles, dtype=np.int64)
-        parts: dict[tuple[int, ...], int] = {}
-        part_groups: list[list[list[int]]] = []
-        for x in range(n_bundles):
-            col = family.S[:, x]
-            labels: dict[float, int] = {}
-            sig = tuple(labels.setdefault(v, len(labels)) for v in col)
-            pid = parts.get(sig)
-            if pid is None:
-                pid = len(parts)
-                parts[sig] = pid
-                groups: list[list[int]] = [[] for _ in range(len(labels))]
-                for i, s in enumerate(sig):
-                    groups[s].append(i)
-                part_groups.append(groups)
-            part_of_bundle[x] = pid
-        weights = np.bincount(part_of_bundle, minlength=len(parts)) / n_bundles
-        P = len(parts)
+        d, F, M = family.d, len(family.functions), family.n_members
+        # distinct single-bundle partitions, numbered by their first bundle
+        first_bundle, part_of_bundle = _distinct_rows(family.agree)
+        P = len(first_bundle)
         if comb(P + d - 1, d) > MEET_BUDGET:
             raise BudgetError(
                 f"{comb(P + d - 1, d)} partition meets exceed the budget of {MEET_BUDGET}"
             )
-
-        M = family.n_members
-        self.pairs = [(i, j) for i in range(M) for j in range(M) if i != j]  # as yatracos_sets orders them
-        G = np.zeros((M, len(self.pairs)))
-        for combo in itertools.combinations_with_replacement(range(P), d):
-            # weight: (#ordered arrangements) * product of partition probs
-            mult = factorial(d)
-            for _, grp in itertools.groupby(combo):
-                mult //= factorial(len(list(grp)))
-            w = mult * np.prod([weights[p] for p in combo])
-            cells = self._meet(part_groups, combo, F)
-            cell_mat = np.zeros((len(cells), F))
-            for c, cell in enumerate(cells):
-                cell_mat[c, cell] = 1.0
-            cm = family.W @ cell_mat.T  # (members, cells)
-            G += w * np.einsum("lc,pc->lp", cm, yatracos_sets(cm).astype(float))
-        self.G = G
-        # consistent-set id: position in set_masks, the sets a task can have
-        # (a meet cell: d points, one from each partition of a combination,
-        # and any function); its pair indicators are row id of
-        # set_indicators, the member masses of the set compared pair by pair
-        first_bundle = np.unique(part_of_bundle, return_index=True)[1]
+        weights = np.bincount(part_of_bundle, minlength=P) / family.n_bundles
+        # cells[c, f]: the functions agreeing with f at one bundle of each
+        # partition of combination c; the set ids are positions in
+        # set_masks, every consistent set a task can have
         combos = np.array(list(itertools.combinations_with_replacement(range(P), d)))
         cells = family.consistent(first_bundle[combos][:, None], np.arange(F))
         # (a plain np.unique would import numpy.ma, about 1 MB of peak RSS)
@@ -435,30 +401,43 @@ class FamilyOutcomeModel:
         ok = (self.set_masks[:, None] >> np.arange(F)) & 1
         mm = np.stack([family.W @ row.astype(float) for row in ok])  # (sets, members)
         self.set_indicators = yatracos_sets(mm.T).T
+        self.pairs = [(i, j) for i in range(M) for j in range(M) if i != j]  # as yatracos_sets orders them
 
-    @staticmethod
-    def _meet(part_groups, combo, F) -> list[list[int]]:
-        label = [0] * F
-        for pid in combo:
-            groups = part_groups[pid]
-            sub = [0] * F
-            for g, members in enumerate(groups):
-                for i in members:
-                    sub[i] = g
-            label = [a * len(groups) + b for a, b in zip(label, sub)]
-        cells: dict[int, list[int]] = {}
-        for i, lab in enumerate(label):
-            cells.setdefault(lab, []).append(i)
-        return [cells[k] for k in sorted(cells)]
+        # G sums, combination by combination, the member masses of the
+        # consistent sets in each pair's Yatracos set; a combination's sets
+        # are taken in the order of their first function (f leads its set
+        # when its lowest bit is f).  Keep this order: a reordered sum moves
+        # G's last bits, and that flips min-distance ties.
+        ids = np.searchsorted(self.set_masks, cells)
+        leads = (cells & -cells) == np.int64(1) << np.arange(F, dtype=np.int64)
+        indicators = self.set_indicators.astype(float)
+        G = np.zeros((M, len(self.pairs)))
+        for combo, row, lead in zip(combos.tolist(), ids, leads):
+            # weight: (#ordered arrangements) * product of partition probs
+            mult = factorial(d)
+            for _, grp in itertools.groupby(combo):
+                mult //= factorial(len(list(grp)))
+            w = mult * np.prod([weights[p] for p in combo])
+            sets = row[lead]
+            G += w * np.einsum("cl,cp->lp", mm[sets], indicators[sets])
+        self.G = G
 
     def consistent_sets(self, xs, f_idx) -> np.ndarray:
         """The consistent-set id of each task: (T,) for (T, d) points and
-        (T,) function indices, a scalar for one task."""
-        masks = self.family.consistent(xs, f_idx)
-        ids = np.searchsorted(self.set_masks, masks)
-        if not np.array_equal(self.set_masks[np.minimum(ids, len(self.set_masks) - 1)], masks):
-            raise ValueError(f"tasks must have d = {self.family.d} points")
-        return ids
+        (T,) function indices, a scalar for one task.  Tasks of another
+        width, bundles outside the menu and unknown functions raise
+        ValueError (numpy would wrap a negative index)."""
+        family = self.family
+        xs, f_idx = np.asarray(xs), np.asarray(f_idx)
+        if xs.ndim < 1 or xs.shape[-1] != family.d:
+            raise ValueError(f"xs must hold tasks of d = {family.d} points, got shape {xs.shape}")
+        if f_idx.shape != xs.shape[:-1]:
+            raise ValueError(f"f_idx must hold one function index per task, not shape {f_idx.shape}")
+        if xs.size and not (0 <= xs.min() and xs.max() < family.n_bundles):
+            raise ValueError(f"xs must hold bundles in 0..{family.n_bundles - 1}")
+        if f_idx.size and not (0 <= f_idx.min() and f_idx.max() < len(family.functions)):
+            raise ValueError(f"f_idx must hold function indices in 0..{len(family.functions) - 1}")
+        return np.searchsorted(self.set_masks, family.consistent(xs, f_idx))
 
     def observation_indicators(self, xs, f_idx) -> np.ndarray:
         """Membership of observed outcomes in each A_ij: (pairs,) bools for
@@ -512,8 +491,10 @@ class ScheduleRDelta:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.knots[0] != 0 or list(self.knots) != sorted(set(self.knots)):
-            raise ValueError("knots must start at 0 and increase")
+        if not self.knots or self.knots[0] != 0 or list(self.knots) != sorted(set(self.knots)):
+            raise ValueError("knots must be nonempty, start at 0 and increase")
+        if not len(self.R) == len(self.delta) == len(self.knots):
+            raise ValueError("R and delta must hold one value per knot")
         if any(b > a + 1e-12 for a, b in zip(self.R, self.R[1:])):
             raise ValueError("R must be nonincreasing over the knots")
         if any(d > self.alpha + 1e-12 for d in self.delta):
@@ -535,8 +516,8 @@ def calibrate_schedule(
     T = 0 gets the trivial radius 1."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    if list(T_grid) != sorted(set(T_grid)) or T_grid[0] < 1:
-        raise ValueError("T_grid must be strictly increasing with T >= 1")
+    if not T_grid or list(T_grid) != sorted(set(T_grid)) or T_grid[0] < 1:
+        raise ValueError("T_grid must be nonempty and strictly increasing with T >= 1")
     pooled = replicates * family.n_members
     if pooled < int(np.ceil(1.0 / alpha)):
         raise ValueError(

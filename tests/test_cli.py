@@ -1,4 +1,5 @@
 import filecmp
+import os
 import platform
 import subprocess
 import sys
@@ -249,6 +250,27 @@ def test_elicit_byte_identical_across_workers(tmp_path):
     assert dispatch("elicit", cfg, 2, out2, workers=2) == 0
     for name in ("ledger_000.csv", "ledger_001.csv", "summary.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_elicit_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma adds about 1 MB to elicit's peak RSS, and a plain np.unique
+    # (without return_index or return_inverse) imports it; a fresh process,
+    # so that no other test has imported it first
+    cfg = write_config(tmp_path, "e.cfg", ELICIT_TINY)
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "from priorlab.cli import dispatch\n"
+        f"assert dispatch('elicit', {str(cfg)!r}, 2, {str(tmp_path / 'out')!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize(

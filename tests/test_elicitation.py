@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from priorlab import elicitation
 from priorlab.elicitation import (
     LEDGER_CSV_HEADER,
     FamilyOutcomeModel,
@@ -25,11 +26,17 @@ from priorlab.elicitation import (
     pseudo_shattered,
     run_algorithm1,
 )
+from priorlab.errors import BudgetError
 from priorlab.estimators import yatracos_sets
 from priorlab.ratelab import format_cell
 from priorlab.sampling import stream
 
-from elicitation_reference import ValueOracle, oracle_method_A, oracle_method_A_prime
+from elicitation_reference import (
+    ValueOracle,
+    meet_outcome_model,
+    oracle_method_A,
+    oracle_method_A_prime,
+)
 
 
 def tiny_family():
@@ -210,6 +217,51 @@ def test_outcome_model_matches_brute_force():
     assert np.allclose(model.G, brute_force_G(fam), atol=1e-12)
 
 
+def oracle_family(name):
+    """The families the outcome model is checked on bit for bit: the test
+    families and presence_family at seeds 0-9 and 4, 6 or 8 items."""
+    if name.startswith("presence-"):
+        seed, n_items = map(int, name.split("-")[1:])
+        return presence_family(seed=seed, n_items=n_items)[1]
+    if name == "two":
+        _, fam = tiny_family()
+        return ValuationPriorFamily(fam.functions, fam.members[:2], d=2)
+    return family_and_model(name)[0]
+
+
+ORACLE_FAMILIES = ["tiny", "sparse", "singleton", "two"] + [
+    f"presence-{seed}-{n_items}" for seed in range(10) for n_items in (4, 6, 8)
+]
+
+
+@pytest.mark.parametrize("name", ORACLE_FAMILIES)
+def test_outcome_model_matches_meet_oracle_bit_for_bit(name):
+    fam = oracle_family(name)
+    model = FamilyOutcomeModel(fam)
+    G, set_masks, set_indicators = meet_outcome_model(fam)
+    assert np.array_equal(model.G, G)
+    assert np.array_equal(model.set_masks, set_masks)
+    assert np.array_equal(model.set_indicators, set_indicators)
+    M = fam.n_members
+    assert model.pairs == [(i, j) for i in range(M) for j in range(M) if i != j]
+
+
+def test_outcome_model_checks_the_meet_budget_before_enumerating(monkeypatch):
+    _, fam = presence_family(seed=0)
+    n_parts = len({row.tobytes() for row in fam.agree})
+    n_combos = len(list(itertools.combinations_with_replacement(range(n_parts), fam.d)))
+    monkeypatch.setattr(elicitation, "MEET_BUDGET", n_combos)
+    FamilyOutcomeModel(fam)  # exactly at the budget
+    monkeypatch.setattr(elicitation, "MEET_BUDGET", n_combos - 1)
+
+    def no_enumeration(*args):
+        raise AssertionError("partition combinations built past the budget")
+
+    monkeypatch.setattr(ValuationPriorFamily, "consistent", no_enumeration)
+    with pytest.raises(BudgetError, match="partition meets"):
+        FamilyOutcomeModel(fam)
+
+
 def test_sequential_selector_identifies_truth():
     _, fam = tiny_family()
     model = FamilyOutcomeModel(fam)
@@ -236,6 +288,12 @@ def test_schedule_validation_and_lookup():
         ScheduleRDelta(0.1, (0, 10), (1.0, 0.5), (0.0, 0.2))  # delta > alpha
     with pytest.raises(ValueError):
         ScheduleRDelta(0.1, (5, 10), (1.0, 0.5), (0.0, 0.0))  # missing t=0
+    with pytest.raises(ValueError, match="knots"):
+        ScheduleRDelta(0.1, (), (), ())  # no knot at all
+    with pytest.raises(ValueError, match="one value per knot"):
+        ScheduleRDelta(0.1, (0, 10), (1.0,), (0.0, 0.0))
+    with pytest.raises(ValueError, match="one value per knot"):
+        ScheduleRDelta(0.1, (0, 10), (1.0, 0.5), (0.0,))
 
 
 def test_calibrate_schedule_singleton_family():
@@ -257,6 +315,8 @@ def test_calibrate_schedule_two_members():
     assert sched.R[-1] <= sched.R[1]
     with pytest.raises(ValueError):
         calibrate_schedule(two, model, alpha=0.0001, T_grid=(5,), replicates=2, seed=1)
+    with pytest.raises(ValueError, match="T_grid"):
+        calibrate_schedule(two, model, alpha=0.2, T_grid=(), replicates=25, seed=1)
 
 
 def test_run_algorithm1_singleton_family():
@@ -491,6 +551,32 @@ def test_batched_indicators_match_per_task_oracle(name):
     single = model.observation_indicators(list(xs[7]), int(f_idx[7]))
     assert single.shape == (len(model.pairs),)
     assert np.array_equal(single, expected[7])
+
+
+def test_consistent_sets_reject_tasks_of_the_wrong_width_or_range():
+    fam, model = family_and_model("presence")  # d = 3
+    xs, f_idx = draw_tasks(fam, 0, 20, stream(23, 0))
+    for width in (1, 2, 4, 5):
+        with pytest.raises(ValueError, match="xs must hold tasks of d = 3"):
+            model.consistent_sets(np.zeros((20, width), dtype=np.int64), f_idx)
+    with pytest.raises(ValueError, match="xs must hold tasks"):
+        SequentialSelector(model, xs[:, :2], f_idx)
+    with pytest.raises(ValueError, match="xs must hold tasks"):
+        model.consistent_sets(np.int64(0), f_idx[0])
+    for bundle in (-1, fam.n_bundles):
+        bad = xs.copy()
+        bad[5, 1] = bundle
+        with pytest.raises(ValueError, match="xs must hold bundles"):
+            model.consistent_sets(bad, f_idx)
+    with pytest.raises(ValueError, match="f_idx must hold one function index per task"):
+        model.consistent_sets(xs, f_idx[:5])
+    for f in (-1, len(fam.functions)):
+        bad = f_idx.copy()
+        bad[3] = f
+        with pytest.raises(ValueError, match="f_idx"):
+            model.consistent_sets(xs, bad)
+    ids = model.consistent_sets(xs, f_idx)
+    assert [model.consistent_sets(x, f) for x, f in zip(xs, f_idx)] == ids.tolist()
 
 
 @pytest.mark.parametrize("name", ["tiny", "presence", "sparse"])
