@@ -16,15 +16,16 @@ import itertools
 import os
 import platform
 import sys
-from math import comb
+from math import ceil, comb
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .concepts import enumerate_concepts, uniform_distribution
+from .concepts import MAX_POINTS, enumerate_concepts, uniform_distribution
 from .elicitation import (
     LEDGER_CSV_HEADER,
+    PRESENCE_MEMBERS,
     FamilyOutcomeModel,
     _PosteriorCache,
     calibrate_schedule,
@@ -68,10 +69,6 @@ from .ratelab import (
 )
 from .sampling import stream
 
-SUBCOMMANDS = (
-    "rates", "lowerbound", "coinbound", "lemmas", "smoothness", "elicit", "cover-info",
-)
-
 _REQUIRED = object()
 
 
@@ -91,73 +88,102 @@ def _bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-# per-subcommand schema: key -> (caster, default); _REQUIRED means mandatory
+def _at_least(least):
+    return (lambda v: v >= least), f"be >= {least}"
+
+
+def _within(lo, hi):
+    return (lambda v: lo <= v <= hi), f"lie in {lo}..{hi}"
+
+
+def _each(ok, text: str):
+    """The rule of a list key: at least one value, each passing `ok`."""
+    return (lambda vs: len(vs) > 0 and all(ok(v) for v in vs)), f"list values that each {text}"
+
+
+_POINTS = _within(1, MAX_POINTS)
+
+# per-subcommand schema: key -> (caster, default, rule); _REQUIRED means
+# mandatory.  A rule is (test, what a value "must" do), and a key left at
+# None (unset) skips it; a None rule marks a key checked only together with
+# others, in _check_config or by ExperimentConfig.
 SCHEMAS: dict[str, dict] = {
     "rates": {
-        "m": (int, _REQUIRED),
-        "d": (int, _REQUIRED),
-        "L": (float, _REQUIRED),
-        "alpha": (float, _REQUIRED),
-        "T_grid": (_int_list, _REQUIRED),
-        "family": (str, "parity"),
-        "replicates": (int, 100),
-        "k": (int, None),
-        "truth_count": (int, 8),
-        "twopoint_weight": (float, None),
-        "baseline_T": (int, None),
+        "m": (int, _REQUIRED, _POINTS),
+        "d": (int, _REQUIRED, None),
+        "L": (float, _REQUIRED, None),
+        "alpha": (float, _REQUIRED, None),
+        "T_grid": (_int_list, _REQUIRED, None),
+        "family": (str, "parity", None),
+        # a standard error needs two replicates; one gives NaN
+        "replicates": (int, 100, _at_least(2)),
+        "k": (int, None, None),
+        "truth_count": (int, None, None),
+        "twopoint_weight": (float, None, None),
+        "baseline_T": (int, None, _at_least(1)),
     },
     "lowerbound": {
-        "m": (int, _REQUIRED),
-        "d": (int, _REQUIRED),
-        "L": (float, _REQUIRED),
-        "alpha": (float, _REQUIRED),
-        "T_grid": (_int_list, _REQUIRED),
-        "replicates": (int, 200),
+        "m": (int, _REQUIRED, _POINTS),
+        "d": (int, _REQUIRED, None),
+        "L": (float, _REQUIRED, None),
+        "alpha": (float, _REQUIRED, None),
+        "T_grid": (_int_list, _REQUIRED, None),
+        "replicates": (int, 200, _at_least(2)),
     },
     "coinbound": {
-        "gammas": (_float_list, tuple(g / 100 for g in range(5, 55, 5))),
-        "n_max": (int, 200),
+        "gammas": (
+            _float_list, tuple(g / 100 for g in range(5, 55, 5)),
+            _each(lambda g: 0 < g <= 0.5, "lie in (0, 1/2]"),
+        ),
+        "n_max": (int, 200, _at_least(0)),
     },
     "lemmas": {
-        "m": (int, 2),
-        "d": (int, 1),
-        "k_max": (int, 3),
-        "pairs": (int, 50),
+        "m": (int, 2, _POINTS),
+        "d": (int, 1, None),
+        "k_max": (int, 3, None),
+        "pairs": (int, 50, _at_least(0)),
     },
     "smoothness": {
-        "m_max": (int, 8),
-        "d_max": (int, 3),
-        "L_list": (_float_list, (0.5, 1.0, 2.0)),
-        "alpha_list": (_float_list, (0.5, 1.0)),
-        "signs_per_instance": (int, 4),
+        "m_max": (int, 8, _within(2, MAX_POINTS)),
+        "d_max": (int, 3, _at_least(1)),
+        "L_list": (_float_list, (0.5, 1.0, 2.0), _each(lambda L: L > 0, "exceed 0")),
+        "alpha_list": (_float_list, (0.5, 1.0), _each(lambda a: 0 < a <= 1, "lie in (0, 1]")),
+        "signs_per_instance": (int, 4, _at_least(1)),
     },
     "elicit": {
-        "epsilon": (float, 0.2),
-        "T": (int, 500),
-        "replicates": (int, 5),
-        "n_items": (int, 8),
-        "calibration_T_grid": (_int_list, (25, 50, 100, 200, 400, 800)),
-        "calibration_replicates": (int, 20),
-        "q_trials": (int, 300),
-        "family_seed": (int, 0),
+        "epsilon": (float, 0.2, ((lambda eps: 0 < eps < 2), "lie in (0, 2)")),
+        "T": (int, 500, _at_least(1)),
+        "replicates": (int, 5, _at_least(1)),
+        "n_items": (
+            int, 8, ((lambda n: check_presence_args(n) is None), "build the presence family"),
+        ),
+        "calibration_T_grid": (
+            _int_list, (25, 50, 100, 200, 400, 800),
+            ((lambda g: len(g) > 0 and g[0] >= 1 and list(g) == sorted(set(g))),
+             "be a nonempty strictly increasing list of T >= 1"),
+        ),
+        "calibration_replicates": (int, 20, _at_least(1)),
+        "q_trials": (int, 300, _at_least(1)),
+        "family_seed": (int, 0, _at_least(0)),
     },
     "cover-info": {
-        "m": (int, 2),
-        "d": (int, 1),
-        "L": (float, 1.0),
-        "alpha": (float, 1.0),
-        "epsilons": (_float_list, (0.6, 0.5, 0.4, 0.3)),
-        "budget": (int, 100_000),
+        "m": (int, 2, _POINTS),
+        "d": (int, 1, None),
+        "L": (float, 1.0, None),
+        "alpha": (float, 1.0, None),
+        "epsilons": (_float_list, (0.6, 0.5, 0.4, 0.3), _each(lambda eps: eps > 0, "exceed 0")),
+        "budget": (int, 100_000, _at_least(1)),
     },
 }
 
 
-def parse_config(path: str | Path, subcommand: str) -> dict:
-    """Read `key = value` lines (# comments allowed), validate against the
-    subcommand's schema, fill defaults; unknown or missing keys are errors."""
+def parse_config(path: str | Path | None, subcommand: str) -> dict:
+    """Read `key = value` lines (# comments allowed), cast them by the
+    subcommand's schema, fill defaults and run each key's rule; unknown or
+    missing keys are errors.  With no path every key takes its default."""
     schema = SCHEMAS[subcommand]
     raw: dict[str, str] = {}
-    text = Path(path).read_text()
+    text = "" if path is None else Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -171,17 +197,18 @@ def parse_config(path: str | Path, subcommand: str) -> dict:
     unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ValueError(f"unknown config key(s) for {subcommand}: {', '.join(unknown)}")
+    missing = [key for key, (_, default, _) in schema.items() if default is _REQUIRED and key not in raw]
+    if missing:
+        raise ValueError(f"missing required config key(s) for {subcommand}: {', '.join(missing)}")
     config = {}
-    for key, (caster, default) in schema.items():
-        if key in raw:
-            try:
-                config[key] = caster(raw[key])
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from exc
-        elif default is _REQUIRED:
-            raise ValueError(f"missing required config key {key!r} for {subcommand}")
-        else:
-            config[key] = default
+    for key, (caster, default, rule) in schema.items():
+        try:
+            value = config[key] = caster(raw[key]) if key in raw else default
+            ok = rule is None or value is None or rule[0](value)
+        except ValueError as exc:  # from the caster, or a library check that says why
+            raise ValueError(f"config key {key!r}: {exc}") from exc
+        if not ok:
+            raise ValueError(f"config key {key!r} must {rule[1]}, got {value!r}")
     return config
 
 
@@ -287,13 +314,19 @@ def cmd_lowerbound(
     return 0
 
 
-def cmd_coinbound(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
-    rows = coin_bound_table(config["gammas"], range(config["n_max"] + 1))
-    write_csv(outdir / "coinbound.csv", COIN_CSV_HEADER, rows)
-    n_fail = sum(1 for r in rows if not r[4])
+def _write_check_table(outdir: Path, csv_name: str, header, rows) -> None:
+    """Write a table of checks and a summary.txt counting the rows whose
+    last column, "pass", is false."""
+    write_csv(outdir / csv_name, header, rows)
+    n_fail = sum(1 for r in rows if not r[-1])
     (outdir / "summary.txt").write_text(
         f"rows={len(rows)}\nviolations={n_fail}\nall_pass={n_fail == 0}\n"
     )
+
+
+def cmd_coinbound(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
+    rows = coin_bound_table(config["gammas"], range(config["n_max"] + 1))
+    _write_check_table(outdir, "coinbound.csv", COIN_CSV_HEADER, rows)
     _emit_plot_script(outdir, "coinbound", "coinbound.csv", "n", "bayes_error", loglog=False)
     return 0
 
@@ -313,11 +346,7 @@ def cmd_lemmas(config: dict, seed: int, outdir: Path, workers: int, exact: bool)
         rows.append(verify_tree_inequality(pa, pb, anchors, d).csv_row())
         rows.extend(r.csv_row() for r in verify_sqrt_bound(pa, pb, dist, d))
     rows.extend(r.csv_row() for r in check_sauer(space))
-    write_csv(outdir / "lemmas.csv", CHECK_CSV_HEADER, rows)
-    n_fail = sum(1 for r in rows if not r[5])
-    (outdir / "summary.txt").write_text(
-        f"rows={len(rows)}\nviolations={n_fail}\nall_pass={n_fail == 0}\n"
-    )
+    _write_check_table(outdir, "lemmas.csv", CHECK_CSV_HEADER, rows)
     _emit_plot_script(outdir, "lemmas", "lemmas.csv", "k", "lhs", loglog=False)
     return 0
 
@@ -359,11 +388,7 @@ def cmd_smoothness(config: dict, seed: int, outdir: Path, workers: int, exact: b
                         rows.append(
                             (m, d, L, alpha, gamma, mass_gap, float(f.min()), float(f.max()), hold, ok)
                         )
-    write_csv(outdir / "smoothness.csv", header, rows)
-    n_fail = sum(1 for r in rows if not r[9])
-    (outdir / "summary.txt").write_text(
-        f"rows={len(rows)}\nviolations={n_fail}\nall_pass={n_fail == 0}\n"
-    )
+    _write_check_table(outdir, "smoothness.csv", header, rows)
     _emit_plot_script(outdir, "smoothness", "smoothness.csv", "m", "gamma", loglog=False)
     return 0
 
@@ -378,15 +403,9 @@ def _elicit_stream(payload):
 
 
 def _experiment_config(config: dict, seed: int) -> ExperimentConfig:
-    """The experiment of a rates or lowerbound config, rejecting values the
-    run cannot report on.  A lowerbound config has no family, k,
+    """The experiment of a rates or lowerbound config; ExperimentConfig
+    checks the values it reads.  A lowerbound config has no family, k,
     truth_count or twopoint_weight key and runs the parity family."""
-    if config["replicates"] < 2:
-        # a standard error needs two replicates; one gives NaN
-        raise ValueError(f"config key 'replicates' must be >= 2, got {config['replicates']}")
-    baseline_T = config.get("baseline_T")
-    if baseline_T is not None and baseline_T < 1:
-        raise ValueError(f"config key 'baseline_T' must be >= 1, got {baseline_T}")
     optional = ("family", "k", "truth_count", "twopoint_weight")
     return ExperimentConfig(
         m=config["m"], d=config["d"], L=config["L"], alpha=config["alpha"],
@@ -395,66 +414,30 @@ def _experiment_config(config: dict, seed: int) -> ExperimentConfig:
     )
 
 
-def _check_each(config: dict, key: str, ok, rule: str) -> None:
-    bad = [v for v in config[key] if not ok(v)]
-    if bad:
-        raise ValueError(f"config key {key!r} values must {rule}, got {bad[0]!r}")
-
-
-# the least value of each count key a run can report on: below it a
-# subcommand runs nothing, or nothing it can check
-_MINIMUMS = {
-    "coinbound": {"n_max": 0},
-    "cover-info": {"budget": 1},
-    "lemmas": {"pairs": 0},
-    "smoothness": {"m_max": 2, "d_max": 1, "signs_per_instance": 1},
-    "elicit": {
-        "T": 1, "replicates": 1, "calibration_replicates": 1, "q_trials": 1, "family_seed": 0,
-    },
-}
-
-
 def _check_config(subcommand: str, config: dict) -> None:
-    """Reject values a run cannot run or report on, naming the key: an
-    empty table would read as a pass, a concept space needs 1 <= d <= m,
-    and a parity-family member needs gamma_m in (0, 1/2)."""
-    for key, least in _MINIMUMS.get(subcommand, {}).items():
-        if config[key] < least:
-            raise ValueError(f"config key {key!r} must be >= {least}, got {config[key]}")
-    for key in ("gammas", "L_list", "alpha_list", "epsilons"):
-        if key in config and not config[key]:
-            raise ValueError(f"config key {key!r} must list at least one value")
+    """The rules that span keys of a parsed config, naming the keys: a
+    concept space needs 1 <= d <= m, a parity-family member needs gamma_m
+    in (0, 1/2), and elicit's calibration must resolve its quantile."""
     if "d" in config and not 1 <= config["d"] <= config["m"]:
         raise ValueError(f"config key 'd' must lie in 1..m = {config['m']}, got {config['d']}")
     if subcommand == "lemmas" and config["k_max"] < config["d"]:
         raise ValueError(f"config key 'k_max' must be >= d = {config['d']}, got {config['k_max']}")
-    if subcommand == "coinbound":
-        _check_each(config, "gammas", lambda g: 0 < g <= 0.5, "lie in (0, 1/2]")
     if subcommand == "smoothness":
-        _check_each(config, "L_list", lambda L: L > 0, "be > 0")
-        _check_each(config, "alpha_list", lambda a: 0 < a <= 1, "lie in (0, 1]")
         ms = range(2, config["m_max"] + 1)
         grid = itertools.product(ms, config["L_list"], config["alpha_list"])
         if all(parity_gamma(L, alpha, m) is None for m, L, alpha in grid):
             raise ValueError(f"config keys 'L_list' and 'alpha_list' fit no m <= 'm_max': {PARITY_RULE}")
-    if subcommand == "cover-info":
-        _check_each(config, "epsilons", lambda eps: eps > 0, "be > 0")
-        if parity_gamma(config["L"], config["alpha"], config["m"]) is None:
-            raise ValueError(f"config keys 'L' and 'alpha' at m = {config['m']}: {PARITY_RULE}")
-    if subcommand != "elicit":
-        return
-    if not 0 < config["epsilon"] < 2:
-        raise ValueError(f"config key 'epsilon' must lie in (0, 2), got {config['epsilon']}")
-    grid = config["calibration_T_grid"]
-    if not grid or grid[0] < 1 or list(grid) != sorted(set(grid)):
-        raise ValueError(
-            f"config key 'calibration_T_grid' must be a nonempty strictly increasing "
-            f"list of T >= 1, got {grid}"
-        )
-    try:
-        check_presence_args(config["n_items"])
-    except ValueError as exc:
-        raise ValueError(f"config key 'n_items': {exc}") from exc
+    if subcommand == "cover-info" and parity_gamma(config["L"], config["alpha"], config["m"]) is None:
+        raise ValueError(f"config keys 'L' and 'alpha' at m = {config['m']}: {PARITY_RULE}")
+    if subcommand == "elicit":
+        # calibrate_schedule pools one run per (replicate, member) for a
+        # quantile at level epsilon/2, which needs ceil(2/epsilon) runs
+        runs, needed = config["calibration_replicates"] * PRESENCE_MEMBERS, ceil(2 / config["epsilon"])
+        if runs < needed:
+            raise ValueError(
+                f"config keys 'calibration_replicates' and 'epsilon': {runs} calibration runs "
+                f"cannot resolve a quantile at level {config['epsilon'] / 2}, which needs {needed}"
+            )
 
 
 def cmd_elicit(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
@@ -544,7 +527,7 @@ def dispatch(
 ) -> int:
     """Run one subcommand; returns the process exit code."""
     if subcommand not in DISPATCH:
-        print(f"unknown subcommand {subcommand!r}; choose from {', '.join(SUBCOMMANDS)}",
+        print(f"unknown subcommand {subcommand!r}; choose from {', '.join(DISPATCH)}",
               file=sys.stderr)
         return 1
     outdir = Path(outdir)
@@ -555,16 +538,9 @@ def dispatch(
             raise ValueError(f"workers must be >= 1, got {workers}")
         if exact_rational and subcommand != "smoothness":
             raise ValueError(f"--exact-rational is read only by smoothness, not {subcommand}")
-        if config_path is None:
-            config = {k: v for k, (_, v) in SCHEMAS[subcommand].items()}
-            missing = [k for k, v in config.items() if v is _REQUIRED]
-            if missing:
-                raise ValueError(
-                    f"{subcommand} requires a config file with: {', '.join(missing)}"
-                )
-        else:
-            config = parse_config(config_path, subcommand)
-        # every config check runs before any output is written
+        # every config check runs before any output is written: each key's
+        # rule as it is parsed, then the rules that span keys
+        config = parse_config(config_path, subcommand)
         _check_config(subcommand, config)
         command = DISPATCH[subcommand]
         if subcommand in ("rates", "lowerbound"):
@@ -585,7 +561,7 @@ def main(argv=None) -> int:
         prog="priorlab",
         description="Simulation workbench for prior estimation over finite VC classes.",
     )
-    parser.add_argument("subcommand", help=f"one of: {', '.join(SUBCOMMANDS)}")
+    parser.add_argument("subcommand", help=f"one of: {', '.join(DISPATCH)}")
     parser.add_argument("--config", default=None, help="key = value config file")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -596,11 +572,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--exact-rational", type=_bool, default=False, metavar="BOOL")
     args = parser.parse_args(argv)
-    if args.subcommand not in SUBCOMMANDS:
-        parser.print_usage(sys.stderr)
-        print(f"unknown subcommand {args.subcommand!r}; choose from {', '.join(SUBCOMMANDS)}",
-              file=sys.stderr)
-        return 1
+    if args.subcommand not in DISPATCH:
+        parser.print_usage(sys.stderr)  # dispatch names the subcommand and exits 1
     return dispatch(
         args.subcommand, args.config, args.seed, args.out, args.workers, args.exact_rational
     )

@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-MAX_POINTS = 64  # masks are plain ints; keep them machine-word sized
+MAX_POINTS = 63  # masks are stored as int64; point 64 would need the sign bit
 SHATTER_GUARD = 12  # largest m for the brute-force VC check
 
 

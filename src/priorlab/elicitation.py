@@ -49,6 +49,7 @@ MEET_BUDGET = 2_000_000  # partition meets the outcome model enumerates
 CALIBRATION_SAFETY = 1.25  # inflation of the calibrated radius quantile
 FAVORITE_WEIGHT = 0.25  # presence_family: each member's weight on its favourite function
 TWIN_DELTA = 0.0125  # presence_family: twins' effective utility on their pinned group
+PRESENCE_MEMBERS = 8  # presence_family: members of the built-in family
 
 LEDGER_CSV_HEADER = ("t", "branch", "queries", "regret", "theta_check", "R_used")
 
@@ -671,7 +672,7 @@ def presence_family(
     seed: int = 0,
     n_items: int = 8,
     n_functions: int = 8,
-    n_members: int = 8,
+    n_members: int = PRESENCE_MEMBERS,
 ):
     """The built-in acceptance family: 4 item groups of 2, group-presence
     valuations, presence-based prices, members sharing full support.

@@ -315,6 +315,10 @@ def exact_bayes_error(gamma, n: int) -> Fraction:
     because its acceptance region is exactly where its pmf dominates.
     The sum runs over integer numerators with the common denominator
     (2q)^n (p_hi = a/2q, p_lo = b/2q), which keeps it exact and fast.
+    As a > b, the high-bias term is the smaller one exactly when 2x <= n,
+    and the low-bias term at x is the high-bias term at n - x; so the sum
+    is twice the high-bias terms with 2x < n, plus the middle term when n
+    is even.
     """
     g = _as_fraction(gamma)
     if not 0 < g < 1:
@@ -323,17 +327,13 @@ def exact_bayes_error(gamma, n: int) -> Fraction:
         raise ValueError("n must be >= 0")
     a = g.denominator + g.numerator  # 2q * p_hi
     b = g.denominator - g.numerator  # 2q * p_lo
-    pow_a = [1] * (n + 1)
-    pow_b = [1] * (n + 1)
-    for i in range(1, n + 1):
-        pow_a[i] = pow_a[i - 1] * a
-        pow_b[i] = pow_b[i - 1] * b
-    total = 0
-    for x in range(n + 1):
-        c = comb(n, x)
-        hi = c * pow_a[x] * pow_b[n - x]
-        lo = c * pow_b[x] * pow_a[n - x]
-        total += min(hi, lo)
+    total, power_a = 0, 1
+    for x in range((n + 1) // 2):
+        total += comb(n, x) * power_a * b ** (n - x)
+        power_a *= a
+    total *= 2
+    if n % 2 == 0:
+        total += comb(n, n // 2) * (a * b) ** (n // 2)
     return Fraction(total, 2 * (2 * g.denominator) ** n)
 
 

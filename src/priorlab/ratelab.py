@@ -84,7 +84,7 @@ class ExperimentConfig:
     replicates: int = 100
     seed: int = 0
     k: int | None = None  # samples per task; defaults to d
-    truth_count: int = 8  # sampled true parameters (plus the two extremes)
+    truth_count: int | None = None  # parity family only: sampled truths; defaults to 8
     twopoint_weight: float | None = None  # twopoint family only; defaults to 0.05
 
     def __post_init__(self):
@@ -92,8 +92,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "parity" and self.twopoint_weight is not None:
             raise ValueError("'twopoint_weight' is read only by family = twopoint, not parity")
+        if self.family == "twopoint" and self.truth_count is not None:
+            raise ValueError("'truth_count' is read only by family = parity, not twopoint")
         if self.family == "twopoint" and self.twopoint_weight is None:
             object.__setattr__(self, "twopoint_weight", 0.05)
+        if self.family == "parity" and self.truth_count is None:
+            object.__setattr__(self, "truth_count", 8)
         if self.family == "twopoint" and self.m < 3:
             # the two point masses sit on points 1 and 2, the rest of D on 3..m
             raise ValueError(f"the twopoint family needs m >= 3, got m={self.m}")
@@ -106,8 +110,11 @@ class ExperimentConfig:
             raise ValueError(f"'T_grid' must be strictly increasing with T >= 1, got {self.T_grid}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.truth_count < 0:
+        if self.truth_count is not None and self.truth_count < 0:
             raise ValueError(f"'truth_count' must be >= 0, got {self.truth_count}")
+        if self.truth_count is not None and self.truth_count > DEFAULT_BUDGET:
+            # build_setup draws truth_count indices at once
+            raise BudgetError(f"'truth_count' = {self.truth_count} exceeds the budget of {DEFAULT_BUDGET}")
         if self.k is not None and self.k < self.d:
             raise ValueError("k must be at least d")
         codes = (2 * self.m) ** self.samples_per_task

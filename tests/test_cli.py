@@ -8,7 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from priorlab.cli import _experiment_config, dispatch, main, parse_config
+from priorlab.cli import SCHEMAS, _check_config, _experiment_config, dispatch, main, parse_config
+from priorlab.outcomes import DEFAULT_BUDGET
+
+# child processes import priorlab from src/, installed or not
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def write_config(tmp_path: Path, name: str, text: str) -> Path:
@@ -257,17 +266,14 @@ def test_elicit_does_not_import_numpy_ma(tmp_path):
     # (without return_index or return_inverse) imports it; a fresh process,
     # so that no other test has imported it first
     cfg = write_config(tmp_path, "e.cfg", ELICIT_TINY)
-    src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys\n"
         "from priorlab.cli import dispatch\n"
         f"assert dispatch('elicit', {str(cfg)!r}, 2, {str(tmp_path / 'out')!r}) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
@@ -304,7 +310,7 @@ def test_elicit_single_item_group_exits_instead_of_hanging(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "priorlab.cli", "elicit", "--config", str(cfg),
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
     )
     assert proc.returncode == 1
     assert "'n_items'" in proc.stderr and "distinct" in proc.stderr
@@ -320,7 +326,8 @@ def test_exact_rational_rejected_where_ignored(tmp_path, capsys):
 
 def test_console_entrypoint_runs():
     rc = subprocess.run(
-        [sys.executable, "-m", "priorlab.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "priorlab.cli", "--help"], capture_output=True, text=True,
+        env=CHILD_ENV,
     )
     assert rc.returncode == 0
     assert "priorlab" in rc.stdout
@@ -373,6 +380,8 @@ SMOOTH_OK = "m_max = 3\nd_max = 1\nL_list = 1.0\nalpha_list = 1.0\nsigns_per_ins
         # these ran the parity family and ignored the two-point weight
         ("rates", RATES_OK + "twopoint_weight = 0.3\n", "'twopoint_weight'"),
         ("rates", RATES_OK + "family = parity\ntwopoint_weight = 0.05\n", "'twopoint_weight'"),
+        # this one ran truths 0 and 1 whatever the count
+        ("rates", RATES_OK + "family = twopoint\ntruth_count = 5\n", "'truth_count'"),
     ],
 )
 def test_config_without_work_rejected_before_output(tmp_path, capsys, subcommand, text, key):
@@ -389,6 +398,82 @@ def test_twopoint_weight_defaults_on_the_twopoint_family_only(tmp_path):
     parity = parse_config(write_config(tmp_path, "p.cfg", RATES_OK), "rates")
     assert parity["twopoint_weight"] is None
     assert _experiment_config(parity, 0).twopoint_weight is None
+
+
+# one rejected value for every key that has a rule in SCHEMAS; a config of
+# each subcommand sets it on top of RATES_OK or the defaults
+RULE_CASES = {
+    ("rates", "m"): "64",  # point 64 would need the int64 masks' sign bit
+    ("rates", "replicates"): "1",
+    ("rates", "baseline_T"): "0",
+    ("lowerbound", "m"): "64",
+    ("lowerbound", "replicates"): "1",
+    ("coinbound", "gammas"): "0.25,0",
+    ("coinbound", "n_max"): "-1",
+    ("lemmas", "m"): "64",
+    ("lemmas", "pairs"): "-1",
+    ("smoothness", "m_max"): "64",
+    ("smoothness", "d_max"): "0",
+    ("smoothness", "L_list"): "1.0,-1",
+    ("smoothness", "alpha_list"): "1.5",
+    ("smoothness", "signs_per_instance"): "0",
+    ("elicit", "epsilon"): "2",
+    ("elicit", "T"): "0",
+    ("elicit", "replicates"): "0",
+    ("elicit", "n_items"): "18",
+    ("elicit", "calibration_T_grid"): "10,10",
+    ("elicit", "calibration_replicates"): "0",
+    ("elicit", "q_trials"): "0",
+    ("elicit", "family_seed"): "-1",
+    ("cover-info", "m"): "64",
+    ("cover-info", "epsilons"): "0.5,0",
+    ("cover-info", "budget"): "0",
+}
+
+
+def test_every_schema_rule_has_a_rejection_case():
+    ruled = {
+        (sub, key) for sub, schema in SCHEMAS.items()
+        for key, (_, _, rule) in schema.items() if rule is not None
+    }
+    assert ruled == set(RULE_CASES)
+
+
+@pytest.mark.parametrize("subcommand, key", sorted(RULE_CASES))
+def test_schema_rule_rejects_before_output(tmp_path, capsys, subcommand, key):
+    base = RATES_OK if subcommand in ("rates", "lowerbound") else ""
+    kept = [line for line in base.splitlines() if line.split(" =")[0] != key]
+    text = "\n".join(kept + [f"{key} = {RULE_CASES[subcommand, key]}"]) + "\n"
+    out = tmp_path / "out"
+    assert dispatch(subcommand, write_config(tmp_path, "c.cfg", text), 0, out) == 1
+    err = capsys.readouterr().err
+    assert f"config key {key!r}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_elicit_calibration_must_resolve_its_quantile_before_output(tmp_path, capsys):
+    # 1 replicate x 8 members cannot give a 0.005 quantile; this wrote
+    # manifest.txt and menu.tsv first
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "e.cfg", "epsilon = 0.01\ncalibration_replicates = 1\n")
+    assert dispatch("elicit", cfg, 0, out) == 1
+    err = capsys.readouterr().err
+    assert "'calibration_replicates'" in err and "'epsilon'" in err and "Traceback" not in err
+    assert not out.exists()
+    # ceil(2 / 0.01) = 200 runs: 25 replicates of 8 members suffice, 24 do not
+    config = {**parse_config(None, "elicit"), "epsilon": 0.01, "calibration_replicates": 25}
+    _check_config("elicit", config)
+    with pytest.raises(ValueError, match="200"):
+        _check_config("elicit", {**config, "calibration_replicates": 24})
+
+
+def test_truth_count_budget_checked_before_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "c.cfg", RATES_OK + f"truth_count = {DEFAULT_BUDGET + 1}\n")
+    assert dispatch("rates", cfg, 0, out) == 2
+    err = capsys.readouterr().err
+    assert "'truth_count'" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_lemmas_accepts_zero_pairs(tmp_path):

@@ -44,6 +44,15 @@ def test_enumeration_rejects_bad_d():
         enumerate_concepts(3, 0)
 
 
+def test_enumeration_rejects_points_past_the_int64_masks():
+    # point 64 would need the sign bit; this raised OverflowError
+    with pytest.raises(ValueError, match="63-bit"):
+        enumerate_concepts(64, 1)
+    top = enumerate_concepts(63, 1)
+    assert top.concepts[-1].mask == 1 << 62
+    assert top.label_matrix((63,))[-1, 0] == 1
+
+
 def test_d_subsets_lexicographic():
     subs = d_subsets(3, 2)
     assert subs == [0b011, 0b101, 0b110]

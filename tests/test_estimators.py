@@ -528,6 +528,22 @@ def test_majority_rule_attains_bayes_error():
             assert majority_rule_error(gamma, n) == exact_bayes_error(gamma, n)
 
 
+def min_form_bayes_error(g: Fraction, n: int) -> Fraction:
+    """Oracle: (1/2) sum_x min(pmf_high(x), pmf_low(x)) term by term, in
+    integer numerators over (2q)^n."""
+    a, b = g.denominator + g.numerator, g.denominator - g.numerator
+    total = sum(comb(n, x) * min(a**x * b ** (n - x), b**x * a ** (n - x)) for x in range(n + 1))
+    return Fraction(total, 2 * (2 * g.denominator) ** n)
+
+
+def test_exact_bayes_error_matches_min_form_on_shipped_grid():
+    # the 2,010 (gamma, n) pairs of configs/coinbound.cfg
+    for g100 in range(5, 55, 5):
+        gamma = Fraction(str(g100 / 100))
+        for n in range(201):
+            assert exact_bayes_error(gamma, n) == min_form_bayes_error(gamma, n), (gamma, n)
+
+
 def test_coin_floor_grid_small():
     # a slice of the acceptance grid; the full grid runs in acceptance
     for g100 in (5, 20, 50):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from priorlab.concepts import enumerate_concepts, uniform_distribution
+from priorlab.errors import BudgetError
 from priorlab.estimators import SkeletonEstimator
+from priorlab.outcomes import DEFAULT_BUDGET
 from priorlab.priors import CoverFamily, reference_prior, total_variation
 from priorlab.ratelab import (
     BASELINE_CSV_HEADER,
@@ -39,6 +41,18 @@ def test_config_validation():
         ExperimentConfig(family="nope")
     with pytest.raises(ValueError):
         ExperimentConfig(k=1, d=2)
+
+
+def test_truth_count_is_read_by_the_parity_family_only():
+    assert ExperimentConfig().truth_count == 8
+    assert ExperimentConfig(m=3, d=1, family="twopoint").truth_count is None
+    with pytest.raises(ValueError, match="'truth_count'"):
+        ExperimentConfig(m=3, d=1, family="twopoint", truth_count=5)
+    with pytest.raises(ValueError, match="'truth_count'"):
+        ExperimentConfig(truth_count=-1)
+    # build_setup would draw this many indices at once
+    with pytest.raises(BudgetError, match="'truth_count'"):
+        ExperimentConfig(truth_count=DEFAULT_BUDGET + 1)
 
 
 def test_theory_exponents():
