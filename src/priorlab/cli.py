@@ -52,6 +52,7 @@ from .priors import (
     smooth_prior,
     PARITY_RULE,
     parity_family,
+    parity_family_size,
     parity_gamma,
 )
 from .ratelab import (
@@ -404,20 +405,25 @@ def _elicit_stream(payload):
 
 def _experiment_config(config: dict, seed: int) -> ExperimentConfig:
     """The experiment of a rates or lowerbound config; ExperimentConfig
-    checks the values it reads.  A lowerbound config has no family, k,
-    truth_count or twopoint_weight key and runs the parity family."""
+    checks the values it reads, then its family and selection budgets.
+    A lowerbound config has no family, k, truth_count or twopoint_weight
+    key and runs the parity family."""
     optional = ("family", "k", "truth_count", "twopoint_weight")
-    return ExperimentConfig(
+    exp = ExperimentConfig(
         m=config["m"], d=config["d"], L=config["L"], alpha=config["alpha"],
         T_grid=config["T_grid"], replicates=config["replicates"], seed=seed,
         **{key: config[key] for key in optional if key in config},
     )
+    exp.check_budget()
+    return exp
 
 
 def _check_config(subcommand: str, config: dict) -> None:
     """The rules that span keys of a parsed config, naming the keys: a
     concept space needs 1 <= d <= m, a parity-family member needs gamma_m
-    in (0, 1/2), and elicit's calibration must resolve its quantile."""
+    in (0, 1/2), cover-info's parity family must fit its budget, and
+    elicit's calibration must resolve its quantile.  rates and lowerbound
+    leave theirs, their budgets among them, to `_experiment_config`."""
     if "d" in config and not 1 <= config["d"] <= config["m"]:
         raise ValueError(f"config key 'd' must lie in 1..m = {config['m']}, got {config['d']}")
     if subcommand == "lemmas" and config["k_max"] < config["d"]:
@@ -429,6 +435,8 @@ def _check_config(subcommand: str, config: dict) -> None:
             raise ValueError(f"config keys 'L_list' and 'alpha_list' fit no m <= 'm_max': {PARITY_RULE}")
     if subcommand == "cover-info" and parity_gamma(config["L"], config["alpha"], config["m"]) is None:
         raise ValueError(f"config keys 'L' and 'alpha' at m = {config['m']}: {PARITY_RULE}")
+    if subcommand == "cover-info":
+        parity_family_size(config["m"], config["d"])
     if subcommand == "elicit":
         # calibrate_schedule pools one run per (replicate, member) for a
         # quantile at level epsilon/2, which needs ceil(2/epsilon) runs

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -74,24 +73,15 @@ class DataDistribution:
         """Total weight of the points in `mask`."""
         return sum(w for i, w in enumerate(self.weights) if (mask >> i) & 1)
 
-    @cached_property
-    def _thresholds(self) -> list[float]:
-        """cumsum(weights)[:-1], computed once."""
-        return np.cumsum(self.weights)[:-1].tolist()
 
-    def inverse_cdf(self, u) -> np.ndarray:
-        """The point 1..m drawn by each uniform in `u` (see `categorical_draw`)."""
-        return categorical_draw(self._thresholds, u, first=1)
-
-
-def categorical_draw(thresholds, u, first: int = 0) -> np.ndarray:
+def categorical_draw(thresholds, u) -> np.ndarray:
     """The category drawn by each uniform in `u` from a categorical law
-    whose cumulative sums are cs: `first` plus the number of thresholds
-    cs[:-1] at or below it.  This is `min(searchsorted(cs, u,
-    side="right"), len(cs) - 1) + first` bit for bit (the clip covers a
-    cumsum that ends below 1), in len(cs) - 1 comparison passes instead
-    of a binary search per draw."""
-    idx = np.full(np.shape(u), first, dtype=np.int64)
+    whose cumulative sums are cs: the number of thresholds cs[:-1] at or
+    below it.  This is `min(searchsorted(cs, u, side="right"),
+    len(cs) - 1)` bit for bit (the clip covers a cumsum that ends below
+    1), in len(cs) - 1 comparison passes instead of a binary search per
+    draw."""
+    idx = np.zeros(np.shape(u), dtype=np.int64)
     for threshold in thresholds:
         idx += u >= threshold
     return idx

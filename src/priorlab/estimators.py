@@ -33,6 +33,19 @@ def yatracos_scores(PA: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.abs(PA - mu[..., None, :]).max(axis=-1, initial=0.0)
 
 
+_ROW_BLOCK = 1 << 12  # values a block of rows holds at once (one row may hold more)
+
+
+def _by_rows(fn, rows: np.ndarray, entries: int) -> np.ndarray:
+    """fn of one vector, or of a stack of them a block of rows at a time,
+    where fn makes `entries` values per row, so that a block holds about
+    _ROW_BLOCK of them."""
+    if rows.ndim == 1:
+        return fn(rows)
+    step = max(1, _ROW_BLOCK // max(entries, 1))
+    return np.concatenate([fn(rows[i:i + step]) for i in range(0, len(rows), step)])
+
+
 def yatracos_sets(M: np.ndarray) -> np.ndarray:
     """The Yatracos sets {z : M_i(z) > M_j(z)} of the rows of a (members,
     support) mass table, over ordered pairs i != j in row-major order, as
@@ -44,6 +57,17 @@ def yatracos_sets(M: np.ndarray) -> np.ndarray:
     rhs = M if M.dtype == object else M + 1e-12
     off_diagonal = ~np.eye(len(M), dtype=bool)
     return (M[:, None, :] > rhs[None, :, :])[off_diagonal].astype(bool, copy=False)
+
+
+def check_yatracos_budget(n: int, s: int) -> None:
+    """BudgetError when min-distance selection over n members on s support
+    points exceeds the budget: its pairwise sets hold pairs x support
+    entries, and their member masses members x pairs."""
+    if n * (n - 1) * (s + n) > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"{n * (n - 1)} Yatracos pairs x ({s} support points + {n} members)"
+            f" exceed the budget of {DEFAULT_BUDGET}"
+        )
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,13 +102,7 @@ class _MinDistance:
 
     def __init__(self, mass_matrix: np.ndarray, exact_rows: list[list[Fraction]] | None = None):
         self.M = np.asarray(mass_matrix, dtype=float)
-        n, s = self.M.shape
-        if n * (n - 1) * (s + n) > DEFAULT_BUDGET:
-            # A holds pairs x support entries and PA members x pairs
-            raise BudgetError(
-                f"{n * (n - 1)} Yatracos pairs x ({s} support points + {n} members)"
-                f" exceed the budget of {DEFAULT_BUDGET}"
-            )
+        check_yatracos_budget(*self.M.shape)
         exact = exact_rows is not None
         sets = yatracos_sets(np.array(exact_rows, dtype=object) if exact else self.M)
         keep, self._pair_set = _distinct_rows(sets)
@@ -104,11 +122,23 @@ class _MinDistance:
             self.PA = np.ascontiguousarray(PA[:, columns])
             self.PA_exact = None
 
+    def _mu(self, counts: np.ndarray, total: int) -> np.ndarray:
+        """The empirical masses mu(A) of the distinct sets, for one count
+        vector or each row of a stack (exact sums: counts are integers)."""
+        return (counts @ self.A.T) / total
+
     def select(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
+        """The selected member and the report of its scores.  The float
+        path also takes a (rows, support) stack of counts, each of `total`
+        tasks, and then gives an array of selections and a report of
+        per-row scores."""
         if self.PA_exact is None:
-            s = yatracos_scores(self.PA, (self.A @ counts) / total)
-            best = int(np.argmin(s))
+            s = _by_rows(lambda c: yatracos_scores(self.PA, self._mu(c, total)), counts, self.PA.size)
+            best = np.argmin(s, axis=-1)
+            best = int(best) if best.ndim == 0 else best
             return best, SkeletonReport(best, s.tolist(), False)
+        if np.ndim(counts) != 1:
+            raise ValueError("exact selection scores one count vector at a time")
         mu = [Fraction(int(a @ counts), total) for a in self.A]
         scores = [
             max((abs(pa - m) for pa, m in zip(row, mu)), default=Fraction(0))
@@ -124,10 +154,15 @@ class _MinDistance:
         round differently."""
         return self.A[self._pair_set] @ np.asarray(truth_on_support, dtype=float)
 
-    def deviation(self, counts: np.ndarray, total: int, truth_masses: np.ndarray) -> float:
-        """max over Yatracos sets of |mu_T(A) - Q(A)|, given `truth_masses(Q)`."""
-        mu = (self.A @ counts) / total
-        return float(np.abs(mu[self._pair_set] - truth_masses).max(initial=0.0))
+    def deviation(self, counts: np.ndarray, total: int, truth_masses: np.ndarray):
+        """max over Yatracos sets of |mu_T(A) - Q(A)|, given `truth_masses(Q)`:
+        a float for one count vector, an array for a stack of them."""
+        dev = _by_rows(
+            lambda c: np.abs(self._mu(c, total)[..., self._pair_set] - truth_masses).max(axis=-1, initial=0.0),
+            counts,
+            len(self._pair_set),
+        )
+        return float(dev) if dev.ndim == 0 else dev
 
     def deviation_exact(self, counts: np.ndarray, total: int, truth_exact: list[Fraction]):
         mu = [Fraction(int(a @ counts), total) for a in self.A]
@@ -140,7 +175,7 @@ class _MinDistance:
 
 @dataclass
 class SkeletonReport:
-    selected: int
+    selected: int  # an array of them for a stack of count vectors
     scores: list
     exact: bool
 
@@ -201,6 +236,12 @@ class SkeletonEstimator:
         then the support's codes are read off."""
         counts = np.bincount(codes, minlength=self._n_codes)[self._support_codes]
         return counts, len(codes)
+
+    def support_matrix(self, codes: np.ndarray) -> np.ndarray:
+        """(len(codes), support) 0/1 floats marking each outcome code's
+        support point (no mark off the support): per-code counts times
+        it are support counts, as `count_codes` counts them."""
+        return (np.asarray(codes)[:, None] == self._support_codes).astype(float)
 
     def select_from_counts(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
         return self._md.select(counts, total)

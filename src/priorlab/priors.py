@@ -181,14 +181,22 @@ def smooth_prior(params: SmoothPriorParams, space: ConceptSpace, exact: bool = F
     return TabularPrior(space, masses)
 
 
+def parity_family_size(m: int, d: int) -> int:
+    """The parity family's member count on C(m, d), 2^C(m,d); BudgetError
+    past PARITY_BUDGET, before anything is built."""
+    n = comb(m, d)
+    if 2**n > PARITY_BUDGET:
+        raise BudgetError(f"2^{n} sign vectors exceed the budget of {PARITY_BUDGET}")
+    return 2**n
+
+
 def parity_family(
     space: ConceptSpace, L: float, alpha: float, exact: bool = False
 ) -> tuple[list[SmoothPriorParams], list[TabularPrior]]:
     """All 2^C(m,d) parity-family members, in lexicographic sign order
     (-1 before +1 coordinate-wise)."""
     n = comb(space.m, space.d)
-    if 2**n > PARITY_BUDGET:
-        raise BudgetError(f"2^{n} sign vectors exceed the budget of {PARITY_BUDGET}")
+    parity_family_size(space.m, space.d)
     params, members = [], []
     for signs in itertools.product((-1, 1), repeat=n):
         p = SmoothPriorParams(signs, L, alpha, space.m, space.d)

@@ -3,9 +3,14 @@ sign-reduction lower-bound testbed, the exact coin-bound table, and
 log-log rate fitting.
 
 Work is decomposed into independent cells keyed by (seed, T index, truth
-index); each cell draws its randomness from its own stream, so results are
-identical regardless of worker count, and rows are reduced in cell order
-so output files are byte-stable for a fixed config.
+index); each replicate of a cell draws its randomness from its own stream,
+so results are identical regardless of worker count, and rows are reduced
+in cell order so output files are byte-stable for a fixed config.
+
+A cell runs its replicates in lock-step: their streams are seeded at once,
+each replicate's tasks are counted by key with one `bincount`, and a block
+of replicates' key counts is folded into support (and concept) counts and
+scored in one pass (`_counted`).
 """
 
 from __future__ import annotations
@@ -24,9 +29,11 @@ import numpy as np
 from .concepts import DataDistribution, d_subsets, enumerate_concepts, uniform_distribution
 from .errors import BudgetError
 from .estimators import (
+    _ROW_BLOCK,
     DirectEstimator,
     SkeletonEstimator,
     _as_fraction,
+    check_yatracos_budget,
     coin_floor,
     exact_bayes_error,
     reduce_to_signs,
@@ -38,10 +45,11 @@ from .priors import (
     SmoothPriorParams,
     point_mass,
     parity_family,
+    parity_family_size,
     parity_gamma,
     tv_matrix,
 )
-from .sampling import Tasks, sample_arrays, stream
+from .sampling import Tasks, keyed_streams, sample_arrays, stream
 
 # One Monte Carlo replicate of an experiment (the rates and lowerbound CSV
 # schema), and the per-replicate records the three cell runners return.
@@ -125,6 +133,28 @@ class ExperimentConfig:
     def samples_per_task(self) -> int:
         return self.k if self.k is not None else self.d
 
+    def check_budget(self) -> None:
+        """BudgetError when the family or its selection tables exceed their
+        budgets, before anything is built (the baseline's concept space is
+        never larger than the outcome support)."""
+        members = 2 if self.family == "twopoint" else parity_family_size(self.m, self.d)
+        check_yatracos_budget(members, self.outcome_support_size())
+
+    def outcome_support_size(self) -> int:
+        """The outcomes (k-tuple, labels) the family's members can draw.
+        A parity member weighs every concept, so a tuple of r distinct
+        points takes every labelling with at most d positives; the two
+        point masses label a tuple apart exactly when it holds point 1 or 2."""
+        m, d, k = self.m, self.d, self.samples_per_task
+        if self.family == "twopoint":
+            return 2 * m**k - (m - 2) ** k
+        # C(m, r) point sets, each filled by the k draws in onto(k, r) ways
+        onto = [sum((-1) ** i * comb(r, i) * (r - i) ** k for i in range(r + 1)) for r in range(k + 1)]
+        return sum(
+            comb(m, r) * onto[r] * sum(comb(r, j) for j in range(min(d, r) + 1))
+            for r in range(1, min(m, k) + 1)
+        )
+
     def key(self) -> tuple:
         return (
             self.m, self.d, self.L, self.alpha, self.family, self.seed,
@@ -198,6 +228,32 @@ def _source(setup: Setup, truth_id: int):
     return setup.members[truth_id]
 
 
+def _streams(config: ExperimentConfig, *coords: int):
+    """Each replicate's stream, `stream(config.seed, *coords, rep)`,
+    seeded in bulk (`keyed_streams`)."""
+    return keyed_streams(config.seed, [(*coords, rep) for rep in range(config.replicates)])
+
+
+def _counted(replicate_tasks, fold):
+    """Count the replicates' tasks in lock-step: one `bincount` of each
+    replicate's task keys, then one product per fold matrix for a block
+    of replicates.  `fold` maps the first replicate's every-key table
+    (all replicates share its layout) to matrices with one row per key.
+    Yields (first replicate of the block, [counts @ matrix for each
+    matrix]); a block holds about _ROW_BLOCK key counts."""
+    for rep, tasks in enumerate(replicate_tasks):
+        if rep == 0:
+            table = tasks.every_key()
+            matrices = fold(table)
+            block = np.empty((max(1, _ROW_BLOCK // len(table.key)), len(table.key)), dtype=np.int64)
+        row = rep % len(block)
+        block[row] = np.bincount(tasks.key, minlength=len(table.key))
+        if row == len(block) - 1:
+            yield rep - row, [block @ f for f in matrices]
+    if row < len(block) - 1:
+        yield rep - row, [block[:row + 1] @ f for f in matrices]
+
+
 def _upper_cell(payload) -> list[UpperRow]:
     config_dict, T, T_idx, truth_id = payload
     config = ExperimentConfig(**config_dict)
@@ -207,19 +263,21 @@ def _upper_cell(payload) -> list[UpperRow]:
     k = config.samples_per_task
     truth_vec, _ = est.truth_vectors(est.outcome_dists[truth_id])
     truth_masses = est._md.truth_masses(truth_vec)
+    replicate_tasks = (
+        sample_arrays(source, setup.space, setup.dist, T, k, rng)
+        for rng in _streams(config, _UPPER, T_idx, truth_id)
+    )
     rows = []
-    for rep in range(config.replicates):
-        rng = stream(config.seed, _UPPER, T_idx, truth_id, rep)
-        tasks = sample_arrays(source, setup.space, setup.dist, T, k, rng)
-        counts, total = counts_from_arrays_fast(est, config.m, tasks)
-        selected, _ = est.select_from_counts(counts, total)
-        err = float(setup.tv_matrix[truth_id, selected])
-        dev = float(est._md.deviation(counts, total, truth_masses))
-        rows.append(UpperRow(
-            RateRow("rates", config.m, config.d, config.L, config.alpha, k, T,
-                    rep, truth_id, selected, err),
-            EstimationRow(rep, T, selected, err, dev),
-        ))
+    for first, (counts,) in _counted(replicate_tasks, lambda t: [est.support_matrix(t.codes)]):
+        selected, _ = est.select_from_counts(counts, T)
+        devs = est._md.deviation(counts, T, truth_masses)
+        for rep, sel, dev in zip(itertools.count(first), selected.tolist(), devs.tolist()):
+            err = float(setup.tv_matrix[truth_id, sel])
+            rows.append(UpperRow(
+                RateRow("rates", config.m, config.d, config.L, config.alpha, k, T,
+                        rep, truth_id, sel, err),
+                EstimationRow(rep, T, sel, err, dev),
+            ))
     return rows
 
 
@@ -341,30 +399,38 @@ def _lower_cell(payload) -> list[LowerRow]:
     subs = np.asarray(d_subsets(config.m, config.d))
     gamma = setup.params_list[0].gamma_m
     scale = Fraction(1, 2 ** config.d * comb(config.m, config.d))
-    rows = []
-    for rep in range(config.replicates):
-        rng = stream(config.seed, _LOWER, T_idx, rep)
-        b = tuple(1 if v else -1 for v in rng.integers(0, 2, size=n_signs))
-        truth_id = sum((1 if s > 0 else 0) << (n_signs - 1 - i) for i, s in enumerate(b))
-        params = SmoothPriorParams(b, config.L, config.alpha, config.m, config.d)
-        tasks = sample_arrays(params, space, dist, T, config.d, rng)
-        xs, (i_star, _) = tasks.xs, tasks.trace
-        counts, total = counts_from_arrays_fast(est, config.m, tasks)
-        selected, _ = est.select_from_counts(counts, total)
-        red = reduce_to_signs(est.cover.members[selected], params)
-        p_true = [(1.0 + gamma * s) / 2.0 for s in b]
-        err = 0.5 * float(scale) * sum(
-            abs(ph - pt) for ph, pt in zip(red.p_hat, p_true)
-        )
+    truths = []  # each replicate's member, its signs drawn first from its stream
+
+    def replicate_tasks():
+        for rng in _streams(config, _LOWER, T_idx):
+            b = tuple(1 if v else -1 for v in rng.integers(0, 2, size=n_signs))
+            truths.append(SmoothPriorParams(b, config.L, config.alpha, config.m, config.d))
+            yield sample_arrays(truths[-1], space, dist, T, config.d, rng)
+
+    def fold(table):
         # N_i: tasks whose subset index is i AND whose d draws cover X_i
-        x_masks = np.zeros(len(xs), dtype=np.int64)
+        x_masks = np.zeros(len(table.key), dtype=np.int64)
         for j in range(config.d):
-            x_masks |= 1 << (xs[:, j] - 1)
-        rows.append(LowerRow(
-            RateRow("lowerbound", config.m, config.d, config.L, config.alpha, config.d,
-                    T, rep, truth_id, selected, err),
-            int((x_masks == subs[i_star]).sum()),
-        ))
+            x_masks |= 1 << (table.xs[:, j] - 1)
+        return [est.support_matrix(table.codes), x_masks == subs[table.trace[0]]]
+
+    rows = []
+    for first, (counts, events) in _counted(replicate_tasks(), fold):
+        selected, _ = est.select_from_counts(counts, T)
+        for rep, sel, n_events in zip(itertools.count(first), selected.tolist(), events.tolist()):
+            params = truths[rep]
+            b = params.b
+            truth_id = sum((1 if s > 0 else 0) << (n_signs - 1 - i) for i, s in enumerate(b))
+            red = reduce_to_signs(est.cover.members[sel], params)
+            p_true = [(1.0 + gamma * s) / 2.0 for s in b]
+            err = 0.5 * float(scale) * sum(
+                abs(ph - pt) for ph, pt in zip(red.p_hat, p_true)
+            )
+            rows.append(LowerRow(
+                RateRow("lowerbound", config.m, config.d, config.L, config.alpha, config.d,
+                        T, rep, truth_id, sel, err),
+                n_events,
+            ))
     return rows
 
 
@@ -432,21 +498,30 @@ def _baseline_cell(payload) -> list[BaselineRow]:
     config = ExperimentConfig(**config_dict)
     setup = build_setup(config)
     source = _source(setup, truth_id)
+    direct = setup.direct  # built before any replicate's arrays exist
+    replicate_tasks = (
+        sample_arrays(source, setup.space, setup.dist, T, config.samples_per_task, rng)
+        for rng in _streams(config, _BASELINE, T_idx, truth_id)
+    )
+    concepts = np.arange(len(setup.space))
+
+    def fold(table):
+        return [
+            setup.estimator.support_matrix(table.codes),
+            (table.concepts[:, None] == concepts).astype(float),
+        ]
+
     rows = []
-    for rep in range(config.replicates):
-        rng = stream(config.seed, _BASELINE, T_idx, truth_id, rep)
-        tasks = sample_arrays(source, setup.space, setup.dist, T, config.samples_per_task, rng)
-        counts, total = counts_from_arrays_fast(setup.estimator, config.m, tasks)
-        sk_sel, _ = setup.estimator.select_from_counts(counts, total)
-        di_sel, _ = setup.direct.select_from_counts(
-            np.bincount(tasks.concepts, minlength=len(setup.space)), T
-        )
-        rows.append(BaselineRow(
-            "baseline", config.m, config.d, config.L, config.alpha,
-            config.samples_per_task, T, rep, truth_id,
-            sk_sel, float(setup.tv_matrix[truth_id, sk_sel]),
-            di_sel, float(setup.tv_matrix[truth_id, di_sel]),
-        ))
+    for first, (counts, concept_counts) in _counted(replicate_tasks, fold):
+        sk_sel, _ = setup.estimator.select_from_counts(counts, T)
+        di_sel, _ = direct.select_from_counts(concept_counts, T)
+        for rep, sk, di in zip(itertools.count(first), sk_sel.tolist(), di_sel.tolist()):
+            rows.append(BaselineRow(
+                "baseline", config.m, config.d, config.L, config.alpha,
+                config.samples_per_task, T, rep, truth_id,
+                sk, float(setup.tv_matrix[truth_id, sk]),
+                di, float(setup.tv_matrix[truth_id, di]),
+            ))
     return rows
 
 

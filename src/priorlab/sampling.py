@@ -1,38 +1,49 @@
 """Task generation: draw a target concept per task, then k labeled points.
 
-Every random draw comes from a keyed stream, `stream(seed, *key)`, so a
-draw depends only on its key and never on the worker count.  Tasks are
-drawn in bulk: `sample_arrays` draws all T tasks of one replicate from a
-single stream, the T concepts first and then the (T, k) points, and
-returns them as a `Tasks` record.  Each experiment cell keys that stream
-by its coordinates, such as (purpose, T index, truth, replicate).
+Every draw follows one convention: a keyed stream, its PCG64 words, and
+an exact decode of those words.
 
-A task's product is its outcome code, the statistic the estimators
-count: the digits 2(x - 1) + [y > 0] of its k (point, label) pairs in
-base 2m.  Each digit is one gather from a per-space digit table indexed
-by (concept, point), so no label array is built; `Tasks.ys` decodes the
-labels from the codes on demand.
+- **Keyed streams.**  `stream(seed, *key)` is numpy's generator for a
+  (seed, key...) coordinate, so a draw depends only on its key and never
+  on the worker count.  `_pcg_seed` computes the seeded PCG64 state of
+  many keys at once (numpy's SeedSequence hash, then PCG64's seeding).
+  `keyed_streams` hands each state to one reused generator, and
+  `stream_raw` steps the states and applies PCG64's XSL-RR output
+  itself; both are bit for bit `stream(seed, *key)`.
+- **Exact decode.**  A word w is the double (w >> 11) 2^-53 that
+  `random()` returns, so `random() >= t` is the integer compare
+  w >= ceil(t 2^53) << 11 (`_cut`), and a categorical draw counts the
+  cut-offs at or below a word (`_categorical`).  `integers(0, n)` is
+  numpy's 32-bit Lemire rule on the halves of the words, low half first,
+  with a half left over held for the next bounded draw (`_lemire`, also
+  behind `raw_integers`).  `raw_random` gives the doubles themselves.
+- **Tasks.**  `sample_arrays` draws the T tasks of one replicate, the
+  concept draws first and then the (T, k) points, from one read of its
+  stream's words.  It keys each task by one integer: the task's branch
+  (the drawn concept for a tabular prior, (2 i* + c) * width + choice for
+  the parity family) followed by its k point digits.  `Tasks` decodes
+  points, concepts, the parity trace and outcome codes from the keys;
+  `Tasks.every_key` gives the same decodings for every key value, so a
+  caller can count tasks by key and fold the counts once.
 
-`stream_raw` computes the first raw 64-bit outputs of many keyed streams
-at once, bit for bit as `stream(seed, *key)` would give them (numpy's
-SeedSequence hash, then PCG64's seeding and XSL-RR output), and
-`raw_random` / `raw_integers` turn them into the doubles and integers a
-Generator would draw.  The elicitation customers' per-customer draws come
-from this path, with the same bits as `stream(seed, t, purpose)`.
-`raw_integers` covers power-of-two ranges only, where numpy's bounded
-draw never rejects.
+A task's outcome code, the statistic the estimators count, holds the
+digits 2(x - 1) + [y > 0] of its k (point, label) pairs in base 2m.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass
-from functools import lru_cache
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .concepts import ConceptSpace, DataDistribution, categorical_draw, d_subsets
+from .concepts import ConceptSpace, DataDistribution, d_subsets
 from .priors import SmoothPriorParams, TabularPrior
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -123,10 +134,10 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return prod_hi + inc_hi + (new_lo < prod_lo), new_lo
 
 
-def stream_raw(seed: int, keys, n: int) -> np.ndarray:
-    """The first `n` raw 64-bit outputs of `stream(seed, *key)` for every
-    row `key` of `keys` (one row per stream, entries in [0, 2**32)), as a
-    (len(keys), n) uint64 array, bit for bit."""
+def _pcg_seed(seed: int, keys) -> tuple[np.ndarray, ...]:
+    """The seeded PCG64 state and increment of `stream(seed, *key)` for
+    every row `key` of `keys` (one row per stream, entries in [0, 2**32)),
+    as uint64 limbs (state_hi, state_lo, inc_hi, inc_lo)."""
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim != 2:
         raise ValueError("keys must be a 2-d array, one row per stream")
@@ -141,7 +152,15 @@ def stream_raw(seed: int, keys, n: int) -> np.ndarray:
     inc_hi, inc_lo = seq_hi << one | seq_lo >> s63, seq_lo << one | one
     lo = inc_lo + state_lo
     hi, lo = _pcg_step(inc_hi + state_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
-    out = np.empty((len(keys), n), dtype=np.uint64)
+    return hi, lo, inc_hi, inc_lo
+
+
+def stream_raw(seed: int, keys, n: int) -> np.ndarray:
+    """The first `n` raw 64-bit outputs of `stream(seed, *key)` for every
+    row `key` of `keys`, as a (len(keys), n) uint64 array, bit for bit."""
+    hi, lo, inc_hi, inc_lo = _pcg_seed(seed, keys)
+    out = np.empty((len(hi), n), dtype=np.uint64)
+    s63 = np.uint64(63)
     for j in range(n):
         # XSL-RR: step, then rotate hi ^ lo right by the top 6 bits of hi
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
@@ -150,23 +169,127 @@ def stream_raw(seed: int, keys, n: int) -> np.ndarray:
     return out
 
 
+def keyed_streams(seed: int, keys) -> Iterator[np.random.Generator]:
+    """`stream(seed, *key)` for each row `key` of `keys` in turn, bit for
+    bit, seeded in bulk: one generator whose PCG64 is set to each row's
+    seeded state.  The same object comes back every time, so finish with
+    one stream before taking the next."""
+    limbs = [a.tolist() for a in _pcg_seed(seed, keys)]
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    for state_hi, state_lo, inc_hi, inc_lo in zip(*limbs):
+        bit_gen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 def raw_random(words: np.ndarray) -> np.ndarray:
     """`Generator.random()` of each raw output: its top 53 bits / 2**53."""
     return (words >> np.uint64(11)) * 2.0**-53
 
 
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of uint64 words, low half first."""
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def _lemire(halves: np.ndarray, high: int) -> tuple[np.ndarray, bool]:
+    """`integers(0, high)` of 32-bit draws, for 1 <= high <= 2**32, by
+    numpy's rule (Lemire's multiply-shift): the high word of draw * high.
+    numpy rejects and redraws a draw whose low word lies below
+    2**32 % high, which a fixed set of draws cannot do, so the second
+    value says whether any draw would be rejected."""
+    if high & (high - 1) == 0:  # a power of two: the top bits, never rejected
+        return np.right_shift(halves, 33 - high.bit_length(), dtype=np.int64), False
+    threshold = (1 << 32) % high
+    # the low word of draw * high, in wrapping uint32 arithmetic
+    rejected = np.count_nonzero(halves * high < threshold) > 0
+    values = np.multiply(halves, high, dtype=np.uint64)
+    values >>= 32
+    return values.view(np.int64), rejected
+
+
 def raw_integers(words: np.ndarray, high: int, size: int) -> np.ndarray:
     """`Generator.integers(0, high, size=size)` of each row of raw outputs
-    (at least ceil(size / 2) per row), for a power of two `high` <= 2**32:
-    each output gives two 32-bit draws, low half first, and a draw u maps
-    to (u * high) >> 32, which never rejects for a power of two."""
-    if high < 1 or high & (high - 1) or high > 1 << 32:
-        raise ValueError(f"bulk integer draws need a power-of-two range up to 2**32, got {high}")
+    (at least ceil(size / 2) per row), for 1 <= high <= 2**32: each
+    output gives two 32-bit draws, low half first, decoded by `_lemire`.
+    A draw numpy would reject and redraw raises ValueError; for a power
+    of two none can."""
+    if not 1 <= high <= 1 << 32:
+        raise ValueError(f"bounded draws need a range of 1 to 2**32, got {high}")
     if 2 * words.shape[1] < size:
         raise ValueError(f"{size} draws need {(size + 1) // 2} raw outputs per row")
-    halves = np.stack([words & np.uint64(_MASK32), words >> np.uint64(32)], axis=-1)
-    u32 = halves.reshape(len(words), -1)[:, :size]
-    return (u32 >> np.uint64(33 - high.bit_length())).astype(np.int64)
+    values, rejected = _lemire(_halves(words).reshape(len(words), -1)[:, :size], high)
+    if rejected:
+        raise ValueError(f"a draw from range {high} would be rejected and redrawn")
+    return values
+
+
+def _bounded(high: int, n: int, held: list[int], words: np.ndarray):
+    """`integers(0, high, size=n)` from the half held over from an earlier
+    bounded draw, if any, then the halves of `words` (exactly the words
+    the draws take, `_bounded_words`); returns the draws, whether numpy
+    would reject any, and the half then held.  A range of 1 draws nothing."""
+    if high == 1:
+        return np.zeros(n, dtype=np.int64), False, held
+    halves = _halves(words)
+    if held:
+        halves = np.concatenate([np.array(held, dtype=halves.dtype), halves])
+    values, rejected = _lemire(halves[:n], high)
+    return values, rejected, halves[n:].tolist()
+
+
+def _bounded_words(high: int, n: int, held: int) -> tuple[int, int]:
+    """The words `_bounded` takes for n draws with `held` (0 or 1) halves
+    held over, and the halves held after them."""
+    if high == 1:
+        return 0, held
+    words = max(n - held, 0) + 1 >> 1
+    return words, held + 2 * words - n
+
+
+def _cut(t: float) -> int:
+    """The least word w whose double (w >> 11) 2^-53 is >= t:
+    ceil(t 2^53) << 11, where t <= 0 gives 0 (every word) and t >= 1
+    gives 2**64 (no word)."""
+    return min(max(math.ceil(t * 2.0**53), 0), 1 << 53) << 11
+
+
+@lru_cache(maxsize=64)
+def _categorical(weights: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """A categorical draw of `weights` on words.  A uniform u draws the
+    number of thresholds cumsum(weights)[:-1] at or below it, which is
+    `min(searchsorted(cumsum, u, side="right"), len(cumsum) - 1)` bit for
+    bit (the clip covers a cumsum that ends below 1).
+
+    Returns (cuts, categories): the distinct cut-offs (`_cut`) of the
+    thresholds that some words pass and others do not, ascending, as
+    uint64; word w draws categories[number of cuts <= w].  A category no
+    word can draw gets no index.  Both arrays are read-only."""
+    cuts = [_cut(t) for t in np.cumsum(weights)[:-1].tolist()]
+    inner, repeats = np.unique(
+        np.array([c for c in cuts if 0 < c < 1 << 64], dtype=np.uint64), return_counts=True
+    )
+    passed = sum(c == 0 for c in cuts)
+    categories = passed + np.concatenate([[0], np.cumsum(repeats)]).astype(np.int64)
+    inner.flags.writeable = categories.flags.writeable = False
+    return inner, categories
+
+
+def _count_cuts(cuts: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The number of `cuts` at or below each word: one compare pass per
+    cut, summed in uint8 below 256 cuts."""
+    if not len(cuts):
+        return np.zeros(words.shape, dtype=np.uint8)
+    count = words >= cuts[0]
+    count = count.view(np.uint8) if len(cuts) < 256 else count.astype(np.int64)
+    for cut in cuts[1:]:
+        count += words >= cut
+    return count
 
 
 @lru_cache(maxsize=64)
@@ -222,29 +345,134 @@ def _digit_table(m: int, space_masks: bytes) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Tasks:
-    """T sampled tasks of k points each, from one concept space over m points.
+    """T sampled tasks of k points each, from one concept space over m
+    points, as one key per task.
 
-    `xs` (T, k) holds the points in 1..m; `codes` (T,) each task's outcome
-    code, as `outcome_codes` writes it; `concepts` (T,) the positions of the drawn concepts in the
-    space; `trace` the (i_star, c) arrays of the parity family, else None.
-    Not iterable: read the fields by name.
+    A key is branch * R**k plus the task's point digits in base R, first
+    point first, where R = len(points).  A point digit indexes `points`,
+    the points that can be drawn, as 0..m-1; a branch indexes `branches`,
+    the concept position it draws.  Parity-family tasks have `width` choices
+    per (i*, c) and the branch (2 i* + c) * width + choice; a tabular
+    prior's tasks have width None.  `digits` is the space's
+    `_digit_table`.
+
+    `xs` (T, k) holds the points, `concepts` (T,) the concept positions,
+    `trace` the (i_star, c) arrays of the parity family (else None) and
+    `codes` (T,) each task's outcome code; each is decoded from the keys
+    on first use, and `ys` from the codes.  Not iterable: read the fields
+    by name.
     """
 
-    xs: np.ndarray
-    codes: np.ndarray
-    concepts: np.ndarray
-    trace: tuple[np.ndarray, np.ndarray] | None
+    key: np.ndarray
+    k: int
     m: int
+    points: np.ndarray
+    branches: np.ndarray
+    width: int | None
+    digits: np.ndarray
+
+    def every_key(self) -> Tasks:
+        """One task per key value, in order, with the same layout: its
+        decoded fields are per-key tables."""
+        n_keys = len(self.branches) * len(self.points) ** self.k
+        return replace(self, key=np.arange(n_keys, dtype=np.int64))
+
+    @cached_property
+    def xs(self) -> np.ndarray:
+        xs = np.empty((len(self.key), self.k), dtype=np.int64)
+        rest = self.key
+        for j in reversed(range(self.k)):
+            rest, digit = np.divmod(rest, len(self.points))
+            xs[:, j] = self.points[digit] + 1
+        return xs
+
+    @cached_property
+    def _branch(self) -> np.ndarray:
+        return self.key // len(self.points) ** self.k
+
+    @cached_property
+    def concepts(self) -> np.ndarray:
+        return self.branches[self._branch]
+
+    @cached_property
+    def trace(self) -> tuple[np.ndarray, np.ndarray] | None:
+        if self.width is None:
+            return None
+        pair = self._branch // self.width
+        return pair >> 1, pair & 1
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        rows = self.concepts * self.m - 1
+        codes = self.digits.take(rows + self.xs[:, 0])
+        for j in range(1, self.k):
+            codes *= 2 * self.m
+            codes += self.digits.take(rows + self.xs[:, j])
+        return codes
 
     @property
     def ys(self) -> np.ndarray:
         """The (T, k) labels in {-1, +1}, decoded from the codes."""
         ys = np.empty_like(self.xs)
         rest = self.codes
-        for j in reversed(range(self.xs.shape[1])):
+        for j in reversed(range(self.k)):
             rest, digit = np.divmod(rest, 2 * self.m)
             ys[:, j] = 2 * (digit & 1) - 1
         return ys
+
+
+@lru_cache(maxsize=64)
+def _coin(params: SmoothPriorParams) -> tuple[np.ndarray, np.ndarray]:
+    """The parity coin's P(c = 1) per subset, (1 + gamma_m b_i) / 2, and
+    the cut-offs (`_cut`) below which a word draws c = 1.  gamma_m < 1/2
+    keeps every probability inside (1/4, 3/4), so each cut-off is a
+    uint64.  Both arrays are read-only."""
+    p1 = (1.0 + params.gamma_m * np.asarray(params.b)) / 2.0
+    cuts = np.array([_cut(p) for p in p1.tolist()], dtype=np.uint64)
+    p1.flags.writeable = cuts.flags.writeable = False
+    return p1, cuts
+
+
+def _parity_draws(params, n_sub: int, width: int, T: int, n_points: int, rng):
+    """The branches (2 i* + c) * width + choice of T parity-family tasks,
+    and the `n_points` words after them, as `integers(0, n_sub, size=T)`,
+    `random(T) < p1[i*]`, `integers(0, width, size=T)` and
+    `random_raw(n_points)` would draw them: one read of the words, or the
+    calls themselves when numpy would reject a bounded draw.  The
+    generator is left as those calls leave it for every later draw."""
+    bit_gen = rng.bit_generator
+    start = bit_gen.state
+    held = [start["uinteger"]] if start["has_uint32"] else []
+    n_sub_words, held_after = _bounded_words(n_sub, T, len(held))
+    n_choice_words, _ = _bounded_words(width, T, held_after)
+    words = bit_gen.random_raw(n_sub_words + T + n_choice_words + n_points)
+    choice_at = n_sub_words + T
+    p1, coin_cuts = _coin(params)
+    i_star, rejected_sub, end_held = _bounded(n_sub, T, held, words[:n_sub_words])
+    choice, rejected_choice, end_held = _bounded(
+        width, T, end_held, words[choice_at:choice_at + n_choice_words]
+    )
+    if rejected_sub or rejected_choice:
+        bit_gen.state = start
+        i_star = rng.integers(0, n_sub, size=T)
+        coin = rng.random(T) < p1[i_star]
+        choice = rng.integers(0, width, size=T)
+        point_words = bit_gen.random_raw(n_points)
+    else:
+        coin = words[n_sub_words:choice_at] < coin_cuts.take(i_star)
+        point_words = words[choice_at + n_choice_words:]
+        if end_held != held:
+            # random_raw leaves the held half alone; set it as the draws would
+            state = bit_gen.state
+            state["has_uint32"] = len(end_held)
+            if end_held:
+                state["uinteger"] = end_held[0]
+            bit_gen.state = state
+    branch = 2 * i_star
+    branch += coin
+    branch *= width
+    branch += choice
+    return branch, point_words
 
 
 def sample_arrays(
@@ -255,43 +483,49 @@ def sample_arrays(
     k: int,
     rng: np.random.Generator,
 ) -> Tasks:
-    """Bulk path: T tasks of k points from one stream, as a `Tasks` record.
+    """T tasks of k points from one stream, as a `Tasks` record.
 
-    Draws the T concepts, then the (T, k) points; each task's outcome code
-    is gathered digit by digit from the space's digit table, so labels are
-    never materialised (`Tasks.ys` decodes them on demand).
+    The draws are those of `Generator` calls on a PCG64 stream (`stream`
+    and numpy's `default_rng` give one): first the concepts, as the
+    parity family's `integers(0, C(m, d))`, `random() < p` and
+    `integers(0, width)` per task or a tabular prior's categorical draw
+    of `random()`, then the (T, k) points as a categorical draw of D.
+    They are decoded from one read of the stream's words and leave the
+    generator as the calls would, bit for bit; only when numpy would
+    reject a bounded draw (under 2**-31 per draw) does a replicate make
+    the calls themselves.
     """
     if T < 1 or k < 1:
         raise ValueError("need T >= 1 and k >= 1")
     m = space.m
     if dist.m != m:
         raise ValueError(f"distribution over {dist.m} points, concept space over {m}")
-    if (2 * m) ** k > np.iinfo(np.int64).max:
+    if (2 * m) ** k > _INT64_MAX:
         raise ValueError(f"outcome codes of {k} points over {m} exceed int64")
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise ValueError(f"tasks are decoded from PCG64 words, not {type(rng.bit_generator).__name__}")
     space_masks = space.masks.tobytes()
-    trace = None
+    point_cuts, points = _categorical(dist.weights)
     if isinstance(source, SmoothPriorParams):
         if (m, space.d) != (source.m, source.d):
             raise ValueError("params built for a different concept space")
         index_table = _parity_index_table(m, source.d, space_masks)
-        i_star = rng.integers(0, len(index_table), size=T)
-        p1 = ((1.0 + source.gamma_m * np.asarray(source.b)) / 2.0)[i_star]
-        c = (rng.random(T) < p1).astype(np.int64)
-        width = index_table.shape[2]
-        choice = rng.integers(0, width, size=T)
-        idx = index_table.reshape(-1)[(2 * i_star + c) * width + choice]
-        trace = (i_star, c)
+        branches, width = index_table.reshape(-1), index_table.shape[2]
     else:
         if source.space is not space and not np.array_equal(source.space.masks, space.masks):
             raise ValueError("prior built for a different concept space")
-        idx = categorical_draw(np.cumsum(source.mass)[:-1], rng.random(T))
-    xs = dist.inverse_cdf(rng.random((T, k)))
-    table = _digit_table(m, space_masks)
-    rows = idx * m - 1
-    pos = np.add(rows, xs[:, 0])
-    codes = table.take(pos)
-    for j in range(1, k):
-        codes *= 2 * m
-        np.add(rows, xs[:, j], out=pos)
-        codes += table.take(pos)
-    return Tasks(xs, codes, idx, trace, m)
+        concept_cuts, branches = _categorical(tuple(source.mass.tolist()))
+        width = None
+    if len(branches) * len(points) ** k > _INT64_MAX:
+        raise ValueError(f"task keys of {k} points over {m} exceed int64")
+    if width is None:
+        words = rng.bit_generator.random_raw(T + T * k)
+        branch, point_words = _count_cuts(concept_cuts, words[:T]).astype(np.int64), words[T:]
+    else:
+        branch, point_words = _parity_draws(source, len(index_table), width, T, T * k, rng)
+    digits = _count_cuts(point_cuts, point_words).reshape(T, k)
+    key = branch
+    for j in range(k):
+        key *= len(points)
+        key += digits[:, j]
+    return Tasks(key, k, m, points, branches, width, _digit_table(m, space_masks))

@@ -401,23 +401,36 @@ def test_criterion_9_elicitation_suite():
 
 
 def test_criterion_10_determinism(tmp_path):
+    # every cell kind (upper, baseline and lowerbound; parity and two-point)
+    # runs once in one process, again there, and under two workers: the
+    # generator each cell reuses across its replicates carries nothing over
     from priorlab.cli import dispatch
 
-    cfg = tmp_path / "rates.cfg"
-    cfg.write_text(
-        "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 50,200\n"
-        "replicates = 10\ntruth_count = 3\n"
-    )
+    cfgs = {
+        "rates": "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 50,200\n"
+        "replicates = 10\ntruth_count = 3\n",
+        "twopoint": "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 20,101\n"
+        "replicates = 7\nfamily = twopoint\n",
+        "lowerbound": "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 30,99\nreplicates = 9\n",
+    }
+    names = {
+        "rates": ("rates.csv", "skeleton_report.csv", "baseline.csv", "summary.txt"),
+        "twopoint": ("rates.csv", "skeleton_report.csv", "baseline.csv", "summary.txt"),
+        "lowerbound": ("lowerbound.csv", "summary.txt"),
+    }
+    ok = True
+    for label, text in cfgs.items():
+        cfg = tmp_path / f"{label}.cfg"
+        cfg.write_text(text)
+        sub = "lowerbound" if label == "lowerbound" else "rates"
+        outs = [tmp_path / f"{label}{i}" for i in range(3)]
+        for out, workers in zip(outs, (1, 2, 1)):
+            assert dispatch(sub, cfg, 42, out, workers=workers) == 0
+        for name in names[label]:
+            ok &= (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+            ok &= (outs[0] / name).read_bytes() == (outs[2] / name).read_bytes()
     coin_cfg = tmp_path / "coin.cfg"
     coin_cfg.write_text("gammas = 0.05,0.25,0.45\nn_max = 60\n")
-    outs = [tmp_path / f"o{i}" for i in range(3)]
-    assert dispatch("rates", cfg, 42, outs[0], workers=1) == 0
-    assert dispatch("rates", cfg, 42, outs[1], workers=2) == 0
-    assert dispatch("rates", cfg, 42, outs[2], workers=1) == 0
-    ok = True
-    for name in ("rates.csv", "baseline.csv", "summary.txt"):
-        ok &= (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        ok &= (outs[0] / name).read_bytes() == (outs[2] / name).read_bytes()
     c_outs = [tmp_path / f"c{i}" for i in range(2)]
     for o in c_outs:
         assert dispatch("coinbound", coin_cfg, 7, o) == 0

@@ -10,6 +10,7 @@ import pytest
 
 from priorlab.cli import SCHEMAS, _check_config, _experiment_config, dispatch, main, parse_config
 from priorlab.outcomes import DEFAULT_BUDGET
+from priorlab.ratelab import ExperimentConfig, build_setup
 
 # child processes import priorlab from src/, installed or not
 CHILD_ENV = {
@@ -139,6 +140,39 @@ def test_rates_budget_exit_code(tmp_path):
         tmp_path, "r.cfg", "m = 5\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10\nreplicates = 2\n"
     )
     assert dispatch("rates", cfg, 0, tmp_path / "out") == 2
+
+
+PARITY_M5 = "m = 5\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10\nreplicates = 2\n"
+
+
+@pytest.mark.parametrize(
+    "subcommand, config, reason",
+    [
+        # 2^13 members: wrote manifest.txt and cover_info.csv, then exited
+        ("cover-info", "m = 13\nd = 1\n", "2^13 sign vectors"),
+        # 1,024 members on 90 outcomes: wrote manifest.txt, then exited
+        ("rates", PARITY_M5, "1047552 Yatracos pairs x (90 support points + 1024 members)"),
+        ("lowerbound", PARITY_M5, "1047552 Yatracos pairs"),
+        ("rates", PARITY_M5.replace("m = 5", "m = 6"), "2^15 sign vectors"),
+    ],
+    ids=["cover-info-m13", "rates-m5", "lowerbound-m5", "rates-m6"],
+)
+def test_budgets_checked_before_output(tmp_path, capsys, subcommand, config, reason):
+    out = tmp_path / "out"
+    assert dispatch(subcommand, write_config(tmp_path, "c.cfg", config), 0, out) == 2
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_rates_budget_matches_the_built_tables():
+    # the closed-form outcome support is the estimator's, family by family
+    for family, d, k in (("parity", 2, 2), ("parity", 2, 3), ("parity", 3, 3), ("parity", 1, 2),
+                         ("twopoint", 1, 1), ("twopoint", 2, 3)):
+        exp = ExperimentConfig(m=4, d=d, k=k, family=family, T_grid=(5,), replicates=2)
+        setup = build_setup(exp)
+        assert exp.outcome_support_size() == len(setup.estimator.support), (family, d, k)
+        assert len(setup.space) <= len(setup.estimator.support)
 
 
 def test_rates_small_run_and_determinism_across_workers(tmp_path):

@@ -270,6 +270,10 @@ class AllPairsMinDistance:
         self.PA = self.M @ self.A.T  # (members, pairs)
 
     def select(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
+        if counts.ndim == 2:  # a stack of count vectors, as the cells pass them
+            picks = [self.select(row, total) for row in counts]
+            best = np.array([b for b, _ in picks])
+            return best, SkeletonReport(best, [r.scores for _, r in picks], False)
         if self.PA_exact is None:
             s = yatracos_scores(self.PA, (self.A @ counts) / total)
             best = int(np.argmin(s))
@@ -289,6 +293,8 @@ class AllPairsMinDistance:
     def deviation(self, counts: np.ndarray, total: int, truth_on_support: np.ndarray) -> float:
         """max over Yatracos sets of |mu_T(A) - Q(A)| for a truth vector Q
         restricted to this support (mass elsewhere never enters any set)."""
+        if counts.ndim == 2:
+            return np.array([self.deviation(row, total, truth_on_support) for row in counts])
         if not self.pairs:
             return 0.0
         mu = (self.A @ counts) / total

@@ -1,14 +1,16 @@
 import csv
 from dataclasses import replace
+from math import factorial, prod
 
 import numpy as np
 import pytest
 
-from priorlab.concepts import enumerate_concepts, uniform_distribution
+from priorlab import ratelab
+from priorlab.concepts import d_subsets, enumerate_concepts, uniform_distribution
 from priorlab.errors import BudgetError
 from priorlab.estimators import SkeletonEstimator
 from priorlab.outcomes import DEFAULT_BUDGET
-from priorlab.priors import CoverFamily, reference_prior, total_variation
+from priorlab.priors import CoverFamily, SmoothPriorParams, reference_prior, total_variation
 from priorlab.ratelab import (
     BASELINE_CSV_HEADER,
     RATE_CSV_HEADER,
@@ -274,3 +276,99 @@ def test_write_csv_bytes_match_row_by_row_writer(tmp_path, rows):
     write_csv(tmp_path / "by_column.csv", header, rows)
     write_csv_by_row(tmp_path / "by_row.csv", header, rows)
     assert (tmp_path / "by_column.csv").read_bytes() == (tmp_path / "by_row.csv").read_bytes()
+
+
+def test_twopoint_rates_match_the_exact_risk():
+    # On the two-point family the Yatracos sets cut the support into 3
+    # atoms, and selection reads only the atom counts, so the risk at each
+    # T is a finite sum over trinomial counts, scored by the run's own
+    # selector.  Every per-truth Monte Carlo mean must lie within 4 se.
+    config = ExperimentConfig(
+        m=3, d=2, family="twopoint", T_grid=(2, 5, 10), replicates=400, seed=3
+    )
+    setup = build_setup(config)
+    est = setup.estimator
+    _, atom_of = np.unique(est._md.A.T, axis=0, return_inverse=True)
+    assert atom_of.max() == 2
+    first = [int(np.flatnonzero(atom_of == a)[0]) for a in range(3)]
+    rows = run_upper_experiment(config).rows
+    for truth in setup.truth_ids:
+        q = np.bincount(atom_of, weights=est.truth_vectors(est.outcome_dists[truth])[0])
+        for T in config.T_grid:
+            exact = 0.0
+            for n0 in range(T + 1):
+                for n1 in range(T + 1 - n0):
+                    n = (n0, n1, T - n0 - n1)
+                    counts = np.zeros(len(est.support), dtype=np.int64)
+                    counts[first] = n
+                    selected, _ = est.select_from_counts(counts, T)
+                    pmf = factorial(T) / prod(factorial(c) for c in n) * prod(q**n)
+                    exact += pmf * setup.tv_matrix[truth, selected]
+            errs = np.array([r.tv_error for r in rows if (r.T, r.truth_id) == (T, truth)])
+            se = errs.std(ddof=1) / np.sqrt(len(errs))
+            assert abs(errs.mean() - exact) <= 4 * se, (truth, T, errs.mean(), exact, se)
+            if (truth, T) == (1, 10):
+                # truth 1 is lost only when no task shows point 2: 0.81^10
+                assert exact == pytest.approx(0.9**20)
+            if truth == 0:
+                assert exact == errs.mean() == 0  # ties go to member 0
+
+
+def per_replicate_cells(config, T, T_idx, truth_id):
+    """Oracle: the upper, baseline and lower cells as they ran one
+    replicate at a time, each on its own `stream`, counted through the
+    labels and selected one count vector at a time."""
+    setup = build_setup(config)
+    est, space, dist = setup.estimator, setup.space, setup.dist
+    source = ratelab._source(setup, truth_id)
+    q = est.truth_vectors(est.outcome_dists[truth_id])[0]
+    upper, baseline, lower = [], [], []
+    for rep in range(config.replicates):
+        rng = stream(config.seed, ratelab._UPPER, T_idx, truth_id, rep)
+        tasks = sample_arrays(source, space, dist, T, config.samples_per_task, rng)
+        counts, _ = est.count_outcomes(tasks.xs, tasks.ys)
+        selected, _ = est.select_from_counts(counts, T)
+        dev = est._md.deviation(counts, T, est._md.truth_masses(q))
+        upper.append((rep, selected, float(setup.tv_matrix[truth_id, selected]), dev))
+        rng = stream(config.seed, ratelab._BASELINE, T_idx, truth_id, rep)
+        tasks = sample_arrays(source, space, dist, T, config.samples_per_task, rng)
+        sk, _ = est.select_from_counts(est.count_outcomes(tasks.xs, tasks.ys)[0], T)
+        di, _ = setup.direct.select_from_counts(np.bincount(tasks.concepts, minlength=len(space)), T)
+        baseline.append((rep, sk, di))
+        if setup.params_list is None:
+            continue
+        rng = stream(config.seed, ratelab._LOWER, T_idx, rep)
+        b = tuple(1 if v else -1 for v in rng.integers(0, 2, size=len(setup.params_list[0].b)))
+        params = SmoothPriorParams(b, config.L, config.alpha, config.m, config.d)
+        tasks = sample_arrays(params, space, dist, T, config.d, rng)
+        selected, _ = est.select_from_counts(est.count_outcomes(tasks.xs, tasks.ys)[0], T)
+        x_masks = np.bitwise_or.reduce(1 << (tasks.xs - 1), axis=1)
+        subs = np.asarray(d_subsets(config.m, config.d))
+        lower.append((rep, selected, int((x_masks == subs[tasks.trace[0]]).sum())))
+    return upper, baseline, lower
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # 384 keys: blocks of 42 replicates; 64 members: one row scored at a time
+        ExperimentConfig(m=4, d=2, T_grid=(7,), replicates=100, truth_count=1, seed=2),
+        ExperimentConfig(m=3, d=2, T_grid=(5,), replicates=160, truth_count=1, seed=3),
+        ExperimentConfig(m=3, d=2, family="twopoint", T_grid=(9,), replicates=50, seed=4),
+    ],
+    ids=["parity-m4", "parity-m3", "twopoint"],
+)
+def test_lock_step_cells_match_one_replicate_at_a_time(config):
+    setup = build_setup(config)
+    T = config.T_grid[0]
+    for truth_id in setup.truth_ids[:2]:
+        upper, baseline, lower = per_replicate_cells(config, T, 0, truth_id)
+        payload = (config.__dict__, T, 0, truth_id)
+        got = [(r.report.replicate, r.rate.selected_id, r.rate.tv_error, r.report.max_yatracos_dev)
+               for r in ratelab._upper_cell(payload)]
+        assert got == upper
+        got = [(r.replicate, r.selected_id, r.direct_id) for r in ratelab._baseline_cell(payload)]
+        assert got == baseline
+        if lower:
+            rows = ratelab._lower_cell((config.__dict__, T, 0))
+            assert [(r.rate.replicate, r.rate.selected_id, r.n_events) for r in rows] == lower

@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ from priorlab.cli import dispatch
 from priorlab.concepts import (
     ConceptSpace,
     DataDistribution,
+    categorical_draw,
     d_subsets,
     enumerate_concepts,
     uniform_distribution,
@@ -22,8 +24,13 @@ from priorlab.priors import (
     uniform_prior,
 )
 from priorlab.sampling import (
+    Tasks,
+    _categorical,
+    _count_cuts,
     _digit_table,
+    _lemire,
     _parity_index_table,
+    keyed_streams,
     outcome_codes,
     sample_arrays,
     raw_integers,
@@ -130,16 +137,41 @@ def test_sample_arrays_concept_indices():
     assert trace is None and (idx == SP32.index_of(0b101)).all()
 
 
-class QueuedUniforms:
-    """A stand-in rng whose `random(size)` calls return fixed arrays in turn."""
+PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341  # PCG64's multiplier
+MASK64 = (1 << 64) - 1
 
-    def __init__(self, *draws):
-        self.draws = list(draws)
 
-    def random(self, size):
-        u = self.draws.pop(0)
-        assert u.shape == np.empty(size).shape
-        return u
+def rigged_stream(word: int) -> np.random.Generator:
+    """A PCG64 generator whose next raw word is `word`.  PCG64 steps its
+    state (hi, lo) to state * mult + inc mod 2**128, then outputs hi ^ lo
+    rotated right by hi >> 58; so fix hi, solve lo, and undo the step."""
+    inc = 0xDA3E39CB94B95BDB853C49E6748FEA9B
+    hi = 0x9E3779B97F4A7C15
+    rot = hi >> 58
+    lo = hi ^ ((word << rot | word >> (64 - rot)) & MASK64)
+    state = ((hi << 64 | lo) - inc) * pow(PCG_MULT, -1, 1 << 128) % (1 << 128)
+    bit_gen = np.random.PCG64(0)
+    bit_gen.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return np.random.Generator(bit_gen)
+
+
+def test_rigged_stream_gives_the_chosen_word():
+    for word in (0, 1, 2**32, MASK64, 0xABCDEF1200000000):
+        assert rigged_stream(word).bit_generator.random_raw(1)[0] == word
+        assert rigged_stream(word).random() == (word >> 11) * 2.0**-53
+
+
+def words_near(u: np.ndarray) -> np.ndarray:
+    """The words whose doubles `random()` = (w >> 11) 2^-53 are the two
+    multiples of 2^-53 around each value in `u` (in [0, 1)), each with
+    its 11 dropped bits clear and all set: for a threshold t these are
+    the last words below it and the first at or above it."""
+    scaled = np.concatenate([np.floor(u * 2.0**53), np.ceil(u * 2.0**53)])
+    words = np.unique(np.minimum(scaled, 2.0**53 - 1)).astype(np.uint64) << np.uint64(11)
+    return np.concatenate([words, words | np.uint64(0x7FF)])
 
 
 @pytest.mark.parametrize(
@@ -148,38 +180,63 @@ class QueuedUniforms:
     ids=["tenths", "zero-weight-point"],
 )
 def test_point_draws_match_searchsorted(weights):
-    def uniforms_and_expected(cum):
-        # 0.0, every threshold and its two neighbours, and the largest uniform
+    def words_and_expected(cum):
+        # around 0.0, every threshold and its two neighbours, and the largest uniform
         u = np.concatenate([
             [0.0], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), [1.0 - 2.0**-53],
         ])
-        u = u[u < 1.0]
-        index = np.searchsorted(cum, u, side="right")
+        words = words_near(u[u < 1.0])
+        index = np.searchsorted(cum, raw_random(words), side="right")
         assert cum[-1] < 1.0 and (index == len(cum)).any()  # some draws need the clip
-        return u, np.minimum(index, len(cum) - 1)
+        return words, np.minimum(index, len(cum) - 1)
 
-    dist = DataDistribution(weights)
-    m = dist.m
-    u, expected = uniforms_and_expected(np.cumsum(weights))
-    assert np.array_equal(dist.inverse_cdf(u), expected + 1)
-    # bulk path: a concept draw of T uniforms, then the (T, k) point draw
-    space = enumerate_concepts(m, 1)
-    rng = QueuedUniforms(np.zeros(len(u)), u.reshape(-1, 1))
-    tasks = sample_arrays(uniform_prior(space), space, dist, len(u), 1, rng)
-    xs, ys = tasks.xs, tasks.ys
-    assert not rng.draws
-    assert xs.dtype == np.int64 and np.array_equal(xs[:, 0], expected + 1)
-    # the tabular prior's concept draw, with a cumsum that ends below 1
-    prior = TabularPrior(space, (0.0,) + weights)
-    u, expected = uniforms_and_expected(np.cumsum(prior.mass))
-    rng = QueuedUniforms(u, np.zeros((len(u), 1)))
-    assert np.array_equal(sample_arrays(prior, space, dist, len(u), 1, rng).concepts, expected)
+    # a categorical draw of D's points, and of a tabular prior's concepts
+    # with a cumsum that ends below 1, by integer compares on the words
+    space = enumerate_concepts(len(weights), 1)
+    for w in (weights, tuple(TabularPrior(space, (0.0,) + weights).mass)):
+        words, expected = words_and_expected(np.cumsum(w))
+        cuts, categories = _categorical(w)
+        assert np.array_equal(categories[_count_cuts(cuts, words)], expected)
     # an elicitation member's function draw, in bulk and one at a time
-    functions = [SatisfactionFunction((i / 100, 0.0)) for i in range(m)]
+    functions = [SatisfactionFunction((i / 100, 0.0)) for i in range(len(weights))]
     family = ValuationPriorFamily(functions, [weights], log2_pdim_bound(functions))
-    u, expected = uniforms_and_expected(np.cumsum(weights))
+    words, expected = words_and_expected(np.cumsum(weights))
+    u = raw_random(words)
     assert np.array_equal(family.function_index(0, u), expected)
     assert [int(family.function_index(0, x)) for x in u.tolist()] == expected.tolist()
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (0.0, 0.0, 0.5, 0.5),  # thresholds at 0: every word passes them
+        (0.6, 0.4 + 5e-13, 0.0),  # a threshold past 1: no word passes it
+        (0.5, 0.5, 0.0, 0.0),  # thresholds at exactly 1
+        (-0.5, 0.75, 0.5, 0.5, -0.25),  # below 0, past 1, and out of order
+        (1.0,),  # no threshold at all
+    ],
+)
+def test_categorical_cuts_at_and_beyond_the_unit_interval(weights):
+    # ceil(t 2^53) << 11 is no uint64 for t < 0 or t >= 1; such thresholds
+    # count for every word or for none, as the double compare has them
+    thresholds = np.cumsum(weights)[:-1]
+    u = np.clip(np.concatenate([[0.0, 0.5], thresholds]), 0.0, 1.0 - 2.0**-53)
+    words = words_near(np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)]))
+    cuts, categories = _categorical(weights)
+    assert cuts.dtype == np.uint64 and list(cuts) == sorted(set(cuts.tolist()))
+    expected = categorical_draw(thresholds, raw_random(words))
+    assert np.array_equal(categories[_count_cuts(cuts, words)], expected)
+
+
+def test_tabular_draw_clips_a_cumsum_below_one():
+    mass = np.full(len(SP32), 1 / len(SP32))
+    mass[-1] -= 5e-13  # within the prior's tolerance, so the cumsum ends below 1
+    prior = TabularPrior(SP32, mass)
+    assert np.searchsorted(np.cumsum(prior.mass), 1.0 - 2.0**-53, side="right") == len(SP32)
+    # the first word is the concept draw: the largest uniform, then 0.0
+    for word, concept in ((MASK64, len(SP32) - 1), (0, 0)):
+        rng = rigged_stream(word)
+        assert sample_arrays(prior, SP32, D3, 1, 2, rng).concepts.tolist() == [concept]
 
 
 def test_parity_tables_built_once_per_space():
@@ -309,16 +366,6 @@ def test_tabular_prior_from_another_space_rejected():
     assert tasks.concepts.max() < len(SP32)
 
 
-def test_tabular_draw_clips_a_cumsum_below_one():
-    mass = np.full(len(SP32), 1 / len(SP32))
-    mass[-1] -= 5e-13  # within the prior's tolerance, so the cumsum ends below 1
-    prior = TabularPrior(SP32, mass)
-    u = np.array([1.0 - 2.0**-53, 0.0])
-    assert np.searchsorted(np.cumsum(prior.mass), u[0], side="right") == len(SP32)
-    rng = QueuedUniforms(u, np.full((2, 2), 0.5))
-    assert sample_arrays(prior, SP32, D3, 2, 2, rng).concepts.tolist() == [len(SP32) - 1, 0]
-
-
 def test_distribution_over_other_point_count_rejected():
     # points 4 and 5 of a 5-point distribution lie outside the m=3 space
     for params in (PARAMS, smooth_prior(PARAMS, SP32)):
@@ -341,9 +388,11 @@ def test_tasks_are_not_iterable():
 
 
 def labels_oracle(source, space, dist, T, k, rng):
-    """Oracle: the sampler as it drew labels, with a three-index concept
-    gather, a binary search per point and labels read off the concept
-    masks, then coded by `outcome_codes`."""
+    """Oracle: the sampler as it drew through Generator calls, with a
+    three-index concept gather, a binary search per point and labels read
+    off the concept masks, then coded by `outcome_codes`.  `tasks` holds
+    the same draws as a `Tasks` keyed over every point and, for the parity
+    family, every branch."""
     trace = None
     if isinstance(source, SmoothPriorParams):
         table = _parity_index_table(source.m, source.d, space.masks.tobytes())
@@ -353,43 +402,96 @@ def labels_oracle(source, space, dist, T, k, rng):
         choice = rng.integers(0, table.shape[2], size=T)
         idx = table[i_star, c, choice]
         trace = (i_star, c)
+        key, branches, width = (2 * i_star + c) * table.shape[2] + choice, table.reshape(-1), table.shape[2]
     else:
         cum = np.cumsum(source.mass)
         idx = np.minimum(np.searchsorted(cum, rng.random(T), side="right"), len(space) - 1)
+        key, branches, width = idx, np.arange(len(space)), None
     cum = np.cumsum(dist.weights)
     xs = np.minimum(np.searchsorted(cum, rng.random((T, k)), side="right") + 1, dist.m)
     ys = 2 * ((space.masks[idx][:, None] >> (xs - 1)) & 1) - 1
     codes = outcome_codes(xs, ys, space.m)
-    return SimpleNamespace(xs=xs, ys=ys, concepts=idx, trace=trace, codes=codes, m=space.m)
+    for j in range(k):
+        key = key * space.m + xs[:, j] - 1
+    tasks = Tasks(
+        key, k, space.m, np.arange(space.m), branches, width,
+        _digit_table(space.m, space.masks.tobytes()),
+    )
+    return SimpleNamespace(xs=xs, ys=ys, concepts=idx, trace=trace, codes=codes, tasks=tasks)
+
+
+def later_draws(rng) -> tuple:
+    """What a generator's state decides: its PCG64 state, the held 32-bit
+    half if any (numpy keeps the last one in `uinteger` after using it,
+    but never reads it again), and the next draws."""
+    state = rng.bit_generator.state
+    held = state["has_uint32"] and state["uinteger"]
+    return state["state"], held, rng.integers(0, 7, size=3).tolist(), rng.random(2).tolist()
+
+
+def assert_tasks_match(got, want):
+    """Every field of `got`, a Tasks, equals the oracle's, and so do
+    those of the oracle's own Tasks and of `got`'s per-key tables."""
+    table = got.every_key()
+    for tasks in (got, want.tasks):
+        for field in ("xs", "ys", "concepts", "codes"):
+            assert np.array_equal(getattr(tasks, field), getattr(want, field)), field
+        assert tasks.codes.dtype == tasks.xs.dtype == np.int64
+        if want.trace is None:
+            assert tasks.trace is None
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(tasks.trace, want.trace))
+    assert np.array_equal(table.codes[got.key], got.codes)
+    assert np.array_equal(table.concepts[got.key], got.concepts)
+    assert np.array_equal(table.xs[got.key], got.xs)
 
 
 @pytest.mark.parametrize("k_offset", [-1, 0, 1], ids=["k1", "k-d", "k-d+1"])
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_sampler_matches_labels_oracle(m, k_offset):
-    d = 2
+@pytest.mark.parametrize(
+    "m, d", [(2, 1), (2, 2), (3, 2), (4, 2), (4, 3), (5, 2)], ids=lambda v: str(v)
+)
+def test_sampler_matches_labels_oracle(m, d, k_offset):
+    # (2, 1) draws no choice, (2, 2) no subset; the others integers(0, 3),
+    # (0, 6), (0, 4) and (0, 10) and a choice of 2 or 4
     k = 1 if k_offset == -1 else d + k_offset
     space = enumerate_concepts(m, d)
-    dist = DataDistribution(tuple(np.arange(1, m + 1) / (m * (m + 1) / 2)))
     n_signs = len(d_subsets(m, d))
     params = SmoothPriorParams(tuple((-1) ** i for i in range(n_signs)), 1.0, 1.0, m, d)
-    for source in (params, smooth_prior(params, space)):
-        for T in (1, 7, 10_000):
-            got = sample_arrays(source, space, dist, T, k, stream(m, k, T))
-            want = labels_oracle(source, space, dist, T, k, stream(m, k, T))
-            for field in ("xs", "ys", "concepts", "codes"):
-                assert np.array_equal(getattr(got, field), getattr(want, field)), field
-            assert got.codes.dtype == got.xs.dtype == np.int64
-            if want.trace is None:
-                assert got.trace is None
-            else:
-                assert all(np.array_equal(a, b) for a, b in zip(got.trace, want.trace))
+    sources = [params, smooth_prior(params, space), point_mass(space, 0b1)]
+    dists = [
+        DataDistribution(tuple(np.arange(1, m + 1) / (m * (m + 1) / 2))),
+        DataDistribution((0.0,) * (m - 1) + (1.0,)),  # one point left to draw
+    ]
+    for source, dist in itertools.product(sources, dists):
+        for T, held in ((1, 0), (7, 3), (10_000, 0), (10_001, 1)):
+            rngs = stream(m, k, T), stream(m, k, T)
+            for rng in rngs:
+                rng.integers(0, 2, size=held)  # an odd size holds a half over
+            got = sample_arrays(source, space, dist, T, k, rngs[0])
+            assert_tasks_match(got, labels_oracle(source, space, dist, T, k, rngs[1]))
+            assert later_draws(rngs[0]) == later_draws(rngs[1])
 
 
-def labels_counter(est, m, tasks):
-    """Oracle: the counter as it re-checked and re-coded sampled labels."""
-    if m != est.dist.m:
-        raise ValueError(f"tasks over {m} points, estimator built for {est.dist.m}")
-    return est.count_outcomes(tasks.xs, tasks.ys)
+@pytest.mark.parametrize("m, d", [(3, 2), (4, 2)], ids=["range-3", "range-6"])
+def test_rejected_draw_falls_back_to_generator_calls(m, d):
+    # a first word whose low half is 0: numpy rejects that draw from every
+    # range but a power of two, and redraws from the high half
+    word = 0xABCDEF1200000000
+    n_sub = len(d_subsets(m, d))
+    assert _lemire(np.zeros(1, dtype=np.uint32), n_sub)[1]
+    assert rigged_stream(word).integers(0, n_sub, size=2).tolist() != [0, 0]
+    space, dist = enumerate_concepts(m, d), uniform_distribution(m)
+    params = SmoothPriorParams(tuple((-1) ** i for i in range(n_sub)), 1.0, 1.0, m, d)
+    rngs = rigged_stream(word), rigged_stream(word)
+    got = sample_arrays(params, space, dist, 50, d, rngs[0])
+    assert_tasks_match(got, labels_oracle(params, space, dist, 50, d, rngs[1]))
+    assert later_draws(rngs[0]) == later_draws(rngs[1])
+
+
+def test_sampler_needs_pcg64_words():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(ValueError, match="PCG64"):
+        sample_arrays(PARAMS, SP32, D3, 5, 2, rng)
 
 
 @pytest.mark.parametrize(
@@ -402,12 +504,12 @@ def labels_counter(est, m, tasks):
     ids=["rates-parity", "rates-twopoint", "lowerbound"],
 )
 def test_cli_byte_identical_to_labels_oracle(tmp_path, monkeypatch, subcommand, config):
-    # the old sampler and counter, monkeypatched in, write the same bytes
+    # the Generator-call sampler, monkeypatched in with its own key layout,
+    # writes the same bytes
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config + "L = 1.0\nalpha = 1.0\nT_grid = 20,200\nreplicates = 3\n")
     assert dispatch(subcommand, cfg, 5, tmp_path / "codes") == 0
-    monkeypatch.setattr(ratelab, "sample_arrays", labels_oracle)
-    monkeypatch.setattr(ratelab, "counts_from_arrays_fast", labels_counter)
+    monkeypatch.setattr(ratelab, "sample_arrays", lambda *args: labels_oracle(*args).tasks)
     monkeypatch.setattr(ratelab, "_SETUP_CACHE", {})
     assert dispatch(subcommand, cfg, 5, tmp_path / "labels") == 0
     names = sorted(
@@ -442,7 +544,7 @@ def test_raw_conversions_match_generator_draws(seed):
     keys = [(t, 1) for t in range(1, 40)]
     raw = stream_raw(seed, keys, 3)
     assert raw_random(raw[:, 0]).tolist() == [stream(seed, *k).random() for k in keys]
-    for high in (1, 2, 256, 65536, 2**32):
+    for high in (1, 2, 3, 6, 256, 1000, 65536, 2**32):
         for size in range(1, 6):  # an odd size leaves a half-word unused
             expected = [stream(seed, *k).integers(0, high, size=size).tolist() for k in keys]
             assert raw_integers(raw, high, size).tolist() == expected, (high, size)
@@ -460,8 +562,24 @@ def test_bulk_stream_rejects_what_it_cannot_reproduce():
     with pytest.raises(ValueError, match="2-d"):
         stream_raw(0, [1, 2], 1)
     raw = stream_raw(0, [(1, 0)], 2)
-    for high in (3, 6, 1000, 2**33):
-        with pytest.raises(ValueError, match="power-of-two"):
+    for high in (0, 2**32 + 1, 2**33):
+        with pytest.raises(ValueError, match="range"):
             raw_integers(raw, high, 2)
     with pytest.raises(ValueError, match="raw outputs"):
         raw_integers(raw, 4, 5)
+    # a low half of 0 is rejected and redrawn by numpy from every range but
+    # a power of two, which a fixed row of outputs cannot do
+    zero = np.array([[0xABCDEF1200000000]], dtype=np.uint64)
+    assert raw_integers(zero, 4, 2).tolist() == [[0, 2]]
+    for high in (3, 6, 1000):
+        with pytest.raises(ValueError, match="rejected"):
+            raw_integers(zero, high, 1)
+
+
+@pytest.mark.parametrize("seed", BULK_SEEDS)
+def test_keyed_streams_match_stream(seed):
+    keys = [(91, t, truth, rep) for t in (0, 4) for truth in (0, 63) for rep in (0, 1, 99)]
+    for key, rng in zip(keys, keyed_streams(seed, keys), strict=True):
+        want = stream(seed, *key)
+        assert later_draws(rng) == later_draws(want)
+        assert rng.bit_generator.random_raw(2).tolist() == want.bit_generator.random_raw(2).tolist()
