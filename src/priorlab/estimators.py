@@ -37,11 +37,9 @@ _ROW_BLOCK = 1 << 12  # values a block of rows holds at once (one row may hold m
 
 
 def _by_rows(fn, rows: np.ndarray, entries: int) -> np.ndarray:
-    """fn of one vector, or of a stack of them a block of rows at a time,
-    where fn makes `entries` values per row, so that a block holds about
-    _ROW_BLOCK of them."""
-    if rows.ndim == 1:
-        return fn(rows)
+    """fn of a stack of vectors, a block of rows at a time, where fn makes
+    `entries` values per row, so that a block holds about _ROW_BLOCK of
+    them."""
     step = max(1, _ROW_BLOCK // max(entries, 1))
     return np.concatenate([fn(rows[i:i + step]) for i in range(0, len(rows), step)])
 
@@ -123,22 +121,28 @@ class _MinDistance:
             self.PA_exact = None
 
     def _mu(self, counts: np.ndarray, total: int) -> np.ndarray:
-        """The empirical masses mu(A) of the distinct sets, for one count
-        vector or each row of a stack (exact sums: counts are integers)."""
+        """The empirical masses mu(A) of the distinct sets for each row of
+        a stack of count vectors (exact sums: counts are integers)."""
         return (counts @ self.A.T) / total
 
-    def select(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
-        """The selected member and the report of its scores.  The float
-        path also takes a (rows, support) stack of counts, each of `total`
-        tasks, and then gives an array of selections and a report of
-        per-row scores."""
-        if self.PA_exact is None:
-            s = _by_rows(lambda c: yatracos_scores(self.PA, self._mu(c, total)), counts, self.PA.size)
-            best = np.argmin(s, axis=-1)
-            best = int(best) if best.ndim == 0 else best
-            return best, SkeletonReport(best, s.tolist(), False)
-        if np.ndim(counts) != 1:
+    def _scores(self, counts: np.ndarray, total: int) -> np.ndarray:
+        """The float scores of each row of a (rows, support) stack of
+        counts, each of `total` tasks, as a (rows, members) array."""
+        return _by_rows(lambda c: yatracos_scores(self.PA, self._mu(c, total)), counts, self.PA.size)
+
+    def select_rows(self, counts: np.ndarray, total: int) -> np.ndarray:
+        """The selected member of each row of a (rows, support) stack of
+        counts, each of `total` tasks, scored in floats."""
+        if self.PA_exact is not None:
             raise ValueError("exact selection scores one count vector at a time")
+        return np.argmin(self._scores(counts, total), axis=1)
+
+    def select(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
+        """The selected member of one count vector and its score report."""
+        if self.PA_exact is None:
+            s = self._scores(np.asarray(counts)[None], total)[0]
+            best = int(np.argmin(s))
+            return best, SkeletonReport(best, s.tolist(), False)
         mu = [Fraction(int(a @ counts), total) for a in self.A]
         scores = [
             max((abs(pa - m) for pa, m in zip(row, mu)), default=Fraction(0))
@@ -154,15 +158,18 @@ class _MinDistance:
         round differently."""
         return self.A[self._pair_set] @ np.asarray(truth_on_support, dtype=float)
 
-    def deviation(self, counts: np.ndarray, total: int, truth_masses: np.ndarray):
-        """max over Yatracos sets of |mu_T(A) - Q(A)|, given `truth_masses(Q)`:
-        a float for one count vector, an array for a stack of them."""
-        dev = _by_rows(
-            lambda c: np.abs(self._mu(c, total)[..., self._pair_set] - truth_masses).max(axis=-1, initial=0.0),
+    def deviation_rows(self, counts: np.ndarray, total: int, truth_masses: np.ndarray) -> np.ndarray:
+        """max over Yatracos sets of |mu_T(A) - Q(A)|, given `truth_masses(Q)`,
+        for each row of a (rows, support) stack of counts."""
+        return _by_rows(
+            lambda c: np.abs(self._mu(c, total)[:, self._pair_set] - truth_masses).max(axis=-1, initial=0.0),
             counts,
             len(self._pair_set),
         )
-        return float(dev) if dev.ndim == 0 else dev
+
+    def deviation(self, counts: np.ndarray, total: int, truth_masses: np.ndarray) -> float:
+        """`deviation_rows` of one count vector."""
+        return float(self.deviation_rows(np.asarray(counts)[None], total, truth_masses)[0])
 
     def deviation_exact(self, counts: np.ndarray, total: int, truth_exact: list[Fraction]):
         mu = [Fraction(int(a @ counts), total) for a in self.A]
@@ -175,7 +182,7 @@ class _MinDistance:
 
 @dataclass
 class SkeletonReport:
-    selected: int  # an array of them for a stack of count vectors
+    selected: int
     scores: list
     exact: bool
 
@@ -237,14 +244,12 @@ class SkeletonEstimator:
         counts = np.bincount(codes, minlength=self._n_codes)[self._support_codes]
         return counts, len(codes)
 
-    def support_matrix(self, codes: np.ndarray) -> np.ndarray:
-        """(len(codes), support) 0/1 floats marking each outcome code's
-        support point (no mark off the support): per-code counts times
-        it are support counts, as `count_codes` counts them."""
-        return (np.asarray(codes)[:, None] == self._support_codes).astype(float)
-
     def select_from_counts(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
         return self._md.select(counts, total)
+
+    def select_rows(self, counts: np.ndarray, total: int) -> np.ndarray:
+        """`select_from_counts`' member for each row of a stack of counts."""
+        return self._md.select_rows(counts, total)
 
     def truth_vectors(self, truth_dist: OutcomeDistribution):
         q = np.array([truth_dist.prob(z) for z in self.support])
@@ -287,6 +292,10 @@ class DirectEstimator:
 
     def select_from_counts(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
         return self._md.select(counts, total)
+
+    def select_rows(self, counts: np.ndarray, total: int) -> np.ndarray:
+        """`select_from_counts`' member for each row of a stack of counts."""
+        return self._md.select_rows(counts, total)
 
 
 @dataclass(frozen=True)

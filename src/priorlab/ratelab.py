@@ -8,9 +8,8 @@ so results are identical regardless of worker count, and rows are reduced
 in cell order so output files are byte-stable for a fixed config.
 
 A cell runs its replicates in lock-step: their streams are seeded at once,
-each replicate's tasks are counted by key with one `bincount`, and a block
-of replicates' key counts is folded into support (and concept) counts and
-scored in one pass (`_counted`).
+each replicate's tasks are counted with one `bincount` of their outcome
+codes, and a block of replicates' counts is scored in one pass (`_blocks`).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import numpy as np
 from .concepts import DataDistribution, d_subsets, enumerate_concepts, uniform_distribution
 from .errors import BudgetError
 from .estimators import (
-    _ROW_BLOCK,
     DirectEstimator,
     SkeletonEstimator,
     _as_fraction,
@@ -217,8 +215,8 @@ def counts_from_arrays_fast(est: SkeletonEstimator, m: int, tasks: Tasks):
     outcome codes (the sampler draws only valid points and labels)."""
     if m != est.dist.m or tasks.m != m:
         raise ValueError(f"tasks over {tasks.m} points (m={m}), estimator built for {est.dist.m}")
-    if tasks.xs.shape[1] != est.d:
-        raise ValueError(f"tasks of {tasks.xs.shape[1]} points, estimator expects {est.d}")
+    if tasks.k != est.d:
+        raise ValueError(f"tasks of {tasks.k} points, estimator expects {est.d}")
     return est.count_codes(tasks.codes)
 
 
@@ -234,24 +232,19 @@ def _streams(config: ExperimentConfig, *coords: int):
     return keyed_streams(config.seed, [(*coords, rep) for rep in range(config.replicates)])
 
 
-def _counted(replicate_tasks, fold):
-    """Count the replicates' tasks in lock-step: one `bincount` of each
-    replicate's task keys, then one product per fold matrix for a block
-    of replicates.  `fold` maps the first replicate's every-key table
-    (all replicates share its layout) to matrices with one row per key.
-    Yields (first replicate of the block, [counts @ matrix for each
-    matrix]); a block holds about _ROW_BLOCK key counts."""
-    for rep, tasks in enumerate(replicate_tasks):
-        if rep == 0:
-            table = tasks.every_key()
-            matrices = fold(table)
-            block = np.empty((max(1, _ROW_BLOCK // len(table.key)), len(table.key)), dtype=np.int64)
-        row = rep % len(block)
-        block[row] = np.bincount(tasks.key, minlength=len(table.key))
-        if row == len(block) - 1:
-            yield rep - row, [block @ f for f in matrices]
-    if row < len(block) - 1:
-        yield rep - row, [block[:row + 1] @ f for f in matrices]
+_BLOCK_VALUES = 1 << 16  # count values a block of replicates holds at once
+
+
+def _blocks(replicates, width: int):
+    """Group the replicates' records, each holding `width` count values,
+    into blocks of about _BLOCK_VALUES values; yields (first replicate of
+    the block, its records)."""
+    size = max(1, _BLOCK_VALUES // width)
+    replicates = iter(replicates)
+    first = 0
+    while block := list(itertools.islice(replicates, size)):
+        yield first, block
+        first += len(block)
 
 
 def _upper_cell(payload) -> list[UpperRow]:
@@ -263,14 +256,15 @@ def _upper_cell(payload) -> list[UpperRow]:
     k = config.samples_per_task
     truth_vec, _ = est.truth_vectors(est.outcome_dists[truth_id])
     truth_masses = est._md.truth_masses(truth_vec)
-    replicate_tasks = (
-        sample_arrays(source, setup.space, setup.dist, T, k, rng)
+    replicate_counts = (
+        counts_from_arrays_fast(est, config.m, sample_arrays(source, setup.space, setup.dist, T, k, rng))
         for rng in _streams(config, _UPPER, T_idx, truth_id)
     )
     rows = []
-    for first, (counts,) in _counted(replicate_tasks, lambda t: [est.support_matrix(t.codes)]):
-        selected, _ = est.select_from_counts(counts, T)
-        devs = est._md.deviation(counts, T, truth_masses)
+    for first, block in _blocks(replicate_counts, len(est.support)):
+        counts = np.stack([c for c, _ in block])
+        selected = est.select_rows(counts, T)
+        devs = est._md.deviation_rows(counts, T, truth_masses)
         for rep, sel, dev in zip(itertools.count(first), selected.tolist(), devs.tolist()):
             err = float(setup.tv_matrix[truth_id, sel])
             rows.append(UpperRow(
@@ -399,26 +393,24 @@ def _lower_cell(payload) -> list[LowerRow]:
     subs = np.asarray(d_subsets(config.m, config.d))
     gamma = setup.params_list[0].gamma_m
     scale = Fraction(1, 2 ** config.d * comb(config.m, config.d))
-    truths = []  # each replicate's member, its signs drawn first from its stream
 
-    def replicate_tasks():
+    def replicates():
         for rng in _streams(config, _LOWER, T_idx):
             b = tuple(1 if v else -1 for v in rng.integers(0, 2, size=n_signs))
-            truths.append(SmoothPriorParams(b, config.L, config.alpha, config.m, config.d))
-            yield sample_arrays(truths[-1], space, dist, T, config.d, rng)
-
-    def fold(table):
-        # N_i: tasks whose subset index is i AND whose d draws cover X_i
-        x_masks = np.zeros(len(table.key), dtype=np.int64)
-        for j in range(config.d):
-            x_masks |= 1 << (table.xs[:, j] - 1)
-        return [est.support_matrix(table.codes), x_masks == subs[table.trace[0]]]
+            params = SmoothPriorParams(b, config.L, config.alpha, config.m, config.d)
+            tasks = sample_arrays(params, space, dist, T, config.d, rng)
+            counts, _ = counts_from_arrays_fast(est, config.m, tasks)
+            # N_i: tasks whose subset index is i AND whose d draws cover X_i
+            x_masks = np.zeros(T, dtype=np.int64)
+            for j in range(config.d):
+                x_masks |= 1 << (tasks.xs[:, j] - 1)
+            yield counts, params, int((x_masks == subs[tasks.trace[0]]).sum())
 
     rows = []
-    for first, (counts, events) in _counted(replicate_tasks(), fold):
-        selected, _ = est.select_from_counts(counts, T)
-        for rep, sel, n_events in zip(itertools.count(first), selected.tolist(), events.tolist()):
-            params = truths[rep]
+    for first, block in _blocks(replicates(), len(est.support)):
+        counts, truths, events = zip(*block)
+        selected = est.select_rows(np.stack(counts), T)
+        for rep, sel, params, n_events in zip(itertools.count(first), selected.tolist(), truths, events):
             b = params.b
             truth_id = sum((1 if s > 0 else 0) << (n_signs - 1 - i) for i, s in enumerate(b))
             red = reduce_to_signs(est.cover.members[sel], params)
@@ -499,22 +491,19 @@ def _baseline_cell(payload) -> list[BaselineRow]:
     setup = build_setup(config)
     source = _source(setup, truth_id)
     direct = setup.direct  # built before any replicate's arrays exist
-    replicate_tasks = (
-        sample_arrays(source, setup.space, setup.dist, T, config.samples_per_task, rng)
-        for rng in _streams(config, _BASELINE, T_idx, truth_id)
-    )
-    concepts = np.arange(len(setup.space))
+    est, n_concepts = setup.estimator, len(setup.space)
 
-    def fold(table):
-        return [
-            setup.estimator.support_matrix(table.codes),
-            (table.concepts[:, None] == concepts).astype(float),
-        ]
+    def replicates():
+        for rng in _streams(config, _BASELINE, T_idx, truth_id):
+            tasks = sample_arrays(source, setup.space, setup.dist, T, config.samples_per_task, rng)
+            counts, _ = counts_from_arrays_fast(est, config.m, tasks)
+            yield counts, np.bincount(tasks.concepts, minlength=n_concepts)
 
     rows = []
-    for first, (counts, concept_counts) in _counted(replicate_tasks, fold):
-        sk_sel, _ = setup.estimator.select_from_counts(counts, T)
-        di_sel, _ = direct.select_from_counts(concept_counts, T)
+    for first, block in _blocks(replicates(), len(est.support) + n_concepts):
+        counts, concept_counts = zip(*block)
+        sk_sel = est.select_rows(np.stack(counts), T)
+        di_sel = direct.select_rows(np.stack(concept_counts), T)
         for rep, sk, di in zip(itertools.count(first), sk_sel.tolist(), di_sel.tolist()):
             rows.append(BaselineRow(
                 "baseline", config.m, config.d, config.L, config.alpha,

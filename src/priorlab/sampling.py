@@ -19,12 +19,10 @@ an exact decode of those words.
   behind `raw_integers`).  `raw_random` gives the doubles themselves.
 - **Tasks.**  `sample_arrays` draws the T tasks of one replicate, the
   concept draws first and then the (T, k) points, from one read of its
-  stream's words.  It keys each task by one integer: the task's branch
-  (the drawn concept for a tabular prior, (2 i* + c) * width + choice for
-  the parity family) followed by its k point digits.  `Tasks` decodes
-  points, concepts, the parity trace and outcome codes from the keys;
-  `Tasks.every_key` gives the same decodings for every key value, so a
-  caller can count tasks by key and fold the counts once.
+  stream's words.  It keeps each task's branch (the drawn concept for a
+  tabular prior, (2 i* + c) * width + choice for the parity family) and
+  its k point digits; `Tasks` decodes points, concepts, the parity trace
+  and outcome codes from them on first use.
 
 A task's outcome code, the statistic the estimators count, holds the
 digits 2(x - 1) + [y > 0] of its k (point, label) pairs in base 2m.
@@ -35,15 +33,13 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .concepts import ConceptSpace, DataDistribution, d_subsets
 from .priors import SmoothPriorParams, TabularPrior
-
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -346,68 +342,59 @@ def _digit_table(m: int, space_masks: bytes) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Tasks:
     """T sampled tasks of k points each, from one concept space over m
-    points, as one key per task.
+    points, as each task's branch and point digits.
 
-    A key is branch * R**k plus the task's point digits in base R, first
-    point first, where R = len(points).  A point digit indexes `points`,
-    the points that can be drawn, as 0..m-1; a branch indexes `branches`,
-    the concept position it draws.  Parity-family tasks have `width` choices
-    per (i*, c) and the branch (2 i* + c) * width + choice; a tabular
-    prior's tasks have width None.  `digits` is the space's
-    `_digit_table`.
+    A point digit indexes `points`, the points that can be drawn, as
+    0..m-1; `point_digits` holds k of them per task, first point first.  A
+    branch indexes `branches`, the concept position it draws.
+    Parity-family tasks have `width` choices per (i*, c) and the branch
+    (2 i* + c) * width + choice; a tabular prior's tasks have width None.
+    `digits` is the space's `_digit_table`.
 
     `xs` (T, k) holds the points, `concepts` (T,) the concept positions,
     `trace` the (i_star, c) arrays of the parity family (else None) and
-    `codes` (T,) each task's outcome code; each is decoded from the keys
-    on first use, and `ys` from the codes.  Not iterable: read the fields
-    by name.
+    `codes` (T,) each task's outcome code; each is decoded on first use,
+    and `ys` from the codes.  Not iterable: read the fields by name.
     """
 
-    key: np.ndarray
-    k: int
+    branch: np.ndarray
+    point_digits: np.ndarray
     m: int
     points: np.ndarray
     branches: np.ndarray
     width: int | None
     digits: np.ndarray
 
-    def every_key(self) -> Tasks:
-        """One task per key value, in order, with the same layout: its
-        decoded fields are per-key tables."""
-        n_keys = len(self.branches) * len(self.points) ** self.k
-        return replace(self, key=np.arange(n_keys, dtype=np.int64))
+    @property
+    def k(self) -> int:
+        return self.point_digits.shape[1]
 
     @cached_property
     def xs(self) -> np.ndarray:
-        xs = np.empty((len(self.key), self.k), dtype=np.int64)
-        rest = self.key
-        for j in reversed(range(self.k)):
-            rest, digit = np.divmod(rest, len(self.points))
-            xs[:, j] = self.points[digit] + 1
+        xs = self.points.take(self.point_digits)
+        xs += 1
         return xs
 
     @cached_property
-    def _branch(self) -> np.ndarray:
-        return self.key // len(self.points) ** self.k
-
-    @cached_property
     def concepts(self) -> np.ndarray:
-        return self.branches[self._branch]
+        return self.branches.take(self.branch)
 
     @cached_property
     def trace(self) -> tuple[np.ndarray, np.ndarray] | None:
         if self.width is None:
             return None
-        pair = self._branch // self.width
+        pair = self.branch // self.width
         return pair >> 1, pair & 1
 
     @cached_property
     def codes(self) -> np.ndarray:
-        rows = self.concepts * self.m - 1
-        codes = self.digits.take(rows + self.xs[:, 0])
+        # the code digit of every (branch, point digit), gathered per point
+        table = self.digits.reshape(-1, self.m)[self.branches][:, self.points].ravel()
+        rows = self.branch * len(self.points)
+        codes = table.take(rows + self.point_digits[:, 0])
         for j in range(1, self.k):
             codes *= 2 * self.m
-            codes += self.digits.take(rows + self.xs[:, j])
+            codes += table.take(rows + self.point_digits[:, j])
         return codes
 
     @property
@@ -500,7 +487,7 @@ def sample_arrays(
     m = space.m
     if dist.m != m:
         raise ValueError(f"distribution over {dist.m} points, concept space over {m}")
-    if (2 * m) ** k > _INT64_MAX:
+    if (2 * m) ** k > np.iinfo(np.int64).max:
         raise ValueError(f"outcome codes of {k} points over {m} exceed int64")
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise ValueError(f"tasks are decoded from PCG64 words, not {type(rng.bit_generator).__name__}")
@@ -516,16 +503,10 @@ def sample_arrays(
             raise ValueError("prior built for a different concept space")
         concept_cuts, branches = _categorical(tuple(source.mass.tolist()))
         width = None
-    if len(branches) * len(points) ** k > _INT64_MAX:
-        raise ValueError(f"task keys of {k} points over {m} exceed int64")
     if width is None:
         words = rng.bit_generator.random_raw(T + T * k)
         branch, point_words = _count_cuts(concept_cuts, words[:T]).astype(np.int64), words[T:]
     else:
         branch, point_words = _parity_draws(source, len(index_table), width, T, T * k, rng)
-    digits = _count_cuts(point_cuts, point_words).reshape(T, k)
-    key = branch
-    for j in range(k):
-        key *= len(points)
-        key += digits[:, j]
-    return Tasks(key, k, m, points, branches, width, _digit_table(m, space_masks))
+    point_digits = _count_cuts(point_cuts, point_words).reshape(T, k)
+    return Tasks(branch, point_digits, m, points, branches, width, _digit_table(m, space_masks))

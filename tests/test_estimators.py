@@ -269,11 +269,11 @@ class AllPairsMinDistance:
             self.PA_exact = None
         self.PA = self.M @ self.A.T  # (members, pairs)
 
+    def select_rows(self, counts: np.ndarray, total: int) -> np.ndarray:
+        # a stack of count vectors, as the cells pass them
+        return np.array([self.select(row, total)[0] for row in counts])
+
     def select(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
-        if counts.ndim == 2:  # a stack of count vectors, as the cells pass them
-            picks = [self.select(row, total) for row in counts]
-            best = np.array([b for b, _ in picks])
-            return best, SkeletonReport(best, [r.scores for _, r in picks], False)
         if self.PA_exact is None:
             s = yatracos_scores(self.PA, (self.A @ counts) / total)
             best = int(np.argmin(s))
@@ -293,13 +293,14 @@ class AllPairsMinDistance:
     def deviation(self, counts: np.ndarray, total: int, truth_on_support: np.ndarray) -> float:
         """max over Yatracos sets of |mu_T(A) - Q(A)| for a truth vector Q
         restricted to this support (mass elsewhere never enters any set)."""
-        if counts.ndim == 2:
-            return np.array([self.deviation(row, total, truth_on_support) for row in counts])
         if not self.pairs:
             return 0.0
         mu = (self.A @ counts) / total
         qa = self.A @ np.asarray(truth_on_support, dtype=float)
         return float(np.abs(mu - qa).max())
+
+    def deviation_rows(self, counts: np.ndarray, total: int, truth_on_support: np.ndarray) -> np.ndarray:
+        return np.array([self.deviation(row, total, truth_on_support) for row in counts])
 
     def deviation_exact(self, counts: np.ndarray, total: int, truth_exact: list[Fraction]):
         if not self.pairs:
@@ -316,11 +317,16 @@ def _assert_matches_oracle(md, oracle, count_vectors, truths, truths_exact=None)
     """Selected index, scores and deviations equal the all-pairs oracle's exactly."""
     for counts in count_vectors:
         total = int(counts.sum())
-        assert md.select(counts, total) == oracle.select(counts, total)
+        selected = oracle.select(counts, total)
+        assert md.select(counts, total) == selected
+        if oracle.PA_exact is None:
+            assert md.select_rows(np.stack([counts, counts]), total).tolist() == [selected[0]] * 2
         for q in truths:
             got = md.deviation(counts, total, md.truth_masses(q))
             assert got == oracle.deviation(counts, total, q)
             assert type(got) is float
+            got = md.deviation_rows(np.stack([counts, counts]), total, md.truth_masses(q))
+            assert got.tolist() == [oracle.deviation(counts, total, q)] * 2
         for q in truths_exact or ():
             got = md.deviation_exact(counts, total, q)
             assert got == oracle.deviation_exact(counts, total, q)

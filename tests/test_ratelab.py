@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import replace
 from math import factorial, prod
 
@@ -335,8 +336,8 @@ def per_replicate_cells(config, T, T_idx, truth_id):
         sk, _ = est.select_from_counts(est.count_outcomes(tasks.xs, tasks.ys)[0], T)
         di, _ = setup.direct.select_from_counts(np.bincount(tasks.concepts, minlength=len(space)), T)
         baseline.append((rep, sk, di))
-        if setup.params_list is None:
-            continue
+        if setup.params_list is None or config.samples_per_task != config.d:
+            continue  # the lower-bound testbed runs on the parity family at k = d
         rng = stream(config.seed, ratelab._LOWER, T_idx, rep)
         b = tuple(1 if v else -1 for v in rng.integers(0, 2, size=len(setup.params_list[0].b)))
         params = SmoothPriorParams(b, config.L, config.alpha, config.m, config.d)
@@ -351,16 +352,20 @@ def per_replicate_cells(config, T, T_idx, truth_id):
 @pytest.mark.parametrize(
     "config",
     [
-        # 384 keys: blocks of 42 replicates; 64 members: one row scored at a time
+        # 64 members: scored a row at a time
         ExperimentConfig(m=4, d=2, T_grid=(7,), replicates=100, truth_count=1, seed=2),
         ExperimentConfig(m=3, d=2, T_grid=(5,), replicates=160, truth_count=1, seed=3),
         ExperimentConfig(m=3, d=2, family="twopoint", T_grid=(9,), replicates=50, seed=4),
+        # k > d: 4,530 support points, one replicate per block
+        ExperimentConfig(m=3, d=2, k=6, T_grid=(40,), replicates=12, truth_count=1, seed=5),
     ],
-    ids=["parity-m4", "parity-m3", "twopoint"],
+    ids=["parity-m4", "parity-m3", "twopoint", "parity-k6"],
 )
-def test_lock_step_cells_match_one_replicate_at_a_time(config):
+def test_lock_step_cells_match_one_replicate_at_a_time(config, monkeypatch):
     setup = build_setup(config)
     T = config.T_grid[0]
+    # blocks of 224 count values: 3 or 4 replicates of the m=4 family
+    monkeypatch.setattr(ratelab, "_BLOCK_VALUES", 224)
     for truth_id in setup.truth_ids[:2]:
         upper, baseline, lower = per_replicate_cells(config, T, 0, truth_id)
         payload = (config.__dict__, T, 0, truth_id)
@@ -372,3 +377,19 @@ def test_lock_step_cells_match_one_replicate_at_a_time(config):
         if lower:
             rows = ratelab._lower_cell((config.__dict__, T, 0))
             assert [(r.rate.replicate, r.rate.selected_id, r.n_events) for r in rows] == lower
+
+
+def test_cells_with_k_above_d_allocate_little():
+    # k = 6 on the m=3, d=2 family: 8,748 (concept draw, points) patterns
+    # and 4,530 support points, so a table over both would take 317 MB;
+    # counting outcome codes needs one 46,656-entry bincount per replicate
+    config = ExperimentConfig(m=3, d=2, k=6, T_grid=(50,), replicates=5, truth_count=0, seed=6)
+    build_setup(config)
+    tracemalloc.start()
+    try:
+        ratelab._upper_cell((config.__dict__, 50, 0, 0))
+        ratelab._baseline_cell((config.__dict__, 50, 0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

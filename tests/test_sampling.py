@@ -391,7 +391,7 @@ def labels_oracle(source, space, dist, T, k, rng):
     """Oracle: the sampler as it drew through Generator calls, with a
     three-index concept gather, a binary search per point and labels read
     off the concept masks, then coded by `outcome_codes`.  `tasks` holds
-    the same draws as a `Tasks` keyed over every point and, for the parity
+    the same draws as a `Tasks` over every point and, for the parity
     family, every branch."""
     trace = None
     if isinstance(source, SmoothPriorParams):
@@ -402,19 +402,17 @@ def labels_oracle(source, space, dist, T, k, rng):
         choice = rng.integers(0, table.shape[2], size=T)
         idx = table[i_star, c, choice]
         trace = (i_star, c)
-        key, branches, width = (2 * i_star + c) * table.shape[2] + choice, table.reshape(-1), table.shape[2]
+        branch, branches, width = (2 * i_star + c) * table.shape[2] + choice, table.reshape(-1), table.shape[2]
     else:
         cum = np.cumsum(source.mass)
         idx = np.minimum(np.searchsorted(cum, rng.random(T), side="right"), len(space) - 1)
-        key, branches, width = idx, np.arange(len(space)), None
+        branch, branches, width = idx, np.arange(len(space)), None
     cum = np.cumsum(dist.weights)
     xs = np.minimum(np.searchsorted(cum, rng.random((T, k)), side="right") + 1, dist.m)
     ys = 2 * ((space.masks[idx][:, None] >> (xs - 1)) & 1) - 1
     codes = outcome_codes(xs, ys, space.m)
-    for j in range(k):
-        key = key * space.m + xs[:, j] - 1
     tasks = Tasks(
-        key, k, space.m, np.arange(space.m), branches, width,
+        branch, xs - 1, space.m, np.arange(space.m), branches, width,
         _digit_table(space.m, space.masks.tobytes()),
     )
     return SimpleNamespace(xs=xs, ys=ys, concepts=idx, trace=trace, codes=codes, tasks=tasks)
@@ -431,8 +429,7 @@ def later_draws(rng) -> tuple:
 
 def assert_tasks_match(got, want):
     """Every field of `got`, a Tasks, equals the oracle's, and so do
-    those of the oracle's own Tasks and of `got`'s per-key tables."""
-    table = got.every_key()
+    those of the oracle's own Tasks."""
     for tasks in (got, want.tasks):
         for field in ("xs", "ys", "concepts", "codes"):
             assert np.array_equal(getattr(tasks, field), getattr(want, field)), field
@@ -441,9 +438,6 @@ def assert_tasks_match(got, want):
             assert tasks.trace is None
         else:
             assert all(np.array_equal(a, b) for a, b in zip(tasks.trace, want.trace))
-    assert np.array_equal(table.codes[got.key], got.codes)
-    assert np.array_equal(table.concepts[got.key], got.concepts)
-    assert np.array_equal(table.xs[got.key], got.xs)
 
 
 @pytest.mark.parametrize("k_offset", [-1, 0, 1], ids=["k1", "k-d", "k-d+1"])
@@ -504,8 +498,8 @@ def test_sampler_needs_pcg64_words():
     ids=["rates-parity", "rates-twopoint", "lowerbound"],
 )
 def test_cli_byte_identical_to_labels_oracle(tmp_path, monkeypatch, subcommand, config):
-    # the Generator-call sampler, monkeypatched in with its own key layout,
-    # writes the same bytes
+    # the Generator-call sampler, monkeypatched in with its own branch and
+    # point layout, writes the same bytes
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config + "L = 1.0\nalpha = 1.0\nT_grid = 20,200\nreplicates = 3\n")
     assert dispatch(subcommand, cfg, 5, tmp_path / "codes") == 0
