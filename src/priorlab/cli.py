@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import os
 import platform
 import sys
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .concepts import MAX_POINTS, enumerate_concepts, uniform_distribution
+from .concepts import MAX_POINTS, concept_count, enumerate_concepts, uniform_distribution
 from .elicitation import (
     LEDGER_CSV_HEADER,
     PRESENCE_MEMBERS,
@@ -44,6 +43,7 @@ from .outcomes import (
 )
 from .priors import (
     SmoothPriorParams,
+    check_holder_pairs,
     cover_priors,
     density_table,
     holder_check,
@@ -352,6 +352,22 @@ def cmd_lemmas(config: dict, seed: int, outdir: Path, workers: int, exact: bool)
     return 0
 
 
+def _smoothness_instances(config: dict):
+    """The instances a smoothness config runs, in order: (m, d, [(L,
+    alpha, gamma), ...]) for each d <= min(d_max, m) at each m whose
+    (L, alpha) pairs give some parity family."""
+    for m in range(2, config["m_max"] + 1):
+        grid = [
+            (L, alpha, gamma)
+            for L in config["L_list"]
+            for alpha in config["alpha_list"]
+            if (gamma := parity_gamma(L, alpha, m)) is not None
+        ]
+        if grid:
+            for d in range(1, min(config["d_max"], m) + 1):
+                yield m, d, grid
+
+
 def cmd_smoothness(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
     rows = []
     rng = stream(seed, 2)
@@ -359,36 +375,34 @@ def cmd_smoothness(config: dict, seed: int, outdir: Path, workers: int, exact: b
         "m", "d", "L", "alpha", "gamma", "mass_gap", "density_lo", "density_hi",
         "holder_ok", "pass",
     )
-    for m in range(2, config["m_max"] + 1):
-        for d in range(1, min(config["d_max"], m) + 1):
-            space = enumerate_concepts(m, d)
-            dist = uniform_distribution(m)
-            for L in config["L_list"]:
-                for alpha in config["alpha_list"]:
-                    gamma = parity_gamma(L, alpha, m)
-                    if gamma is None:
-                        continue  # rejected parameterization
-                    use_exact = exact and float(alpha).is_integer()
-                    for _ in range(config["signs_per_instance"]):
-                        b = tuple(int(s) for s in rng.choice([-1, 1], size=comb(m, d)))
-                        params = SmoothPriorParams(b, L, alpha, m, d)
-                        pb = smooth_prior(params, space, exact=use_exact)
-                        if use_exact:
-                            mass_gap = 0.0 if sum(pb.exact) == 1 else float(abs(sum(pb.exact) - 1))
-                        else:
-                            mass_gap = abs(float(pb.mass.sum()) - 1.0)
-                        ref = reference_prior(space, exact=use_exact)
-                        f = density_table(pb, ref)
-                        hold = holder_check(pb, ref, L, alpha, dist).ok
-                        ok = (
-                            mass_gap <= 1e-12
-                            and f.min() >= 1 - gamma - 1e-12
-                            and f.max() <= 1 + gamma + 1e-12
-                            and hold
-                        )
-                        rows.append(
-                            (m, d, L, alpha, gamma, mass_gap, float(f.min()), float(f.max()), hold, ok)
-                        )
+    for m, d, grid in _smoothness_instances(config):
+        space = enumerate_concepts(m, d)
+        dist = uniform_distribution(m)
+        refs = {}  # the reference measure, float or exact, is fixed per space
+        for L, alpha, gamma in grid:
+            use_exact = exact and float(alpha).is_integer()
+            if use_exact not in refs:
+                refs[use_exact] = reference_prior(space, exact=use_exact)
+            ref = refs[use_exact]
+            for _ in range(config["signs_per_instance"]):
+                b = tuple(rng.choice([-1, 1], size=comb(m, d)).tolist())
+                params = SmoothPriorParams(b, L, alpha, m, d)
+                pb = smooth_prior(params, space, exact=use_exact)
+                if use_exact:
+                    mass_gap = 0.0 if sum(pb.exact) == 1 else float(abs(sum(pb.exact) - 1))
+                else:
+                    mass_gap = abs(float(pb.mass.sum()) - 1.0)
+                f = density_table(pb, ref)
+                hold = holder_check(pb, ref, L, alpha, dist).ok
+                ok = (
+                    mass_gap <= 1e-12
+                    and f.min() >= 1 - gamma - 1e-12
+                    and f.max() <= 1 + gamma + 1e-12
+                    and hold
+                )
+                rows.append(
+                    (m, d, L, alpha, gamma, mass_gap, float(f.min()), float(f.max()), hold, ok)
+                )
     _write_check_table(outdir, "smoothness.csv", header, rows)
     _emit_plot_script(outdir, "smoothness", "smoothness.csv", "m", "gamma", loglog=False)
     return 0
@@ -421,18 +435,21 @@ def _experiment_config(config: dict, seed: int) -> ExperimentConfig:
 def _check_config(subcommand: str, config: dict) -> None:
     """The rules that span keys of a parsed config, naming the keys: a
     concept space needs 1 <= d <= m, a parity-family member needs gamma_m
-    in (0, 1/2), cover-info's parity family must fit its budget, and
-    elicit's calibration must resolve its quantile.  rates and lowerbound
-    leave theirs, their budgets among them, to `_experiment_config`."""
+    in (0, 1/2), each smoothness instance's Hölder check and cover-info's
+    parity family must fit their budgets, and elicit's calibration must
+    resolve its quantile.  rates and lowerbound leave theirs, their
+    budgets among them, to `_experiment_config`; cover-info meets its
+    cover budget in `_cover_rows`."""
     if "d" in config and not 1 <= config["d"] <= config["m"]:
         raise ValueError(f"config key 'd' must lie in 1..m = {config['m']}, got {config['d']}")
     if subcommand == "lemmas" and config["k_max"] < config["d"]:
         raise ValueError(f"config key 'k_max' must be >= d = {config['d']}, got {config['k_max']}")
     if subcommand == "smoothness":
-        ms = range(2, config["m_max"] + 1)
-        grid = itertools.product(ms, config["L_list"], config["alpha_list"])
-        if all(parity_gamma(L, alpha, m) is None for m, L, alpha in grid):
+        instances = list(_smoothness_instances(config))
+        if not instances:
             raise ValueError(f"config keys 'L_list' and 'alpha_list' fit no m <= 'm_max': {PARITY_RULE}")
+        for m, d, _ in instances:
+            check_holder_pairs(concept_count(m, d))
     if subcommand == "cover-info" and parity_gamma(config["L"], config["alpha"], config["m"]) is None:
         raise ValueError(f"config keys 'L' and 'alpha' at m = {config['m']}: {PARITY_RULE}")
     if subcommand == "cover-info":
@@ -490,21 +507,24 @@ def cmd_elicit(config: dict, seed: int, outdir: Path, workers: int, exact: bool)
     return 0
 
 
-def cmd_cover_info(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
-    space = enumerate_concepts(config["m"], config["d"])
-    header = ("m", "d", "L", "alpha", "epsilon", "cover_size", "n_cells", "grid_step")
+def _cover_rows(config: dict, seed: int) -> list[tuple]:
+    """cover-info's table, one measured cover per epsilon.  A cover's
+    size, and so its budget, is known only by building it."""
+    m, d, L, alpha = config["m"], config["d"], config["L"], config["alpha"]
+    space = enumerate_concepts(m, d)
     rows = []
     for eps in config["epsilons"]:
-        fam = cover_priors(
-            space, config["L"], config["alpha"], eps, budget=config["budget"]
-        )
-        rows.append(
-            (
-                config["m"], config["d"], config["L"], config["alpha"], eps,
-                fam.size, fam.meta["n_cells"], fam.meta["grid_step"],
-            )
-        )
+        fam = cover_priors(space, L, alpha, eps, budget=config["budget"])
+        rows.append((m, d, L, alpha, eps, fam.size, fam.meta["n_cells"], fam.meta["grid_step"]))
+    return rows
+
+
+def cmd_cover_info(
+    rows: list[tuple], config: dict, seed: int, outdir: Path, workers: int, exact: bool
+) -> int:
+    header = ("m", "d", "L", "alpha", "epsilon", "cover_size", "n_cells", "grid_step")
     write_csv(outdir / "cover_info.csv", header, rows)
+    space = enumerate_concepts(config["m"], config["d"])
     _, members = parity_family(space, config["L"], config["alpha"])
     lines = [f"parity_family_size={len(members)}"]
     for r in rows:
@@ -522,6 +542,15 @@ DISPATCH = {
     "smoothness": cmd_smoothness,
     "elicit": cmd_elicit,
     "cover-info": cmd_cover_info,
+}
+
+# What a subcommand builds from (config, seed) before any output is
+# written, passed to it as its first argument: the budgets met there are
+# met before the output directory exists.
+PREPARE = {
+    "rates": _experiment_config,
+    "lowerbound": _experiment_config,
+    "cover-info": _cover_rows,
 }
 
 
@@ -551,8 +580,8 @@ def dispatch(
         config = parse_config(config_path, subcommand)
         _check_config(subcommand, config)
         command = DISPATCH[subcommand]
-        if subcommand in ("rates", "lowerbound"):
-            command = functools.partial(command, _experiment_config(config, seed))
+        if subcommand in PREPARE:
+            command = functools.partial(command, PREPARE[subcommand](config, seed))
         outdir.mkdir(parents=True, exist_ok=True)
         _manifest(outdir, subcommand, config_path, config, seed, workers)
         return command(config, seed, outdir, workers, exact_rational)

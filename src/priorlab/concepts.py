@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -149,6 +150,11 @@ class ConceptSpace:
         return 2 * bits - 1
 
 
+def concept_count(m: int, d: int) -> int:
+    """|C(m, d)| = sum_{q<=d} C(m, q), without enumerating it."""
+    return sum(comb(m, q) for q in range(d + 1))
+
+
 def enumerate_concepts(m: int, d: int) -> ConceptSpace:
     """Build C(m, d): expected size is sum_{q<=d} C(m, q)."""
     if not 1 <= d <= m:
@@ -159,7 +165,7 @@ def enumerate_concepts(m: int, d: int) -> ConceptSpace:
     for q in range(d + 1):
         concepts.extend(Concept(mask, m) for mask in d_subsets(m, q))
     space = ConceptSpace(m, d, concepts)
-    assert len(space) == sum(comb(m, q) for q in range(d + 1))
+    assert len(space) == concept_count(m, d)
     return space
 
 
@@ -171,13 +177,24 @@ def rho(h: Concept, g: Concept, dist: DataDistribution) -> float:
 
 
 def rho_matrix(space: ConceptSpace, dist: DataDistribution) -> np.ndarray:
-    """Pairwise rho over the whole enumeration; shape (|C|, |C|)."""
+    """Pairwise rho over the whole enumeration; shape (|C|, |C|).  Built
+    once per concept order and distribution, and read-only."""
     if dist.m != space.m:
         raise ValueError("distribution does not match the concept space")
-    w = np.asarray(dist.weights)
-    diff = space.masks[:, None] ^ space.masks[None, :]
-    bits = (diff[:, :, None] >> np.arange(space.m)[None, None, :]) & 1
-    return (bits * w).sum(axis=2)
+    return _rho_table(space.masks.tobytes(), dist.weights)
+
+
+@lru_cache(maxsize=4)
+def _rho_table(space_masks: bytes, weights: tuple[float, ...]) -> np.ndarray:
+    """rho between every pair of the concepts whose int64 masks, in
+    enumeration order, are `space_masks`, under the distribution with
+    these point weights."""
+    masks = np.frombuffer(space_masks, dtype=np.int64)
+    diff = masks[:, None] ^ masks[None, :]
+    bits = (diff[:, :, None] >> np.arange(len(weights))[None, None, :]) & 1
+    table = (bits * np.asarray(weights)).sum(axis=2)
+    table.flags.writeable = False
+    return table
 
 
 def _is_shattered(space: ConceptSpace, subset_mask: int, size: int) -> bool:

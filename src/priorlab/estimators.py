@@ -357,34 +357,60 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def exact_bayes_error(gamma, n: int) -> Fraction:
-    """Exact Bayes error of the uniform two-point coin problem:
-    (1/2) sum_x min(pmf_high(x), pmf_low(x)) over x = 0..n.
+def _bayes_error_ratios(gamma, n_max: int):
+    """(numerator, denominator) of the exact Bayes error of the uniform
+    two-point coin problem, (1/2) sum_x min(pmf_high(x), pmf_low(x)) over
+    x = 0..n, for n = 0..n_max in turn.
 
     This is the risk of the optimal rule; the majority rule attains it
     because its acceptance region is exactly where its pmf dominates.
-    The sum runs over integer numerators with the common denominator
-    (2q)^n (p_hi = a/2q, p_lo = b/2q), which keeps it exact and fast.
-    As a > b, the high-bias term is the smaller one exactly when 2x <= n,
-    and the low-bias term at x is the high-bias term at n - x; so the sum
-    is twice the high-bias terms with 2x < n, plus the middle term when n
-    is even.
+    Over the common denominator (2q)^n, p_hi = a/2q and p_lo = b/2q with
+    a > b, so the high-bias term is the smaller one exactly when 2x <= n,
+    and the low-bias term at x is the high-bias term at n - x: the sum is
+    twice the lower tail F(n, K) = sum_{x<=K} C(n,x) a^x b^(n-x) with
+    K = (n-1)//2, plus the middle term C(n, n/2) (ab)^(n/2) when n is
+    even.  The tail obeys F(n+1, K) = (a+b) F(n, K) - a e(n, K), where
+    e(n, K) = C(n,K) a^K b^(n-K) is its last term, and K grows by one
+    (one term added) every second n; so all n_max + 1 errors cost
+    O(n_max) big-integer steps, all exact.
     """
     g = _as_fraction(gamma)
     if not 0 < g < 1:
         raise ValueError("gamma must lie in (0, 1)")
-    if n < 0:
+    if n_max < 0:
         raise ValueError("n must be >= 0")
     a = g.denominator + g.numerator  # 2q * p_hi
     b = g.denominator - g.numerator  # 2q * p_lo
-    total, power_a = 0, 1
-    for x in range((n + 1) // 2):
-        total += comb(n, x) * power_a * b ** (n - x)
-        power_a *= a
-    total *= 2
-    if n % 2 == 0:
-        total += comb(n, n // 2) * (a * b) ** (n // 2)
-    return Fraction(total, 2 * (2 * g.denominator) ** n)
+    yield 1, 2  # n = 0: only the middle term, 1
+    tail = edge = b  # n = 1, K = 0: F(1, 0) = e(1, 0) = b
+    k = 0
+    for n in range(1, n_max + 1):
+        total = 2 * tail
+        if n % 2 == 0:
+            total += comb(n, n // 2) * (a * b) ** (n // 2)
+        yield total, 2 * (a + b) ** n
+        # row n -> n + 1; each division is exact, as its quotient is
+        # C(n+1, K) a^K b^(n+1-K) or C(n+1, K+1) a^(K+1) b^(n-K)
+        tail = (a + b) * tail - a * edge
+        if n % 2:
+            edge = edge * b * (n + 1) // (n + 1 - k)
+        else:
+            edge = edge * a * (n + 1) // (k + 1)
+            tail += edge
+            k += 1
+
+
+def exact_bayes_errors(gamma, n_max: int) -> list[Fraction]:
+    """Exact Bayes errors of the two-point coin problem with n = 0..n_max
+    flips, in one pass (`_bayes_error_ratios`)."""
+    return [Fraction(num, den) for num, den in _bayes_error_ratios(gamma, n_max)]
+
+
+def exact_bayes_error(gamma, n: int) -> Fraction:
+    """Exact Bayes error of the two-point coin problem with n flips: the
+    last step of the same pass."""
+    *_, last = _bayes_error_ratios(gamma, n)
+    return Fraction(*last)
 
 
 def coin_floor(gamma: float, n: int) -> float:

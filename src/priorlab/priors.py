@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from math import comb, ceil
 
@@ -29,6 +30,7 @@ from .errors import AbsoluteContinuityError, BudgetError
 MASS_TOL = 1e-12
 PARITY_BUDGET = 4096  # largest parity family built: 2^C(m,d) members
 HOLDER_SLACK = 1e-12
+HOLDER_PAIRS = 1 << 16  # largest Hölder check: concept pairs compared
 PARITY_RULE = "need L > 0, alpha in (0, 1] and gamma_m = (L/2)(1/m)^alpha in (0, 1/2)"
 
 
@@ -153,6 +155,19 @@ class SmoothPriorParams:
         return _exact_gamma(self.L, self.alpha, self.m)
 
 
+@lru_cache(maxsize=4)
+def _subset_incidence(m: int, d: int, space_masks: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, odd) for a concept space whose int64 masks, in enumeration
+    order, are `space_masks`: inside[c, i] says concept c lies in the i-th
+    d-subset of {1..m} in mask order, and odd[c] that c has an odd number
+    of positives.  Built once per (m, d) and concept order, and read-only."""
+    masks = np.frombuffer(space_masks, dtype=np.int64)
+    inside = (masks[:, None] & ~np.array(d_subsets(m, d), dtype=np.int64)) == 0
+    odd = np.array([bin(int(v)).count("1") % 2 for v in masks], dtype=bool)
+    inside.flags.writeable = odd.flags.writeable = False
+    return inside, odd
+
+
 def smooth_prior(params: SmoothPriorParams, space: ConceptSpace, exact: bool = False) -> TabularPrior:
     """The parity-family member for sign vector b.
 
@@ -164,21 +179,29 @@ def smooth_prior(params: SmoothPriorParams, space: ConceptSpace, exact: bool = F
     if space.m != params.m or space.d != params.d:
         raise ValueError("params built for a different concept space")
     m, d = space.m, space.d
+    if not exact:
+        # terms summed left to right over the subsets, as the exact loop
+        # does; the 0.0 added for a subset that misses the concept is
+        # exact, so each mass is the loop's bit for bit (np.sum's pairwise
+        # order would not be)
+        inside, odd = _subset_incidence(m, d, space.masks.tobytes())
+        signed = params.gamma_m * np.array(params.b, dtype=float)
+        terms = np.where(odd[:, None], 1 + signed, 1 - signed)
+        total = np.cumsum(np.where(inside, terms, 0.0), axis=1)[:, -1]
+        return TabularPrior(space, 1.0 / (2**d * comb(m, d)) * total)
     subs = d_subsets(m, d)
-    gamma = params.exact_gamma() if exact else params.gamma_m
-    scale = Fraction(1, 2**d * comb(m, d)) if exact else 1.0 / (2**d * comb(m, d))
+    gamma = params.exact_gamma()
+    scale = Fraction(1, 2**d * comb(m, d))
     masses = []
     for c in space.concepts:
         parity = c.size % 2
-        total = Fraction(0) if exact else 0.0
+        total = Fraction(0)
         for b_i, x_mask in zip(params.b, subs):
             if c.mask & ~x_mask:
                 continue
             total += (1 + gamma * b_i) if parity else (1 - gamma * b_i)
         masses.append(scale * total)
-    if exact:
-        return TabularPrior(space, None, exact=masses)
-    return TabularPrior(space, masses)
+    return TabularPrior(space, None, exact=masses)
 
 
 def parity_family_size(m: int, d: int) -> int:
@@ -247,6 +270,13 @@ class HolderReport:
         return self.ok
 
 
+def check_holder_pairs(n: int) -> None:
+    """BudgetError when the Hölder check on n concepts would compare more
+    than HOLDER_PAIRS pairs."""
+    if n * n > HOLDER_PAIRS:
+        raise BudgetError(f"{n}^2 concept pairs exceed the 2^16 pair guard")
+
+
 def holder_check(
     prior: TabularPrior,
     reference: TabularPrior,
@@ -261,8 +291,7 @@ def holder_check(
     """
     space = prior.space
     n = len(space)
-    if n * n > 1 << 16:
-        raise BudgetError(f"{n}^2 concept pairs exceed the 2^16 pair guard")
+    check_holder_pairs(n)
     f = density_table(prior, reference)
     dists = rho_matrix(space, dist)
     diffs = np.abs(f[:, None] - f[None, :])

@@ -33,7 +33,8 @@ from .estimators import (
     _as_fraction,
     check_yatracos_budget,
     coin_floor,
-    exact_bayes_error,
+    exact_bayes_error,  # noqa: F401  (perfbench/spans.py wraps it here)
+    exact_bayes_errors,
     reduce_to_signs,
 )
 from .outcomes import DEFAULT_BUDGET
@@ -531,21 +532,25 @@ def run_baseline_comparison(config: ExperimentConfig, T: int, workers: int = 1) 
 
 
 def coin_bound_table(gammas, ns) -> list[tuple]:
-    """Rows (gamma, n, exact Bayes error, floor, pass) over the grid.
+    """Rows (gamma, n, exact Bayes error, floor, pass) over the grid, in
+    the order of `gammas` and then `ns` (which may skip, repeat or
+    descend); one `exact_bayes_errors` pass per gamma up to max(ns).
 
     gamma = 1/2 is allowed: the two-point problem and its floor are still
     well defined there, and the acceptance grid ends at 1/2."""
+    ns = [int(n) for n in ns]
+    if any(n < 0 for n in ns):
+        raise ValueError("n must be >= 0")
     rows = []
     for gamma in gammas:
         g = _as_fraction(gamma)
         if not 0 < g <= Fraction(1, 2):
             raise ValueError(f"gamma {gamma} outside (0, 1/2]")
+        errors = exact_bayes_errors(g, max(ns, default=0))
         for n in ns:
-            if n < 0:
-                raise ValueError("n must be >= 0")
-            err = float(exact_bayes_error(g, n))
+            err = float(errors[n])
             floor = coin_floor(float(g), n)
-            rows.append((float(g), int(n), err, floor, err >= floor))
+            rows.append((float(g), n, err, floor, err >= floor))
     return rows
 
 

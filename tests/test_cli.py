@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from priorlab.cli import SCHEMAS, _check_config, _experiment_config, dispatch, main, parse_config
+from priorlab.concepts import enumerate_concepts, uniform_distribution
+from priorlab.errors import BudgetError
 from priorlab.outcomes import DEFAULT_BUDGET
+from priorlab.priors import holder_check, reference_prior
 from priorlab.ratelab import ExperimentConfig, build_setup
 
 # child processes import priorlab from src/, installed or not
@@ -154,8 +157,20 @@ PARITY_M5 = "m = 5\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10\nreplicates = 2\n"
         ("rates", PARITY_M5, "1047552 Yatracos pairs x (90 support points + 1024 members)"),
         ("lowerbound", PARITY_M5, "1047552 Yatracos pairs"),
         ("rates", PARITY_M5.replace("m = 5", "m = 6"), "2^15 sign vectors"),
+        # C(12, <=3) = 299 concepts: ran m <= 11 after manifest.txt, then exited
+        (
+            "smoothness",
+            "m_max = 12\nd_max = 3\nL_list = 1.0\nalpha_list = 1.0\nsigns_per_instance = 1\n",
+            "299^2 concept pairs exceed the 2^16 pair guard",
+        ),
+        # the cover's members are known only by building it: wrote manifest.txt, then exited
+        (
+            "cover-info",
+            "m = 4\nd = 2\nepsilons = 0.05\nbudget = 10\n",
+            "cover construction exceeded the budget of 10 members",
+        ),
     ],
-    ids=["cover-info-m13", "rates-m5", "lowerbound-m5", "rates-m6"],
+    ids=["cover-info-m13", "rates-m5", "lowerbound-m5", "rates-m6", "smoothness-m12", "cover-info-budget"],
 )
 def test_budgets_checked_before_output(tmp_path, capsys, subcommand, config, reason):
     out = tmp_path / "out"
@@ -163,6 +178,18 @@ def test_budgets_checked_before_output(tmp_path, capsys, subcommand, config, rea
     err = capsys.readouterr().err
     assert reason in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_smoothness_pair_guard_is_the_holder_checks():
+    # C(9, <=4) = 256 concepts meet the 2^16 pair guard exactly; C(9, <=5) = 382 do not
+    config = parse_config(None, "smoothness")
+    _check_config("smoothness", {**config, "m_max": 9, "d_max": 4})
+    with pytest.raises(BudgetError, match="382\\^2 concept pairs"):
+        _check_config("smoothness", {**config, "m_max": 9, "d_max": 5})
+    space = enumerate_concepts(9, 5)
+    ref = reference_prior(space)
+    with pytest.raises(BudgetError, match="382\\^2 concept pairs"):
+        holder_check(ref, ref, 1.0, 1.0, uniform_distribution(9))
 
 
 def test_rates_budget_matches_the_built_tables():

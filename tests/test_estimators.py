@@ -13,8 +13,10 @@ from priorlab.estimators import (
     _MinDistance,
     SkeletonEstimator,
     SkeletonReport,
+    _as_fraction,
     coin_floor,
     exact_bayes_error,
+    exact_bayes_errors,
     majority_rule,
     reduce_to_signs,
     yatracos_scores,
@@ -554,6 +556,54 @@ def test_exact_bayes_error_matches_min_form_on_shipped_grid():
         gamma = Fraction(str(g100 / 100))
         for n in range(201):
             assert exact_bayes_error(gamma, n) == min_form_bayes_error(gamma, n), (gamma, n)
+
+
+def direct_sum_bayes_error(gamma, n: int) -> Fraction:
+    """Oracle: twice the high-bias terms with 2x < n plus the middle term,
+    each n summed on its own in integer numerators over (2q)^n."""
+    g = _as_fraction(gamma)
+    a, b = g.denominator + g.numerator, g.denominator - g.numerator
+    total = 2 * sum(comb(n, x) * a**x * b ** (n - x) for x in range((n + 1) // 2))
+    if n % 2 == 0:
+        total += comb(n, n // 2) * (a * b) ** (n // 2)
+    return Fraction(total, 2 * (2 * g.denominator) ** n)
+
+
+SHIPPED_GAMMAS = tuple(g100 / 100 for g100 in range(5, 55, 5))  # configs/coinbound.cfg
+
+
+def test_bayes_error_table_is_the_direct_sum_on_shipped_grid():
+    # all 2,010 (gamma, n) pairs, as the coinbound config's floats
+    for gamma in SHIPPED_GAMMAS:
+        oracle = [direct_sum_bayes_error(gamma, n) for n in range(201)]
+        assert exact_bayes_errors(gamma, 200) == oracle, gamma
+        rows = ratelab.coin_bound_table([gamma], range(201))
+        assert [r[2] for r in rows] == [float(e) for e in oracle], gamma
+
+
+@pytest.mark.parametrize("gamma", [Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)])
+def test_bayes_error_table_is_the_direct_sum_on_fraction_gammas(gamma):
+    table = exact_bayes_errors(gamma, 300)
+    assert table == [direct_sum_bayes_error(gamma, n) for n in range(301)]
+    for n in (0, 1, 2, 3, 150, 299, 300):
+        assert exact_bayes_error(gamma, n) == table[n]
+
+
+def test_coin_bound_table_on_gapped_descending_repeated_ns():
+    ns = (7, 0, 7, 3)
+    rows = ratelab.coin_bound_table([0.2, Fraction(1, 3)], ns)
+    expected = []
+    for g in (Fraction(1, 5), Fraction(1, 3)):
+        for n in ns:
+            err = float(direct_sum_bayes_error(g, n))
+            floor = coin_floor(float(g), n)
+            expected.append((float(g), n, err, floor, err >= floor))
+    assert rows == expected
+    assert ratelab.coin_bound_table([0.2], ()) == []
+    with pytest.raises(ValueError):
+        ratelab.coin_bound_table([0.2], (3, -1))
+    with pytest.raises(ValueError):
+        exact_bayes_errors(0.2, -1)
 
 
 def test_coin_floor_grid_small():

@@ -1,11 +1,13 @@
 import itertools
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from priorlab.concepts import enumerate_concepts, rho_matrix, uniform_distribution
+from priorlab.cli import _smoothness_instances, parse_config
+from priorlab.concepts import d_subsets, enumerate_concepts, rho_matrix, uniform_distribution
 from priorlab.errors import AbsoluteContinuityError, BudgetError
 from priorlab.priors import (
     CoverFamily,
@@ -76,6 +78,52 @@ def test_smooth_prior_matches_oracle():
         for c in sp:
             assert pb.exact_mass_of(c.mask) == oracle_smooth_mass(3, 2, b, gamma, c.mask)
         assert sum(pb.exact) == 1
+
+
+def loop_smooth_masses(params: SmoothPriorParams, space) -> np.ndarray:
+    """Oracle: the float masses, each concept's terms added one subset at
+    a time, left to right."""
+    m, d = space.m, space.d
+    scale = 1.0 / (2**d * comb(m, d))
+    masses = []
+    for c in space.concepts:
+        total = 0.0
+        for b_i, x_mask in zip(params.b, d_subsets(m, d)):
+            if c.mask & ~x_mask:
+                continue
+            total += (1 + params.gamma_m * b_i) if c.size % 2 else (1 - params.gamma_m * b_i)
+        masses.append(scale * total)
+    return np.array(masses)
+
+
+SHIPPED_SMOOTHNESS = Path(__file__).resolve().parent.parent / "configs" / "smoothness.cfg"
+
+
+def test_float_smooth_prior_is_the_loop_bit_for_bit_on_the_shipped_grid():
+    rng = np.random.default_rng(7)
+    checked = 0
+    for m, d, grid in _smoothness_instances(parse_config(SHIPPED_SMOOTHNESS, "smoothness")):
+        space = enumerate_concepts(m, d)
+        n = comb(m, d)
+        signs = [(1,) * n, (-1,) * n] + [tuple(int(s) for s in rng.choice([-1, 1], size=n)) for _ in range(4)]
+        for L, alpha, _ in grid:
+            for b in signs:
+                params = SmoothPriorParams(b, L, alpha, m, d)
+                assert np.array_equal(smooth_prior(params, space).mass, loop_smooth_masses(params, space)), (
+                    m, d, L, alpha, b,
+                )
+                checked += 1
+    assert checked == 110 * 6  # the 110 (m, d, L, alpha) instances of the grid
+
+
+@pytest.mark.parametrize("m, d", [(3, 2), (4, 2), (4, 3), (5, 2)])
+def test_float_parity_family_is_the_loop_bit_for_bit(m, d):
+    space = enumerate_concepts(m, d)
+    for L, alpha in ((1.0, 1.0), (0.7, 0.5)):
+        params, members = parity_family(space, L, alpha)
+        assert len(members) == 2 ** comb(m, d)
+        for p, member in zip(params, members):
+            assert np.array_equal(member.mass, loop_smooth_masses(p, space)), (L, alpha, p.b)
 
 
 def test_smooth_prior_all_plus_density_pattern():
