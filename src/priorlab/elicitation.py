@@ -604,13 +604,18 @@ def run_algorithm1(
     eps/4 accuracy.  A prior-free row is closed-form: every bundle is
     asked once and the exact argmax has regret 0.  All prior-aware
     customers are served at once by the lock-step method A.  A shared
-    `cache` may serve several runs on one family."""
+    `cache` may serve several runs on one family.  `tail_query_avg` is
+    the mean query count of the last `tail_len` customers (1..T; default
+    T // 4, at least 1)."""
     if not 0 < epsilon:
         raise ValueError("epsilon must be positive")
     if T < 1:
         raise ValueError("T must be >= 1")
     if len(q_table) != family.n_members:
         raise ValueError("q_table must hold one query estimate per member")
+    tail = tail_len if tail_len is not None else max(1, T // 4)
+    if not 1 <= tail <= T:
+        raise ValueError(f"tail_len must lie in 1..T = 1..{T}, got {tail_len}")
     f_idx, xs = draw_customers(family, truth, T, seed)
     # customer t is served with the estimate and the radius after t - 1 tasks
     theta_hats = SequentialSelector(model, xs, f_idx).selected(np.arange(T))
@@ -639,7 +644,6 @@ def run_algorithm1(
         LedgerRow, range(1, T + 1), branch.tolist(), queries.tolist(), regret.tolist(),
         theta_check.tolist(), R_used.tolist(),
     ))
-    tail = tail_len if tail_len is not None else max(1, T // 4)
     return RunResult(
         rows,
         float(regret.mean()),

@@ -6,8 +6,7 @@ The minimum-distance machinery is shared between outcome space (the
 skeleton estimator proper, fed by k = d samples per task) and concept
 space (the direct-access baseline): both select the member minimizing the
 maximum discrepancy against the empirical measure over the pairwise sets
-{z : P_i(z) > P_j(z)}.  An exact-Fraction scoring path exists so the
-selection and its guarantee can be checked with literal arithmetic.
+{z : P_i(z) > P_j(z)}.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .concepts import DataDistribution, d_subsets
 from .errors import BudgetError
-from .outcomes import DEFAULT_BUDGET, OutcomeDistribution, exact_outcome_dist, tv
+from .outcomes import DEFAULT_BUDGET, OutcomeDistribution, exact_outcome_dist
 from .priors import CoverFamily, SmoothPriorParams, TabularPrior
 from .sampling import outcome_codes
 
@@ -47,14 +46,12 @@ def _by_rows(fn, rows: np.ndarray, entries: int) -> np.ndarray:
 def yatracos_sets(M: np.ndarray) -> np.ndarray:
     """The Yatracos sets {z : M_i(z) > M_j(z)} of the rows of a (members,
     support) mass table, over ordered pairs i != j in row-major order, as
-    a (pairs, support) bool array.  Float masses compare with a 1e-12
-    guard: float tables of genuinely equal masses can differ by rounding,
-    which would flip set membership.  Fraction (object) masses compare
-    exactly."""
+    a (pairs, support) bool array.  Masses compare with a 1e-12 guard:
+    float tables of genuinely equal masses can differ by rounding, which
+    would flip set membership."""
     M = np.asarray(M)
-    rhs = M if M.dtype == object else M + 1e-12
     off_diagonal = ~np.eye(len(M), dtype=bool)
-    return (M[:, None, :] > rhs[None, :, :])[off_diagonal].astype(bool, copy=False)
+    return (M[:, None, :] > M[None, :, :] + 1e-12)[off_diagonal]
 
 
 def check_yatracos_budget(n: int, s: int) -> None:
@@ -80,45 +77,38 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _MinDistance:
-    """Minimum-distance selection over N mass vectors on a finite support.
+    """Minimum-distance selection over N mass vectors on a finite support,
+    scored in floats.
 
     Yatracos sets are the ordered-pair regions A_ij = {z : M_i(z) > M_j(z)};
-    scores(mu) = max_A |M(A) - mu(A)| and selection is the argmin, ties to
-    the lowest member index.  Built from exact rows, it scores in
-    Fractions; otherwise in floats.
+    scores(mu) = max_A |M(A) - mu(A)| and selection is the argmin.  Ties
+    among float-equal scores go to the lowest member index.  Scores that
+    are tied exactly (in rational arithmetic) can round apart, and then
+    the member whose score rounded lower wins, whatever its index.
 
     A region shared by several pairs adds nothing to a maximum, so the
     empirical masses mu(A) are counted and scored over the distinct sets
-    only (728 of 4,032 pairs for the m=4, d=2 parity family).  The float
-    member masses M(A) come from the all-pairs product, and a pair whose
-    masses differ in any bit from those of the first pair with its set
-    keeps a column of its own, so every score is the all-pairs score bit
-    for bit; `deviation` likewise reads each pair's truth mass from the
+    only (728 of 4,032 pairs for the m=4, d=2 parity family).  The member
+    masses M(A) come from the all-pairs product, and a pair whose masses
+    differ in any bit from those of the first pair with its set keeps a
+    column of its own, so every score is the all-pairs score bit for bit;
+    `deviation_rows` likewise reads each pair's truth mass from the
     all-pairs product.  The budget still counts every ordered pair: the
     pairwise comparison is built before duplicates are dropped.
     """
 
-    def __init__(self, mass_matrix: np.ndarray, exact_rows: list[list[Fraction]] | None = None):
+    def __init__(self, mass_matrix: np.ndarray):
         self.M = np.asarray(mass_matrix, dtype=float)
         check_yatracos_budget(*self.M.shape)
-        exact = exact_rows is not None
-        sets = yatracos_sets(np.array(exact_rows, dtype=object) if exact else self.M)
+        sets = yatracos_sets(self.M)
         keep, self._pair_set = _distinct_rows(sets)
-        if exact:
-            self.A = sets[keep].astype(float)
-            self.PA_exact = [
-                [sum((row[z] for z in np.flatnonzero(a)), start=Fraction(0)) for a in self.A]
-                for row in exact_rows
-            ]
-        else:
-            PA = self.M @ sets.T  # (members, pairs)
-            # a pair whose masses round unlike those of its set's first pair
-            # keeps a column of its own, after the distinct sets
-            odd = np.flatnonzero((PA != PA[:, keep[self._pair_set]]).any(axis=0))
-            columns = np.concatenate([keep, odd])
-            self.A = sets[columns].astype(float)
-            self.PA = np.ascontiguousarray(PA[:, columns])
-            self.PA_exact = None
+        PA = self.M @ sets.T  # (members, pairs)
+        # a pair whose masses round unlike those of its set's first pair
+        # keeps a column of its own, after the distinct sets
+        odd = np.flatnonzero((PA != PA[:, keep[self._pair_set]]).any(axis=0))
+        columns = np.concatenate([keep, odd])
+        self.A = sets[columns].astype(float)
+        self.PA = np.ascontiguousarray(PA[:, columns])
 
     def _mu(self, counts: np.ndarray, total: int) -> np.ndarray:
         """The empirical masses mu(A) of the distinct sets for each row of
@@ -126,30 +116,14 @@ class _MinDistance:
         return (counts @ self.A.T) / total
 
     def _scores(self, counts: np.ndarray, total: int) -> np.ndarray:
-        """The float scores of each row of a (rows, support) stack of
-        counts, each of `total` tasks, as a (rows, members) array."""
+        """The scores of each row of a (rows, support) stack of counts,
+        each of `total` tasks, as a (rows, members) array."""
         return _by_rows(lambda c: yatracos_scores(self.PA, self._mu(c, total)), counts, self.PA.size)
 
     def select_rows(self, counts: np.ndarray, total: int) -> np.ndarray:
         """The selected member of each row of a (rows, support) stack of
-        counts, each of `total` tasks, scored in floats."""
-        if self.PA_exact is not None:
-            raise ValueError("exact selection scores one count vector at a time")
+        counts, each of `total` tasks."""
         return np.argmin(self._scores(counts, total), axis=1)
-
-    def select(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
-        """The selected member of one count vector and its score report."""
-        if self.PA_exact is None:
-            s = self._scores(np.asarray(counts)[None], total)[0]
-            best = int(np.argmin(s))
-            return best, SkeletonReport(best, s.tolist(), False)
-        mu = [Fraction(int(a @ counts), total) for a in self.A]
-        scores = [
-            max((abs(pa - m) for pa, m in zip(row, mu)), default=Fraction(0))
-            for row in self.PA_exact
-        ]
-        best = min(range(len(scores)), key=lambda i: (scores[i], i))
-        return best, SkeletonReport(best, scores, True)
 
     def truth_masses(self, truth_on_support: np.ndarray) -> np.ndarray:
         """Q(A_ij) of every ordered pair for a truth vector Q restricted to
@@ -167,39 +141,18 @@ class _MinDistance:
             len(self._pair_set),
         )
 
-    def deviation(self, counts: np.ndarray, total: int, truth_masses: np.ndarray) -> float:
-        """`deviation_rows` of one count vector."""
-        return float(self.deviation_rows(np.asarray(counts)[None], total, truth_masses)[0])
-
-    def deviation_exact(self, counts: np.ndarray, total: int, truth_exact: list[Fraction]):
-        mu = [Fraction(int(a @ counts), total) for a in self.A]
-        qa = [
-            sum((truth_exact[z] for z in np.flatnonzero(a)), start=Fraction(0))
-            for a in self.A
-        ]
-        return max((abs(m - q) for m, q in zip(mu, qa)), default=Fraction(0))
-
-
-@dataclass
-class SkeletonReport:
-    selected: int
-    scores: list
-    exact: bool
-
 
 class SkeletonEstimator:
     """Minimum-distance selection among a cover's outcome distributions at
     k = d samples per task."""
 
-    def __init__(self, cover: CoverFamily, dist: DataDistribution, d: int, exact: bool = False):
+    def __init__(self, cover: CoverFamily, dist: DataDistribution, d: int):
         if cover.size < 1:
             raise ValueError("cover must be nonempty")
         self.cover = cover
         self.d = d
         self.dist = dist
-        self.outcome_dists = [
-            exact_outcome_dist(p, dist, d, exact=exact) for p in cover.members
-        ]
+        self.outcome_dists = [exact_outcome_dist(p, dist, d) for p in cover.members]
         support = sorted(set().union(*(od.table.keys() for od in self.outcome_dists)))
         self.support = support
         index = {z: i for i, z in enumerate(support)}
@@ -207,35 +160,12 @@ class SkeletonEstimator:
         for r, od in enumerate(self.outcome_dists):
             for z, p in od.table.items():
                 M[r, index[z]] = p
-        exact_rows = None
-        if exact:
-            exact_rows = [
-                [od.exact.get(z, Fraction(0)) for z in support] for od in self.outcome_dists
-            ]
-        self._md = _MinDistance(M, exact_rows)
-        self.is_exact = exact
+        self._md = _MinDistance(M)
         # exact_outcome_dist has checked the (2m)^d code space against the budget
         self._n_codes = (2 * dist.m) ** d
         self._support_codes = outcome_codes(
             np.array([xs for xs, _ in support]), np.array([ys for _, ys in support]), dist.m
         )
-
-    def count_outcomes(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, int]:
-        """Support counts of T tasks given as (T, d) arrays of points in
-        1..m and labels in {-1, +1}; outcomes off the support are not
-        counted.  The arrays are checked, coded and passed to
-        `count_codes`."""
-        if xs.ndim != 2 or xs.shape[1] != self.d or ys.shape != xs.shape:
-            raise ValueError(
-                f"tasks of shape {xs.shape} / {ys.shape}, estimator expects (T, {self.d})"
-            )
-        if xs.size and (xs.min() < 1 or xs.max() > self.dist.m):
-            # a point outside 1..m would be coded as another outcome
-            raise ValueError(f"points must lie in 1..{self.dist.m}")
-        if ys.size and (np.abs(ys) != 1).any():
-            # the code reads y > 0, so any other label would count as -1 or +1
-            raise ValueError("labels must be -1 or +1")
-        return self.count_codes(outcome_codes(xs, ys, self.dist.m))
 
     def count_codes(self, codes: np.ndarray) -> tuple[np.ndarray, int]:
         """Support counts of T tasks given by their outcome codes (below
@@ -244,40 +174,18 @@ class SkeletonEstimator:
         counts = np.bincount(codes, minlength=self._n_codes)[self._support_codes]
         return counts, len(codes)
 
-    def select_from_counts(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
-        return self._md.select(counts, total)
+    def select_from_counts(self, counts: np.ndarray, total: int) -> int:
+        """The selected member of one count vector of `total` tasks."""
+        return int(self._md.select_rows(np.asarray(counts)[None], total)[0])
 
     def select_rows(self, counts: np.ndarray, total: int) -> np.ndarray:
-        """`select_from_counts`' member for each row of a stack of counts."""
+        """The selected member of each row of a (rows, support) stack of
+        counts, each of `total` tasks."""
         return self._md.select_rows(counts, total)
 
-    def truth_vectors(self, truth_dist: OutcomeDistribution):
-        q = np.array([truth_dist.prob(z) for z in self.support])
-        q_exact = None
-        if self.is_exact and truth_dist.is_exact:
-            q_exact = [truth_dist.exact.get(z, Fraction(0)) for z in self.support]
-        return q, q_exact
-
-    def max_deviation(self, counts, total, truth_dist: OutcomeDistribution):
-        q, q_exact = self.truth_vectors(truth_dist)
-        if q_exact is not None:
-            return self._md.deviation_exact(counts, total, q_exact)
-        return self._md.deviation(counts, total, self._md.truth_masses(q))
-
-    def decomposition_check(self, counts, total, truth_dist: OutcomeDistribution):
-        """The selection guarantee on one run:
-
-            tv(P_selected, Q) <= 3 min_l tv(P_l, Q) + 2 max_A |mu_T(A) - Q(A)|.
-
-        Returns (lhs, rhs, holds); in exact mode all three are computed in
-        Fraction arithmetic, so `holds` is a literal statement.
-        """
-        selected, _ = self.select_from_counts(counts, total)
-        dists = [tv(od, truth_dist) for od in self.outcome_dists]
-        lhs = dists[selected]
-        dev = self.max_deviation(counts, total, truth_dist)
-        rhs = 3 * min(dists) + 2 * dev
-        return lhs, rhs, lhs <= rhs
+    def truth_vector(self, truth_dist: OutcomeDistribution) -> np.ndarray:
+        """A truth outcome law's masses on this support."""
+        return np.array([truth_dist.prob(z) for z in self.support])
 
 
 class DirectEstimator:
@@ -290,11 +198,9 @@ class DirectEstimator:
         self.cover = cover
         self._md = _MinDistance(np.stack([p.mass for p in cover.members]))
 
-    def select_from_counts(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
-        return self._md.select(counts, total)
-
     def select_rows(self, counts: np.ndarray, total: int) -> np.ndarray:
-        """`select_from_counts`' member for each row of a stack of counts."""
+        """The selected member of each row of a (rows, concepts) stack of
+        concept counts, each of `total` tasks."""
         return self._md.select_rows(counts, total)
 
 

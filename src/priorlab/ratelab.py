@@ -255,8 +255,7 @@ def _upper_cell(payload) -> list[UpperRow]:
     source = _source(setup, truth_id)
     est = setup.estimator
     k = config.samples_per_task
-    truth_vec, _ = est.truth_vectors(est.outcome_dists[truth_id])
-    truth_masses = est._md.truth_masses(truth_vec)
+    truth_masses = est._md.truth_masses(est.truth_vector(est.outcome_dists[truth_id]))
     replicate_counts = (
         counts_from_arrays_fast(est, config.m, sample_arrays(source, setup.space, setup.dist, T, k, rng))
         for rng in _streams(config, _UPPER, T_idx, truth_id)

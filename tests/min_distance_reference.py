@@ -1,0 +1,130 @@
+"""Reference implementations for the min-distance tests.
+
+`AllPairsMinDistance` scores every ordered pair, one Python-built
+Yatracos set per pair (duplicates included).  Built from float masses it
+is what the library's distinct-set selection must match bit for bit;
+built from exact rows it scores in `Fraction`s, so a selection and its
+guarantee can be checked in literal arithmetic.
+
+`ExactSkeleton` is that `Fraction` oracle for a skeleton estimator: its
+members' exact outcome laws read on the estimator's support, and the
+selection guarantee
+
+    tv(P_selected, Q) <= 3 min_l tv(P_l, Q) + 2 max_A |mu_T(A) - Q(A)|
+
+checked on one run in `Fraction`s."""
+
+from fractions import Fraction
+
+import numpy as np
+
+from priorlab.errors import BudgetError
+from priorlab.estimators import yatracos_scores
+from priorlab.outcomes import DEFAULT_BUDGET, exact_outcome_dist, tv
+
+
+class AllPairsMinDistance:
+    """Min-distance selection scored over every ordered pair; in
+    `Fraction`s when built from exact rows, otherwise in floats."""
+
+    def __init__(self, mass_matrix: np.ndarray, exact_rows: list[list[Fraction]] | None = None):
+        self.M = np.asarray(mass_matrix, dtype=float)
+        n, s = self.M.shape
+        if n * (n - 1) * (s + n) > DEFAULT_BUDGET:
+            # A holds pairs x support entries and PA members x pairs
+            raise BudgetError(
+                f"{n * (n - 1)} Yatracos pairs x ({s} support points + {n} members)"
+                f" exceed the budget of {DEFAULT_BUDGET}"
+            )
+        self.pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        self.A = np.zeros((len(self.pairs), s), dtype=bool)
+        if exact_rows is not None:
+            for p, (i, j) in enumerate(self.pairs):
+                self.A[p] = [a > b for a, b in zip(exact_rows[i], exact_rows[j])]
+            self.PA_exact = [
+                [
+                    sum((row[s] for s in np.flatnonzero(a)), start=Fraction(0))
+                    for a in self.A
+                ]
+                for row in exact_rows
+            ]
+        else:
+            # strict ">" with a tie guard: float tables of genuinely equal
+            # masses can differ by rounding, which would flip set membership
+            for p, (i, j) in enumerate(self.pairs):
+                self.A[p] = self.M[i] > self.M[j] + 1e-12
+            self.PA_exact = None
+        self.PA = self.M @ self.A.T  # (members, pairs)
+
+    def select_rows(self, counts: np.ndarray, total: int) -> np.ndarray:
+        # a stack of count vectors, as the cells pass them
+        return np.array([self.select(row, total)[0] for row in counts])
+
+    def select(self, counts: np.ndarray, total: int) -> tuple[int, list]:
+        """The selected member of one count vector and every member's
+        score; ties go to the lowest index."""
+        if self.PA_exact is None:
+            s = yatracos_scores(self.PA, (self.A @ counts) / total)
+            return int(np.argmin(s)), s.tolist()
+        mu = [Fraction(int(a @ counts), total) for a in self.A]
+        scores = [
+            max((abs(pa - m) for pa, m in zip(row, mu)), default=Fraction(0))
+            for row in self.PA_exact
+        ]
+        return min(range(len(scores)), key=lambda i: (scores[i], i)), scores
+
+    def truth_masses(self, truth_on_support: np.ndarray) -> np.ndarray:
+        # deviation below takes the truth vector itself
+        return truth_on_support
+
+    def deviation(self, counts: np.ndarray, total: int, truth_on_support: np.ndarray) -> float:
+        """max over Yatracos sets of |mu_T(A) - Q(A)| for a truth vector Q
+        restricted to this support (mass elsewhere never enters any set)."""
+        if not self.pairs:
+            return 0.0
+        mu = (self.A @ counts) / total
+        qa = self.A @ np.asarray(truth_on_support, dtype=float)
+        return float(np.abs(mu - qa).max())
+
+    def deviation_rows(self, counts: np.ndarray, total: int, truth_on_support: np.ndarray) -> np.ndarray:
+        return np.array([self.deviation(row, total, truth_on_support) for row in counts])
+
+    def deviation_exact(self, counts: np.ndarray, total: int, truth_exact: list[Fraction]) -> Fraction:
+        if not self.pairs:
+            return Fraction(0)
+        mu = [Fraction(int(a @ counts), total) for a in self.A]
+        qa = [
+            sum((truth_exact[s] for s in np.flatnonzero(a)), start=Fraction(0))
+            for a in self.A
+        ]
+        return max(abs(m - q) for m, q in zip(mu, qa))
+
+
+class ExactSkeleton:
+    """The `Fraction` oracle of a skeleton estimator whose cover members
+    carry exact masses: their exact outcome laws on its support, selected
+    over every ordered pair."""
+
+    def __init__(self, est):
+        self.support = est.support
+        self.laws = [exact_outcome_dist(p, est.dist, est.d, exact=True) for p in est.cover.members]
+        self.md = AllPairsMinDistance(est._md.M, [self.on_support(od) for od in self.laws])
+
+    def on_support(self, law) -> list[Fraction]:
+        """An exact outcome law's masses on the estimator's support."""
+        return [law.exact.get(z, Fraction(0)) for z in self.support]
+
+    def select(self, counts: np.ndarray, total: int) -> int:
+        return self.md.select(counts, total)[0]
+
+    def deviation(self, counts: np.ndarray, total: int, truth_law) -> Fraction:
+        """max over Yatracos sets of |mu_T(A) - Q(A)| for an exact truth law Q."""
+        return self.md.deviation_exact(counts, total, self.on_support(truth_law))
+
+    def decomposition_check(self, counts: np.ndarray, total: int, truth_law):
+        """The selection guarantee on one run, as (lhs, rhs, holds), with
+        lhs and rhs `Fraction`s, so `holds` is a literal statement."""
+        dists = [tv(od, truth_law) for od in self.laws]
+        lhs = dists[self.select(counts, total)]
+        rhs = 3 * min(dists) + 2 * self.deviation(counts, total, truth_law)
+        return lhs, rhs, lhs <= rhs

@@ -51,6 +51,7 @@ from priorlab.ratelab import (
 from priorlab.sampling import sample_arrays, stream
 
 from elicitation_reference import ValueOracle, oracle_method_A
+from min_distance_reference import ExactSkeleton
 
 
 def report(n, name, ok, detail=""):
@@ -201,16 +202,30 @@ def test_criterion_4_coin_floor_full_grid():
 REPS_5 = 200
 
 
+def _skeleton_run(est, exact, counts, total, truth, od_tv):
+    """One run of criteria 5 and 6: the program's float pick, the Fraction
+    oracle's pick, and the decomposition's terms in Fractions."""
+    sel = int(est.select_rows(counts[None], total)[0])
+    return {
+        "sel": sel,
+        "exact_sel": exact.select(counts, total),
+        "gap": od_tv[sel][truth],
+        "mind": min(row[truth] for row in od_tv),
+        "dev": exact.deviation(counts, total, exact.laws[truth]),
+    }
+
+
 @pytest.fixture(scope="module")
 def twopoint_runs():
-    """Criterion 5a runs: separated two-member family, exact estimator."""
+    """Criterion 5a runs: separated two-member family, exact oracle."""
     space = enumerate_concepts(3, 1)
     dist = DataDistribution((0.05, 0.05, 0.9))
     members = [point_mass(space, 0b001, exact=True), point_mass(space, 0b010, exact=True)]
     cover = cover_of_family(members, 0.0)
-    est = SkeletonEstimator(cover, dist, 1, exact=True)
+    est = SkeletonEstimator(cover, dist, 1)
+    exact = ExactSkeleton(est)
     tvm = [[total_variation(a, b) for b in members] for a in members]
-    qa_cache = [est.truth_vectors(od)[1] for od in est.outcome_dists]
+    od_tv = [[tv(a, b) for b in exact.laws] for a in exact.laws]
     runs = {T: [] for T in (10, 1000)}
     for T in runs:
         for r in range(REPS_5):
@@ -218,13 +233,8 @@ def twopoint_runs():
             truth = int(rng.integers(2))
             tasks = sample_arrays(members[truth], space, dist, T, 1, rng)
             counts, total = counts_from_arrays_fast(est, 3, tasks)
-            sel, _ = est.select_from_counts(counts, total)
-            dev = est._md.deviation_exact(counts, total, qa_cache[truth])
-            gap = tv(est.outcome_dists[sel], est.outcome_dists[truth])
-            mind = min(tv(od, est.outcome_dists[truth]) for od in est.outcome_dists)
-            runs[T].append(
-                {"err": float(tvm[truth][sel]), "gap": gap, "mind": mind, "dev": dev}
-            )
+            run = _skeleton_run(est, exact, counts, total, truth, od_tv)
+            runs[T].append({"err": float(tvm[truth][run["sel"]]), **run})
     return runs
 
 
@@ -235,15 +245,13 @@ def parity_runs():
     dist = uniform_distribution(3)
     _, members = parity_family(space, 1.0, 1.0, exact=True)
     cover = cover_of_family(members, 0.0)
-    est = SkeletonEstimator(cover, dist, 2, exact=True)
+    est = SkeletonEstimator(cover, dist, 2)
+    exact = ExactSkeleton(est)
     params, _ = parity_family(space, 1.0, 1.0)
     tvm = np.array(
         [[float(total_variation(a, b)) for b in members] for a in members]
     )
-    od_tv = [
-        [tv(a, b) for b in est.outcome_dists] for a in est.outcome_dists
-    ]
-    qa_cache = [est.truth_vectors(od)[1] for od in est.outcome_dists]
+    od_tv = [[tv(a, b) for b in exact.laws] for a in exact.laws]
     runs = {T: [] for T in (100, 1000, 10000)}
     for T in runs:
         for r in range(REPS_5):
@@ -251,17 +259,16 @@ def parity_runs():
             truth = int(rng.integers(8))
             tasks = sample_arrays(params[truth], space, dist, T, 2, rng)
             counts, total = counts_from_arrays_fast(est, 3, tasks)
-            sel, _ = est.select_from_counts(counts, total)
-            dev = est._md.deviation_exact(counts, total, qa_cache[truth])
-            runs[T].append(
-                {
-                    "err": float(tvm[truth, sel]),
-                    "gap": od_tv[sel][truth],
-                    "mind": min(od_tv[l][truth] for l in range(8)),
-                    "dev": dev,
-                }
-            )
+            run = _skeleton_run(est, exact, counts, total, truth, od_tv)
+            runs[T].append({"err": float(tvm[truth, run["sel"]]), **run})
     return runs
+
+
+def _picks_agree(*runs) -> bool:
+    """The float pick is the Fraction oracle's on every run (1,000)."""
+    picks = [(r["sel"], r["exact_sel"]) for by_T in runs for rows in by_T.values() for r in rows]
+    assert len(picks) == 1000
+    return all(sel == exact_sel for sel, exact_sel in picks)
 
 
 def _mean_se(vals):
@@ -286,14 +293,16 @@ def test_criterion_5_skeleton_consistency(twopoint_runs, parity_runs):
         f"2pt: T=10 {m10:.3f}, T=1000 {m1k:.4f}; "
         + " > ".join(f"{means[T][0]:.4f}" for T in ts)
     )
-    assert report(5, "skeleton-consistency", ok_a and ok_b, detail)
+    ok = ok_a and ok_b and _picks_agree(twopoint_runs, parity_runs)
+    assert report(5, "skeleton-consistency", ok, detail)
 
 
 def test_criterion_6_yatracos_decomposition(twopoint_runs, parity_runs):
     # tv(selected, truth) <= 3 * min-distance + 2 * max-deviation, every
-    # replicate, Fraction arithmetic end to end
+    # replicate, Fraction arithmetic end to end; the bound is the exact
+    # minimiser's, so the float pick must be the oracle's
     checked = 0
-    ok = True
+    ok = _picks_agree(twopoint_runs, parity_runs)
     for runs in (twopoint_runs, parity_runs):
         for rows in runs.values():
             for r in rows:

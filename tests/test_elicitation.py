@@ -365,6 +365,22 @@ def test_run_algorithm1_determinism():
     assert a.rows == b.rows
 
 
+def test_run_algorithm1_tail_len_is_the_stream_tail():
+    # queries[-0:] and queries[-51:] are the whole stream, so a tail_len
+    # of 0 or above T reported the full mean as the tail mean
+    _, fam = tiny_family()
+    model = FamilyOutcomeModel(fam)
+    sched = ScheduleRDelta(0.1, (0, 20), (1.0, 0.0), (0.0, 0.0))
+    args = (fam, model, sched, 0, 0.2)
+    for tail_len in (0, -3, 51):
+        with pytest.raises(ValueError, match="tail_len"):
+            run_algorithm1(*args, T=50, seed=8, q_table=[1.0] * 3, tail_len=tail_len)
+    for tail_len, expected in ((None, 12), (1, 1), (50, 50)):
+        res = run_algorithm1(*args, T=50, seed=8, q_table=[1.0] * 3, tail_len=tail_len)
+        queries = [r.queries for r in res.rows]
+        assert res.tail_query_avg == np.mean(queries[-expected:])
+
+
 def test_presence_family_construction():
     menu, fam = presence_family(seed=0)
     assert fam.n_bundles == 256

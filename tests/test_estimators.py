@@ -6,23 +6,21 @@ import pytest
 
 from priorlab import estimators, ratelab
 from priorlab.cli import dispatch
-from priorlab.concepts import DataDistribution, enumerate_concepts, uniform_distribution
+from priorlab.concepts import enumerate_concepts, uniform_distribution
 from priorlab.errors import BudgetError
 from priorlab.estimators import (
     DirectEstimator,
     _MinDistance,
     SkeletonEstimator,
-    SkeletonReport,
     _as_fraction,
     coin_floor,
     exact_bayes_error,
     exact_bayes_errors,
     majority_rule,
     reduce_to_signs,
-    yatracos_scores,
     yatracos_sets,
 )
-from priorlab.outcomes import DEFAULT_BUDGET, exact_outcome_dist, tv
+from priorlab.outcomes import exact_outcome_dist, tv
 from priorlab.priors import (
     CoverFamily,
     SmoothPriorParams,
@@ -32,10 +30,17 @@ from priorlab.priors import (
     smooth_prior,
     parity_family,
 )
-from priorlab.sampling import sample_arrays, stream
+from priorlab.sampling import outcome_codes, sample_arrays, stream
+
+from min_distance_reference import AllPairsMinDistance, ExactSkeleton
 
 SP32 = enumerate_concepts(3, 2)
 D3 = uniform_distribution(3)
+
+
+def count_tasks(est, tasks):
+    """Support counts of sampled tasks, coded from their points and labels."""
+    return est.count_codes(outcome_codes(tasks.xs, tasks.ys, est.dist.m))
 
 
 def test_singleton_cover_returns_member_zero():
@@ -43,9 +48,7 @@ def test_singleton_cover_returns_member_zero():
     cover = CoverFamily([pi0], 0.0)
     est = SkeletonEstimator(cover, D3, 2)
     tasks = sample_arrays(pi0, SP32, D3, 5, 2, stream(1))
-    xs, ys = tasks.xs, tasks.ys
-    idx, rep = est.select_from_counts(*est.count_outcomes(xs, ys))
-    assert idx == 0
+    assert est.select_from_counts(*count_tasks(est, tasks)) == 0
 
 
 def test_skeleton_separated_point_masses():
@@ -59,40 +62,8 @@ def test_skeleton_separated_point_masses():
     runs = 200
     for r in range(runs):
         tasks = sample_arrays(a, sp, D, 50, 1, stream(1000 + r))
-        xs, ys = tasks.xs, tasks.ys
-        idx, _ = est.select_from_counts(*est.count_outcomes(xs, ys))
-        correct += idx == 0
+        correct += est.select_from_counts(*count_tasks(est, tasks)) == 0
     assert correct / runs >= 0.99
-
-
-def test_skeleton_rejects_mismatched_k_and_empty():
-    pi0 = reference_prior(SP32)
-    est = SkeletonEstimator(CoverFamily([pi0], 0.0), D3, 2)
-    tasks = sample_arrays(pi0, SP32, D3, 4, 3, stream(0))
-    xs, ys = tasks.xs, tasks.ys
-    with pytest.raises(ValueError):
-        est.count_outcomes(xs, ys)
-
-
-def test_count_outcomes_rejects_points_outside_1_to_m():
-    # a point m + 1 was coded as another support outcome, and a point 0
-    # reached bincount as a negative code
-    _, members = parity_family(SP32, 1.0, 1.0)
-    est = SkeletonEstimator(cover_of_family(members, 0.0), D3, 2)
-    ys = np.array([[1, 1]])
-    for xs in ([[1, 4]], [[0, 2]]):
-        with pytest.raises(ValueError, match="1..3"):
-            est.count_outcomes(np.array(xs), ys)
-
-
-def test_count_outcomes_rejects_labels_outside_plus_minus_one():
-    # the outcome code reads y > 0, so a label 0 would be counted as -1
-    _, members = parity_family(SP32, 1.0, 1.0)
-    est = SkeletonEstimator(cover_of_family(members, 0.0), D3, 2)
-    xs = np.array([[1, 2]])
-    for ys in ([[0, 1]], [[2, 1]], [[-1, -2]]):
-        with pytest.raises(ValueError, match="labels"):
-            est.count_outcomes(xs, np.array(ys))
 
 
 def test_skeleton_guarantee_on_parity_family():
@@ -100,64 +71,62 @@ def test_skeleton_guarantee_on_parity_family():
     # <= 2 * max Yatracos deviation, exactly (min distance term is 0)
     params, members = parity_family(SP32, 1.0, 1.0, exact=True)
     cover = cover_of_family(members, 0.0)
-    est = SkeletonEstimator(cover, D3, 2, exact=True)
+    est = SkeletonEstimator(cover, D3, 2)
+    oracle = ExactSkeleton(est)
     truth_idx = 5
     tasks = sample_arrays(members[truth_idx], SP32, D3, 10_000, 2, stream(77))
-    xs, ys = tasks.xs, tasks.ys
-    counts, total = est.count_outcomes(xs, ys)
-    selected, _ = est.select_from_counts(counts, total)
-    truth_od = est.outcome_dists[truth_idx]
-    dev = est.max_deviation(counts, total, truth_od)
-    gap = tv(est.outcome_dists[selected], truth_od)
+    counts, total = count_tasks(est, tasks)
+    selected = est.select_from_counts(counts, total)
+    assert selected == oracle.select(counts, total)
+    truth_law = oracle.laws[truth_idx]
+    dev = oracle.deviation(counts, total, truth_law)
+    gap = tv(oracle.laws[selected], truth_law)
     assert gap <= 2 * dev  # exact Fractions on both sides
 
 
 def test_decomposition_check_exact_random_runs():
     params, members = parity_family(SP32, 1.0, 1.0, exact=True)
     cover = cover_of_family(members, 0.0)
-    est = SkeletonEstimator(cover, D3, 2, exact=True)
+    est = SkeletonEstimator(cover, D3, 2)
+    oracle = ExactSkeleton(est)
     rng = np.random.default_rng(0)
     for r in range(20):
         truth_idx = int(rng.integers(8))
         tasks = sample_arrays(members[truth_idx], SP32, D3, 200, 2, stream(500 + r))
-        xs, ys = tasks.xs, tasks.ys
-        counts, total = est.count_outcomes(xs, ys)
-        lhs, rhs, holds = est.decomposition_check(counts, total, est.outcome_dists[truth_idx])
+        counts, total = count_tasks(est, tasks)
+        lhs, rhs, holds = oracle.decomposition_check(counts, total, oracle.laws[truth_idx])
         assert holds
         assert isinstance(lhs, Fraction) and isinstance(rhs, Fraction)
+        assert est.select_from_counts(counts, total) == oracle.select(counts, total)
 
 
 def test_decomposition_check_truth_outside_cover():
     # guarantee must hold for an arbitrary truth, not only cover members
     _, members = parity_family(SP32, 1.0, 1.0, exact=True)
     cover = cover_of_family(members[:4], 0.0)
-    est = SkeletonEstimator(cover, D3, 2, exact=True)
+    est = SkeletonEstimator(cover, D3, 2)
+    oracle = ExactSkeleton(est)
     truth = members[7]
-    truth_od = exact_outcome_dist(truth, D3, 2, exact=True)
+    truth_law = exact_outcome_dist(truth, D3, 2, exact=True)
     for r in range(10):
         tasks = sample_arrays(truth, SP32, D3, 300, 2, stream(900 + r))
-        xs, ys = tasks.xs, tasks.ys
-        counts, total = est.count_outcomes(xs, ys)
-        lhs, rhs, holds = est.decomposition_check(counts, total, truth_od)
+        counts, total = count_tasks(est, tasks)
+        lhs, rhs, holds = oracle.decomposition_check(counts, total, truth_law)
         assert holds
 
 
-def test_exact_and_float_selection_agree_generically():
+def test_float_selection_picks_the_fraction_oracles_member():
     _, members = parity_family(SP32, 1.0, 1.0, exact=True)
-    cover = cover_of_family(members, 0.0)
-    est_e = SkeletonEstimator(cover, D3, 2, exact=True)
-    est_f = SkeletonEstimator(cover, D3, 2, exact=False)
+    est = SkeletonEstimator(cover_of_family(members, 0.0), D3, 2)
     tasks = sample_arrays(members[3], SP32, D3, 500, 2, stream(8))
-    xs, ys = tasks.xs, tasks.ys
-    ce, te = est_e.count_outcomes(xs, ys)
-    cf, tf = est_f.count_outcomes(xs, ys)
-    assert est_e.select_from_counts(ce, te)[0] == est_f.select_from_counts(cf, tf)[0]
+    counts, total = count_tasks(est, tasks)
+    assert est.select_from_counts(counts, total) == ExactSkeleton(est).select(counts, total)
 
 
 def direct_select(cover, concept_idx):
     """The baseline's selection from sampled concept indices, as `rates` runs it."""
     counts = np.bincount(concept_idx, minlength=len(SP32))
-    return DirectEstimator(cover).select_from_counts(counts, len(concept_idx))[0]
+    return int(DirectEstimator(cover).select_rows(counts[None], len(concept_idx))[0])
 
 
 def test_direct_estimate_examples():
@@ -212,7 +181,7 @@ def searchsorted_counts(est, xs, ys):
     ],
     ids=["parity-m3", "parity-m4", "twopoint-m5", "k3-d2"],
 )
-def test_count_outcomes_matches_searchsorted_oracle(config):
+def test_count_codes_matches_searchsorted_oracle(config):
     est = ratelab.build_setup(config).estimator
     k = config.samples_per_task
     rng = np.random.default_rng(17)
@@ -220,16 +189,12 @@ def test_count_outcomes_matches_searchsorted_oracle(config):
         xs = rng.integers(1, config.m + 1, size=(T, k))
         ys = 2 * rng.integers(0, 2, size=(T, k)) - 1
         expected = searchsorted_counts(est, xs, ys)
-        counts, total = est.count_outcomes(xs, ys)
+        counts, total = est.count_codes(outcome_codes(xs, ys, config.m))
         assert total == T
         assert counts.dtype == np.int64
         assert np.array_equal(counts, expected)
     # uniform labels put some outcomes off every support here
     assert 0 < expected.sum() < T
-    with pytest.raises(ValueError):
-        est.count_outcomes(xs[:, 1:], ys[:, 1:])
-    with pytest.raises(ValueError):
-        est.count_outcomes(xs, ys[:, 1:])
 
 
 def test_min_distance_checks_budget_before_allocating():
@@ -238,101 +203,18 @@ def test_min_distance_checks_budget_before_allocating():
         _MinDistance(np.full((1100, 10), 0.1))
 
 
-class AllPairsMinDistance:
-    """Oracle: min-distance selection scored over every ordered pair, one
-    Python-built Yatracos set per pair (duplicates included)."""
-
-    def __init__(self, mass_matrix: np.ndarray, exact_rows: list[list[Fraction]] | None = None):
-        self.M = np.asarray(mass_matrix, dtype=float)
-        n, s = self.M.shape
-        if n * (n - 1) * (s + n) > DEFAULT_BUDGET:
-            # A holds pairs x support entries and PA members x pairs
-            raise BudgetError(
-                f"{n * (n - 1)} Yatracos pairs x ({s} support points + {n} members)"
-                f" exceed the budget of {DEFAULT_BUDGET}"
-            )
-        self.pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        self.A = np.zeros((len(self.pairs), s), dtype=bool)
-        if exact_rows is not None:
-            for p, (i, j) in enumerate(self.pairs):
-                self.A[p] = [a > b for a, b in zip(exact_rows[i], exact_rows[j])]
-            self.PA_exact = [
-                [
-                    sum((row[s] for s in np.flatnonzero(a)), start=Fraction(0))
-                    for a in self.A
-                ]
-                for row in exact_rows
-            ]
-        else:
-            # strict ">" with a tie guard: float tables of genuinely equal
-            # masses can differ by rounding, which would flip set membership
-            for p, (i, j) in enumerate(self.pairs):
-                self.A[p] = self.M[i] > self.M[j] + 1e-12
-            self.PA_exact = None
-        self.PA = self.M @ self.A.T  # (members, pairs)
-
-    def select_rows(self, counts: np.ndarray, total: int) -> np.ndarray:
-        # a stack of count vectors, as the cells pass them
-        return np.array([self.select(row, total)[0] for row in counts])
-
-    def select(self, counts: np.ndarray, total: int) -> tuple[int, SkeletonReport]:
-        if self.PA_exact is None:
-            s = yatracos_scores(self.PA, (self.A @ counts) / total)
-            best = int(np.argmin(s))
-            return best, SkeletonReport(best, s.tolist(), False)
-        mu = [Fraction(int(a @ counts), total) for a in self.A]
-        scores = [
-            max((abs(pa - m) for pa, m in zip(row, mu)), default=Fraction(0))
-            for row in self.PA_exact
-        ]
-        best = min(range(len(scores)), key=lambda i: (scores[i], i))
-        return best, SkeletonReport(best, scores, True)
-
-    def truth_masses(self, truth_on_support: np.ndarray) -> np.ndarray:
-        # deviation below takes the truth vector itself
-        return truth_on_support
-
-    def deviation(self, counts: np.ndarray, total: int, truth_on_support: np.ndarray) -> float:
-        """max over Yatracos sets of |mu_T(A) - Q(A)| for a truth vector Q
-        restricted to this support (mass elsewhere never enters any set)."""
-        if not self.pairs:
-            return 0.0
-        mu = (self.A @ counts) / total
-        qa = self.A @ np.asarray(truth_on_support, dtype=float)
-        return float(np.abs(mu - qa).max())
-
-    def deviation_rows(self, counts: np.ndarray, total: int, truth_on_support: np.ndarray) -> np.ndarray:
-        return np.array([self.deviation(row, total, truth_on_support) for row in counts])
-
-    def deviation_exact(self, counts: np.ndarray, total: int, truth_exact: list[Fraction]):
-        if not self.pairs:
-            return Fraction(0)
-        mu = [Fraction(int(self.A[p] @ counts), total) for p in range(len(self.pairs))]
-        qa = [
-            sum((truth_exact[s] for s in np.flatnonzero(a)), start=Fraction(0))
-            for a in self.A
-        ]
-        return max(abs(m - q) for m, q in zip(mu, qa))
-
-
-def _assert_matches_oracle(md, oracle, count_vectors, truths, truths_exact=None):
-    """Selected index, scores and deviations equal the all-pairs oracle's exactly."""
+def _assert_matches_oracle(md, oracle, count_vectors, truths):
+    """Scores, selected index and deviations equal the float all-pairs
+    oracle's exactly, for a stack of two copies of each count vector."""
     for counts in count_vectors:
         total = int(counts.sum())
-        selected = oracle.select(counts, total)
-        assert md.select(counts, total) == selected
-        if oracle.PA_exact is None:
-            assert md.select_rows(np.stack([counts, counts]), total).tolist() == [selected[0]] * 2
+        selected, scores = oracle.select(counts, total)
+        stack = np.stack([counts, counts])
+        assert md._scores(stack, total).tolist() == [scores] * 2
+        assert md.select_rows(stack, total).tolist() == [selected] * 2
         for q in truths:
-            got = md.deviation(counts, total, md.truth_masses(q))
-            assert got == oracle.deviation(counts, total, q)
-            assert type(got) is float
-            got = md.deviation_rows(np.stack([counts, counts]), total, md.truth_masses(q))
+            got = md.deviation_rows(stack, total, md.truth_masses(q))
             assert got.tolist() == [oracle.deviation(counts, total, q)] * 2
-        for q in truths_exact or ():
-            got = md.deviation_exact(counts, total, q)
-            assert got == oracle.deviation_exact(counts, total, q)
-            assert isinstance(got, Fraction)
 
 
 def _skeleton_count_vectors(setup, config, seed):
@@ -342,8 +224,7 @@ def _skeleton_count_vectors(setup, config, seed):
         source = ratelab._source(setup, truth_id)
         for T in (1, 7, 100, 2000):
             tasks = sample_arrays(source, setup.space, setup.dist, T, config.d, rng)
-            xs, ys = tasks.xs, tasks.ys
-            vectors.append(setup.estimator.count_outcomes(xs, ys)[0])
+            vectors.append(count_tasks(setup.estimator, tasks)[0])
     return vectors
 
 
@@ -351,7 +232,7 @@ def _float_setup_matches_oracle(config):
     setup = ratelab.build_setup(config)
     est = setup.estimator
     oracle = AllPairsMinDistance(est._md.M)
-    truths = [est.truth_vectors(od)[0] for od in est.outcome_dists]
+    truths = [est.truth_vector(od) for od in est.outcome_dists]
     _assert_matches_oracle(est._md, oracle, _skeleton_count_vectors(setup, config, 11), truths)
     return setup
 
@@ -372,44 +253,37 @@ def test_distinct_sets_match_all_pairs_on_twopoint():
     )
 
 
-def test_distinct_sets_match_all_pairs_exact_m3():
+def test_distinct_sets_match_all_pairs_on_parity_m3():
+    # bit for bit the float all-pairs oracle, and the same member as the
+    # Fraction oracle, whose deviation the float one rounds
     _, members = parity_family(SP32, 1.0, 1.0, exact=True)
-    est = SkeletonEstimator(cover_of_family(members, 0.0), D3, 2, exact=True)
-    exact_rows = [
-        [od.exact.get(z, Fraction(0)) for z in est.support] for od in est.outcome_dists
-    ]
-    oracle = AllPairsMinDistance(est._md.M, exact_rows)
-    assert len(est._md.A) < len(oracle.A)
+    est = SkeletonEstimator(cover_of_family(members, 0.0), D3, 2)
+    exact = ExactSkeleton(est)
+    assert len(est._md.A) < len(exact.md.A)
     vectors = []
     for r in range(6):
         tasks = sample_arrays(members[r], SP32, D3, 3 + 97 * r, 2, stream(40 + r))
-        xs, ys = tasks.xs, tasks.ys
-        vectors.append(est.count_outcomes(xs, ys)[0])
-    truths = [est.truth_vectors(od) for od in est.outcome_dists]
-    _assert_matches_oracle(
-        est._md, oracle, vectors, [q for q, _ in truths], [qe for _, qe in truths]
-    )
+        vectors.append(count_tasks(est, tasks)[0])
+    truths = [est.truth_vector(od) for od in est.outcome_dists]
+    _assert_matches_oracle(est._md, AllPairsMinDistance(est._md.M), vectors, truths)
+    for counts in vectors:
+        total = int(counts.sum())
+        assert est.select_from_counts(counts, total) == exact.select(counts, total)
+        for q, law in zip(truths, exact.laws):
+            got = est._md.deviation_rows(counts[None], total, est._md.truth_masses(q))[0]
+            assert got == pytest.approx(float(exact.deviation(counts, total, law)), abs=1e-12)
 
 
-def test_yatracos_sets_match_the_float_and_fraction_rules():
-    _, members = parity_family(SP32, 1.0, 1.0, exact=True)
-    est = SkeletonEstimator(cover_of_family(members, 0.0), D3, 2, exact=True)
-    rows = [[od.exact.get(z, Fraction(0)) for z in est.support] for od in est.outcome_dists]
-    # floats: a strict ">" with a 1e-12 guard; the two added rows sit just
-    # inside and just outside the guard above the first
-    M = np.array([[float(x) for x in row] for row in rows])
+def test_yatracos_sets_match_the_guarded_float_rule():
+    _, members = parity_family(SP32, 1.0, 1.0)
+    M = SkeletonEstimator(cover_of_family(members, 0.0), D3, 2)._md.M
+    # a strict ">" with a 1e-12 guard; the two added rows sit just inside
+    # and just outside the guard above the first
     M = np.vstack([M, M[0] + 5e-13, M[0] + 5e-12])
     off = ~np.eye(len(M), dtype=bool)
     got = yatracos_sets(M)
     assert got.dtype == bool
     assert np.array_equal(got, (M[:, None, :] > M[None, :, :] + 1e-12)[off])
-    # Fractions: literal, so a gap far inside the float guard still counts
-    E = np.array(rows + [[x + Fraction(1, 10**13) for x in rows[0]]], dtype=object)
-    off = ~np.eye(len(E), dtype=bool)
-    got = yatracos_sets(E)
-    assert got.dtype == bool
-    assert np.array_equal(got, (E[:, None, :] > E[None, :, :])[off].astype(bool))
-    assert not np.array_equal(got, yatracos_sets(E.astype(float)))
 
 
 def test_distinct_sets_one_member_and_identical_members():
@@ -422,16 +296,14 @@ def test_distinct_sets_one_member_and_identical_members():
             md, AllPairsMinDistance(mass), counts, [pi0.mass, np.full(len(SP32), 0.5)]
         )
         assert not md.A.any()  # no pair, or only the empty set
-        est = SkeletonEstimator(cover, D3, 2, exact=True)
-        exact_rows = [[od.exact[z] for z in est.support] for od in est.outcome_dists]
-        _, q_exact = est.truth_vectors(est.outcome_dists[0])
-        _assert_matches_oracle(
-            est._md,
-            AllPairsMinDistance(est._md.M, exact_rows),
-            [np.arange(len(est.support), dtype=np.int64)],
-            [],
-            [q_exact],
-        )
+        est = SkeletonEstimator(cover, D3, 2)
+        exact = ExactSkeleton(est)
+        c = np.arange(len(est.support), dtype=np.int64)
+        total = int(c.sum())
+        assert est.select_from_counts(c, total) == exact.select(c, total) == 0
+        q = est._md.truth_masses(est.truth_vector(est.outcome_dists[0]))
+        assert est._md.deviation_rows(c[None], total, q).tolist() == [0.0]
+        assert exact.deviation(c, total, exact.laws[0]) == 0
 
 
 def test_direct_estimator_distinct_sets_match_all_pairs():

@@ -32,6 +32,8 @@ from priorlab.ratelab import (
 )
 from priorlab.sampling import sample_arrays, stream
 
+from min_distance_reference import AllPairsMinDistance
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -144,9 +146,7 @@ def test_upper_experiment_singleton_family_zero_risk():
     pi0 = reference_prior(sp)
     est = SkeletonEstimator(CoverFamily([pi0], 0.0), uniform_distribution(2), 1)
     tasks = sample_arrays(pi0, sp, uniform_distribution(2), 20, 1, stream(0))
-    xs, ys = tasks.xs, tasks.ys
-    sel, _ = est.select_from_counts(*est.count_outcomes(xs, ys))
-    assert sel == 0
+    assert est.select_from_counts(*counts_from_arrays_fast(est, 2, tasks)) == 0
 
 
 def test_upper_experiment_worker_invariance():
@@ -294,7 +294,7 @@ def test_twopoint_rates_match_the_exact_risk():
     first = [int(np.flatnonzero(atom_of == a)[0]) for a in range(3)]
     rows = run_upper_experiment(config).rows
     for truth in setup.truth_ids:
-        q = np.bincount(atom_of, weights=est.truth_vectors(est.outcome_dists[truth])[0])
+        q = np.bincount(atom_of, weights=est.truth_vector(est.outcome_dists[truth]))
         for T in config.T_grid:
             exact = 0.0
             for n0 in range(T + 1):
@@ -302,7 +302,7 @@ def test_twopoint_rates_match_the_exact_risk():
                     n = (n0, n1, T - n0 - n1)
                     counts = np.zeros(len(est.support), dtype=np.int64)
                     counts[first] = n
-                    selected, _ = est.select_from_counts(counts, T)
+                    selected = est.select_from_counts(counts, T)
                     pmf = factorial(T) / prod(factorial(c) for c in n) * prod(q**n)
                     exact += pmf * setup.tv_matrix[truth, selected]
             errs = np.array([r.tv_error for r in rows if (r.T, r.truth_id) == (T, truth)])
@@ -318,23 +318,26 @@ def test_twopoint_rates_match_the_exact_risk():
 def per_replicate_cells(config, T, T_idx, truth_id):
     """Oracle: the upper, baseline and lower cells as they ran one
     replicate at a time, each on its own `stream`, counted through the
-    labels and selected one count vector at a time."""
+    labels and selected one count vector at a time by the all-pairs
+    oracle."""
     setup = build_setup(config)
     est, space, dist = setup.estimator, setup.space, setup.dist
+    skeleton = AllPairsMinDistance(est._md.M)
+    direct = AllPairsMinDistance(setup.direct._md.M)
     source = ratelab._source(setup, truth_id)
-    q = est.truth_vectors(est.outcome_dists[truth_id])[0]
+    q = est.truth_vector(est.outcome_dists[truth_id])
     upper, baseline, lower = [], [], []
     for rep in range(config.replicates):
         rng = stream(config.seed, ratelab._UPPER, T_idx, truth_id, rep)
         tasks = sample_arrays(source, space, dist, T, config.samples_per_task, rng)
-        counts, _ = est.count_outcomes(tasks.xs, tasks.ys)
-        selected, _ = est.select_from_counts(counts, T)
-        dev = est._md.deviation(counts, T, est._md.truth_masses(q))
+        counts, _ = counts_from_tuples(est, tasks.xs, tasks.ys)
+        selected, _ = skeleton.select(counts, T)
+        dev = skeleton.deviation(counts, T, q)
         upper.append((rep, selected, float(setup.tv_matrix[truth_id, selected]), dev))
         rng = stream(config.seed, ratelab._BASELINE, T_idx, truth_id, rep)
         tasks = sample_arrays(source, space, dist, T, config.samples_per_task, rng)
-        sk, _ = est.select_from_counts(est.count_outcomes(tasks.xs, tasks.ys)[0], T)
-        di, _ = setup.direct.select_from_counts(np.bincount(tasks.concepts, minlength=len(space)), T)
+        sk, _ = skeleton.select(counts_from_tuples(est, tasks.xs, tasks.ys)[0], T)
+        di, _ = direct.select(np.bincount(tasks.concepts, minlength=len(space)), T)
         baseline.append((rep, sk, di))
         if setup.params_list is None or config.samples_per_task != config.d:
             continue  # the lower-bound testbed runs on the parity family at k = d
@@ -342,7 +345,7 @@ def per_replicate_cells(config, T, T_idx, truth_id):
         b = tuple(1 if v else -1 for v in rng.integers(0, 2, size=len(setup.params_list[0].b)))
         params = SmoothPriorParams(b, config.L, config.alpha, config.m, config.d)
         tasks = sample_arrays(params, space, dist, T, config.d, rng)
-        selected, _ = est.select_from_counts(est.count_outcomes(tasks.xs, tasks.ys)[0], T)
+        selected, _ = skeleton.select(counts_from_tuples(est, tasks.xs, tasks.ys)[0], T)
         x_masks = np.bitwise_or.reduce(1 << (tasks.xs - 1), axis=1)
         subs = np.asarray(d_subsets(config.m, config.d))
         lower.append((rep, selected, int((x_masks == subs[tasks.trace[0]]).sum())))

@@ -8,15 +8,17 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
-from spans import COUNTED, SPANS, _resolve  # noqa: E402
+from spans import COUNTED, SPANS, Tracer, _on_estimator_built, _resolve  # noqa: E402
 from workloads import WORKLOADS, setup  # noqa: E402
 
 from priorlab import ratelab  # noqa: E402
+from priorlab.estimators import DirectEstimator, SkeletonEstimator  # noqa: E402
 
 
 def test_every_trace_target_resolves():
@@ -34,6 +36,33 @@ def test_sample_arrays_takes_T_fourth():
     param = list(inspect.signature(ratelab.sample_arrays).parameters.values())[3]
     assert param.name == "T"
     assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_estimator_hook_reads_cover_size_and_support():
+    # the hook reads est.cover.size and len(est.support) of a skeleton
+    # estimator and tells the baseline apart by its lack of `support`
+    built = ratelab.build_setup(ratelab.ExperimentConfig(m=3, d=2, T_grid=(10,), replicates=1))
+    est, direct = built.estimator, built.direct
+    assert isinstance(est, SkeletonEstimator) and isinstance(direct, DirectEstimator)
+    assert est.cover.size == 8 and len(est.support) == 30
+    assert not hasattr(direct, "support")
+    tracer = Tracer()
+    _on_estimator_built(tracer, (direct,), {}, None)
+    assert tracer.counters == {}
+    _on_estimator_built(tracer, (est,), {}, None)
+    assert tracer.counters["estimators.yatracos_pairs"] == 8 * 7
+    assert tracer.counters["estimators.support_size"] == 30
+
+
+def test_select_from_counts_is_one_row_of_select_rows():
+    # the traced estimators.select span wraps select_from_counts by name
+    built = ratelab.build_setup(ratelab.ExperimentConfig(m=3, d=2, T_grid=(10,), replicates=1))
+    est = built.estimator
+    rng = np.random.default_rng(3)
+    for T in (1, 10, 1000):
+        for c in rng.multinomial(T, np.full(len(est.support), 1 / len(est.support)), size=5):
+            assert est.select_from_counts(c, T) == est.select_rows(c[None], T)[0]
+            assert type(est.select_from_counts(c, T)) is int
 
 
 # tasks each workload simulates at program seed 0, as its set-up counts them
