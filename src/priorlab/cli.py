@@ -428,7 +428,7 @@ def _experiment_config(config: dict, seed: int) -> ExperimentConfig:
         T_grid=config["T_grid"], replicates=config["replicates"], seed=seed,
         **{key: config[key] for key in optional if key in config},
     )
-    exp.check_budget()
+    exp.check_budget(config.get("baseline_T"))
     return exp
 
 

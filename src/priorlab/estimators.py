@@ -161,18 +161,23 @@ class SkeletonEstimator:
             for z, p in od.table.items():
                 M[r, index[z]] = p
         self._md = _MinDistance(M)
-        # exact_outcome_dist has checked the (2m)^d code space against the budget
-        self._n_codes = (2 * dist.m) ** d
         self._support_codes = outcome_codes(
             np.array([xs for xs, _ in support]), np.array([ys for _, ys in support]), dist.m
         )
+        self._code_order = np.argsort(self._support_codes)
+
+    def support_index(self, codes: np.ndarray) -> np.ndarray:
+        """The support position of each outcome code (as `outcome_codes`
+        writes them), or len(support) for a code outside the support."""
+        at = np.searchsorted(self._support_codes, codes, sorter=self._code_order)
+        found = self._code_order[at.clip(max=len(self.support) - 1)]
+        return np.where(self._support_codes[found] == codes, found, len(self.support))
 
     def count_codes(self, codes: np.ndarray) -> tuple[np.ndarray, int]:
-        """Support counts of T tasks given by their outcome codes (below
-        (2m)^d, as `outcome_codes` writes them): every code is counted,
-        then the support's codes are read off."""
-        counts = np.bincount(codes, minlength=self._n_codes)[self._support_codes]
-        return counts, len(codes)
+        """Support counts of T tasks given by their outcome codes; codes
+        outside the support are not counted."""
+        counts = np.bincount(self.support_index(codes), minlength=len(self.support) + 1)
+        return counts[:-1], len(codes)
 
     def select_from_counts(self, counts: np.ndarray, total: int) -> int:
         """The selected member of one count vector of `total` tasks."""

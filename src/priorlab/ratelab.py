@@ -7,9 +7,15 @@ index); each replicate of a cell draws its randomness from its own stream,
 so results are identical regardless of worker count, and rows are reduced
 in cell order so output files are byte-stable for a fixed config.
 
-A cell runs its replicates in lock-step: their streams are seeded at once,
-each replicate's tasks are counted with one `bincount` of their outcome
-codes, and a block of replicates' counts is scored in one pass (`_blocks`).
+A cell runs its replicates in lock-step, a block at a time
+(`sampling.joint_blocks`): their streams are seeded at once, every task
+of the block is decoded from the streams' words into one joint index
+(concept branch, point digits), and each replicate's tasks are counted
+with one `bincount` over the joint cells.  The cell reads what it needs
+through tables of one entry per joint cell (`_mapped`): the support
+point of each cell's outcome, its concept for the direct baseline, and
+whether it is an N_i event for the lower bound.  A block's counts are
+then scored in one pass.
 """
 
 from __future__ import annotations
@@ -48,7 +54,15 @@ from .priors import (
     parity_gamma,
     tv_matrix,
 )
-from .sampling import Tasks, keyed_streams, sample_arrays, stream
+from .sampling import (
+    Tasks,
+    joint_blocks,
+    keyed_streams,
+    sample_arrays,  # noqa: F401  (perfbench/spans.py wraps it here)
+    stream,
+    task_layout,
+    task_words,
+)
 
 # One Monte Carlo replicate of an experiment (the rates and lowerbound CSV
 # schema), and the per-replicate records the three cell runners return.
@@ -132,12 +146,28 @@ class ExperimentConfig:
     def samples_per_task(self) -> int:
         return self.k if self.k is not None else self.d
 
-    def check_budget(self) -> None:
+    def check_budget(self, baseline_T: int | None = None) -> None:
         """BudgetError when the family or its selection tables exceed their
-        budgets, before anything is built (the baseline's concept space is
-        never larger than the outcome support)."""
+        budgets, or when a replicate at some T of `T_grid` (or at
+        `baseline_T`) would draw more words than the budget, before
+        anything is built (the baseline's concept space is never larger
+        than the outcome support)."""
         members = 2 if self.family == "twopoint" else parity_family_size(self.m, self.d)
         check_yatracos_budget(members, self.outcome_support_size())
+        for key, T in (("T_grid", self.T_grid[-1]), ("baseline_T", baseline_T)):
+            if T is not None and self.replicate_words(T) > DEFAULT_BUDGET:
+                raise BudgetError(
+                    f"'{key}': a replicate of T = {T} tasks draws {self.replicate_words(T)} words,"
+                    f" over the budget of {DEFAULT_BUDGET}"
+                )
+
+    def replicate_words(self, T: int) -> int:
+        """The words one replicate of T tasks reads at most: the parity
+        family's lower-bound cell draws its C(m, d) signs first."""
+        if self.family == "twopoint":
+            return task_words(T, self.samples_per_task, None)
+        n_sub = comb(self.m, self.d)
+        return task_words(T, self.samples_per_task, (n_sub, 1 << (self.d - 1)), n_sub)
 
     def outcome_support_size(self) -> int:
         """The outcomes (k-tuple, labels) the family's members can draw.
@@ -233,19 +263,21 @@ def _streams(config: ExperimentConfig, *coords: int):
     return keyed_streams(config.seed, [(*coords, rep) for rep in range(config.replicates)])
 
 
-_BLOCK_VALUES = 1 << 16  # count values a block of replicates holds at once
+def _joint_blocks(config: ExperimentConfig, layout, source, T: int, *coords: int, signs: int = 0):
+    """`joint_blocks` of the replicates' streams at `coords`."""
+    return joint_blocks(
+        _streams(config, *coords), lambda rep: stream(config.seed, *coords, rep), source, layout, T, signs
+    )
 
 
-def _blocks(replicates, width: int):
-    """Group the replicates' records, each holding `width` count values,
-    into blocks of about _BLOCK_VALUES values; yields (first replicate of
-    the block, its records)."""
-    size = max(1, _BLOCK_VALUES // width)
-    replicates = iter(replicates)
-    first = 0
-    while block := list(itertools.islice(replicates, size)):
-        yield first, block
-        first += len(block)
+def _mapped(joint_counts: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """Each row of (rows, cells) joint counts summed into `size` bins,
+    cell c into bin index[c] (index[c] = size drops it), as int64: one
+    weighted bincount for the block, row r into bins r (size + 1) on."""
+    rows = len(joint_counts)
+    bins = index + np.arange(0, rows * (size + 1), size + 1)[:, None]
+    counts = np.bincount(bins.ravel(), weights=joint_counts.ravel(), minlength=rows * (size + 1))
+    return counts.reshape(rows, size + 1)[:, :size].astype(np.int64)
 
 
 def _upper_cell(payload) -> list[UpperRow]:
@@ -256,13 +288,11 @@ def _upper_cell(payload) -> list[UpperRow]:
     est = setup.estimator
     k = config.samples_per_task
     truth_masses = est._md.truth_masses(est.truth_vector(est.outcome_dists[truth_id]))
-    replicate_counts = (
-        counts_from_arrays_fast(est, config.m, sample_arrays(source, setup.space, setup.dist, T, k, rng))
-        for rng in _streams(config, _UPPER, T_idx, truth_id)
-    )
+    layout = task_layout(source, setup.space, setup.dist, k)
+    support = est.support_index(layout.cells.codes)
     rows = []
-    for first, block in _blocks(replicate_counts, len(est.support)):
-        counts = np.stack([c for c, _ in block])
+    for first, joint_counts, _ in _joint_blocks(config, layout, source, T, _UPPER, T_idx, truth_id):
+        counts = _mapped(joint_counts, support, len(est.support))
         selected = est.select_rows(counts, T)
         devs = est._md.deviation_rows(counts, T, truth_masses)
         for rep, sel, dev in zip(itertools.count(first), selected.tolist(), devs.tolist()):
@@ -369,7 +399,7 @@ def fit_rate_exponent(curve: RateCurve) -> FitResult:
 def lower_bound_floor(config: ExperimentConfig, T: int) -> float:
     """(gamma_m / (32 * 2^d)) * exp(-43 (2/L)^(2d/a) d^(2d) gamma_m^(2+2d/a) T)."""
     d, L, alpha = config.d, config.L, config.alpha
-    gamma = (L / 2.0) * (1.0 / config.m) ** alpha
+    gamma = parity_gamma(L, alpha, config.m)
     expo = -43.0 * (2.0 / L) ** (2 * d / alpha) * d ** (2 * d) * gamma ** (2 + 2 * d / alpha) * T
     return gamma / (32.0 * 2**d) * exp(expo)
 
@@ -388,30 +418,25 @@ def _lower_cell(payload) -> list[LowerRow]:
     config_dict, T, T_idx = payload
     config = ExperimentConfig(**config_dict)
     setup = build_setup(config)
-    space, dist, est = setup.space, setup.dist, setup.estimator
+    est, template = setup.estimator, setup.params_list[0]
     n_signs = comb(config.m, config.d)
-    subs = np.asarray(d_subsets(config.m, config.d))
-    gamma = setup.params_list[0].gamma_m
+    gamma = template.gamma_m
     scale = Fraction(1, 2 ** config.d * comb(config.m, config.d))
-
-    def replicates():
-        for rng in _streams(config, _LOWER, T_idx):
-            b = tuple(1 if v else -1 for v in rng.integers(0, 2, size=n_signs))
-            params = SmoothPriorParams(b, config.L, config.alpha, config.m, config.d)
-            tasks = sample_arrays(params, space, dist, T, config.d, rng)
-            counts, _ = counts_from_arrays_fast(est, config.m, tasks)
-            # N_i: tasks whose subset index is i AND whose d draws cover X_i
-            x_masks = np.zeros(T, dtype=np.int64)
-            for j in range(config.d):
-                x_masks |= 1 << (tasks.xs[:, j] - 1)
-            yield counts, params, int((x_masks == subs[tasks.trace[0]]).sum())
-
+    layout = task_layout(template, setup.space, setup.dist, config.d)
+    cells = layout.cells
+    support = est.support_index(cells.codes)
+    # N_i: tasks whose subset index is i AND whose d draws cover X_i
+    x_masks = np.bitwise_or.reduce(1 << (cells.xs - 1), axis=1)
+    events = (x_masks == np.asarray(d_subsets(config.m, config.d))[cells.trace[0]]).astype(np.int64)
     rows = []
-    for first, block in _blocks(replicates(), len(est.support)):
-        counts, truths, events = zip(*block)
-        selected = est.select_rows(np.stack(counts), T)
-        for rep, sel, params, n_events in zip(itertools.count(first), selected.tolist(), truths, events):
-            b = params.b
+    for first, joint_counts, bits in _joint_blocks(config, layout, template, T, _LOWER, T_idx, signs=n_signs):
+        selected = est.select_rows(_mapped(joint_counts, support, len(est.support)), T)
+        block_events = joint_counts @ events
+        for rep, sel, signs, n_events in zip(
+            itertools.count(first), selected.tolist(), bits.tolist(), block_events.tolist()
+        ):
+            b = tuple(1 if v else -1 for v in signs)
+            params = SmoothPriorParams(b, config.L, config.alpha, config.m, config.d)
             truth_id = sum((1 if s > 0 else 0) << (n_signs - 1 - i) for i, s in enumerate(b))
             red = reduce_to_signs(est.cover.members[sel], params)
             p_true = [(1.0 + gamma * s) / 2.0 for s in b]
@@ -490,20 +515,14 @@ def _baseline_cell(payload) -> list[BaselineRow]:
     config = ExperimentConfig(**config_dict)
     setup = build_setup(config)
     source = _source(setup, truth_id)
-    direct = setup.direct  # built before any replicate's arrays exist
+    direct = setup.direct  # built before any replicate's words exist
     est, n_concepts = setup.estimator, len(setup.space)
-
-    def replicates():
-        for rng in _streams(config, _BASELINE, T_idx, truth_id):
-            tasks = sample_arrays(source, setup.space, setup.dist, T, config.samples_per_task, rng)
-            counts, _ = counts_from_arrays_fast(est, config.m, tasks)
-            yield counts, np.bincount(tasks.concepts, minlength=n_concepts)
-
+    layout = task_layout(source, setup.space, setup.dist, config.samples_per_task)
+    support, concepts = est.support_index(layout.cells.codes), layout.cells.concepts
     rows = []
-    for first, block in _blocks(replicates(), len(est.support) + n_concepts):
-        counts, concept_counts = zip(*block)
-        sk_sel = est.select_rows(np.stack(counts), T)
-        di_sel = direct.select_rows(np.stack(concept_counts), T)
+    for first, joint_counts, _ in _joint_blocks(config, layout, source, T, _BASELINE, T_idx, truth_id):
+        sk_sel = est.select_rows(_mapped(joint_counts, support, len(est.support)), T)
+        di_sel = direct.select_rows(_mapped(joint_counts, concepts, n_concepts), T)
         for rep, sk, di in zip(itertools.count(first), sk_sel.tolist(), di_sel.tolist()):
             rows.append(BaselineRow(
                 "baseline", config.m, config.d, config.L, config.alpha,

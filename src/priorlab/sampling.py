@@ -16,13 +16,21 @@ an exact decode of those words.
   cut-offs at or below a word (`_categorical`).  `integers(0, n)` is
   numpy's 32-bit Lemire rule on the halves of the words, low half first,
   with a half left over held for the next bounded draw (`_lemire`, also
-  behind `raw_integers`).  `raw_random` gives the doubles themselves.
-- **Tasks.**  `sample_arrays` draws the T tasks of one replicate, the
-  concept draws first and then the (T, k) points, from one read of its
-  stream's words.  It keeps each task's branch (the drawn concept for a
+  behind `raw_integers`); `_plan` places each draw in a row of words.
+  `raw_random` gives the doubles themselves.
+- **Tasks.**  A task draws a concept branch (the drawn concept for a
   tabular prior, (2 i* + c) * width + choice for the parity family) and
-  its k point digits; `Tasks` decodes points, concepts, the parity trace
-  and outcome codes from them on first use.
+  then k point digits, each a position among the P points D can draw.
+  Its joint index is branch * P^k plus the digits in base P, one of the
+  J cells of its source's `TaskLayout`.  `_decode` turns rows of words
+  into joint indices with whole-block array ops, in the narrowest
+  unsigned type that holds them.  `joint_blocks` reads a run of
+  replicates' words, one `random_raw` call each, decodes the run and
+  counts each replicate with one `bincount` over its J cells;
+  `sample_arrays` decodes the T tasks of one stream, and `Tasks`
+  decodes points, concepts, labels, the parity trace and outcome codes
+  from the joint indices on first use.  `TaskLayout.cells` does the
+  same for every cell, so tables over the cells are read off it.
 
 A task's outcome code, the statistic the estimators count, holds the
 digits 2(x - 1) + [y > 0] of its k (point, label) pairs in base 2m.
@@ -30,6 +38,7 @@ digits 2(x - 1) + [y > 0] of its k (point, label) pairs in base 2m.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Iterator
@@ -193,20 +202,39 @@ def _halves(words: np.ndarray) -> np.ndarray:
     return words.astype("<u8", copy=False).view("<u4")
 
 
-def _lemire(halves: np.ndarray, high: int) -> tuple[np.ndarray, bool]:
+@lru_cache(maxsize=64)
+def _lemire_cuts(high: int) -> np.ndarray:
+    """The cut-offs ceil(j 2^32 / high), j = 1..high-1, as uint32: the
+    high word of draw * high is at least j exactly when the draw is at
+    least the j-th cut-off.  Read-only."""
+    cuts = np.array([((j << 32) + high - 1) // high for j in range(1, high)], dtype=np.uint32)
+    cuts.flags.writeable = False
+    return cuts
+
+
+def _lemire(halves: np.ndarray, high: int) -> tuple[np.ndarray, np.ndarray | None]:
     """`integers(0, high)` of 32-bit draws, for 1 <= high <= 2**32, by
     numpy's rule (Lemire's multiply-shift): the high word of draw * high.
+    Up to range 3 that is the number of `_lemire_cuts` at or below the
+    draw, as uint8 (one or two compares beat the 64-bit multiply); other
+    powers of two take the top bits, other ranges multiply, as int64.
+
     numpy rejects and redraws a draw whose low word lies below
     2**32 % high, which a fixed set of draws cannot do, so the second
-    value says whether any draw would be rejected."""
-    if high & (high - 1) == 0:  # a power of two: the top bits, never rejected
-        return np.right_shift(halves, 33 - high.bit_length(), dtype=np.int64), False
-    threshold = (1 << 32) % high
+    value marks each draw that would be rejected; it is None for a power
+    of two, where none can be."""
+    if high <= 3:
+        values = _count_cuts(_lemire_cuts(high), halves)
+    elif high & (high - 1) == 0:
+        values = np.right_shift(halves, 33 - high.bit_length(), dtype=np.int64)
+    else:
+        values = np.multiply(halves, high, dtype=np.uint64)
+        values >>= 32
+        values = values.view(np.int64)
+    if high & (high - 1) == 0:
+        return values, None
     # the low word of draw * high, in wrapping uint32 arithmetic
-    rejected = np.count_nonzero(halves * high < threshold) > 0
-    values = np.multiply(halves, high, dtype=np.uint64)
-    values >>= 32
-    return values.view(np.int64), rejected
+    return values, halves * np.uint32(high) < (1 << 32) % high
 
 
 def raw_integers(words: np.ndarray, high: int, size: int) -> np.ndarray:
@@ -220,32 +248,50 @@ def raw_integers(words: np.ndarray, high: int, size: int) -> np.ndarray:
     if 2 * words.shape[1] < size:
         raise ValueError(f"{size} draws need {(size + 1) // 2} raw outputs per row")
     values, rejected = _lemire(_halves(words).reshape(len(words), -1)[:, :size], high)
-    if rejected:
+    if rejected is not None and rejected.any():
         raise ValueError(f"a draw from range {high} would be rejected and redrawn")
-    return values
+    return values.astype(np.int64, copy=False)
 
 
-def _bounded(high: int, n: int, held: list[int], words: np.ndarray):
-    """`integers(0, high, size=n)` from the half held over from an earlier
-    bounded draw, if any, then the halves of `words` (exactly the words
-    the draws take, `_bounded_words`); returns the draws, whether numpy
-    would reject any, and the half then held.  A range of 1 draws nothing."""
-    if high == 1:
-        return np.zeros(n, dtype=np.int64), False, held
-    halves = _halves(words)
-    if held:
-        halves = np.concatenate([np.array(held, dtype=halves.dtype), halves])
-    values, rejected = _lemire(halves[:n], high)
-    return values, rejected, halves[n:].tolist()
+@lru_cache(maxsize=64)
+def _plan(T: int, k: int, ranges: tuple[int, int] | None, used: int = 0) -> tuple[tuple, int | None, int]:
+    """Where each draw of T tasks of k points sits in a row of words that
+    opens with `used` halves of earlier bounded draws.  The draws, in
+    stream order: the parity family's `integers(0, C(m, d))`, `random()`
+    coins, `integers(0, width)` and points when `ranges` is
+    (C(m, d), width), else a tabular prior's concept words and the
+    points.  A bounded draw takes the half held over first, then the
+    halves of fresh words, low half first, and holds a half it leaves
+    over; a range of 1 takes nothing.  Returns each draw's slices (of the
+    row's halves for a bounded draw, else of its words), the half then
+    held (None if none) and the row's words."""
+    if ranges is None:
+        draws = (None, T), (None, T * k)
+    else:
+        draws = (ranges[0], T), (None, T), (ranges[1], T), (None, T * k)
+    word, held = (used + 1) // 2, used if used % 2 else None
+    plan = []
+    for high, n in draws:
+        if high is None:
+            plan.append((slice(word, word + n),))
+            word += n
+            continue
+        pieces = []
+        if high > 1 and held is not None:
+            pieces.append(slice(held, held + 1))
+            n, held = n - 1, None
+        if high > 1 and n:
+            pieces.append(slice(2 * word, 2 * word + n))
+            held = 2 * word + n if n % 2 else None
+            word += (n + 1) // 2
+        plan.append(tuple(pieces))
+    return tuple(plan), held, word
 
 
-def _bounded_words(high: int, n: int, held: int) -> tuple[int, int]:
-    """The words `_bounded` takes for n draws with `held` (0 or 1) halves
-    held over, and the halves held after them."""
-    if high == 1:
-        return 0, held
-    words = max(n - held, 0) + 1 >> 1
-    return words, held + 2 * words - n
+def task_words(T: int, k: int, ranges: tuple[int, int] | None, used: int = 0) -> int:
+    """The words one row of T tasks of k points takes (`_plan`), with
+    `used` halves of bounded draws before them."""
+    return _plan(T, k, ranges, used)[2]
 
 
 def _cut(t: float) -> int:
@@ -281,10 +327,11 @@ def _count_cuts(cuts: np.ndarray, words: np.ndarray) -> np.ndarray:
     cut, summed in uint8 below 256 cuts."""
     if not len(cuts):
         return np.zeros(words.shape, dtype=np.uint8)
-    count = words >= cuts[0]
-    count = count.view(np.uint8) if len(cuts) < 256 else count.astype(np.int64)
+    count = (words >= cuts[0]).view(np.uint8)
+    if len(cuts) >= 256:
+        count = count.astype(np.int64)
     for cut in cuts[1:]:
-        count += words >= cut
+        count += (words >= cut).view(np.uint8)
     return count
 
 
@@ -327,139 +374,288 @@ def outcome_codes(xs: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
     return codes
 
 
+def _index_dtype(n: int) -> type:
+    """The narrowest unsigned type that holds 0..n (int64 past uint32)."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if n <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+@dataclass(frozen=True, eq=False)
+class TaskLayout:
+    """How tasks of k points from one source are drawn and indexed.
+
+    A task draws a branch and then k point digits.  A branch indexes
+    `branches`, the concept position it draws: the parity family's
+    branch is (2 i* + c) * width + choice, with `ranges` = (C(m, d),
+    width) its two bounded draws; a tabular prior's branch counts the
+    cut-offs `concept_cuts` at or below its word, and `ranges` is None.
+    A point digit indexes `points`, the P points (as 0..m-1) that can be
+    drawn, by the cut-offs `point_cuts`.  The task's joint index is
+    branch * P^k plus its point digits in base P, first point first:
+    `size` cells in all.  `cells` decodes every cell, so a table over the
+    cells (outcome code, concept, event) is read off its fields.
+    """
+
+    m: int
+    k: int
+    masks: np.ndarray
+    points: np.ndarray
+    point_cuts: np.ndarray
+    branches: np.ndarray
+    concept_cuts: np.ndarray | None
+    ranges: tuple[int, int] | None
+
+    @property
+    def width(self) -> int | None:
+        return None if self.ranges is None else self.ranges[1]
+
+    @property
+    def per_branch(self) -> int:
+        return len(self.points) ** self.k
+
+    @property
+    def size(self) -> int:
+        return len(self.branches) * self.per_branch
+
+    @cached_property
+    def cells(self) -> Tasks:
+        return Tasks(np.arange(self.size), self)
+
+    def fold(self, joint: np.ndarray, point_words: np.ndarray) -> np.ndarray:
+        """The joint indices of rows of branches, `joint` (rows, T) in an
+        integer type that holds them, updated in place, and their
+        (rows, T k) point words, first task first."""
+        digits = _count_cuts(self.point_cuts, point_words).reshape(*joint.shape, self.k)
+        # one contiguous column per point: strided adds are slower than the copy
+        for column in np.ascontiguousarray(digits.transpose(2, 0, 1)):
+            joint *= len(self.points)
+            np.add(joint, column, out=joint, casting="unsafe")
+        return joint
+
+
 @lru_cache(maxsize=64)
-def _digit_table(m: int, space_masks: bytes) -> np.ndarray:
-    """The `outcome_codes` digits 2(x - 1) + [x in h] of every concept h
-    of a space whose int64 masks, in enumeration order, are `space_masks`,
-    at every point x in 1..m: entry h * m + x - 1, flattened.  Read-only."""
+def _layout(space_masks: bytes, m: int, k: int, point_weights: tuple, d: int | None,
+            concept_weights: tuple | None) -> TaskLayout:
+    """The layout of a parity family (`d` given) or a tabular prior
+    (`concept_weights` given) on a concept space whose int64 masks, in
+    enumeration order, are `space_masks`.  Built once per source kind."""
+    point_cuts, points = _categorical(point_weights)
+    if d is not None:
+        table = _parity_index_table(m, d, space_masks)
+        branches, concept_cuts, ranges = table.reshape(-1), None, (table.shape[0], table.shape[2])
+    else:
+        concept_cuts, branches = _categorical(concept_weights)
+        ranges = None
     masks = np.frombuffer(space_masks, dtype=np.int64)
-    points = np.arange(m, dtype=np.int64)
-    table = (2 * points + ((masks[:, None] >> points) & 1)).ravel()
-    table.flags.writeable = False
-    return table
+    layout = TaskLayout(m, k, masks, points, point_cuts, branches, concept_cuts, ranges)
+    if layout.size > np.iinfo(np.int64).max:
+        raise ValueError(f"{layout.size} joint cells of {k} points over {m} exceed int64")
+    return layout
+
+
+def task_layout(
+    source: TabularPrior | SmoothPriorParams, space: ConceptSpace, dist: DataDistribution, k: int
+) -> TaskLayout:
+    """The layout of tasks of k points from `source` on `space` under
+    `dist`, after checking that they fit together."""
+    if k < 1:
+        raise ValueError("need k >= 1")
+    m = space.m
+    if dist.m != m:
+        raise ValueError(f"distribution over {dist.m} points, concept space over {m}")
+    if (2 * m) ** k > np.iinfo(np.int64).max:
+        raise ValueError(f"outcome codes of {k} points over {m} exceed int64")
+    if isinstance(source, SmoothPriorParams):
+        if (m, space.d) != (source.m, source.d):
+            raise ValueError("params built for a different concept space")
+        return _layout(space.masks.tobytes(), m, k, dist.weights, source.d, None)
+    if source.space is not space and not np.array_equal(source.space.masks, space.masks):
+        raise ValueError("prior built for a different concept space")
+    return _layout(space.masks.tobytes(), m, k, dist.weights, None, tuple(source.mass.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
 class Tasks:
-    """T sampled tasks of k points each, from one concept space over m
-    points, as each task's branch and point digits.
+    """T sampled tasks, as each task's joint index in a `TaskLayout`.
 
-    A point digit indexes `points`, the points that can be drawn, as
-    0..m-1; `point_digits` holds k of them per task, first point first.  A
-    branch indexes `branches`, the concept position it draws.
-    Parity-family tasks have `width` choices per (i*, c) and the branch
-    (2 i* + c) * width + choice; a tabular prior's tasks have width None.
-    `digits` is the space's `_digit_table`.
-
-    `xs` (T, k) holds the points, `concepts` (T,) the concept positions,
-    `trace` the (i_star, c) arrays of the parity family (else None) and
-    `codes` (T,) each task's outcome code; each is decoded on first use,
-    and `ys` from the codes.  Not iterable: read the fields by name.
+    `branch` (T,) and `point_digits` (T, k) split the joint index; `xs`
+    (T, k) holds the points, `ys` the labels in {-1, +1} the concepts
+    give them, `concepts` (T,) the concept positions, `trace` the
+    (i_star, c) arrays of the parity family (else None) and `codes` (T,)
+    each task's outcome code.  Each is decoded on first use, as int64.
+    Not iterable: read the fields by name.
     """
 
-    branch: np.ndarray
-    point_digits: np.ndarray
-    m: int
-    points: np.ndarray
-    branches: np.ndarray
-    width: int | None
-    digits: np.ndarray
+    joint: np.ndarray
+    layout: TaskLayout
+
+    @property
+    def m(self) -> int:
+        return self.layout.m
 
     @property
     def k(self) -> int:
-        return self.point_digits.shape[1]
+        return self.layout.k
+
+    @cached_property
+    def branch(self) -> np.ndarray:
+        return self.joint.astype(np.int64) // self.layout.per_branch
+
+    @cached_property
+    def point_digits(self) -> np.ndarray:
+        n_points = len(self.layout.points)
+        rest = self.joint.astype(np.int64) % self.layout.per_branch
+        digits = np.empty((len(rest), self.k), dtype=np.int64)
+        for j in reversed(range(self.k)):
+            rest, digits[:, j] = np.divmod(rest, n_points)
+        return digits
 
     @cached_property
     def xs(self) -> np.ndarray:
-        xs = self.points.take(self.point_digits)
-        xs += 1
-        return xs
+        return self.layout.points.take(self.point_digits) + 1
 
     @cached_property
     def concepts(self) -> np.ndarray:
-        return self.branches.take(self.branch)
+        return self.layout.branches.take(self.branch)
 
     @cached_property
     def trace(self) -> tuple[np.ndarray, np.ndarray] | None:
-        if self.width is None:
+        if self.layout.width is None:
             return None
-        pair = self.branch // self.width
+        pair = self.branch // self.layout.width
         return pair >> 1, pair & 1
 
     @cached_property
-    def codes(self) -> np.ndarray:
-        # the code digit of every (branch, point digit), gathered per point
-        table = self.digits.reshape(-1, self.m)[self.branches][:, self.points].ravel()
-        rows = self.branch * len(self.points)
-        codes = table.take(rows + self.point_digits[:, 0])
-        for j in range(1, self.k):
-            codes *= 2 * self.m
-            codes += table.take(rows + self.point_digits[:, j])
-        return codes
-
-    @property
     def ys(self) -> np.ndarray:
-        """The (T, k) labels in {-1, +1}, decoded from the codes."""
-        ys = np.empty_like(self.xs)
-        rest = self.codes
-        for j in reversed(range(self.k)):
-            rest, digit = np.divmod(rest, 2 * self.m)
-            ys[:, j] = 2 * (digit & 1) - 1
-        return ys
+        masks = self.layout.masks.take(self.concepts)
+        return 2 * ((masks[:, None] >> (self.xs - 1)) & 1) - 1
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        return outcome_codes(self.xs, self.ys, self.layout.m)
 
 
 @lru_cache(maxsize=64)
-def _coin(params: SmoothPriorParams) -> tuple[np.ndarray, np.ndarray]:
+def _coin(gamma_m: float, b: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The parity coin's P(c = 1) per subset, (1 + gamma_m b_i) / 2, and
     the cut-offs (`_cut`) below which a word draws c = 1.  gamma_m < 1/2
     keeps every probability inside (1/4, 3/4), so each cut-off is a
     uint64.  Both arrays are read-only."""
-    p1 = (1.0 + params.gamma_m * np.asarray(params.b)) / 2.0
+    p1 = (1.0 + gamma_m * np.asarray(b)) / 2.0
     cuts = np.array([_cut(p) for p in p1.tolist()], dtype=np.uint64)
     p1.flags.writeable = cuts.flags.writeable = False
     return p1, cuts
 
 
-def _parity_draws(params, n_sub: int, width: int, T: int, n_points: int, rng):
-    """The branches (2 i* + c) * width + choice of T parity-family tasks,
-    and the `n_points` words after them, as `integers(0, n_sub, size=T)`,
-    `random(T) < p1[i*]`, `integers(0, width, size=T)` and
-    `random_raw(n_points)` would draw them: one read of the words, or the
-    calls themselves when numpy would reject a bounded draw.  The
-    generator is left as those calls leave it for every later draw."""
-    bit_gen = rng.bit_generator
-    start = bit_gen.state
-    held = [start["uinteger"]] if start["has_uint32"] else []
-    n_sub_words, held_after = _bounded_words(n_sub, T, len(held))
-    n_choice_words, _ = _bounded_words(width, T, held_after)
-    words = bit_gen.random_raw(n_sub_words + T + n_choice_words + n_points)
-    choice_at = n_sub_words + T
-    p1, coin_cuts = _coin(params)
-    i_star, rejected_sub, end_held = _bounded(n_sub, T, held, words[:n_sub_words])
-    choice, rejected_choice, end_held = _bounded(
-        width, T, end_held, words[choice_at:choice_at + n_choice_words]
-    )
-    if rejected_sub or rejected_choice:
-        bit_gen.state = start
-        i_star = rng.integers(0, n_sub, size=T)
-        coin = rng.random(T) < p1[i_star]
-        choice = rng.integers(0, width, size=T)
-        point_words = bit_gen.random_raw(n_points)
+def _decode(layout: TaskLayout, words: np.ndarray, T: int, coin_cuts, used: int = 0):
+    """The cells of T tasks drawn from each row of `words` (`task_words`
+    of them, opening with `used` halves of earlier bounded draws), as the
+    `Generator` calls would draw them: row r's tasks fall in cells
+    r J .. r J + J - 1, J = `layout.size`, by their joint indices, held
+    in the narrowest type that holds them all.  Also returns the rows in
+    which numpy would reject a bounded draw, and the half then held
+    (`_plan`).  `coin_cuts` (1 or rows, C(m, d)) are each row's parity
+    coin cut-offs (`_coin`)."""
+    plan, held, _ = _plan(T, layout.k, layout.ranges, used)
+    dtype = _index_dtype(len(words) * layout.size)
+    halves = _halves(words).reshape(len(words), -1)
+    rejected = np.zeros(len(words), dtype=bool)
+
+    def bounded(high, pieces):
+        if not pieces:  # a range of 1
+            return np.zeros((len(words), T), dtype=dtype)
+        draws = np.concatenate([halves[:, piece] for piece in pieces], axis=1) if len(pieces) > 1 \
+            else halves[:, pieces[0]]
+        values, rejects = _lemire(draws, high)
+        if rejects is not None:
+            np.logical_or(rejected, rejects.any(axis=1), out=rejected)
+        return values.astype(dtype, copy=False)
+
+    if layout.ranges is None:
+        (concept,), (point,) = plan
+        joint = _count_cuts(layout.concept_cuts, words[:, concept]).astype(dtype)
     else:
-        coin = words[n_sub_words:choice_at] < coin_cuts.take(i_star)
-        point_words = words[choice_at + n_choice_words:]
-        if end_held != held:
-            # random_raw leaves the held half alone; set it as the draws would
-            state = bit_gen.state
-            state["has_uint32"] = len(end_held)
-            if end_held:
-                state["uinteger"] = end_held[0]
-            bit_gen.state = state
-    branch = 2 * i_star
-    branch += coin
-    branch *= width
-    branch += choice
-    return branch, point_words
+        sub, (coin,), choice, (point,) = plan
+        n_sub, width = layout.ranges
+        joint = bounded(n_sub, sub)  # i*
+        if len(coin_cuts) > 1:  # each row's own cut-offs
+            cuts = coin_cuts.ravel().take(joint + np.arange(0, coin_cuts.size, n_sub)[:, None])
+        else:
+            cuts = coin_cuts[0].take(joint)
+        joint *= 2
+        joint += words[:, coin] < cuts
+        joint *= width
+        joint += bounded(width, choice)
+    joint = layout.fold(joint, words[:, point])
+    if len(words) > 1:  # row r's cells are r J .. r J + J - 1
+        joint += np.arange(0, len(words) * layout.size, layout.size, dtype=dtype)[:, None]
+    return joint, rejected, held
+
+
+def _call_draws(layout: TaskLayout, T: int, p1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The joint indices of T parity-family tasks drawn by the
+    `Generator` calls themselves, for draws numpy would reject."""
+    n_sub, width = layout.ranges
+    i_star = rng.integers(0, n_sub, size=T)
+    coin = rng.random(T) < p1[i_star]
+    choice = rng.integers(0, width, size=T)
+    joint = ((2 * i_star + coin) * width + choice).astype(_index_dtype(layout.size))
+    return layout.fold(joint[None], rng.bit_generator.random_raw(T * layout.k)[None])[0]
+
+
+_BLOCK = 1 << 15  # words a decoded run of replicates holds, and joint counts a block
+
+
+def joint_blocks(rngs, redo, source, layout: TaskLayout, T: int, signs: int = 0):
+    """Joint counts of T tasks per replicate, a block of replicates at a
+    time.
+
+    `rngs` gives each replicate's fresh stream in turn (no half held, as
+    `keyed_streams` gives them), whose words are read with one
+    `random_raw` call each; `redo(rep)` gives replicate rep's stream
+    afresh, for the rare replicate in which numpy would reject a bounded
+    draw.  With `signs`, each replicate first draws `integers(0, 2,
+    size=signs)`, the sign vector b of its parity member (bit 1 for
+    b_i = +1), and `source` gives only gamma_m.
+
+    Replicates are decoded (`_decode`) and counted (one `bincount`) in
+    runs of about _BLOCK words, and yielded in blocks of about _BLOCK
+    joint counts, as (first replicate of the block, its (rows,
+    layout.size) joint counts, its (rows, signs) sign bits).
+    """
+    n_words = task_words(T, layout.k, layout.ranges, signs)
+    per_block = max(1, _BLOCK // layout.size)
+    per_run = max(1, min(_BLOCK // n_words, per_block))
+    rngs = iter(rngs)
+
+    def runs():
+        first = 0
+        while run := [rng.bit_generator.random_raw(n_words) for rng in itertools.islice(rngs, per_run)]:
+            words = np.stack(run) if len(run) > 1 else run[0][None]
+            bits = _halves(words).reshape(len(words), -1)[:, :signs] >> 31
+            if layout.ranges is None:
+                coin_cuts = None
+            elif signs:  # each row's cut-offs, by its signs
+                coin_cuts = _coin(source.gamma_m, (-1, 1))[1][bits]
+            else:
+                coin_cuts = _coin(source.gamma_m, source.b)[1][None]
+            cells, rejected, _ = _decode(layout, words, T, coin_cuts, signs)
+            for row in np.flatnonzero(rejected).tolist():
+                rng = redo(first + row)
+                b = tuple(1 if v else -1 for v in rng.integers(0, 2, size=signs)) if signs else source.b
+                cells[row] = _call_draws(layout, T, _coin(source.gamma_m, b)[0], rng)
+                cells[row] += row * layout.size  # in the cells' type, which holds the offset
+            counts = np.bincount(cells.ravel(), minlength=len(words) * layout.size)
+            yield counts.reshape(len(words), layout.size), bits
+            first += len(words)
+
+    first, decoded = 0, runs()
+    while block := list(itertools.islice(decoded, max(1, per_block // per_run))):
+        counts, bits = (np.concatenate(parts) for parts in zip(*block))
+        yield first, counts, bits
+        first += len(counts)
 
 
 def sample_arrays(
@@ -477,36 +673,35 @@ def sample_arrays(
     parity family's `integers(0, C(m, d))`, `random() < p` and
     `integers(0, width)` per task or a tabular prior's categorical draw
     of `random()`, then the (T, k) points as a categorical draw of D.
-    They are decoded from one read of the stream's words and leave the
-    generator as the calls would, bit for bit; only when numpy would
-    reject a bounded draw (under 2**-31 per draw) does a replicate make
-    the calls themselves.
+    They are decoded from one read of the stream's words, a block of one
+    row (`_decode`), and leave the generator as the calls would, bit for
+    bit; only when numpy would reject a bounded draw (under 2**-31 per
+    draw) does a replicate make the calls themselves.
     """
     if T < 1 or k < 1:
         raise ValueError("need T >= 1 and k >= 1")
-    m = space.m
-    if dist.m != m:
-        raise ValueError(f"distribution over {dist.m} points, concept space over {m}")
-    if (2 * m) ** k > np.iinfo(np.int64).max:
-        raise ValueError(f"outcome codes of {k} points over {m} exceed int64")
+    layout = task_layout(source, space, dist, k)
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise ValueError(f"tasks are decoded from PCG64 words, not {type(rng.bit_generator).__name__}")
-    space_masks = space.masks.tobytes()
-    point_cuts, points = _categorical(dist.weights)
-    if isinstance(source, SmoothPriorParams):
-        if (m, space.d) != (source.m, source.d):
-            raise ValueError("params built for a different concept space")
-        index_table = _parity_index_table(m, source.d, space_masks)
-        branches, width = index_table.reshape(-1), index_table.shape[2]
-    else:
-        if source.space is not space and not np.array_equal(source.space.masks, space.masks):
-            raise ValueError("prior built for a different concept space")
-        concept_cuts, branches = _categorical(tuple(source.mass.tolist()))
-        width = None
-    if width is None:
-        words = rng.bit_generator.random_raw(T + T * k)
-        branch, point_words = _count_cuts(concept_cuts, words[:T]).astype(np.int64), words[T:]
-    else:
-        branch, point_words = _parity_draws(source, len(index_table), width, T, T * k, rng)
-    point_digits = _count_cuts(point_cuts, point_words).reshape(T, k)
-    return Tasks(branch, point_digits, m, points, branches, width, _digit_table(m, space_masks))
+    bit_gen = rng.bit_generator
+    start = bit_gen.state
+    used = start["has_uint32"]  # a held half: the high half of a word already read
+    words = bit_gen.random_raw(task_words(T, k, layout.ranges, used) - used)
+    if used:
+        words = np.concatenate([np.array([start["uinteger"] << 32], dtype=np.uint64), words])
+    p1 = coin_cuts = None
+    if layout.ranges is not None:
+        p1, coin_cuts = _coin(source.gamma_m, source.b)
+        coin_cuts = coin_cuts[None]
+    joint, rejected, held = _decode(layout, words[None], T, coin_cuts, used)
+    if rejected[0]:
+        bit_gen.state = start
+        return Tasks(_call_draws(layout, T, p1, rng), layout)
+    if held != (1 if used else None):
+        # random_raw leaves the held half alone; set it as the draws would
+        state = bit_gen.state
+        state["has_uint32"] = int(held is not None)
+        if held is not None:
+            state["uinteger"] = int(_halves(words)[held])
+        bit_gen.state = state
+    return Tasks(joint[0], layout)

@@ -6,7 +6,8 @@ from math import factorial, prod
 import numpy as np
 import pytest
 
-from priorlab import ratelab
+from priorlab import ratelab, sampling
+from priorlab.cli import dispatch
 from priorlab.concepts import d_subsets, enumerate_concepts, uniform_distribution
 from priorlab.errors import BudgetError
 from priorlab.estimators import SkeletonEstimator
@@ -33,6 +34,7 @@ from priorlab.ratelab import (
 from priorlab.sampling import sample_arrays, stream
 
 from min_distance_reference import AllPairsMinDistance
+from sampling_reference import labels_oracle
 
 
 def test_config_validation():
@@ -317,9 +319,9 @@ def test_twopoint_rates_match_the_exact_risk():
 
 def per_replicate_cells(config, T, T_idx, truth_id):
     """Oracle: the upper, baseline and lower cells as they ran one
-    replicate at a time, each on its own `stream`, counted through the
-    labels and selected one count vector at a time by the all-pairs
-    oracle."""
+    replicate at a time, each on its own `stream`, drawn by the
+    Generator-call oracle, counted through the labels and selected one
+    count vector at a time by the all-pairs oracle."""
     setup = build_setup(config)
     est, space, dist = setup.estimator, setup.space, setup.dist
     skeleton = AllPairsMinDistance(est._md.M)
@@ -329,13 +331,13 @@ def per_replicate_cells(config, T, T_idx, truth_id):
     upper, baseline, lower = [], [], []
     for rep in range(config.replicates):
         rng = stream(config.seed, ratelab._UPPER, T_idx, truth_id, rep)
-        tasks = sample_arrays(source, space, dist, T, config.samples_per_task, rng)
+        tasks = labels_oracle(source, space, dist, T, config.samples_per_task, rng)
         counts, _ = counts_from_tuples(est, tasks.xs, tasks.ys)
         selected, _ = skeleton.select(counts, T)
         dev = skeleton.deviation(counts, T, q)
         upper.append((rep, selected, float(setup.tv_matrix[truth_id, selected]), dev))
         rng = stream(config.seed, ratelab._BASELINE, T_idx, truth_id, rep)
-        tasks = sample_arrays(source, space, dist, T, config.samples_per_task, rng)
+        tasks = labels_oracle(source, space, dist, T, config.samples_per_task, rng)
         sk, _ = skeleton.select(counts_from_tuples(est, tasks.xs, tasks.ys)[0], T)
         di, _ = direct.select(np.bincount(tasks.concepts, minlength=len(space)), T)
         baseline.append((rep, sk, di))
@@ -344,7 +346,7 @@ def per_replicate_cells(config, T, T_idx, truth_id):
         rng = stream(config.seed, ratelab._LOWER, T_idx, rep)
         b = tuple(1 if v else -1 for v in rng.integers(0, 2, size=len(setup.params_list[0].b)))
         params = SmoothPriorParams(b, config.L, config.alpha, config.m, config.d)
-        tasks = sample_arrays(params, space, dist, T, config.d, rng)
+        tasks = labels_oracle(params, space, dist, T, config.d, rng)
         selected, _ = skeleton.select(counts_from_tuples(est, tasks.xs, tasks.ys)[0], T)
         x_masks = np.bitwise_or.reduce(1 << (tasks.xs - 1), axis=1)
         subs = np.asarray(d_subsets(config.m, config.d))
@@ -353,22 +355,27 @@ def per_replicate_cells(config, T, T_idx, truth_id):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, block",
     [
-        # 64 members: scored a row at a time
-        ExperimentConfig(m=4, d=2, T_grid=(7,), replicates=100, truth_count=1, seed=2),
-        ExperimentConfig(m=3, d=2, T_grid=(5,), replicates=160, truth_count=1, seed=3),
-        ExperimentConfig(m=3, d=2, family="twopoint", T_grid=(9,), replicates=50, seed=4),
-        # k > d: 4,530 support points, one replicate per block
-        ExperimentConfig(m=3, d=2, k=6, T_grid=(40,), replicates=12, truth_count=1, seed=5),
+        # 64 members, scored a row at a time; one or two replicates a block
+        (ExperimentConfig(m=4, d=2, T_grid=(7,), replicates=100, truth_count=1, seed=2), 224),
+        (ExperimentConfig(m=3, d=2, T_grid=(5,), replicates=160, truth_count=1, seed=3), 224),
+        # runs of one replicate (160 words), blocks of two runs
+        (ExperimentConfig(m=3, d=2, T_grid=(40,), replicates=9, truth_count=1, seed=7), 224),
+        (ExperimentConfig(m=3, d=2, family="twopoint", T_grid=(9,), replicates=50, seed=4), 224),
+        # an odd T past one run of the default block: the held half, and
+        # a run of one replicate
+        (ExperimentConfig(m=3, d=2, T_grid=(10_001,), replicates=3, truth_count=1, seed=8), None),
+        # k > d: 8,748 joint cells and 4,530 support points, one replicate a block
+        (ExperimentConfig(m=3, d=2, k=6, T_grid=(40,), replicates=12, truth_count=1, seed=5), None),
     ],
-    ids=["parity-m4", "parity-m3", "twopoint", "parity-k6"],
+    ids=["parity-m4", "parity-m3", "parity-m3-runs", "twopoint", "parity-T10001", "parity-k6"],
 )
-def test_lock_step_cells_match_one_replicate_at_a_time(config, monkeypatch):
+def test_lock_step_cells_match_one_replicate_at_a_time(config, block, monkeypatch):
     setup = build_setup(config)
     T = config.T_grid[0]
-    # blocks of 224 count values: 3 or 4 replicates of the m=4 family
-    monkeypatch.setattr(ratelab, "_BLOCK_VALUES", 224)
+    if block is not None:
+        monkeypatch.setattr(sampling, "_BLOCK", block)
     for truth_id in setup.truth_ids[:2]:
         upper, baseline, lower = per_replicate_cells(config, T, 0, truth_id)
         payload = (config.__dict__, T, 0, truth_id)
@@ -383,9 +390,9 @@ def test_lock_step_cells_match_one_replicate_at_a_time(config, monkeypatch):
 
 
 def test_cells_with_k_above_d_allocate_little():
-    # k = 6 on the m=3, d=2 family: 8,748 (concept draw, points) patterns
-    # and 4,530 support points, so a table over both would take 317 MB;
-    # counting outcome codes needs one 46,656-entry bincount per replicate
+    # k = 6 on the m=3, d=2 family: 8,748 joint cells and 4,530 support
+    # points, so a table over both would take 317 MB; the cells map joint
+    # counts through one index vector per table instead
     config = ExperimentConfig(m=3, d=2, k=6, T_grid=(50,), replicates=5, truth_count=0, seed=6)
     build_setup(config)
     tracemalloc.start()
@@ -396,3 +403,46 @@ def test_cells_with_k_above_d_allocate_little():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_upper_cell_at_ten_thousand_tasks_allocates_little():
+    # a replicate of T = 10,000 reads 40,001 words (320 kB); a run of
+    # replicates holds about 2^15 words, so the cell never holds more than
+    # one replicate's words and its decode
+    config = ExperimentConfig(m=3, d=2, T_grid=(10_000,), replicates=20, truth_count=0, seed=6)
+    build_setup(config)
+    ratelab._upper_cell((config.__dict__, 10_000, 0, 0))  # layout tables built
+    tracemalloc.start()
+    try:
+        ratelab._upper_cell((config.__dict__, 10_000, 0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "keys, words",
+    [
+        ("T_grid = 100,2500000\n", 10_000_002),
+        ("T_grid = 100\nbaseline_T = 3000000\n", 12_000_002),
+    ],
+    ids=["T_grid", "baseline_T"],
+)
+def test_task_words_checked_before_output(tmp_path, monkeypatch, capsys, keys, words):
+    # a replicate of T tasks reads (2 + k) T words at once; past the
+    # budget that allocation would be gigabytes, so it must never be reached
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew tasks")
+
+    monkeypatch.setattr(ratelab, "joint_blocks", no_draws)
+    monkeypatch.setattr(ratelab, "keyed_streams", no_draws)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nreplicates = 2\n" + keys)
+    assert dispatch("rates", cfg, 0, tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+    assert f"draws {words} words, over the budget of {DEFAULT_BUDGET}" in capsys.readouterr().err
+    # the largest T within the budget passes the check
+    config = ExperimentConfig(m=3, d=2, T_grid=(2_499_999,))
+    assert config.replicate_words(2_499_999) <= DEFAULT_BUDGET
+    config.check_budget(baseline_T=2_499_999)

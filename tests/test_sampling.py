@@ -1,5 +1,4 @@
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,20 +23,22 @@ from priorlab.priors import (
     uniform_prior,
 )
 from priorlab.sampling import (
-    Tasks,
     _categorical,
     _count_cuts,
-    _digit_table,
+    _layout,
     _lemire,
     _parity_index_table,
+    joint_blocks,
     keyed_streams,
-    outcome_codes,
     sample_arrays,
     raw_integers,
     raw_random,
     stream,
     stream_raw,
+    task_layout,
 )
+
+from sampling_reference import MASK64, labels_oracle, later_draws, rigged_stream
 
 SP32 = enumerate_concepts(3, 2)
 D3 = uniform_distribution(3)
@@ -137,27 +138,6 @@ def test_sample_arrays_concept_indices():
     assert trace is None and (idx == SP32.index_of(0b101)).all()
 
 
-PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341  # PCG64's multiplier
-MASK64 = (1 << 64) - 1
-
-
-def rigged_stream(word: int) -> np.random.Generator:
-    """A PCG64 generator whose next raw word is `word`.  PCG64 steps its
-    state (hi, lo) to state * mult + inc mod 2**128, then outputs hi ^ lo
-    rotated right by hi >> 58; so fix hi, solve lo, and undo the step."""
-    inc = 0xDA3E39CB94B95BDB853C49E6748FEA9B
-    hi = 0x9E3779B97F4A7C15
-    rot = hi >> 58
-    lo = hi ^ ((word << rot | word >> (64 - rot)) & MASK64)
-    state = ((hi << 64 | lo) - inc) * pow(PCG_MULT, -1, 1 << 128) % (1 << 128)
-    bit_gen = np.random.PCG64(0)
-    bit_gen.state = {
-        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-        "has_uint32": 0, "uinteger": 0,
-    }
-    return np.random.Generator(bit_gen)
-
-
 def test_rigged_stream_gives_the_chosen_word():
     for word in (0, 1, 2**32, MASK64, 0xABCDEF1200000000):
         assert rigged_stream(word).bit_generator.random_raw(1)[0] == word
@@ -240,6 +220,7 @@ def test_tabular_draw_clips_a_cumsum_below_one():
 
 
 def test_parity_tables_built_once_per_space():
+    _layout.cache_clear()
     _parity_index_table.cache_clear()
     flipped = SmoothPriorParams((1, -1, 1), 1.0, 1.0, 3, 2)
     reordered = ConceptSpace(3, 2, SP32.concepts[::-1])
@@ -384,47 +365,10 @@ def test_tasks_are_not_iterable():
     tasks = sample_arrays(PARAMS, SP32, D3, 5, 2, stream(4))
     with pytest.raises(TypeError):
         xs, ys, idx, trace = tasks
-    assert not _digit_table(3, SP32.masks.tobytes()).flags.writeable
-
-
-def labels_oracle(source, space, dist, T, k, rng):
-    """Oracle: the sampler as it drew through Generator calls, with a
-    three-index concept gather, a binary search per point and labels read
-    off the concept masks, then coded by `outcome_codes`.  `tasks` holds
-    the same draws as a `Tasks` over every point and, for the parity
-    family, every branch."""
-    trace = None
-    if isinstance(source, SmoothPriorParams):
-        table = _parity_index_table(source.m, source.d, space.masks.tobytes())
-        i_star = rng.integers(0, len(table), size=T)
-        p1 = ((1.0 + source.gamma_m * np.asarray(source.b)) / 2.0)[i_star]
-        c = (rng.random(T) < p1).astype(np.int64)
-        choice = rng.integers(0, table.shape[2], size=T)
-        idx = table[i_star, c, choice]
-        trace = (i_star, c)
-        branch, branches, width = (2 * i_star + c) * table.shape[2] + choice, table.reshape(-1), table.shape[2]
-    else:
-        cum = np.cumsum(source.mass)
-        idx = np.minimum(np.searchsorted(cum, rng.random(T), side="right"), len(space) - 1)
-        branch, branches, width = idx, np.arange(len(space)), None
-    cum = np.cumsum(dist.weights)
-    xs = np.minimum(np.searchsorted(cum, rng.random((T, k)), side="right") + 1, dist.m)
-    ys = 2 * ((space.masks[idx][:, None] >> (xs - 1)) & 1) - 1
-    codes = outcome_codes(xs, ys, space.m)
-    tasks = Tasks(
-        branch, xs - 1, space.m, np.arange(space.m), branches, width,
-        _digit_table(space.m, space.masks.tobytes()),
-    )
-    return SimpleNamespace(xs=xs, ys=ys, concepts=idx, trace=trace, codes=codes, tasks=tasks)
-
-
-def later_draws(rng) -> tuple:
-    """What a generator's state decides: its PCG64 state, the held 32-bit
-    half if any (numpy keeps the last one in `uinteger` after using it,
-    but never reads it again), and the next draws."""
-    state = rng.bit_generator.state
-    held = state["has_uint32"] and state["uinteger"]
-    return state["state"], held, rng.integers(0, 7, size=3).tolist(), rng.random(2).tolist()
+    layout = tasks.layout
+    assert layout is task_layout(PARAMS, SP32, D3, 2)  # built once per source kind
+    for table in (layout.masks, layout.points, layout.point_cuts, layout.branches):
+        assert not table.flags.writeable
 
 
 def assert_tasks_match(got, want):
@@ -482,6 +426,27 @@ def test_rejected_draw_falls_back_to_generator_calls(m, d):
     assert later_draws(rngs[0]) == later_draws(rngs[1])
 
 
+@pytest.mark.parametrize("m, d", [(3, 2), (4, 2)], ids=["range-3", "range-6"])
+def test_rejected_replicate_inside_a_block_is_redrawn(m, d):
+    # the middle one of five replicates decoded in one run opens with a
+    # half numpy rejects: it is redrawn from its stream afresh, and its
+    # neighbours' counts are the words' own
+    word = 0xABCDEF1200000000
+    n_sub = len(d_subsets(m, d))
+    space, dist = enumerate_concepts(m, d), uniform_distribution(m)
+    params = SmoothPriorParams(tuple((-1) ** i for i in range(n_sub)), 1.0, 1.0, m, d)
+    layout = task_layout(params, space, dist, d)
+
+    def redo(rep):
+        return rigged_stream(word) if rep == 2 else stream(m, 50, rep)
+
+    (first, counts, bits), = joint_blocks([redo(rep) for rep in range(5)], redo, params, layout, 50)
+    assert first == 0 and counts.shape == (5, layout.size) and bits.shape == (5, 0)
+    for rep in range(5):
+        want = labels_oracle(params, space, dist, 50, d, redo(rep)).tasks.joint
+        assert np.array_equal(counts[rep], np.bincount(want, minlength=layout.size)), rep
+
+
 def test_sampler_needs_pcg64_words():
     rng = np.random.Generator(np.random.MT19937(0))
     with pytest.raises(ValueError, match="PCG64"):
@@ -498,12 +463,28 @@ def test_sampler_needs_pcg64_words():
     ids=["rates-parity", "rates-twopoint", "lowerbound"],
 )
 def test_cli_byte_identical_to_labels_oracle(tmp_path, monkeypatch, subcommand, config):
-    # the Generator-call sampler, monkeypatched in with its own branch and
-    # point layout, writes the same bytes
+    # every replicate's tasks drawn by the Generator-call oracle on the
+    # replicate's own stream, and counted by their joint cells, write the
+    # same bytes
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config + "L = 1.0\nalpha = 1.0\nT_grid = 20,200\nreplicates = 3\n")
     assert dispatch(subcommand, cfg, 5, tmp_path / "codes") == 0
-    monkeypatch.setattr(ratelab, "sample_arrays", lambda *args: labels_oracle(*args).tasks)
+    calls = []
+
+    def oracle_blocks(rngs, redo, source, layout, T, signs=0):
+        (setup,) = ratelab._SETUP_CACHE.values()
+        for rep, _ in enumerate(rngs):
+            rng = redo(rep)
+            bits = rng.integers(0, 2, size=signs)
+            params = source
+            if signs:  # the lower-bound cell's member, by its signs
+                b = tuple((2 * bits - 1).tolist())
+                params = SmoothPriorParams(b, source.L, source.alpha, source.m, source.d)
+            joint = labels_oracle(params, setup.space, setup.dist, T, layout.k, rng).tasks.joint
+            calls.append(rep)
+            yield rep, np.bincount(joint, minlength=layout.size)[None], bits[None]
+
+    monkeypatch.setattr(ratelab, "joint_blocks", oracle_blocks)
     monkeypatch.setattr(ratelab, "_SETUP_CACHE", {})
     assert dispatch(subcommand, cfg, 5, tmp_path / "labels") == 0
     names = sorted(
@@ -515,6 +496,12 @@ def test_cli_byte_identical_to_labels_oracle(tmp_path, monkeypatch, subcommand, 
         assert (tmp_path / "codes" / name).read_bytes() == (
             tmp_path / "labels" / name
         ).read_bytes(), name
+    # one oracle draw per replicate row of the rates, baseline or lowerbound CSV
+    replicate_rows = sum(
+        len((tmp_path / "labels" / name).read_text().splitlines()) - 1
+        for name in ("rates.csv", "baseline.csv", "lowerbound.csv") if name in names
+    )
+    assert len(calls) == replicate_rows > 0
 
 
 # seeds of one, two, three and five uint32 words
