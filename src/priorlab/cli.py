@@ -66,6 +66,7 @@ from .ratelab import (
     run_baseline_comparison,
     run_lower_experiment,
     run_upper_experiment,
+    transpose,
     write_csv,
 )
 from .sampling import stream
@@ -270,13 +271,16 @@ def cmd_rates(
     exp: ExperimentConfig, config: dict, seed: int, outdir: Path, workers: int, exact: bool
 ) -> int:
     res = run_upper_experiment(exp, workers=workers)
-    write_csv(outdir / "rates.csv", RATE_CSV_HEADER, res.rows)
-    write_csv(outdir / "skeleton_report.csv", ESTIMATION_CSV_HEADER, res.report_rows)
+    write_csv(outdir / "rates.csv", RATE_CSV_HEADER, transpose(res.rows, len(RATE_CSV_HEADER)))
+    write_csv(
+        outdir / "skeleton_report.csv", ESTIMATION_CSV_HEADER,
+        transpose(res.report_rows, len(ESTIMATION_CSV_HEADER)),
+    )
     baseline_T = config["baseline_T"]
     if baseline_T is None:
         baseline_T = config["T_grid"][-1]
     base = run_baseline_comparison(exp, T=baseline_T, workers=workers)
-    write_csv(outdir / "baseline.csv", BASELINE_CSV_HEADER, base.rows)
+    write_csv(outdir / "baseline.csv", BASELINE_CSV_HEADER, transpose(base.rows, len(BASELINE_CSV_HEADER)))
     c = res.curve
     lines = [
         f"theory_upper_exponent={c.theory_upper_exponent!r}",
@@ -299,7 +303,7 @@ def cmd_lowerbound(
     exp: ExperimentConfig, config: dict, seed: int, outdir: Path, workers: int, exact: bool
 ) -> int:
     res = run_lower_experiment(exp, workers=workers)
-    write_csv(outdir / "lowerbound.csv", RATE_CSV_HEADER, res.rows)
+    write_csv(outdir / "lowerbound.csv", RATE_CSV_HEADER, transpose(res.rows, len(RATE_CSV_HEADER)))
     lines = []
     for T, cell in sorted(res.per_T.items()):
         lines.append(
@@ -318,7 +322,7 @@ def cmd_lowerbound(
 def _write_check_table(outdir: Path, csv_name: str, header, rows) -> None:
     """Write a table of checks and a summary.txt counting the rows whose
     last column, "pass", is false."""
-    write_csv(outdir / csv_name, header, rows)
+    write_csv(outdir / csv_name, header, transpose(rows, len(header)))
     n_fail = sum(1 for r in rows if not r[-1])
     (outdir / "summary.txt").write_text(
         f"rows={len(rows)}\nviolations={n_fail}\nall_pass={n_fail == 0}\n"
@@ -412,9 +416,8 @@ def _elicit_stream(payload):
     """Serve one customer stream, write its ledger, return (regrets, tail avg, exceedance)."""
     path, cache, *args = payload
     res = run_algorithm1(*args, cache=cache)
-    write_csv(path, LEDGER_CSV_HEADER, res.rows)
-    # a float array, not a list of floats: every stream's regrets are kept
-    return np.array([r.regret for r in res.rows]), res.tail_query_avg, res.exceedance_rate
+    write_csv(path, LEDGER_CSV_HEADER, res.ledger)
+    return res.ledger.regret, res.tail_query_avg, res.exceedance_rate
 
 
 def _experiment_config(config: dict, seed: int) -> ExperimentConfig:
@@ -523,7 +526,7 @@ def cmd_cover_info(
     rows: list[tuple], config: dict, seed: int, outdir: Path, workers: int, exact: bool
 ) -> int:
     header = ("m", "d", "L", "alpha", "epsilon", "cover_size", "n_cells", "grid_step")
-    write_csv(outdir / "cover_info.csv", header, rows)
+    write_csv(outdir / "cover_info.csv", header, transpose(rows, len(header)))
     space = enumerate_concepts(config["m"], config["d"])
     _, members = parity_family(space, config["L"], config["alpha"])
     lines = [f"parity_family_size={len(members)}"]

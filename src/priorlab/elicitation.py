@@ -18,7 +18,7 @@ the bundles it has answered.  The prior-free branch queries every bundle
 and its ledger row is closed-form.  The prior-aware customers of a
 stream are served in lock-step: each round looks up one posterior per
 distinct (surrogate, consistent set) and takes one vector step for all
-customers still asking, and the ledger is built from the column arrays.
+customers still asking, and the ledger is kept as those column arrays.
 Customer t keeps its own streams `stream(seed, t, purpose)`; their first
 outputs are computed for all customers at once by `sampling.stream_raw`.
 """
@@ -37,7 +37,7 @@ from .concepts import categorical_draw
 from .errors import BudgetError
 from .estimators import _distinct_rows, yatracos_scores, yatracos_sets
 from .priors import tv_matrix
-from .sampling import raw_integers, raw_random, stream, stream_raw
+from .sampling import keyed_streams, raw_integers, raw_random, stream, stream_raw
 
 _CUSTOMER_STREAM = 0
 _POINTS_STREAM = 1
@@ -526,16 +526,14 @@ def calibrate_schedule(
         )
     # run (truth, rep) draws T_grid[-1] tasks from stream(seed, _CAL_STREAM,
     # truth, rep) and scores tv(selected, truth) at each grid T
+    runs = [(truth, rep) for truth in range(family.n_members) for rep in range(replicates)]
     errors = np.empty((pooled, len(T_grid)))
-    row = 0
-    for truth in range(family.n_members):
-        for rep in range(replicates):
-            rng = stream(seed, _CAL_STREAM, truth, rep)
-            f_idx = family.sample_function(truth, rng, T_grid[-1])
-            xs = rng.integers(0, family.n_bundles, size=(T_grid[-1], family.d))
-            selected = SequentialSelector(model, xs, f_idx).selected(T_grid)
-            errors[row] = family.tv_matrix[truth, selected]
-            row += 1
+    rngs = keyed_streams(seed, [(_CAL_STREAM, truth, rep) for truth, rep in runs])
+    for row, ((truth, _), rng) in enumerate(zip(runs, rngs)):
+        f_idx = family.sample_function(truth, rng, T_grid[-1])
+        xs = rng.integers(0, family.n_bundles, size=(T_grid[-1], family.d))
+        selected = SequentialSelector(model, xs, f_idx).selected(T_grid)
+        errors[row] = family.tv_matrix[truth, selected]
     rank = int(np.ceil((1 - alpha) * pooled))  # nearest-rank quantile index
     raw = np.sort(errors, axis=0)[rank - 1]
     inflated = np.minimum(1.0, CALIBRATION_SAFETY * raw)
@@ -557,19 +555,27 @@ def calibrate_schedule(
     )
 
 
-# one served customer; theta_check is the surrogate member, -1 on the
-# prior-free branch
+# one served customer, or (as `RunResult.ledger`) one array per field over
+# the customers; theta_check is the surrogate member, -1 on the prior-free
+# branch
 LedgerRow = namedtuple("LedgerRow", LEDGER_CSV_HEADER)
 
 
 @dataclass
 class RunResult:
-    rows: list[LedgerRow]
+    ledger: LedgerRow  # the ledger's columns, one array per CSV field
     mean_regret: float
     regret_se: float
     tail_query_avg: float
     exceedance_rate: float
     fallbacks: int  # prior-aware customers served by the prior-free fallback
+
+    @cached_property
+    def rows(self) -> list[LedgerRow]:
+        """The ledger as one `LedgerRow` of Python values per customer."""
+        # tuple.__new__ is what LedgerRow._make calls, with no Python frame per row
+        columns = (column.tolist() for column in self.ledger)
+        return list(map(tuple.__new__, itertools.repeat(LedgerRow), zip(*columns)))
 
 
 def draw_customers(family: ValuationPriorFamily, truth: int, T: int, seed: int):
@@ -639,13 +645,12 @@ def run_algorithm1(
     queries[aware] = asked
     regret = np.zeros(T)
     regret[aware] = family.S.max(axis=1)[f] - family.S[f, bundle]
-    branch = np.where(theta_check >= 0, "A", "Aprime")
-    rows = list(map(
-        LedgerRow, range(1, T + 1), branch.tolist(), queries.tolist(), regret.tolist(),
-        theta_check.tolist(), R_used.tolist(),
-    ))
+    ledger = LedgerRow(
+        t=np.arange(1, T + 1), branch=np.where(theta_check >= 0, "A", "Aprime"), queries=queries,
+        regret=regret, theta_check=theta_check, R_used=R_used,
+    )
     return RunResult(
-        rows,
+        ledger,
         float(regret.mean()),
         float(regret.std(ddof=1) / np.sqrt(T)) if T > 1 else 0.0,
         float(queries[-tail:].mean()),

@@ -20,7 +20,6 @@ then scored in one pass.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import itertools
 from collections import namedtuple
@@ -308,6 +307,8 @@ def _upper_cell(payload) -> list[UpperRow]:
 def _pmap(fn, payloads, workers: int):
     if workers <= 1:
         return [fn(p) for p in payloads]
+    import concurrent.futures  # only a pool needs it; its import is not free
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, payloads))
 
@@ -573,6 +574,8 @@ def coin_bound_table(gammas, ns) -> list[tuple]:
 
 
 def format_cell(v) -> str:
+    if isinstance(v, np.generic):
+        v = v.item()  # a numpy scalar is written as its Python value
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -580,24 +583,39 @@ def format_cell(v) -> str:
     return str(v)
 
 
-CSV_BLOCK_ROWS = 64  # rows formatted at a time: a block's strings fit in freed memory
-# a column whose cells all have one of these types is formatted in one pass;
-# these are the results format_cell gives for them
-_COLUMN_FORMATS = {float: repr, int: str, str: str}
+CSV_BLOCK_ROWS = 256  # rows formatted at a time: a block's strings fit in freed memory
+# cells of these exact types need no formatting: the csv writer writes str(v),
+# which is format_cell(v) for them (str(float) is its repr)
+_PLAIN = frozenset((int, float, str))
 
 
-def _format_column(cells) -> list[str]:
-    kinds = set(map(type, cells))
-    fmt = _COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
-    return list(map(fmt or format_cell, cells))
+def _cells(column) -> list:
+    """A slice of a column as the cells the csv writer takes: a numpy
+    column of numbers or strings through one `tolist`, and a column of
+    any other kind, or of mixed types, through `format_cell`."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iufU":
+        return column.tolist()
+    cells = column.tolist() if isinstance(column, np.ndarray) else column
+    return cells if set(map(type, cells)) <= _PLAIN else list(map(format_cell, cells))
 
 
-def write_csv(path, header, rows) -> None:
-    """Write the header and rows, every cell as `format_cell` gives it,
-    formatting a block of rows column by column."""
-    rows = iter(rows)
+def write_csv(path, header, columns) -> None:
+    """Write the header and the table whose columns, one sequence (array
+    or list) per header field, are `columns`, every cell as `format_cell`
+    gives it, a block of rows at a time."""
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError(f"columns of unequal lengths {[len(c) for c in columns]}")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
-            w.writerows(zip(*[_format_column(cells) for cells in zip(*block)]))
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            w.writerows(zip(*[_cells(c[block]) for c in columns]))
+
+
+def transpose(rows, width: int) -> list:
+    """The `width` columns of a table given as rows."""
+    return list(zip(*rows)) if rows else [()] * width

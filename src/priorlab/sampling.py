@@ -77,47 +77,74 @@ def _words32(n: int) -> list[int]:
     return words
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The constants of n successive steps of numpy's seed hash from
+    `init`: step i xors with c_i and multiplies by c_(i+1) = c_i * mult."""
+    c = [init]
+    for _ in range(n):
+        c.append(c[-1] * mult & _MASK32)
+    return tuple(c[:-1]), tuple(c[1:])
+
+
+def _hash(v, xor, mul):
+    """(v ^ xor) * mul mod 2**32, folded: a Python int, or a uint32 array
+    hashed with each (xor, mul) pair down a new first axis."""
+    if isinstance(v, int):
+        v = (v ^ xor) * mul & _MASK32
+    else:
+        v = (v ^ np.asarray(xor, dtype=np.uint32)[:, None]) * np.asarray(mul, dtype=np.uint32)[:, None]
+    return v ^ (v >> 16)
+
+
+def _mix(x, y):
+    """numpy's pool mix of each word of `x` with the matching word of `y`:
+    lists of Python ints, or uint32 arrays once either one varies by row."""
+    if isinstance(x, list) and isinstance(y, list):
+        return [r ^ r >> 16 for r in ((_MIX_MULT_L * a - _MIX_MULT_R * b) & _MASK32 for a, b in zip(x, y))]
+    x, y = (np.asarray(v, dtype=np.uint32).reshape(len(v), -1) for v in (x, y))
     r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
     return r ^ (r >> np.uint32(16))
 
 
-def _seed_state(seed: int, keys: np.ndarray) -> list[np.ndarray]:
-    """`SeedSequence(seed, spawn_key=key).generate_state(8, uint32)` for
-    each row of `keys`, as 8 word arrays.  The hash constants depend only
-    on the word position, so each step is one uint32 pass over all rows;
-    the seed's own words (the first 4 of every row) are mixed as scalars."""
-    seed_words = _words32(seed)
-    if keys.shape[1] and len(seed_words) < _POOL:
-        seed_words += [0] * (_POOL - len(seed_words))
-    entropy = [np.array([w], dtype=np.uint32) for w in seed_words]
-    entropy += [col.astype(np.uint32) for col in keys.T]
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    zero = np.zeros(1, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+@lru_cache(maxsize=64)
+def _seed_pool(words: tuple[int, ...]) -> tuple[int, ...]:
+    """numpy's hash pool after its first `_POOL` entropy words: each word
+    hashed in, then every pool word mixed into every other."""
+    xor, mul = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL)
+    pool = [_hash(w, x, m) for w, x, m in zip(words, xor, mul)]
+    step = _POOL
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hash_const = _INIT_B
-    state = []
-    for i in range(2 * _POOL):
-        value = pool[i % _POOL] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state.append(value ^ (value >> np.uint32(16)))
-    return state
+                pool[dst] = _mix([pool[dst]], [_hash(pool[src], xor[step], mul[step])])[0]
+                step += 1
+    return tuple(pool)
+
+
+def _seed_state(seed: int, keys: np.ndarray):
+    """`SeedSequence(seed, spawn_key=key).generate_state(8, uint32)` for
+    each row of `keys`: a list of 8 Python ints when every row gives the
+    same words, else an (8, rows) uint32 array.  The hash constants
+    depend only on the word position, so the seed's words and every key
+    column that holds one value are hashed once as Python ints, and each
+    varying column is hashed into the 4 pool words with one pass of
+    (4, rows) array ops."""
+    words = _words32(seed)
+    words += [0] * (_POOL - len(words))  # as numpy pads; a short pool hashes zeros alike
+    for col in keys.T:
+        varying = len(col) and (col != col[0]).any()
+        words.append(col.astype(np.uint32) if varying else int(col.max(initial=0)))
+    pool = list(_seed_pool(tuple(words[:_POOL])))
+    xor, mul = _hash_consts(_INIT_A, _MULT_A, _POOL * len(words))
+    for i, word in enumerate(words[_POOL:], start=_POOL):
+        x, m = xor[_POOL * i:_POOL * (i + 1)], mul[_POOL * i:_POOL * (i + 1)]
+        hashed = [_hash(word, a, b) for a, b in zip(x, m)] if isinstance(word, int) else _hash(word, x, m)
+        pool = _mix(pool, hashed)
+    xor, mul = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+    if isinstance(pool, list):
+        return [_hash(pool[i % _POOL], a, b) for i, (a, b) in enumerate(zip(xor, mul))]
+    return _hash(pool[np.arange(2 * _POOL) % _POOL], xor, mul)
 
 
 def _mul64(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,9 +176,9 @@ def _pcg_seed(seed: int, keys) -> tuple[np.ndarray, ...]:
     if keys.size and (keys.min() < 0 or keys.max() > _MASK32):
         raise ValueError("key entries must lie in [0, 2**32)")
     # generate_state(4, uint64): words (2i, 2i+1) form the i-th uint64
-    w = [np.broadcast_to(v, len(keys)).astype(np.uint64) for v in _seed_state(seed, keys)]
-    s32 = np.uint64(32)
-    state_hi, state_lo, seq_hi, seq_lo = (w[i] | w[i + 1] << s32 for i in range(0, 8, 2))
+    w = np.asarray(_seed_state(seed, keys), dtype=np.uint64).reshape(2 * _POOL, -1)
+    w = np.broadcast_to(w, (2 * _POOL, len(keys)))
+    state_hi, state_lo, seq_hi, seq_lo = w[0::2] | w[1::2] << np.uint64(32)
     # PCG64 seeding: state 0, step (state = inc), add the initial state, step
     one, s63 = np.uint64(1), np.uint64(63)
     inc_hi, inc_lo = seq_hi << one | seq_lo >> s63, seq_lo << one | one

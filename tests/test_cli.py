@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from priorlab import elicitation
 from priorlab.cli import SCHEMAS, _check_config, _experiment_config, dispatch, main, parse_config
 from priorlab.concepts import enumerate_concepts, uniform_distribution
 from priorlab.errors import BudgetError
@@ -333,6 +334,28 @@ def test_elicit_does_not_import_numpy_ma(tmp_path):
         f"assert dispatch('elicit', {str(cfg)!r}, 2, {str(tmp_path / 'out')!r}) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_elicit_writes_ledgers_without_building_rows(tmp_path, monkeypatch):
+    # each ledger goes from its columns to the CSV; RunResult.rows is for readers
+    def no_rows(self):
+        raise AssertionError("RunResult.rows built")
+
+    monkeypatch.setattr(elicitation.RunResult, "rows", property(no_rows))
+    cfg = write_config(tmp_path, "e.cfg", ELICIT_TINY)
+    assert dispatch("elicit", cfg, 2, tmp_path / "out") == 0
+    assert len((tmp_path / "out" / "ledger_001.csv").read_text().splitlines()) == 41
+
+
+def test_cli_import_leaves_out_concurrent_futures():
+    # only a pool of workers > 1 needs concurrent.futures; a fresh process,
+    # so that no other test has imported it first
+    code = "import sys\nimport priorlab.cli\nprint('concurrent.futures' in sys.modules)\n"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=CHILD_ENV,
     )

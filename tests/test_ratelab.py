@@ -9,6 +9,14 @@ import pytest
 from priorlab import ratelab, sampling
 from priorlab.cli import dispatch
 from priorlab.concepts import d_subsets, enumerate_concepts, uniform_distribution
+from priorlab.elicitation import (
+    LEDGER_CSV_HEADER,
+    FamilyOutcomeModel,
+    LedgerRow,
+    ScheduleRDelta,
+    presence_family,
+    run_algorithm1,
+)
 from priorlab.errors import BudgetError
 from priorlab.estimators import SkeletonEstimator
 from priorlab.outcomes import DEFAULT_BUDGET
@@ -260,25 +268,93 @@ def write_csv_by_row(path, header, rows):
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "columns, expected",
     [
-        [
-            (1, "A", 256, 0.0, -1, 0.1, True),
-            (2, "Aprime", 3, 1e-17, 4, 1 / 3, False),
-            (3, 'a "quoted", line\nbreak', -7, float("nan"), 0, -0.0, True),
-        ],
+        (
+            [
+                [1, 2, 3],
+                ["A", "Aprime", 'a "quoted", line\nbreak'],
+                [256, 3, -7],
+                [0.0, 1e-17, float("nan")],
+                [-1, 4, 0],
+                [0.1, 1 / 3, -0.0],
+                [True, False, True],
+            ],
+            None,
+        ),
         # mixed columns: int with float, bool with int, str with int, numpy scalars
-        [(1, True, "x", np.int64(3), np.float64(0.5), np.bool_(True)),
-         (2.5, 0, 7, np.int64(-1), np.float64(2.0), np.bool_(False))],
-        [],
+        (
+            [
+                [1, 2.5], [True, 0], ["x", 7], [np.int64(3), np.int64(-1)],
+                [np.float64(0.5), np.float64(2.0)], [np.bool_(True), np.bool_(False)],
+                [np.str_("a"), np.int32(-4)],
+            ],
+            b"c0,c1,c2,c3,c4,c5,c6\n1,true,x,3,0.5,true,a\n2.5,0,7,-1,2.0,false,-4\n",
+        ),
+        ([[] for _ in range(7)], b"c0,c1,c2,c3,c4,c5,c6\n"),
+        (
+            [
+                np.arange(-2, 3, dtype=np.int64),
+                np.array([float("nan"), -0.0, 1e-17, 1 / 3, 2.0]),
+                np.array([True, False, False, True, True]),
+                np.array(["A", "Aprime", 'say "hi", then\nleave', "", "x y"]),
+                np.arange(5, dtype=np.uint8),
+                np.array([None, 1, "a", 2.5, False], dtype=object),
+            ],
+            None,
+        ),
     ],
-    ids=["typed-columns", "mixed-columns", "no-rows"],
+    ids=["typed-columns", "mixed-columns", "no-rows", "numpy-columns"],
 )
-def test_write_csv_bytes_match_row_by_row_writer(tmp_path, rows):
-    header = tuple(f"c{i}" for i in range(7))
-    write_csv(tmp_path / "by_column.csv", header, rows)
-    write_csv_by_row(tmp_path / "by_row.csv", header, rows)
-    assert (tmp_path / "by_column.csv").read_bytes() == (tmp_path / "by_row.csv").read_bytes()
+def test_write_csv_bytes_match_row_by_row_writer(tmp_path, monkeypatch, columns, expected):
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    write_csv_by_row(tmp_path / "by_row.csv", header, zip(*columns))
+    for block_rows in (2, ratelab.CSV_BLOCK_ROWS):  # rows split across blocks, and not
+        monkeypatch.setattr(ratelab, "CSV_BLOCK_ROWS", block_rows)
+        write_csv(tmp_path / "by_column.csv", header, columns)
+        written = (tmp_path / "by_column.csv").read_bytes()
+        assert written == (tmp_path / "by_row.csv").read_bytes()
+        assert expected is None or written == expected
+
+
+def test_write_csv_rejects_columns_that_do_not_fit_the_header(tmp_path):
+    with pytest.raises(ValueError, match="header fields"):
+        write_csv(tmp_path / "t.csv", ("a", "b"), [[1, 2]])
+    with pytest.raises(ValueError, match="unequal"):
+        write_csv(tmp_path / "t.csv", ("a", "b"), [[1, 2], [3]])
+
+
+def test_ledger_columns_write_the_bytes_of_its_rows(tmp_path):
+    _, family = presence_family(seed=0)
+    schedule = ScheduleRDelta(0.1, (0, 20), (1.0, 0.0), (0.0, 0.0))
+    res = run_algorithm1(
+        family, FamilyOutcomeModel(family), schedule, 3, 0.2, T=60, seed=4,
+        q_table=[1.0] * family.n_members,
+    )
+    assert res.ledger._fields == LEDGER_CSV_HEADER
+    assert {r.branch for r in res.rows} == {"A", "Aprime"}
+    write_csv(tmp_path / "columns.csv", LEDGER_CSV_HEADER, res.ledger)
+    write_csv_by_row(tmp_path / "rows.csv", LEDGER_CSV_HEADER, res.rows)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_long_ledger_writes_a_block_of_rows_at_a_time(tmp_path):
+    # only a block of rows is ever formatted, never the whole ledger
+    T = 100_000
+    index = np.arange(T)
+    ledger = LedgerRow(
+        t=index + 1, branch=np.where(index % 3, "A", "Aprime"), queries=index % 7 + 2,
+        regret=index / 3e5, theta_check=index % 8 - 1, R_used=np.linspace(1.0, 0.0, T),
+    )
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "ledger.csv", LEDGER_CSV_HEADER, ledger)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with open(tmp_path / "ledger.csv") as fh:
+        assert sum(1 for _ in fh) == T + 1
 
 
 def test_twopoint_rates_match_the_exact_risk():

@@ -564,3 +564,30 @@ def test_keyed_streams_match_stream(seed):
         want = stream(seed, *key)
         assert later_draws(rng) == later_draws(want)
         assert rng.bit_generator.random_raw(2).tolist() == want.bit_generator.random_raw(2).tolist()
+
+
+# key columns that hold one value are hashed as Python ints, varying ones
+# as uint32 arrays; entries span 0 to 2^32 - 1
+SEED_KEYS = {
+    "constant-leading": [(91, 2, 7, rep) for rep in range(5)],
+    "constant-trailing": [(t, 1) for t in (1, 2, 7, 2**32 - 1)],
+    "all-varying": [(a, b, 2 * a + 1) for a in (0, 3) for b in (0, 2**32 - 1)],
+    "interleaved": [(5, r, 0, r % 2, 2**32 - 1) for r in range(4)],
+    "one-row": [(0, 2**32 - 1, 4)],
+    "zero-rows": np.zeros((0, 3), dtype=np.int64),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "seed", [0, 2**32 - 1, 2**32 + 5, 2**130 + 7], ids=["0", "2^32-1", "2^32+5", "2^130+7"]
+)
+@pytest.mark.parametrize("name", sorted(SEED_KEYS))
+def test_bulk_seeding_matches_stream_on_constant_and_varying_columns(name, seed):
+    keys = [tuple(int(v) for v in key) for key in SEED_KEYS[name]]
+    expected = [stream(seed, *key).bit_generator.random_raw(2).tolist() for key in keys]
+    raw = stream_raw(seed, SEED_KEYS[name], 2)
+    assert raw.dtype == np.uint64 and raw.shape == (len(keys), 2)
+    assert raw.tolist() == expected
+    got = [rng.bit_generator.random_raw(2).tolist() for rng in keyed_streams(seed, SEED_KEYS[name])]
+    assert got == expected

@@ -14,10 +14,16 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
-from spans import COUNTED, SPANS, Tracer, _on_estimator_built, _resolve  # noqa: E402
+from spans import COUNTED, SPANS, Tracer, _on_estimator_built, _on_serve, _resolve  # noqa: E402
 from workloads import WORKLOADS, setup  # noqa: E402
 
 from priorlab import ratelab  # noqa: E402
+from priorlab.elicitation import (  # noqa: E402
+    FamilyOutcomeModel,
+    ScheduleRDelta,
+    presence_family,
+    run_algorithm1,
+)
 from priorlab.estimators import DirectEstimator, SkeletonEstimator  # noqa: E402
 
 
@@ -63,6 +69,20 @@ def test_select_from_counts_is_one_row_of_select_rows():
         for c in rng.multinomial(T, np.full(len(est.support), 1 / len(est.support)), size=5):
             assert est.select_from_counts(c, T) == est.select_rows(c[None], T)[0]
             assert type(est.select_from_counts(c, T)) is int
+
+
+def test_serve_hook_counts_every_customer():
+    # the traced run counts elicitation.customers as len(result.rows) of
+    # the wrapped run_algorithm1, whose ledger is kept as columns
+    _, family = presence_family(seed=0)
+    schedule = ScheduleRDelta(0.1, (0, 20), (1.0, 0.0), (0.0, 0.0))
+    res = run_algorithm1(
+        family, FamilyOutcomeModel(family), schedule, 3, 0.2, T=60, seed=4,
+        q_table=[1.0] * family.n_members,
+    )
+    tracer = Tracer()
+    _on_serve(tracer, (), {}, res)
+    assert tracer.counters == {"elicitation.customers": 60, "elicitation.fallbacks": res.fallbacks}
 
 
 # tasks each workload simulates at program seed 0, as its set-up counts them
