@@ -271,16 +271,13 @@ def cmd_rates(
     exp: ExperimentConfig, config: dict, seed: int, outdir: Path, workers: int, exact: bool
 ) -> int:
     res = run_upper_experiment(exp, workers=workers)
-    write_csv(outdir / "rates.csv", RATE_CSV_HEADER, transpose(res.rows, len(RATE_CSV_HEADER)))
-    write_csv(
-        outdir / "skeleton_report.csv", ESTIMATION_CSV_HEADER,
-        transpose(res.report_rows, len(ESTIMATION_CSV_HEADER)),
-    )
+    write_csv(outdir / "rates.csv", RATE_CSV_HEADER, res.table)
+    write_csv(outdir / "skeleton_report.csv", ESTIMATION_CSV_HEADER, res.report)
     baseline_T = config["baseline_T"]
     if baseline_T is None:
         baseline_T = config["T_grid"][-1]
     base = run_baseline_comparison(exp, T=baseline_T, workers=workers)
-    write_csv(outdir / "baseline.csv", BASELINE_CSV_HEADER, transpose(base.rows, len(BASELINE_CSV_HEADER)))
+    write_csv(outdir / "baseline.csv", BASELINE_CSV_HEADER, base.table)
     c = res.curve
     lines = [
         f"theory_upper_exponent={c.theory_upper_exponent!r}",
@@ -303,7 +300,7 @@ def cmd_lowerbound(
     exp: ExperimentConfig, config: dict, seed: int, outdir: Path, workers: int, exact: bool
 ) -> int:
     res = run_lower_experiment(exp, workers=workers)
-    write_csv(outdir / "lowerbound.csv", RATE_CSV_HEADER, transpose(res.rows, len(RATE_CSV_HEADER)))
+    write_csv(outdir / "lowerbound.csv", RATE_CSV_HEADER, res.table)
     lines = []
     for T, cell in sorted(res.per_T.items()):
         lines.append(

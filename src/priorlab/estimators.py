@@ -20,7 +20,7 @@ import numpy as np
 
 from .concepts import DataDistribution, d_subsets
 from .errors import BudgetError
-from .outcomes import DEFAULT_BUDGET, OutcomeDistribution, exact_outcome_dist
+from .outcomes import DEFAULT_BUDGET, exact_outcome_dist
 from .priors import CoverFamily, SmoothPriorParams, TabularPrior
 from .sampling import outcome_codes
 
@@ -187,10 +187,6 @@ class SkeletonEstimator:
         """The selected member of each row of a (rows, support) stack of
         counts, each of `total` tasks."""
         return self._md.select_rows(counts, total)
-
-    def truth_vector(self, truth_dist: OutcomeDistribution) -> np.ndarray:
-        """A truth outcome law's masses on this support."""
-        return np.array([truth_dist.prob(z) for z in self.support])
 
 
 class DirectEstimator:

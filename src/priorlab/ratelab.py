@@ -4,24 +4,23 @@ log-log rate fitting.
 
 Work is decomposed into independent cells keyed by (seed, T index, truth
 index); each replicate of a cell draws its randomness from its own stream,
-so results are identical regardless of worker count, and rows are reduced
-in cell order so output files are byte-stable for a fixed config.
+so results are identical regardless of worker count, and cells are joined
+in order so output files are byte-stable for a fixed config.
 
-A cell runs its replicates in lock-step, a block at a time
-(`sampling.joint_blocks`): their streams are seeded at once, every task
-of the block is decoded from the streams' words into one joint index
-(concept branch, point digits), and each replicate's tasks are counted
-with one `bincount` over the joint cells.  The cell reads what it needs
-through tables of one entry per joint cell (`_mapped`): the support
-point of each cell's outcome, its concept for the direct baseline, and
-whether it is an N_i event for the lower bound.  A block's counts are
-then scored in one pass.
+One runner, `_cell`, runs a cell's replicates in lock-step, a block at a
+time (`sampling.joint_blocks`): their streams are seeded at once, every
+task of the block is decoded from the streams' words into one joint
+index (concept branch, point digits), each replicate's tasks are counted
+with one `bincount` over the joint cells, and the block's support counts
+are scored in one pass.  The upper, baseline and lower-bound cells read
+their own column off each block through tables of one entry per joint
+cell (`_mapped`): the concept for the direct baseline, and whether it is
+an N_i event for the lower bound.  Each run keeps its table as columns.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,15 +62,13 @@ from .sampling import (
     task_words,
 )
 
-# One Monte Carlo replicate of an experiment (the rates and lowerbound CSV
-# schema), and the per-replicate records the three cell runners return.
+# The rates and lowerbound CSV schema, and the baseline and estimation
+# tables: a run keeps each table as one record whose values are its columns.
 RateRow = namedtuple(
     "RateRow", "experiment m d L alpha k T replicate truth_id selected_id tv_error"
 )
 EstimationRow = namedtuple("EstimationRow", "replicate T selected tv_to_truth max_yatracos_dev")
 BaselineRow = namedtuple("BaselineRow", RateRow._fields + ("direct_id", "direct_tv_error"))
-UpperRow = namedtuple("UpperRow", "rate report")
-LowerRow = namedtuple("LowerRow", "rate n_events")
 
 RATE_CSV_HEADER = RateRow._fields
 ESTIMATION_CSV_HEADER = EstimationRow._fields
@@ -219,10 +216,8 @@ def build_setup(config: ExperimentConfig) -> Setup:
         params_list, members = parity_family(space, config.L, config.alpha)
         # sampled truths plus the two extreme sign vectors
         rng = stream(config.seed, _TRUTH_PICK)
-        picks = set(int(i) for i in rng.integers(0, len(members), size=config.truth_count))
-        picks.add(0)
-        picks.add(len(members) - 1)
-        truth_ids = sorted(picks)
+        picks = rng.integers(0, len(members), size=config.truth_count).tolist()
+        truth_ids = sorted({0, len(members) - 1, *picks})
     else:
         w = config.twopoint_weight
         rest = (1.0 - 2 * w) / (config.m - 2)
@@ -251,22 +246,7 @@ def counts_from_arrays_fast(est: SkeletonEstimator, m: int, tasks: Tasks):
 
 
 def _source(setup: Setup, truth_id: int):
-    if setup.params_list is not None:
-        return setup.params_list[truth_id]
-    return setup.members[truth_id]
-
-
-def _streams(config: ExperimentConfig, *coords: int):
-    """Each replicate's stream, `stream(config.seed, *coords, rep)`,
-    seeded in bulk (`keyed_streams`)."""
-    return keyed_streams(config.seed, [(*coords, rep) for rep in range(config.replicates)])
-
-
-def _joint_blocks(config: ExperimentConfig, layout, source, T: int, *coords: int, signs: int = 0):
-    """`joint_blocks` of the replicates' streams at `coords`."""
-    return joint_blocks(
-        _streams(config, *coords), lambda rep: stream(config.seed, *coords, rep), source, layout, T, signs
-    )
+    return (setup.params_list or setup.members)[truth_id]
 
 
 def _mapped(joint_counts: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
@@ -279,29 +259,39 @@ def _mapped(joint_counts: np.ndarray, index: np.ndarray, size: int) -> np.ndarra
     return counts.reshape(rows, size + 1)[:, :size].astype(np.int64)
 
 
-def _upper_cell(payload) -> list[UpperRow]:
-    config_dict, T, T_idx, truth_id = payload
-    config = ExperimentConfig(**config_dict)
+def _cell(config: ExperimentConfig, source, T: int, key: tuple[int, ...], signs: int = 0):
+    """The replicates of one cell, T tasks each from `source`, replicate
+    rep drawing from `stream(config.seed, *key, rep)`: yields each
+    `joint_blocks` block, replicates in order, as (joint counts, support
+    counts, skeleton picks, sign bits)."""
     setup = build_setup(config)
-    source = _source(setup, truth_id)
     est = setup.estimator
-    k = config.samples_per_task
-    truth_masses = est._md.truth_masses(est.truth_vector(est.outcome_dists[truth_id]))
-    layout = task_layout(source, setup.space, setup.dist, k)
+    layout = task_layout(source, setup.space, setup.dist, config.samples_per_task)
     support = est.support_index(layout.cells.codes)
-    rows = []
-    for first, joint_counts, _ in _joint_blocks(config, layout, source, T, _UPPER, T_idx, truth_id):
+    reps = np.arange(config.replicates)
+    rngs = keyed_streams(config.seed, np.column_stack([np.full(len(reps), c) for c in key] + [reps]))
+    for joint_counts, bits in joint_blocks(
+        rngs, lambda rep: stream(config.seed, *key, rep), source, layout, T, signs
+    ):
         counts = _mapped(joint_counts, support, len(est.support))
-        selected = est.select_rows(counts, T)
-        devs = est._md.deviation_rows(counts, T, truth_masses)
-        for rep, sel, dev in zip(itertools.count(first), selected.tolist(), devs.tolist()):
-            err = float(setup.tv_matrix[truth_id, sel])
-            rows.append(UpperRow(
-                RateRow("rates", config.m, config.d, config.L, config.alpha, k, T,
-                        rep, truth_id, sel, err),
-                EstimationRow(rep, T, sel, err, dev),
-            ))
-    return rows
+        yield joint_counts, counts, est.select_rows(counts, T), bits
+
+
+def _columns(parts) -> tuple[np.ndarray, ...]:
+    """Tuples of arrays (a cell's blocks, or the cells of a run) joined
+    column by column."""
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _upper_cell(payload) -> tuple[np.ndarray, np.ndarray]:
+    """A cell's skeleton picks and their max Yatracos deviations from the
+    truth's outcome law."""
+    config, T, T_idx, truth_id = payload
+    setup = build_setup(config)
+    md = setup.estimator._md
+    truth_masses = md.truth_masses(md.M[truth_id])
+    blocks = _cell(config, _source(setup, truth_id), T, (_UPPER, T_idx, truth_id))
+    return _columns((picks, md.deviation_rows(counts, T, truth_masses)) for _, counts, picks, _ in blocks)
 
 
 def _pmap(fn, payloads, workers: int):
@@ -311,6 +301,21 @@ def _pmap(fn, payloads, workers: int):
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, payloads))
+
+
+def _rate_table(experiment: str, config: ExperimentConfig, Ts, truths, picks, errors) -> RateRow:
+    """A rate table, as columns, of cells of `config.replicates` replicates
+    each, with each replicate's T, truth id, pick and error."""
+    n = len(picks)
+    fixed = (experiment, config.m, config.d, config.L, config.alpha, config.samples_per_task)
+    replicate = np.tile(np.arange(config.replicates), n // config.replicates)
+    return RateRow(*(np.full(n, v) for v in fixed), Ts, replicate, truths, picks, errors)
+
+
+def _mean_se(errors: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a 1-d array of errors: kept 1-d, it is
+    summed pairwise in row order whatever the shape of its table."""
+    return float(errors.mean()), float(errors.std(ddof=1) / np.sqrt(len(errors)))
 
 
 @dataclass
@@ -328,8 +333,8 @@ class RateCurve:
 @dataclass
 class UpperResult:
     curve: RateCurve
-    rows: list[RateRow]
-    report_rows: list[EstimationRow]
+    table: RateRow
+    report: EstimationRow
 
 
 def run_upper_experiment(config: ExperimentConfig, workers: int = 1) -> UpperResult:
@@ -341,24 +346,22 @@ def run_upper_experiment(config: ExperimentConfig, workers: int = 1) -> UpperRes
     """
     setup = build_setup(config)
     payloads = [
-        (config.__dict__, T, T_idx, truth_id)
+        (config, T, T_idx, truth_id)
         for T_idx, T in enumerate(config.T_grid)
         for truth_id in setup.truth_ids
     ]
-    cells = list(itertools.chain.from_iterable(_pmap(_upper_cell, payloads, workers)))
-    rows = [c.rate for c in cells]
+    picks, devs = _columns(_pmap(_upper_cell, payloads, workers))
+    Ts = np.repeat(config.T_grid, len(setup.truth_ids) * config.replicates)
+    truths = np.tile(np.repeat(setup.truth_ids, config.replicates), len(config.T_grid))
+    errors = setup.tv_matrix[truths, picks]
+    table = _rate_table("rates", config, Ts, truths, picks, errors)
     points, pooled = [], []
-    for T in config.T_grid:
-        t_rows = [r for r in rows if r.T == T]
-        per_truth = {}
-        for r in t_rows:
-            per_truth.setdefault(r.truth_id, []).append(r.tv_error)
-        means = {tid: float(np.mean(v)) for tid, v in per_truth.items()}
-        worst_tid = max(means, key=lambda tid: (means[tid], tid))
-        errs = np.asarray(per_truth[worst_tid])
-        points.append((T, float(errs.mean()), float(errs.std(ddof=1) / np.sqrt(len(errs)))))
-        pool = np.asarray([r.tv_error for r in t_rows])
-        pooled.append((T, float(pool.mean()), float(pool.std(ddof=1) / np.sqrt(len(pool)))))
+    # each T's errors, one contiguous row of replicates per truth
+    for T, by_truth in zip(config.T_grid, errors.reshape(len(config.T_grid), len(setup.truth_ids), -1)):
+        means = [float(e.mean()) for e in by_truth]
+        worst = max(range(len(means)), key=lambda i: (means[i], i))
+        points.append((T, *_mean_se(by_truth[worst])))
+        pooled.append((T, *_mean_se(by_truth.ravel())))
     curve = RateCurve(
         points,
         pooled,
@@ -370,7 +373,7 @@ def run_upper_experiment(config: ExperimentConfig, workers: int = 1) -> UpperRes
         curve.fitted_slope, curve.fit_r2 = fit.slope, fit.r2
     except ValueError:
         pass  # degenerate curves (zero risk) stay unfitted
-    return UpperResult(curve, rows, [c.report for c in cells])
+    return UpperResult(curve, table, EstimationRow(table.replicate, table.T, picks, errors, devs))
 
 
 @dataclass
@@ -407,7 +410,7 @@ def lower_bound_floor(config: ExperimentConfig, T: int) -> float:
 
 @dataclass
 class LowerResult:
-    rows: list[RateRow]
+    table: RateRow
     per_T: dict[int, dict]  # T -> {mean, se, floor, pass, ...}
     ni_expected_per_task: float
     ni_mean: float
@@ -415,41 +418,38 @@ class LowerResult:
     ni_within_3sigma: bool
 
 
-def _lower_cell(payload) -> list[LowerRow]:
-    config_dict, T, T_idx = payload
-    config = ExperimentConfig(**config_dict)
+def _lower_cell(payload) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A cell's skeleton picks, the truth id of each replicate's sign
+    vector b (bit C(m, d) - 1 - i set when b_i = +1), and its N_i event
+    count."""
+    config, T, T_idx = payload
     setup = build_setup(config)
-    est, template = setup.estimator, setup.params_list[0]
-    n_signs = comb(config.m, config.d)
-    gamma = template.gamma_m
-    scale = Fraction(1, 2 ** config.d * comb(config.m, config.d))
-    layout = task_layout(template, setup.space, setup.dist, config.d)
-    cells = layout.cells
-    support = est.support_index(cells.codes)
+    template = setup.params_list[0]
+    n_signs = len(template.b)
+    cells = task_layout(template, setup.space, setup.dist, config.d).cells
     # N_i: tasks whose subset index is i AND whose d draws cover X_i
     x_masks = np.bitwise_or.reduce(1 << (cells.xs - 1), axis=1)
     events = (x_masks == np.asarray(d_subsets(config.m, config.d))[cells.trace[0]]).astype(np.int64)
-    rows = []
-    for first, joint_counts, bits in _joint_blocks(config, layout, template, T, _LOWER, T_idx, signs=n_signs):
-        selected = est.select_rows(_mapped(joint_counts, support, len(est.support)), T)
-        block_events = joint_counts @ events
-        for rep, sel, signs, n_events in zip(
-            itertools.count(first), selected.tolist(), bits.tolist(), block_events.tolist()
-        ):
-            b = tuple(1 if v else -1 for v in signs)
-            params = SmoothPriorParams(b, config.L, config.alpha, config.m, config.d)
-            truth_id = sum((1 if s > 0 else 0) << (n_signs - 1 - i) for i, s in enumerate(b))
-            red = reduce_to_signs(est.cover.members[sel], params)
-            p_true = [(1.0 + gamma * s) / 2.0 for s in b]
-            err = 0.5 * float(scale) * sum(
-                abs(ph - pt) for ph, pt in zip(red.p_hat, p_true)
-            )
-            rows.append(LowerRow(
-                RateRow("lowerbound", config.m, config.d, config.L, config.alpha, config.d,
-                        T, rep, truth_id, sel, err),
-                n_events,
-            ))
-    return rows
+    place = 1 << np.arange(n_signs - 1, -1, -1)
+    blocks = _cell(config, template, T, (_LOWER, T_idx), signs=n_signs)
+    return _columns((picks, bits @ place, joint @ events) for joint, _, picks, bits in blocks)
+
+
+def _sign_errors(config: ExperimentConfig, members, picks: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """Each replicate's sign-reduction error: half the scaled L1 distance
+    between the coin biases `reduce_to_signs` reads off its pick and
+    those of its truth's signs, computed once per distinct (pick, truth)."""
+    n_signs = comb(config.m, config.d)
+    scale = float(Fraction(1, 2**config.d * n_signs))
+    pairs, inverse = np.unique(picks << n_signs | truths, return_inverse=True)
+    errors = []
+    for pair in pairs.tolist():
+        b = tuple(1 if pair >> (n_signs - 1 - i) & 1 else -1 for i in range(n_signs))
+        params = SmoothPriorParams(b, config.L, config.alpha, config.m, config.d)
+        red = reduce_to_signs(members[pair >> n_signs], params)
+        p_true = [(1.0 + params.gamma_m * s) / 2.0 for s in b]
+        errors.append(0.5 * scale * sum(abs(ph - pt) for ph, pt in zip(red.p_hat, p_true)))
+    return np.array(errors)[inverse]
 
 
 def run_lower_experiment(config: ExperimentConfig, workers: int = 1) -> LowerResult:
@@ -459,22 +459,19 @@ def run_lower_experiment(config: ExperimentConfig, workers: int = 1) -> LowerRes
         raise ValueError("the lower-bound testbed runs on the parity family")
     if config.samples_per_task != config.d:
         raise ValueError("the lower-bound testbed draws k = d samples per task")
-    payloads = [(config.__dict__, T, T_idx) for T_idx, T in enumerate(config.T_grid)]
-    cells = list(itertools.chain.from_iterable(_pmap(_lower_cell, payloads, workers)))
-    rows = [c.rate for c in cells]
+    payloads = [(config, T, T_idx) for T_idx, T in enumerate(config.T_grid)]
+    picks, truths, n_events = _columns(_pmap(_lower_cell, payloads, workers))
+    errors = _sign_errors(config, build_setup(config).estimator.cover.members, picks, truths)
+    table = _rate_table(
+        "lowerbound", config, np.repeat(config.T_grid, config.replicates), truths, picks, errors
+    )
     per_T = {}
     d = config.d
-    for T in config.T_grid:
-        errs = np.asarray([r.tv_error for r in rows if r.T == T])
-        mean, se = float(errs.mean()), float(errs.std(ddof=1) / np.sqrt(len(errs)))
+    for T, errs in zip(config.T_grid, errors.reshape(len(config.T_grid), -1)):
+        mean, se = _mean_se(errs)
         floor = lower_bound_floor(config, T)
-        per_T[T] = {
-            "mean": mean,
-            "se": se,
-            "floor": floor,
-            # one-sided 95% lower confidence bound sits above the floor
-            "pass": mean - 1.645 * se > floor,
-        }
+        # pass: the one-sided 95% lower confidence bound sits above the floor
+        per_T[T] = {"mean": mean, "se": se, "floor": floor, "pass": mean - 1.645 * se > floor}
     # N_i calibration: a task lands in N_i when i* = i and its d draws cover
     # X_i, so summing the counts over i gives Bernoulli(C(m,d) * q) tasks.
     q = 1.0
@@ -482,24 +479,17 @@ def run_lower_experiment(config: ExperimentConfig, workers: int = 1) -> LowerRes
         q *= (d - j) / config.m
     n_subs = comb(config.m, d)
     q /= n_subs
-    total_events = sum(c.n_events for c in cells)
-    total_tasks = sum(r.T for r in rows)
+    total_events = int(n_events.sum())
+    total_tasks = config.replicates * sum(config.T_grid)
     ni_mean = total_events / total_tasks / n_subs
     p_task = q * n_subs
     ni_sigma = float(np.sqrt(p_task * (1 - p_task) / total_tasks) / n_subs)
-    return LowerResult(
-        rows,
-        per_T,
-        q,
-        ni_mean,
-        ni_sigma,
-        abs(ni_mean - q) <= 3 * ni_sigma,
-    )
+    return LowerResult(table, per_T, q, ni_mean, ni_sigma, abs(ni_mean - q) <= 3 * ni_sigma)
 
 
 @dataclass
 class BaselineResult:
-    rows: list[BaselineRow]
+    table: BaselineRow
     skeleton_mean: float
     direct_mean: float
     diff_se: float
@@ -511,42 +501,30 @@ class BaselineResult:
         return self.direct_mean <= self.skeleton_mean + 2 * self.diff_se
 
 
-def _baseline_cell(payload) -> list[BaselineRow]:
-    config_dict, T, T_idx, truth_id = payload
-    config = ExperimentConfig(**config_dict)
+def _baseline_cell(payload) -> tuple[np.ndarray, np.ndarray]:
+    """A cell's skeleton picks and direct-access picks on the same tasks."""
+    config, T, T_idx, truth_id = payload
     setup = build_setup(config)
     source = _source(setup, truth_id)
     direct = setup.direct  # built before any replicate's words exist
-    est, n_concepts = setup.estimator, len(setup.space)
-    layout = task_layout(source, setup.space, setup.dist, config.samples_per_task)
-    support, concepts = est.support_index(layout.cells.codes), layout.cells.concepts
-    rows = []
-    for first, joint_counts, _ in _joint_blocks(config, layout, source, T, _BASELINE, T_idx, truth_id):
-        sk_sel = est.select_rows(_mapped(joint_counts, support, len(est.support)), T)
-        di_sel = direct.select_rows(_mapped(joint_counts, concepts, n_concepts), T)
-        for rep, sk, di in zip(itertools.count(first), sk_sel.tolist(), di_sel.tolist()):
-            rows.append(BaselineRow(
-                "baseline", config.m, config.d, config.L, config.alpha,
-                config.samples_per_task, T, rep, truth_id,
-                sk, float(setup.tv_matrix[truth_id, sk]),
-                di, float(setup.tv_matrix[truth_id, di]),
-            ))
-    return rows
+    concepts = task_layout(source, setup.space, setup.dist, config.samples_per_task).cells.concepts
+    blocks = _cell(config, source, T, (_BASELINE, T_idx, truth_id))
+    return _columns(
+        (picks, direct.select_rows(_mapped(joint, concepts, len(setup.space)), T))
+        for joint, _, picks, _ in blocks
+    )
 
 
 def run_baseline_comparison(config: ExperimentConfig, T: int, workers: int = 1) -> BaselineResult:
     """Paired skeleton-vs-direct risks on identical task draws at one T."""
     setup = build_setup(config)
-    payloads = [(config.__dict__, T, 0, tid) for tid in setup.truth_ids]
-    rows = list(itertools.chain.from_iterable(_pmap(_baseline_cell, payloads, workers)))
-    sk = np.asarray([r.tv_error for r in rows])
-    di = np.asarray([r.direct_tv_error for r in rows])
-    diff = di - sk
+    payloads = [(config, T, 0, tid) for tid in setup.truth_ids]
+    skeleton, direct = _columns(_pmap(_baseline_cell, payloads, workers))
+    truths = np.repeat(setup.truth_ids, config.replicates)
+    sk, di = setup.tv_matrix[truths, np.stack([skeleton, direct])]
+    table = _rate_table("baseline", config, np.full(len(truths), T), truths, skeleton, sk)
     return BaselineResult(
-        rows,
-        float(sk.mean()),
-        float(di.mean()),
-        float(diff.std(ddof=1) / np.sqrt(len(diff))),
+        BaselineRow(*table, direct, di), float(sk.mean()), float(di.mean()), _mean_se(di - sk)[1]
     )
 
 

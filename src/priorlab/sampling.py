@@ -648,9 +648,9 @@ def joint_blocks(rngs, redo, source, layout: TaskLayout, T: int, signs: int = 0)
     b_i = +1), and `source` gives only gamma_m.
 
     Replicates are decoded (`_decode`) and counted (one `bincount`) in
-    runs of about _BLOCK words, and yielded in blocks of about _BLOCK
-    joint counts, as (first replicate of the block, its (rows,
-    layout.size) joint counts, its (rows, signs) sign bits).
+    runs of about _BLOCK words, and yielded in order, in blocks of about
+    _BLOCK joint counts, as (the block's (rows, layout.size) joint
+    counts, its (rows, signs) sign bits).
     """
     n_words = task_words(T, layout.k, layout.ranges, signs)
     per_block = max(1, _BLOCK // layout.size)
@@ -678,11 +678,9 @@ def joint_blocks(rngs, redo, source, layout: TaskLayout, T: int, signs: int = 0)
             yield counts.reshape(len(words), layout.size), bits
             first += len(words)
 
-    first, decoded = 0, runs()
+    decoded = runs()
     while block := list(itertools.islice(decoded, max(1, per_block // per_run))):
-        counts, bits = (np.concatenate(parts) for parts in zip(*block))
-        yield first, counts, bits
-        first += len(counts)
+        yield tuple(np.concatenate(parts) for parts in zip(*block))
 
 
 def sample_arrays(

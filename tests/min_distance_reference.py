@@ -12,7 +12,9 @@ selection guarantee
 
     tv(P_selected, Q) <= 3 min_l tv(P_l, Q) + 2 max_A |mu_T(A) - Q(A)|
 
-checked on one run in `Fraction`s."""
+checked on one run in `Fraction`s.
+
+`truth_vector` reads a truth's outcome law on an estimator's support."""
 
 from fractions import Fraction
 
@@ -21,6 +23,11 @@ import numpy as np
 from priorlab.errors import BudgetError
 from priorlab.estimators import yatracos_scores
 from priorlab.outcomes import DEFAULT_BUDGET, exact_outcome_dist, tv
+
+
+def truth_vector(est, truth_dist) -> np.ndarray:
+    """A truth outcome law's masses on a skeleton estimator's support."""
+    return np.array([truth_dist.prob(z) for z in est.support])
 
 
 class AllPairsMinDistance:

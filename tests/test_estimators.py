@@ -32,7 +32,7 @@ from priorlab.priors import (
 )
 from priorlab.sampling import outcome_codes, sample_arrays, stream
 
-from min_distance_reference import AllPairsMinDistance, ExactSkeleton
+from min_distance_reference import AllPairsMinDistance, ExactSkeleton, truth_vector
 
 SP32 = enumerate_concepts(3, 2)
 D3 = uniform_distribution(3)
@@ -232,7 +232,7 @@ def _float_setup_matches_oracle(config):
     setup = ratelab.build_setup(config)
     est = setup.estimator
     oracle = AllPairsMinDistance(est._md.M)
-    truths = [est.truth_vector(od) for od in est.outcome_dists]
+    truths = [truth_vector(est, od) for od in est.outcome_dists]
     _assert_matches_oracle(est._md, oracle, _skeleton_count_vectors(setup, config, 11), truths)
     return setup
 
@@ -264,7 +264,7 @@ def test_distinct_sets_match_all_pairs_on_parity_m3():
     for r in range(6):
         tasks = sample_arrays(members[r], SP32, D3, 3 + 97 * r, 2, stream(40 + r))
         vectors.append(count_tasks(est, tasks)[0])
-    truths = [est.truth_vector(od) for od in est.outcome_dists]
+    truths = [truth_vector(est, od) for od in est.outcome_dists]
     _assert_matches_oracle(est._md, AllPairsMinDistance(est._md.M), vectors, truths)
     for counts in vectors:
         total = int(counts.sum())
@@ -301,7 +301,7 @@ def test_distinct_sets_one_member_and_identical_members():
         c = np.arange(len(est.support), dtype=np.int64)
         total = int(c.sum())
         assert est.select_from_counts(c, total) == exact.select(c, total) == 0
-        q = est._md.truth_masses(est.truth_vector(est.outcome_dists[0]))
+        q = est._md.truth_masses(truth_vector(est, est.outcome_dists[0]))
         assert est._md.deviation_rows(c[None], total, q).tolist() == [0.0]
         assert exact.deviation(c, total, exact.laws[0]) == 0
 

@@ -1,7 +1,8 @@
 import csv
 import tracemalloc
 from dataclasses import replace
-from math import factorial, prod
+from fractions import Fraction
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from priorlab.elicitation import (
     run_algorithm1,
 )
 from priorlab.errors import BudgetError
-from priorlab.estimators import SkeletonEstimator
+from priorlab.estimators import SkeletonEstimator, reduce_to_signs
 from priorlab.outcomes import DEFAULT_BUDGET
 from priorlab.priors import CoverFamily, SmoothPriorParams, reference_prior, total_variation
 from priorlab.ratelab import (
@@ -41,7 +42,7 @@ from priorlab.ratelab import (
 )
 from priorlab.sampling import sample_arrays, stream
 
-from min_distance_reference import AllPairsMinDistance
+from min_distance_reference import AllPairsMinDistance, truth_vector
 from sampling_reference import labels_oracle
 
 
@@ -90,6 +91,11 @@ def test_fit_rate_exponent_synthetic():
 
     with pytest.raises(ValueError):
         fit_rate_exponent(RateCurve([(10, 0.0, 0.0), (100, 0.0, 0.0)], [], 0, 0))
+
+
+def same_table(a, b):
+    """Two tables kept as columns hold the same fields and values."""
+    return a._fields == b._fields and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def counts_from_tuples(est, xs, ys):
@@ -145,9 +151,10 @@ def test_upper_experiment_twopoint_risk_decreases():
     # one-sided comparison at 95%: later mean is significantly below
     assert m1 < m0 - 1.645 * np.sqrt(s0**2 + s1**2)
     assert res.curve.theory_lower_exponent == pytest.approx(1 / 4)
-    # rows carry the documented schema
-    row = res.rows[0]
-    assert row[0] == "rates" and len(row) == 11
+    # the table carries the documented schema, one column per field
+    assert res.table._fields == RATE_CSV_HEADER
+    assert res.table.experiment.tolist() == ["rates"] * 2 * 2 * 60
+    assert {len(column) for column in res.table + res.report} == {2 * 2 * 60}
 
 
 def test_upper_experiment_singleton_family_zero_risk():
@@ -166,7 +173,7 @@ def test_upper_experiment_worker_invariance():
     )
     r1 = run_upper_experiment(config, workers=1)
     r2 = run_upper_experiment(config, workers=2)
-    assert r1.rows == r2.rows
+    assert same_table(r1.table, r2.table) and same_table(r1.report, r2.report)
     assert r1.curve.points == r2.curve.points
 
 
@@ -191,7 +198,8 @@ def test_lower_experiment_floor_and_events():
     # E[N_i] per task is (d!/m^d)/C(m,d) = 2/27
     assert res.ni_expected_per_task == pytest.approx(2 / 27)
     assert res.ni_within_3sigma
-    assert all(len(r) == 11 for r in res.rows)
+    assert res.table._fields == RATE_CSV_HEADER
+    assert {len(column) for column in res.table} == {2 * 60}
 
 
 def test_lower_floor_formula_direct_substitution():
@@ -214,7 +222,7 @@ def test_lower_experiment_rejects_k_other_than_d():
         run_lower_experiment(config)
     # k = d spelled out is the default testbed
     explicit = run_lower_experiment(replace(config, k=2))
-    assert explicit.rows == run_lower_experiment(replace(config, k=None)).rows
+    assert same_table(explicit.table, run_lower_experiment(replace(config, k=None)).table)
 
 
 def test_baseline_direct_beats_skeleton():
@@ -225,7 +233,7 @@ def test_baseline_direct_beats_skeleton():
     res = run_baseline_comparison(config, T=200)
     assert res.ordered
     assert BASELINE_CSV_HEADER == RATE_CSV_HEADER + ("direct_id", "direct_tv_error")
-    assert all(r._fields == BASELINE_CSV_HEADER for r in res.rows)
+    assert res.table._fields == BASELINE_CSV_HEADER
     # direct access should in fact be strictly better here, not just within slack
     assert res.direct_mean <= res.skeleton_mean
 
@@ -370,9 +378,9 @@ def test_twopoint_rates_match_the_exact_risk():
     _, atom_of = np.unique(est._md.A.T, axis=0, return_inverse=True)
     assert atom_of.max() == 2
     first = [int(np.flatnonzero(atom_of == a)[0]) for a in range(3)]
-    rows = run_upper_experiment(config).rows
+    table = run_upper_experiment(config).table
     for truth in setup.truth_ids:
-        q = np.bincount(atom_of, weights=est.truth_vector(est.outcome_dists[truth]))
+        q = np.bincount(atom_of, weights=truth_vector(est, est.outcome_dists[truth]))
         for T in config.T_grid:
             exact = 0.0
             for n0 in range(T + 1):
@@ -383,7 +391,7 @@ def test_twopoint_rates_match_the_exact_risk():
                     selected = est.select_from_counts(counts, T)
                     pmf = factorial(T) / prod(factorial(c) for c in n) * prod(q**n)
                     exact += pmf * setup.tv_matrix[truth, selected]
-            errs = np.array([r.tv_error for r in rows if (r.T, r.truth_id) == (T, truth)])
+            errs = table.tv_error[(table.T == T) & (table.truth_id == truth)]
             se = errs.std(ddof=1) / np.sqrt(len(errs))
             assert abs(errs.mean() - exact) <= 4 * se, (truth, T, errs.mean(), exact, se)
             if (truth, T) == (1, 10):
@@ -397,13 +405,14 @@ def per_replicate_cells(config, T, T_idx, truth_id):
     """Oracle: the upper, baseline and lower cells as they ran one
     replicate at a time, each on its own `stream`, drawn by the
     Generator-call oracle, counted through the labels and selected one
-    count vector at a time by the all-pairs oracle."""
+    count vector at a time by the all-pairs oracle; a lower-bound
+    replicate's truth id and error are those of its own signs."""
     setup = build_setup(config)
     est, space, dist = setup.estimator, setup.space, setup.dist
     skeleton = AllPairsMinDistance(est._md.M)
     direct = AllPairsMinDistance(setup.direct._md.M)
     source = ratelab._source(setup, truth_id)
-    q = est.truth_vector(est.outcome_dists[truth_id])
+    q = truth_vector(est, est.outcome_dists[truth_id])
     upper, baseline, lower = [], [], []
     for rep in range(config.replicates):
         rng = stream(config.seed, ratelab._UPPER, T_idx, truth_id, rep)
@@ -411,22 +420,28 @@ def per_replicate_cells(config, T, T_idx, truth_id):
         counts, _ = counts_from_tuples(est, tasks.xs, tasks.ys)
         selected, _ = skeleton.select(counts, T)
         dev = skeleton.deviation(counts, T, q)
-        upper.append((rep, selected, float(setup.tv_matrix[truth_id, selected]), dev))
+        upper.append((selected, float(setup.tv_matrix[truth_id, selected]), dev))
         rng = stream(config.seed, ratelab._BASELINE, T_idx, truth_id, rep)
         tasks = labels_oracle(source, space, dist, T, config.samples_per_task, rng)
         sk, _ = skeleton.select(counts_from_tuples(est, tasks.xs, tasks.ys)[0], T)
         di, _ = direct.select(np.bincount(tasks.concepts, minlength=len(space)), T)
-        baseline.append((rep, sk, di))
+        baseline.append((sk, di))
         if setup.params_list is None or config.samples_per_task != config.d:
             continue  # the lower-bound testbed runs on the parity family at k = d
+        n_signs = comb(config.m, config.d)
         rng = stream(config.seed, ratelab._LOWER, T_idx, rep)
-        b = tuple(1 if v else -1 for v in rng.integers(0, 2, size=len(setup.params_list[0].b)))
+        b = tuple(1 if v else -1 for v in rng.integers(0, 2, size=n_signs))
         params = SmoothPriorParams(b, config.L, config.alpha, config.m, config.d)
         tasks = labels_oracle(params, space, dist, T, config.d, rng)
         selected, _ = skeleton.select(counts_from_tuples(est, tasks.xs, tasks.ys)[0], T)
         x_masks = np.bitwise_or.reduce(1 << (tasks.xs - 1), axis=1)
         subs = np.asarray(d_subsets(config.m, config.d))
-        lower.append((rep, selected, int((x_masks == subs[tasks.trace[0]]).sum())))
+        truth = sum((1 if s > 0 else 0) << (n_signs - 1 - i) for i, s in enumerate(b))
+        red = reduce_to_signs(est.cover.members[selected], params)
+        p_true = [(1.0 + setup.params_list[0].gamma_m * s) / 2.0 for s in b]
+        scale = Fraction(1, 2**config.d * n_signs)
+        err = 0.5 * float(scale) * sum(abs(ph - pt) for ph, pt in zip(red.p_hat, p_true))
+        lower.append((selected, truth, err, int((x_masks == subs[tasks.trace[0]]).sum())))
     return upper, baseline, lower
 
 
@@ -444,8 +459,15 @@ def per_replicate_cells(config, T, T_idx, truth_id):
         (ExperimentConfig(m=3, d=2, T_grid=(10_001,), replicates=3, truth_count=1, seed=8), None),
         # k > d: 8,748 joint cells and 4,530 support points, one replicate a block
         (ExperimentConfig(m=3, d=2, k=6, T_grid=(40,), replicates=12, truth_count=1, seed=5), None),
+        # odd d: a sign reads "above" as +1; four and five signs, whose
+        # truth ids change when their bit order is reversed
+        (ExperimentConfig(m=4, d=3, T_grid=(12,), replicates=60, truth_count=1, seed=6), 224),
+        (ExperimentConfig(m=5, d=1, T_grid=(15,), replicates=60, truth_count=1, seed=9), None),
     ],
-    ids=["parity-m4", "parity-m3", "parity-m3-runs", "twopoint", "parity-T10001", "parity-k6"],
+    ids=[
+        "parity-m4", "parity-m3", "parity-m3-runs", "twopoint", "parity-T10001", "parity-k6",
+        "parity-m4-d3", "parity-m5-d1",
+    ],
 )
 def test_lock_step_cells_match_one_replicate_at_a_time(config, block, monkeypatch):
     setup = build_setup(config)
@@ -454,15 +476,22 @@ def test_lock_step_cells_match_one_replicate_at_a_time(config, block, monkeypatc
         monkeypatch.setattr(sampling, "_BLOCK", block)
     for truth_id in setup.truth_ids[:2]:
         upper, baseline, lower = per_replicate_cells(config, T, 0, truth_id)
-        payload = (config.__dict__, T, 0, truth_id)
-        got = [(r.report.replicate, r.rate.selected_id, r.rate.tv_error, r.report.max_yatracos_dev)
-               for r in ratelab._upper_cell(payload)]
-        assert got == upper
-        got = [(r.replicate, r.selected_id, r.direct_id) for r in ratelab._baseline_cell(payload)]
-        assert got == baseline
-        if lower:
-            rows = ratelab._lower_cell((config.__dict__, T, 0))
-            assert [(r.rate.replicate, r.rate.selected_id, r.n_events) for r in rows] == lower
+        payload = (config, T, 0, truth_id)
+        picks, devs = ratelab._upper_cell(payload)
+        errors = setup.tv_matrix[truth_id, picks]
+        assert list(zip(picks.tolist(), errors.tolist(), devs.tolist())) == upper
+        assert list(zip(*(c.tolist() for c in ratelab._baseline_cell(payload)))) == baseline
+    if not lower:
+        return
+    picks, truths, n_events = ratelab._lower_cell((config, T, 0))
+    assert list(zip(picks.tolist(), truths.tolist(), n_events.tolist())) == [
+        (sel, truth, n) for sel, truth, _, n in lower
+    ]
+    table = run_lower_experiment(config).table
+    assert list(zip(table.selected_id.tolist(), table.truth_id.tolist(), table.tv_error.tolist())) == [
+        (sel, truth, err) for sel, truth, err, _ in lower
+    ]
+    assert table.replicate.tolist() == list(range(config.replicates))
 
 
 def test_cells_with_k_above_d_allocate_little():
@@ -473,8 +502,8 @@ def test_cells_with_k_above_d_allocate_little():
     build_setup(config)
     tracemalloc.start()
     try:
-        ratelab._upper_cell((config.__dict__, 50, 0, 0))
-        ratelab._baseline_cell((config.__dict__, 50, 0, 0))
+        ratelab._upper_cell((config, 50, 0, 0))
+        ratelab._baseline_cell((config, 50, 0, 0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -487,10 +516,10 @@ def test_upper_cell_at_ten_thousand_tasks_allocates_little():
     # one replicate's words and its decode
     config = ExperimentConfig(m=3, d=2, T_grid=(10_000,), replicates=20, truth_count=0, seed=6)
     build_setup(config)
-    ratelab._upper_cell((config.__dict__, 10_000, 0, 0))  # layout tables built
+    ratelab._upper_cell((config, 10_000, 0, 0))  # layout tables built
     tracemalloc.start()
     try:
-        ratelab._upper_cell((config.__dict__, 10_000, 0, 0))
+        ratelab._upper_cell((config, 10_000, 0, 0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -522,3 +551,58 @@ def test_task_words_checked_before_output(tmp_path, monkeypatch, capsys, keys, w
     config = ExperimentConfig(m=3, d=2, T_grid=(2_499_999,))
     assert config.replicate_words(2_499_999) <= DEFAULT_BUDGET
     config.check_budget(baseline_T=2_499_999)
+
+
+def rows_of(table):
+    """A table kept as columns, as rows of Python values."""
+    return list(zip(*(column.tolist() for column in table)))
+
+
+def mean_se_of(values):
+    errs = np.asarray(values)
+    return float(errs.mean()), float(errs.std(ddof=1) / np.sqrt(len(errs)))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig(m=3, d=2, family="twopoint", T_grid=(5, 20, 60), replicates=150, seed=12),
+        ExperimentConfig(m=3, d=2, k=4, T_grid=(10, 50), replicates=23, truth_count=5, seed=8),
+        ExperimentConfig(m=4, d=2, T_grid=(10, 40, 90), replicates=137, truth_count=3, seed=4),
+    ],
+    ids=["twopoint", "parity-k4", "parity-m4"],
+)
+def test_summaries_match_row_filtering_bit_for_bit(config):
+    # every mean and standard error is taken as it was from rows: Python
+    # lists filtered by T (and truth), in row order
+    res = run_upper_experiment(config)
+    rows = [dict(zip(RATE_CSV_HEADER, r)) for r in rows_of(res.table)]
+    points, pooled = [], []
+    for T in config.T_grid:
+        t_rows = [r for r in rows if r["T"] == T]
+        per_truth = {}
+        for r in t_rows:
+            per_truth.setdefault(r["truth_id"], []).append(r["tv_error"])
+        means = {tid: float(np.mean(v)) for tid, v in per_truth.items()}
+        worst = max(means, key=lambda tid: (means[tid], tid))
+        points.append((T, *mean_se_of(per_truth[worst])))
+        pooled.append((T, *mean_se_of([r["tv_error"] for r in t_rows])))
+    assert res.curve.points == points
+    assert res.curve.pooled_points == pooled
+    assert rows_of(res.report) == [
+        (r["replicate"], r["T"], r["selected_id"], r["tv_error"], dev)
+        for r, dev in zip(rows, res.report.max_yatracos_dev.tolist())
+    ]
+    base = run_baseline_comparison(config, T=config.T_grid[-1])
+    rows = [dict(zip(BASELINE_CSV_HEADER, r)) for r in rows_of(base.table)]
+    sk = np.asarray([r["tv_error"] for r in rows])
+    di = np.asarray([r["direct_tv_error"] for r in rows])
+    assert (base.skeleton_mean, base.direct_mean) == (float(sk.mean()), float(di.mean()))
+    assert base.diff_se == mean_se_of(di - sk)[1]
+    if config.family != "parity" or config.samples_per_task != config.d:
+        return
+    lower = run_lower_experiment(config)
+    rows = [dict(zip(RATE_CSV_HEADER, r)) for r in rows_of(lower.table)]
+    for T in config.T_grid:
+        mean, se = mean_se_of([r["tv_error"] for r in rows if r["T"] == T])
+        assert (lower.per_T[T]["mean"], lower.per_T[T]["se"]) == (mean, se)

@@ -440,8 +440,8 @@ def test_rejected_replicate_inside_a_block_is_redrawn(m, d):
     def redo(rep):
         return rigged_stream(word) if rep == 2 else stream(m, 50, rep)
 
-    (first, counts, bits), = joint_blocks([redo(rep) for rep in range(5)], redo, params, layout, 50)
-    assert first == 0 and counts.shape == (5, layout.size) and bits.shape == (5, 0)
+    (counts, bits), = joint_blocks([redo(rep) for rep in range(5)], redo, params, layout, 50)
+    assert counts.shape == (5, layout.size) and bits.shape == (5, 0)
     for rep in range(5):
         want = labels_oracle(params, space, dist, 50, d, redo(rep)).tasks.joint
         assert np.array_equal(counts[rep], np.bincount(want, minlength=layout.size)), rep
@@ -482,7 +482,7 @@ def test_cli_byte_identical_to_labels_oracle(tmp_path, monkeypatch, subcommand, 
                 params = SmoothPriorParams(b, source.L, source.alpha, source.m, source.d)
             joint = labels_oracle(params, setup.space, setup.dist, T, layout.k, rng).tasks.joint
             calls.append(rep)
-            yield rep, np.bincount(joint, minlength=layout.size)[None], bits[None]
+            yield np.bincount(joint, minlength=layout.size)[None], bits[None]
 
     monkeypatch.setattr(ratelab, "joint_blocks", oracle_blocks)
     monkeypatch.setattr(ratelab, "_SETUP_CACHE", {})

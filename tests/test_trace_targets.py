@@ -18,6 +18,7 @@ from spans import COUNTED, SPANS, Tracer, _on_estimator_built, _on_serve, _resol
 from workloads import WORKLOADS, setup  # noqa: E402
 
 from priorlab import ratelab  # noqa: E402
+from priorlab.cli import dispatch  # noqa: E402
 from priorlab.elicitation import (  # noqa: E402
     FamilyOutcomeModel,
     ScheduleRDelta,
@@ -83,6 +84,25 @@ def test_serve_hook_counts_every_customer():
     tracer = Tracer()
     _on_serve(tracer, (), {}, res)
     assert tracer.counters == {"elicitation.customers": 60, "elicitation.fallbacks": res.fallbacks}
+
+
+def test_cell_runners_are_called_once_per_cell(tmp_path):
+    # the traced run counts ratelab.cells by wrapping each cell runner
+    # where the run functions look it up, as a module attribute
+    tracer = Tracer()
+    for path, attr, _ in COUNTED:
+        tracer._patch(path, attr, lambda fn, n=attr: tracer._counter(n, fn))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10,30,60\nreplicates = 2\n")
+    try:
+        assert dispatch("rates", cfg, 0, tmp_path / "rates") == 0
+        assert dispatch("lowerbound", cfg, 0, tmp_path / "lowerbound") == 0
+    finally:
+        tracer.uninstall()
+    assert not tracer.missing
+    truths = len(ratelab.build_setup(ratelab.ExperimentConfig(m=3, d=2, T_grid=(10,), seed=0)).truth_ids)
+    assert truths > 1
+    assert tracer.counters == {"_upper_cell": 3 * truths, "_baseline_cell": truths, "_lower_cell": 3}
 
 
 # tasks each workload simulates at program seed 0, as its set-up counts them
