@@ -75,19 +75,6 @@ class DataDistribution:
         return sum(w for i, w in enumerate(self.weights) if (mask >> i) & 1)
 
 
-def categorical_draw(thresholds, u) -> np.ndarray:
-    """The category drawn by each uniform in `u` from a categorical law
-    whose cumulative sums are cs: the number of thresholds cs[:-1] at or
-    below it.  This is `min(searchsorted(cs, u, side="right"),
-    len(cs) - 1)` bit for bit (the clip covers a cumsum that ends below
-    1), in len(cs) - 1 comparison passes instead of a binary search per
-    draw."""
-    idx = np.zeros(np.shape(u), dtype=np.int64)
-    for threshold in thresholds:
-        idx += u >= threshold
-    return idx
-
-
 def uniform_distribution(m: int) -> DataDistribution:
     return DataDistribution(tuple(1.0 / m for _ in range(m)))
 

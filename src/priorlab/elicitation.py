@@ -13,14 +13,16 @@ No query decision feeds back into the task draws or the estimator, so
 estimation runs in bulk from pre-drawn streams: all customers of a stream
 are drawn first, each task is reduced to the id of its consistent set
 (the AND of d agreement bitmasks), and the selector counts set ids at the
-task counts it needs.  A customer is plain data, its function index and
+task counts it needs and selects through `estimators._MinDistance`, the
+min-distance core of `rates`.  A customer is plain data, its function index and
 the bundles it has answered.  The prior-free branch queries every bundle
 and its ledger row is closed-form.  The prior-aware customers of a
 stream are served in lock-step: each round looks up one posterior per
 distinct (surrogate, consistent set) and takes one vector step for all
 customers still asking, and the ledger is kept as those column arrays.
 Customer t keeps its own streams `stream(seed, t, purpose)`; their first
-outputs are computed for all customers at once by `sampling.stream_raw`.
+outputs are computed for all customers at once by `sampling.stream_raw`,
+and a function is drawn from a word by `sampling._categorical`'s decode.
 """
 
 from __future__ import annotations
@@ -33,11 +35,10 @@ from math import comb, factorial
 
 import numpy as np
 
-from .concepts import categorical_draw
 from .errors import BudgetError
-from .estimators import _distinct_rows, yatracos_scores, yatracos_sets
+from .estimators import _distinct_rows, _MinDistance, yatracos_sets
 from .priors import tv_matrix
-from .sampling import keyed_streams, raw_integers, raw_random, stream, stream_raw
+from .sampling import _categorical, _count_cuts, keyed_streams, raw_integers, stream, stream_raw
 
 _CUSTOMER_STREAM = 0
 _POINTS_STREAM = 1
@@ -155,7 +156,7 @@ class ValuationPriorFamily:
             raise ValueError(f"recorded pseudo-dimension bound d={d} is violated")
         self.d = d
         self.W = np.stack(self.members)  # (members, F)
-        self._thresholds = np.cumsum(self.W, axis=1)[:, :-1]
+        self._draws = [_categorical(tuple(w.tolist())) for w in self.members]
         self.tv_matrix = tv_matrix(self.W)
 
     @cached_property
@@ -187,14 +188,11 @@ class ValuationPriorFamily:
     def n_bundles(self) -> int:
         return self.S.shape[1]
 
-    def function_index(self, member: int, u: np.ndarray) -> np.ndarray:
-        """The function indices that uniforms `u` select under `member`."""
-        return categorical_draw(self._thresholds[member], u)
-
-    def sample_function(self, member: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        """`size` function indices drawn from `member` (the same doubles as
-        `size` single draws)."""
-        return self.function_index(member, rng.random(size))
+    def function_index(self, member: int, words: np.ndarray) -> np.ndarray:
+        """The function indices that raw PCG64 words draw under `member`:
+        those `Generator.random()` of each word would draw."""
+        cuts, categories = self._draws[member]
+        return categories[_count_cuts(cuts, words)]
 
 
 def method_A_prime(values) -> int:
@@ -358,7 +356,7 @@ def estimate_Q(
         raise ValueError("trials must be >= 1")
     # trial r draws once from stream(seed, _Q_STREAM, member, r)
     keys = np.column_stack([np.full(trials, _Q_STREAM), np.full(trials, member), np.arange(trials)])
-    f_idx = family.function_index(member, raw_random(stream_raw(seed, keys, 1)[:, 0]))
+    f_idx = family.function_index(member, stream_raw(seed, keys, 1)[:, 0])
     _, asked, _ = _method_A_batch(
         family, cache or _PosteriorCache(family), epsilon, np.full(trials, member), f_idx,
         np.zeros((trials, 0), dtype=np.intp),
@@ -407,7 +405,8 @@ class FamilyOutcomeModel:
         # G sums, combination by combination, the member masses of the
         # consistent sets in each pair's Yatracos set; a combination's sets
         # are taken in the order of their first function (f leads its set
-        # when its lowest bit is f).  Keep this order: a reordered sum moves
+        # when its lowest bit is f), as C-ordered (sets, members) and (sets,
+        # pairs) gathers.  Keep this order and layout: either changed moves
         # G's last bits, and that flips min-distance ties.
         ids = np.searchsorted(self.set_masks, cells)
         leads = (cells & -cells) == np.int64(1) << np.arange(F, dtype=np.int64)
@@ -422,6 +421,7 @@ class FamilyOutcomeModel:
             sets = row[lead]
             G += w * np.einsum("cl,cp->lp", mm[sets], indicators[sets])
         self.G = G
+        self._md = _MinDistance.from_sets(self.set_indicators.T, G)
 
     def consistent_sets(self, xs, f_idx) -> np.ndarray:
         """The consistent-set id of each task: (T,) for (T, d) points and
@@ -459,24 +459,15 @@ class SequentialSelector:
     def selected(self, ts) -> np.ndarray:
         """The member selected after the first t tasks, for each t in `ts`;
         member 0 before any task."""
-        model = self.model
         grid, back = np.unique(ts, return_inverse=True)
         # task i counts toward every t > i: bin it under the first such t
         # in the grid, then a running sum over the grid gives each t's
         # count of every consistent set (exact integers in floats)
-        n_sets = len(model.set_masks)
+        n_sets = len(self.model.set_masks)
         seg = np.searchsorted(grid, np.arange(len(self.sets)), side="right")
         binned = np.bincount(seg * n_sets + self.sets, minlength=(len(grid) + 1) * n_sets)
         per_set = np.cumsum(binned.reshape(-1, n_sets)[:-1], axis=0, dtype=float)
-        indicators = model.set_indicators.astype(float)
-        picks = np.zeros(len(grid), dtype=np.int64)
-        # score a chunk of task counts at a time: (chunk, members, pairs) floats
-        step = max(1, (1 << 14) // max(model.G.size, 1))
-        for lo in range(0, len(grid), step):
-            tt = grid[lo : lo + step]
-            counts = per_set[lo : lo + step] @ indicators  # (chunk, pairs)
-            scores = yatracos_scores(model.G, counts / np.maximum(tt, 1)[:, None])
-            picks[lo : lo + step] = np.where(tt > 0, scores.argmin(axis=1), 0)
+        picks = np.where(grid > 0, self.model._md.select_rows(per_set, np.maximum(grid, 1)), 0)
         return picks[back.reshape(-1)]
 
 
@@ -530,7 +521,7 @@ def calibrate_schedule(
     errors = np.empty((pooled, len(T_grid)))
     rngs = keyed_streams(seed, [(_CAL_STREAM, truth, rep) for truth, rep in runs])
     for row, ((truth, _), rng) in enumerate(zip(runs, rngs)):
-        f_idx = family.sample_function(truth, rng, T_grid[-1])
+        f_idx = family.function_index(truth, rng.bit_generator.random_raw(T_grid[-1]))
         xs = rng.integers(0, family.n_bundles, size=(T_grid[-1], family.d))
         selected = SequentialSelector(model, xs, f_idx).selected(T_grid)
         errors[row] = family.tv_matrix[truth, selected]
@@ -586,7 +577,7 @@ def draw_customers(family: ValuationPriorFamily, truth: int, T: int, seed: int):
     t = np.arange(1, T + 1)
     raw_f = stream_raw(seed, np.column_stack([t, np.full(T, _CUSTOMER_STREAM)]), 1)
     raw_x = stream_raw(seed, np.column_stack([t, np.full(T, _POINTS_STREAM)]), (family.d + 1) // 2)
-    f_idx = family.function_index(truth, raw_random(raw_f[:, 0]))
+    f_idx = family.function_index(truth, raw_f[:, 0])
     return f_idx, raw_integers(raw_x, family.n_bundles, family.d)
 
 

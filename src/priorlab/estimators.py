@@ -38,9 +38,9 @@ _ROW_BLOCK = 1 << 12  # values a block of rows holds at once (one row may hold m
 def _by_rows(fn, rows: np.ndarray, entries: int) -> np.ndarray:
     """fn of a stack of vectors, a block of rows at a time, where fn makes
     `entries` values per row, so that a block holds about _ROW_BLOCK of
-    them."""
+    them (no rows make one empty block)."""
     step = max(1, _ROW_BLOCK // max(entries, 1))
-    return np.concatenate([fn(rows[i:i + step]) for i in range(0, len(rows), step)])
+    return np.concatenate([fn(rows[i:i + step]) for i in range(0, max(len(rows), 1), step)])
 
 
 def yatracos_sets(M: np.ndarray) -> np.ndarray:
@@ -86,12 +86,14 @@ class _MinDistance:
     are tied exactly (in rational arithmetic) can round apart, and then
     the member whose score rounded lower wins, whatever its index.
 
+    Built from a (members, support) mass table `M`, or by `from_sets`
+    from sets and pair masses computed elsewhere (then there is no `M`).
     A region shared by several pairs adds nothing to a maximum, so the
     empirical masses mu(A) are counted and scored over the distinct sets
     only (728 of 4,032 pairs for the m=4, d=2 parity family).  The member
-    masses M(A) come from the all-pairs product, and a pair whose masses
-    differ in any bit from those of the first pair with its set keeps a
-    column of its own, so every score is the all-pairs score bit for bit;
+    masses M(A) are those of every pair, and a pair whose masses differ in
+    any bit from those of the first pair with its set keeps a column of
+    its own, so every score is the all-pairs score bit for bit;
     `deviation_rows` likewise reads each pair's truth mass from the
     all-pairs product.  The budget still counts every ordered pair: the
     pairwise comparison is built before duplicates are dropped.
@@ -101,8 +103,17 @@ class _MinDistance:
         self.M = np.asarray(mass_matrix, dtype=float)
         check_yatracos_budget(*self.M.shape)
         sets = yatracos_sets(self.M)
+        self._columns(sets, self.M @ sets.T)
+
+    @classmethod
+    def from_sets(cls, sets: np.ndarray, PA: np.ndarray) -> "_MinDistance":
+        """Selection over given (pairs, support) bool sets and their (members, pairs) masses."""
+        md = cls.__new__(cls)
+        md._columns(sets, PA)
+        return md
+
+    def _columns(self, sets: np.ndarray, PA: np.ndarray) -> None:
         keep, self._pair_set = _distinct_rows(sets)
-        PA = self.M @ sets.T  # (members, pairs)
         # a pair whose masses round unlike those of its set's first pair
         # keeps a column of its own, after the distinct sets
         odd = np.flatnonzero((PA != PA[:, keep[self._pair_set]]).any(axis=0))
@@ -110,19 +121,23 @@ class _MinDistance:
         self.A = sets[columns].astype(float)
         self.PA = np.ascontiguousarray(PA[:, columns])
 
-    def _mu(self, counts: np.ndarray, total: int) -> np.ndarray:
+    def _mu(self, counts: np.ndarray, total) -> np.ndarray:
         """The empirical masses mu(A) of the distinct sets for each row of
-        a stack of count vectors (exact sums: counts are integers)."""
-        return (counts @ self.A.T) / total
+        a stack of count vectors, each of `total` tasks (one total, or one
+        per row); the sums are exact, as counts are integers."""
+        mu = counts @ self.A.T
+        mu /= np.reshape(total, (-1, 1))  # in place: a tall stack makes one such array, not two
+        return mu
 
-    def _scores(self, counts: np.ndarray, total: int) -> np.ndarray:
+    def _scores(self, counts: np.ndarray, total) -> np.ndarray:
         """The scores of each row of a (rows, support) stack of counts,
-        each of `total` tasks, as a (rows, members) array."""
-        return _by_rows(lambda c: yatracos_scores(self.PA, self._mu(c, total)), counts, self.PA.size)
+        each of `total` tasks (one total, or one per row), as a (rows,
+        members) array."""
+        return _by_rows(lambda mu: yatracos_scores(self.PA, mu), self._mu(counts, total), self.PA.size)
 
-    def select_rows(self, counts: np.ndarray, total: int) -> np.ndarray:
+    def select_rows(self, counts: np.ndarray, total) -> np.ndarray:
         """The selected member of each row of a (rows, support) stack of
-        counts, each of `total` tasks."""
+        counts, each of `total` tasks (one total, or one per row)."""
         return np.argmin(self._scores(counts, total), axis=1)
 
     def truth_masses(self, truth_on_support: np.ndarray) -> np.ndarray:
@@ -136,8 +151,8 @@ class _MinDistance:
         """max over Yatracos sets of |mu_T(A) - Q(A)|, given `truth_masses(Q)`,
         for each row of a (rows, support) stack of counts."""
         return _by_rows(
-            lambda c: np.abs(self._mu(c, total)[:, self._pair_set] - truth_masses).max(axis=-1, initial=0.0),
-            counts,
+            lambda mu: np.abs(mu[:, self._pair_set] - truth_masses).max(axis=-1, initial=0.0),
+            self._mu(counts, total),
             len(self._pair_set),
         )
 

@@ -324,23 +324,6 @@ class PartitionSmoothedPrior:
     cell_of: np.ndarray  # cell id per concept index
     smoothed: TabularPrior
 
-    @property
-    def n_cells(self) -> int:
-        return int(self.cell_of.max()) + 1
-
-    def cell_members(self, cell: int) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.cell_of == cell)]
-
-    def max_diameter(self, dist: DataDistribution) -> float:
-        """Largest rho-diameter among the cells."""
-        dmat = rho_matrix(self.base.space, dist)
-        worst = 0.0
-        for cell in range(self.n_cells):
-            idx = np.flatnonzero(self.cell_of == cell)
-            if len(idx) > 1:
-                worst = max(worst, float(dmat[np.ix_(idx, idx)].max()))
-        return worst
-
 
 def anchor_cells(space: ConceptSpace, anchors: tuple[int, ...]) -> np.ndarray:
     """Cell ids (first-seen order) of each concept under anchor agreement."""

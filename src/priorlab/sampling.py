@@ -17,7 +17,6 @@ an exact decode of those words.
   numpy's 32-bit Lemire rule on the halves of the words, low half first,
   with a half left over held for the next bounded draw (`_lemire`, also
   behind `raw_integers`); `_plan` places each draw in a row of words.
-  `raw_random` gives the doubles themselves.
 - **Tasks.**  A task draws a concept branch (the drawn concept for a
   tabular prior, (2 i* + c) * width + choice for the parity family) and
   then k point digits, each a position among the P points D can draw.
@@ -217,11 +216,6 @@ def keyed_streams(seed: int, keys) -> Iterator[np.random.Generator]:
             "uinteger": 0,
         }
         yield rng
-
-
-def raw_random(words: np.ndarray) -> np.ndarray:
-    """`Generator.random()` of each raw output: its top 53 bits / 2**53."""
-    return (words >> np.uint64(11)) * 2.0**-53
 
 
 def _halves(words: np.ndarray) -> np.ndarray:

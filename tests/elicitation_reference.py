@@ -79,12 +79,16 @@ def _meet(part_groups, combo, F) -> list[list[int]]:
     cells: dict[int, list[int]] = {}
     for i, lab in enumerate(label):
         cells.setdefault(lab, []).append(i)
-    return [cells[k] for k in sorted(cells)]
+    return list(cells.values())  # in order of their first function
 
 
 def meet_outcome_model(family):
     """(G, set_masks, set_indicators) of the outcome model, G summed over
-    the labelled meet cells of every partition combination."""
+    the labelled meet cells of every partition combination.  Each
+    combination's cells are taken in the order of their first function and
+    contracted as C-ordered (cells, members) and (cells, pairs) arrays, as
+    the model documents: on non-dyadic weights another order or layout
+    moves the last bits of G."""
     d = family.d
     F = len(family.functions)
     n_bundles = family.n_bundles
@@ -122,7 +126,8 @@ def meet_outcome_model(family):
         for c, cell in enumerate(cells):
             cell_mat[c, cell] = 1.0
         cm = family.W @ cell_mat.T  # (members, cells)
-        G += w * np.einsum("lc,pc->lp", cm, yatracos_sets(cm).astype(float))
+        indicators = np.ascontiguousarray(yatracos_sets(cm).T, dtype=float)  # (cells, pairs)
+        G += w * np.einsum("cl,cp->lp", np.ascontiguousarray(cm.T), indicators)
     # every consistent set a task can have, and their pair indicators
     first_bundle = np.unique(part_of_bundle, return_index=True)[1]
     combos = np.array(list(itertools.combinations_with_replacement(range(P), d)))

@@ -5,6 +5,10 @@ sampler did before it decoded words, and reads labels off the concept
 masks.  `rigged_stream` is a PCG64 generator whose next raw word is
 chosen, so a test can put a word numpy would reject where it likes;
 `later_draws` is what a generator's state decides for the draws after.
+`raw_random` reads raw words as the doubles `Generator.random()` makes
+of them, and `categorical_draw` draws categories from such doubles by
+comparing them with the cumulative sums, the rule the word decode of
+`sampling._categorical` must reproduce.
 """
 
 from types import SimpleNamespace
@@ -16,6 +20,23 @@ from priorlab.sampling import Tasks, _parity_index_table, outcome_codes, task_la
 
 PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341  # PCG64's multiplier
 MASK64 = (1 << 64) - 1
+
+
+def raw_random(words: np.ndarray) -> np.ndarray:
+    """`Generator.random()` of each raw output: its top 53 bits / 2**53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def categorical_draw(thresholds, u) -> np.ndarray:
+    """The category drawn by each uniform in `u` from a categorical law
+    whose cumulative sums are cs: the number of thresholds cs[:-1] at or
+    below it, which is `min(searchsorted(cs, u, side="right"),
+    len(cs) - 1)` bit for bit (the clip covers a cumsum that ends below
+    1)."""
+    idx = np.zeros(np.shape(u), dtype=np.int64)
+    for threshold in thresholds:
+        idx += u >= threshold
+    return idx
 
 
 def rigged_stream(word: int) -> np.random.Generator:

@@ -27,7 +27,7 @@ from priorlab.elicitation import (
     run_algorithm1,
 )
 from priorlab.errors import BudgetError
-from priorlab.estimators import yatracos_sets
+from priorlab.estimators import _MinDistance, yatracos_scores, yatracos_sets
 from priorlab.ratelab import format_cell
 from priorlab.sampling import stream
 
@@ -217,21 +217,39 @@ def test_outcome_model_matches_brute_force():
     assert np.allclose(model.G, brute_force_G(fam), atol=1e-12)
 
 
+def singleton_cell_family(seed):
+    """Four or eight tables that differ at every bundle, so every
+    consistent set holds one function and its member masses are exact,
+    under three to five members of non-dyadic random weights: the order
+    and the layout in which G adds those masses show in its last bits."""
+    rng = np.random.default_rng(seed)
+    F = (4, 8)[seed % 2]
+    values = np.stack([rng.permutation(F) for _ in range(4)], axis=1) / 10 - 0.35
+    functions = [SatisfactionFunction(tuple(row.tolist())) for row in values]
+    members = list(rng.dirichlet(np.ones(F), size=3 + seed % 3))
+    return ValuationPriorFamily(functions, members, log2_pdim_bound(functions))
+
+
 def oracle_family(name):
     """The families the outcome model is checked on bit for bit: the test
-    families and presence_family at seeds 0-9 and 4, 6 or 8 items."""
+    families, presence_family at seeds 0-9 and 4, 6 or 8 items, and
+    singleton-cell families at seeds 0-11."""
     if name.startswith("presence-"):
         seed, n_items = map(int, name.split("-")[1:])
         return presence_family(seed=seed, n_items=n_items)[1]
+    if name.startswith("singletons-"):
+        return singleton_cell_family(int(name.split("-")[1]))
     if name == "two":
         _, fam = tiny_family()
         return ValuationPriorFamily(fam.functions, fam.members[:2], d=2)
     return family_and_model(name)[0]
 
 
-ORACLE_FAMILIES = ["tiny", "sparse", "singleton", "two"] + [
-    f"presence-{seed}-{n_items}" for seed in range(10) for n_items in (4, 6, 8)
-]
+ORACLE_FAMILIES = (
+    ["tiny", "sparse", "singleton", "two"]
+    + [f"presence-{seed}-{n_items}" for seed in range(10) for n_items in (4, 6, 8)]
+    + [f"singletons-{seed}" for seed in range(12)]
+)
 
 
 @pytest.mark.parametrize("name", ORACLE_FAMILIES)
@@ -429,8 +447,8 @@ class OracleSelector:
 
 
 def sample_one(fam, member, rng):
-    """One function index drawn from `member`: one double from `rng`."""
-    return int(fam.sample_function(member, rng, 1)[0])
+    """One function index drawn from `member`: one raw word from `rng`."""
+    return int(fam.function_index(member, rng.bit_generator.random_raw(1))[0])
 
 
 def oracle_sample_function(fam, member, rng):
@@ -551,7 +569,7 @@ def family_and_model(name):
 
 def draw_tasks(fam, truth, T, rng):
     """(points, function indices) of T tasks."""
-    f_idx = fam.sample_function(truth, rng, size=T)
+    f_idx = fam.function_index(truth, rng.bit_generator.random_raw(T))
     return rng.integers(0, fam.n_bundles, size=(T, fam.d)), f_idx
 
 
@@ -624,14 +642,32 @@ def test_tv_matrix_matches_pairwise_loop(family_seed):
 
 
 @pytest.mark.parametrize("name", ["tiny", "presence"])
-def test_sample_function_size_matches_scalar_draws(name):
+def test_function_index_of_words_matches_scalar_draws(name):
     fam, _ = family_and_model(name)
     for member in range(fam.n_members):
-        rng_bulk, rng_one = stream(5, member), stream(5, member)
-        bulk = fam.sample_function(member, rng_bulk, size=300)
+        rng_words, rng_one = stream(5, member), stream(5, member)
+        bulk = fam.function_index(member, rng_words.bit_generator.random_raw(300))
         assert bulk.tolist() == [oracle_sample_function(fam, member, rng_one) for _ in range(300)]
-        assert rng_bulk.random() == rng_one.random()  # both streams end in the same place
-        assert isinstance(sample_one(fam, member, rng_bulk), int)
+        assert rng_words.random() == rng_one.random()  # both streams end in the same place
+        assert isinstance(sample_one(fam, member, rng_words), int)
+
+
+@pytest.mark.parametrize("held", [False, True])
+def test_calibration_words_leave_the_stream_where_doubles_did(held):
+    # calibrate_schedule reads a run's T function draws as raw words, where
+    # it drew T doubles before; the bundle draws after them must not move,
+    # also when a 32-bit half is held over from an earlier bounded draw
+    fam, _ = family_and_model("presence")
+    for truth, rep, T in ((0, 0, 150), (fam.n_members - 1, 4, 1), (3, 2, 77)):
+        words, doubles = stream(3, 3, truth, rep), stream(3, 3, truth, rep)
+        if held:
+            assert words.integers(0, 6) == doubles.integers(0, 6)
+        words.bit_generator.random_raw(T)
+        doubles.random(T)
+        for high in (fam.n_bundles, 6):
+            assert np.array_equal(
+                words.integers(0, high, size=(T, fam.d)), doubles.integers(0, high, size=(T, fam.d))
+            )
 
 
 @pytest.mark.parametrize("name", ["tiny", "presence", "singleton"])
@@ -646,6 +682,51 @@ def test_selector_batch_matches_per_task_oracle(name):
     sel = SequentialSelector(model, xs, f_idx)
     assert sel.selected(np.arange(301)).tolist() == expected
     assert sel.selected([150, 0, 300]).tolist() == [expected[150], 0, expected[300]]
+
+
+def test_selector_picks_member_0_before_any_task():
+    # with no task every count is 0, and scoring the empty sample would
+    # pick member 2 of tiny_family; the selector picks member 0
+    fam, model = family_and_model("tiny")
+    assert model._md.select_rows(np.zeros((1, len(model.set_masks))), 1).tolist() == [2]
+    xs, f_idx = draw_tasks(fam, 2, 40, stream(24, 0))
+    assert SequentialSelector(model, xs, f_idx).selected([0, 40, 0]).tolist()[::2] == [0, 0]
+    assert SequentialSelector(model, xs, f_idx).selected([]).tolist() == []
+    assert SequentialSelector(model, xs[:0], f_idx[:0]).selected([0]).tolist() == [0]
+
+
+def _prefix_set_counts(model, xs, f_idx, grid):
+    """(len(grid), sets) counts of the consistent sets of the first t tasks."""
+    ids = model.consistent_sets(xs, f_idx)
+    return np.stack([np.bincount(ids[:t], minlength=len(model.set_masks)) for t in grid]).astype(float)
+
+
+@pytest.mark.parametrize("name", ["tiny", "presence"])
+def test_selection_keeps_a_nudged_pair_column(name):
+    # move one pair's masses by one ulp, away from the empirical mass of
+    # its set, where that pair attains some member's score: its set then
+    # keeps an odd column, and the scores stay the all-pairs ones
+    fam, model = family_and_model(name)
+    pair_sets = model.set_indicators.T
+    first = {}
+    repeats = [q for q, row in enumerate(pair_sets) if first.setdefault(row.tobytes(), q) != q]
+    grid = np.arange(1, 301)
+    counts = _prefix_set_counts(model, *draw_tasks(fam, 1, 300, stream(25, 0)), grid)
+    mu = (counts @ model.set_indicators) / grid[:, None]
+    gap = np.abs(model.G[None] - mu[:, None, :])  # (rows, members, pairs)
+    scores = yatracos_scores(model.G, mu)
+    r, l, q = next(
+        (r, l, q) for r, l, q in itertools.product(range(len(grid)), range(fam.n_members), repeats)
+        if gap[r, l, q] == scores[r, l]
+    )
+    G = model.G.copy()
+    G[:, q] = np.nextafter(G[:, q], np.where(G[:, q] >= mu[r, q], np.inf, -np.inf))
+    md = _MinDistance.from_sets(pair_sets, G)
+    assert len(md.A) == len(first) + 1  # the distinct sets, and the nudged pair
+    expected = yatracos_scores(G, mu)
+    assert expected[r, l] > scores[r, l]
+    assert md._scores(counts, grid).tolist() == expected.tolist()
+    assert md.select_rows(counts, grid).tolist() == expected.argmin(axis=1).tolist()
 
 
 def oracle_calibrate_schedule(fam, model, alpha, T_grid, replicates, seed):

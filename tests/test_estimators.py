@@ -247,6 +247,22 @@ def test_distinct_sets_match_all_pairs_on_parity_m4():
     assert md.PA.shape == (64, 728)
 
 
+def test_select_rows_takes_one_total_per_row():
+    # a stack of count vectors of mixed task totals scores and selects
+    # each row as a one-row call with that row's total does
+    config = ratelab.ExperimentConfig(m=4, d=2, T_grid=(10,), replicates=1, truth_count=4)
+    setup = ratelab.build_setup(config)
+    md = setup.estimator._md
+    stack = np.stack(_skeleton_count_vectors(setup, config, 13))
+    totals = stack.sum(axis=1)
+    assert len(set(totals.tolist())) > 3
+    rows = [md._scores(c[None], int(t)) for c, t in zip(stack, totals)]
+    assert md._scores(stack, totals).tolist() == np.concatenate(rows).tolist()
+    assert md.select_rows(stack, totals).tolist() == [
+        int(md.select_rows(c[None], int(t))[0]) for c, t in zip(stack, totals)
+    ]
+
+
 def test_distinct_sets_match_all_pairs_on_twopoint():
     _float_setup_matches_oracle(
         ratelab.ExperimentConfig(m=4, d=1, family="twopoint", T_grid=(10,), replicates=1)

@@ -231,15 +231,31 @@ def test_holder_check_identity_and_violation():
     assert abs(f[i] - f[j]) > 0.01 * dist**1.0 + 1e-12
 
 
+def cell_members(proj, cell):
+    """The concept indices in one cell of a smoothed projection."""
+    return [int(i) for i in np.flatnonzero(proj.cell_of == cell)]
+
+
+def max_diameter(proj, dist):
+    """The largest rho-diameter among the cells of a smoothed projection."""
+    dmat = rho_matrix(proj.base.space, dist)
+    worst = 0.0
+    for cell in np.unique(proj.cell_of):
+        idx = np.flatnonzero(proj.cell_of == cell)
+        if len(idx) > 1:
+            worst = max(worst, float(dmat[np.ix_(idx, idx)].max()))
+    return worst
+
+
 def test_smooth_projection_preserves_cell_masses_exactly():
     sp = enumerate_concepts(3, 2)
     params = SmoothPriorParams((1, -1, 1), 1.0, 1.0, 3, 2)
     pb = smooth_prior(params, sp, exact=True)
     proj = smooth_projection(pb, (1,))
     # anchors = {1}: two cells, h(1) = +1 vs h(1) = -1
-    assert proj.n_cells == 2
+    assert np.unique(proj.cell_of).tolist() == [0, 1]
     for cell in range(2):
-        members = proj.cell_members(cell)
+        members = cell_members(proj, cell)
         base_mass = sum(pb.exact[i] for i in members)
         smoothed_mass = sum(proj.smoothed.exact[i] for i in members)
         assert base_mass == smoothed_mass
@@ -295,7 +311,7 @@ def test_smooth_projection_gap_bound_under_small_diameter():
     for _ in range(trials):
         anchors = tuple(int(x) for x in rng.integers(1, m + 1, size=k))
         proj = smooth_projection(pb, anchors)
-        if proj.max_diameter(D) < gamma:
+        if max_diameter(proj, D) < gamma:
             hits += 1
             fp = density_table(proj.smoothed, pi0)
             assert np.abs(f - fp).max() < L * gamma**alpha + 1e-12

@@ -8,7 +8,6 @@ from priorlab.cli import dispatch
 from priorlab.concepts import (
     ConceptSpace,
     DataDistribution,
-    categorical_draw,
     d_subsets,
     enumerate_concepts,
     uniform_distribution,
@@ -32,13 +31,19 @@ from priorlab.sampling import (
     keyed_streams,
     sample_arrays,
     raw_integers,
-    raw_random,
     stream,
     stream_raw,
     task_layout,
 )
 
-from sampling_reference import MASK64, labels_oracle, later_draws, rigged_stream
+from sampling_reference import (
+    MASK64,
+    categorical_draw,
+    labels_oracle,
+    later_draws,
+    raw_random,
+    rigged_stream,
+)
 
 SP32 = enumerate_concepts(3, 2)
 D3 = uniform_distribution(3)
@@ -177,13 +182,14 @@ def test_point_draws_match_searchsorted(weights):
         words, expected = words_and_expected(np.cumsum(w))
         cuts, categories = _categorical(w)
         assert np.array_equal(categories[_count_cuts(cuts, words)], expected)
-    # an elicitation member's function draw, in bulk and one at a time
+    # an elicitation member's function draw, in bulk and one word at a time
     functions = [SatisfactionFunction((i / 100, 0.0)) for i in range(len(weights))]
     family = ValuationPriorFamily(functions, [weights], log2_pdim_bound(functions))
     words, expected = words_and_expected(np.cumsum(weights))
-    u = raw_random(words)
-    assert np.array_equal(family.function_index(0, u), expected)
-    assert [int(family.function_index(0, x)) for x in u.tolist()] == expected.tolist()
+    assert np.array_equal(family.function_index(0, words), expected)
+    assert [int(family.function_index(0, words[i:i + 1])[0]) for i in range(len(words))] == (
+        expected.tolist()
+    )
 
 
 @pytest.mark.parametrize(
