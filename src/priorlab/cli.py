@@ -36,7 +36,9 @@ from .elicitation import (
 from .errors import BudgetError
 from .outcomes import (
     CSV_HEADER as CHECK_CSV_HEADER,
+    check_law_budget,
     check_sauer,
+    check_sauer_budget,
     verify_lemma_chain,
     verify_sqrt_bound,
     verify_tree_inequality,
@@ -435,15 +437,18 @@ def _experiment_config(config: dict, seed: int) -> ExperimentConfig:
 def _check_config(subcommand: str, config: dict) -> None:
     """The rules that span keys of a parsed config, naming the keys: a
     concept space needs 1 <= d <= m, a parity-family member needs gamma_m
-    in (0, 1/2), each smoothness instance's Hölder check and cover-info's
-    parity family must fit their budgets, and elicit's calibration must
-    resolve its quantile.  rates and lowerbound leave theirs, their
+    in (0, 1/2), lemmas' outcome laws and growth check, each smoothness
+    instance's Hölder check and cover-info's parity family must fit their
+    budgets, and elicit's calibration must resolve its quantile.  rates and lowerbound leave theirs, their
     budgets among them, to `_experiment_config`; cover-info meets its
     cover budget in `_cover_rows`."""
     if "d" in config and not 1 <= config["d"] <= config["m"]:
         raise ValueError(f"config key 'd' must lie in 1..m = {config['m']}, got {config['d']}")
     if subcommand == "lemmas" and config["k_max"] < config["d"]:
         raise ValueError(f"config key 'k_max' must be >= d = {config['d']}, got {config['k_max']}")
+    if subcommand == "lemmas":
+        check_law_budget(config["m"], concept_count(config["m"], config["d"]), config["k_max"])
+        check_sauer_budget(config["m"], concept_count(config["m"], config["d"]))
     if subcommand == "smoothness":
         instances = list(_smoothness_instances(config))
         if not instances:

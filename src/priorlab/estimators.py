@@ -20,9 +20,9 @@ import numpy as np
 
 from .concepts import DataDistribution, d_subsets
 from .errors import BudgetError
-from .outcomes import DEFAULT_BUDGET, exact_outcome_dist
+from .outcomes import DEFAULT_BUDGET, label_masses, outcome_laws
+from .outcomes import exact_outcome_dist  # noqa: F401  (perfbench/spans.py wraps it here)
 from .priors import CoverFamily, SmoothPriorParams, TabularPrior
-from .sampling import outcome_codes
 
 
 def yatracos_scores(PA: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -158,35 +158,24 @@ class _MinDistance:
 
 
 class SkeletonEstimator:
-    """Minimum-distance selection among a cover's outcome distributions at
-    k = d samples per task."""
+    """Minimum-distance selection among a cover's outcome laws at k = d
+    samples per task, on `support`: the outcome indices, ascending, whose
+    label cell has mass under some member (also where D(x) = 0)."""
 
     def __init__(self, cover: CoverFamily, dist: DataDistribution, d: int):
         if cover.size < 1:
             raise ValueError("cover must be nonempty")
-        self.cover = cover
-        self.d = d
-        self.dist = dist
-        self.outcome_dists = [exact_outcome_dist(p, dist, d) for p in cover.members]
-        support = sorted(set().union(*(od.table.keys() for od in self.outcome_dists)))
-        self.support = support
-        index = {z: i for i, z in enumerate(support)}
-        M = np.zeros((cover.size, len(support)))
-        for r, od in enumerate(self.outcome_dists):
-            for z, p in od.table.items():
-                M[r, index[z]] = p
-        self._md = _MinDistance(M)
-        self._support_codes = outcome_codes(
-            np.array([xs for xs, _ in support]), np.array([ys for _, ys in support]), dist.m
-        )
-        self._code_order = np.argsort(self._support_codes)
+        self.cover, self.d, self.dist = cover, d, dist
+        space = cover.members[0].space
+        masses = np.stack([p.mass for p in cover.members])
+        self.support = np.flatnonzero(label_masses(masses, space, d).any(axis=0))
+        self._md = _MinDistance(outcome_laws(masses, space, dist, d)[:, self.support])
 
     def support_index(self, codes: np.ndarray) -> np.ndarray:
         """The support position of each outcome code (as `outcome_codes`
         writes them), or len(support) for a code outside the support."""
-        at = np.searchsorted(self._support_codes, codes, sorter=self._code_order)
-        found = self._code_order[at.clip(max=len(self.support) - 1)]
-        return np.where(self._support_codes[found] == codes, found, len(self.support))
+        at = np.searchsorted(self.support, codes)
+        return np.where(self.support[at.clip(max=len(self.support) - 1)] == codes, at, len(self.support))
 
     def count_codes(self, codes: np.ndarray) -> tuple[np.ndarray, int]:
         """Support counts of T tasks given by their outcome codes; codes

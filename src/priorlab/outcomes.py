@@ -1,18 +1,22 @@
 """Exact distributions over k-sample task outcomes and the
 inequality verifiers built on them.
 
-An outcome is a pair (x-tuple, y-tuple).  Tables are stored sparsely:
-only realizable label patterns carry mass, so the support is far below
-(2m)^k.  Everything here is exact enumeration; the verifiers report
-both sides of each inequality rather than just a verdict.
+An outcome is a pair (x-tuple, y-tuple), indexed x-tuple * 2^k + label
+bits (`_label_table`).  `outcome_laws` builds every member's law over
+those (2m)^k indices; `exact_outcome_dist` reads one as a sparse table.
+Everything here is exact enumeration; the verifiers report both sides of
+each inequality rather than just a verdict.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .concepts import ConceptSpace, DataDistribution
 from .errors import BudgetError
@@ -24,7 +28,11 @@ SQRT_BUDGET = 10**6  # m^d point tuples in the sqrt-bound expectation
 SAUER_K_MAX = 8  # largest anchor-set size the growth-function check tries
 FLOAT_SLACK = 1e-12
 
-Outcome = tuple[tuple[int, ...], tuple[int, ...]]
+
+def _check_sums_to_one(masses) -> None:
+    total = math.fsum(masses)  # a left-to-right sum drifts past the slack on large supports
+    if abs(total - 1.0) > FLOAT_SLACK:
+        raise ValueError(f"outcome masses sum to {total!r}, not 1")
 
 
 @dataclass
@@ -32,101 +40,82 @@ class OutcomeDistribution:
     """Sparse probability table over (X x {-1,+1})^k outcome tuples."""
 
     k: int
-    table: dict[Outcome, float]
-    exact: dict[Outcome, Fraction] | None = None
+    table: dict[tuple[tuple[int, ...], tuple[int, ...]], float]
 
     def __post_init__(self):
-        if self.exact is not None:
-            total = sum(self.exact.values(), start=Fraction(0))
-            if total != 1:
-                raise ValueError(f"exact outcome masses sum to {total}, not 1")
-        total = sum(self.table.values())
-        if abs(total - 1.0) > FLOAT_SLACK:
-            raise ValueError(f"outcome masses sum to {total!r}, not 1")
+        _check_sums_to_one(self.table.values())
 
-    def prob(self, z: Outcome) -> float:
+    def prob(self, z: tuple) -> float:
         return self.table.get(z, 0.0)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
 
-
-def exact_weights(dist: DataDistribution) -> list[Fraction]:
-    """Rational reconstruction of the D weights, for weights given as short
-    decimals or small-denominator fractions (uniform or 0.05-style tables).
-
-    Raises ValueError unless the reconstructed weights sum to exactly 1 and
-    each converts back to its float."""
-    weights = [Fraction(w).limit_denominator(10**9) for w in dist.weights]
-    if sum(weights) != 1 or any(float(f) != w for f, w in zip(weights, dist.weights)):
-        raise ValueError(f"weights {dist.weights} have no exact rational form summing to 1")
-    return weights
-
-
-def exact_outcome_dist(
-    prior: TabularPrior,
-    dist: DataDistribution,
-    k: int,
-    exact: bool = False,
-) -> OutcomeDistribution:
-    """Joint law of one task's k samples under `prior` and `dist`:
-    P(x, y) = prod_j D(x_j) * prior({h : h(x_j) = y_j for all j})."""
-    space = prior.space
-    m = space.m
+def check_law_budget(m: int, concepts: int, k: int) -> None:
+    """BudgetError when the laws of k points over m, or the concept labels building them, exceed it."""
     if (2 * m) ** k > DEFAULT_BUDGET:
         raise BudgetError(f"(2m)^k = {(2 * m) ** k} exceeds the budget of {DEFAULT_BUDGET}")
-    if exact and not prior.is_exact:
-        raise ValueError("exact outcome table needs an exact prior")
-    w_exact = exact_weights(dist) if exact else None
-    table: dict[Outcome, float] = {}
-    etable: dict[Outcome, Fraction] = {} if exact else None
-    masks = [c.mask for c in space.concepts]
-    for xs in itertools.product(range(1, m + 1), repeat=k):
-        px = math.prod(dist.weights[x - 1] for x in xs)
-        if exact:
-            px_e = math.prod(
-                (w_exact[x - 1] for x in xs), start=Fraction(1)
-            )
-        cells: dict[tuple[int, ...], list[int]] = {}
-        for idx, mask in enumerate(masks):
-            ys = tuple(1 if (mask >> (x - 1)) & 1 else -1 for x in xs)
-            cells.setdefault(ys, []).append(idx)
-        for ys, idxs in cells.items():
-            mass = float(prior.mass[idxs].sum())
-            if mass == 0.0 and not exact:
-                continue
-            z = (xs, ys)
-            table[z] = table.get(z, 0.0) + px * mass
-            if exact:
-                mass_e = sum((prior.exact[i] for i in idxs), start=Fraction(0))
-                if mass_e:
-                    etable[z] = etable.get(z, Fraction(0)) + px_e * mass_e
-    if exact:
-        table = {z: float(v) for z, v in etable.items()}
-    return OutcomeDistribution(k, table, exact=etable)
+    if m**k * concepts > DEFAULT_BUDGET:
+        raise BudgetError(f"m^k = {m**k} x-tuples x {concepts} concepts exceed the budget of {DEFAULT_BUDGET}")
+
+
+@functools.lru_cache(maxsize=16)
+def _label_table(space_masks: bytes, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (cells, order) of the space with int64 masks `space_masks`:
+    `cells` (m^k, concepts), each concept's outcome index on each x-tuple
+    (x-tuple index * 2^k + label bits, x-tuples in `itertools.product`
+    order, the first point's label the top bit, set for +1), and `order`
+    the indices x-tuple by x-tuple, as the concepts first realize them."""
+    masks = np.frombuffer(space_masks, dtype=np.int64)
+    check_law_budget(m, len(masks), k)
+    cells = np.arange(m**k)[:, None]
+    for x in np.indices((m,) * k).reshape(k, -1):
+        cells = 2 * cells + ((masks >> x[:, None]) & 1)
+    order = cells.ravel()[np.sort(np.unique(cells, return_index=True)[1])]
+    cells.flags.writeable = order.flags.writeable = False
+    return cells, order
+
+
+def label_masses(masses: np.ndarray, space: ConceptSpace, k: int) -> np.ndarray:
+    """The mass of every label cell {h : h(x) = y} under each row of `masses`
+    (members x concepts of `space`), summed in concept order: a `mass @ K`
+    product sums in BLAS order, whose last bits flip float-tied selections."""
+    cells = _label_table(space.masks.tobytes(), space.m, k)[0].ravel()
+    return np.stack([np.bincount(cells, np.resize(row, cells.size), (2 * space.m) ** k) for row in masses])
+
+
+def outcome_laws(masses: np.ndarray, space: ConceptSpace, dist: DataDistribution, k: int) -> np.ndarray:
+    """The joint laws of one task's k samples under `dist` and each row of
+    `masses`, as a (members, (2m)^k) array: P(x, y) = P(x) * mass{h : h(x)
+    = y}, P(x) = prod_j D(x_j) in point order; each row must sum to 1."""
+    px = functools.reduce(np.multiply.outer, [np.array(dist.weights)] * k).ravel()
+    laws = label_masses(masses, space, k) * np.repeat(px, 1 << k)
+    for row in laws:
+        _check_sums_to_one(row.tolist())
+    return laws
+
+
+def exact_outcome_dist(prior: TabularPrior, dist: DataDistribution, k: int) -> OutcomeDistribution:
+    """Joint law of one task's k samples under `prior` and `dist`: its row
+    of `outcome_laws` as a table over (x-tuple, y-tuple) outcomes, x-tuple
+    by x-tuple, each one's label patterns in the order the concepts first
+    realize them, over the patterns whose concepts carry mass."""
+    m, (cells, order) = prior.space.m, _label_table(prior.space.masks.tobytes(), prior.space.m, k)
+    law = outcome_laws(prior.mass[None], prior.space, dist, k)[0].tolist()
+    live = np.bincount(cells[:, prior.mass > 0].ravel(), minlength=len(law)).astype(bool)
+    xs, ys = (list(itertools.product(labels, repeat=k)) for labels in (range(1, m + 1), (-1, 1)))
+    return OutcomeDistribution(k, {(xs[i >> k], ys[i % 2**k]): law[i] for i in order[live[order]].tolist()})
 
 
 def tv(P, Q):
     """Total variation distance, (1/2) L1 on the shared index space.
 
     Accepts a pair of OutcomeDistributions or a pair of TabularPriors;
-    exact Fractions propagate when both sides carry them.
+    exact Fractions propagate when both priors carry them.
     """
     if isinstance(P, TabularPrior) and isinstance(Q, TabularPrior):
         return total_variation(P, Q)
     if isinstance(P, OutcomeDistribution) and isinstance(Q, OutcomeDistribution):
         if P.k != Q.k:
             raise ValueError(f"outcome spaces differ: k={P.k} vs k={Q.k}")
-        if P.is_exact and Q.is_exact:
-            keys = set(P.exact) | set(Q.exact)
-            return (
-                sum(
-                    (abs(P.exact.get(z, Fraction(0)) - Q.exact.get(z, Fraction(0))) for z in keys),
-                    start=Fraction(0),
-                )
-                / 2
-            )
         keys = set(P.table) | set(Q.table)
         return sum(abs(P.prob(z) - Q.prob(z)) for z in keys) / 2.0
     raise TypeError(f"cannot compare {type(P).__name__} with {type(Q).__name__}")
@@ -241,21 +230,11 @@ def verify_sqrt_bound(
     pa = exact_outcome_dist(prior_a, dist, d)
     pb = exact_outcome_dist(prior_b, dist, d)
     rhs = 4.0 * math.sqrt(float(tv(pa, pb)))
-    xtuples = list(itertools.product(range(1, m + 1), repeat=d))
-    weights = [math.prod(dist.weights[x - 1] for x in xs) for xs in xtuples]
-
+    ca, cb = label_masses(np.stack([prior_a.mass, prior_b.mass]), space, d).reshape(2, m**d, -1)
+    px = functools.reduce(np.multiply.outer, [np.array(dist.weights)] * d).ravel()
     reports = []
-    cell_cache: dict[tuple[int, ...], tuple[dict, dict]] = {}
-    for ys in itertools.product((-1, 1), repeat=d):
-        lhs = 0.0
-        for xs, w in zip(xtuples, weights):
-            if xs not in cell_cache:
-                cell_cache[xs] = (
-                    _cell_masses(prior_a, xs, exact=False),
-                    _cell_masses(prior_b, xs, exact=False),
-                )
-            ca, cb = cell_cache[xs]
-            lhs += w * abs(ca.get(ys, 0.0) - cb.get(ys, 0.0))
+    for bits, ys in enumerate(itertools.product((-1, 1), repeat=d)):
+        lhs = sum((px * np.abs(ca[:, bits] - cb[:, bits])).tolist())  # left to right, x-tuple by x-tuple
         reports.append(
             CheckReport(
                 f"sqrt-bound[y={''.join('+' if y > 0 else '-' for y in ys)}]",
@@ -320,9 +299,17 @@ def realizable_pattern_count(space: ConceptSpace, anchors: tuple[int, ...]) -> i
     return len({tuple(int(v) for v in row) for row in labels})
 
 
+def check_sauer_budget(m: int, concepts: int) -> None:
+    """BudgetError when `check_sauer` would label more (anchor set, concept) pairs than the budget."""
+    sets = sum(math.comb(m, k) for k in range(1, min(SAUER_K_MAX, m) + 1))
+    if sets * concepts > DEFAULT_BUDGET:
+        raise BudgetError(f"{sets} anchor sets x {concepts} concepts exceed the budget of {DEFAULT_BUDGET}")
+
+
 def check_sauer(space: ConceptSpace) -> list[CheckReport]:
     """Exhaustive growth-function check: on every anchor set of size
     k <= min(SAUER_K_MAX, m), the realizable patterns number at most (ek)^d."""
+    check_sauer_budget(space.m, len(space))
     reports = []
     for k in range(1, min(SAUER_K_MAX, space.m) + 1):
         worst = 0

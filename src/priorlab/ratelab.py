@@ -29,7 +29,7 @@ from math import comb, exp
 
 import numpy as np
 
-from .concepts import DataDistribution, d_subsets, enumerate_concepts, uniform_distribution
+from .concepts import DataDistribution, concept_count, d_subsets, enumerate_concepts, uniform_distribution
 from .errors import BudgetError
 from .estimators import (
     DirectEstimator,
@@ -41,7 +41,7 @@ from .estimators import (
     exact_bayes_errors,
     reduce_to_signs,
 )
-from .outcomes import DEFAULT_BUDGET
+from .outcomes import DEFAULT_BUDGET, check_law_budget
 from .priors import (
     CoverFamily,
     PARITY_RULE,
@@ -143,12 +143,13 @@ class ExperimentConfig:
         return self.k if self.k is not None else self.d
 
     def check_budget(self, baseline_T: int | None = None) -> None:
-        """BudgetError when the family or its selection tables exceed their
-        budgets, or when a replicate at some T of `T_grid` (or at
-        `baseline_T`) would draw more words than the budget, before
-        anything is built (the baseline's concept space is never larger
-        than the outcome support)."""
+        """BudgetError when the family, its outcome laws or its selection
+        tables exceed their budgets, or when a replicate at some T of
+        `T_grid` (or at `baseline_T`) would draw more words than the
+        budget, before anything is built (the baseline's concept space is
+        never larger than the outcome support)."""
         members = 2 if self.family == "twopoint" else parity_family_size(self.m, self.d)
+        check_law_budget(self.m, concept_count(self.m, self.d), self.samples_per_task)
         check_yatracos_budget(members, self.outcome_support_size())
         for key, T in (("T_grid", self.T_grid[-1]), ("baseline_T", baseline_T)):
             if T is not None and self.replicate_words(T) > DEFAULT_BUDGET:

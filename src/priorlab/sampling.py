@@ -31,8 +31,8 @@ an exact decode of those words.
   from the joint indices on first use.  `TaskLayout.cells` does the
   same for every cell, so tables over the cells are read off it.
 
-A task's outcome code, the statistic the estimators count, holds the
-digits 2(x - 1) + [y > 0] of its k (point, label) pairs in base 2m.
+A task's outcome code, the statistic the estimators count, is its index
+in the outcome laws (`outcome_codes`, `outcomes._label_table`).
 """
 
 from __future__ import annotations
@@ -386,13 +386,11 @@ def _parity_index_table(m: int, d: int, space_masks: bytes) -> np.ndarray:
 
 
 def outcome_codes(xs: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
-    """One integer in [0, (2m)^k) per task outcome of k points in 1..m: the
-    digits 2(x - 1) + [y > 0] of its (point, label) pairs in base 2m."""
-    digits = ((xs - 1) << 1) | (ys > 0)
-    codes = np.zeros(len(xs), dtype=np.int64)
-    for j in range(xs.shape[1]):
-        codes = codes * (2 * m) + digits[:, j]
-    return codes
+    """One integer in [0, (2m)^k) per task outcome of k points in 1..m, its
+    index in the outcome laws: the digits x - 1 of its points in base m,
+    then one bit per label, set for y > 0, first point first."""
+    powers = np.arange(xs.shape[1] - 1, -1, -1)
+    return ((xs - 1) @ m**powers << xs.shape[1]) + (ys > 0) @ (1 << powers)
 
 
 def _index_dtype(n: int) -> type:

@@ -7,14 +7,12 @@ built from exact rows it scores in `Fraction`s, so a selection and its
 guarantee can be checked in literal arithmetic.
 
 `ExactSkeleton` is that `Fraction` oracle for a skeleton estimator: its
-members' exact outcome laws read on the estimator's support, and the
+members' `fraction_law`s read on the estimator's support, and the
 selection guarantee
 
     tv(P_selected, Q) <= 3 min_l tv(P_l, Q) + 2 max_A |mu_T(A) - Q(A)|
 
-checked on one run in `Fraction`s.
-
-`truth_vector` reads a truth's outcome law on an estimator's support."""
+checked on one run in `Fraction`s."""
 
 from fractions import Fraction
 
@@ -22,12 +20,9 @@ import numpy as np
 
 from priorlab.errors import BudgetError
 from priorlab.estimators import yatracos_scores
-from priorlab.outcomes import DEFAULT_BUDGET, exact_outcome_dist, tv
+from priorlab.outcomes import DEFAULT_BUDGET
 
-
-def truth_vector(est, truth_dist) -> np.ndarray:
-    """A truth outcome law's masses on a skeleton estimator's support."""
-    return np.array([truth_dist.prob(z) for z in est.support])
+from outcome_reference import exact_tv, fraction_law
 
 
 class AllPairsMinDistance:
@@ -113,13 +108,13 @@ class ExactSkeleton:
     over every ordered pair."""
 
     def __init__(self, est):
-        self.support = est.support
-        self.laws = [exact_outcome_dist(p, est.dist, est.d, exact=True) for p in est.cover.members]
-        self.md = AllPairsMinDistance(est._md.M, [self.on_support(od) for od in self.laws])
+        self.support = est.support.tolist()
+        self.laws = [fraction_law(p, est.dist, est.d) for p in est.cover.members]
+        self.md = AllPairsMinDistance(est._md.M, [self.on_support(law) for law in self.laws])
 
     def on_support(self, law) -> list[Fraction]:
-        """An exact outcome law's masses on the estimator's support."""
-        return [law.exact.get(z, Fraction(0)) for z in self.support]
+        """A `fraction_law`'s masses on the estimator's support."""
+        return [law.get(z, Fraction(0)) for z in self.support]
 
     def select(self, counts: np.ndarray, total: int) -> int:
         return self.md.select(counts, total)[0]
@@ -131,7 +126,7 @@ class ExactSkeleton:
     def decomposition_check(self, counts: np.ndarray, total: int, truth_law):
         """The selection guarantee on one run, as (lhs, rhs, holds), with
         lhs and rhs `Fraction`s, so `holds` is a literal statement."""
-        dists = [tv(od, truth_law) for od in self.laws]
+        dists = [exact_tv(law, truth_law) for law in self.laws]
         lhs = dists[self.select(counts, total)]
         rhs = 3 * min(dists) + 2 * self.deviation(counts, total, truth_law)
         return lhs, rhs, lhs <= rhs

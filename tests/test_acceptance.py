@@ -28,7 +28,7 @@ from priorlab.elicitation import (
     run_algorithm1,
 )
 from priorlab.estimators import SkeletonEstimator, coin_floor, exact_bayes_error
-from priorlab.outcomes import check_sauer, exact_outcome_dist, label_conditional_tv, tv
+from priorlab.outcomes import check_sauer, label_conditional_tv
 from priorlab.priors import (
     SmoothPriorParams,
     cover_of_family,
@@ -52,6 +52,7 @@ from priorlab.sampling import sample_arrays, stream
 
 from elicitation_reference import ValueOracle, oracle_method_A
 from min_distance_reference import ExactSkeleton
+from outcome_reference import exact_tv
 
 
 def report(n, name, ok, detail=""):
@@ -225,7 +226,7 @@ def twopoint_runs():
     est = SkeletonEstimator(cover, dist, 1)
     exact = ExactSkeleton(est)
     tvm = [[total_variation(a, b) for b in members] for a in members]
-    od_tv = [[tv(a, b) for b in exact.laws] for a in exact.laws]
+    od_tv = [[exact_tv(a, b) for b in exact.laws] for a in exact.laws]
     runs = {T: [] for T in (10, 1000)}
     for T in runs:
         for r in range(REPS_5):
@@ -251,7 +252,7 @@ def parity_runs():
     tvm = np.array(
         [[float(total_variation(a, b)) for b in members] for a in members]
     )
-    od_tv = [[tv(a, b) for b in exact.laws] for a in exact.laws]
+    od_tv = [[exact_tv(a, b) for b in exact.laws] for a in exact.laws]
     runs = {T: [] for T in (100, 1000, 10000)}
     for T in runs:
         for r in range(REPS_5):

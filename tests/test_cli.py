@@ -9,19 +9,19 @@ import numpy as np
 import pytest
 
 from priorlab import elicitation
-from priorlab.cli import SCHEMAS, _check_config, _experiment_config, dispatch, main, parse_config
+from priorlab.cli import PREPARE, SCHEMAS, _check_config, _experiment_config, dispatch, main, parse_config
 from priorlab.concepts import enumerate_concepts, uniform_distribution
 from priorlab.errors import BudgetError
 from priorlab.outcomes import DEFAULT_BUDGET
 from priorlab.priors import holder_check, reference_prior
 from priorlab.ratelab import ExperimentConfig, build_setup
 
+ROOT = Path(__file__).resolve().parent.parent
+
 # child processes import priorlab from src/, installed or not
 CHILD_ENV = {
     **os.environ,
-    "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])
-    ),
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
 }
 
 
@@ -170,8 +170,22 @@ PARITY_M5 = "m = 5\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10\nreplicates = 2\n"
             "m = 4\nd = 2\nepsilons = 0.05\nbudget = 10\n",
             "cover construction exceeded the budget of 10 members",
         ),
+        # 211 concepts labelled on 20^4 x-tuples: passed every check, then
+        # one member's outcome law ran past 60 s
+        (
+            "rates",
+            "m = 20\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10\nreplicates = 2\nfamily = twopoint\nk = 4\n",
+            "m^k = 160000 x-tuples x 211 concepts",
+        ),
+        # wrote manifest.txt, then exited at k = 4
+        ("lemmas", "m = 40\nd = 1\nk_max = 4\n", "(2m)^k = 40960000 exceeds"),
+        # check_sauer would label 31 concepts on 8,656,936 anchor sets (about 24 min)
+        ("lemmas", "m = 30\nd = 1\nk_max = 1\n", "8656936 anchor sets x 31 concepts"),
     ],
-    ids=["cover-info-m13", "rates-m5", "lowerbound-m5", "rates-m6", "smoothness-m12", "cover-info-budget"],
+    ids=[
+        "cover-info-m13", "rates-m5", "lowerbound-m5", "rates-m6", "smoothness-m12", "cover-info-budget",
+        "rates-twopoint-m20-k4", "lemmas-m40", "lemmas-sauer-m30",
+    ],
 )
 def test_budgets_checked_before_output(tmp_path, capsys, subcommand, config, reason):
     out = tmp_path / "out"
@@ -179,6 +193,22 @@ def test_budgets_checked_before_output(tmp_path, capsys, subcommand, config, rea
     err = capsys.readouterr().err
     assert reason in err and "Traceback" not in err
     assert not out.exists()
+
+
+SHIPPED_CONFIGS = sorted(
+    p for root in (ROOT / "configs", ROOT / "perfbench" / "configs") for p in root.iterdir()
+)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_configs_meet_every_budget(path):
+    # a config is the subcommand its name starts with (rates-wide.cfg runs
+    # rates); a budget that rejects one of these must be a different budget
+    subcommand = max((s for s in SCHEMAS if path.stem.startswith(s)), key=len)
+    config = parse_config(path, subcommand)
+    _check_config(subcommand, config)
+    if subcommand in PREPARE:
+        PREPARE[subcommand](config, 0)
 
 
 def test_smoothness_pair_guard_is_the_holder_checks():

@@ -20,7 +20,7 @@ from priorlab.estimators import (
     reduce_to_signs,
     yatracos_sets,
 )
-from priorlab.outcomes import exact_outcome_dist, tv
+from priorlab.outcomes import tv
 from priorlab.priors import (
     CoverFamily,
     SmoothPriorParams,
@@ -32,7 +32,8 @@ from priorlab.priors import (
 )
 from priorlab.sampling import outcome_codes, sample_arrays, stream
 
-from min_distance_reference import AllPairsMinDistance, ExactSkeleton, truth_vector
+from min_distance_reference import AllPairsMinDistance, ExactSkeleton
+from outcome_reference import dict_skeleton, exact_tv, fraction_law, outcome_tuple
 
 SP32 = enumerate_concepts(3, 2)
 D3 = uniform_distribution(3)
@@ -80,7 +81,7 @@ def test_skeleton_guarantee_on_parity_family():
     assert selected == oracle.select(counts, total)
     truth_law = oracle.laws[truth_idx]
     dev = oracle.deviation(counts, total, truth_law)
-    gap = tv(oracle.laws[selected], truth_law)
+    gap = exact_tv(oracle.laws[selected], truth_law)
     assert gap <= 2 * dev  # exact Fractions on both sides
 
 
@@ -107,7 +108,7 @@ def test_decomposition_check_truth_outside_cover():
     est = SkeletonEstimator(cover, D3, 2)
     oracle = ExactSkeleton(est)
     truth = members[7]
-    truth_law = exact_outcome_dist(truth, D3, 2, exact=True)
+    truth_law = fraction_law(truth, D3, 2)
     for r in range(10):
         tasks = sample_arrays(truth, SP32, D3, 300, 2, stream(900 + r))
         counts, total = count_tasks(est, tasks)
@@ -160,9 +161,8 @@ def searchsorted_counts(est, xs, ys):
             codes = (codes << 1) | (ys[:, j] > 0)
         return codes
 
-    support_codes = codes_of(
-        np.array([x for x, _ in est.support]), np.array([y for _, y in est.support])
-    )
+    support = [outcome_tuple(z, m, est.d) for z in est.support]
+    support_codes = codes_of(np.array([x for x, _ in support]), np.array([y for _, y in support]))
     order = np.argsort(support_codes, kind="stable")
     table = support_codes[order]
     codes = codes_of(xs, ys)
@@ -195,6 +195,34 @@ def test_count_codes_matches_searchsorted_oracle(config):
         assert np.array_equal(counts, expected)
     # uniform labels put some outcomes off every support here
     assert 0 < expected.sum() < T
+
+
+SKELETON_SHAPES = [
+    dict(m=3, d=2), dict(m=4, d=2), dict(m=4, d=3, k=3), dict(m=4, d=3, k=4), dict(m=3, d=2, k=4),
+    dict(m=4, d=2, k=3), dict(m=5, d=1),
+    *(dict(m=m, d=2, family="twopoint", twopoint_weight=w) for m in (5, 6) for w in (0.05, 0.0)),
+]
+
+
+@pytest.mark.parametrize("shape", SKELETON_SHAPES, ids=lambda s: "-".join(map(str, s.values())))
+def test_skeleton_tables_are_the_dict_loops_bit_for_bit(shape):
+    # the support, in ascending index order, is the sorted union of the
+    # members' outcome tuples, M equals the mass table filled from their
+    # dicts (label cells of at most 7 concepts), and support_index finds
+    # each outcome where a tuple lookup does; a twopoint D of weight 0
+    # keeps the outcomes on points 1 and 2 at mass 0
+    config = ratelab.ExperimentConfig(T_grid=(10,), replicates=2, **shape)
+    est = ratelab.build_setup(config).estimator
+    support, M = dict_skeleton(est.cover, est.dist, est.d)
+    m, k = config.m, config.samples_per_task
+    assert [outcome_tuple(z, m, k) for z in est.support] == support
+    assert est._md.M.tobytes() == M.tobytes()
+    rng = np.random.default_rng(5)
+    xs = rng.integers(1, m + 1, size=(2000, k))
+    ys = 2 * rng.integers(0, 2, size=(2000, k)) - 1
+    index = {z: i for i, z in enumerate(support)}
+    want = [index.get((tuple(x), tuple(y)), len(support)) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert est.support_index(outcome_codes(xs, ys, m)).tolist() == want
 
 
 def test_min_distance_checks_budget_before_allocating():
@@ -232,7 +260,7 @@ def _float_setup_matches_oracle(config):
     setup = ratelab.build_setup(config)
     est = setup.estimator
     oracle = AllPairsMinDistance(est._md.M)
-    truths = [truth_vector(est, od) for od in est.outcome_dists]
+    truths = list(est._md.M)
     _assert_matches_oracle(est._md, oracle, _skeleton_count_vectors(setup, config, 11), truths)
     return setup
 
@@ -280,7 +308,7 @@ def test_distinct_sets_match_all_pairs_on_parity_m3():
     for r in range(6):
         tasks = sample_arrays(members[r], SP32, D3, 3 + 97 * r, 2, stream(40 + r))
         vectors.append(count_tasks(est, tasks)[0])
-    truths = [truth_vector(est, od) for od in est.outcome_dists]
+    truths = list(est._md.M)
     _assert_matches_oracle(est._md, AllPairsMinDistance(est._md.M), vectors, truths)
     for counts in vectors:
         total = int(counts.sum())
@@ -317,7 +345,7 @@ def test_distinct_sets_one_member_and_identical_members():
         c = np.arange(len(est.support), dtype=np.int64)
         total = int(c.sum())
         assert est.select_from_counts(c, total) == exact.select(c, total) == 0
-        q = est._md.truth_masses(truth_vector(est, est.outcome_dists[0]))
+        q = est._md.truth_masses(est._md.M[0])
         assert est._md.deviation_rows(c[None], total, q).tolist() == [0.0]
         assert exact.deviation(c, total, exact.laws[0]) == 0
 

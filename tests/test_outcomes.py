@@ -8,10 +8,13 @@ import pytest
 from priorlab.concepts import DataDistribution, enumerate_concepts, uniform_distribution
 from priorlab.errors import BudgetError
 from priorlab.outcomes import (
+    OutcomeDistribution,
+    _cell_masses,
+    _label_table,
     check_sauer,
     exact_outcome_dist,
-    exact_weights,
     label_conditional_tv,
+    outcome_laws,
     realizable_pattern_count,
     tv,
     verify_lemma_chain,
@@ -20,6 +23,8 @@ from priorlab.outcomes import (
 )
 from priorlab.priors import (
     SmoothPriorParams,
+    TabularPrior,
+    parity_family,
     point_mass,
     random_prior,
     reference_prior,
@@ -27,7 +32,9 @@ from priorlab.priors import (
     smooth_projection,
     total_variation,
 )
-from priorlab.sampling import sample_arrays, stream
+from priorlab.sampling import outcome_codes, sample_arrays, stream
+
+from outcome_reference import dict_outcome_dist, exact_weights, fraction_law, outcome_tuple
 
 SP21 = enumerate_concepts(2, 1)
 SP32 = enumerate_concepts(3, 2)
@@ -58,11 +65,98 @@ def test_exact_outcome_dist_matches_oracle():
 
 
 def test_exact_outcome_dist_spec_example():
-    # (m=2, d=1), pi = pi0, k = 1: P(x=1, y=+1) = (1/2)(1/4) = 1/8
+    # (m=2, d=1), pi = pi0, k = 1: P(x=1, y=+1) = (1/2)(1/4) = 1/8; outcome
+    # (x, y) has index 2 (x - 1) + [y > 0]
     pi0 = reference_prior(SP21, exact=True)
-    od = exact_outcome_dist(pi0, D2, 1, exact=True)
-    assert od.exact[((1,), (1,))] == Fraction(1, 8)
-    assert od.exact[((1,), (-1,))] == Fraction(3, 8)
+    assert fraction_law(pi0, D2, 1) == {0: Fraction(3, 8), 1: Fraction(1, 8), 2: Fraction(3, 8), 3: Fraction(1, 8)}
+    od = exact_outcome_dist(pi0, D2, 1)
+    assert od.table == {((1,), (-1,)): 0.375, ((1,), (1,)): 0.125, ((2,), (-1,)): 0.375, ((2,), (1,)): 0.125}
+
+
+def _random_priors(space, rng):
+    """Two random priors and one with every other concept at zero mass."""
+    sparse = np.where(np.arange(len(space)) % 2, 0.0, rng.random(len(space)))
+    return [random_prior(space, rng), random_prior(space, rng), TabularPrior(space, sparse / sparse.sum())]
+
+
+@pytest.mark.parametrize("m, d", [(2, 1), (3, 1), (2, 2), (4, 1), (5, 1), (6, 1), (3, 2)])
+def test_exact_outcome_dist_is_the_dict_loop_bit_for_bit(m, d):
+    # at most 7 concepts, so no label cell sums 8 or more masses: there
+    # np.sum adds left to right, as outcome_laws does, and the tables
+    # agree in keys, key order and every bit of every value, also where D
+    # gives a point no mass (those outcomes are kept at 0.0)
+    space = enumerate_concepts(m, d)
+    rng = stream(23, m, d)
+    dists = [uniform_distribution(m), DataDistribution((0.0,) + (1 / (m - 1),) * (m - 1))]
+    w = rng.random(m)
+    dists.append(DataDistribution(tuple((w / w.sum()).tolist())))
+    for prior in _random_priors(space, rng):
+        for dist in dists:
+            for k in range(1, 5 if m < 5 else 4):
+                want = dict_outcome_dist(prior, dist, k)
+                got = exact_outcome_dist(prior, dist, k).table
+                assert list(got) == list(want), (m, d, k)
+                assert [p.hex() for p in got.values()] == [p.hex() for p in want.values()]
+
+
+def test_outcome_laws_are_indexed_as_outcome_codes():
+    space = enumerate_concepts(3, 2)
+    prior = random_prior(space, stream(5))
+    for k in (1, 2, 3):
+        laws = outcome_laws(np.stack([prior.mass, reference_prior(space).mass]), space, D3, k)
+        assert laws.shape == (2, 6**k)
+        table = exact_outcome_dist(prior, D3, k).table
+        assert {outcome_tuple(i, 3, k): p for i, p in enumerate(laws[0].tolist()) if p} == table
+        xs = np.array([xs for xs, _ in table])
+        ys = np.array([ys for _, ys in table])
+        assert laws[0][outcome_codes(xs, ys, 3)].tolist() == list(table.values())
+        # _label_table numbers x-tuples in product order, one concept per column
+        cells, _ = _label_table(space.masks.tobytes(), 3, k)
+        assert cells.shape == (3**k, len(space))
+        assert [outcome_tuple(i, 3, k) for i in cells[:, 5]] == [
+            (xs, tuple(space.concepts[5].label(x) for x in xs))
+            for xs in itertools.product((1, 2, 3), repeat=k)
+        ]
+
+
+def _ulps(exact: Fraction, got: float) -> float:
+    return abs(Fraction(got) - exact) / Fraction(np.spacing(float(exact)))
+
+
+def test_fraction_law_is_within_4_ulp_on_every_shipped_shape():
+    # rates and lowerbound (m=3, d=2, k=2), the benchmark's rates-wide
+    # (m=4, d=2, k=2), and lemmas (m=2, d=1, k <= 3) on exact priors
+    cases = [(3, 2, 2, parity_family(SP32, 1.0, 1.0, exact=True)[1])]
+    cases.append((4, 2, 2, parity_family(enumerate_concepts(4, 2), 1.0, 1.0, exact=True)[1]))
+    rng = stream(31)
+    lemma_priors = [
+        TabularPrior(SP21, None, exact=[Fraction(int(n), int(w.sum())) for n in w])
+        for w in rng.integers(1, 1000, size=(5, len(SP21)))
+    ]
+    cases += [(2, 1, k, lemma_priors + [reference_prior(SP21, exact=True)]) for k in (1, 2, 3)]
+    for m, d, k, priors in cases:
+        space, dist = priors[0].space, uniform_distribution(m)
+        laws = outcome_laws(np.stack([p.mass for p in priors]), space, dist, k)
+        for prior, law in zip(priors, laws):
+            exact = fraction_law(prior, dist, k)
+            assert set(exact) == set(np.flatnonzero(law).tolist())
+            assert max(_ulps(p, law[z]) for z, p in exact.items()) <= 4, (m, d, k)
+
+
+def test_outcome_sum_check_is_exact_at_any_support_size():
+    # a million masses of 1e-6 sum left to right to 1 + 7.9e-12, past the
+    # 1e-12 slack; fsum gives 1 (lemmas at m=20, k=4 once exited 1 so)
+    table = {((i,), (1,)): 1e-6 for i in range(10**6)}
+    assert sum(table.values()) - 1 > 1e-12
+    OutcomeDistribution(1, table)
+    with pytest.raises(ValueError, match="outcome masses sum to"):
+        OutcomeDistribution(1, {((1,), (1,)): 0.5})
+    # every row outcome_laws returns is checked, so rates keeps the check
+    space = enumerate_concepts(20, 1)
+    law = outcome_laws(random_prior(space, stream(0, 1)).mass[None], space, uniform_distribution(20), 4)
+    assert np.count_nonzero(law) == 753_580
+    with pytest.raises(ValueError, match="outcome masses sum to"):
+        outcome_laws(np.full((1, len(SP32)), 0.2), SP32, D3, 2)
 
 
 def test_point_mass_outcomes_deterministic_labels():
@@ -89,6 +183,26 @@ def test_outcome_budget_guard():
     # (2m)^k = 6^10 exceeds the 10^7 outcome budget; nothing is enumerated
     with pytest.raises(BudgetError):
         exact_outcome_dist(reference_prior(SP32), D3, 10)
+    # (2m)^k = 40^4 fits, but labelling 211 concepts on 20^4 x-tuples does not
+    space = enumerate_concepts(20, 2)
+    with pytest.raises(BudgetError, match="m\\^k = 160000 x-tuples x 211 concepts"):
+        outcome_laws(reference_prior(space).mass[None], space, uniform_distribution(20), 4)
+
+
+def test_sqrt_bound_is_the_per_tuple_loop_bit_for_bit():
+    # the left sides read off label_masses equal the loop over x-tuples of
+    # per-anchor cell masses they replaced, in every bit
+    for m, d in [(2, 1), (3, 2), (4, 2), (5, 3)]:
+        space, rng = enumerate_concepts(m, d), stream(41, m, d)
+        w = rng.random(m)
+        for dist in (uniform_distribution(m), DataDistribution(tuple((w / w.sum()).tolist()))):
+            pa, pb = random_prior(space, rng), random_prior(space, rng)
+            for report, ys in zip(verify_sqrt_bound(pa, pb, dist, d), itertools.product((-1, 1), repeat=d)):
+                lhs = 0.0
+                for xs in itertools.product(range(1, m + 1), repeat=d):
+                    ca, cb = _cell_masses(pa, xs, exact=False), _cell_masses(pb, xs, exact=False)
+                    lhs += math.prod(dist.weights[x - 1] for x in xs) * abs(ca.get(ys, 0.0) - cb.get(ys, 0.0))
+                assert report.lhs.hex() == lhs.hex(), (m, d, ys)
 
 
 def test_verifier_budget_guards():
@@ -111,7 +225,7 @@ def test_exact_weights_reject_what_they_cannot_represent():
     with pytest.raises(ValueError):
         exact_weights(odd)
     with pytest.raises(ValueError):
-        exact_outcome_dist(reference_prior(enumerate_concepts(2, 1), exact=True), odd, 1, exact=True)
+        fraction_law(reference_prior(enumerate_concepts(2, 1), exact=True), odd, 1)
 
 
 def test_tv_basics():

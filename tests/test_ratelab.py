@@ -42,7 +42,8 @@ from priorlab.ratelab import (
 )
 from priorlab.sampling import sample_arrays, stream
 
-from min_distance_reference import AllPairsMinDistance, truth_vector
+from min_distance_reference import AllPairsMinDistance
+from outcome_reference import outcome_tuple
 from sampling_reference import labels_oracle
 
 
@@ -100,7 +101,7 @@ def same_table(a, b):
 
 def counts_from_tuples(est, xs, ys):
     """Oracle: look each task's (xs, ys) tuple up in the estimator's support."""
-    index = {z: i for i, z in enumerate(est.support)}
+    index = {outcome_tuple(z, est.dist.m, est.d): i for i, z in enumerate(est.support)}
     counts = np.zeros(len(est.support), dtype=np.int64)
     for row_x, row_y in zip(xs, ys):
         idx = index.get((tuple(int(v) for v in row_x), tuple(int(v) for v in row_y)))
@@ -380,7 +381,7 @@ def test_twopoint_rates_match_the_exact_risk():
     first = [int(np.flatnonzero(atom_of == a)[0]) for a in range(3)]
     table = run_upper_experiment(config).table
     for truth in setup.truth_ids:
-        q = np.bincount(atom_of, weights=truth_vector(est, est.outcome_dists[truth]))
+        q = np.bincount(atom_of, weights=est._md.M[truth])
         for T in config.T_grid:
             exact = 0.0
             for n0 in range(T + 1):
@@ -412,7 +413,7 @@ def per_replicate_cells(config, T, T_idx, truth_id):
     skeleton = AllPairsMinDistance(est._md.M)
     direct = AllPairsMinDistance(setup.direct._md.M)
     source = ratelab._source(setup, truth_id)
-    q = truth_vector(est, est.outcome_dists[truth_id])
+    q = est._md.M[truth_id]
     upper, baseline, lower = [], [], []
     for rep in range(config.replicates):
         rng = stream(config.seed, ratelab._UPPER, T_idx, truth_id, rep)
