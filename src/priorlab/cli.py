@@ -318,19 +318,20 @@ def cmd_lowerbound(
     return 0
 
 
-def _write_check_table(outdir: Path, csv_name: str, header, rows) -> None:
-    """Write a table of checks and a summary.txt counting the rows whose
-    last column, "pass", is false."""
-    write_csv(outdir / csv_name, header, transpose(rows, len(header)))
-    n_fail = sum(1 for r in rows if not r[-1])
+def _write_check_table(outdir: Path, csv_name: str, header, columns) -> None:
+    """Write a table of checks, given as columns, and a summary.txt
+    counting the rows whose last column, "pass", is false."""
+    write_csv(outdir / csv_name, header, columns)
+    n_rows = len(columns[-1])
+    n_fail = n_rows - int(np.count_nonzero(columns[-1]))
     (outdir / "summary.txt").write_text(
-        f"rows={len(rows)}\nviolations={n_fail}\nall_pass={n_fail == 0}\n"
+        f"rows={n_rows}\nviolations={n_fail}\nall_pass={n_fail == 0}\n"
     )
 
 
 def cmd_coinbound(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
     rows = coin_bound_table(config["gammas"], range(config["n_max"] + 1))
-    _write_check_table(outdir, "coinbound.csv", COIN_CSV_HEADER, rows)
+    _write_check_table(outdir, "coinbound.csv", COIN_CSV_HEADER, transpose(rows, len(COIN_CSV_HEADER)))
     _emit_plot_script(outdir, "coinbound", "coinbound.csv", "n", "bayes_error", loglog=False)
     return 0
 
@@ -350,7 +351,7 @@ def cmd_lemmas(config: dict, seed: int, outdir: Path, workers: int, exact: bool)
         rows.append(verify_tree_inequality(pa, pb, anchors, d).csv_row())
         rows.extend(r.csv_row() for r in verify_sqrt_bound(pa, pb, dist, d))
     rows.extend(r.csv_row() for r in check_sauer(space))
-    _write_check_table(outdir, "lemmas.csv", CHECK_CSV_HEADER, rows)
+    _write_check_table(outdir, "lemmas.csv", CHECK_CSV_HEADER, transpose(rows, len(CHECK_CSV_HEADER)))
     _emit_plot_script(outdir, "lemmas", "lemmas.csv", "k", "lhs", loglog=False)
     return 0
 
@@ -371,13 +372,19 @@ def _smoothness_instances(config: dict):
                 yield m, d, grid
 
 
+SIGN_BLOCK = 64  # sign vectors drawn and checked at a time
+
+
 def cmd_smoothness(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
-    rows = []
     rng = stream(seed, 2)
     header = (
         "m", "d", "L", "alpha", "gamma", "mass_gap", "density_lo", "density_hi",
         "holder_ok", "pass",
     )
+    signs = config["signs_per_instance"]
+    # per block of sign vectors: the instance's (m, d, L, alpha, gamma)
+    # and the block's mass_gap, density_lo, density_hi and holder_ok
+    blocks = []
     for m, d, grid in _smoothness_instances(config):
         space = enumerate_concepts(m, d)
         dist = uniform_distribution(m)
@@ -387,26 +394,30 @@ def cmd_smoothness(config: dict, seed: int, outdir: Path, workers: int, exact: b
             if use_exact not in refs:
                 refs[use_exact] = reference_prior(space, exact=use_exact)
             ref = refs[use_exact]
-            for _ in range(config["signs_per_instance"]):
-                b = tuple(rng.choice([-1, 1], size=comb(m, d)).tolist())
-                params = SmoothPriorParams(b, L, alpha, m, d)
-                pb = smooth_prior(params, space, exact=use_exact)
+            for start in range(0, signs, SIGN_BLOCK):
+                # one draw of a block's sign vectors takes the words one
+                # draw per vector would
+                b = rng.choice([-1, 1], size=(min(SIGN_BLOCK, signs - start), comb(m, d)))
                 if use_exact:
-                    mass_gap = 0.0 if sum(pb.exact) == 1 else float(abs(sum(pb.exact) - 1))
+                    members = [
+                        smooth_prior(SmoothPriorParams(tuple(row), L, alpha, m, d), space, exact=True)
+                        for row in b.tolist()
+                    ]
+                    gap = np.array([float(abs(sum(pb.exact) - 1)) for pb in members])
+                    masses = np.array([pb.mass for pb in members])
                 else:
-                    mass_gap = abs(float(pb.mass.sum()) - 1.0)
-                f = density_table(pb, ref)
-                hold = holder_check(pb, ref, L, alpha, dist).ok
-                ok = (
-                    mass_gap <= 1e-12
-                    and f.min() >= 1 - gamma - 1e-12
-                    and f.max() <= 1 + gamma + 1e-12
-                    and hold
-                )
-                rows.append(
-                    (m, d, L, alpha, gamma, mass_gap, float(f.min()), float(f.max()), hold, ok)
-                )
-    _write_check_table(outdir, "smoothness.csv", header, rows)
+                    masses = smooth_prior(SmoothPriorParams(b, L, alpha, m, d), space)
+                    gap = np.abs(masses.sum(axis=1) - 1.0)
+                f = density_table(masses, ref)
+                hold = np.array([r.ok for r in holder_check(masses, ref, L, alpha, dist)])
+                blocks.append(((m, d, L, alpha, gamma), gap, f.min(axis=1), f.max(axis=1), hold))
+    counts = [len(block[1]) for block in blocks]
+    columns = [np.repeat([block[0][i] for block in blocks], counts) for i in range(5)]
+    gap, lo, hi, hold = (np.concatenate([block[i] for block in blocks]) for i in range(1, 5))
+    gamma = columns[4]
+    ok = (gap <= 1e-12) & (lo >= 1 - gamma - 1e-12) & (hi <= 1 + gamma + 1e-12) & hold
+    columns += [gap, lo, hi, hold, ok]
+    _write_check_table(outdir, "smoothness.csv", header, columns)
     _emit_plot_script(outdir, "smoothness", "smoothness.csv", "m", "gamma", loglog=False)
     return 0
 

@@ -311,12 +311,6 @@ def _bayes_error_ratios(gamma, n_max: int):
             k += 1
 
 
-def exact_bayes_errors(gamma, n_max: int) -> list[Fraction]:
-    """Exact Bayes errors of the two-point coin problem with n = 0..n_max
-    flips, in one pass (`_bayes_error_ratios`)."""
-    return [Fraction(num, den) for num, den in _bayes_error_ratios(gamma, n_max)]
-
-
 def exact_bayes_error(gamma, n: int) -> Fraction:
     """Exact Bayes error of the two-point coin problem with n flips: the
     last step of the same pass."""

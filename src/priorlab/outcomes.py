@@ -294,9 +294,13 @@ def verify_lemma_chain(
 
 
 def realizable_pattern_count(space: ConceptSpace, anchors: tuple[int, ...]) -> int:
-    """Number of distinct label patterns the class realizes on the anchors."""
-    labels = space.label_matrix(tuple(anchors))
-    return len({tuple(int(v) for v in row) for row in labels})
+    """Number of distinct label patterns the class realizes on the anchors:
+    the distinct values of the concepts' masks on the anchor bits, counted
+    as a set of Python ints."""
+    if any(not 1 <= a <= space.m for a in anchors):
+        raise ValueError("points outside instance space")
+    anchor_mask = sum(1 << (a - 1) for a in set(anchors))
+    return len(set((space.masks & anchor_mask).tolist()))
 
 
 def check_sauer_budget(m: int, concepts: int) -> None:

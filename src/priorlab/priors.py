@@ -22,6 +22,7 @@ from .concepts import (
     ConceptSpace,
     DataDistribution,
     d_subsets,
+    _rho_table,
     rho_matrix,
     uniform_distribution,
 )
@@ -32,6 +33,17 @@ PARITY_BUDGET = 4096  # largest parity family built: 2^C(m,d) members
 HOLDER_SLACK = 1e-12
 HOLDER_PAIRS = 1 << 16  # largest Hölder check: concept pairs compared
 PARITY_RULE = "need L > 0, alpha in (0, 1] and gamma_m = (L/2)(1/m)^alpha in (0, 1/2)"
+
+
+def _check_mass_rows(masses: np.ndarray) -> None:
+    """ValueError unless each row of a (rows, concepts) float table is
+    nonnegative and sums to 1 within MASS_TOL."""
+    if (masses < 0).any():
+        raise ValueError("masses must be nonnegative")
+    sums = masses.sum(axis=1)
+    off = np.abs(sums - 1.0) > MASS_TOL
+    if off.any():
+        raise ValueError(f"masses sum to {float(sums[off][0])!r}, not 1")
 
 
 class TabularPrior:
@@ -57,10 +69,23 @@ class TabularPrior:
         self.mass = np.asarray(mass, dtype=float)
         if self.mass.shape != (len(space),):
             raise ValueError("mass table has wrong length")
-        if (self.mass < 0).any():
-            raise ValueError("masses must be nonnegative")
-        if abs(self.mass.sum() - 1.0) > MASS_TOL:
-            raise ValueError(f"masses sum to {self.mass.sum()!r}, not 1")
+        _check_mass_rows(self.mass[None])
+
+    @classmethod
+    def rows(cls, space: ConceptSpace, masses: np.ndarray) -> list[TabularPrior]:
+        """One prior per row of a (rows, concepts) float mass table, the
+        whole table checked at once as `__init__` checks one table; each
+        prior's `mass` is its row."""
+        masses = np.asarray(masses, dtype=float)
+        if masses.ndim != 2 or masses.shape[1] != len(space):
+            raise ValueError("mass table has wrong length")
+        _check_mass_rows(masses)
+        priors = []
+        for row in masses:
+            prior = cls.__new__(cls)
+            prior.space, prior.exact, prior.mass = space, None, row
+            priors.append(prior)
+        return priors
 
     @property
     def is_exact(self) -> bool:
@@ -127,11 +152,13 @@ def _exact_gamma(L, alpha, m: int) -> Fraction:
 class SmoothPriorParams:
     """Parameters of one member of the parity family on C(m, d).
 
-    `b` is a sign vector, one entry per d-subset of {1..m} in mask order.
+    `b` is a sign vector, one entry per d-subset of {1..m} in mask order,
+    or a (rows, C(m, d)) array of sign vectors: the members sharing L and
+    alpha, one per row, that `smooth_prior` builds as one mass table.
     The smoothing scale gamma_m = (L/2)(1/m)^alpha must land in (0, 1/2).
     """
 
-    b: tuple[int, ...]
+    b: tuple[int, ...] | np.ndarray
     L: float
     alpha: float
     m: int
@@ -139,56 +166,76 @@ class SmoothPriorParams:
     gamma_m: float = field(init=False)
 
     def __post_init__(self):
-        if len(self.b) != comb(self.m, self.d):
+        batch = self.batch
+        width = self.b.shape[1] if batch else len(self.b)
+        if width != comb(self.m, self.d):
             raise ValueError(
-                f"b has length {len(self.b)}, expected C({self.m},{self.d})"
+                f"b has length {width}, expected C({self.m},{self.d})"
                 f" = {comb(self.m, self.d)}"
             )
-        if any(x not in (-1, 1) for x in self.b):
+        if ((self.b != 1) & (self.b != -1)).any() if batch else any(x not in (-1, 1) for x in self.b):
             raise ValueError("b entries must be -1 or +1")
         gamma = parity_gamma(self.L, self.alpha, self.m)
         if gamma is None:
             raise ValueError(f"L={self.L!r}, alpha={self.alpha!r}, m={self.m}: {PARITY_RULE}")
         object.__setattr__(self, "gamma_m", gamma)
 
+    @property
+    def batch(self) -> bool:
+        """Whether `b` holds a table of sign vectors, one member per row."""
+        return isinstance(self.b, np.ndarray) and self.b.ndim == 2
+
     def exact_gamma(self) -> Fraction:
         return _exact_gamma(self.L, self.alpha, self.m)
 
 
 @lru_cache(maxsize=4)
-def _subset_incidence(m: int, d: int, space_masks: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, odd) for a concept space whose int64 masks, in enumeration
-    order, are `space_masks`: inside[c, i] says concept c lies in the i-th
-    d-subset of {1..m} in mask order, and odd[c] that c has an odd number
-    of positives.  Built once per (m, d) and concept order, and read-only."""
+def _subset_lists(m: int, d: int, space_masks: bytes) -> tuple[tuple[np.ndarray, np.ndarray, bool], ...]:
+    """For a concept space whose int64 masks, in enumeration order, are
+    `space_masks`: one (concepts, subsets, odd) entry per concept size q
+    that some d-subset of {1..m} can hold.  `concepts` lists the concepts
+    of size q in enumeration order, row r of `subsets` the indices (in
+    mask order) of the C(m-q, d-q) d-subsets holding concepts[r], and
+    `odd` whether q is odd.  Built once per (m, d) and concept order, and
+    read-only."""
     masks = np.frombuffer(space_masks, dtype=np.int64)
     inside = (masks[:, None] & ~np.array(d_subsets(m, d), dtype=np.int64)) == 0
-    odd = np.array([bin(int(v)).count("1") % 2 for v in masks], dtype=bool)
-    inside.flags.writeable = odd.flags.writeable = False
-    return inside, odd
+    sizes = np.array([bin(int(v)).count("1") for v in masks])
+    lists = []
+    for q in range(d + 1):
+        concepts = np.flatnonzero(sizes == q)
+        subsets = np.nonzero(inside[concepts])[1].reshape(len(concepts), comb(m - q, d - q))
+        concepts.flags.writeable = subsets.flags.writeable = False
+        lists.append((concepts, subsets, q % 2 == 1))
+    return tuple(lists)
 
 
-def smooth_prior(params: SmoothPriorParams, space: ConceptSpace, exact: bool = False) -> TabularPrior:
+def smooth_prior(params: SmoothPriorParams, space: ConceptSpace, exact: bool = False):
     """The parity-family member for sign vector b.
 
     mass(h) = (1/2)^d C(m,d)^{-1} sum_i 1[H in X_i]
               (1 + g b_i)^{parity(|H|)} (1 - g b_i)^{1 - parity(|H|)}
     with g = gamma_m; its density against the reference measure stays in
-    [1 - g, 1 + g].
+    [1 - g, 1 + g].  When `params.b` is a table of sign vectors, returns
+    the (rows, concepts) float masses of those members, each row the mass
+    its one-vector call gives, bit for bit.
     """
     if space.m != params.m or space.d != params.d:
         raise ValueError("params built for a different concept space")
     m, d = space.m, space.d
     if not exact:
-        # terms summed left to right over the subsets, as the exact loop
-        # does; the 0.0 added for a subset that misses the concept is
-        # exact, so each mass is the loop's bit for bit (np.sum's pairwise
+        # each concept's terms summed left to right over the subsets that
+        # hold it, in mask order, as the exact loop does (np.sum's pairwise
         # order would not be)
-        inside, odd = _subset_incidence(m, d, space.masks.tobytes())
-        signed = params.gamma_m * np.array(params.b, dtype=float)
-        terms = np.where(odd[:, None], 1 + signed, 1 - signed)
-        total = np.cumsum(np.where(inside, terms, 0.0), axis=1)[:, -1]
-        return TabularPrior(space, 1.0 / (2**d * comb(m, d)) * total)
+        signed = params.gamma_m * np.array(params.b, dtype=float, ndmin=2)
+        up, down = 1 + signed, 1 - signed
+        total = np.zeros((len(signed), len(space)))
+        for concepts, subsets, odd in _subset_lists(m, d, space.masks.tobytes()):
+            total[:, concepts] = np.cumsum((up if odd else down)[:, subsets], axis=2)[:, :, -1]
+        masses = 1.0 / (2**d * comb(m, d)) * total
+        return masses if params.batch else TabularPrior(space, masses[0])
+    if params.batch:
+        raise ValueError("the exact parity member takes one sign vector")
     subs = d_subsets(m, d)
     gamma = params.exact_gamma()
     scale = Fraction(1, 2**d * comb(m, d))
@@ -220,12 +267,12 @@ def parity_family(
     (-1 before +1 coordinate-wise)."""
     n = comb(space.m, space.d)
     parity_family_size(space.m, space.d)
-    params, members = [], []
-    for signs in itertools.product((-1, 1), repeat=n):
-        p = SmoothPriorParams(signs, L, alpha, space.m, space.d)
-        params.append(p)
-        members.append(smooth_prior(p, space, exact=exact))
-    return params, members
+    signs = list(itertools.product((-1, 1), repeat=n))
+    params = [SmoothPriorParams(b, L, alpha, space.m, space.d) for b in signs]
+    if exact:
+        return params, [smooth_prior(p, space, exact=True) for p in params]
+    batch = SmoothPriorParams(np.array(signs), L, alpha, space.m, space.d)
+    return params, TabularPrior.rows(space, smooth_prior(batch, space))
 
 
 def density(prior: TabularPrior, reference: TabularPrior, h: Concept | int) -> float:
@@ -244,11 +291,19 @@ def density(prior: TabularPrior, reference: TabularPrior, h: Concept | int) -> f
     return p / r
 
 
-def density_table(prior: TabularPrior, reference: TabularPrior) -> np.ndarray:
-    """Density at every concept, with the same 0/0 and continuity rules."""
-    if prior.space != reference.space:
-        raise ValueError("priors live on different concept spaces")
-    p, r = prior.mass, reference.mass
+def density_table(prior, reference: TabularPrior) -> np.ndarray:
+    """Density at every concept, with the same 0/0 and continuity rules.
+    `prior` is a TabularPrior, or a (rows, concepts) float mass table on
+    the reference's space, one density row per mass row."""
+    if isinstance(prior, TabularPrior):
+        if prior.space != reference.space:
+            raise ValueError("priors live on different concept spaces")
+        p = prior.mass
+    else:
+        p = np.asarray(prior, dtype=float)
+        if p.ndim != 2 or p.shape[1] != len(reference.space):
+            raise ValueError("mass table does not match the reference's space")
+    r = reference.mass
     bad = (r == 0) & (p > 0)
     if bad.any():
         raise AbsoluteContinuityError(
@@ -256,7 +311,7 @@ def density_table(prior: TabularPrior, reference: TabularPrior) -> np.ndarray:
         )
     out = np.zeros_like(p)
     pos = r > 0
-    out[pos] = p[pos] / r[pos]
+    out[..., pos] = p[..., pos] / r[pos]
     return out
 
 
@@ -277,36 +332,80 @@ def check_holder_pairs(n: int) -> None:
         raise BudgetError(f"{n}^2 concept pairs exceed the 2^16 pair guard")
 
 
+HOLDER_BLOCK = 1 << 14  # (density row, pair) differences held at a time
+
+
+@lru_cache(maxsize=4)
+def _rho_runs(space_masks: bytes, weights: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """The concept pairs i < j of `_rho_table(space_masks, weights)`,
+    sorted stably by rho, so that pairs at equal rho form runs and each
+    run keeps row-major order: (i, j, the start of each run, each run's
+    rho).  Read-only."""
+    table = _rho_table(space_masks, weights)
+    first, second = np.triu_indices(len(table), 1)
+    order = np.argsort(table[first, second], kind="stable")
+    first, second = first[order], second[order]
+    rho = table[first, second]
+    starts = np.flatnonzero(np.diff(rho, prepend=-1.0))  # rho >= 0, so a run starts at 0
+    runs = (first, second, starts, rho[starts])
+    for a in runs:
+        a.flags.writeable = False
+    return runs
+
+
 def holder_check(
-    prior: TabularPrior,
+    prior,
     reference: TabularPrior,
     L: float,
     alpha: float,
     dist: DataDistribution,
-) -> HolderReport:
+):
     """Exhaustive check of |f(h) - f(g)| <= L rho(h,g)^alpha over all pairs.
 
     Returns the pair maximizing |f(h) - f(g)| / rho^alpha as witness when
-    the check fails.  Guarded to at most 2^16 concept pairs.
+    the check fails (the first such pair in row-major order, h before g).
+    Guarded to at most 2^16 concept pairs.  `prior` may also be a (rows,
+    concepts) float mass table on the reference's space; the reports, one
+    per row, then come as a list.
+
+    Each pair is compared once.  Pairs at equal rho share the divisor
+    rho^alpha, and a correctly rounded division by a positive number is
+    monotone, so a run's largest ratio is its largest |f(h) - f(g)| over
+    that divisor: max_ratio is the maximum of a full ratio table, bit for
+    bit, with no (concepts, concepts) table per row.
     """
-    space = prior.space
+    space = reference.space
     n = len(space)
     check_holder_pairs(n)
     f = density_table(prior, reference)
-    dists = rho_matrix(space, dist)
-    diffs = np.abs(f[:, None] - f[None, :])
-    off = ~np.eye(n, dtype=bool)
-    zero_rho = off & (dists == 0)
-    if (diffs[zero_rho] > HOLDER_SLACK).any():
-        i, j = np.argwhere(zero_rho & (diffs > HOLDER_SLACK))[0]
-        return HolderReport(False, np.inf, (space.concepts[i], space.concepts[j]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(off & (dists > 0), diffs / dists**alpha, 0.0)
-    worst = float(ratio.max()) if n > 1 else 0.0
-    if worst <= L + HOLDER_SLACK:
-        return HolderReport(True, worst, None)
-    i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
-    return HolderReport(False, worst, (space.concepts[i], space.concepts[j]))
+    rows = np.atleast_2d(f)
+    rho_matrix(space, dist)  # checks dist against the space
+    first, second, starts, rho = _rho_runs(space.masks.tobytes(), dist.weights)
+    zero = int(len(rho) > 0 and rho[0] == 0)  # a run at rho = 0 comes first
+    divisor = rho[zero:] ** alpha
+    reports = []
+    step = max(1, HOLDER_BLOCK // max(len(first), 1))
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        diffs = block[:, first]
+        np.subtract(diffs, block[:, second], out=diffs)
+        np.abs(diffs, out=diffs)
+        run_max = np.maximum.reduceat(diffs, starts, axis=1) if len(starts) else diffs
+        worst = (run_max[:, zero:] / divisor).max(axis=1, initial=0.0)
+        for r, w in enumerate(worst.tolist()):
+            if zero and run_max[r, 0] > HOLDER_SLACK:
+                k = int(np.argmax(diffs[r] > HOLDER_SLACK))  # in the rho = 0 run, which comes first
+                w = np.inf
+            elif w <= L + HOLDER_SLACK:
+                reports.append(HolderReport(True, w, None))
+                continue
+            else:
+                counts = np.diff(np.r_[starts, len(first)])[zero:]
+                ratio = diffs[r, starts[zero]:] / np.repeat(divisor, counts)
+                hits = starts[zero] + np.flatnonzero(ratio == w)
+                k = int(hits[np.argmin(first[hits] * n + second[hits])])
+            reports.append(HolderReport(False, w, (space.concepts[first[k]], space.concepts[second[k]])))
+    return reports if f.ndim == 2 else reports[0]
 
 
 @dataclass
@@ -471,31 +570,33 @@ def cover_priors(
     reference = reference_prior(space)
     delta = (epsilon / L) ** (1.0 / alpha)
     cells = _diameter_partition(space, uniform_distribution(space.m), delta)
-    cell_ref = np.array([reference.mass[c].sum() for c in cells])
+    cell_of = np.empty(len(space), dtype=np.intp)
+    for c, cell in enumerate(cells):
+        cell_of[cell] = c
+    # the search runs on Python floats: the same doubles as numpy scalars,
+    # at a fraction of the cost per step
+    cell_ref = [float(reference.mass[c].sum()) for c in cells]
     step = epsilon / 2.0
     n_grid = int(ceil((1.0 + L) / step)) + 1
-    grid = np.arange(n_grid + 1) * step  # 0 .. >= 1+L
+    grid = (np.arange(n_grid + 1) * step).tolist()  # 0 .. >= 1+L
     mass_tol = epsilon / 4.0 + 1e-9
 
     # cheapest remaining-mass envelope for pruning the DFS
-    suffix_min = np.zeros(len(cells) + 1)
-    suffix_max = np.zeros(len(cells) + 1)
+    suffix_min = [0.0] * (len(cells) + 1)
+    suffix_max = [0.0] * (len(cells) + 1)
     for i in range(len(cells) - 1, -1, -1):
         suffix_min[i] = suffix_min[i + 1] + grid[0] * cell_ref[i]
         suffix_max[i] = suffix_max[i + 1] + grid[-1] * cell_ref[i]
 
-    members: list[TabularPrior] = []
-    assignment = np.zeros(len(cells))
+    leaves: list[list[float]] = []  # each kept assignment of grid values to cells
+    assignment = [0.0] * len(cells)
 
     def extend(i: int, partial: float):
-        if len(members) > budget:
+        if len(leaves) > budget:
             raise BudgetError(f"cover construction exceeded the budget of {budget} members")
         if i == len(cells):
             if abs(partial - 1.0) <= mass_tol and partial > 0:
-                mass = np.zeros(len(space))
-                for c, cell in enumerate(cells):
-                    mass[cell] = assignment[c] * reference.mass[cell]
-                members.append(TabularPrior(space, mass / mass.sum()))
+                leaves.append(assignment.copy())
             return
         for g in grid:
             new = partial + g * cell_ref[i]
@@ -507,8 +608,11 @@ def cover_priors(
             extend(i + 1, new)
 
     extend(0, 0.0)
-    if not members:
+    if not leaves:
         raise BudgetError("cover construction produced no members (epsilon grid too coarse)")
+    # each leaf's masses in one gather through the concept -> cell index
+    mass = np.array(leaves)[:, cell_of] * reference.mass
+    members = TabularPrior.rows(space, mass / mass.sum(axis=1, keepdims=True))
     return CoverFamily(
         members,
         epsilon,

@@ -35,10 +35,10 @@ from .estimators import (
     DirectEstimator,
     SkeletonEstimator,
     _as_fraction,
+    _bayes_error_ratios,
     check_yatracos_budget,
     coin_floor,
     exact_bayes_error,  # noqa: F401  (perfbench/spans.py wraps it here)
-    exact_bayes_errors,
     reduce_to_signs,
 )
 from .outcomes import DEFAULT_BUDGET, check_law_budget
@@ -532,7 +532,7 @@ def run_baseline_comparison(config: ExperimentConfig, T: int, workers: int = 1) 
 def coin_bound_table(gammas, ns) -> list[tuple]:
     """Rows (gamma, n, exact Bayes error, floor, pass) over the grid, in
     the order of `gammas` and then `ns` (which may skip, repeat or
-    descend); one `exact_bayes_errors` pass per gamma up to max(ns).
+    descend); one `_bayes_error_ratios` pass per gamma up to max(ns).
 
     gamma = 1/2 is allowed: the two-point problem and its floor are still
     well defined there, and the acceptance grid ends at 1/2."""
@@ -544,11 +544,13 @@ def coin_bound_table(gammas, ns) -> list[tuple]:
         g = _as_fraction(gamma)
         if not 0 < g <= Fraction(1, 2):
             raise ValueError(f"gamma {gamma} outside (0, 1/2]")
-        errors = exact_bayes_errors(g, max(ns, default=0))
+        # integer true division rounds correctly: each error is the float
+        # of its Fraction, without building one
+        errors = [num / den for num, den in _bayes_error_ratios(g, max(ns, default=0))]
+        g = float(g)
         for n in ns:
-            err = float(errors[n])
-            floor = coin_floor(float(g), n)
-            rows.append((float(g), n, err, floor, err >= floor))
+            floor = coin_floor(g, n)
+            rows.append((g, n, errors[n], floor, errors[n] >= floor))
     return rows
 
 

@@ -1,0 +1,342 @@
+"""The `smoothness`, `cover-info` and `coinbound` suites work on whole
+arrays.  Each is checked here against the per-instance code it replaced,
+kept as a test-local oracle, and against a planted defect that its
+`pass` column must catch."""
+
+import csv
+import tracemalloc
+from fractions import Fraction
+from math import ceil, comb
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from priorlab import cli, ratelab
+from priorlab.cli import _smoothness_instances, dispatch, parse_config
+from priorlab.concepts import DataDistribution, d_subsets, enumerate_concepts, rho_matrix, uniform_distribution
+from priorlab.errors import BudgetError
+from priorlab.estimators import _as_fraction, _bayes_error_ratios, coin_floor
+from priorlab.priors import (
+    SmoothPriorParams,
+    TabularPrior,
+    _diameter_partition,
+    cover_priors,
+    holder_check,
+    reference_prior,
+    smooth_prior,
+)
+from priorlab.ratelab import transpose, write_csv
+from priorlab.sampling import stream
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SMOOTHNESS_HEADER = (
+    "m", "d", "L", "alpha", "gamma", "mass_gap", "density_lo", "density_hi", "holder_ok", "pass",
+)
+
+
+def loop_float_masses(b, gamma, space) -> np.ndarray:
+    """Oracle: the float parity member as one (concepts, subsets) term
+    table summed left to right, one sign vector at a time."""
+    m, d = space.m, space.d
+    inside = (space.masks[:, None] & ~np.array(d_subsets(m, d), dtype=np.int64)) == 0
+    odd = np.array([bin(int(v)).count("1") % 2 for v in space.masks], dtype=bool)
+    signed = gamma * np.array(b, dtype=float)
+    terms = np.where(odd[:, None], 1 + signed, 1 - signed)
+    total = np.cumsum(np.where(inside, terms, 0.0), axis=1)[:, -1]
+    return 1.0 / (2**d * comb(m, d)) * total
+
+
+def table_holder(f, space, dist, L, alpha):
+    """Oracle: the Hölder check over a full (concepts, concepts) ratio
+    table, as (ok, max_ratio, witness index pair)."""
+    n = len(f)
+    dists = rho_matrix(space, dist)
+    diffs = np.abs(f[:, None] - f[None, :])
+    off = ~np.eye(n, dtype=bool)
+    zero_rho = off & (dists == 0)
+    if (diffs[zero_rho] > 1e-12).any():
+        i, j = np.argwhere(zero_rho & (diffs > 1e-12))[0]
+        return False, np.inf, (int(i), int(j))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(off & (dists > 0), diffs / dists**alpha, 0.0)
+    worst = float(ratio.max()) if n > 1 else 0.0
+    if worst <= L + 1e-12:
+        return True, worst, None
+    i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+    return False, worst, (int(i), int(j))
+
+
+def oracle_smoothness(config: dict, seed: int, exact: bool, outdir: Path) -> None:
+    """Oracle: the per-instance smoothness loop, one sign-vector draw,
+    member, density table and Hölder table at a time."""
+    rng = stream(seed, 2)
+    rows = []
+    for m, d, grid in _smoothness_instances(config):
+        space = enumerate_concepts(m, d)
+        dist = uniform_distribution(m)
+        for L, alpha, gamma in grid:
+            use_exact = exact and float(alpha).is_integer()
+            ref = reference_prior(space, exact=use_exact)
+            for _ in range(config["signs_per_instance"]):
+                b = tuple(rng.choice([-1, 1], size=comb(m, d)).tolist())
+                params = SmoothPriorParams(b, L, alpha, m, d)
+                if use_exact:
+                    pb = smooth_prior(params, space, exact=True)
+                    mass = pb.mass
+                    mass_gap = 0.0 if sum(pb.exact) == 1 else float(abs(sum(pb.exact) - 1))
+                else:
+                    mass = loop_float_masses(b, params.gamma_m, space)
+                    mass_gap = abs(float(mass.sum()) - 1.0)
+                f = mass / ref.mass
+                hold = table_holder(f, space, dist, L, alpha)[0]
+                ok = (
+                    mass_gap <= 1e-12
+                    and f.min() >= 1 - gamma - 1e-12
+                    and f.max() <= 1 + gamma + 1e-12
+                    and hold
+                )
+                rows.append((m, d, L, alpha, gamma, mass_gap, float(f.min()), float(f.max()), hold, ok))
+    outdir.mkdir()
+    write_csv(outdir / "smoothness.csv", SMOOTHNESS_HEADER, transpose(rows, len(SMOOTHNESS_HEADER)))
+    n_fail = sum(1 for r in rows if not r[-1])
+    (outdir / "summary.txt").write_text(f"rows={len(rows)}\nviolations={n_fail}\nall_pass={n_fail == 0}\n")
+
+
+def smoothness_config(tmp_path: Path, text: str) -> Path:
+    path = tmp_path / "smoothness.cfg"
+    path.write_text(text)
+    return path
+
+
+MIXED = "m_max = 5\nd_max = 3\nL_list = 0.5,1.0,1.7\nalpha_list = 0.5,1.0,0.7\nsigns_per_instance = 70\n"
+
+
+@pytest.mark.parametrize(
+    "text, seed, exact",
+    [
+        (None, 0, False),
+        (None, 3, False),
+        (None, 109, False),
+        (None, 4, True),
+        # alpha 0.5, 1 and 0.7 mixed, and more sign vectors than one block
+        (MIXED, 5, False),
+        (MIXED, 6, True),
+    ],
+)
+def test_smoothness_csv_is_the_per_instance_loop_byte_for_byte(tmp_path, text, seed, exact):
+    path = CONFIGS / "smoothness.cfg" if text is None else smoothness_config(tmp_path, text)
+    assert dispatch("smoothness", path, seed, tmp_path / "out", exact_rational=exact) == 0
+    oracle_smoothness(parse_config(path, "smoothness"), seed, exact, tmp_path / "oracle")
+    for name in ("smoothness.csv", "summary.txt"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes(), name
+
+
+def test_batched_smooth_prior_rows_are_the_one_vector_members():
+    space = enumerate_concepts(6, 3)
+    b = np.random.default_rng(2).choice([-1, 1], size=(9, comb(6, 3)))
+    masses = smooth_prior(SmoothPriorParams(b, 1.0, 0.5, 6, 3), space)
+    for row, signs in zip(masses, b.tolist()):
+        assert np.array_equal(row, smooth_prior(SmoothPriorParams(tuple(signs), 1.0, 0.5, 6, 3), space).mass)
+    with pytest.raises(ValueError, match="one sign vector"):
+        smooth_prior(SmoothPriorParams(b, 1.0, 1.0, 6, 3), space, exact=True)
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        SmoothPriorParams(np.zeros((2, comb(6, 3)), dtype=int), 1.0, 1.0, 6, 3)
+    with pytest.raises(ValueError, match="length 3"):
+        SmoothPriorParams(np.ones((2, 3), dtype=int), 1.0, 1.0, 6, 3)
+
+
+@pytest.mark.parametrize(
+    "m, d, weights",
+    [
+        (4, 2, None),
+        (5, 1, (0.5, 0.0, 0.25, 0.0, 0.25)),  # zero-weight points: pairs at rho = 0
+        (3, 3, (0.2, 0.3, 0.5)),
+    ],
+)
+def test_holder_check_is_the_full_ratio_table(m, d, weights):
+    space = enumerate_concepts(m, d)
+    dist = uniform_distribution(m) if weights is None else DataDistribution(weights)
+    ref = reference_prior(space)
+    rng = np.random.default_rng(m * 10 + d)
+    raw = rng.dirichlet(np.ones(len(space)), size=12)
+    masses = raw / raw.sum(axis=1, keepdims=True)
+    # rows 4..7 keep one density on each class of concepts at rho = 0, and
+    # rows 0..3 are the reference itself, so that passes and both kinds
+    # of failure occur
+    cls = (rho_matrix(space, dist) == 0).argmax(axis=1)
+    masses[4:8] = ref.mass * rng.uniform(0.5, 1.5, size=(4, len(space)))[:, cls]
+    masses[4:8] /= masses[4:8].sum(axis=1, keepdims=True)
+    masses[:4] = ref.mass
+    kinds = set()
+    for L, alpha in ((0.05, 1.0), (3.0, 0.5), (50.0, 0.7)):
+        reports = holder_check(masses, ref, L, alpha, dist)
+        assert len(reports) == len(masses)
+        for row, rep in zip(masses, reports):
+            ok, worst, pair = table_holder(row / ref.mass, space, dist, L, alpha)
+            single = holder_check(TabularPrior(space, row), ref, L, alpha, dist)
+            for got in (rep, single):
+                assert (got.ok, got.max_ratio) == (ok, worst)
+                want = None if pair is None else (space.concepts[pair[0]], space.concepts[pair[1]])
+                assert got.witness == want
+            kinds.add("pass" if ok else "rho = 0" if worst == np.inf else "ratio")
+    assert kinds == ({"pass", "ratio", "rho = 0"} if 0.0 in dist.weights else {"pass", "ratio"})
+
+
+def oracle_cover_masses(space, L, alpha, epsilon, budget=100_000) -> np.ndarray:
+    """Oracle: the cover search on numpy scalars, each leaf's masses
+    written one cell at a time; the members' masses, one row each."""
+    reference = reference_prior(space)
+    delta = (epsilon / L) ** (1.0 / alpha)
+    cells = _diameter_partition(space, uniform_distribution(space.m), delta)
+    cell_ref = np.array([reference.mass[c].sum() for c in cells])
+    step = epsilon / 2.0
+    grid = np.arange(int(ceil((1.0 + L) / step)) + 2) * step
+    mass_tol = epsilon / 4.0 + 1e-9
+    suffix_min = np.zeros(len(cells) + 1)
+    suffix_max = np.zeros(len(cells) + 1)
+    for i in range(len(cells) - 1, -1, -1):
+        suffix_min[i] = suffix_min[i + 1] + grid[0] * cell_ref[i]
+        suffix_max[i] = suffix_max[i + 1] + grid[-1] * cell_ref[i]
+    members = []
+    assignment = np.zeros(len(cells))
+
+    def extend(i, partial):
+        if len(members) > budget:
+            raise BudgetError("over budget")
+        if i == len(cells):
+            if abs(partial - 1.0) <= mass_tol and partial > 0:
+                mass = np.zeros(len(space))
+                for c, cell in enumerate(cells):
+                    mass[cell] = assignment[c] * reference.mass[cell]
+                members.append(mass / mass.sum())
+            return
+        for g in grid:
+            new = partial + g * cell_ref[i]
+            if new + suffix_max[i + 1] < 1.0 - mass_tol:
+                continue
+            if new + suffix_min[i + 1] > 1.0 + mass_tol:
+                break
+            assignment[i] = g
+            extend(i + 1, new)
+
+    extend(0, 0.0)
+    return np.array(members)
+
+
+@pytest.mark.parametrize(
+    "m, d, epsilons",
+    [
+        (2, 1, parse_config(CONFIGS / "cover-info.cfg", "cover-info")["epsilons"]),
+        (3, 2, (0.6, 0.5)),
+        (4, 1, (0.5,)),
+    ],
+)
+def test_cover_members_are_the_per_cell_leaf_loop_bit_for_bit(m, d, epsilons):
+    space = enumerate_concepts(m, d)
+    for eps in epsilons:
+        fam = cover_priors(space, 1.0, 1.0, eps)
+        want = oracle_cover_masses(space, 1.0, 1.0, eps)
+        assert np.array_equal(np.array([p.mass for p in fam.members]), want), eps
+    with pytest.raises(BudgetError, match="budget of 10 members"):
+        cover_priors(enumerate_concepts(3, 2), 1.0, 1.0, 0.05, budget=10)
+
+
+def test_tabular_prior_rows_check_the_table():
+    space = enumerate_concepts(2, 1)
+    rows = TabularPrior.rows(space, [[0.5, 0.25, 0.25], [1.0, 0.0, 0.0]])
+    assert [p.mass.tolist() for p in rows] == [[0.5, 0.25, 0.25], [1.0, 0.0, 0.0]]
+    assert not rows[0].is_exact and rows[0].space is space
+    with pytest.raises(ValueError, match="sum to 0.8999"):
+        TabularPrior.rows(space, [[0.5, 0.25, 0.25], [0.5, 0.2, 0.2]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        TabularPrior.rows(space, [[1.5, -0.25, -0.25]])
+    with pytest.raises(ValueError, match="wrong length"):
+        TabularPrior.rows(space, [[0.5, 0.5]])
+
+
+def fraction_coin_rows(gammas, ns):
+    """Oracle: the coin table through one Fraction per (gamma, n)."""
+    rows = []
+    for gamma in gammas:
+        g = _as_fraction(gamma)
+        errors = [Fraction(num, den) for num, den in _bayes_error_ratios(g, max(ns, default=0))]
+        for n in ns:
+            err = float(errors[n])
+            floor = coin_floor(float(g), n)
+            rows.append((float(g), n, err, floor, err >= floor))
+    return rows
+
+
+def test_coin_table_is_the_fraction_oracle():
+    gammas = parse_config(CONFIGS / "coinbound.cfg", "coinbound")["gammas"]
+    assert ratelab.coin_bound_table(gammas, range(201)) == fraction_coin_rows(gammas, range(201))
+    for ns in ((7, 0, 7, 3), (200, 150, 3, 1), (5, 5, 5), (0,), (2, 40, 199, 41)):
+        got = ratelab.coin_bound_table(gammas + (Fraction(1, 3),), ns)
+        assert got == fraction_coin_rows(gammas + (Fraction(1, 3),), ns), ns
+        assert all(type(r[0]) is float and type(r[2]) is float for r in got)
+
+
+def read_table(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+SMALL = "m_max = 5\nd_max = 2\nL_list = 0.5,1.0\nalpha_list = 0.5,1.0\nsigns_per_instance = 3\n"
+
+
+def test_smoothness_passes_without_a_planted_defect(tmp_path):
+    assert dispatch("smoothness", smoothness_config(tmp_path, SMALL), 0, tmp_path / "out") == 0
+    assert "all_pass=True" in (tmp_path / "out" / "summary.txt").read_text()
+
+
+def test_smoothness_fails_a_mass_off_by_1e9(tmp_path, monkeypatch):
+    real = cli.smooth_prior
+
+    def off(params, space, exact=False):
+        masses = real(params, space, exact)
+        masses[:, 0] += 1e-9
+        return masses
+
+    monkeypatch.setattr(cli, "smooth_prior", off)
+    assert dispatch("smoothness", smoothness_config(tmp_path, SMALL), 0, tmp_path / "out") == 0
+    rows = read_table(tmp_path / "out" / "smoothness.csv")
+    assert all(float(r["mass_gap"]) > 1e-12 and r["pass"] == "false" for r in rows)
+    assert "all_pass=False" in (tmp_path / "out" / "summary.txt").read_text()
+
+
+def test_smoothness_fails_a_halved_holder_constant(tmp_path, monkeypatch):
+    real = cli.holder_check
+    monkeypatch.setattr(cli, "holder_check", lambda p, r, L, alpha, dist: real(p, r, L / 2, alpha, dist))
+    assert dispatch("smoothness", smoothness_config(tmp_path, SMALL), 0, tmp_path / "out") == 0
+    rows = read_table(tmp_path / "out" / "smoothness.csv")
+    failed = [r for r in rows if r["holder_ok"] == "false"]
+    assert failed and all(r["pass"] == "false" for r in failed)
+
+
+def test_coinbound_fails_a_floor_times_100(tmp_path, monkeypatch):
+    real = ratelab.coin_floor
+    monkeypatch.setattr(ratelab, "coin_floor", lambda gamma, n: 100 * real(gamma, n))
+    assert dispatch("coinbound", CONFIGS / "coinbound.cfg", 0, tmp_path / "out") == 0
+    rows = read_table(tmp_path / "out" / "coinbound.csv")
+    assert any(r["pass"] == "false" for r in rows)
+    assert "all_pass=False" in (tmp_path / "out" / "summary.txt").read_text()
+
+
+def smoothness_peak(tmp_path: Path, signs: int) -> int:
+    text = (CONFIGS / "smoothness.cfg").read_text().replace(
+        "signs_per_instance = 4", f"signs_per_instance = {signs}"
+    )
+    path = smoothness_config(tmp_path, text)
+    assert f"signs_per_instance = {signs}" in path.read_text()
+    tracemalloc.start()
+    try:
+        assert dispatch("smoothness", path, 0, tmp_path / f"out{signs}") == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_smoothness_memory_does_not_grow_with_the_sign_vectors(tmp_path):
+    smoothness_peak(tmp_path, 4)  # fill the per-space caches first
+    assert smoothness_peak(tmp_path, 64) <= 2 * smoothness_peak(tmp_path, 4)

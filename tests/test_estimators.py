@@ -13,9 +13,9 @@ from priorlab.estimators import (
     _MinDistance,
     SkeletonEstimator,
     _as_fraction,
+    _bayes_error_ratios,
     coin_floor,
     exact_bayes_error,
-    exact_bayes_errors,
     majority_rule,
     reduce_to_signs,
     yatracos_sets,
@@ -483,6 +483,12 @@ def direct_sum_bayes_error(gamma, n: int) -> Fraction:
     if n % 2 == 0:
         total += comb(n, n // 2) * (a * b) ** (n // 2)
     return Fraction(total, 2 * (2 * g.denominator) ** n)
+
+
+
+def exact_bayes_errors(gamma, n_max: int) -> list[Fraction]:
+    """The exact Bayes errors for n = 0..n_max from one recurrence pass."""
+    return [Fraction(num, den) for num, den in _bayes_error_ratios(gamma, n_max)]
 
 
 SHIPPED_GAMMAS = tuple(g100 / 100 for g100 in range(5, 55, 5))  # configs/coinbound.cfg

@@ -395,6 +395,24 @@ def test_sauer_pattern_counts():
         assert full == len(sp)
 
 
+def tuple_pattern_count(space, anchors) -> int:
+    """Oracle: the distinct label tuples the class realizes on the anchors."""
+    return len({tuple(int(v) for v in row) for row in space.label_matrix(tuple(anchors))})
+
+
+def test_realizable_pattern_count_is_the_label_tuple_set():
+    for m, d in [(2, 1), (4, 2), (5, 3), (6, 1), (7, 7)]:
+        sp = enumerate_concepts(m, d)
+        for k in range(1, m + 1):
+            for anchors in itertools.combinations(range(1, m + 1), k):
+                assert realizable_pattern_count(sp, anchors) == tuple_pattern_count(sp, anchors)
+        assert realizable_pattern_count(sp, (1, 1, 2)) == tuple_pattern_count(sp, (1, 1, 2))
+    with pytest.raises(ValueError, match="outside"):
+        realizable_pattern_count(enumerate_concepts(3, 1), (0, 2))
+    with pytest.raises(ValueError, match="outside"):
+        realizable_pattern_count(enumerate_concepts(3, 1), (4,))
+
+
 def test_check_report_csv_row():
     pi0 = reference_prior(SP32)
     rep = verify_tree_inequality(pi0, pi0, (1, 2), 2)
