@@ -20,9 +20,12 @@ and its ledger row is closed-form.  The prior-aware customers of a
 stream are served in lock-step: each round looks up one posterior per
 distinct (surrogate, consistent set) and takes one vector step for all
 customers still asking, and the ledger is kept as those column arrays.
-Customer t keeps its own streams `stream(seed, t, purpose)`; their first
-outputs are computed for all customers at once by `sampling.stream_raw`,
-and a function is drawn from a word by `sampling._categorical`'s decode.
+Every draw is decoded from raw stream words, as `sampling` draws tasks:
+customer t keeps its own streams `stream(seed, t, purpose)`, whose first
+words are read for all customers at once by `sampling.stream_raw`, and a
+calibration run reads its words by `sampling.keyed_words`.  A function is
+drawn from a word by `sampling._categorical`'s decode, and a bundle from
+half a word by `sampling.raw_integers`.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 from .errors import BudgetError
 from .estimators import _distinct_rows, _MinDistance, yatracos_sets
 from .priors import tv_matrix
-from .sampling import _categorical, _count_cuts, keyed_streams, raw_integers, stream, stream_raw
+from .sampling import _categorical, _count_cuts, keyed_words, raw_integers, stream, stream_raw
 
 _CUSTOMER_STREAM = 0
 _POINTS_STREAM = 1
@@ -515,14 +518,16 @@ def calibrate_schedule(
         raise ValueError(
             f"{pooled} calibration runs cannot resolve a quantile at level {alpha}"
         )
-    # run (truth, rep) draws T_grid[-1] tasks from stream(seed, _CAL_STREAM,
-    # truth, rep) and scores tv(selected, truth) at each grid T
+    # run (truth, rep) draws T = T_grid[-1] tasks from stream(seed,
+    # _CAL_STREAM, truth, rep), T functions and then T d bundles, and scores
+    # tv(selected, truth) at each grid T
+    T, d = T_grid[-1], family.d
     runs = [(truth, rep) for truth in range(family.n_members) for rep in range(replicates)]
     errors = np.empty((pooled, len(T_grid)))
-    rngs = keyed_streams(seed, [(_CAL_STREAM, truth, rep) for truth, rep in runs])
-    for row, ((truth, _), rng) in enumerate(zip(runs, rngs)):
-        f_idx = family.function_index(truth, rng.bit_generator.random_raw(T_grid[-1]))
-        xs = rng.integers(0, family.n_bundles, size=(T_grid[-1], family.d))
+    run_words = keyed_words(seed, [(_CAL_STREAM, truth, rep) for truth, rep in runs], T + (T * d + 1) // 2)
+    for row, ((truth, _), words) in enumerate(zip(runs, run_words)):
+        f_idx = family.function_index(truth, words[:T])
+        xs = raw_integers(words[None, T:], family.n_bundles, T * d).reshape(T, d)
         selected = SequentialSelector(model, xs, f_idx).selected(T_grid)
         errors[row] = family.tv_matrix[truth, selected]
     rank = int(np.ceil((1 - alpha) * pooled))  # nearest-rank quantile index

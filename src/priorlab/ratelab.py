@@ -55,7 +55,7 @@ from .priors import (
 from .sampling import (
     Tasks,
     joint_blocks,
-    keyed_streams,
+    keyed_words,
     sample_arrays,  # noqa: F401  (perfbench/spans.py wraps it here)
     stream,
     task_layout,
@@ -204,13 +204,14 @@ class Setup:
         return DirectEstimator(self.estimator.cover)
 
 
-_SETUP_CACHE: dict[tuple, Setup] = {}
+_SETUP_CACHE: dict[tuple, Setup] = {}  # the last config's setup only
 
 
 def build_setup(config: ExperimentConfig) -> Setup:
     cached = _SETUP_CACHE.get(config.key())
     if cached is not None:
         return cached
+    _SETUP_CACHE.clear()
     space = enumerate_concepts(config.m, config.d)
     if config.family == "parity":
         dist = uniform_distribution(config.m)
@@ -270,9 +271,10 @@ def _cell(config: ExperimentConfig, source, T: int, key: tuple[int, ...], signs:
     layout = task_layout(source, setup.space, setup.dist, config.samples_per_task)
     support = est.support_index(layout.cells.codes)
     reps = np.arange(config.replicates)
-    rngs = keyed_streams(config.seed, np.column_stack([np.full(len(reps), c) for c in key] + [reps]))
+    keys = np.column_stack([np.full(len(reps), c) for c in key] + [reps])
+    rows = keyed_words(config.seed, keys, task_words(T, layout.k, layout.ranges, signs))
     for joint_counts, bits in joint_blocks(
-        rngs, lambda rep: stream(config.seed, *key, rep), source, layout, T, signs
+        rows, lambda rep: stream(config.seed, *key, rep), source, layout, T, signs
     ):
         counts = _mapped(joint_counts, support, len(est.support))
         yield joint_counts, counts, est.select_rows(counts, T), bits

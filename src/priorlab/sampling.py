@@ -1,15 +1,17 @@
 """Task generation: draw a target concept per task, then k labeled points.
 
-Every draw follows one convention: a keyed stream, its PCG64 words, and
-an exact decode of those words.
+Every bulk draw follows one convention: a keyed stream hands out its
+PCG64 words, and an exact decode turns them into the `Generator` calls'
+draws.  The calls themselves remain for scalar draws, `sample_arrays`
+and a replicate whose bounded draw numpy would reject.
 
 - **Keyed streams.**  `stream(seed, *key)` is numpy's generator for a
   (seed, key...) coordinate, so a draw depends only on its key and never
   on the worker count.  `_pcg_seed` computes the seeded PCG64 state of
-  many keys at once (numpy's SeedSequence hash, then PCG64's seeding).
-  `keyed_streams` hands each state to one reused generator, and
-  `stream_raw` steps the states and applies PCG64's XSL-RR output
-  itself; both are bit for bit `stream(seed, *key)`.
+  many keys at once (numpy's SeedSequence hash, then PCG64's seeding),
+  and each key's first n words, bit for bit, are read by `stream_raw`
+  (all states stepped at once: few words, many keys) or `keyed_words`
+  (one `random_raw` call per key: many words).
 - **Exact decode.**  A word w is the double (w >> 11) 2^-53 that
   `random()` returns, so `random() >= t` is the integer compare
   w >= ceil(t 2^53) << 11 (`_cut`), and a categorical draw counts the
@@ -23,13 +25,13 @@ an exact decode of those words.
   Its joint index is branch * P^k plus the digits in base P, one of the
   J cells of its source's `TaskLayout`.  `_decode` turns rows of words
   into joint indices with whole-block array ops, in the narrowest
-  unsigned type that holds them.  `joint_blocks` reads a run of
-  replicates' words, one `random_raw` call each, decodes the run and
-  counts each replicate with one `bincount` over its J cells;
-  `sample_arrays` decodes the T tasks of one stream, and `Tasks`
-  decodes points, concepts, labels, the parity trace and outcome codes
-  from the joint indices on first use.  `TaskLayout.cells` does the
-  same for every cell, so tables over the cells are read off it.
+  unsigned type that holds them, and `joint_blocks` decodes a run of
+  replicates' rows at once and counts each replicate with one
+  `bincount` over its J cells.  `sample_arrays` draws the T tasks of one
+  stream by the calls themselves (`_call_draws`), and `Tasks` decodes
+  points, concepts, labels, the parity trace and outcome codes from the
+  joint indices on first use.  `TaskLayout.cells` does the same for
+  every cell, so tables over the cells are read off it.
 
 A task's outcome code, the statistic the estimators count, is its index
 in the outcome laws (`outcome_codes`, `outcomes._label_table`).
@@ -200,14 +202,13 @@ def stream_raw(seed: int, keys, n: int) -> np.ndarray:
     return out
 
 
-def keyed_streams(seed: int, keys) -> Iterator[np.random.Generator]:
-    """`stream(seed, *key)` for each row `key` of `keys` in turn, bit for
-    bit, seeded in bulk: one generator whose PCG64 is set to each row's
-    seeded state.  The same object comes back every time, so finish with
-    one stream before taking the next."""
+def keyed_words(seed: int, keys, n: int) -> Iterator[np.ndarray]:
+    """The first `n` raw outputs of `stream(seed, *key)` for each row
+    `key` of `keys` in turn, bit for bit, as uint64 arrays: the states
+    are seeded in bulk (`_pcg_seed`), and each row is read with one
+    `random_raw` call of a PCG64 set to its state."""
     limbs = [a.tolist() for a in _pcg_seed(seed, keys)]
     bit_gen = np.random.PCG64(0)
-    rng = np.random.Generator(bit_gen)
     for state_hi, state_lo, inc_hi, inc_lo in zip(*limbs):
         bit_gen.state = {
             "bit_generator": "PCG64",
@@ -215,7 +216,7 @@ def keyed_streams(seed: int, keys) -> Iterator[np.random.Generator]:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        yield rng
+        yield bit_gen.random_raw(n)
 
 
 def _halves(words: np.ndarray) -> np.ndarray:
@@ -275,7 +276,7 @@ def raw_integers(words: np.ndarray, high: int, size: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _plan(T: int, k: int, ranges: tuple[int, int] | None, used: int = 0) -> tuple[tuple, int | None, int]:
+def _plan(T: int, k: int, ranges: tuple[int, int] | None, used: int = 0) -> tuple[tuple, int]:
     """Where each draw of T tasks of k points sits in a row of words that
     opens with `used` halves of earlier bounded draws.  The draws, in
     stream order: the parity family's `integers(0, C(m, d))`, `random()`
@@ -284,8 +285,8 @@ def _plan(T: int, k: int, ranges: tuple[int, int] | None, used: int = 0) -> tupl
     points.  A bounded draw takes the half held over first, then the
     halves of fresh words, low half first, and holds a half it leaves
     over; a range of 1 takes nothing.  Returns each draw's slices (of the
-    row's halves for a bounded draw, else of its words), the half then
-    held (None if none) and the row's words."""
+    row's halves for a bounded draw, else of its words) and the row's
+    words."""
     if ranges is None:
         draws = (None, T), (None, T * k)
     else:
@@ -306,13 +307,13 @@ def _plan(T: int, k: int, ranges: tuple[int, int] | None, used: int = 0) -> tupl
             held = 2 * word + n if n % 2 else None
             word += (n + 1) // 2
         plan.append(tuple(pieces))
-    return tuple(plan), held, word
+    return tuple(plan), word
 
 
 def task_words(T: int, k: int, ranges: tuple[int, int] | None, used: int = 0) -> int:
     """The words one row of T tasks of k points takes (`_plan`), with
     `used` halves of bounded draws before them."""
-    return _plan(T, k, ranges, used)[2]
+    return _plan(T, k, ranges, used)[1]
 
 
 def _cut(t: float) -> int:
@@ -574,10 +575,9 @@ def _decode(layout: TaskLayout, words: np.ndarray, T: int, coin_cuts, used: int 
     `Generator` calls would draw them: row r's tasks fall in cells
     r J .. r J + J - 1, J = `layout.size`, by their joint indices, held
     in the narrowest type that holds them all.  Also returns the rows in
-    which numpy would reject a bounded draw, and the half then held
-    (`_plan`).  `coin_cuts` (1 or rows, C(m, d)) are each row's parity
-    coin cut-offs (`_coin`)."""
-    plan, held, _ = _plan(T, layout.k, layout.ranges, used)
+    which numpy would reject a bounded draw.  `coin_cuts` (1 or rows,
+    C(m, d)) are each row's parity coin cut-offs (`_coin`)."""
+    plan, _ = _plan(T, layout.k, layout.ranges, used)
     dtype = _index_dtype(len(words) * layout.size)
     halves = _halves(words).reshape(len(words), -1)
     rejected = np.zeros(len(words), dtype=bool)
@@ -610,30 +610,37 @@ def _decode(layout: TaskLayout, words: np.ndarray, T: int, coin_cuts, used: int 
     joint = layout.fold(joint, words[:, point])
     if len(words) > 1:  # row r's cells are r J .. r J + J - 1
         joint += np.arange(0, len(words) * layout.size, layout.size, dtype=dtype)[:, None]
-    return joint, rejected, held
+    return joint, rejected
 
 
-def _call_draws(layout: TaskLayout, T: int, p1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The joint indices of T parity-family tasks drawn by the
-    `Generator` calls themselves, for draws numpy would reject."""
-    n_sub, width = layout.ranges
-    i_star = rng.integers(0, n_sub, size=T)
-    coin = rng.random(T) < p1[i_star]
-    choice = rng.integers(0, width, size=T)
-    joint = ((2 * i_star + coin) * width + choice).astype(_index_dtype(layout.size))
+def _call_draws(layout: TaskLayout, T: int, p1: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
+    """The joint indices of T tasks drawn by the `Generator` calls
+    themselves: the parity family's `integers(0, C(m, d))`, `random() <
+    p1[i*]` and `integers(0, width)`, or a tabular prior's categorical
+    draw of `random()` (`p1` None), then the points, whose doubles are
+    read as their words."""
+    if layout.ranges is None:
+        joint = _count_cuts(layout.concept_cuts, rng.bit_generator.random_raw(T))
+    else:
+        n_sub, width = layout.ranges
+        i_star = rng.integers(0, n_sub, size=T)
+        coin = rng.random(T) < p1[i_star]
+        choice = rng.integers(0, width, size=T)
+        joint = (2 * i_star + coin) * width + choice
+    joint = joint.astype(_index_dtype(layout.size))
     return layout.fold(joint[None], rng.bit_generator.random_raw(T * layout.k)[None])[0]
 
 
 _BLOCK = 1 << 15  # words a decoded run of replicates holds, and joint counts a block
 
 
-def joint_blocks(rngs, redo, source, layout: TaskLayout, T: int, signs: int = 0):
+def joint_blocks(rows, redo, source, layout: TaskLayout, T: int, signs: int = 0):
     """Joint counts of T tasks per replicate, a block of replicates at a
     time.
 
-    `rngs` gives each replicate's fresh stream in turn (no half held, as
-    `keyed_streams` gives them), whose words are read with one
-    `random_raw` call each; `redo(rep)` gives replicate rep's stream
+    `rows` gives each replicate's first `task_words(T, layout.k,
+    layout.ranges, signs)` words in turn, read from a fresh stream (as
+    `keyed_words` reads them); `redo(rep)` gives replicate rep's stream
     afresh, for the rare replicate in which numpy would reject a bounded
     draw.  With `signs`, each replicate first draws `integers(0, 2,
     size=signs)`, the sign vector b of its parity member (bit 1 for
@@ -647,11 +654,11 @@ def joint_blocks(rngs, redo, source, layout: TaskLayout, T: int, signs: int = 0)
     n_words = task_words(T, layout.k, layout.ranges, signs)
     per_block = max(1, _BLOCK // layout.size)
     per_run = max(1, min(_BLOCK // n_words, per_block))
-    rngs = iter(rngs)
+    rows = iter(rows)
 
     def runs():
         first = 0
-        while run := [rng.bit_generator.random_raw(n_words) for rng in itertools.islice(rngs, per_run)]:
+        while run := list(itertools.islice(rows, per_run)):
             words = np.stack(run) if len(run) > 1 else run[0][None]
             bits = _halves(words).reshape(len(words), -1)[:, :signs] >> 31
             if layout.ranges is None:
@@ -660,7 +667,7 @@ def joint_blocks(rngs, redo, source, layout: TaskLayout, T: int, signs: int = 0)
                 coin_cuts = _coin(source.gamma_m, (-1, 1))[1][bits]
             else:
                 coin_cuts = _coin(source.gamma_m, source.b)[1][None]
-            cells, rejected, _ = _decode(layout, words, T, coin_cuts, signs)
+            cells, rejected = _decode(layout, words, T, coin_cuts, signs)
             for row in np.flatnonzero(rejected).tolist():
                 rng = redo(first + row)
                 b = tuple(1 if v else -1 for v in rng.integers(0, 2, size=signs)) if signs else source.b
@@ -683,42 +690,18 @@ def sample_arrays(
     k: int,
     rng: np.random.Generator,
 ) -> Tasks:
-    """T tasks of k points from one stream, as a `Tasks` record.
-
-    The draws are those of `Generator` calls on a PCG64 stream (`stream`
-    and numpy's `default_rng` give one): first the concepts, as the
+    """T tasks of k points from one stream, as a `Tasks` record, drawn
+    by the `Generator` calls (`_call_draws`): first the concepts, as the
     parity family's `integers(0, C(m, d))`, `random() < p` and
     `integers(0, width)` per task or a tabular prior's categorical draw
     of `random()`, then the (T, k) points as a categorical draw of D.
-    They are decoded from one read of the stream's words, a block of one
-    row (`_decode`), and leave the generator as the calls would, bit for
-    bit; only when numpy would reject a bounded draw (under 2**-31 per
-    draw) does a replicate make the calls themselves.
+    The stream must be a PCG64 one (`stream` and numpy's `default_rng`
+    give one), whose words are the doubles `random()` returns.
     """
     if T < 1 or k < 1:
         raise ValueError("need T >= 1 and k >= 1")
     layout = task_layout(source, space, dist, k)
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise ValueError(f"tasks are decoded from PCG64 words, not {type(rng.bit_generator).__name__}")
-    bit_gen = rng.bit_generator
-    start = bit_gen.state
-    used = start["has_uint32"]  # a held half: the high half of a word already read
-    words = bit_gen.random_raw(task_words(T, k, layout.ranges, used) - used)
-    if used:
-        words = np.concatenate([np.array([start["uinteger"] << 32], dtype=np.uint64), words])
-    p1 = coin_cuts = None
-    if layout.ranges is not None:
-        p1, coin_cuts = _coin(source.gamma_m, source.b)
-        coin_cuts = coin_cuts[None]
-    joint, rejected, held = _decode(layout, words[None], T, coin_cuts, used)
-    if rejected[0]:
-        bit_gen.state = start
-        return Tasks(_call_draws(layout, T, p1, rng), layout)
-    if held != (1 if used else None):
-        # random_raw leaves the held half alone; set it as the draws would
-        state = bit_gen.state
-        state["has_uint32"] = int(held is not None)
-        if held is not None:
-            state["uinteger"] = int(_halves(words)[held])
-        bit_gen.state = state
-    return Tasks(joint[0], layout)
+    p1 = None if layout.ranges is None else _coin(source.gamma_m, source.b)[0]
+    return Tasks(_call_draws(layout, T, p1, rng), layout)

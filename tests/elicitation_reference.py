@@ -8,14 +8,26 @@ these ask-by-ask versions are what it must match.
 The outcome model: `meet_outcome_model` builds G by labelling the meet of
 each partition combination function by function, and the consistent-set
 table in a second pass.  The library reads G from that table in one
-enumeration; this two-pass build is what it must match bit for bit."""
+enumeration; this two-pass build is what it must match bit for bit.
+
+The calibration: `generator_calibrate_schedule` draws each run through a
+`Generator` set to the run's seeded state, T function words and then
+`rng.integers` bundles, as `calibrate_schedule` drew them before it
+decoded a run's words; the library must give the same schedule."""
 
 import itertools
 from math import factorial
 
 import numpy as np
 
+from priorlab.elicitation import (
+    _CAL_STREAM,
+    CALIBRATION_SAFETY,
+    ScheduleRDelta,
+    SequentialSelector,
+)
 from priorlab.estimators import yatracos_sets
+from priorlab.sampling import _pcg_seed
 
 
 class ValueOracle:
@@ -136,3 +148,55 @@ def meet_outcome_model(family):
     ok = (set_masks[:, None] >> np.arange(F)) & 1
     mm = np.stack([family.W @ row.astype(float) for row in ok])  # (sets, members)
     return G, set_masks, yatracos_sets(mm.T).T
+
+
+def keyed_generators(seed, keys):
+    """`stream(seed, *key)` for each row of `keys` in turn: one generator
+    whose PCG64 is set to each row's seeded state."""
+    limbs = [a.tolist() for a in _pcg_seed(seed, keys)]
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    for state_hi, state_lo, inc_hi, inc_lo in zip(*limbs):
+        bit_gen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
+def generator_calibration_runs(family, T, replicates, seed):
+    """(truth, function indices, bundles) of each calibration run of T
+    tasks, in run order, drawn by `Generator` calls."""
+    runs = [(truth, rep) for truth in range(family.n_members) for rep in range(replicates)]
+    rngs = keyed_generators(seed, [(_CAL_STREAM, truth, rep) for truth, rep in runs])
+    for (truth, _), rng in zip(runs, rngs):
+        f_idx = family.function_index(truth, rng.bit_generator.random_raw(T))
+        yield truth, f_idx, rng.integers(0, family.n_bundles, size=(T, family.d))
+
+
+def generator_calibrate_schedule(family, model, alpha, T_grid, replicates, seed):
+    """The calibrated schedule of the `generator_calibration_runs`."""
+    pooled = replicates * family.n_members
+    errors = np.array([
+        family.tv_matrix[truth, SequentialSelector(model, xs, f_idx).selected(T_grid)]
+        for truth, f_idx, xs in generator_calibration_runs(family, T_grid[-1], replicates, seed)
+    ])
+    rank = int(np.ceil((1 - alpha) * pooled))
+    raw = np.sort(errors, axis=0)[rank - 1]
+    monotone = np.maximum.accumulate(np.minimum(1.0, CALIBRATION_SAFETY * raw)[::-1])[::-1]
+    deltas = (errors > monotone[None, :]).mean(axis=0)
+    return ScheduleRDelta(
+        alpha,
+        (0,) + tuple(T_grid),
+        (1.0,) + tuple(float(r) for r in monotone),
+        (0.0,) + tuple(float(x) for x in deltas),
+        meta={
+            "replicates": replicates,
+            "safety": CALIBRATION_SAFETY,
+            "quantile_rank": rank,
+            "pooled_runs": pooled,
+            "seed": seed,
+        },
+    )

@@ -1,13 +1,13 @@
 """Reference implementations for the sampler tests.
 
-`labels_oracle` draws tasks through numpy's `Generator` calls, as the
-sampler did before it decoded words, and reads labels off the concept
-masks.  `rigged_stream` is a PCG64 generator whose next raw word is
-chosen, so a test can put a word numpy would reject where it likes;
-`later_draws` is what a generator's state decides for the draws after.
-`raw_random` reads raw words as the doubles `Generator.random()` makes
-of them, and `categorical_draw` draws categories from such doubles by
-comparing them with the cumulative sums, the rule the word decode of
+`labels_oracle` draws tasks through numpy's `Generator` calls, with a
+binary search per draw in place of the word decoders, and reads labels
+off the concept masks.  `rigged_stream` is a PCG64 generator whose next
+raw word is chosen, so a test can put a word numpy would reject where it
+likes; `later_draws` is what a generator's state decides for the draws
+after.  `raw_random` reads raw words as the doubles `Generator.random()`
+makes of them, and `categorical_draw` draws categories from such doubles
+by comparing them with the cumulative sums, the rule the word decode of
 `sampling._categorical` must reproduce.
 """
 

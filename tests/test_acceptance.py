@@ -7,12 +7,15 @@ per-criterion lines, or rely on the test verdicts.
 """
 
 import itertools
+import multiprocessing
+import os
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
 
+from priorlab import ratelab
 from priorlab.concepts import (
     DataDistribution,
     enumerate_concepts,
@@ -410,35 +413,49 @@ def test_criterion_9_elicitation_suite():
 # --------------------------------------------------------------- criterion 10
 
 
-def test_criterion_10_determinism(tmp_path):
-    # every cell kind (upper, baseline and lowerbound; parity and two-point)
-    # runs once in one process, again there, and under two workers: the
-    # generator each cell reuses across its replicates carries nothing over
+DETERMINISM_RUNS = {
+    "rates": (
+        "rates",
+        "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 50,200\nreplicates = 10\ntruth_count = 3\n",
+        ("rates.csv", "skeleton_report.csv", "baseline.csv", "summary.txt"),
+    ),
+    "twopoint": (
+        "rates",
+        "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 20,101\nreplicates = 7\nfamily = twopoint\n",
+        ("rates.csv", "skeleton_report.csv", "baseline.csv", "summary.txt"),
+    ),
+    "lowerbound": (
+        "lowerbound",
+        "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 30,99\nreplicates = 9\n",
+        ("lowerbound.csv", "summary.txt"),
+    ),
+}
+
+
+def _same_bytes_across_runs(tmp_path, label) -> bool:
+    """Whether a `DETERMINISM_RUNS` config writes the same files run once
+    in one process, again there, and under two workers."""
     from priorlab.cli import dispatch
 
-    cfgs = {
-        "rates": "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 50,200\n"
-        "replicates = 10\ntruth_count = 3\n",
-        "twopoint": "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 20,101\n"
-        "replicates = 7\nfamily = twopoint\n",
-        "lowerbound": "m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 30,99\nreplicates = 9\n",
-    }
-    names = {
-        "rates": ("rates.csv", "skeleton_report.csv", "baseline.csv", "summary.txt"),
-        "twopoint": ("rates.csv", "skeleton_report.csv", "baseline.csv", "summary.txt"),
-        "lowerbound": ("lowerbound.csv", "summary.txt"),
-    }
-    ok = True
-    for label, text in cfgs.items():
-        cfg = tmp_path / f"{label}.cfg"
-        cfg.write_text(text)
-        sub = "lowerbound" if label == "lowerbound" else "rates"
-        outs = [tmp_path / f"{label}{i}" for i in range(3)]
-        for out, workers in zip(outs, (1, 2, 1)):
-            assert dispatch(sub, cfg, 42, out, workers=workers) == 0
-        for name in names[label]:
-            ok &= (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-            ok &= (outs[0] / name).read_bytes() == (outs[2] / name).read_bytes()
+    sub, text, names = DETERMINISM_RUNS[label]
+    cfg = tmp_path / f"{label}.cfg"
+    cfg.write_text(text)
+    outs = [tmp_path / f"{label}{i}" for i in range(3)]
+    for out, workers in zip(outs, (1, 2, 1)):
+        assert dispatch(sub, cfg, 42, out, workers=workers) == 0
+    return all(
+        (outs[0] / name).read_bytes() == (out / name).read_bytes() for out in outs[1:] for name in names
+    )
+
+
+def test_criterion_10_determinism(tmp_path):
+    # every cell kind (upper, baseline and lowerbound; parity and two-point)
+    # runs once in one process, again there, and under two workers: each
+    # replicate's words come from its own keyed stream, whichever process
+    # draws them
+    from priorlab.cli import dispatch
+
+    ok = all([_same_bytes_across_runs(tmp_path, label) for label in DETERMINISM_RUNS])
     coin_cfg = tmp_path / "coin.cfg"
     coin_cfg.write_text("gammas = 0.05,0.25,0.45\nn_max = 60\n")
     c_outs = [tmp_path / f"c{i}" for i in range(2)]
@@ -446,3 +463,15 @@ def test_criterion_10_determinism(tmp_path):
         assert dispatch("coinbound", coin_cfg, 7, o) == 0
     ok &= (c_outs[0] / "coinbound.csv").read_bytes() == (c_outs[1] / "coinbound.csv").read_bytes()
     assert report(10, "determinism", ok, "reruns and worker counts byte-identical")
+
+
+def test_criterion_10_catches_a_key_that_depends_on_the_worker(tmp_path, monkeypatch):
+    # a planted defect: every cell's streams keyed by the process that
+    # draws them; forked workers inherit the patch and draw other words
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the planted key reaches pool workers only when they are forked")
+    keyed_words = ratelab.keyed_words
+    monkeypatch.setattr(
+        ratelab, "keyed_words", lambda seed, keys, n: keyed_words(seed + os.getpid(), keys, n)
+    )
+    assert not _same_bytes_across_runs(tmp_path, "rates")

@@ -33,6 +33,8 @@ from priorlab.sampling import stream
 
 from elicitation_reference import (
     ValueOracle,
+    generator_calibrate_schedule,
+    generator_calibration_runs,
     meet_outcome_model,
     oracle_method_A,
     oracle_method_A_prime,
@@ -750,6 +752,34 @@ def test_calibrate_schedule_matches_per_task_oracle(name, seed):
     args = dict(alpha=0.2, T_grid=(5, 20, 60, 150), replicates=5, seed=seed)
     batched = calibrate_schedule(fam, model, **args)
     assert (batched.R, batched.delta) == oracle_calibrate_schedule(fam, model, **args)
+
+
+@pytest.mark.parametrize(
+    "name, T_grid",
+    [("tiny", (5, 20, 150)), ("presence", (3, 31)), ("flat-1", (4, 77)), ("flat-3", (9, 101))],
+)
+@pytest.mark.parametrize("seed", [0, 3, 109, 2**64 - 1])
+def test_calibrate_schedule_matches_generator_calls(name, T_grid, seed, monkeypatch):
+    # a run's bundles decoded from its words are the draws of rng.integers
+    # after its function words; flat-1 and flat-3 take an odd d, and an odd
+    # T d leaves the last word's high half unread
+    if name.startswith("flat"):
+        fam = flat_family(8, int(name[-1]))
+        model = FamilyOutcomeModel(fam)
+    else:
+        fam, model = family_and_model(name)
+    drawn = []
+    selector = elicitation.SequentialSelector
+
+    def spy(model, xs, f_idx):
+        drawn.append((f_idx.tolist(), xs.tolist()))
+        return selector(model, xs, f_idx)
+
+    monkeypatch.setattr(elicitation, "SequentialSelector", spy)
+    args = dict(alpha=0.2, T_grid=T_grid, replicates=4, seed=seed)
+    assert calibrate_schedule(fam, model, **args) == generator_calibrate_schedule(fam, model, **args)
+    runs = generator_calibration_runs(fam, T_grid[-1], 4, seed)
+    assert drawn == [(f_idx.tolist(), xs.tolist()) for _, f_idx, xs in runs]
 
 
 # (epsilon, schedule): the prior-free branch, then balls of several members

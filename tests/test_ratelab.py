@@ -527,6 +527,23 @@ def test_upper_cell_at_ten_thousand_tasks_allocates_little():
     assert peak < 2**20
 
 
+def test_setup_cache_keeps_one_setup(monkeypatch):
+    # a setup at m=4, d=2 holds about 0.8 MB; a cache of one per seed kept
+    # every one of them for the life of the process
+    monkeypatch.setattr(ratelab, "_SETUP_CACHE", {})
+    config = ExperimentConfig(m=4, d=2, seed=100)
+    assert build_setup(config) is build_setup(config)
+    tracemalloc.start()
+    try:
+        for seed in range(8):
+            build_setup(replace(config, seed=seed))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(ratelab._SETUP_CACHE) == [replace(config, seed=7).key()]
+    assert retained < 2 * 2**20
+
+
 @pytest.mark.parametrize(
     "keys, words",
     [
@@ -542,7 +559,7 @@ def test_task_words_checked_before_output(tmp_path, monkeypatch, capsys, keys, w
         raise AssertionError("drew tasks")
 
     monkeypatch.setattr(ratelab, "joint_blocks", no_draws)
-    monkeypatch.setattr(ratelab, "keyed_streams", no_draws)
+    monkeypatch.setattr(ratelab, "keyed_words", no_draws)
     cfg = tmp_path / "c.cfg"
     cfg.write_text("m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nreplicates = 2\n" + keys)
     assert dispatch("rates", cfg, 0, tmp_path / "out") == 2

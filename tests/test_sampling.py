@@ -28,12 +28,13 @@ from priorlab.sampling import (
     _lemire,
     _parity_index_table,
     joint_blocks,
-    keyed_streams,
+    keyed_words,
     sample_arrays,
     raw_integers,
     stream,
     stream_raw,
     task_layout,
+    task_words,
 )
 
 from sampling_reference import (
@@ -416,6 +417,41 @@ def test_sampler_matches_labels_oracle(m, d, k_offset):
             assert later_draws(rngs[0]) == later_draws(rngs[1])
 
 
+@pytest.mark.parametrize("k_offset", [-1, 0, 1], ids=["k1", "k-d", "k-d+1"])
+@pytest.mark.parametrize(
+    "m, d", [(2, 1), (2, 2), (3, 2), (4, 2), (4, 3), (5, 2)], ids=lambda v: str(v)
+)
+def test_joint_blocks_match_labels_oracle(m, d, k_offset):
+    # the parity source also draws its C(m, d) signs first, an odd or even
+    # count of halves, so its first bounded draw may take a held half
+    k = 1 if k_offset == -1 else d + k_offset
+    space = enumerate_concepts(m, d)
+    n_signs = len(d_subsets(m, d))
+    params = SmoothPriorParams(tuple((-1) ** i for i in range(n_signs)), 1.0, 1.0, m, d)
+    sources = [(params, 0), (params, n_signs), (smooth_prior(params, space), 0), (point_mass(space, 0b1), 0)]
+    dists = [
+        DataDistribution(tuple(np.arange(1, m + 1) / (m * (m + 1) / 2))),
+        DataDistribution((0.0,) * (m - 1) + (1.0,)),  # one point left to draw
+    ]
+    for (source, signs), dist in itertools.product(sources, dists):
+        layout = task_layout(source, space, dist, k)
+        for T in (1, 7, 10_000, 10_001):
+            keys = [(k, T, signs, rep) for rep in range(3)]
+            rows = keyed_words(m, keys, task_words(T, k, layout.ranges, signs))
+            blocks = list(joint_blocks(rows, lambda rep: stream(m, *keys[rep]), source, layout, T, signs))
+            counts, bits = (np.concatenate(parts) for parts in zip(*blocks))
+            assert counts.shape == (3, layout.size) and bits.shape == (3, signs)
+            for rep, key in enumerate(keys):
+                rng = stream(m, *key)
+                want_bits = rng.integers(0, 2, size=signs)
+                member = source
+                if signs:  # the member of the drawn signs
+                    member = SmoothPriorParams(tuple((2 * want_bits - 1).tolist()), 1.0, 1.0, m, d)
+                want = labels_oracle(member, space, dist, T, k, rng).tasks.joint
+                assert bits[rep].tolist() == want_bits.tolist()
+                assert np.array_equal(counts[rep], np.bincount(want, minlength=layout.size)), (T, rep)
+
+
 @pytest.mark.parametrize("m, d", [(3, 2), (4, 2)], ids=["range-3", "range-6"])
 def test_rejected_draw_falls_back_to_generator_calls(m, d):
     # a first word whose low half is 0: numpy rejects that draw from every
@@ -446,7 +482,8 @@ def test_rejected_replicate_inside_a_block_is_redrawn(m, d):
     def redo(rep):
         return rigged_stream(word) if rep == 2 else stream(m, 50, rep)
 
-    (counts, bits), = joint_blocks([redo(rep) for rep in range(5)], redo, params, layout, 50)
+    rows = [redo(rep).bit_generator.random_raw(task_words(50, d, layout.ranges)) for rep in range(5)]
+    (counts, bits), = joint_blocks(rows, redo, params, layout, 50)
     assert counts.shape == (5, layout.size) and bits.shape == (5, 0)
     for rep in range(5):
         want = labels_oracle(params, space, dist, 50, d, redo(rep)).tasks.joint
@@ -564,12 +601,12 @@ def test_bulk_stream_rejects_what_it_cannot_reproduce():
 
 
 @pytest.mark.parametrize("seed", BULK_SEEDS)
-def test_keyed_streams_match_stream(seed):
+def test_keyed_words_match_stream(seed):
     keys = [(91, t, truth, rep) for t in (0, 4) for truth in (0, 63) for rep in (0, 1, 99)]
-    for key, rng in zip(keys, keyed_streams(seed, keys), strict=True):
-        want = stream(seed, *key)
-        assert later_draws(rng) == later_draws(want)
-        assert rng.bit_generator.random_raw(2).tolist() == want.bit_generator.random_raw(2).tolist()
+    for n in (0, 1, 5_000):
+        for key, words in zip(keys, keyed_words(seed, keys, n), strict=True):
+            assert words.dtype == np.uint64
+            assert words.tolist() == stream(seed, *key).bit_generator.random_raw(n).tolist()
 
 
 # key columns that hold one value are hashed as Python ints, varying ones
@@ -595,5 +632,5 @@ def test_bulk_seeding_matches_stream_on_constant_and_varying_columns(name, seed)
     raw = stream_raw(seed, SEED_KEYS[name], 2)
     assert raw.dtype == np.uint64 and raw.shape == (len(keys), 2)
     assert raw.tolist() == expected
-    got = [rng.bit_generator.random_raw(2).tolist() for rng in keyed_streams(seed, SEED_KEYS[name])]
+    got = [words.tolist() for words in keyed_words(seed, SEED_KEYS[name], 2)]
     assert got == expected
