@@ -450,9 +450,10 @@ def _check_config(subcommand: str, config: dict) -> None:
     concept space needs 1 <= d <= m, a parity-family member needs gamma_m
     in (0, 1/2), lemmas' outcome laws and growth check, each smoothness
     instance's Hölder check and cover-info's parity family must fit their
-    budgets, and elicit's calibration must resolve its quantile.  rates and lowerbound leave theirs, their
-    budgets among them, to `_experiment_config`; cover-info meets its
-    cover budget in `_cover_rows`."""
+    budgets, elicit's regrets must give a standard error and its
+    calibration must resolve its quantile.  rates and lowerbound leave
+    theirs, their budgets among them, to `_experiment_config`; cover-info
+    meets its cover budget in `_cover_rows`."""
     if "d" in config and not 1 <= config["d"] <= config["m"]:
         raise ValueError(f"config key 'd' must lie in 1..m = {config['m']}, got {config['d']}")
     if subcommand == "lemmas" and config["k_max"] < config["d"]:
@@ -471,6 +472,12 @@ def _check_config(subcommand: str, config: dict) -> None:
     if subcommand == "cover-info":
         parity_family_size(config["m"], config["d"])
     if subcommand == "elicit":
+        # the summary's standard error pools every customer's regret
+        if config["replicates"] * config["T"] < 2:
+            raise ValueError(
+                f"config keys 'replicates' and 'T': {config['replicates']} x {config['T']} customers"
+                " give no standard error, which needs 2"
+            )
         # calibrate_schedule pools one run per (replicate, member) for a
         # quantile at level epsilon/2, which needs ceil(2/epsilon) runs
         runs, needed = config["calibration_replicates"] * PRESENCE_MEMBERS, ceil(2 / config["epsilon"])

@@ -33,13 +33,21 @@ def yatracos_scores(PA: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 _ROW_BLOCK = 1 << 12  # values a block of rows holds at once (one row may hold more)
+# Selection prunes sets in tables of this many members x columns or more,
+# and scores smaller ones densely.  Measured on `rates-wide`: pruning takes
+# the 64 x 728 parity skeleton's selection to a third of the dense time,
+# and more than doubles that of its 64 x 272 direct table, where nearly
+# every set survives; `rates` (8 x 26) and `elicit` (8 x 16) stay dense.
+_PRUNE_FROM = 1 << 15
+_PROBES = 8  # high-envelope sets per row whose gaps bound every member's score from below
+_GAP_BLOCK = 1 << 15  # values a pruned block holds at once: rows of set masses, or survivor gaps
 
 
-def _by_rows(fn, rows: np.ndarray, entries: int) -> np.ndarray:
+def _by_rows(fn, rows: np.ndarray, entries: int, block: int = _ROW_BLOCK) -> np.ndarray:
     """fn of a stack of vectors, a block of rows at a time, where fn makes
-    `entries` values per row, so that a block holds about _ROW_BLOCK of
-    them (no rows make one empty block)."""
-    step = max(1, _ROW_BLOCK // max(entries, 1))
+    `entries` values per row, so that a block holds about `block` of them
+    (no rows make one empty block)."""
+    step = max(1, block // max(entries, 1))
     return np.concatenate([fn(rows[i:i + step]) for i in range(0, max(len(rows), 1), step)])
 
 
@@ -93,10 +101,19 @@ class _MinDistance:
     only (728 of 4,032 pairs for the m=4, d=2 parity family).  The member
     masses M(A) are those of every pair, and a pair whose masses differ in
     any bit from those of the first pair with its set keeps a column of
-    its own, so every score is the all-pairs score bit for bit;
-    `deviation_rows` likewise reads each pair's truth mass from the
-    all-pairs product.  The budget still counts every ordered pair: the
-    pairwise comparison is built before duplicates are dropped.
+    its own, so every score is the all-pairs score bit for bit.  The
+    budget still counts every ordered pair: the pairwise comparison is
+    built before duplicates are dropped.
+
+    A table of _PRUNE_FROM members x columns or more reads only the sets
+    that can change a score.  Rounding is monotone, so for a fixed mu(A)
+    the gap |fl(M_i(A) - mu(A))| over the members is largest at the
+    column's greatest or least mass: that gap, the set's envelope, is
+    the largest member gap exactly.  The members' gaps on a few
+    high-envelope sets bound their scores from below, and a set whose
+    envelope is at or below the least of those bounds cannot raise any
+    member's maximum, so only the other sets are scored.  Every score is
+    still the dense maximum, bit for bit.
     """
 
     def __init__(self, mass_matrix: np.ndarray):
@@ -120,6 +137,8 @@ class _MinDistance:
         columns = np.concatenate([keep, odd])
         self.A = sets[columns].astype(float)
         self.PA = np.ascontiguousarray(PA[:, columns])
+        self._n_sets = len(keep)
+        self._hi, self._lo = self.PA.max(axis=0), self.PA.min(axis=0)
 
     def _mu(self, counts: np.ndarray, total) -> np.ndarray:
         """The empirical masses mu(A) of the distinct sets for each row of
@@ -133,28 +152,87 @@ class _MinDistance:
         """The scores of each row of a (rows, support) stack of counts,
         each of `total` tasks (one total, or one per row), as a (rows,
         members) array."""
-        return _by_rows(lambda mu: yatracos_scores(self.PA, mu), self._mu(counts, total), self.PA.size)
+        mu = self._mu(counts, total)
+        if self.PA.size < _PRUNE_FROM:
+            return _by_rows(lambda mu: yatracos_scores(self.PA, mu), mu, self.PA.size)
+        # a row holds its set masses and its members' probe gaps
+        return _by_rows(self._pruned_scores, mu, max(mu.shape[1], len(self.PA) * _PROBES), _GAP_BLOCK)
+
+    def _envelope(self, mu: np.ndarray) -> np.ndarray:
+        """max_i |fl(PA[i, A] - mu(A))| of each set A, for each row of a
+        stack of empirical masses: fl(hi - mu) >= fl(lo - mu), so the
+        larger of fl(hi - mu) and fl(mu - lo) is the larger magnitude."""
+        return np.maximum(self._hi - mu, mu - self._lo)
+
+    @staticmethod
+    def _skip_level(lower: np.ndarray) -> np.ndarray:
+        """The envelope at or below which a set cannot raise any member's
+        score: the least of the members' lower bounds, for each row of a
+        (rows, members) stack of them."""
+        return lower.min(axis=1)
+
+    def _pruned_scores(self, mu: np.ndarray) -> np.ndarray:
+        """The scores of each row of a (rows, columns) block of empirical
+        masses, read off the sets whose envelope passes the skip level."""
+        n, columns = len(self.PA), mu.shape[1]
+        envelope = self._envelope(mu)
+        k = min(_PROBES, columns)
+        probes = np.argpartition(envelope, columns - k, axis=1)[:, columns - k:]
+        gaps = self.PA[:, probes]  # (members, rows, probes)
+        gaps -= np.take_along_axis(mu, probes, axis=1)
+        scores = np.abs(gaps, out=gaps).max(axis=2).T
+        at = np.flatnonzero(envelope > self._skip_level(scores)[:, None])
+        step = max(1, _GAP_BLOCK // n)
+        for i in range(0, len(at), step):
+            # the survivors' gaps, a column of members each, in row order;
+            # each row's maximum joins that row's scores
+            cells = at[i:i + step]
+            rows = cells // columns
+            gaps = self.PA[:, cells % columns]
+            gaps -= mu.ravel()[cells]
+            np.abs(gaps, out=gaps)
+            first = np.flatnonzero(np.diff(rows, prepend=-1))
+            rows = rows[first]
+            scores[rows] = np.maximum(scores[rows], np.maximum.reduceat(gaps, first, axis=1).T)
+        return scores
 
     def select_rows(self, counts: np.ndarray, total) -> np.ndarray:
         """The selected member of each row of a (rows, support) stack of
         counts, each of `total` tasks (one total, or one per row)."""
         return np.argmin(self._scores(counts, total), axis=1)
 
-    def truth_masses(self, truth_on_support: np.ndarray) -> np.ndarray:
-        """Q(A_ij) of every ordered pair for a truth vector Q restricted to
-        this support (mass elsewhere never enters any set), from the
-        all-pairs product: a product over the distinct sets alone can
-        round differently."""
-        return self.A[self._pair_set] @ np.asarray(truth_on_support, dtype=float)
+    def _extremes(self, pair_masses: np.ndarray) -> np.ndarray:
+        """The least and the greatest of the pairs' masses over each
+        distinct set, as a (2, sets) array."""
+        low = np.full(self._n_sets, np.inf)
+        high = np.full(self._n_sets, -np.inf)
+        np.minimum.at(low, self._pair_set, pair_masses)
+        np.maximum.at(high, self._pair_set, pair_masses)
+        return np.stack([low, high])
+
+    def truth_masses(self, truths: np.ndarray) -> np.ndarray:
+        """`_extremes` of Q(A_ij) over the ordered pairs, as a (truths, 2,
+        sets) array, for each truth vector Q of a (truths, support) stack
+        restricted to this support (mass elsewhere never enters any set).
+        Each truth's pair masses are one all-pairs product: a product over
+        the distinct sets alone can round differently."""
+        pairs = self.A[self._pair_set]
+        return np.stack([self._extremes(pairs @ q) for q in np.asarray(truths, dtype=float)])
 
     def deviation_rows(self, counts: np.ndarray, total: int, truth_masses: np.ndarray) -> np.ndarray:
-        """max over Yatracos sets of |mu_T(A) - Q(A)|, given `truth_masses(Q)`,
-        for each row of a (rows, support) stack of counts."""
-        return _by_rows(
-            lambda mu: np.abs(mu[:, self._pair_set] - truth_masses).max(axis=-1, initial=0.0),
-            self._mu(counts, total),
-            len(self._pair_set),
-        )
+        """max over Yatracos sets of |mu_T(A) - Q(A)|, given one truth's
+        `truth_masses`, for each row of a (rows, support) stack of counts.
+        fl(mu - q) falls as q rises, so over the pairs of a set it is
+        largest in magnitude at the least or the greatest Q(A_ij): the
+        larger of fl(mu - least) and fl(greatest - mu) is each set's
+        all-pairs maximum, bit for bit."""
+        low, high = truth_masses
+
+        def deviations(mu):
+            mu = mu[:, :self._n_sets]
+            return np.maximum(mu - low, high - mu).max(axis=-1, initial=0.0)
+
+        return _by_rows(deviations, self._mu(counts, total), self._n_sets)
 
 
 class SkeletonEstimator:

@@ -203,6 +203,12 @@ class Setup:
         """The baseline's estimator on the same cover, built on first use."""
         return DirectEstimator(self.estimator.cover)
 
+    @cached_property
+    def truth_masses(self) -> dict[int, np.ndarray]:
+        """The skeleton's `truth_masses` of each truth, taken once per setup, not per cell."""
+        md = self.estimator._md
+        return dict(zip(self.truth_ids, md.truth_masses(md.M[self.truth_ids])))
+
 
 _SETUP_CACHE: dict[tuple, Setup] = {}  # the last config's setup only
 
@@ -292,7 +298,7 @@ def _upper_cell(payload) -> tuple[np.ndarray, np.ndarray]:
     config, T, T_idx, truth_id = payload
     setup = build_setup(config)
     md = setup.estimator._md
-    truth_masses = md.truth_masses(md.M[truth_id])
+    truth_masses = setup.truth_masses[truth_id]
     blocks = _cell(config, _source(setup, truth_id), T, (_UPPER, T_idx, truth_id))
     return _columns((picks, md.deviation_rows(counts, T, truth_masses)) for _, counts, picks, _ in blocks)
 

@@ -1,10 +1,12 @@
 """Reference implementations for the min-distance tests.
 
 `AllPairsMinDistance` scores every ordered pair, one Python-built
-Yatracos set per pair (duplicates included).  Built from float masses it
-is what the library's distinct-set selection must match bit for bit;
-built from exact rows it scores in `Fraction`s, so a selection and its
-guarantee can be checked in literal arithmetic.
+Yatracos set per pair (duplicates included).  Built from float masses,
+or from given sets and pair masses, it is what the library's selection,
+dense or pruned, must match bit for bit (`differences`, run under both
+scorers by the `scorer` fixture); built from exact rows it scores in
+`Fraction`s, so a selection and its guarantee can be checked in literal
+arithmetic.
 
 `ExactSkeleton` is that `Fraction` oracle for a skeleton estimator: its
 members' `fraction_law`s read on the estimator's support, and the
@@ -17,7 +19,9 @@ checked on one run in `Fraction`s."""
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from priorlab import estimators
 from priorlab.errors import BudgetError
 from priorlab.estimators import yatracos_scores
 from priorlab.outcomes import DEFAULT_BUDGET
@@ -58,6 +62,15 @@ class AllPairsMinDistance:
             self.PA_exact = None
         self.PA = self.M @ self.A.T  # (members, pairs)
 
+    @classmethod
+    def from_sets(cls, sets: np.ndarray, PA: np.ndarray) -> "AllPairsMinDistance":
+        """Float selection over given (pairs, support) bool sets and their
+        (members, pairs) masses, every pair scored."""
+        oracle = cls.__new__(cls)
+        oracle.M, oracle.A, oracle.PA, oracle.PA_exact = None, np.asarray(sets, dtype=bool), PA, None
+        oracle.pairs = list(range(len(sets)))
+        return oracle
+
     def select_rows(self, counts: np.ndarray, total: int) -> np.ndarray:
         # a stack of count vectors, as the cells pass them
         return np.array([self.select(row, total)[0] for row in counts])
@@ -75,18 +88,21 @@ class AllPairsMinDistance:
         ]
         return min(range(len(scores)), key=lambda i: (scores[i], i)), scores
 
-    def truth_masses(self, truth_on_support: np.ndarray) -> np.ndarray:
-        # deviation below takes the truth vector itself
-        return truth_on_support
+    def truth_masses(self, truths: np.ndarray) -> np.ndarray:
+        # deviation below takes each truth vector itself
+        return truths
 
     def deviation(self, counts: np.ndarray, total: int, truth_on_support: np.ndarray) -> float:
         """max over Yatracos sets of |mu_T(A) - Q(A)| for a truth vector Q
         restricted to this support (mass elsewhere never enters any set)."""
+        return self.pair_deviation(counts, total, self.A @ np.asarray(truth_on_support, dtype=float))
+
+    def pair_deviation(self, counts: np.ndarray, total: int, pair_masses: np.ndarray) -> float:
+        """max over pairs of |mu_T(A_ij) - Q(A_ij)|, given each pair's Q(A_ij)."""
         if not self.pairs:
             return 0.0
         mu = (self.A @ counts) / total
-        qa = self.A @ np.asarray(truth_on_support, dtype=float)
-        return float(np.abs(mu - qa).max())
+        return float(np.abs(mu - pair_masses).max())
 
     def deviation_rows(self, counts: np.ndarray, total: int, truth_on_support: np.ndarray) -> np.ndarray:
         return np.array([self.deviation(row, total, truth_on_support) for row in counts])
@@ -130,3 +146,31 @@ class ExactSkeleton:
         lhs = dists[self.select(counts, total)]
         rhs = 3 * min(dists) + 2 * self.deviation(counts, total, truth_law)
         return lhs, rhs, lhs <= rhs
+
+
+@pytest.fixture(params=["dense", "pruned"])
+def scorer(request, monkeypatch):
+    """Runs a test with every `_MinDistance` table scored densely, then
+    with every table that has a column scored by pruning."""
+    monkeypatch.setattr(estimators, "_PRUNE_FROM", 1 if request.param == "pruned" else float("inf"))
+    return request.param
+
+
+def differences(md, oracle, counts: np.ndarray, total, truths=()) -> list[str]:
+    """Which of `md`'s scores, picks and deviations differ in any bit from
+    the float all-pairs oracle's, on a (rows, support) stack of counts of
+    `total` tasks each (one total, or one per row), for truth vectors
+    restricted to the support."""
+    totals = np.broadcast_to(total, (len(counts),))
+    picks, scores = zip(*(oracle.select(c, t) for c, t in zip(counts, totals)))
+    found = []
+    if md._scores(counts, total).tobytes() != np.array(scores).tobytes():
+        found.append("scores")
+    if md.select_rows(counts, total).tolist() != list(picks):
+        found.append("picks")
+    for q, masses in zip(truths, md.truth_masses(np.stack(truths)) if len(truths) else []):
+        want = [oracle.deviation(c, t, q) for c, t in zip(counts, totals)]
+        if md.deviation_rows(counts, total, masses).tolist() != want:
+            found.append("deviations")
+            break
+    return found

@@ -581,6 +581,21 @@ def test_elicit_calibration_must_resolve_its_quantile_before_output(tmp_path, ca
         _check_config("elicit", {**config, "calibration_replicates": 24})
 
 
+def test_elicit_needs_two_customers_before_output(tmp_path, capsys):
+    # one customer's regret gave se=nan and upper95=nan in summary.txt,
+    # and a numpy warning on stderr
+    out = tmp_path / "out"
+    text = ELICIT_TINY.replace("T = 40\nreplicates = 2", "T = 1\nreplicates = 1")
+    cfg = write_config(tmp_path, "e.cfg", text)
+    assert dispatch("elicit", cfg, 0, out) == 1
+    err = capsys.readouterr().err
+    assert "'replicates'" in err and "'T'" in err and "Traceback" not in err
+    assert not out.exists()
+    config = parse_config(None, "elicit")
+    _check_config("elicit", {**config, "replicates": 1, "T": 2})
+    _check_config("elicit", {**config, "replicates": 2, "T": 1})
+
+
 def test_truth_count_budget_checked_before_output(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "c.cfg", RATES_OK + f"truth_count = {DEFAULT_BUDGET + 1}\n")

@@ -39,6 +39,7 @@ from elicitation_reference import (
     oracle_method_A,
     oracle_method_A_prime,
 )
+from min_distance_reference import AllPairsMinDistance, differences, scorer  # noqa: F401
 
 
 def tiny_family():
@@ -704,7 +705,18 @@ def _prefix_set_counts(model, xs, f_idx, grid):
 
 
 @pytest.mark.parametrize("name", ["tiny", "presence"])
-def test_selection_keeps_a_nudged_pair_column(name):
+def test_selection_matches_all_pairs_with_one_total_per_row(name, scorer):
+    # the selector's stacks: each row counts a prefix of the tasks, of
+    # its own length, over the consistent sets
+    fam, model = family_and_model(name)
+    grid = np.arange(1, 301)
+    counts = _prefix_set_counts(model, *draw_tasks(fam, 1, 300, stream(26, 0)), grid)
+    oracle = AllPairsMinDistance.from_sets(model.set_indicators.T, model.G)
+    assert differences(model._md, oracle, counts, grid) == []
+
+
+@pytest.mark.parametrize("name", ["tiny", "presence"])
+def test_selection_keeps_a_nudged_pair_column(name, scorer):
     # move one pair's masses by one ulp, away from the empirical mass of
     # its set, where that pair attains some member's score: its set then
     # keeps an odd column, and the scores stay the all-pairs ones

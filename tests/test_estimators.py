@@ -32,7 +32,7 @@ from priorlab.priors import (
 )
 from priorlab.sampling import outcome_codes, sample_arrays, stream
 
-from min_distance_reference import AllPairsMinDistance, ExactSkeleton
+from min_distance_reference import AllPairsMinDistance, ExactSkeleton, differences, scorer  # noqa: F401
 from outcome_reference import dict_skeleton, exact_tv, fraction_law, outcome_tuple
 
 SP32 = enumerate_concepts(3, 2)
@@ -235,14 +235,7 @@ def _assert_matches_oracle(md, oracle, count_vectors, truths):
     """Scores, selected index and deviations equal the float all-pairs
     oracle's exactly, for a stack of two copies of each count vector."""
     for counts in count_vectors:
-        total = int(counts.sum())
-        selected, scores = oracle.select(counts, total)
-        stack = np.stack([counts, counts])
-        assert md._scores(stack, total).tolist() == [scores] * 2
-        assert md.select_rows(stack, total).tolist() == [selected] * 2
-        for q in truths:
-            got = md.deviation_rows(stack, total, md.truth_masses(q))
-            assert got.tolist() == [oracle.deviation(counts, total, q)] * 2
+        assert differences(md, oracle, np.stack([counts, counts]), int(counts.sum()), truths) == []
 
 
 def _skeleton_count_vectors(setup, config, seed):
@@ -265,7 +258,7 @@ def _float_setup_matches_oracle(config):
     return setup
 
 
-def test_distinct_sets_match_all_pairs_on_parity_m4():
+def test_distinct_sets_match_all_pairs_on_parity_m4(scorer):
     setup = _float_setup_matches_oracle(
         ratelab.ExperimentConfig(m=4, d=2, T_grid=(10,), replicates=1, truth_count=4)
     )
@@ -275,7 +268,7 @@ def test_distinct_sets_match_all_pairs_on_parity_m4():
     assert md.PA.shape == (64, 728)
 
 
-def test_select_rows_takes_one_total_per_row():
+def test_select_rows_takes_one_total_per_row(scorer):
     # a stack of count vectors of mixed task totals scores and selects
     # each row as a one-row call with that row's total does
     config = ratelab.ExperimentConfig(m=4, d=2, T_grid=(10,), replicates=1, truth_count=4)
@@ -291,13 +284,13 @@ def test_select_rows_takes_one_total_per_row():
     ]
 
 
-def test_distinct_sets_match_all_pairs_on_twopoint():
+def test_distinct_sets_match_all_pairs_on_twopoint(scorer):
     _float_setup_matches_oracle(
         ratelab.ExperimentConfig(m=4, d=1, family="twopoint", T_grid=(10,), replicates=1)
     )
 
 
-def test_distinct_sets_match_all_pairs_on_parity_m3():
+def test_distinct_sets_match_all_pairs_on_parity_m3(scorer):
     # bit for bit the float all-pairs oracle, and the same member as the
     # Fraction oracle, whose deviation the float one rounds
     _, members = parity_family(SP32, 1.0, 1.0, exact=True)
@@ -313,8 +306,8 @@ def test_distinct_sets_match_all_pairs_on_parity_m3():
     for counts in vectors:
         total = int(counts.sum())
         assert est.select_from_counts(counts, total) == exact.select(counts, total)
-        for q, law in zip(truths, exact.laws):
-            got = est._md.deviation_rows(counts[None], total, est._md.truth_masses(q))[0]
+        for masses, law in zip(est._md.truth_masses(np.stack(truths)), exact.laws):
+            got = est._md.deviation_rows(counts[None], total, masses)[0]
             assert got == pytest.approx(float(exact.deviation(counts, total, law)), abs=1e-12)
 
 
@@ -330,7 +323,7 @@ def test_yatracos_sets_match_the_guarded_float_rule():
     assert np.array_equal(got, (M[:, None, :] > M[None, :, :] + 1e-12)[off])
 
 
-def test_distinct_sets_one_member_and_identical_members():
+def test_distinct_sets_one_member_and_identical_members(scorer):
     pi0 = reference_prior(SP32, exact=True)
     counts = [np.arange(len(SP32), dtype=np.int64), np.eye(1, len(SP32), 4, dtype=np.int64)[0]]
     for cover in (CoverFamily([pi0], 0.0), CoverFamily([pi0, pi0, pi0], 0.0)):
@@ -345,12 +338,12 @@ def test_distinct_sets_one_member_and_identical_members():
         c = np.arange(len(est.support), dtype=np.int64)
         total = int(c.sum())
         assert est.select_from_counts(c, total) == exact.select(c, total) == 0
-        q = est._md.truth_masses(est._md.M[0])
+        (q,) = est._md.truth_masses(est._md.M[:1])
         assert est._md.deviation_rows(c[None], total, q).tolist() == [0.0]
         assert exact.deviation(c, total, exact.laws[0]) == 0
 
 
-def test_direct_estimator_distinct_sets_match_all_pairs():
+def test_direct_estimator_distinct_sets_match_all_pairs(scorer):
     config = ratelab.ExperimentConfig(m=4, d=2, T_grid=(10,), replicates=1, truth_count=4)
     setup = ratelab.build_setup(config)
     md = setup.direct._md
