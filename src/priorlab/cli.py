@@ -488,11 +488,17 @@ def _check_config(subcommand: str, config: dict) -> None:
             )
 
 
-def cmd_elicit(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
-    eps = config["epsilon"]
+def _elicit_model(config: dict, seed: int) -> tuple:
+    """elicit's menu, family and outcome model: the model's budgets are
+    met before any output exists."""
     menu, family = presence_family(seed=config["family_seed"], n_items=config["n_items"])
+    return menu, family, FamilyOutcomeModel(family)
+
+
+def cmd_elicit(built: tuple, config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
+    eps = config["epsilon"]
+    menu, family, model = built
     (outdir / "menu.tsv").write_text(menu.to_table_text())
-    model = FamilyOutcomeModel(family)
     schedule = calibrate_schedule(
         family, model, alpha=eps / 2.0, T_grid=config["calibration_T_grid"],
         replicates=config["calibration_replicates"], seed=seed,
@@ -573,6 +579,7 @@ DISPATCH = {
 PREPARE = {
     "rates": _experiment_config,
     "lowerbound": _experiment_config,
+    "elicit": _elicit_model,
     "cover-info": _cover_rows,
 }
 

@@ -12,9 +12,11 @@ the sequential loop that stitches them together.
 No query decision feeds back into the task draws or the estimator, so
 estimation runs in bulk from pre-drawn streams: all customers of a stream
 are drawn first, each task is reduced to the id of its consistent set
-(the AND of d agreement bitmasks), and the selector counts set ids at the
-task counts it needs and selects through `estimators._MinDistance`, the
-min-distance core of `rates`.  A customer is plain data, its function index and
+(one lookup in the outcome model's table over the function and the
+partitions of its d bundles), and the selector counts set ids at the task
+counts it needs and selects through `estimators._MinDistance`, the
+min-distance core of `rates`; calibration selects all its runs' counts at
+once.  A customer is plain data, its function index and
 the bundles it has answered.  The prior-free branch queries every bundle
 and its ledger row is closed-form.  The prior-aware customers of a
 stream are served in lock-step: each round looks up one posterior per
@@ -50,6 +52,7 @@ _CAL_STREAM = 3
 
 PDIM_BUDGET = 200_000  # (point set, witness) candidates the pseudo-dimension check tries
 MEET_BUDGET = 2_000_000  # partition meets the outcome model enumerates
+SET_TABLE_BUDGET = 10**7  # entries of the outcome model's consistent-set table
 CALIBRATION_SAFETY = 1.25  # inflation of the calibrated radius quantile
 FAVORITE_WEIGHT = 0.25  # presence_family: each member's weight on its favourite function
 TWIN_DELTA = 0.0125  # presence_family: twins' effective utility on their pinned group
@@ -205,6 +208,21 @@ def method_A_prime(values) -> int:
     return int(np.argmax(values))
 
 
+def _split_keys(first: np.ndarray) -> np.ndarray:
+    """One int64 per column of a (c, bundles) array whose row j holds
+    values in 0..j, equal exactly for equal columns: each column read as a
+    number in the factorial base, renumbered by rank whenever the next
+    digit could overflow."""
+    keys, place = np.zeros(first.shape[1], dtype=np.int64), 1
+    for j, digits in enumerate(first):
+        if place > ((1 << 63) - 1) // (j + 1):
+            _, keys = np.unique(keys, return_inverse=True)
+            place = first.shape[1]
+        keys += digits * place
+        place *= j + 1
+    return keys
+
+
 class _PosteriorCache:
     """Per-member cache of posterior quantities keyed by the consistent-set
     bitmask: posterior means, expected max, and the one-step-greedy value of
@@ -239,7 +257,8 @@ class _PosteriorCache:
         # in order of their first function (g leads its group when
         # split[g] == g)
         first = (S[:, None, :] == S[None, :, :]).argmax(axis=1)  # (c, bundles)
-        splits, which = np.unique(first.T, axis=0, return_inverse=True)
+        _, at, which = np.unique(_split_keys(first), return_index=True, return_inverse=True)
+        splits = first.T[at]
         vals = np.empty(len(splits))
         for k, split in enumerate(splits):
             val = 0.0
@@ -255,11 +274,12 @@ class _PosteriorCache:
 QueryOutcome = namedtuple("QueryOutcome", "bundle queries fallback")
 
 
-def _method_A_batch(family, cache, epsilon, members, f_idx, answered):
+def _method_A_batch(family, cache, epsilon, members, f_idx, answered, consistent=None):
     """Method A for a batch of customers in lock-step: customer c, with
     function index f_idx[c] and surrogate member members[c], has already
     answered the bundles in row c of the (C, k) int array `answered`
-    (repeats allowed).  Each round looks up one posterior per distinct
+    (repeats allowed), whose consistent-set bitmasks a caller may pass as
+    `consistent`.  Each round looks up one posterior per distinct
     (member, consistent set) and decides every customer still asking: the
     prior-free fallback, a stop, or one more query.  Returns the (bundle,
     number of distinct bundles answered in all, fallback) arrays."""
@@ -273,7 +293,9 @@ def _method_A_batch(family, cache, epsilon, members, f_idx, answered):
     # the support functions consistent with them
     live = np.arange(n)
     n_known = answered.shape[1] - (np.diff(np.sort(answered, axis=1), axis=1) == 0).sum(axis=1)
-    cons = family.support[members] & family.consistent(answered, f_idx)
+    if consistent is None:
+        consistent = family.consistent(answered, f_idx)
+    cons = family.support[members] & consistent
     while live.size:
         masks, mask_id = np.unique(cons, return_inverse=True)
         keys, key_id = np.unique(mask_id.reshape(-1) * M + members[live], return_inverse=True)
@@ -380,6 +402,9 @@ class FamilyOutcomeModel:
     of d distinct partitions rather than all (2^n)^d tuples: their ANDs
     give every set a task can have (`set_masks`), whose member masses and
     pair indicators (`set_indicators`) G sums combination by combination.
+    A table of F x P^d narrow set ids, over the function and the
+    partitions of the d bundles, then gives each task's set by one gather;
+    its budget, like the meets', is met before anything is built.
     """
 
     def __init__(self, family: ValuationPriorFamily):
@@ -391,6 +416,11 @@ class FamilyOutcomeModel:
         if comb(P + d - 1, d) > MEET_BUDGET:
             raise BudgetError(
                 f"{comb(P + d - 1, d)} partition meets exceed the budget of {MEET_BUDGET}"
+            )
+        if F * P**d > SET_TABLE_BUDGET:
+            raise BudgetError(
+                f"a consistent-set table of {F} functions x {P}^{d} partition tuples"
+                f" exceeds the budget of {SET_TABLE_BUDGET}"
             )
         weights = np.bincount(part_of_bundle, minlength=P) / family.n_bundles
         # cells[c, f]: the functions agreeing with f at one bundle of each
@@ -426,11 +456,23 @@ class FamilyOutcomeModel:
         self.G = G
         self._md = _MinDistance.from_sets(self.set_indicators.T, G)
 
+        # _table[f, p_1, ..., p_d]: the set id of a task of function f whose
+        # bundles fall in partitions p_1..p_d, built one function at a time
+        self._part = part_of_bundle
+        self._table = np.empty((F,) + (P,) * d, dtype=np.min_scalar_type(len(self.set_masks) - 1))
+        cells_of = family.agree[first_bundle].T  # (functions, partitions)
+        for f, cell in enumerate(cells_of):
+            meets = np.asarray(-1)  # every function, before any bundle
+            for _ in range(d):
+                meets = meets[..., None] & cell
+            self._table[f] = np.searchsorted(self.set_masks, meets)
+
     def consistent_sets(self, xs, f_idx) -> np.ndarray:
-        """The consistent-set id of each task: (T,) for (T, d) points and
-        (T,) function indices, a scalar for one task.  Tasks of another
-        width, bundles outside the menu and unknown functions raise
-        ValueError (numpy would wrap a negative index)."""
+        """The consistent-set id of each task, in the narrowest unsigned
+        dtype that holds every id: (T,) for (T, d) points and (T,)
+        function indices, a scalar for one task.  Tasks of another width,
+        bundles outside the menu and unknown functions raise ValueError
+        (numpy would wrap a negative index)."""
         family = self.family
         xs, f_idx = np.asarray(xs), np.asarray(f_idx)
         if xs.ndim < 1 or xs.shape[-1] != family.d:
@@ -441,7 +483,10 @@ class FamilyOutcomeModel:
             raise ValueError(f"xs must hold bundles in 0..{family.n_bundles - 1}")
         if f_idx.size and not (0 <= f_idx.min() and f_idx.max() < len(family.functions)):
             raise ValueError(f"f_idx must hold function indices in 0..{len(family.functions) - 1}")
-        return np.searchsorted(self.set_masks, family.consistent(xs, f_idx))
+        at = f_idx.astype(np.intp)
+        for i in range(family.d):
+            at = at * self._table.shape[1] + self._part[xs[..., i]]
+        return self._table.ravel()[at]
 
     def observation_indicators(self, xs, f_idx) -> np.ndarray:
         """Membership of observed outcomes in each A_ij: (pairs,) bools for
@@ -459,18 +504,23 @@ class SequentialSelector:
         self.model = model
         self.sets = model.consistent_sets(xs, f_idx)
 
+    def counts(self, grid) -> np.ndarray:
+        """The (len(grid), sets) counts of the consistent sets of the first
+        t tasks, for each t of a strictly increasing grid (exact integers
+        in floats)."""
+        # task i counts toward every t > i: bin it under the first such t
+        # in the grid, then a running sum over the grid gives each t's
+        # count of every consistent set
+        n_sets = len(self.model.set_masks)
+        seg = np.searchsorted(grid, np.arange(len(self.sets)), side="right")
+        binned = np.bincount(seg * n_sets + self.sets, minlength=(len(grid) + 1) * n_sets)
+        return np.cumsum(binned.reshape(-1, n_sets)[:-1], axis=0, dtype=float)
+
     def selected(self, ts) -> np.ndarray:
         """The member selected after the first t tasks, for each t in `ts`;
         member 0 before any task."""
         grid, back = np.unique(ts, return_inverse=True)
-        # task i counts toward every t > i: bin it under the first such t
-        # in the grid, then a running sum over the grid gives each t's
-        # count of every consistent set (exact integers in floats)
-        n_sets = len(self.model.set_masks)
-        seg = np.searchsorted(grid, np.arange(len(self.sets)), side="right")
-        binned = np.bincount(seg * n_sets + self.sets, minlength=(len(grid) + 1) * n_sets)
-        per_set = np.cumsum(binned.reshape(-1, n_sets)[:-1], axis=0, dtype=float)
-        picks = np.where(grid > 0, self.model._md.select_rows(per_set, np.maximum(grid, 1)), 0)
+        picks = np.where(grid > 0, self.model._md.select_rows(self.counts(grid), np.maximum(grid, 1)), 0)
         return picks[back.reshape(-1)]
 
 
@@ -519,17 +569,20 @@ def calibrate_schedule(
             f"{pooled} calibration runs cannot resolve a quantile at level {alpha}"
         )
     # run (truth, rep) draws T = T_grid[-1] tasks from stream(seed,
-    # _CAL_STREAM, truth, rep), T functions and then T d bundles, and scores
-    # tv(selected, truth) at each grid T
-    T, d = T_grid[-1], family.d
+    # _CAL_STREAM, truth, rep), T functions and then T d bundles, and is
+    # counted at each grid T; every run is selected at every grid T in
+    # one call, and scored by tv(selected, truth)
+    T, d, grid = T_grid[-1], family.d, np.asarray(T_grid)
     runs = [(truth, rep) for truth in range(family.n_members) for rep in range(replicates)]
-    errors = np.empty((pooled, len(T_grid)))
+    counts = np.empty((pooled, len(grid), len(model.set_masks)))
     run_words = keyed_words(seed, [(_CAL_STREAM, truth, rep) for truth, rep in runs], T + (T * d + 1) // 2)
     for row, ((truth, _), words) in enumerate(zip(runs, run_words)):
         f_idx = family.function_index(truth, words[:T])
         xs = raw_integers(words[None, T:], family.n_bundles, T * d).reshape(T, d)
-        selected = SequentialSelector(model, xs, f_idx).selected(T_grid)
-        errors[row] = family.tv_matrix[truth, selected]
+        counts[row] = SequentialSelector(model, xs, f_idx).counts(grid)
+    selected = model._md.select_rows(counts.reshape(pooled * len(grid), -1), np.tile(grid, pooled))
+    truths = np.array([truth for truth, _ in runs])
+    errors = family.tv_matrix[truths[:, None], selected.reshape(pooled, len(grid))]
     rank = int(np.ceil((1 - alpha) * pooled))  # nearest-rank quantile index
     raw = np.sort(errors, axis=0)[rank - 1]
     inflated = np.minimum(1.0, CALIBRATION_SAFETY * raw)
@@ -620,7 +673,8 @@ def run_algorithm1(
         raise ValueError(f"tail_len must lie in 1..T = 1..{T}, got {tail_len}")
     f_idx, xs = draw_customers(family, truth, T, seed)
     # customer t is served with the estimate and the radius after t - 1 tasks
-    theta_hats = SequentialSelector(model, xs, f_idx).selected(np.arange(T))
+    selector = SequentialSelector(model, xs, f_idx)
+    theta_hats = selector.selected(np.arange(T))
     knots = np.searchsorted(schedule.knots, np.arange(T), side="right") - 1
     R_used = np.asarray(schedule.R)[knots]
     exceeded = family.tv_matrix[truth, theta_hats] > R_used
@@ -635,7 +689,8 @@ def run_algorithm1(
     theta_check = np.full(T, -1)
     theta_check[aware] = theta_checks[theta_hats[aware], knots[aware]]
     bundle, asked, fallback = _method_A_batch(
-        family, cache or _PosteriorCache(family), epsilon / 4.0, theta_check[aware], f, points
+        family, cache or _PosteriorCache(family), epsilon / 4.0, theta_check[aware], f, points,
+        model.set_masks[selector.sets[aware]],
     )
     queries = np.full(T, family.n_bundles)
     queries[aware] = asked

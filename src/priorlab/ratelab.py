@@ -12,15 +12,18 @@ time (`sampling.joint_blocks`): their streams are seeded at once, every
 task of the block is decoded from the streams' words into one joint
 index (concept branch, point digits), each replicate's tasks are counted
 with one `bincount` over the joint cells, and the block's support counts
-are scored in one pass.  The upper, baseline and lower-bound cells read
-their own column off each block through tables of one entry per joint
-cell (`_mapped`): the concept for the direct baseline, and whether it is
-an N_i event for the lower bound.  Each run keeps its table as columns.
+are scored in one pass (an upper cell takes their empirical masses once,
+for its selection and for the deviation from the truth).  The upper,
+baseline and lower-bound cells read their own column off each block
+through tables of one entry per joint cell (`_mapped`): the concept for
+the direct baseline, and whether it is an N_i event for the lower bound.
+Each run keeps its table as columns.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -271,7 +274,8 @@ def _cell(config: ExperimentConfig, source, T: int, key: tuple[int, ...], signs:
     """The replicates of one cell, T tasks each from `source`, replicate
     rep drawing from `stream(config.seed, *key, rep)`: yields each
     `joint_blocks` block, replicates in order, as (joint counts, support
-    counts, skeleton picks, sign bits)."""
+    counts, sign bits); each cell selects from the support counts itself,
+    so that no block's empirical masses outlive its own selection."""
     setup = build_setup(config)
     est = setup.estimator
     layout = task_layout(source, setup.space, setup.dist, config.samples_per_task)
@@ -282,8 +286,7 @@ def _cell(config: ExperimentConfig, source, T: int, key: tuple[int, ...], signs:
     for joint_counts, bits in joint_blocks(
         rows, lambda rep: stream(config.seed, *key, rep), source, layout, T, signs
     ):
-        counts = _mapped(joint_counts, support, len(est.support))
-        yield joint_counts, counts, est.select_rows(counts, T), bits
+        yield joint_counts, _mapped(joint_counts, support, len(est.support)), bits
 
 
 def _columns(parts) -> tuple[np.ndarray, ...]:
@@ -294,13 +297,19 @@ def _columns(parts) -> tuple[np.ndarray, ...]:
 
 def _upper_cell(payload) -> tuple[np.ndarray, np.ndarray]:
     """A cell's skeleton picks and their max Yatracos deviations from the
-    truth's outcome law."""
+    truth's outcome law, both read off each block's one set of empirical
+    masses."""
     config, T, T_idx, truth_id = payload
     setup = build_setup(config)
     md = setup.estimator._md
     truth_masses = setup.truth_masses[truth_id]
+
+    def picked(counts):
+        mu = md.empirical(counts, T)
+        return md.select_masses(mu), md.deviation_rows(mu, truth_masses)
+
     blocks = _cell(config, _source(setup, truth_id), T, (_UPPER, T_idx, truth_id))
-    return _columns((picks, md.deviation_rows(counts, T, truth_masses)) for _, counts, picks, _ in blocks)
+    return _columns(picked(counts) for _, counts, _ in blocks)
 
 
 def _pmap(fn, payloads, workers: int):
@@ -440,8 +449,9 @@ def _lower_cell(payload) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x_masks = np.bitwise_or.reduce(1 << (cells.xs - 1), axis=1)
     events = (x_masks == np.asarray(d_subsets(config.m, config.d))[cells.trace[0]]).astype(np.int64)
     place = 1 << np.arange(n_signs - 1, -1, -1)
+    est = setup.estimator
     blocks = _cell(config, template, T, (_LOWER, T_idx), signs=n_signs)
-    return _columns((picks, bits @ place, joint @ events) for joint, _, picks, bits in blocks)
+    return _columns((est.select_rows(counts, T), bits @ place, joint @ events) for joint, counts, bits in blocks)
 
 
 def _sign_errors(config: ExperimentConfig, members, picks: np.ndarray, truths: np.ndarray) -> np.ndarray:
@@ -517,10 +527,11 @@ def _baseline_cell(payload) -> tuple[np.ndarray, np.ndarray]:
     source = _source(setup, truth_id)
     direct = setup.direct  # built before any replicate's words exist
     concepts = task_layout(source, setup.space, setup.dist, config.samples_per_task).cells.concepts
+    est = setup.estimator
     blocks = _cell(config, source, T, (_BASELINE, T_idx, truth_id))
     return _columns(
-        (picks, direct.select_rows(_mapped(joint, concepts, len(setup.space)), T))
-        for joint, _, picks, _ in blocks
+        (est.select_rows(counts, T), direct.select_rows(_mapped(joint, concepts, len(setup.space)), T))
+        for joint, counts, _ in blocks
     )
 
 
@@ -573,36 +584,108 @@ def format_cell(v) -> str:
 
 
 CSV_BLOCK_ROWS = 256  # rows formatted at a time: a block's strings fit in freed memory
-# cells of these exact types need no formatting: the csv writer writes str(v),
-# which is format_cell(v) for them (str(float) is its repr)
-_PLAIN = frozenset((int, float, str))
+_CHUNK_BLOCKS = 16  # blocks whose distinct cells are found at once, in numbers, not strings
+# the text of a cell of a numpy column of this kind, from its Python value:
+# format_cell(v) for each, as str(int) and repr(float) never need quoting
+_FORMAT = {"i": str, "u": str, "f": repr}
 
 
-def _cells(column) -> list:
-    """A slice of a column as the cells the csv writer takes: a numpy
-    column of numbers or strings through one `tolist`, and a column of
-    any other kind, or of mixed types, through `format_cell`."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iufU":
-        return column.tolist()
-    cells = column.tolist() if isinstance(column, np.ndarray) else column
-    return cells if set(map(type, cells)) <= _PLAIN else list(map(format_cell, cells))
+def _text(v) -> str:
+    """A cell as the csv writer writes it in a row of several fields:
+    `format_cell`'s text, quoted when the writer quotes it."""
+    text = format_cell(v)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((text, ""))
+        text = buf.getvalue()[:-2]  # the field, without ",\n"
+    return text
+
+
+def _codes(keys: np.ndarray):
+    """(the distinct values of a 1-d array of numbers, bools or strings,
+    ascending; each value's position among them), or None when more than
+    a quarter of 64 values spread over it, or more than CSV_BLOCK_ROWS
+    values in all, are distinct.  Only the distinct values are sorted, and
+    in Python: a process's first np.unique raises its peak RSS by up to
+    0.8 MB, in code that the rates workloads touch nowhere else."""
+    sample = keys[::max(1, len(keys) // 64)][:64]
+    known = set(sample.tolist())
+    if 4 * len(known) > len(sample):
+        return None
+    while len(known) <= CSV_BLOCK_ROWS:
+        table = np.array(sorted(known), dtype=keys.dtype)
+        codes = np.searchsorted(table, keys)
+        missing = keys[np.searchsorted(table, keys, side="right") == codes]
+        if not len(missing):
+            return table, codes
+        known.update(missing.tolist())
+    return None
+
+
+def _runs(chunk) -> list:
+    """A chunk of a table's columns as runs of adjacent columns: numpy
+    columns of numbers, bools or strings with few distinct cells (by
+    `_codes`, a float by its bits, so -0.0 stays apart from 0.0) next to
+    each other as one run of (the texts of its distinct rows, each row's
+    position among them), each distinct row formatted once, so long as
+    `_codes` finds few of them; any other column as (None, its cells)."""
+    runs = []
+    for cells in chunk:
+        kind = cells.dtype.kind if isinstance(cells, np.ndarray) and cells.ndim == 1 else "?"
+        found = (kind in "iubU" or kind == "f" and cells.itemsize in (2, 4, 8)) and _codes(
+            cells.view(f"i{cells.itemsize}") if kind == "f" else cells
+        )
+        if not found:
+            runs.append((None, cells))
+            continue
+        texts, codes = [_text(v) for v in found[0].view(cells.dtype).tolist()], found[1]
+        joint = runs and runs[-1][0] is not None and _codes(runs[-1][1] * len(texts) + codes)
+        if joint:
+            # the distinct rows of the run with this column
+            run_texts = runs.pop()[0]
+            texts = [run_texts[p // len(texts)] + "," + texts[p % len(texts)] for p in joint[0].tolist()]
+            codes = joint[1]
+        runs.append((np.array(texts, dtype=object), codes))
+    return runs
+
+
+def _block_texts(run, block: slice) -> list:
+    """The texts of a run's cells in a block of rows of its chunk."""
+    texts, cells = run
+    if texts is not None:
+        return texts[cells[block]].tolist()
+    cells = cells[block]
+    if isinstance(cells, np.ndarray):
+        return list(map(_FORMAT.get(cells.dtype.kind, _text), cells.tolist()))
+    return list(map(_text, cells))
 
 
 def write_csv(path, header, columns) -> None:
     """Write the header and the table whose columns, one sequence (array
     or list) per header field, are `columns`, every cell as `format_cell`
-    gives it, a block of rows at a time."""
+    gives it and quoted as the csv writer quotes it, a block of rows at a
+    time.  Each distinct cell of a chunk of a numpy column with few of
+    them is formatted once, and so is each distinct row of a run of such
+    columns."""
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
     n_rows = len(columns[0]) if columns else 0
     if any(len(c) != n_rows for c in columns):
         raise ValueError(f"columns of unequal lengths {[len(c) for c in columns]}")
+    chunk = _CHUNK_BLOCKS * CSV_BLOCK_ROWS
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            block = slice(start, start + CSV_BLOCK_ROWS)
-            w.writerows(zip(*[_cells(c[block]) for c in columns]))
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for first in range(0, n_rows, chunk):
+            runs = _runs([c[first:first + chunk] for c in columns])
+            for start in range(0, min(chunk, n_rows - first), CSV_BLOCK_ROWS):
+                parts = [_block_texts(run, slice(start, start + CSV_BLOCK_ROWS)) for run in runs]
+                if len(columns) == 1:
+                    # the writer quotes a one-field row that would be empty
+                    lines = [text or '""' for text in parts[0]]
+                else:
+                    lines = map(",".join, zip(*parts))
+                fh.write("\n".join(lines))
+                fh.write("\n")
 
 
 def transpose(rows, width: int) -> list:

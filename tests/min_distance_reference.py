@@ -75,6 +75,15 @@ class AllPairsMinDistance:
         # a stack of count vectors, as the cells pass them
         return np.array([self.select(row, total)[0] for row in counts])
 
+    def empirical(self, counts: np.ndarray, total) -> np.ndarray:
+        """Each row's empirical masses of every pair's set, for a stack of
+        count vectors (the sums are exact, as counts are integers)."""
+        return (np.asarray(counts) @ self.A.T) / np.reshape(total, (-1, 1))
+
+    def select_masses(self, mu: np.ndarray) -> np.ndarray:
+        # each row of `empirical`, scored over every pair
+        return np.array([int(np.argmin(yatracos_scores(self.PA, row))) for row in mu], dtype=np.int64)
+
     def select(self, counts: np.ndarray, total: int) -> tuple[int, list]:
         """The selected member of one count vector and every member's
         score; ties go to the lowest index."""
@@ -104,8 +113,10 @@ class AllPairsMinDistance:
         mu = (self.A @ counts) / total
         return float(np.abs(mu - pair_masses).max())
 
-    def deviation_rows(self, counts: np.ndarray, total: int, truth_on_support: np.ndarray) -> np.ndarray:
-        return np.array([self.deviation(row, total, truth_on_support) for row in counts])
+    def deviation_rows(self, mu: np.ndarray, truth_on_support: np.ndarray) -> np.ndarray:
+        """`pair_deviation` of each row of `empirical`."""
+        pair_masses = self.A @ np.asarray(truth_on_support, dtype=float)
+        return np.array([float(np.abs(row - pair_masses).max(initial=0.0)) for row in mu])
 
     def deviation_exact(self, counts: np.ndarray, total: int, truth_exact: list[Fraction]) -> Fraction:
         if not self.pairs:
@@ -164,13 +175,14 @@ def differences(md, oracle, counts: np.ndarray, total, truths=()) -> list[str]:
     totals = np.broadcast_to(total, (len(counts),))
     picks, scores = zip(*(oracle.select(c, t) for c, t in zip(counts, totals)))
     found = []
-    if md._scores(counts, total).tobytes() != np.array(scores).tobytes():
+    mu = md.empirical(counts, total)
+    if md._scores(mu).tobytes() != np.array(scores).tobytes():
         found.append("scores")
     if md.select_rows(counts, total).tolist() != list(picks):
         found.append("picks")
     for q, masses in zip(truths, md.truth_masses(np.stack(truths)) if len(truths) else []):
         want = [oracle.deviation(c, t, q) for c, t in zip(counts, totals)]
-        if md.deviation_rows(counts, total, masses).tolist() != want:
+        if md.deviation_rows(mu, masses).tolist() != want:
             found.append("deviations")
             break
     return found

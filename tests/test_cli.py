@@ -344,6 +344,15 @@ def test_elicit_tiny_run(tmp_path):
     assert "mean_regret" in (out / "summary.txt").read_text()
 
 
+def test_elicit_consistent_set_table_budget_is_met_before_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(elicitation, "SET_TABLE_BUDGET", 1)
+    out = tmp_path / "out"
+    assert dispatch("elicit", write_config(tmp_path, "e.cfg", ELICIT_TINY), 2, out) == 2
+    err = capsys.readouterr().err
+    assert "consistent-set table" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_elicit_byte_identical_across_workers(tmp_path):
     cfg = write_config(tmp_path, "e.cfg", ELICIT_TINY)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -354,18 +363,18 @@ def test_elicit_byte_identical_across_workers(tmp_path):
 
 
 def test_elicit_does_not_import_numpy_ma(tmp_path):
-    # numpy.ma adds about 1 MB to elicit's peak RSS, and a plain np.unique
-    # (without return_index or return_inverse) imports it; a fresh process,
-    # so that no other test has imported it first
-    cfg = write_config(tmp_path, "e.cfg", ELICIT_TINY)
+    # numpy.ma adds about 1.3 MB to elicit's peak RSS, and np.unique of
+    # rows, or a plain np.unique (without return_index or return_inverse),
+    # imports it; the shipped config, in a fresh process, so that no other
+    # test has imported it first
     code = (
         "import sys\n"
         "from priorlab.cli import dispatch\n"
-        f"assert dispatch('elicit', {str(cfg)!r}, 2, {str(tmp_path / 'out')!r}) == 0\n"
+        f"assert dispatch('elicit', 'configs/elicit.cfg', 0, {str(tmp_path / 'out')!r}) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=CHILD_ENV,
+        [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=300, env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]

@@ -283,6 +283,40 @@ def test_outcome_model_checks_the_meet_budget_before_enumerating(monkeypatch):
         FamilyOutcomeModel(fam)
 
 
+def test_outcome_model_checks_the_table_budget_before_building(monkeypatch):
+    # F x P^d entries, one per function and tuple of bundle partitions
+    _, fam = presence_family(seed=0)
+    n_parts = len({row.tobytes() for row in fam.agree})
+    entries = len(fam.functions) * n_parts**fam.d
+    monkeypatch.setattr(elicitation, "SET_TABLE_BUDGET", entries)
+    FamilyOutcomeModel(fam)  # exactly at the budget
+    monkeypatch.setattr(elicitation, "SET_TABLE_BUDGET", entries - 1)
+
+    def no_enumeration(*args):
+        raise AssertionError("outcome model built past the table budget")
+
+    monkeypatch.setattr(ValuationPriorFamily, "consistent", no_enumeration)
+    monkeypatch.setattr(np, "empty", no_enumeration)
+    with pytest.raises(BudgetError, match="consistent-set table of 8 functions"):
+        FamilyOutcomeModel(fam)
+
+
+@pytest.mark.parametrize("name", ["tiny", "presence", "sparse", "singleton"])
+def test_consistent_set_table_matches_the_bitmask_meets(name):
+    # every bundle tuple of a small family, or 20,000 drawn ones, under
+    # every function
+    fam, model = family_and_model(name)
+    if fam.n_bundles**fam.d <= 20_000:
+        grid = np.indices((fam.n_bundles,) * fam.d).reshape(fam.d, -1).T
+    else:
+        grid = np.random.default_rng(0).integers(0, fam.n_bundles, size=(20_000, fam.d))
+    for f in range(len(fam.functions)):
+        f_idx = np.full(len(grid), f)
+        expected = np.searchsorted(model.set_masks, fam.consistent(grid, f_idx))
+        assert model.consistent_sets(grid, f_idx).tolist() == expected.tolist()
+    assert model.consistent_sets(grid, np.zeros(len(grid), dtype=int)).dtype == np.uint8
+
+
 def test_sequential_selector_identifies_truth():
     _, fam = tiny_family()
     model = FamilyOutcomeModel(fam)
@@ -739,7 +773,7 @@ def test_selection_keeps_a_nudged_pair_column(name, scorer):
     assert len(md.A) == len(first) + 1  # the distinct sets, and the nudged pair
     expected = yatracos_scores(G, mu)
     assert expected[r, l] > scores[r, l]
-    assert md._scores(counts, grid).tolist() == expected.tolist()
+    assert md._scores(md.empirical(counts, grid)).tolist() == expected.tolist()
     assert md.select_rows(counts, grid).tolist() == expected.argmin(axis=1).tolist()
 
 

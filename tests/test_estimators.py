@@ -277,8 +277,8 @@ def test_select_rows_takes_one_total_per_row(scorer):
     stack = np.stack(_skeleton_count_vectors(setup, config, 13))
     totals = stack.sum(axis=1)
     assert len(set(totals.tolist())) > 3
-    rows = [md._scores(c[None], int(t)) for c, t in zip(stack, totals)]
-    assert md._scores(stack, totals).tolist() == np.concatenate(rows).tolist()
+    rows = [md._scores(md.empirical(c[None], int(t))) for c, t in zip(stack, totals)]
+    assert md._scores(md.empirical(stack, totals)).tolist() == np.concatenate(rows).tolist()
     assert md.select_rows(stack, totals).tolist() == [
         int(md.select_rows(c[None], int(t))[0]) for c, t in zip(stack, totals)
     ]
@@ -307,7 +307,7 @@ def test_distinct_sets_match_all_pairs_on_parity_m3(scorer):
         total = int(counts.sum())
         assert est.select_from_counts(counts, total) == exact.select(counts, total)
         for masses, law in zip(est._md.truth_masses(np.stack(truths)), exact.laws):
-            got = est._md.deviation_rows(counts[None], total, masses)[0]
+            got = est._md.deviation_rows(est._md.empirical(counts[None], total), masses)[0]
             assert got == pytest.approx(float(exact.deviation(counts, total, law)), abs=1e-12)
 
 
@@ -339,7 +339,7 @@ def test_distinct_sets_one_member_and_identical_members(scorer):
         total = int(c.sum())
         assert est.select_from_counts(c, total) == exact.select(c, total) == 0
         (q,) = est._md.truth_masses(est._md.M[:1])
-        assert est._md.deviation_rows(c[None], total, q).tolist() == [0.0]
+        assert est._md.deviation_rows(est._md.empirical(c[None], total), q).tolist() == [0.0]
         assert exact.deviation(c, total, exact.laws[0]) == 0
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from priorlab import estimators, ratelab
-from priorlab.estimators import _MinDistance
+from priorlab.estimators import _MinDistance, yatracos_scores
 from priorlab.sampling import sample_arrays, stream
 
 from min_distance_reference import AllPairsMinDistance, differences, scorer  # noqa: F401
@@ -93,7 +93,7 @@ def _nudged_deviation_differences():
             break
     else:
         raise AssertionError("no nudge moves a deviation")
-    got = md.deviation_rows(counts, totals, md._extremes(nudged))
+    got = md.deviation_rows(md.empirical(counts, totals), md._extremes(nudged))
     return [] if got.tolist() == want else ["deviations"]
 
 
@@ -128,8 +128,8 @@ def test_size_rule_prunes_only_the_wide_skeleton():
     assert shipped.estimator._md.PA.size < estimators._PRUNE_FROM
 
 
-def _ties_to_highest(self, counts, total):
-    scores = self._scores(counts, total)
+def _ties_to_highest(self, mu):
+    scores = self._scores(mu)
     return scores.shape[1] - 1 - np.argmin(scores[:, ::-1], axis=1)
 
 
@@ -147,7 +147,7 @@ PLANTED = {
     "least-and-greatest-swapped": (
         "_extremes", lambda self, t: _extremes(self, t)[::-1], _nudged_deviation_differences
     ),
-    "ties-to-the-highest-index": ("select_rows", _ties_to_highest, _dyadic_differences, [1, 1, 0]),
+    "ties-to-the-highest-index": ("select_masses", _ties_to_highest, _dyadic_differences, [1, 1, 0]),
 }
 
 
@@ -158,3 +158,38 @@ def test_a_planted_defect_fails_the_all_pairs_comparison(defect, monkeypatch):
     assert check(*args) == []
     monkeypatch.setattr(_MinDistance, attribute, planted)
     assert check(*args) != []
+
+
+def _singleton_table(members: int, sets: int, rng):
+    """A selection table of `sets` distinct singleton sets over as many
+    support points, with random member masses, and the masses alone."""
+    PA = rng.random((members, sets))
+    return _MinDistance.from_sets(np.eye(sets, dtype=bool), PA), PA
+
+
+@pytest.mark.parametrize("rows", [1, 2000])
+@pytest.mark.parametrize("members, sets", [(8, 1), (8, 16), (8, 26), (64, 272), (1, 0)])
+def test_set_major_kernel_matches_the_oracle_bit_for_bit(rows, members, sets):
+    # the kernel itself, on any stack, and the selection that routes to it
+    # or to the row-major scores; (1, 0) is a table with no pairs
+    rng = np.random.default_rng(rows * 1000 + sets)
+    md, PA = _singleton_table(members, sets, rng)
+    counts = rng.integers(0, 50, size=(rows, sets))
+    totals = rng.integers(1, 3000, size=rows)
+    mu = md.empirical(counts, totals)
+    expected = yatracos_scores(PA, (counts @ np.eye(sets)) / totals[:, None])
+    assert md._set_major_scores(mu).tobytes() == expected.tobytes()
+    assert md._scores(mu).tobytes() == expected.tobytes()
+    assert md.select_rows(counts, totals).tolist() == expected.argmin(axis=1).tolist()
+
+
+@pytest.mark.parametrize("rows", [1, 2000])
+def test_set_major_kernel_sends_exact_ties_to_the_lowest_index(rows):
+    # members 0 and 2 mirror each other about mu = (1/2, 1/2), and member 1
+    # repeats member 2: all three score 1/4 exactly
+    PA = np.array([[0.25, 0.75], [0.75, 0.25], [0.75, 0.25], [1.0, 0.0]])
+    md = _MinDistance.from_sets(np.eye(2, dtype=bool), PA)
+    counts = np.tile([[3, 3]], (rows, 1))
+    mu = md.empirical(counts, 6)
+    assert md._set_major_scores(mu).tolist() == [[0.25, 0.25, 0.25, 0.5]] * rows
+    assert md.select_masses(mu).tolist() == [0] * rows

@@ -276,6 +276,48 @@ def write_csv_by_row(path, header, rows):
             w.writerow([format_cell(v) for v in row])
 
 
+def _long_columns(n):
+    """A table of n rows whose numpy columns repeat few cells, and a run of
+    them: -0.0 next to 0.0, nan and inf, quoted and empty strings."""
+    i = np.arange(n)
+    return [
+        i,
+        np.array([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e16, 1e-5])[i % 7],
+        np.array(["", "a,b", 'say "hi"', "line\nbreak", "cr\rlf", "plain"])[i % 6],
+        np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0])[i % 3],
+        i % 2 == 0,
+        np.array([0.1, 1 / 3])[i % 2],
+        i / 7.0,
+    ]
+
+
+ADVERSARIAL = {
+    "strings": [["a,b", 'q"uote', "new\nline", "cr\rlf", "", " pad ", "plain", '""']],
+    "empty-string-alone": [[""] * 5],
+    "empty-string-numpy": [np.array([""] * 5)],
+    "empty-strings-in-rows": [["", "x", ""], ["", "", "y"]],
+    "bools-and-numpy-scalars": [
+        [True, False, np.bool_(True)], np.array([True, False, True]),
+        [np.int64(-3), np.float32(0.5), np.str_("s,t")], np.array([1, 2, 3], dtype=np.uint8),
+    ],
+    "mixed-and-object": [
+        [1, 1.0, True], np.array([None, 2.5, "a,b"], dtype=object), [b"x", (1, 2), -0.0],
+        np.array([1.5, np.nan, -0.0], dtype=np.float32),
+    ],
+    "floats": [
+        np.array([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e16, 1e-5, 1 / 3]),
+        [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e16, 1e-5, 1 / 3],
+    ],
+    "int64-extremes": [
+        np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]),
+        np.array([0, np.iinfo(np.uint64).max, 1, 2], dtype=np.uint64),
+    ],
+    "longer-than-a-chunk": _long_columns(5000),
+    "one-low-cardinality-column": [np.array(["", "x", ""] * 700)],
+    "one-run-of-all-columns": _long_columns(3000)[1:6],
+}
+
+
 @pytest.mark.parametrize(
     "columns, expected",
     [
@@ -312,13 +354,15 @@ def write_csv_by_row(path, header, rows):
             ],
             None,
         ),
-    ],
-    ids=["typed-columns", "mixed-columns", "no-rows", "numpy-columns"],
+    ]
+    + [(columns, None) for columns in ADVERSARIAL.values()],
+    ids=["typed-columns", "mixed-columns", "no-rows", "numpy-columns", *ADVERSARIAL],
 )
 def test_write_csv_bytes_match_row_by_row_writer(tmp_path, monkeypatch, columns, expected):
     header = tuple(f"c{i}" for i in range(len(columns)))
     write_csv_by_row(tmp_path / "by_row.csv", header, zip(*columns))
-    for block_rows in (2, ratelab.CSV_BLOCK_ROWS):  # rows split across blocks, and not
+    # rows split across blocks (and chunks of 32), in one block, and by default
+    for block_rows in (2, 10**6, ratelab.CSV_BLOCK_ROWS):
         monkeypatch.setattr(ratelab, "CSV_BLOCK_ROWS", block_rows)
         write_csv(tmp_path / "by_column.csv", header, columns)
         written = (tmp_path / "by_column.csv").read_bytes()
