@@ -29,6 +29,7 @@ from .elicitation import (
     _PosteriorCache,
     calibrate_schedule,
     check_presence_args,
+    check_run_budget,
     estimate_Q,
     presence_family,
     run_algorithm1,
@@ -36,6 +37,8 @@ from .elicitation import (
 from .errors import BudgetError
 from .outcomes import (
     CSV_HEADER as CHECK_CSV_HEADER,
+    DEFAULT_BUDGET,
+    SAUER_K_MAX,
     check_law_budget,
     check_sauer,
     check_sauer_budget,
@@ -64,6 +67,7 @@ from .ratelab import (
     RATE_CSV_HEADER,
     ExperimentConfig,
     _pmap,
+    check_coin_budget,
     coin_bound_table,
     run_baseline_comparison,
     run_lower_experiment,
@@ -373,14 +377,13 @@ def _smoothness_instances(config: dict):
 
 
 SIGN_BLOCK = 64  # sign vectors drawn and checked at a time
+SMOOTHNESS_CSV_HEADER = (
+    "m", "d", "L", "alpha", "gamma", "mass_gap", "density_lo", "density_hi", "holder_ok", "pass",
+)
 
 
 def cmd_smoothness(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
     rng = stream(seed, 2)
-    header = (
-        "m", "d", "L", "alpha", "gamma", "mass_gap", "density_lo", "density_hi",
-        "holder_ok", "pass",
-    )
     signs = config["signs_per_instance"]
     # per block of sign vectors: the instance's (m, d, L, alpha, gamma)
     # and the block's mass_gap, density_lo, density_hi and holder_ok
@@ -417,7 +420,7 @@ def cmd_smoothness(config: dict, seed: int, outdir: Path, workers: int, exact: b
     gamma = columns[4]
     ok = (gap <= 1e-12) & (lo >= 1 - gamma - 1e-12) & (hi <= 1 + gamma + 1e-12) & hold
     columns += [gap, lo, hi, hold, ok]
-    _write_check_table(outdir, "smoothness.csv", header, columns)
+    _write_check_table(outdir, "smoothness.csv", SMOOTHNESS_CSV_HEADER, columns)
     _emit_plot_script(outdir, "smoothness", "smoothness.csv", "m", "gamma", loglog=False)
     return 0
 
@@ -430,43 +433,57 @@ def _elicit_stream(payload):
     return res.ledger.regret, res.tail_query_avg, res.exceedance_rate
 
 
-def _experiment_config(config: dict, seed: int) -> ExperimentConfig:
+def _experiment_config(config: dict, seed: int, experiment: str = "rates") -> ExperimentConfig:
     """The experiment of a rates or lowerbound config; ExperimentConfig
-    checks the values it reads, then its family and selection budgets.
-    A lowerbound config has no family, k, truth_count or twopoint_weight
-    key and runs the parity family."""
+    checks the values it reads, then its family, selection and table
+    budgets.  A lowerbound config has no family, k, truth_count or
+    twopoint_weight key and runs the parity family."""
     optional = ("family", "k", "truth_count", "twopoint_weight")
     exp = ExperimentConfig(
         m=config["m"], d=config["d"], L=config["L"], alpha=config["alpha"],
         T_grid=config["T_grid"], replicates=config["replicates"], seed=seed,
         **{key: config[key] for key in optional if key in config},
     )
-    exp.check_budget(config.get("baseline_T"))
+    exp.check_budget(config.get("baseline_T"), experiment)
     return exp
 
 
 def _check_config(subcommand: str, config: dict) -> None:
     """The rules that span keys of a parsed config, naming the keys: a
-    concept space needs 1 <= d <= m, a parity-family member needs gamma_m
-    in (0, 1/2), lemmas' outcome laws and growth check, each smoothness
-    instance's Hölder check and cover-info's parity family must fit their
-    budgets, elicit's regrets must give a standard error and its
-    calibration must resolve its quantile.  rates and lowerbound leave
-    theirs, their budgets among them, to `_experiment_config`; cover-info
-    meets its cover budget in `_cover_rows`."""
+    concept space needs 1 <= d <= m (and smoothness d_max <= m_max), a
+    parity-family member needs gamma_m in (0, 1/2), the coin table,
+    lemmas' outcome laws, growth check and table, each smoothness
+    instance's Hölder check, the smoothness table and cover-info's parity
+    family must fit their budgets, elicit's regrets must give a standard
+    error and its calibration must resolve its quantile.  rates and
+    lowerbound leave theirs, their budgets among them, to
+    `_experiment_config`; elicit meets its run budget in `_elicit_model`,
+    and cover-info its cover budget in `_cover_rows`."""
     if "d" in config and not 1 <= config["d"] <= config["m"]:
         raise ValueError(f"config key 'd' must lie in 1..m = {config['m']}, got {config['d']}")
+    if subcommand == "coinbound":
+        check_coin_budget(config["gammas"], config["n_max"], config["n_max"] + 1)
     if subcommand == "lemmas" and config["k_max"] < config["d"]:
         raise ValueError(f"config key 'k_max' must be >= d = {config['d']}, got {config['k_max']}")
     if subcommand == "lemmas":
-        check_law_budget(config["m"], concept_count(config["m"], config["d"]), config["k_max"])
-        check_sauer_budget(config["m"], concept_count(config["m"], config["d"]))
+        m, d = config["m"], config["d"]
+        check_law_budget(m, concept_count(m, d), config["k_max"])
+        check_sauer_budget(m, concept_count(m, d))
+        # per pair: a chain row per k, a tree row and a sqrt row per d-bit labelling
+        rows = config["pairs"] * (config["k_max"] + 1 + 2**d) + min(SAUER_K_MAX, m)
+        _check_table_budget("pairs", rows * len(CHECK_CSV_HEADER))
     if subcommand == "smoothness":
+        if config["d_max"] > config["m_max"]:
+            raise ValueError(
+                f"config key 'd_max' must lie in 1..m_max = {config['m_max']}, got {config['d_max']}"
+            )
         instances = list(_smoothness_instances(config))
         if not instances:
             raise ValueError(f"config keys 'L_list' and 'alpha_list' fit no m <= 'm_max': {PARITY_RULE}")
         for m, d, _ in instances:
             check_holder_pairs(concept_count(m, d))
+        rows = config["signs_per_instance"] * sum(len(grid) for _, _, grid in instances)
+        _check_table_budget("signs_per_instance", rows * len(SMOOTHNESS_CSV_HEADER))
     if subcommand == "cover-info" and parity_gamma(config["L"], config["alpha"], config["m"]) is None:
         raise ValueError(f"config keys 'L' and 'alpha' at m = {config['m']}: {PARITY_RULE}")
     if subcommand == "cover-info":
@@ -488,11 +505,25 @@ def _check_config(subcommand: str, config: dict) -> None:
             )
 
 
+def _check_table_budget(key: str, entries: int) -> None:
+    """BudgetError naming `key` when a run's table would hold more entries than the budget."""
+    if entries > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"'{key}': the table would hold {entries} entries, over the budget of {DEFAULT_BUDGET}"
+        )
+
+
 def _elicit_model(config: dict, seed: int) -> tuple:
-    """elicit's menu, family and outcome model: the model's budgets are
-    met before any output exists."""
+    """elicit's menu, family and outcome model: the model's budgets, and
+    the run's, which need the model's sets, are met before any output
+    exists."""
     menu, family = presence_family(seed=config["family_seed"], n_items=config["n_items"])
-    return menu, family, FamilyOutcomeModel(family)
+    model = FamilyOutcomeModel(family)
+    check_run_budget(
+        family, model, config["T"], config["replicates"], config["calibration_T_grid"],
+        config["calibration_replicates"], config["q_trials"],
+    )
+    return menu, family, model
 
 
 def cmd_elicit(built: tuple, config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
@@ -578,7 +609,7 @@ DISPATCH = {
 # met before the output directory exists.
 PREPARE = {
     "rates": _experiment_config,
-    "lowerbound": _experiment_config,
+    "lowerbound": functools.partial(_experiment_config, experiment="lowerbound"),
     "elicit": _elicit_model,
     "cover-info": _cover_rows,
 }

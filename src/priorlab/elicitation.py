@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .estimators import _distinct_rows, _MinDistance, yatracos_sets
+from .outcomes import DEFAULT_BUDGET
 from .priors import tv_matrix
 from .sampling import _categorical, _count_cuts, keyed_words, raw_integers, stream, stream_raw
 
@@ -53,6 +54,7 @@ _CAL_STREAM = 3
 PDIM_BUDGET = 200_000  # (point set, witness) candidates the pseudo-dimension check tries
 MEET_BUDGET = 2_000_000  # partition meets the outcome model enumerates
 SET_TABLE_BUDGET = 10**7  # entries of the outcome model's consistent-set table
+STREAM_BUDGET = 10**4  # customer streams one run serves, each written to a ledger file of its own
 CALIBRATION_SAFETY = 1.25  # inflation of the calibrated radius quantile
 FAVORITE_WEIGHT = 0.25  # presence_family: each member's weight on its favourite function
 TWIN_DELTA = 0.0125  # presence_family: twins' effective utility on their pinned group
@@ -708,6 +710,33 @@ def run_algorithm1(
         float(exceeded.mean()),
         int(fallback.sum()),
     )
+
+
+def check_run_budget(
+    family, model, T, replicates, calibration_T_grid, calibration_replicates, q_trials
+) -> None:
+    """BudgetError, naming the config key, when a run would serve more than
+    STREAM_BUDGET streams or hold more than DEFAULT_BUDGET entries of one
+    kind: a served stream holds each prior-aware customer's greedy gains
+    over the bundles, and `estimate_Q` each trial's; the run keeps every
+    stream's regrets; calibration holds every run's set counts at every
+    grid T, and one run's words at a time."""
+    if replicates > STREAM_BUDGET:
+        raise BudgetError(f"'replicates': {replicates} streams exceed the budget of {STREAM_BUDGET}")
+    held = {
+        "T": T * family.n_bundles,
+        "replicates": replicates * T,
+        "q_trials": q_trials * family.n_bundles,
+        "calibration_replicates": (
+            calibration_replicates * family.n_members * len(calibration_T_grid) * len(model.set_masks)
+        ),
+        "calibration_T_grid": calibration_T_grid[-1] * (family.d + 1),
+    }
+    for key, entries in held.items():
+        if entries > DEFAULT_BUDGET:
+            raise BudgetError(
+                f"'{key}': {entries} entries held at once exceed the budget of {DEFAULT_BUDGET}"
+            )
 
 
 def check_presence_args(n_items: int, n_functions: int = 8) -> None:

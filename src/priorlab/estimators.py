@@ -66,8 +66,9 @@ def yatracos_sets(M: np.ndarray) -> np.ndarray:
 
 def check_yatracos_budget(n: int, s: int) -> None:
     """BudgetError when min-distance selection over n members on s support
-    points exceeds the budget: its pairwise sets hold pairs x support
-    entries, and their member masses members x pairs."""
+    points exceeds the budget: building it holds two tables of floats,
+    its pairwise sets as the (pairs, support) operand of the product, and
+    their (members, pairs) member masses, the product itself."""
     if n * (n - 1) * (s + n) > DEFAULT_BUDGET:
         raise BudgetError(
             f"{n * (n - 1)} Yatracos pairs x ({s} support points + {n} members)"
@@ -104,8 +105,13 @@ class _MinDistance:
     masses M(A) are those of every pair, and a pair whose masses differ in
     any bit from those of the first pair with its set keeps a column of
     its own, so every score is the all-pairs score bit for bit.  The
-    budget still counts every ordered pair: the pairwise comparison is
-    built before duplicates are dropped.
+    pairs are compared with their sets' first pairs a block of about
+    _GAP_BLOCK masses at a time, so construction holds no more floats
+    than the two tables `check_yatracos_budget` counts over every
+    ordered pair: the float operand cast from the pairwise sets, and the
+    all-pairs product.  That product stays whole: one over the distinct
+    sets alone is narrower, and BLAS blocks it, and so rounds it,
+    differently.
 
     A table of _PRUNE_FROM members x columns or more reads only the sets
     that can change a score.  Rounding is monotone, so for a fixed mu(A)
@@ -141,8 +147,15 @@ class _MinDistance:
     def _columns(self, sets: np.ndarray, PA: np.ndarray) -> None:
         keep, self._pair_set = _distinct_rows(sets)
         # a pair whose masses round unlike those of its set's first pair
-        # keeps a column of its own, after the distinct sets
-        odd = np.flatnonzero((PA != PA[:, keep[self._pair_set]]).any(axis=0))
+        # keeps a column of its own, after the distinct sets; the pairs are
+        # compared a block of columns at a time, so that no second copy of
+        # the product is held
+        first = keep[self._pair_set]
+        step = max(1, _GAP_BLOCK // max(len(PA), 1))
+        odd = np.concatenate([
+            i + np.flatnonzero((PA[:, i:i + step] != PA[:, first[i:i + step]]).any(axis=0))
+            for i in range(0, max(PA.shape[1], 1), step)
+        ])
         columns = np.concatenate([keep, odd])
         self.A = sets[columns].astype(float)
         self.PA = np.ascontiguousarray(PA[:, columns])

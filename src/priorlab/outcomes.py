@@ -49,12 +49,22 @@ class OutcomeDistribution:
         return self.table.get(z, 0.0)
 
 
+def budget_power(base: int, k: int) -> tuple[int, str]:
+    """(base^k, its text), for base >= 0, to compare with DEFAULT_BUDGET
+    without raising a huge k: past the budget's bit length every power of
+    a base >= 2 exceeds the budget, so the power taken there stands in."""
+    cap = DEFAULT_BUDGET.bit_length()
+    return (base**k, str(base**k)) if k <= cap else (base**cap, f"{base}^{k}")
+
+
 def check_law_budget(m: int, concepts: int, k: int) -> None:
     """BudgetError when the laws of k points over m, or the concept labels building them, exceed it."""
-    if (2 * m) ** k > DEFAULT_BUDGET:
-        raise BudgetError(f"(2m)^k = {(2 * m) ** k} exceeds the budget of {DEFAULT_BUDGET}")
-    if m**k * concepts > DEFAULT_BUDGET:
-        raise BudgetError(f"m^k = {m**k} x-tuples x {concepts} concepts exceed the budget of {DEFAULT_BUDGET}")
+    codes, text = budget_power(2 * m, k)
+    if codes > DEFAULT_BUDGET:
+        raise BudgetError(f"(2m)^k = {text} exceeds the budget of {DEFAULT_BUDGET}")
+    tuples, text = budget_power(m, k)
+    if tuples * concepts > DEFAULT_BUDGET:
+        raise BudgetError(f"m^k = {text} x-tuples x {concepts} concepts exceed the budget of {DEFAULT_BUDGET}")
 
 
 @functools.lru_cache(maxsize=16)

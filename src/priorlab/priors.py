@@ -32,6 +32,7 @@ MASS_TOL = 1e-12
 PARITY_BUDGET = 4096  # largest parity family built: 2^C(m,d) members
 HOLDER_SLACK = 1e-12
 HOLDER_PAIRS = 1 << 16  # largest Hölder check: concept pairs compared
+COVER_BUDGET = 10**7  # a cover search's grid values, grid values tried, and members x concepts
 PARITY_RULE = "need L > 0, alpha in (0, 1] and gamma_m = (L/2)(1/m)^alpha in (0, 1/2)"
 
 
@@ -564,9 +565,20 @@ def cover_priors(
     from a smooth density's cell averages and are pruned, and the survivors
     are renormalized into valid priors.  Every smooth prior then sits within
     3*eps/4 of some member.
+
+    BudgetError past COVER_BUDGET, before the grid or any member is held:
+    when `budget` members would hold more masses, or the grid more values;
+    and during the search, once it has tried that many grid values.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive (use cover_of_family for exact covers)")
+    if budget * len(space) > COVER_BUDGET:
+        raise BudgetError(
+            f"a cover budget of {budget} members x {len(space)} concepts exceeds the budget of {COVER_BUDGET}"
+        )
+    step = epsilon / 2.0
+    if not (1.0 + L) / step < COVER_BUDGET:
+        raise BudgetError(f"epsilon = {epsilon!r} puts more than {COVER_BUDGET} values on the cover grid")
     reference = reference_prior(space)
     delta = (epsilon / L) ** (1.0 / alpha)
     cells = _diameter_partition(space, uniform_distribution(space.m), delta)
@@ -576,7 +588,6 @@ def cover_priors(
     # the search runs on Python floats: the same doubles as numpy scalars,
     # at a fraction of the cost per step
     cell_ref = [float(reference.mass[c].sum()) for c in cells]
-    step = epsilon / 2.0
     n_grid = int(ceil((1.0 + L) / step)) + 1
     grid = (np.arange(n_grid + 1) * step).tolist()  # 0 .. >= 1+L
     mass_tol = epsilon / 4.0 + 1e-9
@@ -590,8 +601,10 @@ def cover_priors(
 
     leaves: list[list[float]] = []  # each kept assignment of grid values to cells
     assignment = [0.0] * len(cells)
+    tried = 0
 
     def extend(i: int, partial: float):
+        nonlocal tried
         if len(leaves) > budget:
             raise BudgetError(f"cover construction exceeded the budget of {budget} members")
         if i == len(cells):
@@ -599,6 +612,9 @@ def cover_priors(
                 leaves.append(assignment.copy())
             return
         for g in grid:
+            tried += 1
+            if tried > COVER_BUDGET:
+                raise BudgetError(f"cover search tried more than {COVER_BUDGET} grid values")
             new = partial + g * cell_ref[i]
             if new + suffix_max[i + 1] < 1.0 - mass_tol:
                 continue

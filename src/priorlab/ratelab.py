@@ -44,7 +44,7 @@ from .estimators import (
     exact_bayes_error,  # noqa: F401  (perfbench/spans.py wraps it here)
     reduce_to_signs,
 )
-from .outcomes import DEFAULT_BUDGET, check_law_budget
+from .outcomes import DEFAULT_BUDGET, budget_power, check_law_budget
 from .priors import (
     CoverFamily,
     PARITY_RULE,
@@ -137,20 +137,22 @@ class ExperimentConfig:
             raise BudgetError(f"'truth_count' = {self.truth_count} exceeds the budget of {DEFAULT_BUDGET}")
         if self.k is not None and self.k < self.d:
             raise ValueError("k must be at least d")
-        codes = (2 * self.m) ** self.samples_per_task
+        codes, text = budget_power(2 * self.m, self.samples_per_task)
         if codes > DEFAULT_BUDGET:
-            raise BudgetError(f"'k': (2m)^k = {codes} exceeds the budget of {DEFAULT_BUDGET}")
+            raise BudgetError(f"'k': (2m)^k = {text} exceeds the budget of {DEFAULT_BUDGET}")
 
     @property
     def samples_per_task(self) -> int:
         return self.k if self.k is not None else self.d
 
-    def check_budget(self, baseline_T: int | None = None) -> None:
+    def check_budget(self, baseline_T: int | None = None, experiment: str = "rates") -> None:
         """BudgetError when the family, its outcome laws or its selection
-        tables exceed their budgets, or when a replicate at some T of
+        tables exceed their budgets, when a replicate at some T of
         `T_grid` (or at `baseline_T`) would draw more words than the
-        budget, before anything is built (the baseline's concept space is
-        never larger than the outcome support)."""
+        budget, or when the tables of the `experiment` run, "rates" or
+        "lowerbound", would hold more entries than the budget, before
+        anything is built (the baseline's concept space is never larger
+        than the outcome support)."""
         members = 2 if self.family == "twopoint" else parity_family_size(self.m, self.d)
         check_law_budget(self.m, concept_count(self.m, self.d), self.samples_per_task)
         check_yatracos_budget(members, self.outcome_support_size())
@@ -160,6 +162,24 @@ class ExperimentConfig:
                     f"'{key}': a replicate of T = {T} tasks draws {self.replicate_words(T)} words,"
                     f" over the budget of {DEFAULT_BUDGET}"
                 )
+        entries = self.table_entries(experiment, members)
+        if entries > DEFAULT_BUDGET:
+            raise BudgetError(
+                f"'replicates' = {self.replicates}: the {experiment} tables would hold {entries} entries,"
+                f" over the budget of {DEFAULT_BUDGET}"
+            )
+
+    def table_entries(self, experiment: str, members: int) -> int:
+        """The entries of the tables a run keeps as columns, at most: a
+        lowerbound run keeps a rate row per (T, replicate); a rates run a
+        rate row and an estimation row per (T, truth, replicate), and a
+        baseline row per (truth, replicate), over at most truth_count + 2
+        of the `members` (the sampled truths and the two extreme ones)."""
+        if experiment == "lowerbound":
+            return len(self.T_grid) * self.replicates * len(RATE_CSV_HEADER)
+        truths = min(members, (self.truth_count or 0) + 2)
+        per_T = len(RATE_CSV_HEADER) + len(ESTIMATION_CSV_HEADER)
+        return truths * self.replicates * (len(self.T_grid) * per_T + len(BASELINE_CSV_HEADER))
 
     def replicate_words(self, T: int) -> int:
         """The words one replicate of T tasks reads at most: the parity
@@ -548,16 +568,40 @@ def run_baseline_comparison(config: ExperimentConfig, T: int, workers: int = 1) 
     )
 
 
+def check_coin_budget(gammas, n_max: int, n_count: int) -> None:
+    """BudgetError when a coin table over `gammas` and `n_count` values of
+    n up to `n_max` would pass the budget, in its entries or in the 64-bit
+    words its exact passes write: at step n the pass for gamma = p/q
+    writes integers below (2q)^n, of about n bits(2q) bits, so about
+    n_max^2 bits(2q) / 2 bits up to n_max."""
+    entries = len(gammas) * n_count * len(COIN_CSV_HEADER)
+    if entries > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"'gammas' and 'n_max': {len(gammas)} gammas x {n_count} values of n make {entries}"
+            f" table entries, over the budget of {DEFAULT_BUDGET}"
+        )
+    words = sum(
+        n_max * (n_max + 1) * (2 * _as_fraction(g).denominator).bit_length() // 128 for g in gammas
+    )
+    if words > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"'n_max' = {n_max}: the exact Bayes errors write {words} 64-bit words,"
+            f" over the budget of {DEFAULT_BUDGET}"
+        )
+
+
 def coin_bound_table(gammas, ns) -> list[tuple]:
     """Rows (gamma, n, exact Bayes error, floor, pass) over the grid, in
     the order of `gammas` and then `ns` (which may skip, repeat or
-    descend); one `_bayes_error_ratios` pass per gamma up to max(ns).
+    descend); one `_bayes_error_ratios` pass per gamma up to max(ns),
+    after `check_coin_budget`.
 
     gamma = 1/2 is allowed: the two-point problem and its floor are still
     well defined there, and the acceptance grid ends at 1/2."""
     ns = [int(n) for n in ns]
     if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
+    check_coin_budget(gammas, max(ns, default=0), len(ns))
     rows = []
     for gamma in gammas:
         g = _as_fraction(gamma)

@@ -1,6 +1,7 @@
 import filecmp
 import os
 import platform
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +10,17 @@ import numpy as np
 import pytest
 
 from priorlab import elicitation
-from priorlab.cli import PREPARE, SCHEMAS, _check_config, _experiment_config, dispatch, main, parse_config
+from priorlab.cli import (
+    PREPARE, SCHEMAS, _check_config, _experiment_config, _int_list, dispatch, main, parse_config,
+)
 from priorlab.concepts import enumerate_concepts, uniform_distribution
 from priorlab.errors import BudgetError
 from priorlab.outcomes import DEFAULT_BUDGET
 from priorlab.priors import holder_check, reference_prior
-from priorlab.ratelab import ExperimentConfig, build_setup
+from priorlab.ratelab import (
+    ExperimentConfig, build_setup, check_coin_budget, run_baseline_comparison, run_lower_experiment,
+    run_upper_experiment,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -654,3 +660,116 @@ def test_code_space_budget_checked_before_output(tmp_path, capsys):
     assert "'k'" in err and "Traceback" not in err
     assert not out.exists()
 
+
+
+def _limit_memory():
+    # a run that no budget stops fails at 4 GiB, not on the host's memory
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+def _shipped_with(subcommand: str, **keys) -> str:
+    """The shipped config of a subcommand with `keys` set on top."""
+    lines = (ROOT / "configs" / f"{subcommand}.cfg").read_text().splitlines()
+    kept = [line for line in lines if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept + [f"{key} = {value}" for key, value in keys.items()]) + "\n"
+
+
+def _run_cli(tmp_path, subcommand: str, text: str, timeout: float):
+    """A CLI run of `text` in a child process; its result and output directory."""
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "priorlab.cli", subcommand, "--config",
+         str(write_config(tmp_path, "c.cfg", text)), "--out", str(out)],
+        capture_output=True, text=True, timeout=timeout, env=CHILD_ENV, preexec_fn=_limit_memory,
+    )
+    return proc, out
+
+
+# integer keys that size nothing a run holds
+NOT_SIZES = {("elicit", "family_seed")}
+SIZE_KEYS = sorted(
+    (subcommand, key)
+    for subcommand, schema in SCHEMAS.items()
+    for key, (caster, _, _) in schema.items()
+    if caster in (int, _int_list) and (subcommand, key) not in NOT_SIZES
+)
+
+
+def test_not_sizes_are_integer_schema_keys():
+    assert all(SCHEMAS[sub][key][0] in (int, _int_list) for sub, key in NOT_SIZES)
+
+
+@pytest.mark.parametrize("subcommand, key", SIZE_KEYS, ids=[f"{s}-{k}" for s, k in SIZE_KEYS])
+def test_every_size_key_at_1e11_exits_before_output(tmp_path, subcommand, key):
+    # a size key ships with a rule or a budget: at 10^11 on a shipped
+    # config the run is rejected at once, as a validation or a budget error
+    proc, out = _run_cli(tmp_path, subcommand, _shipped_with(subcommand, **{key: 10**11}), timeout=15)
+    assert proc.returncode in (1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+# each ended in a traceback (numpy's _ArrayMemoryError or MemoryError)
+# after manifest.txt, or was still running after 40 s, its tables growing
+BUDGET_PROBES = {
+    "rates-replicates-1e11": ("rates", {"replicates": 10**11}, "'replicates'"),
+    "rates-replicates-1e7": ("rates", {"replicates": 10**7}, "'replicates'"),
+    "lowerbound-replicates": ("lowerbound", {"replicates": 10**11}, "'replicates'"),
+    "coinbound-n_max-1e8": ("coinbound", {"n_max": 10**8}, "'n_max'"),
+    "coinbound-n_max-1e6": ("coinbound", {"n_max": 10**6}, "'n_max'"),
+    "elicit-T": ("elicit", {"T": 10**8, "replicates": 1}, "'T'"),
+    "elicit-replicates": ("elicit", {"replicates": 10**11, "T": 1}, "'replicates'"),
+    "elicit-q_trials": ("elicit", {"q_trials": 10**11}, "'q_trials'"),
+    "elicit-calibration_replicates": (
+        "elicit", {"calibration_replicates": 10**11}, "'calibration_replicates'"
+    ),
+    "elicit-calibration_T_grid": ("elicit", {"calibration_T_grid": f"25,{10**11}"}, "'calibration_T_grid'"),
+    "cover-info-epsilons": ("cover-info", {"epsilons": "0.0000001"}, "values on the cover grid"),
+    # the search's grid scans: exit 2 after 59 s, at the member budget
+    "cover-info-search": ("cover-info", {"epsilons": "0.0001"}, "cover search tried more than 10000000"),
+    "cover-info-budget": (
+        "cover-info", {"m": 3, "d": 2, "epsilons": 0.3, "budget": 10**9}, "a cover budget of 1000000000"
+    ),
+    "smoothness-signs_per_instance": ("smoothness", {"signs_per_instance": 10**11}, "'signs_per_instance'"),
+    "lemmas-pairs": ("lemmas", {"pairs": 10**9}, "'pairs'"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BUDGET_PROBES))
+def test_size_budget_exits_2_before_output(tmp_path, probe):
+    subcommand, keys, reason = BUDGET_PROBES[probe]
+    proc, out = _run_cli(tmp_path, subcommand, _shipped_with(subcommand, **keys), timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert reason in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def _table_entries(*tables) -> int:
+    return sum(len(table) * len(table[0]) for table in tables)
+
+
+def test_rates_table_budget_counts_the_kept_tables():
+    # the two-point family has exactly two truths; lowerbound one row per (T, replicate)
+    upper = ExperimentConfig(m=3, d=2, family="twopoint", T_grid=(5, 10), replicates=3)
+    res = run_upper_experiment(upper)
+    base = run_baseline_comparison(upper, T=10)
+    assert upper.table_entries("rates", 2) == _table_entries(res.table, res.report, base.table)
+    lower = ExperimentConfig(m=3, d=2, T_grid=(5, 10), replicates=3)
+    assert lower.table_entries("lowerbound", 256) == _table_entries(run_lower_experiment(lower).table)
+    # the budget holds at its edge: 909,090 replicates of one T make 9,999,990 entries
+    ExperimentConfig(T_grid=(10,), replicates=909_090).check_budget(None, "lowerbound")
+    with pytest.raises(BudgetError, match="'replicates' = 909091"):
+        ExperimentConfig(T_grid=(10,), replicates=909_091).check_budget(None, "lowerbound")
+
+
+def test_coin_budget_counts_the_exact_pass_and_the_table():
+    # gamma = 1/20 steps by (2q)^n = 40^n, 6 bits a step: n_max^2 x 6 / 2 bits
+    check_coin_budget((0.05,), 14_000, 14_001)
+    with pytest.raises(BudgetError, match="'n_max' = 15000"):
+        check_coin_budget((0.05,), 15_000, 15_001)
+    # 5 entries per row
+    check_coin_budget((0.5,) * 20_000, 99, 100)
+    with pytest.raises(BudgetError, match="'gammas' and 'n_max': 20001 gammas x 100 values"):
+        check_coin_budget((0.5,) * 20_001, 99, 100)

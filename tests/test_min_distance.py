@@ -193,3 +193,55 @@ def test_set_major_kernel_sends_exact_ties_to_the_lowest_index(rows):
     mu = md.empirical(counts, 6)
     assert md._set_major_scores(mu).tolist() == [[0.25, 0.25, 0.25, 0.5]] * rows
     assert md.select_masses(mu).tolist() == [0] * rows
+
+
+def test_direct_table_is_built_holding_one_all_pairs_product():
+    # the m=4, d=2 direct table: a float copy of its 4,032 x 16 sets and
+    # its 64 x 4,032 product are 2.6 MB; a whole-table comparison of the
+    # product with its sets' first pairs held a second copy (4.54 MB)
+    import tracemalloc
+
+    _, setup = _setup("parity-4-2")
+    cover = setup.estimator.cover
+    estimators.DirectEstimator(cover)  # first-use allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        estimators.DirectEstimator(cover)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6, peak
+
+
+def test_an_odd_column_past_the_first_block_keeps_its_column(scorer):
+    # the m=4, d=2 skeleton's 4,032 pairs span several comparison blocks:
+    # nudge one pair of the last block by one ulp, away from the empirical
+    # mass of its set, where it attains a member's score; it must keep a
+    # column of its own, and the scores stay the all-pairs ones
+    config, setup = _setup("parity-4-2")
+    M = setup.estimator._md.M
+    oracle = AllPairsMinDistance(M)
+    counts, totals = _count_rows(setup, config)
+    mu = oracle.empirical(counts, totals)
+    scores = yatracos_scores(oracle.PA, mu)
+    step = estimators._GAP_BLOCK // len(M)
+    last = (len(oracle.pairs) - 1) // step * step
+    assert last >= 2 * step
+    first = {}
+    repeats = [p for p, row in enumerate(oracle.A) if first.setdefault(row.tobytes(), p) != p and p >= last]
+    gaps = np.abs(oracle.PA[None, :, repeats] - mu[:, None, repeats])  # (rows, members, repeats)
+    for r, l, i in np.argwhere(gaps == scores[:, :, None]):
+        q = repeats[i]
+        PA = oracle.PA.copy()
+        PA[:, q] = np.nextafter(PA[:, q], np.where(PA[:, q] >= mu[r, q], np.inf, -np.inf))
+        nudged = AllPairsMinDistance.from_sets(oracle.A, PA)
+        picks, expected = zip(*(nudged.select(c, t) for c, t in zip(counts, totals)))
+        if expected[r][l] > scores[r, l]:  # the ulp survives the subtraction
+            break
+    else:
+        raise AssertionError("no nudge of a last-block pair moves a score")
+    md = _MinDistance.from_sets(oracle.A, PA)
+    assert len(md.A) == len(first) + 1  # the distinct sets, and the nudged pair
+    assert md.A[-1].tolist() == oracle.A[q].tolist() and md.PA[:, -1].tolist() == PA[:, q].tolist()
+    assert md._scores(md.empirical(counts, totals)).tobytes() == np.array(expected).tobytes()
+    assert md.select_rows(counts, totals).tolist() == list(picks)
