@@ -42,10 +42,10 @@ from .outcomes import (
     check_law_budget,
     check_sauer,
     check_sauer_budget,
-    verify_lemma_chain,
-    verify_sqrt_bound,
-    verify_tree_inequality,
+    verify_lemma_pairs,
 )
+# perfbench/spans.py wraps these names here
+from .outcomes import verify_lemma_chain, verify_sqrt_bound, verify_tree_inequality  # noqa: F401
 from .priors import (
     SmoothPriorParams,
     check_holder_pairs,
@@ -340,20 +340,20 @@ def cmd_coinbound(config: dict, seed: int, outdir: Path, workers: int, exact: bo
     return 0
 
 
+LEMMA_BLOCK = 1 << 13  # outcome-law entries (priors x (2m)^k_max) of the pairs checked at a time
+
+
 def cmd_lemmas(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
     m, d, k_max = config["m"], config["d"], config["k_max"]
-    space = enumerate_concepts(m, d)
-    dist = uniform_distribution(m)
-    rng = stream(seed, 1)
-    rows = []
-    for p in range(config["pairs"]):
-        pa, pb = random_prior(space, rng), random_prior(space, rng)
-        chain = verify_lemma_chain(pa, pb, dist, k_max)
-        rows.extend(chain.csv_rows())
-        k = int(rng.integers(d, k_max + 1))
-        anchors = tuple(int(x) for x in rng.integers(1, m + 1, size=k))
-        rows.append(verify_tree_inequality(pa, pb, anchors, d).csv_row())
-        rows.extend(r.csv_row() for r in verify_sqrt_bound(pa, pb, dist, d))
+    space, dist, rng, rows = enumerate_concepts(m, d), uniform_distribution(m), stream(seed, 1), []
+    block = max(1, LEMMA_BLOCK // (2 * (2 * m) ** k_max))
+    for start in range(0, config["pairs"], block):
+        pairs = []  # drawn in the order of one pair at a time
+        for _ in range(min(block, config["pairs"] - start)):
+            pa, pb = random_prior(space, rng), random_prior(space, rng)
+            k = int(rng.integers(d, k_max + 1))
+            pairs.append((pa, pb, tuple(int(x) for x in rng.integers(1, m + 1, size=k))))
+        rows.extend(verify_lemma_pairs(pairs, dist, k_max))
     rows.extend(r.csv_row() for r in check_sauer(space))
     _write_check_table(outdir, "lemmas.csv", CHECK_CSV_HEADER, transpose(rows, len(CHECK_CSV_HEADER)))
     _emit_plot_script(outdir, "lemmas", "lemmas.csv", "k", "lhs", loglog=False)
@@ -384,43 +384,30 @@ SMOOTHNESS_CSV_HEADER = (
 
 def cmd_smoothness(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
     rng = stream(seed, 2)
-    signs = config["signs_per_instance"]
-    # per block of sign vectors: the instance's (m, d, L, alpha, gamma)
-    # and the block's mass_gap, density_lo, density_hi and holder_ok
-    blocks = []
+    blocks = []  # per block of rows: its columns up to holder_ok
     for m, d, grid in _smoothness_instances(config):
-        space = enumerate_concepts(m, d)
-        dist = uniform_distribution(m)
-        refs = {}  # the reference measure, float or exact, is fixed per space
-        for L, alpha, gamma in grid:
-            use_exact = exact and float(alpha).is_integer()
-            if use_exact not in refs:
-                refs[use_exact] = reference_prior(space, exact=use_exact)
-            ref = refs[use_exact]
-            for start in range(0, signs, SIGN_BLOCK):
-                # one draw of a block's sign vectors takes the words one
-                # draw per vector would
-                b = rng.choice([-1, 1], size=(min(SIGN_BLOCK, signs - start), comb(m, d)))
-                if use_exact:
-                    members = [
-                        smooth_prior(SmoothPriorParams(tuple(row), L, alpha, m, d), space, exact=True)
-                        for row in b.tolist()
-                    ]
-                    gap = np.array([float(abs(sum(pb.exact) - 1)) for pb in members])
-                    masses = np.array([pb.mass for pb in members])
-                else:
-                    masses = smooth_prior(SmoothPriorParams(b, L, alpha, m, d), space)
-                    gap = np.abs(masses.sum(axis=1) - 1.0)
-                f = density_table(masses, ref)
-                hold = np.array([r.ok for r in holder_check(masses, ref, L, alpha, dist)])
-                blocks.append(((m, d, L, alpha, gamma), gap, f.min(axis=1), f.max(axis=1), hold))
-    counts = [len(block[1]) for block in blocks]
-    columns = [np.repeat([block[0][i] for block in blocks], counts) for i in range(5)]
-    gap, lo, hi, hold = (np.concatenate([block[i] for block in blocks]) for i in range(1, 5))
-    gamma = columns[4]
+        space, dist = enumerate_concepts(m, d), uniform_distribution(m)
+        ref = reference_prior(space)  # its float masses are those of the exact measure
+        # the space's rows, instance by instance: L, alpha and gamma per sign vector
+        instances = np.repeat(np.array(grid), config["signs_per_instance"], axis=0)
+        for start in range(0, len(instances), SIGN_BLOCK):
+            L, alpha, gamma = instances[start:start + SIGN_BLOCK].T
+            # one draw takes the words that one draw per vector, or per instance, would
+            b = rng.choice([-1, 1], size=(len(L), comb(m, d)))
+            masses = smooth_prior(SmoothPriorParams(b, L, alpha, m, d), space)
+            gap = np.abs(masses.sum(axis=1) - 1.0)
+            for r in np.flatnonzero(alpha == np.round(alpha)) if exact else ():
+                params = SmoothPriorParams(tuple(b[r].tolist()), L[r], alpha[r], m, d)
+                pb = smooth_prior(params, space, exact=True)
+                masses[r], gap[r] = pb.mass, float(abs(sum(pb.exact) - 1))
+            f = density_table(masses, ref)
+            hold = np.array([r.ok for r in holder_check(masses, ref, L, alpha, dist)])
+            size = np.full(len(L), m), np.full(len(L), d)
+            blocks.append((*size, L, alpha, gamma, gap, f.min(axis=1), f.max(axis=1), hold))
+    columns = [np.concatenate(column) for column in zip(*blocks)]
+    gamma, gap, lo, hi, hold = columns[4:]
     ok = (gap <= 1e-12) & (lo >= 1 - gamma - 1e-12) & (hi <= 1 + gamma + 1e-12) & hold
-    columns += [gap, lo, hi, hold, ok]
-    _write_check_table(outdir, "smoothness.csv", SMOOTHNESS_CSV_HEADER, columns)
+    _write_check_table(outdir, "smoothness.csv", SMOOTHNESS_CSV_HEADER, columns + [ok])
     _emit_plot_script(outdir, "smoothness", "smoothness.csv", "m", "gamma", loglog=False)
     return 0
 
@@ -568,13 +555,14 @@ def cmd_elicit(built: tuple, config: dict, seed: int, outdir: Path, workers: int
 
 
 def _cover_rows(config: dict, seed: int) -> list[tuple]:
-    """cover-info's table, one measured cover per epsilon.  A cover's
-    size, and so its budget, is known only by building it."""
+    """cover-info's table, one measured cover per epsilon, the covers sharing one search and
+    mass budget: a cover's size, and so its budget, is known only by building it."""
     m, d, L, alpha = config["m"], config["d"], config["L"], config["alpha"]
     space = enumerate_concepts(m, d)
-    rows = []
+    rows, spent = [], (0, 0)
     for eps in config["epsilons"]:
-        fam = cover_priors(space, L, alpha, eps, budget=config["budget"])
+        fam = cover_priors(space, L, alpha, eps, budget=config["budget"], spent=spent)
+        spent = fam.meta["spent"]
         rows.append((m, d, L, alpha, eps, fam.size, fam.meta["n_cells"], fam.meta["grid_step"]))
     return rows
 

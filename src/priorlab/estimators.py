@@ -417,8 +417,10 @@ def _bayes_error_ratios(gamma, n_max: int):
     K = (n-1)//2, plus the middle term C(n, n/2) (ab)^(n/2) when n is
     even.  The tail obeys F(n+1, K) = (a+b) F(n, K) - a e(n, K), where
     e(n, K) = C(n,K) a^K b^(n-K) is its last term, and K grows by one
-    (one term added) every second n; so all n_max + 1 errors cost
-    O(n_max) big-integer steps, all exact.
+    (one term added) every second n.  The middle term steps too, as
+    C(n+2, j+1) (ab)^(j+1) = C(n, j) (ab)^j * ab * 2(2j+1) / (j+1) at
+    n = 2j, and so does (a+b)^n; so all n_max + 1 errors cost O(n_max)
+    big-integer steps, all exact.
     """
     g = _as_fraction(gamma)
     if not 0 < g < 1:
@@ -429,12 +431,12 @@ def _bayes_error_ratios(gamma, n_max: int):
     b = g.denominator - g.numerator  # 2q * p_lo
     yield 1, 2  # n = 0: only the middle term, 1
     tail = edge = b  # n = 1, K = 0: F(1, 0) = e(1, 0) = b
-    k = 0
+    k, middle, power = 0, 1, 1  # middle: C(n, n/2) (ab)^(n/2) at the last even n
     for n in range(1, n_max + 1):
-        total = 2 * tail
+        power *= a + b
         if n % 2 == 0:
-            total += comb(n, n // 2) * (a * b) ** (n // 2)
-        yield total, 2 * (a + b) ** n
+            middle = middle * a * b * 2 * (n - 1) // (n // 2)
+        yield 2 * tail + (0 if n % 2 else middle), 2 * power
         # row n -> n + 1; each division is exact, as its quotient is
         # C(n+1, K) a^K b^(n+1-K) or C(n+1, K+1) a^(K+1) b^(n-K)
         tail = (a + b) * tail - a * edge

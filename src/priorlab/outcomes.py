@@ -92,27 +92,39 @@ def label_masses(masses: np.ndarray, space: ConceptSpace, k: int) -> np.ndarray:
     return np.stack([np.bincount(cells, np.resize(row, cells.size), (2 * space.m) ** k) for row in masses])
 
 
-def outcome_laws(masses: np.ndarray, space: ConceptSpace, dist: DataDistribution, k: int) -> np.ndarray:
-    """The joint laws of one task's k samples under `dist` and each row of
-    `masses`, as a (members, (2m)^k) array: P(x, y) = P(x) * mass{h : h(x)
-    = y}, P(x) = prod_j D(x_j) in point order; each row must sum to 1."""
+def _weigh(cells: np.ndarray, dist: DataDistribution, k: int) -> np.ndarray:
+    """Label masses times P(x) = prod_j D(x_j), in point order; each row must sum to 1."""
     px = functools.reduce(np.multiply.outer, [np.array(dist.weights)] * k).ravel()
-    laws = label_masses(masses, space, k) * np.repeat(px, 1 << k)
+    laws = cells * np.repeat(px, 1 << k)
     for row in laws:
         _check_sums_to_one(row.tolist())
     return laws
 
 
+def outcome_laws(masses: np.ndarray, space: ConceptSpace, dist: DataDistribution, k: int) -> np.ndarray:
+    """The joint laws of one task's k samples under `dist` and each row of
+    `masses`, as a (members, (2m)^k) array: P(x, y) = P(x) * mass{h : h(x)
+    = y}, P(x) = prod_j D(x_j) in point order; each row must sum to 1."""
+    return _weigh(label_masses(masses, space, k), dist, k)
+
+
+def _sparse_laws(cells: np.ndarray, space: ConceptSpace, dist: DataDistribution, k: int):
+    """Each of the `label_masses` rows `cells` as the OutcomeDistribution of its law, built only
+    as it is taken: a table over (x-tuple, y-tuple) outcomes, x-tuple by x-tuple, each one's
+    label patterns in the order the concepts first realize them, over the cells with mass."""
+    order = _label_table(space.masks.tobytes(), space.m, k)[1]
+    laws, live = _weigh(cells, dist, k), cells > 0
+    used = order[live.any(axis=0)[order]]
+    xs, ys = (list(itertools.product(labels, repeat=k)) for labels in (range(1, space.m + 1), (-1, 1)))
+    keys = [(xs[i >> k], ys[i % 2**k]) for i in used.tolist()]
+    for law, alive in zip(laws, live):
+        law, alive = law[used].tolist(), alive[used].tolist()
+        yield OutcomeDistribution(k, dict(itertools.compress(zip(keys, law), alive)))
+
+
 def exact_outcome_dist(prior: TabularPrior, dist: DataDistribution, k: int) -> OutcomeDistribution:
-    """Joint law of one task's k samples under `prior` and `dist`: its row
-    of `outcome_laws` as a table over (x-tuple, y-tuple) outcomes, x-tuple
-    by x-tuple, each one's label patterns in the order the concepts first
-    realize them, over the patterns whose concepts carry mass."""
-    m, (cells, order) = prior.space.m, _label_table(prior.space.masks.tobytes(), prior.space.m, k)
-    law = outcome_laws(prior.mass[None], prior.space, dist, k)[0].tolist()
-    live = np.bincount(cells[:, prior.mass > 0].ravel(), minlength=len(law)).astype(bool)
-    xs, ys = (list(itertools.product(labels, repeat=k)) for labels in (range(1, m + 1), (-1, 1)))
-    return OutcomeDistribution(k, {(xs[i >> k], ys[i % 2**k]): law[i] for i in order[live[order]].tolist()})
+    """Joint law of one task's k samples under `prior` and `dist`: the one-prior case of `_sparse_laws`."""
+    return next(_sparse_laws(label_masses(prior.mass[None], prior.space, k), prior.space, dist, k))
 
 
 def tv(P, Q):
@@ -126,8 +138,8 @@ def tv(P, Q):
     if isinstance(P, OutcomeDistribution) and isinstance(Q, OutcomeDistribution):
         if P.k != Q.k:
             raise ValueError(f"outcome spaces differ: k={P.k} vs k={Q.k}")
-        keys = set(P.table) | set(Q.table)
-        return sum(abs(P.prob(z) - Q.prob(z)) for z in keys) / 2.0
+        keys, p, q = set(P.table) | set(Q.table), P.table.get, Q.table.get
+        return sum(abs(p(z, 0.0) - q(z, 0.0)) for z in keys) / 2.0
     raise TypeError(f"cannot compare {type(P).__name__} with {type(Q).__name__}")
 
 
@@ -188,13 +200,16 @@ def verify_tree_inequality(
     prior_b: TabularPrior,
     anchors: tuple[int, ...],
     d: int,
+    cells: np.ndarray | None = None,
 ) -> CheckReport:
     """Check the binary-tree reduction from k anchors down to d:
 
         ||P_{Y_k|X_k}(A) - P_{Y_k|X_k}(B)|| <= (ek)^d k^2 d * M,
 
     where M ranges over all d-tuples of anchor indices and all d-bit
-    labelings of cell-mass differences."""
+    labelings of cell-mass differences, read off the pair's `label_masses`
+    rows at k = d (`cells`, computed when not given): each sums its cell in
+    concept order, as the anchors' own cell masses would."""
     anchors = tuple(int(a) for a in anchors)
     k = len(anchors)
     if k < d:
@@ -202,23 +217,13 @@ def verify_tree_inequality(
     if (k**d) * (2**d) > TREE_BUDGET:
         raise BudgetError("tree-inequality enumeration exceeds budget")
     lhs = float(label_conditional_tv(prior_a, prior_b, anchors))
-    worst = 0.0
-    for idx in itertools.product(range(k), repeat=d):
-        pts = tuple(anchors[i] for i in idx)
-        ca = _cell_masses(prior_a, pts, exact=False)
-        cb = _cell_masses(prior_b, pts, exact=False)
-        for ys in itertools.product((-1, 1), repeat=d):
-            gap = abs(ca.get(ys, 0.0) - cb.get(ys, 0.0))
-            worst = max(worst, gap)
+    cells = label_masses(np.stack([prior_a.mass, prior_b.mass]), prior_a.space, d) if cells is None else cells
+    tuples = np.zeros(1, dtype=np.int64)  # x-tuple indices of the anchor d-tuples
+    for _ in range(d):
+        tuples = (tuples[:, None] * prior_a.space.m + np.array(anchors) - 1).ravel()
+    worst = float(np.abs(cells[0] - cells[1]).reshape(-1, 2**d)[tuples].max())
     rhs = (math.e * k) ** d * k**2 * d * worst
-    return CheckReport(
-        "tree-inequality",
-        _instance_tag(prior_a.space),
-        k,
-        lhs,
-        rhs,
-        lhs <= rhs + FLOAT_SLACK,
-    )
+    return CheckReport("tree-inequality", _instance_tag(prior_a.space), k, lhs, rhs, lhs <= rhs + FLOAT_SLACK)
 
 
 def verify_sqrt_bound(
@@ -226,36 +231,32 @@ def verify_sqrt_bound(
     prior_b: TabularPrior,
     dist: DataDistribution,
     d: int,
+    cells: np.ndarray | None = None,
+    outcome_tv: float | None = None,
 ) -> list[CheckReport]:
     """For each d-bit labeling y, check
 
         E_X |P_{Y_d|X_d}(y; A) - P_{Y_d|X_d}(y; B)| <= 4 sqrt(||P_Zd(A) - P_Zd(B)||).
 
     The expectation over the d sample points is exact enumeration of all
-    m^d point tuples, guarded by SQRT_BUDGET."""
-    space = prior_a.space
-    m = space.m
+    m^d point tuples, guarded by SQRT_BUDGET, summed left to right
+    x-tuple by x-tuple.  `cells`, the pair's `label_masses` rows at k = d,
+    and `outcome_tv`, the TV of its laws there, are computed when not given."""
+    space, m = prior_a.space, prior_a.space.m
     if m**d > SQRT_BUDGET:
         raise BudgetError(f"m^d = {m**d} exceeds the budget of {SQRT_BUDGET}")
-    pa = exact_outcome_dist(prior_a, dist, d)
-    pb = exact_outcome_dist(prior_b, dist, d)
-    rhs = 4.0 * math.sqrt(float(tv(pa, pb)))
-    ca, cb = label_masses(np.stack([prior_a.mass, prior_b.mass]), space, d).reshape(2, m**d, -1)
+    cells = label_masses(np.stack([prior_a.mass, prior_b.mass]), space, d) if cells is None else cells
+    if outcome_tv is None:
+        outcome_tv = float(tv(*_sparse_laws(cells, space, dist, d)))
+    rhs = 4.0 * math.sqrt(outcome_tv)
     px = functools.reduce(np.multiply.outer, [np.array(dist.weights)] * d).ravel()
-    reports = []
-    for bits, ys in enumerate(itertools.product((-1, 1), repeat=d)):
-        lhs = sum((px * np.abs(ca[:, bits] - cb[:, bits])).tolist())  # left to right, x-tuple by x-tuple
-        reports.append(
-            CheckReport(
-                f"sqrt-bound[y={''.join('+' if y > 0 else '-' for y in ys)}]",
-                _instance_tag(space),
-                d,
-                lhs,
-                rhs,
-                lhs <= rhs + FLOAT_SLACK,
-            )
-        )
-    return reports
+    gaps = px[:, None] * np.abs(cells[0] - cells[1]).reshape(m**d, -1)
+    lhs = np.cumsum(gaps, axis=0)[-1].tolist()
+    return [
+        CheckReport(f"sqrt-bound[y={''.join('+' if y > 0 else '-' for y in ys)}]", _instance_tag(space), d,
+                    lhs[bits], rhs, lhs[bits] <= rhs + FLOAT_SLACK)
+        for bits, ys in enumerate(itertools.product((-1, 1), repeat=d))
+    ]
 
 
 @dataclass
@@ -272,9 +273,7 @@ class LemmaChainReport:
 
     def __post_init__(self):
         self.gaps = [self.prior_tv - t for t in self.outcome_tvs]
-        self.monotone = all(
-            b >= a - FLOAT_SLACK for a, b in zip(self.outcome_tvs, self.outcome_tvs[1:])
-        )
+        self.monotone = all(b >= a - FLOAT_SLACK for a, b in zip(self.outcome_tvs, self.outcome_tvs[1:]))
         self.bounded = all(t <= self.prior_tv + FLOAT_SLACK for t in self.outcome_tvs)
 
     @property
@@ -282,10 +281,8 @@ class LemmaChainReport:
         return self.monotone and self.bounded
 
     def csv_rows(self) -> list[tuple]:
-        rows = []
-        for i, t in enumerate(self.outcome_tvs, start=1):
-            rows.append(("lemma-chain", self.instance, i, t, self.prior_tv, self.passed))
-        return rows
+        return [("lemma-chain", self.instance, i, t, self.prior_tv, self.passed)
+                for i, t in enumerate(self.outcome_tvs, start=1)]
 
 
 def verify_lemma_chain(
@@ -294,13 +291,39 @@ def verify_lemma_chain(
     dist: DataDistribution,
     k_max: int,
 ) -> LemmaChainReport:
-    prior_gap = float(tv(prior_a, prior_b))
-    tvs = []
+    masses = np.stack([prior_a.mass, prior_b.mass])
+    tvs = [float(tv(*_sparse_laws(label_masses(masses, prior_a.space, k), prior_a.space, dist, k)))
+           for k in range(1, k_max + 1)]
+    return LemmaChainReport(_instance_tag(prior_a.space), float(tv(prior_a, prior_b)), tvs)
+
+
+def verify_lemma_pairs(pairs, dist: DataDistribution, k_max: int) -> list[tuple]:
+    """The CSV rows of `verify_lemma_chain`, `verify_tree_inequality` and
+    `verify_sqrt_bound` at d = the space's d, bit for bit, for each
+    (prior_a, prior_b, anchors) of `pairs` in turn: one `label_masses`
+    table per k for every prior of the block, each pair's sparse laws
+    built only as its TV is taken, and the k = d table and TV reused by
+    the tree and square-root checks."""
+    if not pairs:
+        return []
+    space, d = pairs[0][0].space, pairs[0][0].space.d
+    if k_max < d:
+        raise ValueError(f"k_max must be >= d = {d}, got {k_max}")
+    masses = np.stack([p.mass for a, b, _ in pairs for p in (a, b)])
+    tvs = [[] for _ in pairs]
     for k in range(1, k_max + 1):
-        pa = exact_outcome_dist(prior_a, dist, k)
-        pb = exact_outcome_dist(prior_b, dist, k)
-        tvs.append(float(tv(pa, pb)))
-    return LemmaChainReport(_instance_tag(prior_a.space), prior_gap, tvs)
+        cells = label_masses(masses, space, k)
+        laws = _sparse_laws(cells, space, dist, k)
+        for row, law_a, law_b in zip(tvs, laws, laws):
+            row.append(float(tv(law_a, law_b)))
+        if k == d:
+            at_d = cells
+    rows = []
+    for p, ((a, b, anchors), chain) in enumerate(zip(pairs, tvs)):
+        rows += LemmaChainReport(_instance_tag(space), float(tv(a, b)), chain).csv_rows()
+        rows.append(verify_tree_inequality(a, b, anchors, d, at_d[2 * p:2 * p + 2]).csv_row())
+        rows += [r.csv_row() for r in verify_sqrt_bound(a, b, dist, d, at_d[2 * p:2 * p + 2], chain[d - 1])]
+    return rows
 
 
 def realizable_pattern_count(space: ConceptSpace, anchors: tuple[int, ...]) -> int:
@@ -330,7 +353,5 @@ def check_sauer(space: ConceptSpace) -> list[CheckReport]:
         for anchors in itertools.combinations(range(1, space.m + 1), k):
             worst = max(worst, realizable_pattern_count(space, anchors))
         bound = (math.e * k) ** space.d
-        reports.append(
-            CheckReport("sauer", _instance_tag(space), k, float(worst), bound, worst <= bound)
-        )
+        reports.append(CheckReport("sauer", _instance_tag(space), k, float(worst), bound, worst <= bound))
     return reports

@@ -154,17 +154,19 @@ class SmoothPriorParams:
     """Parameters of one member of the parity family on C(m, d).
 
     `b` is a sign vector, one entry per d-subset of {1..m} in mask order,
-    or a (rows, C(m, d)) array of sign vectors: the members sharing L and
-    alpha, one per row, that `smooth_prior` builds as one mass table.
-    The smoothing scale gamma_m = (L/2)(1/m)^alpha must land in (0, 1/2).
+    or a (rows, C(m, d)) array of sign vectors: members, one per row, that
+    `smooth_prior` builds as one mass table.  L and alpha may then also
+    give one value per row, and gamma_m is then the array of the rows'
+    scales.  The smoothing scale gamma_m = (L/2)(1/m)^alpha must land in
+    (0, 1/2).
     """
 
     b: tuple[int, ...] | np.ndarray
-    L: float
-    alpha: float
+    L: float | np.ndarray
+    alpha: float | np.ndarray
     m: int
     d: int
-    gamma_m: float = field(init=False)
+    gamma_m: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
         batch = self.batch
@@ -176,10 +178,13 @@ class SmoothPriorParams:
             )
         if ((self.b != 1) & (self.b != -1)).any() if batch else any(x not in (-1, 1) for x in self.b):
             raise ValueError("b entries must be -1 or +1")
-        gamma = parity_gamma(self.L, self.alpha, self.m)
-        if gamma is None:
+        per_row, pairs = batch and np.ndim(self.L) + np.ndim(self.alpha) > 0, [(self.L, self.alpha)]
+        if per_row:
+            pairs = zip(*(np.broadcast_to(v, len(self.b)).tolist() for v in (self.L, self.alpha)))
+        gamma = [parity_gamma(L, alpha, self.m) for L, alpha in pairs]
+        if None in gamma:
             raise ValueError(f"L={self.L!r}, alpha={self.alpha!r}, m={self.m}: {PARITY_RULE}")
-        object.__setattr__(self, "gamma_m", gamma)
+        object.__setattr__(self, "gamma_m", np.array(gamma) if per_row else gamma[0])
 
     @property
     def batch(self) -> bool:
@@ -228,7 +233,7 @@ def smooth_prior(params: SmoothPriorParams, space: ConceptSpace, exact: bool = F
         # each concept's terms summed left to right over the subsets that
         # hold it, in mask order, as the exact loop does (np.sum's pairwise
         # order would not be)
-        signed = params.gamma_m * np.array(params.b, dtype=float, ndmin=2)
+        signed = np.reshape(params.gamma_m, (-1, 1)) * np.array(params.b, dtype=float, ndmin=2)
         up, down = 1 + signed, 1 - signed
         total = np.zeros((len(signed), len(space)))
         for concepts, subsets, odd in _subset_lists(m, d, space.masks.tobytes()):
@@ -366,8 +371,8 @@ def holder_check(
     Returns the pair maximizing |f(h) - f(g)| / rho^alpha as witness when
     the check fails (the first such pair in row-major order, h before g).
     Guarded to at most 2^16 concept pairs.  `prior` may also be a (rows,
-    concepts) float mass table on the reference's space; the reports, one
-    per row, then come as a list.
+    concepts) float mass table on the reference's space, and L and alpha
+    then one value per row; the reports, one per row, then come as a list.
 
     Each pair is compared once.  Pairs at equal rho share the divisor
     rho^alpha, and a correctly rounded division by a positive number is
@@ -383,7 +388,8 @@ def holder_check(
     rho_matrix(space, dist)  # checks dist against the space
     first, second, starts, rho = _rho_runs(space.masks.tobytes(), dist.weights)
     zero = int(len(rho) > 0 and rho[0] == 0)  # a run at rho = 0 comes first
-    divisor = rho[zero:] ** alpha
+    Ls, alphas = (np.broadcast_to(v, len(rows)).tolist() for v in (L, alpha))
+    divisors = {a: rho[zero:] ** a for a in set(alphas)}  # Python scalar powers, as for one alpha
     reports = []
     step = max(1, HOLDER_BLOCK // max(len(first), 1))
     for lo in range(0, len(rows), step):
@@ -392,17 +398,18 @@ def holder_check(
         np.subtract(diffs, block[:, second], out=diffs)
         np.abs(diffs, out=diffs)
         run_max = np.maximum.reduceat(diffs, starts, axis=1) if len(starts) else diffs
+        divisor = np.array([divisors[a] for a in alphas[lo:lo + step]])
         worst = (run_max[:, zero:] / divisor).max(axis=1, initial=0.0)
         for r, w in enumerate(worst.tolist()):
             if zero and run_max[r, 0] > HOLDER_SLACK:
                 k = int(np.argmax(diffs[r] > HOLDER_SLACK))  # in the rho = 0 run, which comes first
                 w = np.inf
-            elif w <= L + HOLDER_SLACK:
+            elif w <= Ls[lo + r] + HOLDER_SLACK:
                 reports.append(HolderReport(True, w, None))
                 continue
             else:
                 counts = np.diff(np.r_[starts, len(first)])[zero:]
-                ratio = diffs[r, starts[zero]:] / np.repeat(divisor, counts)
+                ratio = diffs[r, starts[zero]:] / np.repeat(divisor[r], counts)
                 hits = starts[zero] + np.flatnonzero(ratio == w)
                 k = int(hits[np.argmin(first[hits] * n + second[hits])])
             reports.append(HolderReport(False, w, (space.concepts[first[k]], space.concepts[second[k]])))
@@ -555,6 +562,7 @@ def cover_priors(
     alpha: float,
     epsilon: float,
     budget: int = 100_000,
+    spent: tuple[int, int] = (0, 0),
 ) -> CoverFamily:
     """Construct an epsilon-cover of all (L, alpha)-Hölder-smooth priors
     under the uniform data distribution.
@@ -568,7 +576,9 @@ def cover_priors(
 
     BudgetError past COVER_BUDGET, before the grid or any member is held:
     when `budget` members would hold more masses, or the grid more values;
-    and during the search, once it has tried that many grid values.
+    and during the search, once it has tried that many grid values or its
+    members hold that many masses, counting the (grid values tried, masses
+    held) `spent` by earlier covers; `meta["spent"]` adds this cover's.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive (use cover_of_family for exact covers)")
@@ -610,10 +620,12 @@ def cover_priors(
         if i == len(cells):
             if abs(partial - 1.0) <= mass_tol and partial > 0:
                 leaves.append(assignment.copy())
+                if spent[1] + len(leaves) * len(space) > COVER_BUDGET:
+                    raise BudgetError(f"the run's covers hold more than {COVER_BUDGET} masses")
             return
         for g in grid:
             tried += 1
-            if tried > COVER_BUDGET:
+            if spent[0] + tried > COVER_BUDGET:
                 raise BudgetError(f"cover search tried more than {COVER_BUDGET} grid values")
             new = partial + g * cell_ref[i]
             if new + suffix_max[i + 1] < 1.0 - mass_tol:
@@ -639,5 +651,6 @@ def cover_priors(
             "grid_step": step,
             "L": L,
             "alpha": alpha,
+            "spent": (spent[0] + tried, spent[1] + mass.size),
         },
     )

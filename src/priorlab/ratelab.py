@@ -80,6 +80,7 @@ COIN_CSV_HEADER = ("gamma", "n", "bayes_error", "floor", "pass")
 
 # stream purposes (spawn keys) so no two draws share a stream
 _TRUTH_PICK = 90
+TRUTH_CHUNK = 1 << 16  # truth picks drawn at a time
 _UPPER = 91
 _LOWER = 92
 _BASELINE = 93
@@ -133,7 +134,7 @@ class ExperimentConfig:
         if self.truth_count is not None and self.truth_count < 0:
             raise ValueError(f"'truth_count' must be >= 0, got {self.truth_count}")
         if self.truth_count is not None and self.truth_count > DEFAULT_BUDGET:
-            # build_setup draws truth_count indices at once
+            # build_setup draws up to truth_count indices
             raise BudgetError(f"'truth_count' = {self.truth_count} exceeds the budget of {DEFAULT_BUDGET}")
         if self.k is not None and self.k < self.d:
             raise ValueError("k must be at least d")
@@ -245,10 +246,15 @@ def build_setup(config: ExperimentConfig) -> Setup:
     if config.family == "parity":
         dist = uniform_distribution(config.m)
         params_list, members = parity_family(space, config.L, config.alpha)
-        # sampled truths plus the two extreme sign vectors
-        rng = stream(config.seed, _TRUTH_PICK)
-        picks = rng.integers(0, len(members), size=config.truth_count).tolist()
-        truth_ids = sorted({0, len(members) - 1, *picks})
+        # sampled truths plus the two extreme sign vectors, drawn until every member is in: a
+        # power-of-two count rejects no draw, so the chunks read the words of one whole draw
+        rng, seen = stream(config.seed, _TRUTH_PICK), {0, len(members) - 1}
+        for start in range(0, config.truth_count, TRUTH_CHUNK):
+            picks = rng.integers(0, len(members), size=min(TRUTH_CHUNK, config.truth_count - start))
+            seen.update(np.flatnonzero(np.bincount(picks, minlength=len(members))).tolist())
+            if len(seen) == len(members):
+                break
+        truth_ids = sorted(seen)
     else:
         w = config.twopoint_weight
         rest = (1.0 - 2 * w) / (config.m - 2)

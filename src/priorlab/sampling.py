@@ -396,8 +396,8 @@ def outcome_codes(xs: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
 
 def _index_dtype(n: int) -> type:
     """The narrowest unsigned type that holds 0..n (int64 past uint32)."""
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if n <= np.iinfo(dtype).max:
+    for dtype, top in ((np.uint8, 0xFF), (np.uint16, 0xFFFF), (np.uint32, 0xFFFF_FFFF)):
+        if n <= top:
             return dtype
     return np.int64
 

@@ -1,7 +1,7 @@
-"""The `smoothness`, `cover-info` and `coinbound` suites work on whole
-arrays.  Each is checked here against the per-instance code it replaced,
-kept as a test-local oracle, and against a planted defect that its
-`pass` column must catch."""
+"""The `smoothness`, `cover-info`, `coinbound` and `lemmas` suites work on
+whole arrays.  Each is checked here against the per-instance code it
+replaced, kept as a test-local oracle, and against a planted defect that
+its `pass` column must catch."""
 
 import csv
 import tracemalloc
@@ -17,12 +17,22 @@ from priorlab.cli import _smoothness_instances, dispatch, parse_config
 from priorlab.concepts import DataDistribution, d_subsets, enumerate_concepts, rho_matrix, uniform_distribution
 from priorlab.errors import BudgetError
 from priorlab.estimators import _as_fraction, _bayes_error_ratios, coin_floor
+from priorlab.outcomes import (
+    CSV_HEADER as CHECK_HEADER,
+    check_sauer,
+    verify_lemma_chain,
+    verify_lemma_pairs,
+    verify_sqrt_bound,
+    verify_tree_inequality,
+)
 from priorlab.priors import (
     SmoothPriorParams,
     TabularPrior,
     _diameter_partition,
     cover_priors,
     holder_check,
+    point_mass,
+    random_prior,
     reference_prior,
     smooth_prior,
 )
@@ -110,6 +120,7 @@ def smoothness_config(tmp_path: Path, text: str) -> Path:
 
 
 MIXED = "m_max = 5\nd_max = 3\nL_list = 0.5,1.0,1.7\nalpha_list = 0.5,1.0,0.7\nsigns_per_instance = 70\n"
+SHIPPED_SMOOTHNESS = (CONFIGS / "smoothness.cfg").read_text()
 
 
 @pytest.mark.parametrize(
@@ -122,6 +133,10 @@ MIXED = "m_max = 5\nd_max = 3\nL_list = 0.5,1.0,1.7\nalpha_list = 0.5,1.0,0.7\ns
         # alpha 0.5, 1 and 0.7 mixed, and more sign vectors than one block
         (MIXED, 5, False),
         (MIXED, 6, True),
+        # one sign vector per instance, and one more than a block
+        (SHIPPED_SMOOTHNESS.replace("signs_per_instance = 4", "signs_per_instance = 1"), 7, False),
+        (SHIPPED_SMOOTHNESS.replace("signs_per_instance = 4", "signs_per_instance = 65"), 8, False),
+        (SHIPPED_SMOOTHNESS.replace("signs_per_instance = 4", "signs_per_instance = 1"), 9, True),
     ],
 )
 def test_smoothness_csv_is_the_per_instance_loop_byte_for_byte(tmp_path, text, seed, exact):
@@ -138,6 +153,14 @@ def test_batched_smooth_prior_rows_are_the_one_vector_members():
     masses = smooth_prior(SmoothPriorParams(b, 1.0, 0.5, 6, 3), space)
     for row, signs in zip(masses, b.tolist()):
         assert np.array_equal(row, smooth_prior(SmoothPriorParams(tuple(signs), 1.0, 0.5, 6, 3), space).mass)
+    # L and alpha per row: each row is its one-vector member at its own L and alpha
+    L, alpha = np.resize([0.5, 1.0, 2.0], 9), np.resize([0.5, 1.0, 0.7, 1.0], 9)
+    params = SmoothPriorParams(b, L, alpha, 6, 3)
+    assert params.gamma_m.shape == (9,)
+    for row, signs, l_r, a_r in zip(smooth_prior(params, space), b.tolist(), L.tolist(), alpha.tolist()):
+        assert np.array_equal(row, smooth_prior(SmoothPriorParams(tuple(signs), l_r, a_r, 6, 3), space).mass)
+    with pytest.raises(ValueError, match="gamma_m"):
+        SmoothPriorParams(b, np.resize([1.0, 4.0], 9), 0.5, 6, 3)
     with pytest.raises(ValueError, match="one sign vector"):
         smooth_prior(SmoothPriorParams(b, 1.0, 1.0, 6, 3), space, exact=True)
     with pytest.raises(ValueError, match="-1 or \\+1"):
@@ -181,6 +204,10 @@ def test_holder_check_is_the_full_ratio_table(m, d, weights):
                 assert got.witness == want
             kinds.add("pass" if ok else "rho = 0" if worst == np.inf else "ratio")
     assert kinds == ({"pass", "ratio", "rho = 0"} if 0.0 in dist.weights else {"pass", "ratio"})
+    # L and alpha per row: each report is the one-row check at its own L and alpha
+    L, alpha = np.resize([0.05, 3.0, 50.0], len(masses)), np.resize([1.0, 0.5, 0.7, 0.5], len(masses))
+    for row, rep, l_r, a_r in zip(masses, holder_check(masses, ref, L, alpha, dist), L.tolist(), alpha.tolist()):
+        assert rep == holder_check(TabularPrior(space, row), ref, l_r, a_r, dist)
 
 
 def oracle_cover_masses(space, L, alpha, epsilon, budget=100_000) -> np.ndarray:
@@ -275,6 +302,103 @@ def test_coin_table_is_the_fraction_oracle():
         got = ratelab.coin_bound_table(gammas + (Fraction(1, 3),), ns)
         assert got == fraction_coin_rows(gammas + (Fraction(1, 3),), ns), ns
         assert all(type(r[0]) is float and type(r[2]) is float for r in got)
+
+
+def comb_ratios(gamma, n_max: int):
+    """Oracle: the coin pass with its middle term C(n, n/2) (ab)^(n/2)
+    and (a+b)^n each computed afresh at every n."""
+    g = _as_fraction(gamma)
+    a, b = g.denominator + g.numerator, g.denominator - g.numerator
+    yield 1, 2
+    tail = edge = b
+    k = 0
+    for n in range(1, n_max + 1):
+        total = 2 * tail + (comb(n, n // 2) * (a * b) ** (n // 2) if n % 2 == 0 else 0)
+        yield total, 2 * (a + b) ** n
+        tail = (a + b) * tail - a * edge
+        if n % 2:
+            edge = edge * b * (n + 1) // (n + 1 - k)
+        else:
+            edge = edge * a * (n + 1) // (k + 1)
+            tail += edge
+            k += 1
+
+
+def test_stepped_coin_pass_is_the_comb_form():
+    gammas = parse_config(CONFIGS / "coinbound.cfg", "coinbound")["gammas"]
+    for gamma in gammas + (0.123456789, Fraction(1, 3)):
+        assert list(_bayes_error_ratios(gamma, 2000)) == list(comb_ratios(gamma, 2000)), gamma
+
+
+def lemma_pair_rows(pairs, dist, k_max: int, d: int) -> list[tuple]:
+    """Oracle: each pair through the three one-pair verifiers, each
+    building its own outcome laws and label masses."""
+    rows = []
+    for pa, pb, anchors in pairs:
+        rows += verify_lemma_chain(pa, pb, dist, k_max).csv_rows()
+        rows.append(verify_tree_inequality(pa, pb, anchors, d).csv_row())
+        rows += [r.csv_row() for r in verify_sqrt_bound(pa, pb, dist, d)]
+    return rows
+
+
+@pytest.mark.parametrize("m, d, k_max", [(2, 1, 3), (3, 2, 3), (4, 2, 2)])
+def test_lemma_pairs_are_the_per_pair_verifiers_bit_for_bit(m, d, k_max):
+    space, dist, rng = enumerate_concepts(m, d), uniform_distribution(m), stream(61, m, d)
+    sparse = random_prior(space, rng).mass * (rng.random(len(space)) < 0.5)
+    sparse[0] += 1.0 - sparse.sum()  # zero mass on about half the concepts
+    priors = [random_prior(space, rng) for _ in range(6)] + [
+        point_mass(space, 0), point_mass(space, space.concepts[-1]), reference_prior(space),
+        TabularPrior(space, sparse),
+    ]
+    pairs = []
+    for i, pa in enumerate(priors):
+        for pb in (priors[(i + 1) % len(priors)], priors[(i + 5) % len(priors)], pa):
+            k = int(rng.integers(d, k_max + 1))
+            pairs.append((pa, pb, tuple(int(x) for x in rng.integers(1, m + 1, size=k))))
+    pairs += [(priors[0], priors[7], (m,) * k_max), (priors[9], priors[8], (1,) * d)]  # repeated anchors
+    got = verify_lemma_pairs(pairs, dist, k_max)
+    assert repr(got) == repr(lemma_pair_rows(pairs, dist, k_max, d))
+    assert len(got) == len(pairs) * (k_max + 1 + 2**d)
+    assert verify_lemma_pairs([], dist, k_max) == []
+
+
+def oracle_lemmas(config: dict, seed: int, outdir: Path) -> None:
+    """Oracle: the lemmas run one pair at a time, drawing each pair's
+    priors and anchors and checking them before the next pair's draws."""
+    m, d, k_max = config["m"], config["d"], config["k_max"]
+    space, dist, rng = enumerate_concepts(m, d), uniform_distribution(m), stream(seed, 1)
+    rows = []
+    for _ in range(config["pairs"]):
+        pa, pb = random_prior(space, rng), random_prior(space, rng)
+        k = int(rng.integers(d, k_max + 1))
+        anchors = tuple(int(x) for x in rng.integers(1, m + 1, size=k))
+        rows += lemma_pair_rows([(pa, pb, anchors)], dist, k_max, d)
+    rows += [r.csv_row() for r in check_sauer(space)]
+    outdir.mkdir()
+    write_csv(outdir / "lemmas.csv", CHECK_HEADER, transpose(rows, len(CHECK_HEADER)))
+    n_fail = sum(1 for r in rows if not r[-1])
+    (outdir / "summary.txt").write_text(f"rows={len(rows)}\nviolations={n_fail}\nall_pass={n_fail == 0}\n")
+
+
+@pytest.mark.parametrize(
+    "text, seed",
+    [
+        (None, 0),
+        (None, 109),
+        # 18 pairs to a block at m=3, k_max=3, and 64 at m=4, k_max=2
+        ("m = 3\nd = 2\nk_max = 3\npairs = 40\n", 2),
+        ("m = 4\nd = 2\nk_max = 2\npairs = 70\n", 3),
+        ("m = 3\nd = 2\nk_max = 3\npairs = 0\n", 4),
+    ],
+)
+def test_lemmas_csv_is_the_per_pair_loop_byte_for_byte(tmp_path, text, seed):
+    path = CONFIGS / "lemmas.cfg" if text is None else tmp_path / "lemmas.cfg"
+    if text is not None:
+        path.write_text(text)
+    assert dispatch("lemmas", path, seed, tmp_path / "out") == 0
+    oracle_lemmas(parse_config(path, "lemmas"), seed, tmp_path / "oracle")
+    for name in ("lemmas.csv", "summary.txt"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes(), name
 
 
 def read_table(path: Path) -> list[dict]:

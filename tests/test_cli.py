@@ -16,7 +16,7 @@ from priorlab.cli import (
 from priorlab.concepts import enumerate_concepts, uniform_distribution
 from priorlab.errors import BudgetError
 from priorlab.outcomes import DEFAULT_BUDGET
-from priorlab.priors import holder_check, reference_prior
+from priorlab.priors import COVER_BUDGET, cover_priors, holder_check, reference_prior
 from priorlab.ratelab import (
     ExperimentConfig, build_setup, check_coin_budget, run_baseline_comparison, run_lower_experiment,
     run_upper_experiment,
@@ -142,6 +142,26 @@ def test_cover_info_budget_exit_code(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "c.cfg", "m = 3\nd = 2\nepsilons = 0.05\nbudget = 10\n")
     assert dispatch("cover-info", cfg, 0, out) == 2
+
+
+def test_cover_info_covers_share_one_budget(tmp_path, capsys):
+    # each search at epsilon = 0.02 tries about 2.2 million grid values:
+    # four fit the run's budget of 10^7, five do not, though each fits alone
+    four = write_config(tmp_path, "four.cfg", "budget = 200000\nepsilons = " + ",".join(["0.02"] * 4) + "\n")
+    assert dispatch("cover-info", four, 0, tmp_path / "four") == 0
+    five = write_config(tmp_path, "five.cfg", "budget = 200000\nepsilons = " + ",".join(["0.02"] * 5) + "\n")
+    assert dispatch("cover-info", five, 0, tmp_path / "five") == 2
+    assert "cover search tried more than 10000000" in capsys.readouterr().err
+    assert not (tmp_path / "five").exists()
+    # and the masses the covers hold: 16,803 members x 3 concepts at 0.05
+    space = enumerate_concepts(2, 1)
+    spent = cover_priors(space, 1.0, 1.0, 0.05).meta["spent"]
+    assert spent[1] == 16_803 * 3
+    with pytest.raises(BudgetError, match="the run's covers hold more than 10000000 masses"):
+        cover_priors(space, 1.0, 1.0, 0.05, spent=(0, COVER_BUDGET - spent[1] + 2))
+    with pytest.raises(BudgetError, match="cover search tried more than 10000000"):
+        cover_priors(space, 1.0, 1.0, 0.05, spent=(COVER_BUDGET - spent[0] + 1, 0))
+    cover_priors(space, 1.0, 1.0, 0.05, spent=(COVER_BUDGET - spent[0], COVER_BUDGET - spent[1]))
 
 
 def test_rates_budget_exit_code(tmp_path):

@@ -205,6 +205,25 @@ def test_sqrt_bound_is_the_per_tuple_loop_bit_for_bit():
                 assert report.lhs.hex() == lhs.hex(), (m, d, ys)
 
 
+def test_tree_check_is_the_per_tuple_loop_bit_for_bit():
+    # the worst cell gap read off label_masses equals the loop over anchor
+    # d-tuples of per-tuple cell masses it replaced, in every bit
+    for m, d in [(2, 1), (3, 2), (4, 2), (5, 3)]:
+        space, rng = enumerate_concepts(m, d), stream(43, m, d)
+        for _ in range(4):
+            pa, pb = random_prior(space, rng), random_prior(space, rng)
+            anchors = tuple(int(x) for x in rng.integers(1, m + 1, size=int(rng.integers(d, d + 3))))
+            worst = 0.0
+            for idx in itertools.product(range(len(anchors)), repeat=d):
+                pts = tuple(anchors[i] for i in idx)
+                ca, cb = _cell_masses(pa, pts, exact=False), _cell_masses(pb, pts, exact=False)
+                for ys in itertools.product((-1, 1), repeat=d):
+                    worst = max(worst, abs(ca.get(ys, 0.0) - cb.get(ys, 0.0)))
+            k = len(anchors)
+            report = verify_tree_inequality(pa, pb, anchors, d)
+            assert report.rhs.hex() == ((math.e * k) ** d * k**2 * d * worst).hex(), (m, d, anchors)
+
+
 def test_verifier_budget_guards():
     # tree check: 501^2 anchor pairs x 4 labelings exceed 10^6
     with pytest.raises(BudgetError, match="tree"):

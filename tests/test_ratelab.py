@@ -67,9 +67,34 @@ def test_truth_count_is_read_by_the_parity_family_only():
         ExperimentConfig(m=3, d=1, family="twopoint", truth_count=5)
     with pytest.raises(ValueError, match="'truth_count'"):
         ExperimentConfig(truth_count=-1)
-    # build_setup would draw this many indices at once
+    # build_setup may draw this many indices
     with pytest.raises(BudgetError, match="'truth_count'"):
         ExperimentConfig(truth_count=DEFAULT_BUDGET + 1)
+
+
+def test_truth_picks_are_the_one_array_draw(monkeypatch):
+    # chunked picks read the words of one draw of truth_count indices, and
+    # stop once every member is in
+    for chunk in (ratelab.TRUTH_CHUNK, 5, 1):
+        monkeypatch.setattr(ratelab, "TRUTH_CHUNK", chunk)
+        for m, d in ((3, 2), (4, 2), (3, 1)):
+            for seed, truth_count in ((0, 0), (1, 1), (2, 3), (3, 8), (4, 40), (5, 1000)):
+                config = ExperimentConfig(m=m, d=d, T_grid=(10,), replicates=2, seed=seed, truth_count=truth_count)
+                members = 2 ** comb(m, d)
+                picks = sampling.stream(seed, ratelab._TRUTH_PICK).integers(0, members, size=truth_count)
+                assert build_setup(config).truth_ids == sorted({0, members - 1, *picks.tolist()})
+
+
+def test_truth_picks_memory_does_not_grow_with_truth_count():
+    build_setup(ExperimentConfig(m=3, d=2, T_grid=(10,), replicates=2))  # fill the per-space caches first
+    tracemalloc.start()
+    try:
+        setup = build_setup(ExperimentConfig(m=3, d=2, T_grid=(10,), replicates=2, truth_count=10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert setup.truth_ids == list(range(8))
+    assert peak < 1_000_000  # one array of 10^6 picks and its list took 16 MB
 
 
 def test_theory_exponents():

@@ -24,6 +24,7 @@ from priorlab.priors import (
 from priorlab.sampling import (
     _categorical,
     _count_cuts,
+    _index_dtype,
     _layout,
     _lemire,
     _parity_index_table,
@@ -49,6 +50,13 @@ from sampling_reference import (
 SP32 = enumerate_concepts(3, 2)
 D3 = uniform_distribution(3)
 PARAMS = SmoothPriorParams((1, 1, 1), 1.0, 1.0, 3, 2)
+
+
+def test_index_dtype_is_the_narrowest_that_holds_n():
+    cases = [(0, np.uint8), (255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32),
+             (2**32 - 1, np.uint32), (2**32, np.int64), (10**15, np.int64)]
+    for n, dtype in cases:
+        assert _index_dtype(n) is dtype, n
 
 
 def test_point_mass_always_returns_that_concept():
