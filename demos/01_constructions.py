@@ -9,7 +9,7 @@ import numpy as np
 
 from priorlab import (
     SmoothPriorParams,
-    density,
+    density_table,
     enumerate_concepts,
     holder_check,
     reference_prior,
@@ -43,8 +43,7 @@ for c in space:
 params = SmoothPriorParams(b=(1, -1, 1), L=1.0, alpha=1.0, m=3, d=2)
 pb = smooth_prior(params, space, exact=True)
 print(f"\nsmooth member with b = {params.b}, gamma = {params.gamma_m:.4f}:")
-for c in space:
-    f = density(pb, pi0, c)
+for c, f in zip(space, density_table(pb, pi0)):
     print(f"  mass={float(pb.mass_of(c)):.6f}  density vs reference = {f:.4f}")
 
 print("\ndensities stay inside [1 - gamma, 1 + gamma] and the family is")

@@ -20,7 +20,7 @@ from .priors import (
     TabularPrior,
     cover_of_family,
     cover_priors,
-    density,
+    density_table,
     holder_check,
     reference_prior,
     smooth_prior,

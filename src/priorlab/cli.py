@@ -657,7 +657,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--exact-rational", type=_bool, default=False, metavar="BOOL")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a malformed flag, and 2 means a budget error
+        return 1 if exc.code else 0
     if args.subcommand not in DISPATCH:
         parser.print_usage(sys.stderr)  # dispatch names the subcommand and exits 1
     return dispatch(

@@ -137,6 +137,17 @@ class ConceptSpace:
         return 2 * bits - 1
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index of the first of each distinct row, in row order; for every
+    row, the position of its distinct row in that index)."""
+    first: dict[bytes, int] = {}
+    keys = [r.tobytes() for r in rows]
+    for p, key in enumerate(keys):
+        first.setdefault(key, p)
+    keep = np.array(list(first.values()), dtype=np.int64)
+    return keep, np.searchsorted(keep, [first[key] for key in keys])
+
+
 def concept_count(m: int, d: int) -> int:
     """|C(m, d)| = sum_{q<=d} C(m, q), without enumerating it."""
     return sum(comb(m, q) for q in range(d + 1))

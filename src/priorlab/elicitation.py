@@ -41,7 +41,8 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import BudgetError
-from .estimators import _distinct_rows, _MinDistance, yatracos_sets
+from .concepts import _distinct_rows
+from .estimators import _MinDistance, yatracos_sets
 from .outcomes import DEFAULT_BUDGET
 from .priors import tv_matrix
 from .sampling import _categorical, _count_cuts, keyed_words, raw_integers, stream, stream_raw
@@ -210,21 +211,6 @@ def method_A_prime(values) -> int:
     return int(np.argmax(values))
 
 
-def _split_keys(first: np.ndarray) -> np.ndarray:
-    """One int64 per column of a (c, bundles) array whose row j holds
-    values in 0..j, equal exactly for equal columns: each column read as a
-    number in the factorial base, renumbered by rank whenever the next
-    digit could overflow."""
-    keys, place = np.zeros(first.shape[1], dtype=np.int64), 1
-    for j, digits in enumerate(first):
-        if place > ((1 << 63) - 1) // (j + 1):
-            _, keys = np.unique(keys, return_inverse=True)
-            place = first.shape[1]
-        keys += digits * place
-        place *= j + 1
-    return keys
-
-
 class _PosteriorCache:
     """Per-member cache of posterior quantities keyed by the consistent-set
     bitmask: posterior means, expected max, and the one-step-greedy value of
@@ -259,7 +245,7 @@ class _PosteriorCache:
         # in order of their first function (g leads its group when
         # split[g] == g)
         first = (S[:, None, :] == S[None, :, :]).argmax(axis=1)  # (c, bundles)
-        _, at, which = np.unique(_split_keys(first), return_index=True, return_inverse=True)
+        at, which = _distinct_rows(first.T)
         splits = first.T[at]
         vals = np.empty(len(splits))
         for k, split in enumerate(splits):
@@ -267,7 +253,7 @@ class _PosteriorCache:
             for g in np.flatnonzero(split == np.arange(len(split))):
                 val += WS[split == g].sum(axis=0).max()
             vals[k] = val
-        phi = vals[which.reshape(-1)]
+        phi = vals[which]
         out = (means, exp_max, regret0, phi)
         self._cache[key] = out
         return out

@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .concepts import DataDistribution, d_subsets
+from .concepts import DataDistribution, _distinct_rows, d_subsets
 from .errors import BudgetError
 from .outcomes import DEFAULT_BUDGET, label_masses, outcome_laws
 from .outcomes import exact_outcome_dist  # noqa: F401  (perfbench/spans.py wraps it here)
@@ -32,7 +32,8 @@ def yatracos_scores(PA: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.abs(PA - mu[..., None, :]).max(axis=-1, initial=0.0)
 
 
-_ROW_BLOCK = 1 << 12  # values a block of rows holds at once (one row may hold more)
+_DENSE_BLOCK = 1 << 12  # values held at once by a dense block of rows (a row may hold more) or of set gaps
+# (2^13 and 2^14 made `elicit`'s selections 10-20% faster and raised its peak RSS 0.16-0.33 MB)
 # Selection prunes sets in tables of this many members x columns or more,
 # and scores smaller ones densely.  Measured on `rates-wide`: pruning takes
 # the 64 x 728 parity skeleton's selection to a third of the dense time,
@@ -41,11 +42,9 @@ _ROW_BLOCK = 1 << 12  # values a block of rows holds at once (one row may hold m
 _PRUNE_FROM = 1 << 15
 _PROBES = 8  # high-envelope sets per row whose gaps bound every member's score from below
 _GAP_BLOCK = 1 << 15  # values a pruned block holds at once: rows of set masses, or survivor gaps
-_DENSE_BLOCK = 1 << 12  # values of a selected block's scores, and of a set-major chunk's gaps
-# (2^13 and 2^14 made `elicit`'s selections 10-20% faster and raised its peak RSS 0.16-0.33 MB)
 
 
-def _by_rows(fn, rows: np.ndarray, entries: int, block: int = _ROW_BLOCK) -> np.ndarray:
+def _by_rows(fn, rows: np.ndarray, entries: int, block: int = _DENSE_BLOCK) -> np.ndarray:
     """fn of a stack of vectors, a block of rows at a time, where fn makes
     `entries` values per row, so that a block holds about `block` of them
     (no rows make one empty block)."""
@@ -74,17 +73,6 @@ def check_yatracos_budget(n: int, s: int) -> None:
             f"{n * (n - 1)} Yatracos pairs x ({s} support points + {n} members)"
             f" exceed the budget of {DEFAULT_BUDGET}"
         )
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(index of the first of each distinct row, in row order; for every
-    row, the position of its distinct row in that index)."""
-    first: dict[bytes, int] = {}
-    keys = [r.tobytes() for r in rows]
-    for p, key in enumerate(keys):
-        first.setdefault(key, p)
-    keep = np.array(list(first.values()), dtype=np.int64)
-    return keep, np.searchsorted(keep, [first[key] for key in keys])
 
 
 class _MinDistance:
@@ -187,7 +175,7 @@ class _MinDistance:
         """The scores of each row of a (rows, columns) stack of empirical
         masses, as a (rows, members) array."""
         if self._set_major(len(mu)):
-            return _by_rows(self._set_major_scores, mu, len(self.PA), _DENSE_BLOCK)
+            return _by_rows(self._set_major_scores, mu, len(self.PA))
         if self.PA.size < _PRUNE_FROM:
             return _by_rows(lambda mu: yatracos_scores(self.PA, mu), mu, self.PA.size)
         # a row holds its set masses and its members' probe gaps
@@ -249,9 +237,8 @@ class _MinDistance:
         return scores
 
     def select_masses(self, mu: np.ndarray) -> np.ndarray:
-        """The selected member of each row of a stack of empirical masses,
-        scored a block of rows at a time."""
-        return _by_rows(lambda mu: np.argmin(self._scores(mu), axis=1), mu, len(self.PA), _DENSE_BLOCK)
+        """The selected member of each row of a stack of empirical masses."""
+        return np.argmin(self._scores(mu), axis=1)
 
     def select_rows(self, counts: np.ndarray, total) -> np.ndarray:
         """The selected member of each row of a (rows, support) stack of

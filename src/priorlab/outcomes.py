@@ -127,6 +127,12 @@ def exact_outcome_dist(prior: TabularPrior, dist: DataDistribution, k: int) -> O
     return next(_sparse_laws(label_masses(prior.mass[None], prior.space, k), prior.space, dist, k))
 
 
+def _pair_tvs(cells: np.ndarray, space: ConceptSpace, dist: DataDistribution, k: int) -> list[float]:
+    """The TV of the laws of `label_masses` rows 2p and 2p + 1, built as it is taken, for each pair p."""
+    laws = _sparse_laws(cells, space, dist, k)
+    return [float(tv(law_a, law_b)) for law_a, law_b in zip(laws, laws)]
+
+
 def tv(P, Q):
     """Total variation distance, (1/2) L1 on the shared index space.
 
@@ -138,8 +144,10 @@ def tv(P, Q):
     if isinstance(P, OutcomeDistribution) and isinstance(Q, OutcomeDistribution):
         if P.k != Q.k:
             raise ValueError(f"outcome spaces differ: k={P.k} vs k={Q.k}")
-        keys, p, q = set(P.table) | set(Q.table), P.table.get, Q.table.get
-        return sum(abs(p(z, 0.0) - q(z, 0.0)) for z in keys) / 2.0
+        total, p, q = 0.0, P.table.get, Q.table.get
+        for z in set(P.table) | set(Q.table):
+            total += abs(p(z, 0.0) - q(z, 0.0))  # left to right; builtin sum compensates from 3.12
+        return total / 2.0
     raise TypeError(f"cannot compare {type(P).__name__} with {type(Q).__name__}")
 
 
@@ -167,9 +175,9 @@ def label_conditional_tv(
     exact = prior_a.is_exact and prior_b.is_exact
     ca = _cell_masses(prior_a, anchors, exact)
     cb = _cell_masses(prior_b, anchors, exact)
-    keys = set(ca) | set(cb)
-    zero = Fraction(0) if exact else 0.0
-    total = sum((abs(ca.get(k, zero) - cb.get(k, zero)) for k in keys), start=zero)
+    total = zero = Fraction(0) if exact else 0.0
+    for k in set(ca) | set(cb):
+        total += abs(ca.get(k, zero) - cb.get(k, zero))  # left to right, as in `tv`
     return total / 2
 
 
@@ -247,7 +255,7 @@ def verify_sqrt_bound(
         raise BudgetError(f"m^d = {m**d} exceeds the budget of {SQRT_BUDGET}")
     cells = label_masses(np.stack([prior_a.mass, prior_b.mass]), space, d) if cells is None else cells
     if outcome_tv is None:
-        outcome_tv = float(tv(*_sparse_laws(cells, space, dist, d)))
+        outcome_tv = _pair_tvs(cells, space, dist, d)[0]
     rhs = 4.0 * math.sqrt(outcome_tv)
     px = functools.reduce(np.multiply.outer, [np.array(dist.weights)] * d).ravel()
     gaps = px[:, None] * np.abs(cells[0] - cells[1]).reshape(m**d, -1)
@@ -292,7 +300,7 @@ def verify_lemma_chain(
     k_max: int,
 ) -> LemmaChainReport:
     masses = np.stack([prior_a.mass, prior_b.mass])
-    tvs = [float(tv(*_sparse_laws(label_masses(masses, prior_a.space, k), prior_a.space, dist, k)))
+    tvs = [_pair_tvs(label_masses(masses, prior_a.space, k), prior_a.space, dist, k)[0]
            for k in range(1, k_max + 1)]
     return LemmaChainReport(_instance_tag(prior_a.space), float(tv(prior_a, prior_b)), tvs)
 
@@ -310,16 +318,14 @@ def verify_lemma_pairs(pairs, dist: DataDistribution, k_max: int) -> list[tuple]
     if k_max < d:
         raise ValueError(f"k_max must be >= d = {d}, got {k_max}")
     masses = np.stack([p.mass for a, b, _ in pairs for p in (a, b)])
-    tvs = [[] for _ in pairs]
+    by_k = []
     for k in range(1, k_max + 1):
         cells = label_masses(masses, space, k)
-        laws = _sparse_laws(cells, space, dist, k)
-        for row, law_a, law_b in zip(tvs, laws, laws):
-            row.append(float(tv(law_a, law_b)))
+        by_k.append(_pair_tvs(cells, space, dist, k))
         if k == d:
             at_d = cells
     rows = []
-    for p, ((a, b, anchors), chain) in enumerate(zip(pairs, tvs)):
+    for p, ((a, b, anchors), chain) in enumerate(zip(pairs, map(list, zip(*by_k)))):
         rows += LemmaChainReport(_instance_tag(space), float(tv(a, b)), chain).csv_rows()
         rows.append(verify_tree_inequality(a, b, anchors, d, at_d[2 * p:2 * p + 2]).csv_row())
         rows += [r.csv_row() for r in verify_sqrt_bound(a, b, dist, d, at_d[2 * p:2 * p + 2], chain[d - 1])]

@@ -21,6 +21,7 @@ from .concepts import (
     Concept,
     ConceptSpace,
     DataDistribution,
+    _distinct_rows,
     d_subsets,
     _rho_table,
     rho_matrix,
@@ -231,7 +232,7 @@ def smooth_prior(params: SmoothPriorParams, space: ConceptSpace, exact: bool = F
     m, d = space.m, space.d
     if not exact:
         # each concept's terms summed left to right over the subsets that
-        # hold it, in mask order, as the exact loop does (np.sum's pairwise
+        # hold it, in mask order, as the exact path does (np.sum's pairwise
         # order would not be)
         signed = np.reshape(params.gamma_m, (-1, 1)) * np.array(params.b, dtype=float, ndmin=2)
         up, down = 1 + signed, 1 - signed
@@ -242,18 +243,12 @@ def smooth_prior(params: SmoothPriorParams, space: ConceptSpace, exact: bool = F
         return masses if params.batch else TabularPrior(space, masses[0])
     if params.batch:
         raise ValueError("the exact parity member takes one sign vector")
-    subs = d_subsets(m, d)
-    gamma = params.exact_gamma()
+    signed = [params.exact_gamma() * b_i for b_i in params.b]
     scale = Fraction(1, 2**d * comb(m, d))
-    masses = []
-    for c in space.concepts:
-        parity = c.size % 2
-        total = Fraction(0)
-        for b_i, x_mask in zip(params.b, subs):
-            if c.mask & ~x_mask:
-                continue
-            total += (1 + gamma * b_i) if parity else (1 - gamma * b_i)
-        masses.append(scale * total)
+    masses = [None] * len(space)
+    for concepts, subsets, odd in _subset_lists(m, d, space.masks.tobytes()):
+        for c, subs in zip(concepts.tolist(), subsets.tolist()):
+            masses[c] = scale * sum((1 + signed[i] if odd else 1 - signed[i] for i in subs), Fraction(0))
     return TabularPrior(space, None, exact=masses)
 
 
@@ -281,26 +276,10 @@ def parity_family(
     return params, TabularPrior.rows(space, smooth_prior(batch, space))
 
 
-def density(prior: TabularPrior, reference: TabularPrior, h: Concept | int) -> float:
-    """Radon-Nikodym density of `prior` against `reference` at h; 0/0 is 0."""
-    if prior.space != reference.space:
-        raise ValueError("priors live on different concept spaces")
-    p = prior.mass_of(h)
-    r = reference.mass_of(h)
-    if r == 0.0:
-        if p == 0.0:
-            return 0.0
-        raise AbsoluteContinuityError(
-            f"prior mass {p!r} where the reference has none (mask "
-            f"{h.mask if isinstance(h, Concept) else h:#x})"
-        )
-    return p / r
-
-
 def density_table(prior, reference: TabularPrior) -> np.ndarray:
-    """Density at every concept, with the same 0/0 and continuity rules.
-    `prior` is a TabularPrior, or a (rows, concepts) float mass table on
-    the reference's space, one density row per mass row."""
+    """Radon-Nikodym density against `reference` at every concept (0/0 is 0)
+    of `prior`, a TabularPrior, or of each row of a (rows, concepts) float
+    mass table on the reference's space, one density row per mass row."""
     if isinstance(prior, TabularPrior):
         if prior.space != reference.space:
             raise ValueError("priors live on different concept spaces")
@@ -434,13 +413,7 @@ class PartitionSmoothedPrior:
 
 def anchor_cells(space: ConceptSpace, anchors: tuple[int, ...]) -> np.ndarray:
     """Cell ids (first-seen order) of each concept under anchor agreement."""
-    labels = space.label_matrix(tuple(anchors))
-    seen: dict[tuple[int, ...], int] = {}
-    ids = np.empty(len(space), dtype=np.int64)
-    for i, row in enumerate(labels):
-        key = tuple(int(v) for v in row)
-        ids[i] = seen.setdefault(key, len(seen))
-    return ids
+    return _distinct_rows(space.label_matrix(tuple(anchors)))[1]
 
 
 def smooth_projection(

@@ -493,7 +493,8 @@ def _sign_errors(config: ExperimentConfig, members, picks: np.ndarray, truths: n
         params = SmoothPriorParams(b, config.L, config.alpha, config.m, config.d)
         red = reduce_to_signs(members[pair >> n_signs], params)
         p_true = [(1.0 + params.gamma_m * s) / 2.0 for s in b]
-        errors.append(0.5 * scale * sum(abs(ph - pt) for ph, pt in zip(red.p_hat, p_true)))
+        # summed left to right by cumsum: the builtin sum is compensated from CPython 3.12
+        errors.append(0.5 * scale * np.cumsum(np.abs(np.subtract(red.p_hat, p_true)))[-1])
     return np.array(errors)[inverse]
 
 
@@ -739,5 +740,8 @@ def write_csv(path, header, columns) -> None:
 
 
 def transpose(rows, width: int) -> list:
-    """The `width` columns of a table given as rows."""
-    return list(zip(*rows)) if rows else [()] * width
+    """The `width` columns of a table given as rows, as numpy arrays, each
+    of values that share one Python type, which the array keeps."""
+    columns = list(zip(*rows)) if rows else [()] * width
+    assert all(len(set(map(type, c))) <= 1 for c in columns), "a column mixes Python types"
+    return [np.array(c) for c in columns]

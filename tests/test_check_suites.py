@@ -3,7 +3,9 @@ whole arrays.  Each is checked here against the per-instance code it
 replaced, kept as a test-local oracle, and against a planted defect that
 its `pass` column must catch."""
 
+import builtins
 import csv
+import math
 import tracemalloc
 from fractions import Fraction
 from math import ceil, comb
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from priorlab import cli, ratelab
+from priorlab import cli, outcomes, ratelab
 from priorlab.cli import _smoothness_instances, dispatch, parse_config
 from priorlab.concepts import DataDistribution, d_subsets, enumerate_concepts, rho_matrix, uniform_distribution
 from priorlab.errors import BudgetError
@@ -362,8 +364,8 @@ def test_lemma_pairs_are_the_per_pair_verifiers_bit_for_bit(m, d, k_max):
     assert verify_lemma_pairs([], dist, k_max) == []
 
 
-def oracle_lemmas(config: dict, seed: int, outdir: Path) -> None:
-    """Oracle: the lemmas run one pair at a time, drawing each pair's
+def oracle_lemma_rows(config: dict, seed: int) -> list[tuple]:
+    """Oracle: the lemmas rows one pair at a time, drawing each pair's
     priors and anchors and checking them before the next pair's draws."""
     m, d, k_max = config["m"], config["d"], config["k_max"]
     space, dist, rng = enumerate_concepts(m, d), uniform_distribution(m), stream(seed, 1)
@@ -373,7 +375,12 @@ def oracle_lemmas(config: dict, seed: int, outdir: Path) -> None:
         k = int(rng.integers(d, k_max + 1))
         anchors = tuple(int(x) for x in rng.integers(1, m + 1, size=k))
         rows += lemma_pair_rows([(pa, pb, anchors)], dist, k_max, d)
-    rows += [r.csv_row() for r in check_sauer(space)]
+    return rows + [r.csv_row() for r in check_sauer(space)]
+
+
+def oracle_lemmas(config: dict, seed: int, outdir: Path) -> None:
+    """Oracle: the lemmas run of `oracle_lemma_rows`."""
+    rows = oracle_lemma_rows(config, seed)
     outdir.mkdir()
     write_csv(outdir / "lemmas.csv", CHECK_HEADER, transpose(rows, len(CHECK_HEADER)))
     n_fail = sum(1 for r in rows if not r[-1])
@@ -399,6 +406,66 @@ def test_lemmas_csv_is_the_per_pair_loop_byte_for_byte(tmp_path, text, seed):
     oracle_lemmas(parse_config(path, "lemmas"), seed, tmp_path / "oracle")
     for name in ("lemmas.csv", "summary.txt"):
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes(), name
+
+
+def test_numpy_columns_write_the_list_column_bytes(tmp_path):
+    # `transpose` gives `write_csv` numpy columns, which format each
+    # distinct cell once; the bytes must be those of Python-list columns
+    gammas = parse_config(CONFIGS / "coinbound.cfg", "coinbound")["gammas"]
+    rng = np.random.default_rng(5)
+    odd = [  # few distinct cells in the first five columns, many in the last
+        (x, f, flag, text, n, float(v))
+        for x, f, flag, text, n, v in zip(
+            [-0.0, 0.0, float("nan"), -float("inf"), 1e-300] * 120,
+            [float("nan"), -0.0, 0.1 + 0.2] * 200,
+            [True, False, False] * 200,
+            ["plain", "a,b", 'say "hi"', "line\nbreak", ""] * 120,
+            [0, -7, 2**62, 3] * 150,
+            rng.normal(size=600),
+        )
+    ]
+    tables = {
+        "coinbound": (ratelab.COIN_CSV_HEADER, ratelab.coin_bound_table(gammas, range(201))),
+        "lemmas": (CHECK_HEADER, oracle_lemma_rows(parse_config(CONFIGS / "lemmas.cfg", "lemmas"), 0)),
+        "odd": (("x", "f", "flag", "text", "n", "v"), odd),
+        "empty": (("a", "b"), []),
+    }
+    for name, (header, rows) in tables.items():
+        columns = transpose(rows, len(header))
+        assert all(isinstance(c, np.ndarray) and c.dtype != object for c in columns), name
+        write_csv(tmp_path / f"{name}-list.csv", header, list(zip(*rows)) or [()] * len(header))
+        write_csv(tmp_path / f"{name}-numpy.csv", header, columns)
+        assert (tmp_path / f"{name}-list.csv").read_bytes() == (tmp_path / f"{name}-numpy.csv").read_bytes(), name
+    with pytest.raises(AssertionError):
+        transpose([(1, 0.5), (2.0, 0.5)], 2)  # an int and a float in one column
+
+
+def compensated_sum(iterable, start=0):
+    """The builtin sum as CPython 3.12 takes it over floats, with
+    Neumaier's compensation; any other terms go to the builtin."""
+    terms = list(iterable)
+    if not terms or type(start) not in (int, float) or any(type(v) is not float for v in terms):
+        return builtins.sum(terms, start)
+    total, low = float(start), 0.0
+    for v in terms:
+        t = total + v
+        low += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + low if low and math.isfinite(low) else total
+
+
+@pytest.mark.parametrize("sub", ["lemmas", "lowerbound"])
+def test_csv_bytes_do_not_depend_on_a_compensated_sum(tmp_path, monkeypatch, sub):
+    # CPython 3.12 made sum() compensated; the CSVs must not change with it
+    assert compensated_sum([0.1] * 10) == 1.0 != builtins.sum([0.1] * 10)
+    assert dispatch(sub, CONFIGS / f"{sub}.cfg", 0, tmp_path / "plain") == 0
+    for module in (outcomes, ratelab):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert dispatch(sub, CONFIGS / f"{sub}.cfg", 0, tmp_path / "compensated") == 0
+    names = sorted(p.name for p in (tmp_path / "plain").glob("*.csv"))
+    assert names == sorted(p.name for p in (tmp_path / "compensated").glob("*.csv")) and names
+    for name in names:
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "compensated" / name).read_bytes(), name
 
 
 def read_table(path: Path) -> list[dict]:

@@ -473,6 +473,21 @@ def test_exact_rational_rejected_where_ignored(tmp_path, capsys):
     assert main(["coinbound", "--exact-rational", "true", "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["coinbound", "--seed", "x"],
+    ["coinbound", "--workers", "two"],
+    ["smoothness", "--exact-rational", "maybe"],
+    ["coinbound", "--bogus", "1"],
+], ids=["seed", "workers", "exact-rational", "unknown-flag"])
+def test_malformed_flags_exit_1_before_output(tmp_path, capsys, argv):
+    # exit 2 is kept for budget errors; argparse's own rejections exit 1
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_console_entrypoint_runs():
     rc = subprocess.run(
         [sys.executable, "-m", "priorlab.cli", "--help"], capture_output=True, text=True,

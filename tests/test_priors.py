@@ -15,7 +15,6 @@ from priorlab.priors import (
     TabularPrior,
     cover_of_family,
     cover_priors,
-    density,
     density_table,
     holder_check,
     point_mass,
@@ -182,12 +181,12 @@ def test_smooth_params_validation():
 def test_density_identity_and_point_mass():
     sp = enumerate_concepts(3, 1)
     pi0 = reference_prior(sp)
-    for c in sp:
-        assert density(pi0, pi0, c) == pytest.approx(1.0)
+    for f in density_table(pi0, pi0):
+        assert f == pytest.approx(1.0)
     unif = uniform_prior(sp)
-    pm = point_mass(sp, 0b001)
-    assert density(pm, unif, sp.concept(0b001)) == pytest.approx(len(sp))
-    assert density(pm, unif, sp.concept(0b010)) == 0.0
+    row = density_table(point_mass(sp, 0b001), unif)
+    assert row[sp.index_of(0b001)] == pytest.approx(len(sp))
+    assert row[sp.index_of(0b010)] == 0.0
 
 
 def test_density_absolute_continuity_error():
@@ -195,9 +194,11 @@ def test_density_absolute_continuity_error():
     pm1 = point_mass(sp, 0b01)
     pm2 = point_mass(sp, 0b10)
     with pytest.raises(AbsoluteContinuityError):
-        density(pm1, pm2, sp.concept(0b01))
-    # 0/0 convention
-    assert density(pm1, pm2, sp.concept(0b00)) == 0.0
+        density_table(pm1, pm2)
+    # 0/0 convention: no mass on either side
+    row = density_table(pm1, pm1)
+    assert row[sp.index_of(0b00)] == 0.0
+    assert row[sp.index_of(0b01)] == 1.0
 
 
 def test_holder_check_smooth_family_passes():
