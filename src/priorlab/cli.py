@@ -10,7 +10,6 @@ the worker count.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import os
 import platform
@@ -29,36 +28,36 @@ from .elicitation import (
     _PosteriorCache,
     calibrate_schedule,
     check_presence_args,
-    check_run_budget,
     estimate_Q,
     presence_family,
     run_algorithm1,
+    run_plan,
 )
-from .errors import BudgetError
+from .errors import Array, BudgetError, capped_power, check_plan, plan_bytes
 from .outcomes import (
     CSV_HEADER as CHECK_CSV_HEADER,
-    DEFAULT_BUDGET,
     SAUER_K_MAX,
-    check_law_budget,
     check_sauer,
-    check_sauer_budget,
+    law_plan,
+    sauer_plan,
+    sparse_law_plan,
     verify_lemma_pairs,
 )
 # perfbench/spans.py wraps these names here
 from .outcomes import verify_lemma_chain, verify_sqrt_bound, verify_tree_inequality  # noqa: F401
 from .priors import (
     SmoothPriorParams,
-    check_holder_pairs,
     cover_priors,
     density_table,
     holder_check,
+    holder_plan,
     random_prior,
     reference_prior,
     smooth_prior,
     PARITY_RULE,
     parity_family,
-    parity_family_size,
     parity_gamma,
+    parity_plan,
 )
 from .ratelab import (
     BASELINE_CSV_HEADER,
@@ -67,8 +66,8 @@ from .ratelab import (
     RATE_CSV_HEADER,
     ExperimentConfig,
     _pmap,
-    check_coin_budget,
     coin_bound_table,
+    coin_plan,
     run_baseline_comparison,
     run_lower_experiment,
     run_upper_experiment,
@@ -114,7 +113,7 @@ _POINTS = _within(1, MAX_POINTS)
 # per-subcommand schema: key -> (caster, default, rule); _REQUIRED means
 # mandatory.  A rule is (test, what a value "must" do), and a key left at
 # None (unset) skips it; a None rule marks a key checked only together with
-# others, in _check_config or by ExperimentConfig.
+# others, in the subcommand's prepare step or by ExperimentConfig.
 SCHEMAS: dict[str, dict] = {
     "rates": {
         "m": (int, _REQUIRED, _POINTS),
@@ -333,8 +332,8 @@ def _write_check_table(outdir: Path, csv_name: str, header, columns) -> None:
     )
 
 
-def cmd_coinbound(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
-    rows = coin_bound_table(config["gammas"], range(config["n_max"] + 1))
+def cmd_coinbound(ns: range, config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
+    rows = coin_bound_table(config["gammas"], ns)
     _write_check_table(outdir, "coinbound.csv", COIN_CSV_HEADER, transpose(rows, len(COIN_CSV_HEADER)))
     _emit_plot_script(outdir, "coinbound", "coinbound.csv", "n", "bayes_error", loglog=False)
     return 0
@@ -343,10 +342,9 @@ def cmd_coinbound(config: dict, seed: int, outdir: Path, workers: int, exact: bo
 LEMMA_BLOCK = 1 << 13  # outcome-law entries (priors x (2m)^k_max) of the pairs checked at a time
 
 
-def cmd_lemmas(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
+def cmd_lemmas(block: int, config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
     m, d, k_max = config["m"], config["d"], config["k_max"]
     space, dist, rng, rows = enumerate_concepts(m, d), uniform_distribution(m), stream(seed, 1), []
-    block = max(1, LEMMA_BLOCK // (2 * (2 * m) ** k_max))
     for start in range(0, config["pairs"], block):
         pairs = []  # drawn in the order of one pair at a time
         for _ in range(min(block, config["pairs"] - start)):
@@ -382,10 +380,10 @@ SMOOTHNESS_CSV_HEADER = (
 )
 
 
-def cmd_smoothness(config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
+def cmd_smoothness(instances: list, config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
     rng = stream(seed, 2)
     blocks = []  # per block of rows: its columns up to holder_ok
-    for m, d, grid in _smoothness_instances(config):
+    for m, d, grid in instances:
         space, dist = enumerate_concepts(m, d), uniform_distribution(m)
         ref = reference_prior(space)  # its float masses are those of the exact measure
         # the space's rows, instance by instance: L, alpha and gamma per sign vector
@@ -420,97 +418,94 @@ def _elicit_stream(payload):
     return res.ledger.regret, res.tail_query_avg, res.exceedance_rate
 
 
-def _experiment_config(config: dict, seed: int, experiment: str = "rates") -> ExperimentConfig:
-    """The experiment of a rates or lowerbound config; ExperimentConfig
-    checks the values it reads, then its family, selection and table
-    budgets.  A lowerbound config has no family, k, truth_count or
-    twopoint_weight key and runs the parity family."""
+def _check_d(config: dict) -> None:
+    if not 1 <= config["d"] <= config["m"]:
+        raise ValueError(f"config key 'd' must lie in 1..m = {config['m']}, got {config['d']}")
+
+
+def _experiment_config(config: dict, seed: int) -> tuple[list, ExperimentConfig]:
+    """The plan and the experiment of a rates or lowerbound config, whose
+    values ExperimentConfig checks.  A lowerbound config has no family, k,
+    truth_count, twopoint_weight or baseline_T key and runs the parity family."""
+    _check_d(config)
     optional = ("family", "k", "truth_count", "twopoint_weight")
     exp = ExperimentConfig(
         m=config["m"], d=config["d"], L=config["L"], alpha=config["alpha"],
         T_grid=config["T_grid"], replicates=config["replicates"], seed=seed,
         **{key: config[key] for key in optional if key in config},
     )
-    exp.check_budget(config.get("baseline_T"), experiment)
-    return exp
+    return exp.plan("rates" if "family" in config else "lowerbound", config.get("baseline_T")), exp
 
 
-def _check_config(subcommand: str, config: dict) -> None:
-    """The rules that span keys of a parsed config, naming the keys: a
-    concept space needs 1 <= d <= m (and smoothness d_max <= m_max), a
-    parity-family member needs gamma_m in (0, 1/2), the coin table,
-    lemmas' outcome laws, growth check and table, each smoothness
-    instance's Hölder check, the smoothness table and cover-info's parity
-    family must fit their budgets, elicit's regrets must give a standard
-    error and its calibration must resolve its quantile.  rates and
-    lowerbound leave theirs, their budgets among them, to
-    `_experiment_config`; elicit meets its run budget in `_elicit_model`,
-    and cover-info its cover budget in `_cover_rows`."""
-    if "d" in config and not 1 <= config["d"] <= config["m"]:
-        raise ValueError(f"config key 'd' must lie in 1..m = {config['m']}, got {config['d']}")
-    if subcommand == "coinbound":
-        check_coin_budget(config["gammas"], config["n_max"], config["n_max"] + 1)
-    if subcommand == "lemmas" and config["k_max"] < config["d"]:
-        raise ValueError(f"config key 'k_max' must be >= d = {config['d']}, got {config['k_max']}")
-    if subcommand == "lemmas":
-        m, d = config["m"], config["d"]
-        check_law_budget(m, concept_count(m, d), config["k_max"])
-        check_sauer_budget(m, concept_count(m, d))
-        # per pair: a chain row per k, a tree row and a sqrt row per d-bit labelling
-        rows = config["pairs"] * (config["k_max"] + 1 + 2**d) + min(SAUER_K_MAX, m)
-        _check_table_budget("pairs", rows * len(CHECK_CSV_HEADER))
-    if subcommand == "smoothness":
-        if config["d_max"] > config["m_max"]:
-            raise ValueError(
-                f"config key 'd_max' must lie in 1..m_max = {config['m_max']}, got {config['d_max']}"
-            )
-        instances = list(_smoothness_instances(config))
-        if not instances:
-            raise ValueError(f"config keys 'L_list' and 'alpha_list' fit no m <= 'm_max': {PARITY_RULE}")
-        for m, d, _ in instances:
-            check_holder_pairs(concept_count(m, d))
-        rows = config["signs_per_instance"] * sum(len(grid) for _, _, grid in instances)
-        _check_table_budget("signs_per_instance", rows * len(SMOOTHNESS_CSV_HEADER))
-    if subcommand == "cover-info" and parity_gamma(config["L"], config["alpha"], config["m"]) is None:
-        raise ValueError(f"config keys 'L' and 'alpha' at m = {config['m']}: {PARITY_RULE}")
-    if subcommand == "cover-info":
-        parity_family_size(config["m"], config["d"])
-    if subcommand == "elicit":
-        # the summary's standard error pools every customer's regret
-        if config["replicates"] * config["T"] < 2:
-            raise ValueError(
-                f"config keys 'replicates' and 'T': {config['replicates']} x {config['T']} customers"
-                " give no standard error, which needs 2"
-            )
-        # calibrate_schedule pools one run per (replicate, member) for a
-        # quantile at level epsilon/2, which needs ceil(2/epsilon) runs
-        runs, needed = config["calibration_replicates"] * PRESENCE_MEMBERS, ceil(2 / config["epsilon"])
-        if runs < needed:
-            raise ValueError(
-                f"config keys 'calibration_replicates' and 'epsilon': {runs} calibration runs "
-                f"cannot resolve a quantile at level {config['epsilon'] / 2}, which needs {needed}"
-            )
+def _prepare_coinbound(config: dict, seed: int):
+    ns = range(config["n_max"] + 1)
+    return coin_plan(config["gammas"], config["n_max"], len(ns)), ns
 
 
-def _check_table_budget(key: str, entries: int) -> None:
-    """BudgetError naming `key` when a run's table would hold more entries than the budget."""
-    if entries > DEFAULT_BUDGET:
-        raise BudgetError(
-            f"'{key}': the table would hold {entries} entries, over the budget of {DEFAULT_BUDGET}"
+def _prepare_lemmas(config: dict, seed: int):
+    """lemmas needs k_max >= d.  Per pair its rows are a chain row per k, and a tree row and a sqrt
+    row per d-bit labelling; its laws are built for a block of pairs at a time."""
+    _check_d(config)
+    m, d, k_max, pairs = config["m"], config["d"], config["k_max"], config["pairs"]
+    if k_max < d:
+        raise ValueError(f"config key 'k_max' must be >= d = {d}, got {k_max}")
+    concepts = concept_count(m, d)
+    block = max(1, LEMMA_BLOCK // (2 * capped_power(2 * m, k_max)))
+    rows = pairs * (k_max + 1 + 2**d) + min(SAUER_K_MAX, m)
+    below = sum(capped_power(m, k) for k in range(1, min(k_max, 32)))
+    return [
+        *law_plan(m, concepts, k_max, 2 * min(block, max(pairs, 1)), "k_max"),
+        Array("label tables below k_max", (below, concepts), "int64", "k_max"),
+        *sparse_law_plan(m, d, k_max, "k_max"),
+        Array("lemma check rows", (rows, 50), "pyslot", "pairs"),
+        *sauer_plan(m, concepts),
+    ], block
+
+
+def _prepare_smoothness(config: dict, seed: int):
+    """smoothness needs d_max <= m_max and an (L, alpha) pair that gives a
+    parity family; its largest concept space has the largest Hölder check."""
+    if config["d_max"] > config["m_max"]:
+        raise ValueError(
+            f"config key 'd_max' must lie in 1..m_max = {config['m_max']}, got {config['d_max']}"
         )
+    instances = list(_smoothness_instances(config))
+    if not instances:
+        raise ValueError(f"config keys 'L_list' and 'alpha_list' fit no m <= 'm_max': {PARITY_RULE}")
+    m, d = max(((m, d) for m, d, _ in instances), key=lambda md: concept_count(*md))
+    rows = config["signs_per_instance"] * sum(len(grid) for _, _, grid in instances)
+    concepts = concept_count(m, d)
+    return [
+        *holder_plan(concepts, m, "m_max"),
+        Array("a block's masses, densities and subset terms", (8, SIGN_BLOCK, concepts), "float64", "m_max"),
+        Array("smoothness table", (2, rows, len(SMOOTHNESS_CSV_HEADER)), "float64", "signs_per_instance"),
+    ], instances
 
 
-def _elicit_model(config: dict, seed: int) -> tuple:
-    """elicit's menu, family and outcome model: the model's budgets, and
-    the run's, which need the model's sets, are met before any output
-    exists."""
+def _prepare_elicit(config: dict, seed: int):
+    """elicit's regrets must give a standard error and its calibration must
+    resolve its quantile.  The run's plan needs the model's sets."""
+    # the summary's standard error pools every customer's regret
+    if config["replicates"] * config["T"] < 2:
+        raise ValueError(
+            f"config keys 'replicates' and 'T': {config['replicates']} x {config['T']} customers"
+            " give no standard error, which needs 2"
+        )
+    # calibrate_schedule pools one run per (replicate, member) for a
+    # quantile at level epsilon/2, which needs ceil(2/epsilon) runs
+    runs, needed = config["calibration_replicates"] * PRESENCE_MEMBERS, ceil(2 / config["epsilon"])
+    if runs < needed:
+        raise ValueError(
+            f"config keys 'calibration_replicates' and 'epsilon': {runs} calibration runs "
+            f"cannot resolve a quantile at level {config['epsilon'] / 2}, which needs {needed}"
+        )
     menu, family = presence_family(seed=config["family_seed"], n_items=config["n_items"])
     model = FamilyOutcomeModel(family)
-    check_run_budget(
+    plan = model.plan + run_plan(
         family, model, config["T"], config["replicates"], config["calibration_T_grid"],
         config["calibration_replicates"], config["q_trials"],
     )
-    return menu, family, model
+    return plan, (menu, family, model)
 
 
 def cmd_elicit(built: tuple, config: dict, seed: int, outdir: Path, workers: int, exact: bool) -> int:
@@ -554,17 +549,23 @@ def cmd_elicit(built: tuple, config: dict, seed: int, outdir: Path, workers: int
     return 0
 
 
-def _cover_rows(config: dict, seed: int) -> list[tuple]:
-    """cover-info's table, one measured cover per epsilon, the covers sharing one search and
-    mass budget: a cover's size, and so its budget, is known only by building it."""
+def _prepare_cover_info(config: dict, seed: int):
+    """cover-info needs L and alpha that give a parity family.  A cover's
+    size is known only by building it, so once the plan of the family the
+    summary counts is met the covers are built here, sharing one search."""
+    _check_d(config)
     m, d, L, alpha = config["m"], config["d"], config["L"], config["alpha"]
+    if parity_gamma(L, alpha, m) is None:
+        raise ValueError(f"config keys 'L' and 'alpha' at m = {m}: {PARITY_RULE}")
+    family = check_plan(parity_plan(m, d))
     space = enumerate_concepts(m, d)
-    rows, spent = [], (0, 0)
+    rows, covers, spent = [], [], 0
     for eps in config["epsilons"]:
         fam = cover_priors(space, L, alpha, eps, budget=config["budget"], spent=spent)
         spent = fam.meta["spent"]
+        covers.append(fam.meta["plan"])
         rows.append((m, d, L, alpha, eps, fam.size, fam.meta["n_cells"], fam.meta["grid_step"]))
-    return rows
+    return family + max(covers, key=plan_bytes), rows
 
 
 def cmd_cover_info(
@@ -582,24 +583,18 @@ def cmd_cover_info(
     return 0
 
 
-DISPATCH = {
-    "rates": cmd_rates,
-    "lowerbound": cmd_lowerbound,
-    "coinbound": cmd_coinbound,
-    "lemmas": cmd_lemmas,
-    "smoothness": cmd_smoothness,
-    "elicit": cmd_elicit,
-    "cover-info": cmd_cover_info,
-}
-
-# What a subcommand builds from (config, seed) before any output is
-# written, passed to it as its first argument: the budgets met there are
-# met before the output directory exists.
-PREPARE = {
-    "rates": _experiment_config,
-    "lowerbound": functools.partial(_experiment_config, experiment="lowerbound"),
-    "elicit": _elicit_model,
-    "cover-info": _cover_rows,
+# Each subcommand's (prepare, command).  prepare(config, seed) runs the
+# rules that span the config's keys, then returns the run's plan and what
+# the command takes as its first argument; `dispatch` meets the plan
+# before it writes any output.
+SUBCOMMANDS = {
+    "rates": (_experiment_config, cmd_rates),
+    "lowerbound": (_experiment_config, cmd_lowerbound),
+    "coinbound": (_prepare_coinbound, cmd_coinbound),
+    "lemmas": (_prepare_lemmas, cmd_lemmas),
+    "smoothness": (_prepare_smoothness, cmd_smoothness),
+    "elicit": (_prepare_elicit, cmd_elicit),
+    "cover-info": (_prepare_cover_info, cmd_cover_info),
 }
 
 
@@ -612,8 +607,8 @@ def dispatch(
     exact_rational: bool = False,
 ) -> int:
     """Run one subcommand; returns the process exit code."""
-    if subcommand not in DISPATCH:
-        print(f"unknown subcommand {subcommand!r}; choose from {', '.join(DISPATCH)}",
+    if subcommand not in SUBCOMMANDS:
+        print(f"unknown subcommand {subcommand!r}; choose from {', '.join(SUBCOMMANDS)}",
               file=sys.stderr)
         return 1
     outdir = Path(outdir)
@@ -624,16 +619,15 @@ def dispatch(
             raise ValueError(f"workers must be >= 1, got {workers}")
         if exact_rational and subcommand != "smoothness":
             raise ValueError(f"--exact-rational is read only by smoothness, not {subcommand}")
-        # every config check runs before any output is written: each key's
-        # rule as it is parsed, then the rules that span keys
+        # every check runs before any output is written: each key's rule as
+        # it is parsed, then the rules that span keys, then the run's plan
         config = parse_config(config_path, subcommand)
-        _check_config(subcommand, config)
-        command = DISPATCH[subcommand]
-        if subcommand in PREPARE:
-            command = functools.partial(command, PREPARE[subcommand](config, seed))
+        prepare, command = SUBCOMMANDS[subcommand]
+        plan, prepared = prepare(config, seed)
+        check_plan(plan)
         outdir.mkdir(parents=True, exist_ok=True)
         _manifest(outdir, subcommand, config_path, config, seed, workers)
-        return command(config, seed, outdir, workers, exact_rational)
+        return command(prepared, config, seed, outdir, workers, exact_rational)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2
@@ -647,7 +641,7 @@ def main(argv=None) -> int:
         prog="priorlab",
         description="Simulation workbench for prior estimation over finite VC classes.",
     )
-    parser.add_argument("subcommand", help=f"one of: {', '.join(DISPATCH)}")
+    parser.add_argument("subcommand", help=f"one of: {', '.join(SUBCOMMANDS)}")
     parser.add_argument("--config", default=None, help="key = value config file")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -661,7 +655,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a malformed flag, and 2 means a budget error
         return 1 if exc.code else 0
-    if args.subcommand not in DISPATCH:
+    if args.subcommand not in SUBCOMMANDS:
         parser.print_usage(sys.stderr)  # dispatch names the subcommand and exits 1
     return dispatch(
         args.subcommand, args.config, args.seed, args.out, args.workers, args.exact_rational

@@ -40,10 +40,9 @@ from math import comb, factorial
 
 import numpy as np
 
-from .errors import BudgetError
 from .concepts import _distinct_rows
+from .errors import WORK_BUDGET, Array, Work, check_plan
 from .estimators import _MinDistance, yatracos_sets
-from .outcomes import DEFAULT_BUDGET
 from .priors import tv_matrix
 from .sampling import _categorical, _count_cuts, keyed_words, raw_integers, stream, stream_raw
 
@@ -52,9 +51,6 @@ _POINTS_STREAM = 1
 _Q_STREAM = 2
 _CAL_STREAM = 3
 
-PDIM_BUDGET = 200_000  # (point set, witness) candidates the pseudo-dimension check tries
-MEET_BUDGET = 2_000_000  # partition meets the outcome model enumerates
-SET_TABLE_BUDGET = 10**7  # entries of the outcome model's consistent-set table
 STREAM_BUDGET = 10**4  # customer streams one run serves, each written to a ledger file of its own
 CALIBRATION_SAFETY = 1.25  # inflation of the calibrated radius quantile
 FAVORITE_WEIGHT = 0.25  # presence_family: each member's weight on its favourite function
@@ -131,8 +127,8 @@ def pseudo_dimension_at_most(functions, d: int) -> bool:
     for points in itertools.combinations(range(n_bundles), k):
         for witnesses in itertools.product(*(mids[x] for x in points)):
             checked += 1
-            if checked > PDIM_BUDGET:
-                raise BudgetError("pseudo-dimension check exceeds budget")
+            if checked > WORK_BUDGET:
+                check_plan([Work("pseudo-dimension candidates", checked, "d")])
             if pseudo_shattered(functions, points, witnesses):
                 return False
     return True
@@ -379,6 +375,22 @@ def estimate_Q(
     return QEstimate(float(counts.mean()), se)
 
 
+def outcome_model_plan(F: int, P: int, d: int, M: int, key: str = "n_items") -> list:
+    """What `FamilyOutcomeModel` holds for F functions, P bundle partitions,
+    d points and M members, on at most min(2^F, F x meets) consistent sets."""
+    combos, pairs = comb(P + d - 1, d), M * (M - 1)
+    sets = min(2**F, F * combos)
+    width = "uint8" if sets <= 1 << 8 else "uint16" if sets <= 1 << 16 else "uint32"
+    return [
+        Array("partition combinations, meet cells, set ids and leads", (combos, d + 3 * F), "int64", key),
+        Array("meet cells as Python ints", (combos, F), "pyint", key),
+        Array("consistent-set table", (F, P**d), width, key),
+        Array("one function's meets", (2, P**d), "int64", key),
+        Array("set indicators", (sets, pairs + M), "float64", key),
+        Array("pair masses", (M, pairs), "float64", key),
+    ]
+
+
 class FamilyOutcomeModel:
     """Exact outcome-law machinery for the function family at k = d.
 
@@ -391,8 +403,8 @@ class FamilyOutcomeModel:
     give every set a task can have (`set_masks`), whose member masses and
     pair indicators (`set_indicators`) G sums combination by combination.
     A table of F x P^d narrow set ids, over the function and the
-    partitions of the d bundles, then gives each task's set by one gather;
-    its budget, like the meets', is met before anything is built.
+    partitions of the d bundles, then gives each task's set by one gather.
+    Its `plan` is met before anything past the partitions is built.
     """
 
     def __init__(self, family: ValuationPriorFamily):
@@ -401,15 +413,7 @@ class FamilyOutcomeModel:
         # distinct single-bundle partitions, numbered by their first bundle
         first_bundle, part_of_bundle = _distinct_rows(family.agree)
         P = len(first_bundle)
-        if comb(P + d - 1, d) > MEET_BUDGET:
-            raise BudgetError(
-                f"{comb(P + d - 1, d)} partition meets exceed the budget of {MEET_BUDGET}"
-            )
-        if F * P**d > SET_TABLE_BUDGET:
-            raise BudgetError(
-                f"a consistent-set table of {F} functions x {P}^{d} partition tuples"
-                f" exceeds the budget of {SET_TABLE_BUDGET}"
-            )
+        self.plan = check_plan(outcome_model_plan(F, P, d, M))
         weights = np.bincount(part_of_bundle, minlength=P) / family.n_bundles
         # cells[c, f]: the functions agreeing with f at one bundle of each
         # partition of combination c; the set ids are positions in
@@ -698,31 +702,23 @@ def run_algorithm1(
     )
 
 
-def check_run_budget(
-    family, model, T, replicates, calibration_T_grid, calibration_replicates, q_trials
-) -> None:
-    """BudgetError, naming the config key, when a run would serve more than
-    STREAM_BUDGET streams or hold more than DEFAULT_BUDGET entries of one
-    kind: a served stream holds each prior-aware customer's greedy gains
-    over the bundles, and `estimate_Q` each trial's; the run keeps every
-    stream's regrets; calibration holds every run's set counts at every
-    grid T, and one run's words at a time."""
-    if replicates > STREAM_BUDGET:
-        raise BudgetError(f"'replicates': {replicates} streams exceed the budget of {STREAM_BUDGET}")
-    held = {
-        "T": T * family.n_bundles,
-        "replicates": replicates * T,
-        "q_trials": q_trials * family.n_bundles,
-        "calibration_replicates": (
-            calibration_replicates * family.n_members * len(calibration_T_grid) * len(model.set_masks)
-        ),
-        "calibration_T_grid": calibration_T_grid[-1] * (family.d + 1),
-    }
-    for key, entries in held.items():
-        if entries > DEFAULT_BUDGET:
-            raise BudgetError(
-                f"'{key}': {entries} entries held at once exceed the budget of {DEFAULT_BUDGET}"
-            )
+def run_plan(family, model, T, replicates, calibration_T_grid, calibration_replicates, q_trials) -> list:
+    """What an elicit run holds besides its model: a stream at a time,
+    every stream's regrets, `estimate_Q`'s trials and calibration's runs;
+    the selections of T prefixes, or of every calibration run at every
+    grid T, hold their set counts, empirical masses and member scores."""
+    B, d, M, sets = family.n_bundles, family.d, family.n_members, len(model.set_masks)
+    selection, T_cal = 2 * sets + len(model._md.PA[0]) + M, calibration_T_grid[-1]
+    runs = (calibration_replicates * M, len(calibration_T_grid))  # one per (replicate, member) at each grid T
+    return [
+        Work("ledger files", replicates, "replicates", STREAM_BUDGET),
+        Array("a stream's customers", (T, 16 + 2 * d), "int64", "T"),
+        Array("a stream's prefix selections and greedy gains", (T, selection + B), "float64", "T"),
+        Array("every stream's regrets", (replicates, T), "float64", "replicates"),
+        Array("estimate_Q's greedy gains and draws", (q_trials, B + 40), "float64", "q_trials"),
+        Array("calibration selections", (*runs, selection), "float64", "calibration_replicates"),
+        Array("a calibration run's words and draws", (T_cal, 4 + 2 * d), "int64", "calibration_T_grid"),
+    ]
 
 
 def check_presence_args(n_items: int, n_functions: int = 8) -> None:

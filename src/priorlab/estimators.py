@@ -19,8 +19,8 @@ from math import comb
 import numpy as np
 
 from .concepts import DataDistribution, _distinct_rows, d_subsets
-from .errors import BudgetError
-from .outcomes import DEFAULT_BUDGET, label_masses, outcome_laws
+from .errors import Array, check_plan
+from .outcomes import label_masses, outcome_laws
 from .outcomes import exact_outcome_dist  # noqa: F401  (perfbench/spans.py wraps it here)
 from .priors import CoverFamily, SmoothPriorParams, TabularPrior
 
@@ -63,16 +63,16 @@ def yatracos_sets(M: np.ndarray) -> np.ndarray:
     return (M[:, None, :] > M[None, :, :] + 1e-12)[off_diagonal]
 
 
-def check_yatracos_budget(n: int, s: int) -> None:
-    """BudgetError when min-distance selection over n members on s support
-    points exceeds the budget: building it holds two tables of floats,
-    its pairwise sets as the (pairs, support) operand of the product, and
-    their (members, pairs) member masses, the product itself."""
-    if n * (n - 1) * (s + n) > DEFAULT_BUDGET:
-        raise BudgetError(
-            f"{n * (n - 1)} Yatracos pairs x ({s} support points + {n} members)"
-            f" exceed the budget of {DEFAULT_BUDGET}"
-        )
+def min_distance_plan(n: int, s: int, key: str) -> list:
+    """What building min-distance selection over n members on s support
+    points holds: the pairwise sets as bools, their float copy that the
+    product reads, and the (members, pairs) product, the pair masses."""
+    pairs = n * (n - 1)
+    return [
+        Array("Yatracos sets", (pairs, s), "bool", key),
+        Array("Yatracos sets as floats", (pairs, s), "float64", key),
+        Array("Yatracos pair masses", (n, pairs), "float64", key),
+    ]
 
 
 class _MinDistance:
@@ -95,8 +95,8 @@ class _MinDistance:
     its own, so every score is the all-pairs score bit for bit.  The
     pairs are compared with their sets' first pairs a block of about
     _GAP_BLOCK masses at a time, so construction holds no more floats
-    than the two tables `check_yatracos_budget` counts over every
-    ordered pair: the float operand cast from the pairwise sets, and the
+    than the two tables `min_distance_plan` counts over every ordered
+    pair: the float operand cast from the pairwise sets, and the
     all-pairs product.  That product stays whole: one over the distinct
     sets alone is narrower, and BLAS blocks it, and so rounds it,
     differently.
@@ -121,7 +121,7 @@ class _MinDistance:
 
     def __init__(self, mass_matrix: np.ndarray):
         self.M = np.asarray(mass_matrix, dtype=float)
-        check_yatracos_budget(*self.M.shape)
+        check_plan(min_distance_plan(*self.M.shape, "mass_matrix"))
         sets = yatracos_sets(self.M)
         self._columns(sets, self.M @ sets.T)
 

@@ -19,12 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from .concepts import ConceptSpace, DataDistribution
-from .errors import BudgetError
+from .errors import BYTE_BUDGET, Array, Work, capped_power, check_plan
 from .priors import TabularPrior, total_variation
 
-DEFAULT_BUDGET = 10**7
-TREE_BUDGET = 10**6  # k^d anchor tuples x 2^d labelings in the tree check
-SQRT_BUDGET = 10**6  # m^d point tuples in the sqrt-bound expectation
 SAUER_K_MAX = 8  # largest anchor-set size the growth-function check tries
 FLOAT_SLACK = 1e-12
 
@@ -49,22 +46,27 @@ class OutcomeDistribution:
         return self.table.get(z, 0.0)
 
 
-def budget_power(base: int, k: int) -> tuple[int, str]:
-    """(base^k, its text), for base >= 0, to compare with DEFAULT_BUDGET
-    without raising a huge k: past the budget's bit length every power of
-    a base >= 2 exceeds the budget, so the power taken there stands in."""
-    cap = DEFAULT_BUDGET.bit_length()
-    return (base**k, str(base**k)) if k <= cap else (base**cap, f"{base}^{k}")
+def realizable_outcomes(m: int, d: int, k: int) -> int:
+    """The outcomes (k-tuple, labels) with mass under a prior that weighs
+    every concept of C(m, d): a tuple of r distinct points takes every
+    labelling with at most d positives."""
+    k = min(k, BYTE_BUDGET.bit_length())  # as `capped_power` cuts it
+    # C(m, r) point sets, each filled by the k draws in onto(k, r) ways
+    onto = [sum((-1) ** i * math.comb(r, i) * (r - i) ** k for i in range(r + 1)) for r in range(k + 1)]
+    return sum(
+        math.comb(m, r) * onto[r] * sum(math.comb(r, j) for j in range(min(d, r) + 1))
+        for r in range(1, min(m, k) + 1)
+    )
 
 
-def check_law_budget(m: int, concepts: int, k: int) -> None:
-    """BudgetError when the laws of k points over m, or the concept labels building them, exceed it."""
-    codes, text = budget_power(2 * m, k)
-    if codes > DEFAULT_BUDGET:
-        raise BudgetError(f"(2m)^k = {text} exceeds the budget of {DEFAULT_BUDGET}")
-    tuples, text = budget_power(m, k)
-    if tuples * concepts > DEFAULT_BUDGET:
-        raise BudgetError(f"m^k = {text} x-tuples x {concepts} concepts exceed the budget of {DEFAULT_BUDGET}")
+def law_plan(m: int, concepts: int, k: int, rows: int, key: str = "k") -> list:
+    """What `outcome_laws` holds for `rows` mass rows of `concepts` concepts at k points over m."""
+    tuples, codes = capped_power(m, k), capped_power(2 * m, k)
+    return [
+        Array("label table and its build", (5, tuples, concepts), "int64", key),
+        Array("label masses and outcome laws", (2, rows, codes), "float64", key),
+        Array("law row floats", (codes,), "pyfloat", key),
+    ]
 
 
 @functools.lru_cache(maxsize=16)
@@ -75,7 +77,6 @@ def _label_table(space_masks: bytes, m: int, k: int) -> tuple[np.ndarray, np.nda
     order, the first point's label the top bit, set for +1), and `order`
     the indices x-tuple by x-tuple, as the concepts first realize them."""
     masks = np.frombuffer(space_masks, dtype=np.int64)
-    check_law_budget(m, len(masks), k)
     cells = np.arange(m**k)[:, None]
     for x in np.indices((m,) * k).reshape(k, -1):
         cells = 2 * cells + ((masks >> x[:, None]) & 1)
@@ -88,6 +89,7 @@ def label_masses(masses: np.ndarray, space: ConceptSpace, k: int) -> np.ndarray:
     """The mass of every label cell {h : h(x) = y} under each row of `masses`
     (members x concepts of `space`), summed in concept order: a `mass @ K`
     product sums in BLAS order, whose last bits flip float-tied selections."""
+    check_plan(law_plan(space.m, len(space), k, len(masses)))
     cells = _label_table(space.masks.tobytes(), space.m, k)[0].ravel()
     return np.stack([np.bincount(cells, np.resize(row, cells.size), (2 * space.m) ** k) for row in masses])
 
@@ -127,8 +129,18 @@ def exact_outcome_dist(prior: TabularPrior, dist: DataDistribution, k: int) -> O
     return next(_sparse_laws(label_masses(prior.mass[None], prior.space, k), prior.space, dist, k))
 
 
+def sparse_law_plan(m: int, d: int, k: int, key: str = "k") -> list:
+    """What `_pair_tvs` holds for priors that weigh every concept: per outcome with mass its key (8
+    slots), each law's float and dict entry (2 x 12) and its entries in three key sets (3 x 8)."""
+    return [
+        Array("x-tuples", (capped_power(m, k), 8 + min(k, BYTE_BUDGET.bit_length())), "pyslot", key),
+        Array("two sparse laws", (realizable_outcomes(m, d, k), 58), "pyslot", key),
+    ]
+
+
 def _pair_tvs(cells: np.ndarray, space: ConceptSpace, dist: DataDistribution, k: int) -> list[float]:
     """The TV of the laws of `label_masses` rows 2p and 2p + 1, built as it is taken, for each pair p."""
+    check_plan(sparse_law_plan(space.m, space.d, k))
     laws = _sparse_laws(cells, space, dist, k)
     return [float(tv(law_a, law_b)) for law_a, law_b in zip(laws, laws)]
 
@@ -222,8 +234,7 @@ def verify_tree_inequality(
     k = len(anchors)
     if k < d:
         raise ValueError(f"need at least d={d} anchors, got {k}")
-    if (k**d) * (2**d) > TREE_BUDGET:
-        raise BudgetError("tree-inequality enumeration exceeds budget")
+    check_plan([Array("anchor d-tuples and cell gaps", (capped_power(k, d), 1 + 2**d), "float64", "anchors")])
     lhs = float(label_conditional_tv(prior_a, prior_b, anchors))
     cells = label_masses(np.stack([prior_a.mass, prior_b.mass]), prior_a.space, d) if cells is None else cells
     tuples = np.zeros(1, dtype=np.int64)  # x-tuple indices of the anchor d-tuples
@@ -247,12 +258,11 @@ def verify_sqrt_bound(
         E_X |P_{Y_d|X_d}(y; A) - P_{Y_d|X_d}(y; B)| <= 4 sqrt(||P_Zd(A) - P_Zd(B)||).
 
     The expectation over the d sample points is exact enumeration of all
-    m^d point tuples, guarded by SQRT_BUDGET, summed left to right
+    m^d point tuples, planned before they are held, summed left to right
     x-tuple by x-tuple.  `cells`, the pair's `label_masses` rows at k = d,
     and `outcome_tv`, the TV of its laws there, are computed when not given."""
     space, m = prior_a.space, prior_a.space.m
-    if m**d > SQRT_BUDGET:
-        raise BudgetError(f"m^d = {m**d} exceeds the budget of {SQRT_BUDGET}")
+    check_plan([Array("sqrt-bound gaps and their sums", (2, m**d, 2**d), "float64", "d")])
     cells = label_masses(np.stack([prior_a.mass, prior_b.mass]), space, d) if cells is None else cells
     if outcome_tv is None:
         outcome_tv = _pair_tvs(cells, space, dist, d)[0]
@@ -342,17 +352,16 @@ def realizable_pattern_count(space: ConceptSpace, anchors: tuple[int, ...]) -> i
     return len(set((space.masks & anchor_mask).tolist()))
 
 
-def check_sauer_budget(m: int, concepts: int) -> None:
-    """BudgetError when `check_sauer` would label more (anchor set, concept) pairs than the budget."""
+def sauer_plan(m: int, concepts: int, key: str = "m") -> list:
+    """The work of `check_sauer`: one label per (anchor set, concept)."""
     sets = sum(math.comb(m, k) for k in range(1, min(SAUER_K_MAX, m) + 1))
-    if sets * concepts > DEFAULT_BUDGET:
-        raise BudgetError(f"{sets} anchor sets x {concepts} concepts exceed the budget of {DEFAULT_BUDGET}")
+    return [Work(f"labels of {sets} anchor sets x {concepts} concepts", sets * concepts, key)]
 
 
 def check_sauer(space: ConceptSpace) -> list[CheckReport]:
     """Exhaustive growth-function check: on every anchor set of size
     k <= min(SAUER_K_MAX, m), the realizable patterns number at most (ek)^d."""
-    check_sauer_budget(space.m, len(space))
+    check_plan(sauer_plan(space.m, len(space)))
     reports = []
     for k in range(1, min(SAUER_K_MAX, space.m) + 1):
         worst = 0

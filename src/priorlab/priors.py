@@ -27,13 +27,11 @@ from .concepts import (
     rho_matrix,
     uniform_distribution,
 )
-from .errors import AbsoluteContinuityError, BudgetError
+from .errors import WORK_BUDGET, AbsoluteContinuityError, Array, BudgetError, Work, capped_power, check_plan
 
 MASS_TOL = 1e-12
-PARITY_BUDGET = 4096  # largest parity family built: 2^C(m,d) members
 HOLDER_SLACK = 1e-12
-HOLDER_PAIRS = 1 << 16  # largest Hölder check: concept pairs compared
-COVER_BUDGET = 10**7  # a cover search's grid values, grid values tried, and members x concepts
+PRIOR_SLOTS = 27  # a TabularPrior row object, in 8-byte slots
 PARITY_RULE = "need L > 0, alpha in (0, 1] and gamma_m = (L/2)(1/m)^alpha in (0, 1/2)"
 
 
@@ -252,13 +250,18 @@ def smooth_prior(params: SmoothPriorParams, space: ConceptSpace, exact: bool = F
     return TabularPrior(space, None, exact=masses)
 
 
-def parity_family_size(m: int, d: int) -> int:
-    """The parity family's member count on C(m, d), 2^C(m,d); BudgetError
-    past PARITY_BUDGET, before anything is built."""
+def parity_plan(m: int, d: int, key: str = "m") -> list:
+    """What `parity_family` holds: its 2^C(m,d) members, and what builds them."""
     n = comb(m, d)
-    if 2**n > PARITY_BUDGET:
-        raise BudgetError(f"2^{n} sign vectors exceed the budget of {PARITY_BUDGET}")
-    return 2**n
+    members = capped_power(2, n)
+    concepts = sum(comb(m, q) for q in range(d + 1))
+    gather = max(comb(m, q) * comb(m - q, d - q) for q in range(d + 1))
+    return [
+        Array("parity member masses and their build", (3, members, concepts), "float64", key),
+        Array("parity member objects", (members, 56 + n), "pyslot", key),
+        Array("parity sign tables", (4, members, n), "float64", key),
+        Array("parity subset terms", (2, members, gather), "float64", key),
+    ]
 
 
 def parity_family(
@@ -267,7 +270,7 @@ def parity_family(
     """All 2^C(m,d) parity-family members, in lexicographic sign order
     (-1 before +1 coordinate-wise)."""
     n = comb(space.m, space.d)
-    parity_family_size(space.m, space.d)
+    check_plan(parity_plan(space.m, space.d))
     signs = list(itertools.product((-1, 1), repeat=n))
     params = [SmoothPriorParams(b, L, alpha, space.m, space.d) for b in signs]
     if exact:
@@ -310,14 +313,17 @@ class HolderReport:
         return self.ok
 
 
-def check_holder_pairs(n: int) -> None:
-    """BudgetError when the Hölder check on n concepts would compare more
-    than HOLDER_PAIRS pairs."""
-    if n * n > HOLDER_PAIRS:
-        raise BudgetError(f"{n}^2 concept pairs exceed the 2^16 pair guard")
-
-
 HOLDER_BLOCK = 1 << 14  # (density row, pair) differences held at a time
+
+
+def holder_plan(n: int, m: int, key: str = "d") -> list:
+    """What `holder_check` holds on n concepts over m points."""
+    pairs = n * (n - 1) // 2
+    return [
+        Array("rho bit planes", (2, n, n, m), "int64", key),
+        Array("rho pair runs", (6, pairs), "int64", key),
+        Array("Hölder pair differences", (3, max(pairs, HOLDER_BLOCK)), "float64", key),
+    ]
 
 
 @lru_cache(maxsize=4)
@@ -349,7 +355,7 @@ def holder_check(
 
     Returns the pair maximizing |f(h) - f(g)| / rho^alpha as witness when
     the check fails (the first such pair in row-major order, h before g).
-    Guarded to at most 2^16 concept pairs.  `prior` may also be a (rows,
+    Its `holder_plan` is met first.  `prior` may also be a (rows,
     concepts) float mass table on the reference's space, and L and alpha
     then one value per row; the reports, one per row, then come as a list.
 
@@ -361,7 +367,7 @@ def holder_check(
     """
     space = reference.space
     n = len(space)
-    check_holder_pairs(n)
+    check_plan(holder_plan(n, space.m))
     f = density_table(prior, reference)
     rows = np.atleast_2d(f)
     rho_matrix(space, dist)  # checks dist against the space
@@ -529,13 +535,24 @@ def _diameter_partition(space: ConceptSpace, dist: DataDistribution, delta: floa
     return cells
 
 
+def cover_plan(concepts: int, cells: int, members: int, n_grid: int) -> list:
+    """What `cover_priors` holds for `members` members on `cells` cells."""
+    return [
+        Work("cover grid values", n_grid + 1, "epsilons"),
+        Array("cover grid", (2, n_grid + 1), "pyfloat", "epsilons"),
+        Array("cover leaves", (members, cells + 8), "pyslot", "budget"),
+        Array("cover member masses", (3, members, concepts), "float64", "budget"),
+        Array("cover member objects", (members, PRIOR_SLOTS), "pyslot", "budget"),
+    ]
+
+
 def cover_priors(
     space: ConceptSpace,
     L: float,
     alpha: float,
     epsilon: float,
     budget: int = 100_000,
-    spent: tuple[int, int] = (0, 0),
+    spent: int = 0,
 ) -> CoverFamily:
     """Construct an epsilon-cover of all (L, alpha)-Hölder-smooth priors
     under the uniform data distribution.
@@ -547,21 +564,17 @@ def cover_priors(
     are renormalized into valid priors.  Every smooth prior then sits within
     3*eps/4 of some member.
 
-    BudgetError past COVER_BUDGET, before the grid or any member is held:
-    when `budget` members would hold more masses, or the grid more values;
-    and during the search, once it has tried that many grid values or its
-    members hold that many masses, counting the (grid values tried, masses
-    held) `spent` by earlier covers; `meta["spent"]` adds this cover's.
+    Its `cover_plan` at `budget` members, a cell per concept, is met
+    first; BudgetError once the search keeps more than `budget` members or
+    has tried more than WORK_BUDGET grid values, counting those `spent` by
+    earlier covers.  `meta` gives the cover's `spent` and its plan.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive (use cover_of_family for exact covers)")
-    if budget * len(space) > COVER_BUDGET:
-        raise BudgetError(
-            f"a cover budget of {budget} members x {len(space)} concepts exceeds the budget of {COVER_BUDGET}"
-        )
     step = epsilon / 2.0
-    if not (1.0 + L) / step < COVER_BUDGET:
-        raise BudgetError(f"epsilon = {epsilon!r} puts more than {COVER_BUDGET} values on the cover grid")
+    # a grid past the work budget counts as one value past it, as (1 + L) / step may be inf
+    n_grid = int(ceil(min((1.0 + L) / step, WORK_BUDGET + 1))) + 1
+    check_plan(cover_plan(len(space), len(space), budget, n_grid))
     reference = reference_prior(space)
     delta = (epsilon / L) ** (1.0 / alpha)
     cells = _diameter_partition(space, uniform_distribution(space.m), delta)
@@ -571,7 +584,6 @@ def cover_priors(
     # the search runs on Python floats: the same doubles as numpy scalars,
     # at a fraction of the cost per step
     cell_ref = [float(reference.mass[c].sum()) for c in cells]
-    n_grid = int(ceil((1.0 + L) / step)) + 1
     grid = (np.arange(n_grid + 1) * step).tolist()  # 0 .. >= 1+L
     mass_tol = epsilon / 4.0 + 1e-9
 
@@ -589,17 +601,15 @@ def cover_priors(
     def extend(i: int, partial: float):
         nonlocal tried
         if len(leaves) > budget:
-            raise BudgetError(f"cover construction exceeded the budget of {budget} members")
+            check_plan([Work("cover members", len(leaves), "budget", budget)])
         if i == len(cells):
             if abs(partial - 1.0) <= mass_tol and partial > 0:
                 leaves.append(assignment.copy())
-                if spent[1] + len(leaves) * len(space) > COVER_BUDGET:
-                    raise BudgetError(f"the run's covers hold more than {COVER_BUDGET} masses")
             return
         for g in grid:
             tried += 1
-            if spent[0] + tried > COVER_BUDGET:
-                raise BudgetError(f"cover search tried more than {COVER_BUDGET} grid values")
+            if spent + tried > WORK_BUDGET:
+                check_plan([Work("cover grid values tried", spent + tried, "epsilons")])
             new = partial + g * cell_ref[i]
             if new + suffix_max[i + 1] < 1.0 - mass_tol:
                 continue
@@ -624,6 +634,7 @@ def cover_priors(
             "grid_step": step,
             "L": L,
             "alpha": alpha,
-            "spent": (spent[0] + tried, spent[1] + mass.size),
+            "spent": spent + tried,
+            "plan": cover_plan(len(space), len(cells), len(members), n_grid),
         },
     )

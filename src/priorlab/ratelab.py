@@ -33,29 +33,30 @@ from math import comb, exp
 import numpy as np
 
 from .concepts import DataDistribution, concept_count, d_subsets, enumerate_concepts, uniform_distribution
-from .errors import BudgetError
+from .errors import BYTE_BUDGET, Array, Work, capped_power, check_plan
 from .estimators import (
     DirectEstimator,
     SkeletonEstimator,
     _as_fraction,
     _bayes_error_ratios,
-    check_yatracos_budget,
     coin_floor,
     exact_bayes_error,  # noqa: F401  (perfbench/spans.py wraps it here)
+    min_distance_plan,
     reduce_to_signs,
 )
-from .outcomes import DEFAULT_BUDGET, budget_power, check_law_budget
+from .outcomes import law_plan, realizable_outcomes
 from .priors import (
     CoverFamily,
     PARITY_RULE,
     SmoothPriorParams,
     point_mass,
     parity_family,
-    parity_family_size,
     parity_gamma,
+    parity_plan,
     tv_matrix,
 )
 from .sampling import (
+    _BLOCK,
     Tasks,
     joint_blocks,
     keyed_words,
@@ -133,77 +134,66 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.truth_count is not None and self.truth_count < 0:
             raise ValueError(f"'truth_count' must be >= 0, got {self.truth_count}")
-        if self.truth_count is not None and self.truth_count > DEFAULT_BUDGET:
-            # build_setup draws up to truth_count indices
-            raise BudgetError(f"'truth_count' = {self.truth_count} exceeds the budget of {DEFAULT_BUDGET}")
         if self.k is not None and self.k < self.d:
             raise ValueError("k must be at least d")
-        codes, text = budget_power(2 * self.m, self.samples_per_task)
-        if codes > DEFAULT_BUDGET:
-            raise BudgetError(f"'k': (2m)^k = {text} exceeds the budget of {DEFAULT_BUDGET}")
 
     @property
     def samples_per_task(self) -> int:
         return self.k if self.k is not None else self.d
 
-    def check_budget(self, baseline_T: int | None = None, experiment: str = "rates") -> None:
-        """BudgetError when the family, its outcome laws or its selection
-        tables exceed their budgets, when a replicate at some T of
-        `T_grid` (or at `baseline_T`) would draw more words than the
-        budget, or when the tables of the `experiment` run, "rates" or
-        "lowerbound", would hold more entries than the budget, before
-        anything is built (the baseline's concept space is never larger
-        than the outcome support)."""
-        members = 2 if self.family == "twopoint" else parity_family_size(self.m, self.d)
-        check_law_budget(self.m, concept_count(self.m, self.d), self.samples_per_task)
-        check_yatracos_budget(members, self.outcome_support_size())
-        for key, T in (("T_grid", self.T_grid[-1]), ("baseline_T", baseline_T)):
-            if T is not None and self.replicate_words(T) > DEFAULT_BUDGET:
-                raise BudgetError(
-                    f"'{key}': a replicate of T = {T} tasks draws {self.replicate_words(T)} words,"
-                    f" over the budget of {DEFAULT_BUDGET}"
-                )
-        entries = self.table_entries(experiment, members)
-        if entries > DEFAULT_BUDGET:
-            raise BudgetError(
-                f"'replicates' = {self.replicates}: the {experiment} tables would hold {entries} entries,"
-                f" over the budget of {DEFAULT_BUDGET}"
-            )
+    def setup_plan(self) -> list:
+        """What `build_setup` holds: the family, its truth picks, and the
+        skeleton's and the baseline's laws and selection tables."""
+        m, d, k = self.m, self.d, self.samples_per_task
+        members = 2 if self.family == "twopoint" else capped_power(2, comb(m, d))
+        key = "k" if self.family == "twopoint" else "m"
+        return [
+            *(parity_plan(m, d) if self.family == "parity" else []),
+            Work("truth picks", self.truth_count or 0, "truth_count"),
+            *law_plan(m, concept_count(m, d), k, members),
+            *min_distance_plan(members, self.outcome_support_size(), key),
+            *min_distance_plan(members, concept_count(m, d), key),
+        ]
 
-    def table_entries(self, experiment: str, members: int) -> int:
-        """The entries of the tables a run keeps as columns, at most: a
-        lowerbound run keeps a rate row per (T, replicate); a rates run a
-        rate row and an estimation row per (T, truth, replicate), and a
-        baseline row per (truth, replicate), over at most truth_count + 2
-        of the `members` (the sampled truths and the two extreme ones)."""
-        if experiment == "lowerbound":
-            return len(self.T_grid) * self.replicates * len(RATE_CSV_HEADER)
-        truths = min(members, (self.truth_count or 0) + 2)
-        per_T = len(RATE_CSV_HEADER) + len(ESTIMATION_CSV_HEADER)
-        return truths * self.replicates * (len(self.T_grid) * per_T + len(BASELINE_CSV_HEADER))
+    def cell_plan(self, T: int, key: str, signs: int = 0) -> list:
+        """What a cell of T tasks a replicate, each opening with `signs`
+        sign draws, holds at once (`_cell` and `joint_blocks`)."""
+        k, n_sub = self.samples_per_task, comb(self.m, self.d)
+        ranges = None if self.family == "twopoint" else (n_sub, 1 << (self.d - 1))
+        words = task_words(T, k, ranges, signs)
+        size = (2 if ranges is None else n_sub << self.d) * capped_power(self.m, k)  # the layout's cells
+        run = max(1, min(_BLOCK // words, _BLOCK // size))  # replicates decoded at once
+        return [
+            Work("words read by one replicate", words, key),
+            Array("layout cells", (size, 8 + k), "int64", key),
+            Array("a run of replicates' words and decoded draws", (run, words + T * (3 + k)), "int64", key),
+            Array("a block's joint counts", (4, max(size, _BLOCK)), "int64", key),
+        ]
 
-    def replicate_words(self, T: int) -> int:
-        """The words one replicate of T tasks reads at most: the parity
-        family's lower-bound cell draws its C(m, d) signs first."""
-        if self.family == "twopoint":
-            return task_words(T, self.samples_per_task, None)
-        n_sub = comb(self.m, self.d)
-        return task_words(T, self.samples_per_task, (n_sub, 1 << (self.d - 1)), n_sub)
+    def plan(self, experiment: str = "rates", baseline_T: int | None = None) -> list:
+        """A rates or lowerbound run's plan: `setup_plan`, its largest
+        cell's (a parity cell reads at most the words of C(m, d) signs
+        first), and its tables with the columns they are joined from: 30
+        entries per (T, replicate), or 16 per (T or baseline, truth,
+        replicate) over at most truth_count + 2 truths."""
+        signs = comb(self.m, self.d) if self.family == "parity" else 0
+        T, key = max((self.T_grid[-1], "T_grid"), (baseline_T or 0, "baseline_T"))
+        rows, width = len(self.T_grid) * self.replicates, 30
+        if experiment == "rates":
+            members = 2 if self.family == "twopoint" else capped_power(2, comb(self.m, self.d))
+            rows = min(members, (self.truth_count or 0) + 2) * self.replicates * (len(self.T_grid) + 1)
+            width = 16
+        table = Array(f"{experiment} tables", (rows, width), "float64", "replicates")
+        return [*self.setup_plan(), *self.cell_plan(T, key, signs), table]
 
     def outcome_support_size(self) -> int:
-        """The outcomes (k-tuple, labels) the family's members can draw.
-        A parity member weighs every concept, so a tuple of r distinct
-        points takes every labelling with at most d positives; the two
-        point masses label a tuple apart exactly when it holds point 1 or 2."""
-        m, d, k = self.m, self.d, self.samples_per_task
+        """The outcomes (k-tuple, labels) the family's members can draw: a
+        parity member weighs every concept, and the two point masses label
+        a tuple apart exactly when it holds point 1 or 2."""
+        m, k = self.m, min(self.samples_per_task, BYTE_BUDGET.bit_length())
         if self.family == "twopoint":
             return 2 * m**k - (m - 2) ** k
-        # C(m, r) point sets, each filled by the k draws in onto(k, r) ways
-        onto = [sum((-1) ** i * comb(r, i) * (r - i) ** k for i in range(r + 1)) for r in range(k + 1)]
-        return sum(
-            comb(m, r) * onto[r] * sum(comb(r, j) for j in range(min(d, r) + 1))
-            for r in range(1, min(m, k) + 1)
-        )
+        return realizable_outcomes(m, self.d, k)
 
     def key(self) -> tuple:
         return (
@@ -242,6 +232,7 @@ def build_setup(config: ExperimentConfig) -> Setup:
     if cached is not None:
         return cached
     _SETUP_CACHE.clear()
+    check_plan(config.setup_plan())
     space = enumerate_concepts(config.m, config.d)
     if config.family == "parity":
         dist = uniform_distribution(config.m)
@@ -302,6 +293,7 @@ def _cell(config: ExperimentConfig, source, T: int, key: tuple[int, ...], signs:
     `joint_blocks` block, replicates in order, as (joint counts, support
     counts, sign bits); each cell selects from the support counts itself,
     so that no block's empirical masses outlive its own selection."""
+    check_plan(config.cell_plan(T, "T", signs))
     setup = build_setup(config)
     est = setup.estimator
     layout = task_layout(source, setup.space, setup.dist, config.samples_per_task)
@@ -339,6 +331,8 @@ def _upper_cell(payload) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pmap(fn, payloads, workers: int):
+    # a forking pool starts all its workers at the first submit, so it gets no more than the payloads
+    workers = min(workers, len(payloads))
     if workers <= 1:
         return [fn(p) for p in payloads]
     import concurrent.futures  # only a pool needs it; its import is not free
@@ -575,40 +569,32 @@ def run_baseline_comparison(config: ExperimentConfig, T: int, workers: int = 1) 
     )
 
 
-def check_coin_budget(gammas, n_max: int, n_count: int) -> None:
-    """BudgetError when a coin table over `gammas` and `n_count` values of
-    n up to `n_max` would pass the budget, in its entries or in the 64-bit
-    words its exact passes write: at step n the pass for gamma = p/q
-    writes integers below (2q)^n, of about n bits(2q) bits, so about
-    n_max^2 bits(2q) / 2 bits up to n_max."""
-    entries = len(gammas) * n_count * len(COIN_CSV_HEADER)
-    if entries > DEFAULT_BUDGET:
-        raise BudgetError(
-            f"'gammas' and 'n_max': {len(gammas)} gammas x {n_count} values of n make {entries}"
-            f" table entries, over the budget of {DEFAULT_BUDGET}"
-        )
+def coin_plan(gammas, n_max: int, n_count: int) -> list:
+    """What a coin table over `gammas` and `n_count` values of n up to `n_max` takes: at step n
+    the exact pass for gamma = p/q writes integers of about n bits(2q) bits; a row, as a tuple,
+    transposed and as arrays, took 241 bytes at 2,000,100 rows."""
     words = sum(
         n_max * (n_max + 1) * (2 * _as_fraction(g).denominator).bit_length() // 128 for g in gammas
     )
-    if words > DEFAULT_BUDGET:
-        raise BudgetError(
-            f"'n_max' = {n_max}: the exact Bayes errors write {words} 64-bit words,"
-            f" over the budget of {DEFAULT_BUDGET}"
-        )
+    return [
+        Work("64-bit words written by the exact Bayes errors", words, "n_max"),
+        Array("a gamma's exact errors", (n_max + 1,), "pyfloat", "n_max"),
+        Array("coin table rows", (len(gammas), n_count, 32), "pyslot", "gammas"),
+    ]
 
 
 def coin_bound_table(gammas, ns) -> list[tuple]:
     """Rows (gamma, n, exact Bayes error, floor, pass) over the grid, in
     the order of `gammas` and then `ns` (which may skip, repeat or
     descend); one `_bayes_error_ratios` pass per gamma up to max(ns),
-    after `check_coin_budget`.
+    after its `coin_plan` is met.
 
     gamma = 1/2 is allowed: the two-point problem and its floor are still
     well defined there, and the acceptance grid ends at 1/2."""
     ns = [int(n) for n in ns]
     if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
-    check_coin_budget(gammas, max(ns, default=0), len(ns))
+    check_plan(coin_plan(gammas, max(ns, default=0), len(ns)))
     rows = []
     for gamma in gammas:
         g = _as_fraction(gamma)

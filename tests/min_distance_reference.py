@@ -22,9 +22,8 @@ import numpy as np
 import pytest
 
 from priorlab import estimators
-from priorlab.errors import BudgetError
+from priorlab.errors import BYTE_BUDGET, BudgetError
 from priorlab.estimators import yatracos_scores
-from priorlab.outcomes import DEFAULT_BUDGET
 
 from outcome_reference import exact_tv, fraction_law
 
@@ -36,11 +35,11 @@ class AllPairsMinDistance:
     def __init__(self, mass_matrix: np.ndarray, exact_rows: list[list[Fraction]] | None = None):
         self.M = np.asarray(mass_matrix, dtype=float)
         n, s = self.M.shape
-        if n * (n - 1) * (s + n) > DEFAULT_BUDGET:
-            # A holds pairs x support entries and PA members x pairs
+        if n * (n - 1) * (s + 8 * n) > BYTE_BUDGET:
+            # A holds pairs x support bools and PA members x pairs floats
             raise BudgetError(
-                f"{n * (n - 1)} Yatracos pairs x ({s} support points + {n} members)"
-                f" exceed the budget of {DEFAULT_BUDGET}"
+                f"{n * (n - 1)} Yatracos pairs x ({s} support bools + {n} member floats)"
+                f" exceed the budget of {BYTE_BUDGET} bytes"
             )
         self.pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         self.A = np.zeros((len(self.pairs), s), dtype=bool)

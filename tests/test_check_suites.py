@@ -267,7 +267,7 @@ def test_cover_members_are_the_per_cell_leaf_loop_bit_for_bit(m, d, epsilons):
         fam = cover_priors(space, 1.0, 1.0, eps)
         want = oracle_cover_masses(space, 1.0, 1.0, eps)
         assert np.array_equal(np.array([p.mass for p in fam.members]), want), eps
-    with pytest.raises(BudgetError, match="budget of 10 members"):
+    with pytest.raises(BudgetError, match="11 cover members exceed the limit of 10"):
         cover_priors(enumerate_concepts(3, 2), 1.0, 1.0, 0.05, budget=10)
 
 

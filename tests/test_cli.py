@@ -9,16 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from priorlab import elicitation
-from priorlab.cli import (
-    PREPARE, SCHEMAS, _check_config, _experiment_config, _int_list, dispatch, main, parse_config,
-)
+from priorlab import elicitation, errors
+from priorlab.cli import SCHEMAS, SUBCOMMANDS, _experiment_config, _int_list, dispatch, main, parse_config
 from priorlab.concepts import enumerate_concepts, uniform_distribution
-from priorlab.errors import BudgetError
-from priorlab.outcomes import DEFAULT_BUDGET
-from priorlab.priors import COVER_BUDGET, cover_priors, holder_check, reference_prior
+from priorlab.errors import WORK_BUDGET, BudgetError, check_plan
+from priorlab.priors import cover_priors, holder_check, reference_prior
 from priorlab.ratelab import (
-    ExperimentConfig, build_setup, check_coin_budget, run_baseline_comparison, run_lower_experiment,
+    ExperimentConfig, build_setup, coin_plan, run_baseline_comparison, run_lower_experiment,
     run_upper_experiment,
 )
 
@@ -151,17 +148,18 @@ def test_cover_info_covers_share_one_budget(tmp_path, capsys):
     assert dispatch("cover-info", four, 0, tmp_path / "four") == 0
     five = write_config(tmp_path, "five.cfg", "budget = 200000\nepsilons = " + ",".join(["0.02"] * 5) + "\n")
     assert dispatch("cover-info", five, 0, tmp_path / "five") == 2
-    assert "cover search tried more than 10000000" in capsys.readouterr().err
+    assert "cover grid values tried exceed the limit of 10000000" in capsys.readouterr().err
     assert not (tmp_path / "five").exists()
-    # and the masses the covers hold: 16,803 members x 3 concepts at 0.05
+    # the masses a cover holds are in its plan, in bytes: 16,803 members x 3 concepts at 0.05,
+    # held three times over as they are gathered, weighed and normalized
     space = enumerate_concepts(2, 1)
-    spent = cover_priors(space, 1.0, 1.0, 0.05).meta["spent"]
-    assert spent[1] == 16_803 * 3
-    with pytest.raises(BudgetError, match="the run's covers hold more than 10000000 masses"):
-        cover_priors(space, 1.0, 1.0, 0.05, spent=(0, COVER_BUDGET - spent[1] + 2))
-    with pytest.raises(BudgetError, match="cover search tried more than 10000000"):
-        cover_priors(space, 1.0, 1.0, 0.05, spent=(COVER_BUDGET - spent[0] + 1, 0))
-    cover_priors(space, 1.0, 1.0, 0.05, spent=(COVER_BUDGET - spent[0], COVER_BUDGET - spent[1]))
+    fam = cover_priors(space, 1.0, 1.0, 0.05)
+    masses = next(a for a in fam.meta["plan"] if a.name == "cover member masses")
+    assert fam.size == 16_803 and masses.shape == (3, 16_803, 3)
+    spent = fam.meta["spent"]
+    with pytest.raises(BudgetError, match="cover grid values tried exceed the limit of 10000000"):
+        cover_priors(space, 1.0, 1.0, 0.05, spent=WORK_BUDGET - spent + 1)
+    cover_priors(space, 1.0, 1.0, 0.05, spent=WORK_BUDGET - spent)
 
 
 def test_rates_budget_exit_code(tmp_path):
@@ -178,39 +176,43 @@ PARITY_M5 = "m = 5\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10\nreplicates = 2\n"
 @pytest.mark.parametrize(
     "subcommand, config, reason",
     [
-        # 2^13 members: wrote manifest.txt and cover_info.csv, then exited
-        ("cover-info", "m = 13\nd = 1\n", "2^13 sign vectors"),
+        # the parity family the summary counts, 2^21 members: cover-info wrote
+        # manifest.txt and cover_info.csv, then exited, at 2^13 members
+        ("cover-info", "m = 21\nd = 1\n", "its largest array, parity sign tables"),
         # 1,024 members on 90 outcomes: wrote manifest.txt, then exited
-        ("rates", PARITY_M5, "1047552 Yatracos pairs x (90 support points + 1024 members)"),
-        ("lowerbound", PARITY_M5, "1047552 Yatracos pairs"),
-        ("rates", PARITY_M5.replace("m = 5", "m = 6"), "2^15 sign vectors"),
-        # C(12, <=3) = 299 concepts: ran m <= 11 after manifest.txt, then exited
+        ("rates", PARITY_M5, "Yatracos pair masses, holds 1024x1047552 float64"),
+        ("lowerbound", PARITY_M5, "1024x1047552"),
+        ("rates", PARITY_M5.replace("m = 5", "m = 6"), "32768x1073709056"),
+        # C(40, <=3) = 10,701 concepts' rho table: at C(12, <=3) = 299 concepts
+        # smoothness ran m <= 11 after manifest.txt, then exited
         (
             "smoothness",
-            "m_max = 12\nd_max = 3\nL_list = 1.0\nalpha_list = 1.0\nsigns_per_instance = 1\n",
-            "299^2 concept pairs exceed the 2^16 pair guard",
+            "m_max = 40\nd_max = 3\nL_list = 1.0\nalpha_list = 1.0\nsigns_per_instance = 1\n",
+            "'m_max': the plan holds",
         ),
         # the cover's members are known only by building it: wrote manifest.txt, then exited
         (
             "cover-info",
             "m = 4\nd = 2\nepsilons = 0.05\nbudget = 10\n",
-            "cover construction exceeded the budget of 10 members",
+            "11 cover members exceed the limit of 10",
         ),
         # 211 concepts labelled on 20^4 x-tuples: passed every check, then
         # one member's outcome law ran past 60 s
         (
             "rates",
             "m = 20\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10\nreplicates = 2\nfamily = twopoint\nk = 4\n",
-            "m^k = 160000 x-tuples x 211 concepts",
+            "label table and its build, holds 5x160000x211 int64",
         ),
-        # wrote manifest.txt, then exited at k = 4
-        ("lemmas", "m = 40\nd = 1\nk_max = 4\n", "(2m)^k = 40960000 exceeds"),
+        # 42^5 outcomes; at m = 40, k_max = 4 this wrote manifest.txt, then exited at k = 4
+        ("lemmas", "m = 21\nd = 1\nk_max = 5\n", "'k_max': the plan holds"),
         # check_sauer would label 31 concepts on 8,656,936 anchor sets (about 24 min)
         ("lemmas", "m = 30\nd = 1\nk_max = 1\n", "8656936 anchor sets x 31 concepts"),
+        # 2^C(63, 31) members: counting them as an integer ran past 20 s
+        ("cover-info", "m = 63\nd = 31\n", "its largest array, parity subset terms"),
     ],
     ids=[
         "cover-info-m13", "rates-m5", "lowerbound-m5", "rates-m6", "smoothness-m12", "cover-info-budget",
-        "rates-twopoint-m20-k4", "lemmas-m40", "lemmas-sauer-m30",
+        "rates-twopoint-m20-k4", "lemmas-m40", "lemmas-sauer-m30", "cover-info-m63-d31",
     ],
 )
 def test_budgets_checked_before_output(tmp_path, capsys, subcommand, config, reason):
@@ -231,22 +233,20 @@ def test_shipped_configs_meet_every_budget(path):
     # a config is the subcommand its name starts with (rates-wide.cfg runs
     # rates); a budget that rejects one of these must be a different budget
     subcommand = max((s for s in SCHEMAS if path.stem.startswith(s)), key=len)
-    config = parse_config(path, subcommand)
-    _check_config(subcommand, config)
-    if subcommand in PREPARE:
-        PREPARE[subcommand](config, 0)
+    check_plan(SUBCOMMANDS[subcommand][0](parse_config(path, subcommand), 0)[0])
 
 
 def test_smoothness_pair_guard_is_the_holder_checks():
-    # C(9, <=4) = 256 concepts meet the 2^16 pair guard exactly; C(9, <=5) = 382 do not
+    # the rho table of C(21, <=3) = 1,562 concepts fits the byte budget; that of C(22, <=3) = 1,794 does not
     config = parse_config(None, "smoothness")
-    _check_config("smoothness", {**config, "m_max": 9, "d_max": 4})
-    with pytest.raises(BudgetError, match="382\\^2 concept pairs"):
-        _check_config("smoothness", {**config, "m_max": 9, "d_max": 5})
-    space = enumerate_concepts(9, 5)
+    prepare = SUBCOMMANDS["smoothness"][0]
+    check_plan(prepare({**config, "m_max": 21, "d_max": 3}, 0)[0])
+    with pytest.raises(BudgetError, match="rho bit planes, holds 2x1794x1794x22"):
+        check_plan(prepare({**config, "m_max": 22, "d_max": 3}, 0)[0])
+    space = enumerate_concepts(22, 3)
     ref = reference_prior(space)
-    with pytest.raises(BudgetError, match="382\\^2 concept pairs"):
-        holder_check(ref, ref, 1.0, 1.0, uniform_distribution(9))
+    with pytest.raises(BudgetError, match="rho bit planes, holds 2x1794x1794x22"):
+        holder_check(ref, ref, 1.0, 1.0, uniform_distribution(22))
 
 
 def test_rates_budget_matches_the_built_tables():
@@ -371,11 +371,12 @@ def test_elicit_tiny_run(tmp_path):
 
 
 def test_elicit_consistent_set_table_budget_is_met_before_output(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(elicitation, "SET_TABLE_BUDGET", 1)
+    # the outcome model meets its plan, its consistent-set table among it, before it is built
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 1)
     out = tmp_path / "out"
     assert dispatch("elicit", write_config(tmp_path, "e.cfg", ELICIT_TINY), 2, out) == 2
     err = capsys.readouterr().err
-    assert "consistent-set table" in err and "Traceback" not in err
+    assert "'n_items': the plan holds" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -558,10 +559,10 @@ def test_config_without_work_rejected_before_output(tmp_path, capsys, subcommand
 
 def test_twopoint_weight_defaults_on_the_twopoint_family_only(tmp_path):
     twopoint = parse_config(write_config(tmp_path, "t.cfg", RATES_OK + "family = twopoint\n"), "rates")
-    assert _experiment_config(twopoint, 0).twopoint_weight == 0.05
+    assert _experiment_config(twopoint, 0)[1].twopoint_weight == 0.05
     parity = parse_config(write_config(tmp_path, "p.cfg", RATES_OK), "rates")
     assert parity["twopoint_weight"] is None
-    assert _experiment_config(parity, 0).twopoint_weight is None
+    assert _experiment_config(parity, 0)[1].twopoint_weight is None
 
 
 # one rejected value for every key that has a rule in SCHEMAS; a config of
@@ -626,9 +627,10 @@ def test_elicit_calibration_must_resolve_its_quantile_before_output(tmp_path, ca
     assert not out.exists()
     # ceil(2 / 0.01) = 200 runs: 25 replicates of 8 members suffice, 24 do not
     config = {**parse_config(None, "elicit"), "epsilon": 0.01, "calibration_replicates": 25}
-    _check_config("elicit", config)
+    prepare = SUBCOMMANDS["elicit"][0]
+    prepare(config, 0)
     with pytest.raises(ValueError, match="200"):
-        _check_config("elicit", {**config, "calibration_replicates": 24})
+        prepare({**config, "calibration_replicates": 24}, 0)
 
 
 def test_elicit_needs_two_customers_before_output(tmp_path, capsys):
@@ -641,14 +643,14 @@ def test_elicit_needs_two_customers_before_output(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'replicates'" in err and "'T'" in err and "Traceback" not in err
     assert not out.exists()
-    config = parse_config(None, "elicit")
-    _check_config("elicit", {**config, "replicates": 1, "T": 2})
-    _check_config("elicit", {**config, "replicates": 2, "T": 1})
+    config, prepare = parse_config(None, "elicit"), SUBCOMMANDS["elicit"][0]
+    prepare({**config, "replicates": 1, "T": 2}, 0)
+    prepare({**config, "replicates": 2, "T": 1}, 0)
 
 
 def test_truth_count_budget_checked_before_output(tmp_path, capsys):
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, "c.cfg", RATES_OK + f"truth_count = {DEFAULT_BUDGET + 1}\n")
+    cfg = write_config(tmp_path, "c.cfg", RATES_OK + f"truth_count = {WORK_BUDGET + 1}\n")
     assert dispatch("rates", cfg, 0, out) == 2
     err = capsys.readouterr().err
     assert "'truth_count'" in err and "Traceback" not in err
@@ -761,12 +763,12 @@ BUDGET_PROBES = {
         "elicit", {"calibration_replicates": 10**11}, "'calibration_replicates'"
     ),
     "elicit-calibration_T_grid": ("elicit", {"calibration_T_grid": f"25,{10**11}"}, "'calibration_T_grid'"),
-    "cover-info-epsilons": ("cover-info", {"epsilons": "0.0000001"}, "values on the cover grid"),
+    "cover-info-epsilons": ("cover-info", {"epsilons": "0.0000001"}, "cover grid values exceed"),
     # the search's grid scans: exit 2 after 59 s, at the member budget
-    "cover-info-search": ("cover-info", {"epsilons": "0.0001"}, "cover search tried more than 10000000"),
-    "cover-info-budget": (
-        "cover-info", {"m": 3, "d": 2, "epsilons": 0.3, "budget": 10**9}, "a cover budget of 1000000000"
+    "cover-info-search": (
+        "cover-info", {"epsilons": "0.0001"}, "cover grid values tried exceed the limit of 10000000"
     ),
+    "cover-info-budget": ("cover-info", {"m": 3, "d": 2, "epsilons": 0.3, "budget": 10**9}, "'budget'"),
     "smoothness-signs_per_instance": ("smoothness", {"signs_per_instance": 10**11}, "'signs_per_instance'"),
     "lemmas-pairs": ("lemmas", {"pairs": 10**9}, "'pairs'"),
 }
@@ -781,8 +783,8 @@ def test_size_budget_exits_2_before_output(tmp_path, probe):
     assert not out.exists()
 
 
-def _table_entries(*tables) -> int:
-    return sum(len(table) * len(table[0]) for table in tables)
+def _table_rows(plan, name: str) -> int:
+    return next(a.shape[0] for a in plan if a.name == name)
 
 
 def test_rates_table_budget_counts_the_kept_tables():
@@ -790,21 +792,24 @@ def test_rates_table_budget_counts_the_kept_tables():
     upper = ExperimentConfig(m=3, d=2, family="twopoint", T_grid=(5, 10), replicates=3)
     res = run_upper_experiment(upper)
     base = run_baseline_comparison(upper, T=10)
-    assert upper.table_entries("rates", 2) == _table_entries(res.table, res.report, base.table)
+    assert len(res.table[0]) == len(res.report[0])  # an estimation row per rate row
+    assert _table_rows(upper.plan("rates"), "rates tables") == len(res.table[0]) + len(base.table[0])
     lower = ExperimentConfig(m=3, d=2, T_grid=(5, 10), replicates=3)
-    assert lower.table_entries("lowerbound", 256) == _table_entries(run_lower_experiment(lower).table)
-    # the budget holds at its edge: 909,090 replicates of one T make 9,999,990 entries
-    ExperimentConfig(T_grid=(10,), replicates=909_090).check_budget(None, "lowerbound")
-    with pytest.raises(BudgetError, match="'replicates' = 909091"):
-        ExperimentConfig(T_grid=(10,), replicates=909_091).check_budget(None, "lowerbound")
+    rows = len(run_lower_experiment(lower).table[0])
+    assert _table_rows(lower.plan("lowerbound"), "lowerbound tables") == rows
+    # the budget holds at its edge: 4,468,420 replicates of one T make 1,072,420,800 bytes of
+    # tables, and the rest of the plan fits beside them
+    check_plan(ExperimentConfig(T_grid=(10,), replicates=4_468_420).plan("lowerbound"))
+    with pytest.raises(BudgetError, match="'replicates': the plan holds"):
+        check_plan(ExperimentConfig(T_grid=(10,), replicates=4_468_421).plan("lowerbound"))
 
 
 def test_coin_budget_counts_the_exact_pass_and_the_table():
     # gamma = 1/20 steps by (2q)^n = 40^n, 6 bits a step: n_max^2 x 6 / 2 bits
-    check_coin_budget((0.05,), 14_000, 14_001)
-    with pytest.raises(BudgetError, match="'n_max' = 15000"):
-        check_coin_budget((0.05,), 15_000, 15_001)
-    # 5 entries per row
-    check_coin_budget((0.5,) * 20_000, 99, 100)
-    with pytest.raises(BudgetError, match="'gammas' and 'n_max': 20001 gammas x 100 values"):
-        check_coin_budget((0.5,) * 20_001, 99, 100)
+    check_plan(coin_plan((0.05,), 14_000, 14_001))
+    with pytest.raises(BudgetError, match="'n_max': 10547578 64-bit words"):
+        check_plan(coin_plan((0.05,), 15_000, 15_001))
+    # 256 bytes per row: 80 values of n for 52,428 gammas fit, 52,429 do not
+    check_plan(coin_plan((0.5,) * 52_428, 79, 80))
+    with pytest.raises(BudgetError, match="'gammas': the plan holds .* coin table rows, holds 52429x80x32"):
+        check_plan(coin_plan((0.5,) * 52_429, 79, 80))

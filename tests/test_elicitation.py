@@ -1,10 +1,11 @@
 import functools
 import itertools
+from math import prod
 
 import numpy as np
 import pytest
 
-from priorlab import elicitation
+from priorlab import elicitation, errors
 from priorlab.elicitation import (
     LEDGER_CSV_HEADER,
     FamilyOutcomeModel,
@@ -21,12 +22,13 @@ from priorlab.elicitation import (
     log2_pdim_bound,
     method_A,
     method_A_prime,
+    outcome_model_plan,
     presence_family,
     pseudo_dimension_at_most,
     pseudo_shattered,
     run_algorithm1,
 )
-from priorlab.errors import BudgetError
+from priorlab.errors import BudgetError, plan_bytes
 from priorlab.estimators import _MinDistance, yatracos_scores, yatracos_sets
 from priorlab.ratelab import format_cell
 from priorlab.sampling import stream
@@ -268,36 +270,42 @@ def test_outcome_model_matches_meet_oracle_bit_for_bit(name):
 
 
 def test_outcome_model_checks_the_meet_budget_before_enumerating(monkeypatch):
+    # the partition meets' arrays, one row per combination, are in the model's plan, in bytes
     _, fam = presence_family(seed=0)
     n_parts = len({row.tobytes() for row in fam.agree})
     n_combos = len(list(itertools.combinations_with_replacement(range(n_parts), fam.d)))
-    monkeypatch.setattr(elicitation, "MEET_BUDGET", n_combos)
+    plan = outcome_model_plan(len(fam.functions), n_parts, fam.d, fam.n_members)
+    assert next(a for a in plan if a.name == "meet cells as Python ints").shape[0] == n_combos
+    monkeypatch.setattr(errors, "BYTE_BUDGET", plan_bytes(plan))
     FamilyOutcomeModel(fam)  # exactly at the budget
-    monkeypatch.setattr(elicitation, "MEET_BUDGET", n_combos - 1)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", plan_bytes(plan) - 1)
 
     def no_enumeration(*args):
         raise AssertionError("partition combinations built past the budget")
 
     monkeypatch.setattr(ValuationPriorFamily, "consistent", no_enumeration)
-    with pytest.raises(BudgetError, match="partition meets"):
+    with pytest.raises(BudgetError, match="its largest array, meet cells"):
         FamilyOutcomeModel(fam)
 
 
 def test_outcome_model_checks_the_table_budget_before_building(monkeypatch):
-    # F x P^d entries, one per function and tuple of bundle partitions
+    # F x P^d entries, one per function and tuple of bundle partitions, in its plan's bytes
     _, fam = presence_family(seed=0)
     n_parts = len({row.tobytes() for row in fam.agree})
     entries = len(fam.functions) * n_parts**fam.d
-    monkeypatch.setattr(elicitation, "SET_TABLE_BUDGET", entries)
+    plan = outcome_model_plan(len(fam.functions), n_parts, fam.d, fam.n_members)
+    assert ("consistent-set table", (len(fam.functions), n_parts**fam.d)) in [a[:2] for a in plan]
+    assert prod(next(a for a in plan if a.name == "consistent-set table").shape) == entries
+    monkeypatch.setattr(errors, "BYTE_BUDGET", plan_bytes(plan))
     FamilyOutcomeModel(fam)  # exactly at the budget
-    monkeypatch.setattr(elicitation, "SET_TABLE_BUDGET", entries - 1)
+    monkeypatch.setattr(errors, "BYTE_BUDGET", plan_bytes(plan) - 1)
 
     def no_enumeration(*args):
         raise AssertionError("outcome model built past the table budget")
 
     monkeypatch.setattr(ValuationPriorFamily, "consistent", no_enumeration)
     monkeypatch.setattr(np, "empty", no_enumeration)
-    with pytest.raises(BudgetError, match="consistent-set table of 8 functions"):
+    with pytest.raises(BudgetError, match="'n_items': the plan holds"):
         FamilyOutcomeModel(fam)
 
 

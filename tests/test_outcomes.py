@@ -180,12 +180,12 @@ def test_x_marginal_is_product_law():
 
 
 def test_outcome_budget_guard():
-    # (2m)^k = 6^10 exceeds the 10^7 outcome budget; nothing is enumerated
+    # (2m)^k = 6^10 outcomes of floats exceed the byte budget; nothing is enumerated
     with pytest.raises(BudgetError):
         exact_outcome_dist(reference_prior(SP32), D3, 10)
-    # (2m)^k = 40^4 fits, but labelling 211 concepts on 20^4 x-tuples does not
+    # 40^4 outcomes fit, but building the labels of 211 concepts on 20^4 x-tuples does not
     space = enumerate_concepts(20, 2)
-    with pytest.raises(BudgetError, match="m\\^k = 160000 x-tuples x 211 concepts"):
+    with pytest.raises(BudgetError, match="label table and its build, holds 5x160000x211 int64"):
         outcome_laws(reference_prior(space).mass[None], space, uniform_distribution(20), 4)
 
 
@@ -225,12 +225,12 @@ def test_tree_check_is_the_per_tuple_loop_bit_for_bit():
 
 
 def test_verifier_budget_guards():
-    # tree check: 501^2 anchor pairs x 4 labelings exceed 10^6
-    with pytest.raises(BudgetError, match="tree"):
-        verify_tree_inequality(reference_prior(SP32), reference_prior(SP32), (1,) * 501, 2)
-    # sqrt bound: 11^6 point tuples exceed 10^6
+    # tree check: 6000^2 anchor pairs x 4 labelings of floats exceed the byte budget
+    with pytest.raises(BudgetError, match="anchor d-tuples and cell gaps"):
+        verify_tree_inequality(reference_prior(SP32), reference_prior(SP32), (1,) * 6000, 2)
+    # sqrt bound: 11^6 point tuples x 64 labelings of gaps and sums exceed it
     sp = enumerate_concepts(11, 6)
-    with pytest.raises(BudgetError, match=r"m\^d"):
+    with pytest.raises(BudgetError, match="sqrt-bound gaps"):
         verify_sqrt_bound(reference_prior(sp), reference_prior(sp), uniform_distribution(11), 6)
 
 

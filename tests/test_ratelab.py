@@ -3,6 +3,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +19,8 @@ from priorlab.elicitation import (
     presence_family,
     run_algorithm1,
 )
-from priorlab.errors import BudgetError
+from priorlab.errors import WORK_BUDGET, BudgetError, check_plan
 from priorlab.estimators import SkeletonEstimator, reduce_to_signs
-from priorlab.outcomes import DEFAULT_BUDGET
 from priorlab.priors import CoverFamily, SmoothPriorParams, reference_prior, total_variation
 from priorlab.ratelab import (
     BASELINE_CSV_HEADER,
@@ -67,9 +67,11 @@ def test_truth_count_is_read_by_the_parity_family_only():
         ExperimentConfig(m=3, d=1, family="twopoint", truth_count=5)
     with pytest.raises(ValueError, match="'truth_count'"):
         ExperimentConfig(truth_count=-1)
-    # build_setup may draw this many indices
+    # build_setup may draw this many indices: one step of the work budget each
     with pytest.raises(BudgetError, match="'truth_count'"):
-        ExperimentConfig(truth_count=DEFAULT_BUDGET + 1)
+        check_plan(ExperimentConfig(truth_count=WORK_BUDGET + 1).setup_plan())
+    with pytest.raises(BudgetError, match="'truth_count'"):
+        build_setup(ExperimentConfig(truth_count=WORK_BUDGET + 1))
 
 
 def test_truth_picks_are_the_one_array_draw(monkeypatch):
@@ -633,11 +635,11 @@ def test_task_words_checked_before_output(tmp_path, monkeypatch, capsys, keys, w
     cfg.write_text("m = 3\nd = 2\nL = 1.0\nalpha = 1.0\nreplicates = 2\n" + keys)
     assert dispatch("rates", cfg, 0, tmp_path / "out") == 2
     assert not (tmp_path / "out").exists()
-    assert f"draws {words} words, over the budget of {DEFAULT_BUDGET}" in capsys.readouterr().err
+    assert f"{words} words read by one replicate exceed the limit of {WORK_BUDGET}" in capsys.readouterr().err
     # the largest T within the budget passes the check
     config = ExperimentConfig(m=3, d=2, T_grid=(2_499_999,))
-    assert config.replicate_words(2_499_999) <= DEFAULT_BUDGET
-    config.check_budget(baseline_T=2_499_999)
+    plan = check_plan(config.plan(baseline_T=2_499_999))
+    assert [w.count for w in plan if w.name == "words read by one replicate"] == [WORK_BUDGET - 2]
 
 
 def rows_of(table):
@@ -693,3 +695,32 @@ def test_summaries_match_row_filtering_bit_for_bit(config):
     for T in config.T_grid:
         mean, se = mean_se_of([r["tv_error"] for r in rows if r["T"] == T])
         assert (lower.per_T[T]["mean"], lower.per_T[T]["se"]) == (mean, se)
+
+
+def test_a_pool_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # a forking pool starts all its workers at its first submit; this one
+    # records its size and maps in this process, starting none
+    import concurrent.futures
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    out = tmp_path / "out"
+    config = Path(__file__).resolve().parent.parent / "configs" / "rates.cfg"
+    assert dispatch("rates", config, 0, out, workers=1000) == 0
+    assert sizes == [30, 6]  # 6 truths x 5 T upper cells, then a baseline cell per truth
+    assert "workers=1000\n" in (out / "manifest.txt").read_text()
+    assert ratelab._pmap(abs, [-1], 1000) == [1] and sizes == [30, 6]  # one payload runs here
