@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .concepts import MAX_POINTS, concept_count, enumerate_concepts, uniform_distribution
+from .concepts import MAX_POINTS, concept_count, enumerate_concepts, rho_plan, uniform_distribution
 from .elicitation import (
     LEDGER_CSV_HEADER,
     PRESENCE_MEMBERS,
@@ -55,9 +55,8 @@ from .priors import (
     reference_prior,
     smooth_prior,
     PARITY_RULE,
-    parity_family,
+    parity_family,  # noqa: F401  (perfbench/spans.py wraps it here)
     parity_gamma,
-    parity_plan,
 )
 from .ratelab import (
     BASELINE_CSV_HEADER,
@@ -550,14 +549,14 @@ def cmd_elicit(built: tuple, config: dict, seed: int, outdir: Path, workers: int
 
 
 def _prepare_cover_info(config: dict, seed: int):
-    """cover-info needs L and alpha that give a parity family.  A cover's
-    size is known only by building it, so once the plan of the family the
-    summary counts is met the covers are built here, sharing one search."""
+    """cover-info needs L and alpha that give a parity family.  Once the rho table its covers'
+    cells are cut by is planned, the covers, whose sizes are known only by building them, are
+    built here, sharing one search."""
     _check_d(config)
     m, d, L, alpha = config["m"], config["d"], config["L"], config["alpha"]
     if parity_gamma(L, alpha, m) is None:
         raise ValueError(f"config keys 'L' and 'alpha' at m = {m}: {PARITY_RULE}")
-    family = check_plan(parity_plan(m, d))
+    rho = check_plan(rho_plan(concept_count(m, d), m, "m"))
     space = enumerate_concepts(m, d)
     rows, covers, spent = [], [], 0
     for eps in config["epsilons"]:
@@ -565,7 +564,7 @@ def _prepare_cover_info(config: dict, seed: int):
         spent = fam.meta["spent"]
         covers.append(fam.meta["plan"])
         rows.append((m, d, L, alpha, eps, fam.size, fam.meta["n_cells"], fam.meta["grid_step"]))
-    return family + max(covers, key=plan_bytes), rows
+    return rho + max(covers, key=plan_bytes), rows
 
 
 def cmd_cover_info(
@@ -573,9 +572,7 @@ def cmd_cover_info(
 ) -> int:
     header = ("m", "d", "L", "alpha", "epsilon", "cover_size", "n_cells", "grid_step")
     write_csv(outdir / "cover_info.csv", header, transpose(rows, len(header)))
-    space = enumerate_concepts(config["m"], config["d"])
-    _, members = parity_family(space, config["L"], config["alpha"])
-    lines = [f"parity_family_size={len(members)}"]
+    lines = [f"parity_family_size={2 ** comb(config['m'], config['d'])}"]
     for r in rows:
         lines.append(f"epsilon={r[4]!r} measured_cover_size={r[5]} cells={r[6]}")
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")

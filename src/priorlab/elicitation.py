@@ -40,9 +40,9 @@ from math import comb, factorial
 
 import numpy as np
 
-from .concepts import _distinct_rows
+from .concepts import _by_rows, _distinct_rows
 from .errors import WORK_BUDGET, Array, Work, check_plan
-from .estimators import _MinDistance, yatracos_sets
+from .estimators import _GAP_BLOCK, _MinDistance, yatracos_sets
 from .priors import tv_matrix
 from .sampling import _categorical, _count_cuts, keyed_words, raw_integers, stream, stream_raw
 
@@ -310,10 +310,13 @@ def _method_A_batch(family, cache, epsilon, members, f_idx, answered, consistent
         if not live.size:
             break
         # the greedy query: the unanswered bundle of greatest phi, ties to
-        # the lowest index
-        gain = np.stack([states[k][3] for k in key_id.tolist()])
-        gain[np.arange(len(live))[:, None], answered] = -np.inf
-        x = gain.argmax(axis=1)
+        # the lowest index, from a block of customers' gains at a time
+        def greedy(rows):
+            gain = np.stack([states[k][3] for k in key_id[rows].tolist()])
+            gain[np.arange(len(rows))[:, None], answered[rows]] = -np.inf
+            return gain.argmax(axis=1)
+
+        x = _by_rows(greedy, np.arange(len(live)), n_bundles, _GAP_BLOCK)
         answered = np.column_stack([answered, x])
         n_known += 1
         cons &= family.agree[x, f_idx[live]]
@@ -703,19 +706,20 @@ def run_algorithm1(
 
 
 def run_plan(family, model, T, replicates, calibration_T_grid, calibration_replicates, q_trials) -> list:
-    """What an elicit run holds besides its model: a stream at a time,
-    every stream's regrets, `estimate_Q`'s trials and calibration's runs;
-    the selections of T prefixes, or of every calibration run at every
-    grid T, hold their set counts, empirical masses and member scores."""
+    """What an elicit run holds besides its model: a stream at a time, a block of greedy
+    gains, every stream's regrets, `estimate_Q`'s trials and calibration's runs; the
+    selections of T prefixes, or of every calibration run at every grid T, hold their set
+    counts, empirical masses and member scores."""
     B, d, M, sets = family.n_bundles, family.d, family.n_members, len(model.set_masks)
     selection, T_cal = 2 * sets + len(model._md.PA[0]) + M, calibration_T_grid[-1]
     runs = (calibration_replicates * M, len(calibration_T_grid))  # one per (replicate, member) at each grid T
     return [
         Work("ledger files", replicates, "replicates", STREAM_BUDGET),
         Array("a stream's customers", (T, 16 + 2 * d), "int64", "T"),
-        Array("a stream's prefix selections and greedy gains", (T, selection + B), "float64", "T"),
+        Array("a stream's prefix selections", (T, selection), "float64", "T"),
+        Array("a block of greedy gains", (max(B, _GAP_BLOCK),), "float64", "n_items"),
         Array("every stream's regrets", (replicates, T), "float64", "replicates"),
-        Array("estimate_Q's greedy gains and draws", (q_trials, B + 40), "float64", "q_trials"),
+        Array("estimate_Q's draws", (q_trials, 40), "float64", "q_trials"),
         Array("calibration selections", (*runs, selection), "float64", "calibration_replicates"),
         Array("a calibration run's words and draws", (T_cal, 4 + 2 * d), "int64", "calibration_T_grid"),
     ]

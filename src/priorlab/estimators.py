@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .concepts import DataDistribution, _distinct_rows, d_subsets
+from .concepts import _DENSE_BLOCK, DataDistribution, _by_rows, _distinct_rows, d_subsets
 from .errors import Array, check_plan
 from .outcomes import label_masses, outcome_laws
 from .outcomes import exact_outcome_dist  # noqa: F401  (perfbench/spans.py wraps it here)
@@ -32,8 +32,6 @@ def yatracos_scores(PA: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.abs(PA - mu[..., None, :]).max(axis=-1, initial=0.0)
 
 
-_DENSE_BLOCK = 1 << 12  # values held at once by a dense block of rows (a row may hold more) or of set gaps
-# (2^13 and 2^14 made `elicit`'s selections 10-20% faster and raised its peak RSS 0.16-0.33 MB)
 # Selection prunes sets in tables of this many members x columns or more,
 # and scores smaller ones densely.  Measured on `rates-wide`: pruning takes
 # the 64 x 728 parity skeleton's selection to a third of the dense time,
@@ -41,15 +39,8 @@ _DENSE_BLOCK = 1 << 12  # values held at once by a dense block of rows (a row ma
 # every set survives; `rates` (8 x 26) and `elicit` (8 x 16) stay dense.
 _PRUNE_FROM = 1 << 15
 _PROBES = 8  # high-envelope sets per row whose gaps bound every member's score from below
-_GAP_BLOCK = 1 << 15  # values a pruned block holds at once: rows of set masses, or survivor gaps
-
-
-def _by_rows(fn, rows: np.ndarray, entries: int, block: int = _DENSE_BLOCK) -> np.ndarray:
-    """fn of a stack of vectors, a block of rows at a time, where fn makes
-    `entries` values per row, so that a block holds about `block` of them
-    (no rows make one empty block)."""
-    step = max(1, block // max(entries, 1))
-    return np.concatenate([fn(rows[i:i + step]) for i in range(0, max(len(rows), 1), step)])
+# values a pruned block holds at once (rows of set masses, or survivor gaps), and a block of greedy gains
+_GAP_BLOCK = 1 << 15
 
 
 def yatracos_sets(M: np.ndarray) -> np.ndarray:

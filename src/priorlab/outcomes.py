@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .concepts import ConceptSpace, DataDistribution
+from .concepts import ConceptSpace, DataDistribution, d_subsets, trace_counts
 from .errors import BYTE_BUDGET, Array, Work, capped_power, check_plan
 from .priors import TabularPrior, total_variation
 
@@ -342,20 +342,12 @@ def verify_lemma_pairs(pairs, dist: DataDistribution, k_max: int) -> list[tuple]
     return rows
 
 
-def realizable_pattern_count(space: ConceptSpace, anchors: tuple[int, ...]) -> int:
-    """Number of distinct label patterns the class realizes on the anchors:
-    the distinct values of the concepts' masks on the anchor bits, counted
-    as a set of Python ints."""
-    if any(not 1 <= a <= space.m for a in anchors):
-        raise ValueError("points outside instance space")
-    anchor_mask = sum(1 << (a - 1) for a in set(anchors))
-    return len(set((space.masks & anchor_mask).tolist()))
-
-
 def sauer_plan(m: int, concepts: int, key: str = "m") -> list:
-    """The work of `check_sauer`: one label per (anchor set, concept)."""
-    sets = sum(math.comb(m, k) for k in range(1, min(SAUER_K_MAX, m) + 1))
-    return [Work(f"labels of {sets} anchor sets x {concepts} concepts", sets * concepts, key)]
+    """The work of `check_sauer`, one label per (anchor set, concept), and the masks of the anchor
+    sets of its most numerous size, as a list of Python ints and an int64 array."""
+    sets = [math.comb(m, k) for k in range(1, min(SAUER_K_MAX, m) + 1)]
+    return [Work(f"labels of {sum(sets)} anchor sets x {concepts} concepts", sum(sets) * concepts, key),
+            Array("one size's anchor set masks", (max(sets), 9), "pyslot", key)]
 
 
 def check_sauer(space: ConceptSpace) -> list[CheckReport]:
@@ -364,9 +356,7 @@ def check_sauer(space: ConceptSpace) -> list[CheckReport]:
     check_plan(sauer_plan(space.m, len(space)))
     reports = []
     for k in range(1, min(SAUER_K_MAX, space.m) + 1):
-        worst = 0
-        for anchors in itertools.combinations(range(1, space.m + 1), k):
-            worst = max(worst, realizable_pattern_count(space, anchors))
+        worst = int(trace_counts(space, d_subsets(space.m, k)).max())
         bound = (math.e * k) ** space.d
         reports.append(CheckReport("sauer", _instance_tag(space), k, float(worst), bound, worst <= bound))
     return reports

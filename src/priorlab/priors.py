@@ -25,6 +25,7 @@ from .concepts import (
     d_subsets,
     _rho_table,
     rho_matrix,
+    rho_plan,
     uniform_distribution,
 )
 from .errors import WORK_BUDGET, AbsoluteContinuityError, Array, BudgetError, Work, capped_power, check_plan
@@ -320,7 +321,7 @@ def holder_plan(n: int, m: int, key: str = "d") -> list:
     """What `holder_check` holds on n concepts over m points."""
     pairs = n * (n - 1) // 2
     return [
-        Array("rho bit planes", (2, n, n, m), "int64", key),
+        *rho_plan(n, m, key),
         Array("rho pair runs", (6, pairs), "int64", key),
         Array("Hölder pair differences", (3, max(pairs, HOLDER_BLOCK)), "float64", key),
     ]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from priorlab import elicitation, errors
+from priorlab import cli, elicitation, errors, priors
 from priorlab.cli import SCHEMAS, SUBCOMMANDS, _experiment_config, _int_list, dispatch, main, parse_config
 from priorlab.concepts import enumerate_concepts, uniform_distribution
 from priorlab.errors import WORK_BUDGET, BudgetError, check_plan
@@ -135,6 +135,18 @@ def test_cover_info(tmp_path):
     assert "parity_family_size=4" in (out / "summary.txt").read_text()
 
 
+def test_cover_info_counts_the_parity_family_without_building_it(tmp_path, monkeypatch):
+    # 2^21 members: counted, never built
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("cover-info built the parity family")
+
+    for module in (cli, priors):
+        monkeypatch.setattr(module, "parity_family", unbuilt)
+    out = tmp_path / "out"
+    assert dispatch("cover-info", write_config(tmp_path, "c.cfg", "m = 21\nd = 1\n"), 0, out) == 0
+    assert (out / "summary.txt").read_text().startswith("parity_family_size=2097152\n")
+
+
 def test_cover_info_budget_exit_code(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "c.cfg", "m = 3\nd = 2\nepsilons = 0.05\nbudget = 10\n")
@@ -176,9 +188,6 @@ PARITY_M5 = "m = 5\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10\nreplicates = 2\n"
 @pytest.mark.parametrize(
     "subcommand, config, reason",
     [
-        # the parity family the summary counts, 2^21 members: cover-info wrote
-        # manifest.txt and cover_info.csv, then exited, at 2^13 members
-        ("cover-info", "m = 21\nd = 1\n", "its largest array, parity sign tables"),
         # 1,024 members on 90 outcomes: wrote manifest.txt, then exited
         ("rates", PARITY_M5, "Yatracos pair masses, holds 1024x1047552 float64"),
         ("lowerbound", PARITY_M5, "1024x1047552"),
@@ -205,14 +214,17 @@ PARITY_M5 = "m = 5\nd = 2\nL = 1.0\nalpha = 1.0\nT_grid = 10\nreplicates = 2\n"
         ),
         # 42^5 outcomes; at m = 40, k_max = 4 this wrote manifest.txt, then exited at k = 4
         ("lemmas", "m = 21\nd = 1\nk_max = 5\n", "'k_max': the plan holds"),
-        # check_sauer would label 31 concepts on 8,656,936 anchor sets (about 24 min)
+        # check_sauer would count the traces of 31 concepts on 8,656,936 anchor sets (about 15 s)
         ("lemmas", "m = 30\nd = 1\nk_max = 1\n", "8656936 anchor sets x 31 concepts"),
-        # 2^C(63, 31) members: counting them as an integer ran past 20 s
-        ("cover-info", "m = 63\nd = 31\n", "its largest array, parity subset terms"),
+        # the rho table of 2^62 concepts
+        ("cover-info", "m = 63\nd = 31\n", "its largest array, rho bit planes"),
+        # the rho table that even a cover of 10 members cuts its cells by: C(50, <=3) = 20,876
+        # concepts, 349 GB of bit planes
+        ("cover-info", "m = 50\nd = 3\nbudget = 10\n", "its largest array, rho bit planes"),
     ],
     ids=[
-        "cover-info-m13", "rates-m5", "lowerbound-m5", "rates-m6", "smoothness-m12", "cover-info-budget",
-        "rates-twopoint-m20-k4", "lemmas-m40", "lemmas-sauer-m30", "cover-info-m63-d31",
+        "rates-m5", "lowerbound-m5", "rates-m6", "smoothness-m12", "cover-info-budget",
+        "rates-twopoint-m20-k4", "lemmas-m40", "lemmas-sauer-m30", "cover-info-m63-d31", "cover-info-rho-m50",
     ],
 )
 def test_budgets_checked_before_output(tmp_path, capsys, subcommand, config, reason):

@@ -6,6 +6,7 @@ import pytest
 
 from priorlab.concepts import (
     Concept,
+    ConceptSpace,
     DataDistribution,
     d_subsets,
     enumerate_concepts,
@@ -107,19 +108,23 @@ def shattered_oracle(masks, subset):
     return len(seen) == want
 
 
-@pytest.mark.parametrize("m,d", [(3, 2), (4, 1), (1, 1), (5, 3), (6, 2)])
+def vc_oracle(masks, m, d) -> bool:
+    """Brute force: some d-subset of {1..m} is shattered and no (d+1)-subset is."""
+    points = range(1, m + 1)
+    return any(shattered_oracle(masks, s) for s in itertools.combinations(points, d)) and not any(
+        shattered_oracle(masks, s) for s in itertools.combinations(points, d + 1)
+    )
+
+
+@pytest.mark.parametrize("m,d", [(m, d) for m in range(1, 9) for d in range(1, m + 1)])
 def test_vc_dimension_is_d(m, d):
     sp = enumerate_concepts(m, d)
     masks = [c.mask for c in sp]
-    some_d = any(
-        shattered_oracle(masks, s) for s in itertools.combinations(range(1, m + 1), d)
-    )
-    no_d1 = all(
-        not shattered_oracle(masks, s)
-        for s in itertools.combinations(range(1, m + 1), d + 1)
-    )
-    assert some_d and no_d1  # oracle
-    assert verify_vc_dimension(sp)
+    assert vc_oracle(masks, m, d)
+    assert verify_vc_dimension(sp) is True
+    # the same concepts, with their VC dimension misstated
+    for claimed in range(1, m + 1):
+        assert verify_vc_dimension(ConceptSpace(m, claimed, sp.concepts)) is vc_oracle(masks, m, claimed)
 
 
 def test_vc_guard():

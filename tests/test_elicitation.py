@@ -29,7 +29,7 @@ from priorlab.elicitation import (
     run_algorithm1,
 )
 from priorlab.errors import BudgetError, plan_bytes
-from priorlab.estimators import _MinDistance, yatracos_scores, yatracos_sets
+from priorlab.estimators import _GAP_BLOCK, _MinDistance, yatracos_scores, yatracos_sets
 from priorlab.ratelab import format_cell
 from priorlab.sampling import stream
 
@@ -930,6 +930,15 @@ def test_estimate_Q_matches_per_trial_streams(name, seed):
     for member in range(fam.n_members):
         q = estimate_Q(member, fam, 0.05, trials=60, seed=seed)
         assert (q.mean, q.se) == oracle_estimate_Q(member, fam, 0.05, 60, seed)
+
+
+def test_estimate_Q_picks_greedy_queries_a_block_of_gains_at_a_time():
+    # members 4 and 7 ask all 300 trials a first query: 256 gains each, three blocks
+    fam, _ = family_and_model("presence")
+    assert 300 * fam.n_bundles > 2 * _GAP_BLOCK
+    for member in (4, 7):
+        q = estimate_Q(member, fam, 0.05, trials=300, seed=7)
+        assert (q.mean, q.se) == oracle_estimate_Q(member, fam, 0.05, 300, 7) and q.mean >= 1
 
 
 def test_bulk_draws_reject_negative_seed_and_empty_stream():

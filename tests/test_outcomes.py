@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from priorlab.concepts import DataDistribution, enumerate_concepts, uniform_distribution
+from priorlab.concepts import _DENSE_BLOCK, DataDistribution, enumerate_concepts, trace_counts, uniform_distribution
 from priorlab.errors import BudgetError
 from priorlab.outcomes import (
     OutcomeDistribution,
@@ -15,7 +15,6 @@ from priorlab.outcomes import (
     exact_outcome_dist,
     label_conditional_tv,
     outcome_laws,
-    realizable_pattern_count,
     tv,
     verify_lemma_chain,
     verify_sqrt_bound,
@@ -404,14 +403,15 @@ def test_empirical_convergence_to_exact():
     assert gaps[2] < gaps[0] / 3
 
 
-def test_sauer_pattern_counts():
-    for m, d in [(3, 2), (5, 2), (6, 1), (8, 3)]:
-        sp = enumerate_concepts(m, d)
-        for rep in check_sauer(sp):
-            assert rep.passed
-        # oracle at k = m: patterns = |C| realizes the class size
-        full = realizable_pattern_count(sp, tuple(range(1, m + 1)))
-        assert full == len(sp)
+def anchor_mask(anchors) -> int:
+    return sum(1 << (a - 1) for a in set(anchors))
+
+
+def set_trace_count(space, anchors) -> int:
+    """Oracle: the distinct values of the concepts' masks on the anchor
+    bits, counted as a set of Python ints."""
+    bits = anchor_mask(anchors)
+    return len({msk & bits for msk in space.masks.tolist()})
 
 
 def tuple_pattern_count(space, anchors) -> int:
@@ -419,17 +419,32 @@ def tuple_pattern_count(space, anchors) -> int:
     return len({tuple(int(v) for v in row) for row in space.label_matrix(tuple(anchors))})
 
 
-def test_realizable_pattern_count_is_the_label_tuple_set():
+@pytest.mark.parametrize("m, d", [(3, 2), (5, 2), (6, 1), (8, 3), (12, 2), (20, 1)])
+def test_sauer_rows_are_the_oracle_maxima(m, d):
+    sp = enumerate_concepts(m, d)
+    reports = check_sauer(sp)
+    assert [rep.k for rep in reports] == list(range(1, min(8, m) + 1))
+    for rep in reports:
+        anchor_sets = list(itertools.combinations(range(1, m + 1), rep.k))
+        assert rep.lhs == float(max(set_trace_count(sp, anchors) for anchors in anchor_sets))
+        assert rep.rhs == (math.e * rep.k) ** d and rep.passed
+    if m >= 12:  # a size's anchor sets span several blocks
+        assert math.comb(m, 8) > 2 * (_DENSE_BLOCK // len(sp))
+    # on all m points the patterns are the class itself
+    assert trace_counts(sp, [(1 << m) - 1]).tolist() == [len(sp)]
+
+
+def test_trace_counts_are_the_label_tuple_set():
     for m, d in [(2, 1), (4, 2), (5, 3), (6, 1), (7, 7)]:
         sp = enumerate_concepts(m, d)
         for k in range(1, m + 1):
-            for anchors in itertools.combinations(range(1, m + 1), k):
-                assert realizable_pattern_count(sp, anchors) == tuple_pattern_count(sp, anchors)
-        assert realizable_pattern_count(sp, (1, 1, 2)) == tuple_pattern_count(sp, (1, 1, 2))
-    with pytest.raises(ValueError, match="outside"):
-        realizable_pattern_count(enumerate_concepts(3, 1), (0, 2))
-    with pytest.raises(ValueError, match="outside"):
-        realizable_pattern_count(enumerate_concepts(3, 1), (4,))
+            anchor_sets = list(itertools.combinations(range(1, m + 1), k))
+            counts = trace_counts(sp, [anchor_mask(anchors) for anchors in anchor_sets])
+            assert counts.tolist() == [tuple_pattern_count(sp, anchors) for anchors in anchor_sets]
+            assert counts.tolist() == [set_trace_count(sp, anchors) for anchors in anchor_sets]
+        # a repeated anchor labels one point twice, and traces it once
+        assert trace_counts(sp, [anchor_mask((1, 1, 2))]).tolist() == [tuple_pattern_count(sp, (1, 1, 2))]
+        assert trace_counts(sp, []).tolist() == []
 
 
 def test_check_report_csv_row():

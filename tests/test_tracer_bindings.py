@@ -16,6 +16,7 @@ MARK = "perfbench/spans.py"
 
 # (module, name) of every import marked as kept for the tracer
 TRACER_ONLY = (
+    ("priorlab.cli", "parity_family"),
     ("priorlab.cli", "verify_lemma_chain"),
     ("priorlab.cli", "verify_sqrt_bound"),
     ("priorlab.cli", "verify_tree_inequality"),
